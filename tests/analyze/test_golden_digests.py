@@ -1,0 +1,137 @@
+"""Golden digests: behaviour pinned to literal values, not just reruns.
+
+``test_determinism.py`` proves two same-seed runs agree with *each
+other*; a refactor that changes behaviour deterministically passes it.
+This file pins the digests and kernel event counts themselves, so "bit-
+identical to the parent commit" is a checked claim: a change to the
+write path, the replication fan-out, the replay insert or backup
+placement that moves a single event or latency sample fails here.
+
+A legitimate model change updates the literals in the same commit and
+says why; a refactor must leave them alone.
+
+Values captured on CPython 3.11 at commit fe27983 (identical with and
+without ``REPRO_SIM_DEBUG=1``).  They depend only on float ``repr`` and
+the Mersenne-Twister streams behind ``RandomStream``; CI's 3.9 and 3.12
+were not available where these were captured — should a digest differ
+there, keep that case's event count and drop its digest.
+"""
+
+import pytest
+
+from repro.cluster import ClusterSpec, ExperimentSpec, run_experiment
+from repro.experiments.sweep import crash_experiment_digest, experiment_digest
+from repro.ramcloud.config import ServerConfig
+from repro.ramcloud.consistency import ASYNC_BOUNDED
+from repro.ramcloud.indexing import secondary_key, uniform_boundaries
+from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_C, WorkloadSpec
+from tests.analyze.test_determinism import run_small, run_small_crash
+from tests.ramcloud.conftest import build_cluster, run_client_script
+
+
+def run_async_bounded_rf2():
+    """The merged fan-out's second caller: every update acks after the
+    local append and the flusher ships batches to two backups.  The
+    bound is tightened from 50 ms so the flusher ships many batches
+    inside this few-millisecond run instead of none."""
+    return run_experiment(ExperimentSpec(
+        cluster=ClusterSpec(
+            num_servers=3, num_clients=2,
+            server_config=ServerConfig(replication_factor=2,
+                                       default_consistency=ASYNC_BOUNDED,
+                                       staleness_bound_seconds=0.002),
+            seed=7),
+        workload=WORKLOAD_A.scaled(num_records=500, ops_per_client=120),
+    ))
+
+
+# Inserts add records whose secondary keys are new, so each one sends
+# an index_write to the owning indexlet (updates rewrite the same
+# pairs and send nothing).
+INDEXED_WRITES = WorkloadSpec(name="indexed-writes", read_proportion=0.3,
+                              update_proportion=0.2, insert_proportion=0.3,
+                              index_scan_proportion=0.2, max_scan_length=20,
+                              num_indexlets=2)
+
+
+def run_indexed_writes():
+    return run_experiment(ExperimentSpec(
+        cluster=ClusterSpec(
+            num_servers=3, num_clients=2,
+            server_config=ServerConfig(replication_factor=1), seed=7),
+        workload=INDEXED_WRITES.scaled(num_records=300, ops_per_client=80),
+    ))
+
+
+GOLDEN_EXPERIMENTS = {
+    "read_only": (
+        lambda: run_small(WORKLOAD_C), 3654,
+        "cd8e82d038a3e6ae1ffc0075978955677bca620e12bf87360dd62c38acd17403"),
+    "update_heavy_rf1": (
+        lambda: run_small(WORKLOAD_A, rf=1), 5990,
+        "ee79cd935bdbb1fc750887316b631379dffa72375bce0c062b6231c5c2d9042e"),
+    "async_bounded_rf2": (
+        run_async_bounded_rf2, 5744,
+        "80af0f6fc5026af4d26e8162834f6aa2b6bcdb87bd0cffc91368c4382a4541f9"),
+    "indexed_writes_rf1": (
+        run_indexed_writes, 6362,
+        "ad569714a7ae66d1a3ac0e58bea487487e637285664d69c3ab4c9215b30ade46"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXPERIMENTS))
+def test_experiment_matches_golden(case):
+    runner, events, digest = GOLDEN_EXPERIMENTS[case]
+    result = runner()
+    assert result.sim_events == events
+    assert experiment_digest(result) == digest
+
+
+def test_crash_experiment_matches_golden():
+    # CrashExperimentResult carries no event count; the digest covers
+    # every sampled series and the recovery/repair timeline.
+    assert crash_experiment_digest(run_small_crash()) == (
+        "636fa8d0fd3c26e91980c6493e350de153a926c58e106c07c19533344bd7a302")
+
+
+def run_index_mutation_script():
+    """YCSB never deletes, so the index_remove handler gets a scripted
+    pin: overwrites that change the secondary key (index_write, then
+    index_remove of the stale entry) and deletes (index_remove),
+    replicated at RF 1.  Event count and finish time move if either
+    index handler's append/charge/replicate sequence does."""
+    cluster = build_cluster(num_servers=3, replication_factor=1, seed=7)
+    table_id = cluster.create_table("t")
+    desc = cluster.create_index(table_id, "sec", uniform_boundaries(40, 2))
+    cluster.preload_indexed(table_id, desc, 40, 256)
+    client = cluster.clients[0]
+
+    def moved(i):
+        # A secondary key no preloaded record carries, spread over both
+        # indexlets.
+        return secondary_key((7 * i + 5) % 40) + "m"
+
+    def script():
+        versions = []
+        for i in range(12):
+            versions.append((yield from client.write(
+                table_id, f"user{i}", 256,
+                index_entries=((desc.index_id, moved(i)),))))
+        for i in range(0, 12, 2):
+            yield from client.delete(table_id, f"user{i}")
+        return tuple(versions)
+
+    versions = run_client_script(cluster, script())
+    servers = cluster.servers
+    return (cluster.sim._seq, repr(cluster.sim.now), versions,
+            sum(s.index_inserts for s in servers),
+            sum(s.index_removes for s in servers))
+
+
+def test_index_mutation_script_matches_golden():
+    # (kernel events, finish time, write versions, index_inserts,
+    # index_removes): 12 moved entries in, their 12 stale twins plus 6
+    # deleted records' entries out.
+    assert run_index_mutation_script() == (
+        1705, "0.007127517469463121",
+        (33, 34, 35, 16, 37, 17, 18, 46, 19, 50, 20, 42), 12, 18)
