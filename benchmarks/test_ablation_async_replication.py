@@ -5,17 +5,11 @@ update request, without waiting for the acknowledgement from the
 backups, if the application tolerates inconsistencies": quantifies the
 throughput and energy-efficiency gain the paper predicts.
 
-The original ``async_replication=True`` knob is now a deprecated alias
-for ``default_consistency=ASYNC_BOUNDED`` (docs/CONSISTENCY.md); the
-digest-pinning test below proves the alias behavior-preserving.
+The asynchronous arm is ``default_consistency=ASYNC_BOUNDED``
+(docs/CONSISTENCY.md).
 """
 
-from repro.cluster import ClusterSpec, ExperimentSpec, run_experiment
 from repro.experiments.ablations import run_async_replication_ablation
-from repro.experiments.sweep import experiment_digest
-from repro.ramcloud.config import ServerConfig
-from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF
-from repro.ycsb.workload import WORKLOAD_A
 
 
 def test_ablation_async_replication(run_once, scale):
@@ -26,32 +20,3 @@ def test_ablation_async_replication(run_once, scale):
     assert gain > 1.1  # meaningfully faster without ack waits
     assert (rows["asynchronous (no ack wait): energy efficiency"]
             > rows["synchronous (wait for acks): energy efficiency"])
-
-
-def _ablation_spec(config: ServerConfig) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(num_servers=4, num_clients=2,
-                            server_config=config, seed=1),
-        workload=WORKLOAD_A.scaled(num_records=500, ops_per_client=100),
-    )
-
-
-def test_async_replication_alias_is_behavior_preserving():
-    """``async_replication=True`` and an explicit cluster-wide
-    ASYNC_BOUNDED default must run the *same simulation*: byte-exact
-    digest equality, not statistics within noise."""
-    alias = ServerConfig(replication_factor=2, async_replication=True)
-    explicit = ServerConfig(replication_factor=2,
-                            default_consistency=ASYNC_BOUNDED)
-    assert alias.default_consistency == ASYNC_BOUNDED
-    assert (experiment_digest(run_experiment(_ablation_spec(alias)))
-            == experiment_digest(run_experiment(_ablation_spec(explicit))))
-
-
-def test_alias_does_not_override_explicit_level():
-    """An explicitly relaxed default wins over the legacy flag — the
-    alias only upgrades the SYNC_RF *default*."""
-    config = ServerConfig(async_replication=True,
-                          default_consistency="eventual")
-    assert config.default_consistency == "eventual"
-    assert ServerConfig().default_consistency == SYNC_RF

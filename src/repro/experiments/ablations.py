@@ -26,6 +26,7 @@ from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.hardware.specs import MB
 from repro.ramcloud.config import ServerConfig
+from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_C
 
 __all__ = ["run_segment_size_ablation", "run_worker_threads_ablation",
@@ -109,24 +110,24 @@ def run_async_replication_ablation(scale: Scale = DEFAULT,
         "§IX consistency", f"workload A with RF {rf}: synchronous vs "
         "asynchronous replication")
     results = {}
-    for label, async_repl in (("synchronous (wait for acks)", False),
-                              ("asynchronous (no ack wait)", True)):
+    for label, level in (("synchronous (wait for acks)", SYNC_RF),
+                         ("asynchronous (no ack wait)", ASYNC_BOUNDED)):
         spec = ExperimentSpec(
             cluster=ClusterSpec(
                 num_servers=servers, num_clients=clients,
                 server_config=ServerConfig(replication_factor=rf,
-                                           async_replication=async_repl)),
+                                           default_consistency=level)),
             workload=WORKLOAD_A.scaled(num_records=scale.num_records,
                                        ops_per_client=scale.ops_per_client),
         )
         metrics, _r = repeat_experiment(spec, scale.seeds[:1])
-        results[async_repl] = metrics
+        results[level] = metrics
         table.add(f"{label}: throughput", None,
                   metrics["throughput"].mean / 1000.0, "K")
         table.add(f"{label}: energy efficiency", None,
                   metrics["energy_efficiency"].mean, " op/J")
-    speedup = (results[True]["throughput"].mean
-               / results[False]["throughput"].mean)
+    speedup = (results[ASYNC_BOUNDED]["throughput"].mean
+               / results[SYNC_RF]["throughput"].mean)
     table.add("throughput gain from relaxing consistency", None, speedup,
               "x")
     table.note("the paper predicts this gain but leaves it as future "

@@ -430,12 +430,6 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         result = yield from self._validate_entries(desc, entry_keys)
         return result
 
-    def lookup_range(self, index_id: int, lo: str,
-                     hi: Optional[str] = None,
-                     limit: int = 1000) -> Generator:
-        """Alias for :meth:`search`."""
-        return self.search(index_id, lo, hi, limit)
-
     def _search_entries(self, desc, lo: str, hi: str,
                         limit: int) -> Generator:
         """The indexlet walk: collect up to ``limit`` matching entry

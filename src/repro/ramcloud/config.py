@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hardware.specs import GB, KB, MB
-from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF, validate_level
+from repro.ramcloud.consistency import SYNC_RF, validate_level
 
 __all__ = ["ServerConfig", "CostModel"]
 
@@ -189,12 +189,6 @@ class ServerConfig:
     # queues blow past the cap, and YCSB's 1 s give-up cliff trips.
     # None (the default) disables dropping entirely.
     overload_queue_limit: Optional[int] = None
-    # §IX "Tuning the consistency-level?": deprecated alias for
-    # ``default_consistency=ASYNC_BOUNDED`` — answer the client as soon
-    # as the update is applied locally, replicate in the background.
-    # Kept so existing configurations and the ablation benchmarks keep
-    # working; mapped onto ``default_consistency`` in ``__post_init__``.
-    async_replication: bool = False
     # ---- per-request consistency (repro.ramcloud.consistency) ----
     # Cluster-wide default level for requests that do not pick one:
     # "sync_rf" (ack after all RF backups — the paper's behaviour, and
@@ -261,10 +255,6 @@ class ServerConfig:
             raise ValueError("staleness_bound_seconds must be positive")
         if self.staleness_bound_bytes <= 0:
             raise ValueError("staleness_bound_bytes must be positive")
-        if self.async_replication and self.default_consistency == SYNC_RF:
-            # Deprecated alias: the old global switch means "the whole
-            # cluster defaults to async" in the new vocabulary.
-            object.__setattr__(self, "default_consistency", ASYNC_BOUNDED)
 
     @property
     def total_segments(self) -> int:

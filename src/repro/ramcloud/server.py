@@ -145,7 +145,7 @@ class RamCloudServer(RpcService):
 
         # ---- master state ----
         self._bulk_loading = False
-        self.log = Log(config, on_open=self._choose_backups_lenient,
+        self.log = Log(config, on_open=self._choose_backups,
                        on_close=self._segment_closed)
         self.hashtable = HashTable()
         self.log_lock = Mutex(sim, name=f"{self.server_id}:log")
@@ -509,6 +509,17 @@ class RamCloudServer(RpcService):
 
     def _check_ownership(self, table_id: int, key: str, span: int,
                          epoch: Optional[int] = None) -> None:
+        h = key_hash(key)
+        index = self._tablet_index_for(table_id, key, h, span)
+        shard_count = self.tablet_shards.get((table_id, index), 1)
+        self._check_unit((table_id, index, (h // span) % shard_count), epoch)
+
+    def _check_unit(self, unit: Tuple[int, int, int],
+                    epoch: Optional[int]) -> None:
+        """May this server serve ``unit`` (a (table, tablet, shard)
+        triple) to a client whose map is at ``epoch``?  Raises
+        WrongServer / StaleEpoch / RetryLater otherwise; the worker
+        loop fails the request with whatever escapes a handler."""
         if self.fenced:
             # Evicted from the cluster: route the client to whoever
             # recovered our tablets (it refreshes its map and retries).
@@ -521,11 +532,6 @@ class RamCloudServer(RpcService):
             raise StaleEpoch(
                 f"client map epoch {epoch} predates ownership change "
                 f"(this master requires >= {self.min_client_epoch})")
-        h = key_hash(key)
-        index = self._tablet_index_for(table_id, key, h, span)
-        shard_count = self.tablet_shards.get((table_id, index), 1)
-        shard = (h // span) % shard_count
-        unit = (table_id, index, shard)
         if self.race.enabled:
             self.race.read(f"{unit[0]}.{unit[1]}.{unit[2]}")
         status = self.tablets.get(unit)
@@ -551,37 +557,40 @@ class RamCloudServer(RpcService):
     # replica placement
     # ------------------------------------------------------------------
 
-    def _choose_backups(self, segment: Segment) -> Tuple[str, ...]:
-        """Pick ``replication_factor`` random distinct backups for a new
-        segment (§II-B: random selection so recovery parallelizes)."""
+    def _choose_backups(self, _segment: Optional[Segment] = None,
+                        if_short: str = "none") -> Tuple[str, ...]:
+        """Pick ``replication_factor`` random distinct backups (§II-B:
+        random selection so recovery parallelizes).  ``if_short`` says
+        what to do when our view holds fewer live candidates than that:
+
+        * ``"none"`` — no backups yet.  The segment-open callback (which
+          is why a segment argument is accepted): during cluster
+          bootstrap the first head segment opens before peers have
+          enlisted; it gets its backups assigned lazily by
+          :meth:`_ensure_head_replicated` on the first actual append.
+        * ``"raise"`` — that first append: the data must not go
+          unreplicated.
+        * ``"all"`` — recovery re-replication: use whoever is left.
+        """
         rf = self.config.replication_factor
         if rf == 0:
             return ()
         candidates = [sid for sid in self.live_view
                       if sid != self.server_id]
-        if len(candidates) < rf:
+        if len(candidates) >= rf:
+            return tuple(self.stream.sample(candidates, rf))
+        if if_short == "raise":
             raise RuntimeError(
                 f"replication factor {rf} needs {rf} live backups, "
                 f"have {len(candidates)}"
             )
-        return tuple(self.stream.sample(candidates, rf))
-
-    def _choose_backups_lenient(self, segment: Segment) -> Tuple[str, ...]:
-        """Segment-open callback.  During cluster bootstrap the first
-        head segment opens before peers have enlisted; it gets its
-        backups assigned lazily by :meth:`_ensure_head_replicated` on
-        the first actual append."""
-        rf = self.config.replication_factor
-        candidates = [sid for sid in self.live_view
-                      if sid != self.server_id]
-        if rf == 0 or len(candidates) < rf:
-            return ()
-        return tuple(self.stream.sample(candidates, rf))
+        return tuple(candidates) if if_short == "all" else ()
 
     def _ensure_head_replicated(self) -> None:
         if (self.config.replication_factor > 0
                 and not self.log.head.replica_backups):
-            self.log.head.replica_backups = self._choose_backups(self.log.head)
+            self.log.head.replica_backups = self._choose_backups(
+                if_short="raise")
 
     def _segment_closed(self, segment: Segment) -> None:
         """Log head rolled: tell this segment's backups to flush."""
@@ -850,11 +859,7 @@ class RamCloudServer(RpcService):
         table_id, key, span = request.args[:3]
         epoch = request.args[3] if len(request.args) > 3 else None
         yield from self.node.cpu.execute(self.cost.read_service)
-        try:
-            self._check_ownership(table_id, key, span, epoch)
-        except (WrongServer, RetryLater, StaleEpoch) as exc:
-            request.fail(exc)
-            return
+        self._check_ownership(table_id, key, span, epoch)
         found = self.hashtable.lookup(table_id, key)
         if found is None:
             request.fail(ObjectDoesntExist(f"t{table_id}/{key}"))
@@ -962,20 +967,66 @@ class RamCloudServer(RpcService):
             yield self.sim.timeout(0.02)
         raise RetryLater(f"{self.server_id}: log full, cleaner starved")
 
-    def _replicate_entry(self, segment: Segment, entry: LogEntry,
-                         upto: int) -> Generator:
-        """SYNC_RF: push one appended entry to every backup of its
-        segment and wait for every acknowledgement before returning —
-        the strong-consistency rule the paper identifies as a major
-        cost ("it has to wait for the acknowledgements from the
-        backups ... crucial for providing strong consistency
-        guarantees", §VI).  ``upto`` is the segment's entry count at
-        append time: the applied-prefix watermark the backup records
+    def _acquire(self, lock: Mutex) -> Generator:
+        """Wait for ``lock``; returns the granted token, which the
+        caller releases in a ``finally``.  If the wait is interrupted —
+        migration, recovery lanes and the cleaner are all killed with
+        their node — the queued request is withdrawn so the lock is not
+        leaked.  (:meth:`_append_locked` keeps its own flattened copy:
+        it is the hot path.)"""
+        token = lock.acquire()
+        try:
+            yield token
+        except BaseException:
+            lock.abort(token)
+            raise
+        return token
+
+    def _insert_versioned(self, table_id: int, key: str, value_size: int,
+                          version: int, value: Optional[bytes],
+                          index_keys) -> None:
+        """Insert one record whose version is already decided — bulk
+        load, a migrating shard, crash-recovery replay — into the log,
+        the hash table and (for an index entry) the sorted view, in one
+        step under the log lock.
+
+        The record keeps its acknowledged version, so this master's
+        counter must advance past it — otherwise a later write could
+        re-issue an already-acknowledged version number for different
+        data, and a client holding the old (value, version) pair could
+        never detect the change.
+        """
+        segment, entry, _closed = self.log.append(
+            table_id, key, value_size, version, value=value,
+            index_keys=index_keys)
+        self.hashtable.insert(table_id, key, segment, entry)
+        if self.index_configs and table_id in self.index_configs:
+            self.index_entries.insert(table_id, key)
+        if version >= self._next_version:
+            self._next_version = version + 1
+
+    def _replicate_append(self, segment: Segment, nbytes: int, upto: int,
+                          spin: bool) -> Generator:
+        """Push ``nbytes`` of appended log to every backup of
+        ``segment`` and wait for every acknowledgement before
+        returning.  ``upto`` is the segment's entry count the bytes
+        reach up to: the applied-prefix watermark the backup records
         (see :class:`SegmentReplica`).
 
+        The one replication mechanism; the consistency level only
+        decides who calls it.  SYNC_RF calls it from the write path,
+        per entry, with ``spin`` set — the strong-consistency rule the
+        paper identifies as a major cost ("it has to wait for the
+        acknowledgements from the backups ... crucial for providing
+        strong consistency guarantees", §VI).  ASYNC_BOUNDED/EVENTUAL
+        call it from the background flusher, per batched segment,
+        blocking plainly on the acks (:meth:`_flush_pending`).
+
         Raises :class:`StaleEpoch` (after fencing this server) if a
-        backup's server-list epoch marks us dead — the client's request
-        fails, it refreshes its map and retries at the new owner.
+        backup's server-list epoch marks us dead — a zombie's bytes
+        must never reach the durable log.  On the write path the
+        client's request fails, it refreshes its map and retries at the
+        new owner; the flusher stops.
         """
         for slot, backup_id in enumerate(segment.replica_backups):
             if (backup_id in self.dead_view
@@ -991,16 +1042,19 @@ class RamCloudServer(RpcService):
             yield from self.node.cpu.execute(self.cost.replication_send)
             call = backup.call(
                 self.node, "replicate_append",
-                args=(self.server_id, segment.segment_id, entry.log_bytes,
-                      upto),
-                size_bytes=entry.log_bytes + 64, response_bytes=64,
+                args=(self.server_id, segment.segment_id, nbytes, upto),
+                size_bytes=nbytes + 64, response_bytes=64,
                 timeout=self.config.rpc_timeout,
             )
             try:
-                # The worker busy-polls for the backup's acknowledgement
-                # (RPC waits spin in RAMCloud): replication raises power
-                # per node with the replication factor (paper Fig. 7).
-                yield from self.node.cpu.spinning(call)
+                if spin:
+                    # The worker busy-polls for the backup's
+                    # acknowledgement (RPC waits spin in RAMCloud):
+                    # replication raises power per node with the
+                    # replication factor (paper Fig. 7).
+                    yield from self.node.cpu.spinning(call)
+                else:
+                    yield from call
             except StaleEpoch:
                 self._fence()
                 raise
@@ -1139,32 +1193,8 @@ class RamCloudServer(RpcService):
                 rec[2] = max(rec[2], upto)
         for segment_id in sorted(per_segment):
             segment, nbytes, upto = per_segment[segment_id]
-            for slot, backup_id in enumerate(segment.replica_backups):
-                if (backup_id in self.dead_view
-                        or (segment.segment_id, slot)
-                        in self.under_replicated):
-                    self._record_lost_replica(segment, slot)
-                    continue
-                backup = self.coordinator.lookup_server(backup_id)
-                if backup is None:
-                    continue
-                yield from self.node.cpu.execute(self.cost.replication_send)
-                try:
-                    yield from backup.call(
-                        self.node, "replicate_append",
-                        args=(self.server_id, segment.segment_id, nbytes,
-                              upto),
-                        size_bytes=nbytes + 64, response_bytes=64,
-                        timeout=self.config.rpc_timeout,
-                    )
-                except StaleEpoch:
-                    # A backup's epoch marks us dead: fence and stop —
-                    # a zombie's batch must never reach the durable log
-                    # (the same rule the sync path enforces).
-                    self._fence()
-                    raise
-                except (NodeUnreachable, RpcTimeout):
-                    self._record_lost_replica(segment, slot)
+            yield from self._replicate_append(segment, nbytes, upto,
+                                              spin=False)
             self.repl_race.write("unreplicated_bytes", relaxed=True)
             self.unreplicated_bytes -= nbytes
         staleness = self.sim.now - oldest
@@ -1180,22 +1210,44 @@ class RamCloudServer(RpcService):
         epoch = request.args[6] if len(request.args) > 6 else None
         level = request.args[7] if len(request.args) > 7 else None
         index_keys = request.args[8] if len(request.args) > 8 else None
+        return self._mutate(request, table_id, key, span, epoch, level,
+                            "ops_completed", value_size, value,
+                            expected_version=expected_version,
+                            index_keys=index_keys)
+
+    def _handle_delete(self, request: RpcRequest) -> Generator:
+        table_id, key, span = request.args[:3]
+        epoch = request.args[3] if len(request.args) > 3 else None
+        level = request.args[4] if len(request.args) > 4 else None
+        return self._mutate(request, table_id, key, span, epoch, level,
+                            "ops_completed", is_tombstone=True)
+
+    def _mutate(self, request: RpcRequest, table_id: int, key: str,
+                span: int, epoch: Optional[int], level: Optional[str],
+                counter: str, value_size: int = 0,
+                value: Optional[bytes] = None, is_tombstone: bool = False,
+                expected_version: Optional[int] = None,
+                index_keys: Optional[Tuple[Tuple[int, str], ...]]
+                = None) -> Generator:
+        """The one mutation path — append, charge, replicate, answer —
+        behind write, delete, index_write and index_remove.  The
+        handlers hand this generator straight to the worker loop (no
+        frame of their own) and differ only in what they append and in
+        ``counter``, the per-kind statistic bumped on success next to
+        ``writes_completed``.  A tombstone requires the object to
+        exist."""
         if level is None:
             # Tenant default first (empty dict unless tenants exist),
             # then the cluster-wide config default.
             level = self._tenant_defaults.get(table_id,
                                               self.config.default_consistency)
-        try:
-            self._check_ownership(table_id, key, span, epoch)
-        except (WrongServer, RetryLater, StaleEpoch) as exc:
-            request.fail(exc)
-            return
+        self._check_ownership(table_id, key, span, epoch)
         try:
             segment, entry, closed, old_index_keys = \
                 yield from self._append_locked(
-                    table_id, key, value_size, value, is_tombstone=False,
+                    table_id, key, value_size, value, is_tombstone,
                     expected_version=expected_version,
-                    index_keys=index_keys)
+                    require_exists=is_tombstone, index_keys=index_keys)
         except StaleVersion as exc:
             yield from self.node.cpu.execute(self.cost.read_service)
             request.fail(exc)
@@ -1210,7 +1262,10 @@ class RamCloudServer(RpcService):
         # which index_lookup validation filters — never a missing one
         # for an acknowledged write); stale entries are removed only
         # AFTER replication, so a crash in between leaves filterable
-        # garbage, not lost index coverage.
+        # garbage, not lost index coverage.  For a delete every entry
+        # is stale: they come off only after the tombstone is durable,
+        # never resurrecting an object.  (Index entries themselves
+        # carry no index keys, so the index ops skip all of this.)
         added = stale = ()
         if index_keys or old_index_keys:
             added, stale = self._diff_index_keys(index_keys, old_index_keys)
@@ -1220,7 +1275,8 @@ class RamCloudServer(RpcService):
                 level)
         if self.config.replication_factor > 0:
             if level == SYNC_RF:
-                yield from self._replicate_entry(segment, entry, upto)
+                yield from self._replicate_append(segment, entry.log_bytes,
+                                                  upto, spin=True)
             else:
                 # ASYNC_BOUNDED / EVENTUAL: ack after the local append;
                 # the flusher replicates in batches within the bound.
@@ -1229,47 +1285,8 @@ class RamCloudServer(RpcService):
             yield from self._index_entry_rpc(
                 "index_remove", index_id, encode_entry_key(secondary, key),
                 level)
-        self.ops_completed += 1
         self.writes_completed += 1
-        request.respond(entry.version)
-
-    def _handle_delete(self, request: RpcRequest) -> Generator:
-        table_id, key, span = request.args[:3]
-        epoch = request.args[3] if len(request.args) > 3 else None
-        level = request.args[4] if len(request.args) > 4 else None
-        if level is None:
-            level = self._tenant_defaults.get(table_id,
-                                              self.config.default_consistency)
-        try:
-            self._check_ownership(table_id, key, span, epoch)
-        except (WrongServer, RetryLater, StaleEpoch) as exc:
-            request.fail(exc)
-            return
-        try:
-            segment, entry, _closed, old_index_keys = \
-                yield from self._append_locked(
-                    table_id, key, 0, None, is_tombstone=True,
-                    require_exists=True)
-        except ObjectDoesntExist as exc:
-            request.fail(exc)
-            return
-        upto = len(segment.entries)
-        yield from self.node.cpu.execute(self.cost.write_service)
-        if self.config.replication_factor > 0:
-            if level == SYNC_RF:
-                yield from self._replicate_entry(segment, entry, upto)
-            else:
-                yield from self._async_enqueue(segment, entry, upto)
-        # Index entries come off only after the tombstone is durable: a
-        # crash in between leaves dangling entries that index_lookup
-        # validation filters, never a resurrected object.
-        if old_index_keys:
-            for index_id, secondary in old_index_keys:
-                yield from self._index_entry_rpc(
-                    "index_remove", index_id,
-                    encode_entry_key(secondary, key), level)
-        self.ops_completed += 1
-        self.writes_completed += 1
+        setattr(self, counter, getattr(self, counter) + 1)
         request.respond(entry.version)
 
     def _handle_multiread(self, request: RpcRequest) -> Generator:
@@ -1282,11 +1299,7 @@ class RamCloudServer(RpcService):
             + self.cost.multiread_per_key * len(keys))
         results = {}
         for key in keys:
-            try:
-                self._check_ownership(table_id, key, span, epoch)
-            except (WrongServer, RetryLater, StaleEpoch) as exc:
-                request.fail(exc)
-                return
+            self._check_ownership(table_id, key, span, epoch)
             found = self.hashtable.lookup(table_id, key)
             if found is not None:
                 entry = found[1]
@@ -1356,56 +1369,15 @@ class RamCloudServer(RpcService):
         record: replicated at the write's consistency level, relocated
         by the cleaner, replayed by crash recovery."""
         index_id, entry_key, span, epoch, level = request.args
-        if level is None:
-            level = self._tenant_defaults.get(index_id,
-                                              self.config.default_consistency)
-        try:
-            self._check_ownership(index_id, entry_key, span, epoch)
-        except (WrongServer, RetryLater, StaleEpoch) as exc:
-            request.fail(exc)
-            return
-        segment, entry, _closed, _old = yield from self._append_locked(
-            index_id, entry_key, 0, None, is_tombstone=False)
-        upto = len(segment.entries)
-        yield from self.node.cpu.execute(self.cost.write_service)
-        if self.config.replication_factor > 0:
-            if level == SYNC_RF:
-                yield from self._replicate_entry(segment, entry, upto)
-            else:
-                yield from self._async_enqueue(segment, entry, upto)
-        self.writes_completed += 1
-        self.index_inserts += 1
-        request.respond(entry.version)
+        return self._mutate(request, index_id, entry_key, span, epoch,
+                            level, "index_inserts")
 
     def _handle_index_remove(self, request: RpcRequest) -> Generator:
         """Tombstone one index entry (a data delete, or an overwrite
         that changed the secondary key)."""
         index_id, entry_key, span, epoch, level = request.args
-        if level is None:
-            level = self._tenant_defaults.get(index_id,
-                                              self.config.default_consistency)
-        try:
-            self._check_ownership(index_id, entry_key, span, epoch)
-        except (WrongServer, RetryLater, StaleEpoch) as exc:
-            request.fail(exc)
-            return
-        try:
-            segment, entry, _closed, _old = yield from self._append_locked(
-                index_id, entry_key, 0, None, is_tombstone=True,
-                require_exists=True)
-        except ObjectDoesntExist as exc:
-            request.fail(exc)
-            return
-        upto = len(segment.entries)
-        yield from self.node.cpu.execute(self.cost.write_service)
-        if self.config.replication_factor > 0:
-            if level == SYNC_RF:
-                yield from self._replicate_entry(segment, entry, upto)
-            else:
-                yield from self._async_enqueue(segment, entry, upto)
-        self.writes_completed += 1
-        self.index_removes += 1
-        request.respond(entry.version)
+        return self._mutate(request, index_id, entry_key, span, epoch,
+                            level, "index_removes", is_tombstone=True)
 
     def _handle_search(self, request: RpcRequest) -> Generator:
         """Range lookup over one indexlet *shard*: entry keys in
@@ -1414,33 +1386,13 @@ class RamCloudServer(RpcService):
         from the last returned key).  The client fans out across an
         indexlet's shards and walks indexlets in boundary order."""
         index_id, lo, hi, limit, span, shard, epoch = request.args
-        if self.fenced:
-            request.fail(WrongServer(
-                f"{self.server_id} is fenced (evicted from the cluster)"))
-            return
-        if epoch is not None and epoch < self.min_client_epoch:
-            request.fail(StaleEpoch(
-                f"client map epoch {epoch} predates ownership change "
-                f"(this master requires >= {self.min_client_epoch})"))
-            return
         boundaries = self.index_configs.get(index_id)
         if boundaries is None:
-            request.fail(WrongServer(
+            raise WrongServer(
                 f"{self.server_id} has no indexlet map for index "
-                f"{index_id}"))
-            return
+                f"{index_id}")
         indexlet = indexlet_for_entry_key(boundaries, lo)
-        unit = (index_id, indexlet, shard)
-        if self.race.enabled:
-            self.race.read(f"{unit[0]}.{unit[1]}.{unit[2]}")
-        status = self.tablets.get(unit)
-        if status is None:
-            request.fail(WrongServer(
-                f"{self.server_id} does not own indexlet shard {unit}"))
-            return
-        if status == TabletStatus.RECOVERING:
-            request.fail(RetryLater(f"indexlet shard {unit} is recovering"))
-            return
+        self._check_unit((index_id, indexlet, shard), epoch)
         hi_eff = hi
         if indexlet + 1 < len(boundaries) and boundaries[indexlet + 1] < hi:
             hi_eff = boundaries[indexlet + 1]
@@ -1477,11 +1429,7 @@ class RamCloudServer(RpcService):
             + self.cost.multiread_per_key * len(items))
         results = {}
         for primary, index_id, secondary in items:
-            try:
-                self._check_ownership(table_id, primary, span, epoch)
-            except (WrongServer, RetryLater, StaleEpoch) as exc:
-                request.fail(exc)
-                return
+            self._check_ownership(table_id, primary, span, epoch)
             found = self.hashtable.lookup(table_id, primary)
             if found is None:
                 continue
@@ -1746,24 +1694,12 @@ class RamCloudServer(RpcService):
         replay_cpu = (len(entries) * self.cost.replay_per_entry
                       + nbytes * self.cost.replay_per_byte)
         yield from self.node.cpu.execute_sliced(replay_cpu)
-        token = self.log_lock.acquire()
-        try:
-            yield token
-        except BaseException:
-            # Interrupted (node killed) while queueing for the log lock:
-            # withdraw the request so the lock is not leaked.
-            self.log_lock.abort(token)
-            raise
+        token = yield from self._acquire(self.log_lock)
         try:
             for entry in entries:
-                segment, new_entry, _closed = self.log.append(
+                self._insert_versioned(
                     entry.table_id, entry.key, entry.value_size,
-                    entry.version, value=entry.value,
-                    index_keys=entry.index_keys)
-                self.hashtable.insert(entry.table_id, entry.key,
-                                      segment, new_entry)
-                if self.index_configs and entry.table_id in self.index_configs:
-                    self.index_entries.insert(entry.table_id, entry.key)
+                    entry.version, entry.value, entry.index_keys)
         finally:
             self.log_lock.release(token)
         self.take_tablet(unit, shard_count, ready=True)
@@ -1808,12 +1744,7 @@ class RamCloudServer(RpcService):
         # Drop the moved keys from the index under the log lock (index
         # mutations and entry liveness must stay consistent with the
         # cleaner's copy-forward); dead entries stay behind for it.
-        token = self.log_lock.acquire()
-        try:
-            yield token
-        except BaseException:
-            self.log_lock.abort(token)
-            raise
+        token = yield from self._acquire(self.log_lock)
         try:
             for entry in moving:
                 self.hashtable.remove(entry.table_id, entry.key)
@@ -2017,49 +1948,21 @@ class RamCloudServer(RpcService):
         # serialized replay→re-replicate pipeline per master (Finding 6:
         # "data is re-inserted in the same fashion", so the Finding 3
         # degradation applies to recovery too).
-        stream_token = self.replay_lock.acquire()
         # Recovery threads poll while queueing for the stream.
-        self.node.cpu.spin_begin()
-        try:
-            yield stream_token
-        except BaseException:
-            self.replay_lock.abort(stream_token)
-            raise
-        finally:
-            self.node.cpu.spin_end()
+        stream_token = yield from self.node.cpu.spinning(
+            self._acquire(self.replay_lock))
         try:
             rf = self.config.replication_factor
             replay_cpu = (len(mine) * self.cost.replay_per_entry
                           + my_bytes * self.cost.replay_per_byte
                           + my_bytes * rf * self.cost.replay_replication_per_byte)
             yield from self.node.cpu.execute_sliced(replay_cpu)
-            token = self.log_lock.acquire()
-            try:
-                yield token
-            except BaseException:
-                # Killed while queueing for the log lock mid-recovery:
-                # withdraw the request so the lock is not leaked.
-                self.log_lock.abort(token)
-                raise
+            token = yield from self._acquire(self.log_lock)
             try:
                 for entry in mine:
-                    segment, new_entry, _closed = self.log.append(
+                    self._insert_versioned(
                         entry.table_id, entry.key, entry.value_size,
-                        entry.version, value=entry.value,
-                        index_keys=entry.index_keys)
-                    self.hashtable.insert(entry.table_id, entry.key,
-                                          segment, new_entry)
-                    if (self.index_configs
-                            and entry.table_id in self.index_configs):
-                        self.index_entries.insert(entry.table_id, entry.key)
-                    # A recovered object keeps its acknowledged version,
-                    # so this master's counter must advance past it —
-                    # otherwise a post-recovery write could re-issue an
-                    # already-acknowledged version number for different
-                    # data, and a client holding the old (value,
-                    # version) pair could never detect the change.
-                    if entry.version >= self._next_version:
-                        self._next_version = entry.version + 1
+                        entry.version, entry.value, entry.index_keys)
             finally:
                 self.log_lock.release(token)
             self.recovery_bytes_replayed += my_bytes
@@ -2068,7 +1971,7 @@ class RamCloudServer(RpcService):
             # replicated to new backups", §II-B), spinning through the
             # ack waits.
             if rf > 0:
-                targets = self._choose_backups_for_bytes()
+                targets = self._choose_backups(if_short="all")
                 for backup_id2 in targets:
                     target = self.coordinator.lookup_server(backup_id2)
                     if target is None:
@@ -2094,14 +1997,6 @@ class RamCloudServer(RpcService):
                         continue
         finally:
             self.replay_lock.release(stream_token)
-
-    def _choose_backups_for_bytes(self) -> Tuple[str, ...]:
-        rf = self.config.replication_factor
-        candidates = [sid for sid in self.live_view
-                      if sid != self.server_id]
-        if len(candidates) < rf:
-            return tuple(candidates)
-        return tuple(self.stream.sample(candidates, rf))
 
     # ------------------------------------------------------------------
     # cleaner
@@ -2136,14 +2031,7 @@ class RamCloudServer(RpcService):
         # Copy-forward cost on a worker core, preemptible.
         yield from self.node.cpu.execute_sliced(
             max(live_bytes, 1) * self.cost.cleaner_per_byte)
-        token = self.log_lock.acquire()
-        try:
-            yield token
-        except BaseException:
-            # The cleaner is interrupted on kill(); withdraw its queued
-            # lock request instead of leaking it.
-            self.log_lock.abort(token)
-            raise
+        token = yield from self._acquire(self.log_lock)
         try:
             for entry in live:
                 if not entry.live:
@@ -2215,14 +2103,8 @@ class RamCloudServer(RpcService):
             for item in items:
                 table_id, key, value_size = item[:3]
                 index_keys = item[3] if len(item) > 3 else None
-                version = self._next_version
-                self._next_version += 1
-                segment, entry, _closed = self.log.append(
-                    table_id, key, value_size, version,
-                    index_keys=index_keys)
-                self.hashtable.insert(table_id, key, segment, entry)
-                if self.index_configs and table_id in self.index_configs:
-                    self.index_entries.insert(table_id, key)
+                self._insert_versioned(table_id, key, value_size,
+                                       self._next_version, None, index_keys)
                 count += 1
         finally:
             self._bulk_loading = False

@@ -1,10 +1,11 @@
 """Per-request tunable consistency (docs/CONSISTENCY.md).
 
-Covers the level plumbing (validation, config default, the deprecated
-``async_replication`` alias), the ASYNC_BOUNDED staleness contract
+Covers the level plumbing (validation, config default), the
+ASYNC_BOUNDED staleness contract
 (batched replication within the bound, byte-bound backpressure before
-the ack), EVENTUAL backup reads with the BackupBehind redirect, and
-epoch fencing of the batched path.
+the ack) and EVENTUAL backup reads with the BackupBehind redirect.
+Epoch fencing of the batched path is the ASYNC_BOUNDED case of
+``test_membership.py``'s zombie-fencing test.
 """
 
 import pytest
@@ -34,15 +35,8 @@ def test_levels_validate():
         resolve_level("bogus", SYNC_RF)
 
 
-def test_config_default_and_alias():
+def test_config_default():
     assert ServerConfig().default_consistency == SYNC_RF
-    # The deprecated cluster-wide knob maps onto the new default.
-    assert (ServerConfig(async_replication=True).default_consistency
-            == ASYNC_BOUNDED)
-    # ...but never overrides an explicitly chosen level.
-    assert (ServerConfig(async_replication=True,
-                         default_consistency=EVENTUAL).default_consistency
-            == EVENTUAL)
     with pytest.raises(ValueError):
         ServerConfig(default_consistency="bogus")
     with pytest.raises(ValueError):
@@ -207,30 +201,3 @@ def test_sync_rf_default_runs_draw_no_async_machinery():
         assert server._flusher is None
         assert server.async_writes_acked == 0
         assert server.max_observed_staleness == 0.0
-
-
-# -- epoch fencing of the batched path ---------------------------------------
-
-def test_fenced_flush_fences_the_master():
-    """A backup whose epoch marks the master dead rejects its batched
-    replication exactly as it rejects sync replication — and the
-    master self-quiesces on the StaleEpoch."""
-    cluster = build_cluster(num_servers=2, num_clients=1,
-                            replication_factor=1,
-                            staleness_bound_seconds=0.05)
-    table_id = cluster.create_table("t", span=1)
-    rc = cluster.clients[0]
-    master, backup = cluster.servers
-
-    def script():
-        yield from rc.refresh_map()
-        yield from rc.write(table_id, "k", 256, level=ASYNC_BOUNDED)
-        return None
-
-    run_client_script(cluster, script())
-    # Evict the master in the backup's server-list view before the
-    # flusher ships the batch.
-    backup.dead_view = frozenset({master.server_id})
-    assert master.unreplicated_bytes > 0
-    cluster.run(until=cluster.sim.now + 1.0)
-    assert master.fenced

@@ -93,8 +93,15 @@ class TestMigration:
         tablet, shard = coord.tablet_map.tablets_of_server("server0")[0]
         unit = (tablet.table_id, tablet.index, shard)
         moved_keys = list(source.hashtable.keys_for_table(table_id))
+        rc = cluster3.clients[0]
 
         def orchestrate():
+            # Push one key's version past anything the target has
+            # issued, so a target that kept its own counter would hand
+            # out a smaller version for the next overwrite.
+            yield from rc.refresh_map()
+            for _ in range(150):
+                yield from rc.write(table_id, moved_keys[0], 256)
             count = yield from source.migrate_shard_out(
                 unit, tablet.shard_count, 3, target)
             coord.tablet_map.reassign_shard(tablet.tablet_id, shard,
@@ -106,12 +113,13 @@ class TestMigration:
         assert len(source.hashtable) == 0
         for key in moved_keys:
             assert target.hashtable.lookup(table_id, key) is not None
-        # And clients can read through the new owner.
-        rc = cluster3.clients[0]
+        # And clients can read through the new owner, whose version
+        # counter moved past the versions it took in.
 
         def verify():
             yield from rc.refresh_map()
             _v, version, size = yield from rc.read(table_id, moved_keys[0])
+            assert (yield from rc.write(table_id, moved_keys[0], 256)) > version
             return size
 
         assert run_client_script(cluster3, verify()) == 256

@@ -3,6 +3,7 @@ handling, dispatch RX."""
 
 import pytest
 
+from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF
 from repro.ramcloud.tablets import key_hash
 
 from tests.ramcloud.conftest import build_cluster, run_client_script
@@ -13,7 +14,8 @@ class TestAsyncReplication:
         sync = build_cluster(num_servers=4, num_clients=1,
                              replication_factor=3)
         async_ = build_cluster(num_servers=4, num_clients=1,
-                               replication_factor=3, async_replication=True)
+                               replication_factor=3,
+                               default_consistency=ASYNC_BOUNDED)
         latencies = {}
         for label, cluster in (("sync", sync), ("async", async_)):
             table_id = cluster.create_table("t")
@@ -31,7 +33,8 @@ class TestAsyncReplication:
 
     def test_async_replicas_still_arrive(self):
         cluster = build_cluster(num_servers=4, num_clients=1,
-                                replication_factor=2, async_replication=True)
+                                replication_factor=2,
+                                default_consistency=ASYNC_BOUNDED)
         table_id = cluster.create_table("t")
         rc = cluster.clients[0]
 
@@ -48,10 +51,12 @@ class TestAsyncReplication:
 
 
 class TestBackupFailureHandling:
-    def test_write_succeeds_after_backup_death(self):
+    @pytest.mark.parametrize("level", [SYNC_RF, ASYNC_BOUNDED])
+    def test_write_succeeds_after_backup_death(self, level):
         """A master whose backup died keeps serving writes (degraded,
         no stall) while the background repair loop replaces the backup
-        and re-replicates the segment."""
+        and re-replicates the segment — whether the dead backup is met
+        by the write path (SYNC_RF) or the flusher (ASYNC_BOUNDED)."""
         cluster = build_cluster(num_servers=4, num_clients=1,
                                 replication_factor=1, seed=6)
         table_id = cluster.create_table("t")
@@ -66,24 +71,26 @@ class TestBackupFailureHandling:
 
         def script():
             yield from rc.refresh_map()
-            yield from rc.write(table_id, key, 256)
+            yield from rc.write(table_id, key, 256, level=level)
             # Kill the backup of server0's head segment.
             backup_id = master.log.head.replica_backups[0]
             victim = cluster.coordinator.lookup_server(backup_id)
             victim.kill()
             # The next write must still succeed (degraded, repair
             # pending in the background).
-            version = yield from rc.write(table_id, key, 256)
+            version = yield from rc.write(table_id, key, 256, level=level)
             return version, backup_id
 
         version, dead_backup = run_client_script(cluster, script(),
                                                  until=120.0)
         assert version >= 2
-        # The failed append was recorded as a lost replica...
+        cluster.run(until=cluster.sim.now + 5.0)
+        # The failed append was recorded as a lost replica (no failure
+        # detector runs here: the fan-out is the only thing that can
+        # have noticed)...
         assert master.replicas_lost >= 1
         # ...and after the repair loop runs, the dead backup is gone
         # from the segment's replica set and nothing is under-replicated.
-        cluster.run(until=cluster.sim.now + 5.0)
         new_backups = master.log.head.replica_backups
         assert dead_backup not in new_backups
         assert len(new_backups) == 1
