@@ -2,15 +2,15 @@
 
 Commands::
 
-    python -m repro list                      # every experiment runner
+    python -m repro list                      # every experiment name
     python -m repro run fig5 [--scale smoke]  # one experiment, table out
     python -m repro run all --scale default   # regenerate everything
     python -m repro findings                  # the six findings, one line each
 
-Experiment names follow the paper: fig1, table1, fig2, table2, fig3,
-fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, plus
-the ablations (segment-size, worker-threads, async-replication) and
-extensions (distributions, transports, scans, elastic, correlated).
+The experiment names are the keys of
+:data:`repro.experiments.registry.EXPERIMENTS` — ``list`` prints them;
+``run all`` sweeps each shared grid once (Fig. 2 renders from Fig. 1's
+cells, Figs. 7/8 from Fig. 6's).
 """
 
 from __future__ import annotations
@@ -34,57 +34,6 @@ FINDINGS = [
 ]
 
 
-def _registry():
-    from repro.experiments import ablations, extensions, peak, recovery, \
-        replication, throttling, workloads
-    return {
-        "fig1": lambda s: peak.run_fig1_peak(s),
-        "table1": lambda s: peak.run_table1_cpu(s),
-        "fig2": lambda s: peak.run_fig2_efficiency(s),
-        "table2": lambda s: workloads.run_table2_throughput(s)[0],
-        "fig3": lambda s: workloads.run_fig3_scalability(s),
-        "fig4": lambda s: workloads.run_fig4_power(s),
-        "fig5": lambda s: replication.run_fig5_replication(s),
-        "fig6": lambda s: replication.run_fig6_replication_scale(s),
-        "fig7": lambda s: replication.run_fig7_power_rf(s),
-        "fig8": lambda s: replication.run_fig8_efficiency_rf(s),
-        "fig9": lambda s: recovery.run_fig9_crash_timeline(s)[0],
-        "fig10": lambda s: recovery.run_fig10_latency_crash(s)[0],
-        "fig11": lambda s: recovery.run_fig11_recovery_rf(s),
-        "fig12": lambda s: recovery.run_fig12_disk_activity(s)[0],
-        "fig13": lambda s: throttling.run_fig13_throttling(s),
-        "segment-size": lambda s: ablations.run_segment_size_ablation(s),
-        "worker-threads": lambda s: ablations.run_worker_threads_ablation(s),
-        "async-replication":
-            lambda s: ablations.run_async_replication_ablation(s),
-        "distributions":
-            lambda s: extensions.run_request_distribution_extension(s),
-        "transports": lambda s: extensions.run_transport_extension(s),
-        "scans": lambda s: extensions.run_scan_extension(s),
-        "elastic": lambda s: extensions.run_elastic_sizing_extension(s),
-        "correlated":
-            lambda s: extensions.run_correlated_failures_extension(s),
-        "index": lambda s: _indexing().run_fig_index(s),
-        "tenants": lambda s: _indexing().run_tenant_mix(s),
-    }
-
-
-def _indexing():
-    from repro.experiments import indexing
-    return indexing
-
-
-def _print_result(result):
-    from repro.experiments.reporting import ComparisonTable
-    if isinstance(result, ComparisonTable):
-        print(result.render())
-        return
-    if isinstance(result, tuple):
-        for item in result:
-            _print_result(item)
-            print()
-
-
 def main(argv=None) -> int:
     """CLI dispatcher; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -102,30 +51,31 @@ def main(argv=None) -> int:
                           "'default')")
     args = parser.parse_args(argv)
 
-    if args.command == "list":
-        for name in _registry():
-            print(name)
-        return 0
     if args.command == "findings":
         for line in FINDINGS:
             print(line)
         return 0
 
+    from repro.experiments.registry import EXPERIMENTS, run_experiments
+    if args.command == "list":
+        for name in EXPERIMENTS:
+            print(name)
+        return 0
+
     from repro.experiments.scale import active_scale, set_active_scale
     scale = set_active_scale(args.scale) if args.scale else active_scale()
-    registry = _registry()
     if args.experiment == "all":
-        names = list(registry)
-    elif args.experiment in registry:
+        names = list(EXPERIMENTS)
+    elif args.experiment in EXPERIMENTS:
         names = [args.experiment]
     else:
         parser.error(f"unknown experiment {args.experiment!r}; "
-                     f"try: {', '.join(registry)}")
-        return 2
-    for name in names:
-        print(f"== running {name} at scale {scale.name} ==")
-        _print_result(registry[name](scale))
-        print()
+                     f"try: {', '.join(EXPERIMENTS)}")
+    for name, tables in run_experiments(names, scale):
+        print(f"== {name} at scale {scale.name} ==")
+        for table in tables:
+            print(table.render())
+            print()
     return 0
 
 

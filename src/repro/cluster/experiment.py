@@ -111,6 +111,30 @@ class ExperimentResult:
         except ValueError:
             return 0.0
 
+    def headline_metrics(self) -> Dict[str, float]:
+        """The per-seed floats a multi-seed aggregate is built from —
+        the one list behind :func:`repeat_experiment` and the sweep
+        runner's cell outcomes, so their statistics cannot drift apart.
+        Multi-tenant runs add the per-tenant SLA breakout."""
+        metrics = {
+            "throughput": self.throughput,
+            "avg_power_per_server": self.avg_power_per_server,
+            "total_energy_joules": self.total_energy_joules,
+            "energy_efficiency": self.energy_efficiency,
+            "makespan": self.makespan,
+            "mean_latency": self.mean_latency_or_zero(),
+            "cpu_util_avg": self.cpu_util_avg,
+            "cpu_util_min": self.cpu_util_min,
+            "cpu_util_max": self.cpu_util_max,
+            "total_ops": float(self.total_ops),
+            "client_errors": float(self.client_errors),
+            "crashed": 1.0 if self.crashed else 0.0,
+        }
+        for tenant in sorted(self.per_tenant_stats):
+            for key, value in self.per_tenant_stats[tenant].items():
+                metrics[f"tenant[{tenant}].{key}"] = value
+        return metrics
+
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Build the cluster, preload, run all clients, collect metrics."""
@@ -262,16 +286,7 @@ def repeat_experiment(spec: ExperimentSpec, seeds: Sequence[int]
     for seed in seeds:
         run_spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
         results.append(run_experiment(run_spec))
-    metrics = {
-        "throughput": Aggregate.of([r.throughput for r in results]),
-        "avg_power_per_server": Aggregate.of(
-            [r.avg_power_per_server for r in results]),
-        "total_energy_joules": Aggregate.of(
-            [r.total_energy_joules for r in results]),
-        "energy_efficiency": Aggregate.of(
-            [r.energy_efficiency for r in results]),
-        "makespan": Aggregate.of([r.makespan for r in results]),
-        "mean_latency": Aggregate.of(
-            [r.mean_latency_or_zero() for r in results]),
-    }
+    rows = [result.headline_metrics() for result in results]
+    metrics = {key: Aggregate.of([row[key] for row in rows])
+               for key in rows[0]}
     return metrics, results

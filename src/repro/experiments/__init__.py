@@ -11,6 +11,17 @@ paper-vs-measured comparison:
 * :mod:`repro.experiments.throttling` — §IX: Fig. 13
 * :mod:`repro.experiments.ablations` — §IX design-choice ablations
   (segment size, worker threads, relaxed-consistency replication)
+* :mod:`repro.experiments.extensions`,
+  :mod:`~repro.experiments.energy_proportionality`,
+  :mod:`~repro.experiments.durability`,
+  :mod:`~repro.experiments.indexing` — §X future-work extensions
+
+A grid figure is a plan factory (grid × seeds → cells) plus a renderer
+over that plan's merged aggregates; :mod:`repro.experiments.sweep` is
+the only thing that executes cells, and
+:mod:`repro.experiments.registry` is the one ordered list of every
+experiment that the CLI, ``tools/generate_experiments_md.py`` and
+``tools/sweep.py`` read.
 
 All runners accept a :class:`~repro.experiments.scale.Scale` so the
 benchmark harness can trade fidelity for runtime (DESIGN.md §5).

@@ -16,8 +16,8 @@ Two tables:
   writes, acked-write loss, observed staleness vs the bound, recovery
   time.
 
-The frontier grid is registered in ``SWEEP_CELLS``/``SWEEP_PLANS`` so
-``tools/sweep.py frontier`` fans it out across workers with the same
+The frontier grid is a registered sweep plan, so ``tools/sweep.py
+--experiment frontier`` fans it out across workers with the same
 serial-equivalence digests as every other sweep.
 """
 
@@ -25,20 +25,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.cluster import (
-    ClusterSpec,
-    DurabilityGapSpec,
-    ExperimentSpec,
-    repeat_experiment,
-    run_durability_gap,
-)
+from repro.cluster import ClusterSpec, DurabilityGapSpec, run_durability_gap
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    SweepReport,
-    outcome_from_experiment,
+    measure,
+    run_cell,
+    ycsb_spec,
 )
 from repro.hardware.specs import MB
 from repro.ramcloud.config import ServerConfig
@@ -46,30 +41,18 @@ from repro.ramcloud.consistency import LEVELS
 from repro.ycsb.workload import WORKLOAD_A
 
 __all__ = ["run_consistency_frontier", "run_durability_gap_table",
-           "frontier_sweep_plan"]
-
-
-def _frontier_spec(level: str, rf: int, servers: int, clients: int,
-                   scale: Scale) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=rf,
-                                       default_consistency=level)),
-        workload=WORKLOAD_A.scaled(num_records=scale.num_records,
-                                   ops_per_client=scale.ops_per_client),
-        give_up_after=5.0,
-    )
+           "frontier_sweep_plan", "render_frontier"]
 
 
 def _frontier_cell(params: Dict[str, object], seed: int, scale: Scale):
     """Sweep cell runner: one (level, rf, seed) frontier point."""
-    from repro.cluster import run_experiment
-    spec = _frontier_spec(str(params["level"]), int(params["rf"]),
-                          int(params["servers"]), int(params["clients"]),
-                          scale)
-    spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-    return outcome_from_experiment(run_experiment(spec))
+    spec = ycsb_spec(WORKLOAD_A, params["servers"], params["clients"], scale,
+                     replication_factor=params["rf"],
+                     default_consistency=params["level"])
+    return run_cell(spec.with_(give_up_after=5.0), seed)
+
+
+SWEEP_CELLS = {"frontier": _frontier_cell}
 
 
 def frontier_sweep_plan(scale: Scale = DEFAULT,
@@ -86,34 +69,15 @@ def frontier_sweep_plan(scale: Scale = DEFAULT,
     return SweepPlan("frontier", points, tuple(seeds or scale.seeds), scale)
 
 
-SWEEP_CELLS = {"frontier": _frontier_cell}
-SWEEP_PLANS = {"frontier": frontier_sweep_plan}
-
-
-def run_consistency_frontier(scale: Scale = DEFAULT,
-                             levels: Sequence[str] = LEVELS,
-                             rf: int = 2,
-                             servers: int = 10,
-                             clients: int = 10,
-                             sweep: Optional[SweepReport] = None,
-                             ) -> ComparisonTable:
-    """Latency/throughput/ops-per-joule at each consistency level.
-
-    Pass a merged ``sweep`` (from :func:`frontier_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+def render_frontier(plan: SweepPlan, merged) -> ComparisonTable:
+    """Latency/throughput/ops-per-joule at each consistency level."""
+    first = plan.points[0].as_dict()
     table = ComparisonTable(
         "Ext. frontier",
-        f"workload A per consistency level, {servers} servers / "
-        f"{clients} clients / RF {rf}")
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for level in levels:
-        if merged is not None:
-            metrics = merged[f"{level} / RF {rf}"]
-        else:
-            metrics, _results = repeat_experiment(
-                _frontier_spec(level, rf, servers, clients, scale),
-                scale.seeds)
+        f"workload A per consistency level, {first['servers']} servers / "
+        f"{first['clients']} clients / RF {first['rf']}")
+    for point in plan.points:
+        level, metrics = point.as_dict()["level"], merged[point.label]
         table.add(f"{level} throughput", None,
                   metrics["throughput"].mean / 1000.0, " Kop/s")
         table.add(f"{level} mean latency", None,
@@ -125,6 +89,16 @@ def run_consistency_frontier(scale: Scale = DEFAULT,
     table.note("scaling note: relaxed levels buy the most at high RF "
                "and write fraction — the ack path drops RF round trips")
     return table
+
+
+def run_consistency_frontier(scale: Scale = DEFAULT,
+                             levels: Sequence[str] = LEVELS,
+                             rf: int = 2,
+                             servers: int = 10,
+                             clients: int = 10) -> ComparisonTable:
+    """Latency/throughput/ops-per-joule at each consistency level."""
+    plan = frontier_sweep_plan(scale, None, levels, (rf,), servers, clients)
+    return render_frontier(plan, measure(plan))
 
 
 def run_durability_gap_table(scale: Scale = DEFAULT,
@@ -167,15 +141,3 @@ def run_durability_gap_table(scale: Scale = DEFAULT,
                f"{ServerConfig().staleness_bound_seconds * 1e3:.0f} ms "
                f"sim-time / {ServerConfig().staleness_bound_bytes} bytes")
     return table
-
-
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    print(run_consistency_frontier(scale).render())
-    print()
-    print(run_durability_gap_table(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

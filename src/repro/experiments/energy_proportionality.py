@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
+from repro.experiments.sweep import CellOutcome, SweepPlan, SweepPoint
 from repro.powermgmt import PowerPolicy
 from repro.ramcloud.config import ServerConfig
 from repro.sim.distributions import RandomStream
@@ -296,7 +297,6 @@ def _energy_cell(params, seed: int, scale: Scale):
     byte-exact record of every measured point — so serial/parallel
     equivalence covers the whole sweep, not just the summary numbers.
     """
-    from repro.experiments.sweep import CellOutcome
     governors = tuple(params.get("governors",
                                  ("static", "ondemand", "poll-adaptive")))
     _table, result = run_energy_proportionality(
@@ -322,7 +322,6 @@ def energy_sweep_plan(scale: Scale = DEFAULT, seeds=None,
                       fractions: Sequence[float] = (0.1, 0.5)):
     """The §X governor sweep as a single-point :class:`SweepPlan`
     (each seed is one whole idle→peak sweep)."""
-    from repro.experiments.sweep import SweepPlan, SweepPoint
     point = SweepPoint.of(
         f"{len(governors)} governors / {servers} servers",
         governors=tuple(governors), servers=servers, clients=clients,
@@ -331,7 +330,6 @@ def energy_sweep_plan(scale: Scale = DEFAULT, seeds=None,
 
 
 SWEEP_CELLS = {"energy": _energy_cell}
-SWEEP_PLANS = {"energy": energy_sweep_plan}
 
 
 # -- cluster power capping ---------------------------------------------------
@@ -448,20 +446,3 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
                "(client token bucket) — proportional decrease over the "
                "cap, 5 %/tick increase below the hysteresis band")
     return table, result
-
-
-def main():  # pragma: no cover - console entry point
-    from repro.analysis.reports import energy_proportionality_report
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    table, result = run_energy_proportionality(scale)
-    print(table.render())
-    print()
-    print(energy_proportionality_report(result))
-    print()
-    cap_table, _cap = run_power_cap(scale)
-    print(cap_table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

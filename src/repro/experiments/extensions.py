@@ -16,11 +16,18 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import ClusterSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
+from repro.experiments.sweep import (
+    SweepPlan,
+    SweepPoint,
+    measure,
+    run_cell,
+    ycsb_spec,
+)
 from repro.hardware.specs import (
     GIGABIT_ETHERNET,
     GRID5000_NANCY_NODE,
@@ -31,14 +38,87 @@ from repro.ycsb.workload import WORKLOAD_B, WORKLOAD_C, WORKLOAD_E
 
 __all__ = ["run_request_distribution_extension", "run_transport_extension",
            "run_scan_extension", "run_elastic_sizing_extension",
-           "run_correlated_failures_extension"]
+           "run_correlated_failures_extension",
+           "distributions_sweep_plan", "transports_sweep_plan",
+           "scans_sweep_plan", "render_distributions", "render_transports",
+           "render_scans"]
+
+WORKLOADS = {"C": WORKLOAD_C, "B": WORKLOAD_B}
+TRANSPORTS = {nic.name: nic for nic in (INFINIBAND_20G, GIGABIT_ETHERNET)}
 
 
-def run_request_distribution_extension(scale: Scale = DEFAULT,
-                                       distributions: Sequence[str] = (
-                                           "uniform", "zipfian", "latest"),
-                                       servers: int = 4, clients: int = 24,
-                                       ) -> ComparisonTable:
+def _distribution_cell(params: Dict[str, object], seed: int, scale: Scale):
+    """Sweep cell runner: one workload under one request distribution."""
+    workload = WORKLOADS[params["workload"]].scaled(
+        request_distribution=params["distribution"])
+    return run_cell(ycsb_spec(workload, params["servers"], params["clients"],
+                              scale), seed)
+
+
+def _transport_cell(params: Dict[str, object], seed: int, scale: Scale):
+    """Sweep cell runner: read-only traffic over one NIC."""
+    spec = ycsb_spec(WORKLOAD_C, params["servers"], params["clients"], scale)
+    machine = replace(GRID5000_NANCY_NODE, nic=TRANSPORTS[params["nic"]])
+    return run_cell(spec.with_(cluster=spec.cluster.with_(machine=machine)),
+                    seed)
+
+
+def _scan_workload(max_len: int):
+    return WORKLOAD_E.scaled(max_scan_length=max_len)
+
+
+def _scan_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: workload E at one maximum scan length (a
+    quarter of the scale's ops: each one moves many records)."""
+    ops = max(50, scale.ops_per_client // 4)
+    return run_cell(ycsb_spec(
+        _scan_workload(params["max_scan_length"]), params["servers"],
+        params["clients"], scale.with_(ops_per_client=ops)), seed)
+
+
+SWEEP_CELLS = {"distributions": _distribution_cell,
+               "transports": _transport_cell, "scans": _scan_cell}
+
+
+def distributions_sweep_plan(scale: Scale = DEFAULT,
+                             seeds: Optional[Sequence[int]] = None,
+                             distributions: Sequence[str] = (
+                                 "uniform", "zipfian", "latest"),
+                             servers: int = 4, clients: int = 24,
+                             ) -> SweepPlan:
+    """The request-distribution extension as a :class:`SweepPlan`."""
+    points = tuple(
+        SweepPoint.of(f"workload {name} / {distribution}", workload=name,
+                      distribution=distribution, servers=servers,
+                      clients=clients)
+        for name in WORKLOADS for distribution in distributions)
+    return SweepPlan("distributions", points, tuple(seeds or scale.seeds),
+                     scale)
+
+
+def transports_sweep_plan(scale: Scale = DEFAULT,
+                          seeds: Optional[Sequence[int]] = None,
+                          servers: int = 5, clients: int = 10) -> SweepPlan:
+    """The transport extension as a :class:`SweepPlan`."""
+    points = tuple(SweepPoint.of(name, nic=name, servers=servers,
+                                 clients=clients) for name in TRANSPORTS)
+    return SweepPlan("transports", points, tuple(seeds or scale.seeds[:1]),
+                     scale)
+
+
+def scans_sweep_plan(scale: Scale = DEFAULT,
+                     seeds: Optional[Sequence[int]] = None,
+                     scan_lengths: Sequence[int] = (10, 100, 500),
+                     servers: int = 5, clients: int = 10) -> SweepPlan:
+    """The scan extension as a :class:`SweepPlan`."""
+    points = tuple(
+        SweepPoint.of(f"max scan length {max_len}", max_scan_length=max_len,
+                      servers=servers, clients=clients)
+        for max_len in scan_lengths)
+    return SweepPlan("scans", points, tuple(seeds or scale.seeds[:1]), scale)
+
+
+def render_distributions(plan: SweepPlan, merged) -> ComparisonTable:
     """Workloads under different request distributions, at saturation.
 
     Two opposing effects emerge:
@@ -50,98 +130,96 @@ def run_request_distribution_extension(scale: Scale = DEFAULT,
       few masters, leaving the rest to serve cheap reads — aggregate
       throughput can exceed the uniform case.
     """
+    first = plan.points[0].as_dict()
     table = ComparisonTable(
         "§X request distributions", f"throughput by request distribution "
-        f"({servers} servers, {clients} clients, saturated)")
-    for name, preset in (("C", WORKLOAD_C), ("B", WORKLOAD_B)):
-        for distribution in distributions:
-            workload = preset.scaled(
-                num_records=scale.num_records,
-                ops_per_client=scale.ops_per_client,
-                request_distribution=distribution)
-            spec = ExperimentSpec(
-                cluster=ClusterSpec(
-                    num_servers=servers, num_clients=clients,
-                    server_config=ServerConfig(replication_factor=0)),
-                workload=workload,
-            )
-            metrics, results = repeat_experiment(spec, scale.seeds)
-            table.add(f"workload {name} / {distribution}", None,
-                      metrics["throughput"].mean / 1000.0, "K",
-                      note=f"CPU spread "
-                           f"{min(results[0].cpu_util_per_node.values()):.0f}–"
-                           f"{max(results[0].cpu_util_per_node.values()):.0f}%")
+        f"({first['servers']} servers, {first['clients']} clients, "
+        f"saturated)")
+    for point in plan.points:
+        metrics = merged[point.label]
+        # The spread is the first seed's, not an average of extremes.
+        table.add(point.label, None,
+                  metrics["throughput"].mean / 1000.0, "K",
+                  note=f"CPU spread "
+                       f"{metrics['cpu_util_min'].values[0]:.0f}–"
+                       f"{metrics['cpu_util_max'].values[0]:.0f}%")
     table.note("read-only loses to imbalance under skew; read-heavy can "
                "gain because write contention concentrates on few masters")
     return table
 
 
-def run_transport_extension(scale: Scale = DEFAULT,
-                            servers: int = 5, clients: int = 10,
-                            ) -> ComparisonTable:
+def render_transports(plan: SweepPlan, merged) -> ComparisonTable:
     """Infiniband vs Gigabit Ethernet on read-only traffic.
 
     The paper runs everything on RAMCloud's Infiniband transport and
     defers the network dimension to [24]; this extension quantifies
     what the slower NIC costs in our substrate.
     """
+    first = plan.points[0].as_dict()
     table = ComparisonTable(
         "§X transports", f"read-only throughput by transport "
-        f"({servers} servers, {clients} clients)")
-    for nic in (INFINIBAND_20G, GIGABIT_ETHERNET):
-        machine = replace(GRID5000_NANCY_NODE, nic=nic)
-        spec = ExperimentSpec(
-            cluster=ClusterSpec(
-                num_servers=servers, num_clients=clients,
-                server_config=ServerConfig(replication_factor=0),
-                machine=machine),
-            workload=WORKLOAD_C.scaled(num_records=scale.num_records,
-                                       ops_per_client=scale.ops_per_client),
-        )
-        metrics, results = repeat_experiment(spec, scale.seeds[:1])
-        table.add(nic.name, None, metrics["throughput"].mean / 1000.0, "K",
-                  note=f"mean latency "
-                       f"{results[0].mean_latency() * 1e6:.1f} µs")
+        f"({first['servers']} servers, {first['clients']} clients)")
+    for point in plan.points:
+        metrics = merged[point.label]
+        table.add(point.label, None, metrics["throughput"].mean / 1000.0,
+                  "K", note=f"mean latency "
+                            f"{metrics['mean_latency'].mean * 1e6:.1f} µs")
     table.note("one-way latency 2 µs vs 30 µs: Ethernet roughly doubles "
                "the closed-loop op time, halving per-client throughput")
     return table
 
 
-def run_scan_extension(scale: Scale = DEFAULT,
-                       scan_lengths: Sequence[int] = (10, 100, 500),
-                       servers: int = 5, clients: int = 10,
-                       ) -> ComparisonTable:
+def render_scans(plan: SweepPlan, merged) -> ComparisonTable:
     """Workload E (95 % scans / 5 % inserts) over MultiRead, by scan
     length — the indexing-mechanism assessment the paper defers (§X).
 
     Throughput is reported in *records* per second (a scan of length L
     returns L records) so lengths are comparable.
     """
+    first = plan.points[0].as_dict()
     table = ComparisonTable(
         "§X scans", f"workload E: records/s by max scan length "
-        f"({servers} servers, {clients} clients)")
-    for max_len in scan_lengths:
-        workload = WORKLOAD_E.scaled(
-            num_records=scale.num_records,
-            ops_per_client=max(50, scale.ops_per_client // 4),
-            max_scan_length=max_len)
-        spec = ExperimentSpec(
-            cluster=ClusterSpec(
-                num_servers=servers, num_clients=clients,
-                server_config=ServerConfig(replication_factor=0)),
-            workload=workload,
-        )
-        metrics, _results = repeat_experiment(spec, scale.seeds[:1])
+        f"({first['servers']} servers, {first['clients']} clients)")
+    for point in plan.points:
+        max_len = point.as_dict()["max_scan_length"]
+        throughput = merged[point.label]["throughput"].mean
         # A scan of length L returns L records: expected records per op.
+        workload = _scan_workload(max_len)
         records_per_op = (workload.scan_proportion * (max_len + 1) / 2
                           + workload.insert_proportion)
-        table.add(f"max scan length {max_len}", None,
-                  metrics["throughput"].mean / 1000.0, "K ops/s",
-                  note=f"≈{metrics['throughput'].mean * records_per_op:,.0f}"
-                       " records/s")
+        table.add(point.label, None, throughput / 1000.0, "K ops/s",
+                  note=f"≈{throughput * records_per_op:,.0f} records/s")
     table.note("longer scans amortize per-RPC costs: scans/s falls, "
                "records/s rises")
     return table
+
+
+def run_request_distribution_extension(scale: Scale = DEFAULT,
+                                       distributions: Sequence[str] = (
+                                           "uniform", "zipfian", "latest"),
+                                       servers: int = 4, clients: int = 24,
+                                       ) -> ComparisonTable:
+    """Workloads under different request distributions, at saturation."""
+    plan = distributions_sweep_plan(scale, None, distributions, servers,
+                                    clients)
+    return render_distributions(plan, measure(plan))
+
+
+def run_transport_extension(scale: Scale = DEFAULT,
+                            servers: int = 5, clients: int = 10,
+                            ) -> ComparisonTable:
+    """Infiniband vs Gigabit Ethernet on read-only traffic."""
+    plan = transports_sweep_plan(scale, None, servers, clients)
+    return render_transports(plan, measure(plan))
+
+
+def run_scan_extension(scale: Scale = DEFAULT,
+                       scan_lengths: Sequence[int] = (10, 100, 500),
+                       servers: int = 5, clients: int = 10,
+                       ) -> ComparisonTable:
+    """Workload E over MultiRead, by maximum scan length."""
+    plan = scans_sweep_plan(scale, None, scan_lengths, servers, clients)
+    return render_scans(plan, measure(plan))
 
 
 def run_elastic_sizing_extension(scale: Scale = DEFAULT,
@@ -263,21 +341,3 @@ def run_correlated_failures_extension(scale: Scale = DEFAULT,
                "safe here — but random placement makes lower RFs lose "
                "data far more often than copyset placement would [28]")
     return table
-
-
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    print(run_request_distribution_extension(scale).render())
-    print()
-    print(run_transport_extension(scale).render())
-    print()
-    print(run_scan_extension(scale).render())
-    print()
-    print(run_elastic_sizing_extension(scale).render())
-    print()
-    print(run_correlated_failures_extension(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,31 +12,30 @@ repro's own log-structured indexlets (ROADMAP item 2) the same way the
 * :func:`run_tenant_mix` — two tenants on one cluster, one throttled by
   per-tenant admission control, with the per-tenant SLA breakout.
 
-Both grids are also registered as sweep cells (``fig_index``,
-``tenant_mix``) so the parallel runner can fan them out with the same
-serial-equivalence guarantees as ``fig4``.
+Both grids are registered sweep plans (``fig_index``, ``tenant_mix``),
+so the parallel runner fans them out with the same serial-equivalence
+guarantees as ``fig4``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
-    CellOutcome,
     SweepPlan,
     SweepPoint,
-    outcome_from_experiment,
+    measure,
+    run_cell,
+    ycsb_spec,
 )
-from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.tenancy import TenantSpec
 from repro.ycsb.workload import (WORKLOAD_A, WORKLOAD_E_INDEXED,
                                  WORKLOAD_LOOKUP_HEAVY, WorkloadSpec)
 
 __all__ = ["run_fig_index", "run_tenant_mix", "fig_index_sweep_plan",
-           "tenant_mix_sweep_plan"]
+           "tenant_mix_sweep_plan", "render_fig_index", "render_tenant_mix"]
 
 INDEXED_WORKLOADS: Dict[str, WorkloadSpec] = {
     "E-indexed": WORKLOAD_E_INDEXED,
@@ -48,113 +47,24 @@ INDEXED_WORKLOADS: Dict[str, WorkloadSpec] = {
 BRONZE_ADMISSION_RATE = 2000.0
 
 
-def _index_spec(workload: WorkloadSpec, indexlets: int, servers: int,
-                clients: int, scale: Scale) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=0)),
-        workload=workload.scaled(num_records=scale.num_records,
-                                 ops_per_client=scale.ops_per_client,
-                                 num_indexlets=indexlets),
-    )
-
-
-def _tenant_spec(servers: int, clients: int, bronze_rate: float,
-                 scale: Scale) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=0)),
-        workload=WORKLOAD_A.scaled(num_records=scale.num_records,
-                                   ops_per_client=scale.ops_per_client),
-        tenants=(TenantSpec("gold"),
-                 TenantSpec("bronze", admission_rate=bronze_rate)),
-    )
-
-
-def run_fig_index(scale: Scale = DEFAULT,
-                  indexlet_counts: Sequence[int] = (1, 2, 4),
-                  servers: int = 4, clients: int = 4) -> ComparisonTable:
-    """Indexed workload mixes vs indexlet count (no paper column)."""
-    table = ComparisonTable(
-        "Fig. index", f"secondary-index mixes, {servers} servers "
-                      f"(Kop/s; mean op latency noted)")
-    for name, workload in INDEXED_WORKLOADS.items():
-        for indexlets in indexlet_counts:
-            metrics, _r = repeat_experiment(
-                _index_spec(workload, indexlets, servers, clients, scale),
-                scale.seeds)
-            table.add(
-                f"workload {name} / {indexlets} indexlet(s)", None,
-                metrics["throughput"].mean / 1000.0, "K",
-                note=f"mean latency "
-                     f"{metrics['mean_latency'].mean * 1e6:.0f} µs")
-    table.note("index entries are log records: maintained through the "
-               "write path, cleaned and recovered like data (§X future "
-               "work in the paper; ROADMAP item 2 here)")
-    return table
-
-
-def run_tenant_mix(scale: Scale = DEFAULT, servers: int = 4,
-                   clients: int = 4,
-                   bronze_rate: float = BRONZE_ADMISSION_RATE,
-                   ) -> ComparisonTable:
-    """Two tenants on one cluster; bronze is admission-throttled."""
-    table = ComparisonTable(
-        "Tenant mix", f"workload A split across 2 tenants, {servers} "
-                      f"servers (bronze admitted at {bronze_rate:.0f} "
-                      f"ops/s per master)")
-    _metrics, results = repeat_experiment(
-        _tenant_spec(servers, clients, bronze_rate, scale), scale.seeds)
-    for tenant in ("gold", "bronze"):
-        per_seed = [r.per_tenant_stats[tenant] for r in results]
-        runs = len(per_seed)
-        table.add(f"tenant {tenant} ops", None,
-                  sum(s["ops"] for s in per_seed) / runs, "")
-        table.add(f"tenant {tenant} p99 latency", None,
-                  sum(s["p99_latency"] for s in per_seed) / runs * 1e6,
-                  " µs")
-        table.add(f"tenant {tenant} throttle drops", None,
-                  sum(s["throttle_drops"] for s in per_seed) / runs, "")
-    table.note("admission control drops non-admitted requests at the "
-               "dispatch path; clients retry with backoff, so bronze "
-               "trades p99 latency for the cap")
-    return table
-
-
-# -- sweep cells ---------------------------------------------------------
-
-
 def _index_cell(params: Dict[str, object], seed: int, scale: Scale):
     """Sweep cell: one (workload, indexlets, seed) point of fig_index."""
-    from repro.cluster import run_experiment
-    spec = _index_spec(INDEXED_WORKLOADS[str(params["workload"])],
-                       int(params["indexlets"]), int(params["servers"]),
-                       int(params["clients"]), scale)
-    spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-    return outcome_from_experiment(run_experiment(spec))
+    workload = INDEXED_WORKLOADS[params["workload"]].scaled(
+        num_indexlets=params["indexlets"])
+    return run_cell(ycsb_spec(workload, params["servers"], params["clients"],
+                              scale), seed)
 
 
-def _tenant_cell(params: Dict[str, object], seed: int, scale: Scale):
-    """Sweep cell: one seeded tenant-mix run.  The standard outcome is
-    widened with the per-tenant breakout so the merged report carries
-    each tenant's SLA columns (the digest already covers them)."""
-    from repro.cluster import run_experiment
-    spec = _tenant_spec(int(params["servers"]), int(params["clients"]),
-                        float(params["bronze_rate"]), scale)
-    spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-    result = run_experiment(spec)
-    base = outcome_from_experiment(result)
-    metrics = dict(base.metrics)
-    for tenant in sorted(result.per_tenant_stats):
-        stats = result.per_tenant_stats[tenant]
-        metrics[f"tenant[{tenant}].ops"] = stats["ops"]
-        metrics[f"tenant[{tenant}].p99_latency"] = stats["p99_latency"]
-        metrics[f"tenant[{tenant}].throttle_drops"] = (
-            stats["throttle_drops"])
-    return CellOutcome(metrics=metrics, digest=base.digest,
-                       events=base.events, ops=base.ops)
+def _tenant_cell(params: Dict[str, float], seed: int, scale: Scale):
+    """Sweep cell: one seeded tenant-mix run (its headline metrics
+    carry each tenant's SLA columns; the digest already covers them)."""
+    spec = ycsb_spec(WORKLOAD_A, params["servers"], params["clients"], scale)
+    return run_cell(spec.with_(tenants=(
+        TenantSpec("gold"),
+        TenantSpec("bronze", admission_rate=params["bronze_rate"]))), seed)
+
+
+SWEEP_CELLS = {"fig_index": _index_cell, "tenant_mix": _tenant_cell}
 
 
 def fig_index_sweep_plan(scale: Scale = DEFAULT,
@@ -183,18 +93,58 @@ def tenant_mix_sweep_plan(scale: Scale = DEFAULT,
                      scale)
 
 
-SWEEP_CELLS = {"fig_index": _index_cell, "tenant_mix": _tenant_cell}
-SWEEP_PLANS = {"fig_index": fig_index_sweep_plan,
-               "tenant_mix": tenant_mix_sweep_plan}
+def render_fig_index(plan: SweepPlan, merged) -> ComparisonTable:
+    """Indexed workload mixes vs indexlet count (no paper column)."""
+    servers = plan.points[0].as_dict()["servers"]
+    table = ComparisonTable(
+        "Fig. index", f"secondary-index mixes, {servers} servers "
+                      f"(Kop/s; mean op latency noted)")
+    for point in plan.points:
+        metrics = merged[point.label]
+        table.add(point.label, None, metrics["throughput"].mean / 1000.0,
+                  "K", note=f"mean latency "
+                            f"{metrics['mean_latency'].mean * 1e6:.0f} µs")
+    table.note("index entries are log records: maintained through the "
+               "write path, cleaned and recovered like data (§X future "
+               "work in the paper; ROADMAP item 2 here)")
+    return table
 
 
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    print(run_fig_index(scale).render())
-    print()
-    print(run_tenant_mix(scale).render())
+def render_tenant_mix(plan: SweepPlan, merged) -> ComparisonTable:
+    """Two tenants on one cluster; bronze is admission-throttled."""
+    point, = plan.points
+    params, metrics = point.as_dict(), merged[point.label]
+    table = ComparisonTable(
+        "Tenant mix", f"workload A split across 2 tenants, "
+                      f"{params['servers']} servers (bronze admitted at "
+                      f"{params['bronze_rate']:.0f} ops/s per master)")
+    for tenant in ("gold", "bronze"):
+        table.add(f"tenant {tenant} ops", None,
+                  metrics[f"tenant[{tenant}].ops"].mean, "")
+        table.add(f"tenant {tenant} p99 latency", None,
+                  metrics[f"tenant[{tenant}].p99_latency"].mean * 1e6,
+                  " µs")
+        table.add(f"tenant {tenant} throttle drops", None,
+                  metrics[f"tenant[{tenant}].throttle_drops"].mean, "")
+    table.note("admission control drops non-admitted requests at the "
+               "dispatch path; clients retry with backoff, so bronze "
+               "trades p99 latency for the cap")
+    return table
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run_fig_index(scale: Scale = DEFAULT,
+                  indexlet_counts: Sequence[int] = (1, 2, 4),
+                  servers: int = 4, clients: int = 4) -> ComparisonTable:
+    """Indexed workload mixes vs indexlet count (no paper column)."""
+    plan = fig_index_sweep_plan(scale, None, indexlet_counts, servers,
+                                clients)
+    return render_fig_index(plan, measure(plan))
+
+
+def run_tenant_mix(scale: Scale = DEFAULT, servers: int = 4,
+                   clients: int = 4,
+                   bronze_rate: float = BRONZE_ADMISSION_RATE,
+                   ) -> ComparisonTable:
+    """Two tenants on one cluster; bronze is admission-throttled."""
+    plan = tenant_mix_sweep_plan(scale, None, servers, clients, bronze_rate)
+    return render_tenant_mix(plan, measure(plan))

@@ -9,22 +9,25 @@ per machine, Infiniband.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
+from repro.cluster import Cluster
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
+    CellOutcome,
     SweepPlan,
     SweepPoint,
-    SweepReport,
-    outcome_from_experiment,
+    measure,
+    run_cell,
+    ycsb_spec,
 )
-from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["run_fig1_peak", "run_table1_cpu", "run_fig2_efficiency",
-           "fig1_sweep_plan"]
+           "fig1_sweep_plan", "table1_sweep_plan",
+           "render_fig1", "render_table1", "render_fig2"]
 
 # Paper values.  Text-sourced numbers are exact; curve points without a
 # number in the text are digitized from the figures (marked ~ in notes).
@@ -51,27 +54,40 @@ PAPER_FIG2_OPS_PER_JOULE = {  # (servers, clients) → op/joule
 }
 
 
-def _peak_spec(servers: int, clients: int, scale: Scale,
-               seed: int = 1) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=0),
-            seed=seed),
-        workload=WORKLOAD_C.scaled(num_records=scale.num_records,
-                                   ops_per_client=scale.ops_per_client),
-    )
-
-
-def _fig1_cell(params: Dict[str, object], seed: int,
-               scale: Scale):
+def _fig1_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: one (servers, clients, seed) point of the
-    §IV read-only grid — the exact run ``repeat_experiment`` performs."""
-    from repro.cluster import run_experiment
-    result = run_experiment(_peak_spec(int(params["servers"]),
-                                       int(params["clients"]),
-                                       scale, seed=seed))
-    return outcome_from_experiment(result)
+    §IV read-only grid."""
+    return run_cell(ycsb_spec(WORKLOAD_C, scale=scale, **params), seed)
+
+
+def _table1_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: one Table I row — the Fig. 1 cell, except
+    that ``clients=0`` is the idle measurement: no workload (and so no
+    use for the seed), just the running servers."""
+    spec = ycsb_spec(WORKLOAD_C, scale=scale, **params)
+    if params["clients"]:
+        return run_cell(spec, seed)
+    cluster = Cluster(spec.cluster)
+    cluster.start_metering()
+    cluster.run(until=5.0)
+    idle = sum(n.cpu.utilization_between(0.0, 5.0)
+               for n in cluster.server_nodes) / params["servers"]
+    return CellOutcome(
+        metrics={"cpu_util_avg": idle},
+        digest=hashlib.sha256(repr(idle).encode()).hexdigest())
+
+
+SWEEP_CELLS = {"fig1": _fig1_cell, "table1": _table1_cell}
+
+
+def _peak_plan(experiment: str, scale: Scale,
+               seeds: Optional[Sequence[int]],
+               grid: Sequence[Tuple[int, int]]) -> SweepPlan:
+    points = tuple(
+        SweepPoint.of(f"{servers} servers / {clients} clients",
+                      servers=servers, clients=clients)
+        for servers, clients in grid)
+    return SweepPlan(experiment, points, tuple(seeds or scale.seeds), scale)
 
 
 def fig1_sweep_plan(scale: Scale = DEFAULT,
@@ -80,54 +96,86 @@ def fig1_sweep_plan(scale: Scale = DEFAULT,
                     client_counts: Sequence[int] = (1, 10, 30),
                     ) -> SweepPlan:
     """The Fig. 1/Fig. 2 grid as a :class:`SweepPlan` (one sweep feeds
-    both runners — they measure the same cells)."""
-    points = tuple(
-        SweepPoint.of(f"{servers} servers / {clients} clients",
-                      servers=servers, clients=clients)
-        for servers in server_counts for clients in client_counts)
-    return SweepPlan("fig1", points, tuple(seeds or scale.seeds), scale)
+    both renderers — they measure the same cells)."""
+    return _peak_plan("fig1", scale, seeds,
+                      [(servers, clients) for servers in server_counts
+                       for clients in client_counts])
 
 
-SWEEP_CELLS = {"fig1": _fig1_cell}
-SWEEP_PLANS = {"fig1": fig1_sweep_plan}
+def table1_sweep_plan(scale: Scale = DEFAULT,
+                      seeds: Optional[Sequence[int]] = None,
+                      grid: Sequence[Tuple[int, int]] = (
+                          (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                          (1, 10), (1, 30), (5, 5), (5, 30), (10, 5),
+                          (10, 30)),
+                      ) -> SweepPlan:
+    """The Table I rows as a :class:`SweepPlan`."""
+    return _peak_plan("table1", scale, seeds, grid)
 
 
-def run_fig1_peak(scale: Scale = DEFAULT,
-                  server_counts: Sequence[int] = (1, 5, 10),
-                  client_counts: Sequence[int] = (1, 10, 30),
-                  sweep: Optional[SweepReport] = None,
-                  ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 1a (throughput) and Fig. 1b (average power per server).
+def _grid_key(point: SweepPoint) -> Tuple[int, int]:
+    params = point.as_dict()
+    return params["servers"], params["clients"]
 
-    Pass a merged ``sweep`` (from :func:`fig1_sweep_plan` through
-    :func:`~repro.experiments.sweep.run_sweep`) to render from its
-    aggregates instead of re-running the cells serially — bit-identical
-    output, parallel wall-clock.
-    """
+
+def render_fig1(plan: SweepPlan, merged,
+                ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 1a (throughput) and Fig. 1b (average power per server)."""
     throughput = ComparisonTable(
         "Fig. 1a", "read-only aggregated throughput (Kop/s)")
     power = ComparisonTable(
         "Fig. 1b", "average power per server (W)")
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for servers in server_counts:
-        for clients in client_counts:
-            label = f"{servers} servers / {clients} clients"
-            if merged is not None:
-                metrics = merged[label]
-            else:
-                metrics, _results = repeat_experiment(
-                    _peak_spec(servers, clients, scale), scale.seeds)
-            throughput.add(label,
-                           PAPER_FIG1A_KOPS.get((servers, clients)),
-                           metrics["throughput"].mean / 1000.0, "K")
-            power.add(label,
-                      PAPER_FIG1B_WATTS.get((servers, clients)),
-                      metrics["avg_power_per_server"].mean, "W")
+    for point in plan.points:
+        metrics = merged[point.label]
+        throughput.add(point.label, PAPER_FIG1A_KOPS.get(_grid_key(point)),
+                       metrics["throughput"].mean / 1000.0, "K")
+        power.add(point.label, PAPER_FIG1B_WATTS.get(_grid_key(point)),
+                  metrics["avg_power_per_server"].mean, "W")
     throughput.note("paper points without an exact number in the text "
                     "are digitized from the figure")
     power.note("power model calibrated on the paper's (CPU%, W) anchors "
                "— DESIGN.md §4")
     return throughput, power
+
+
+def render_table1(plan: SweepPlan, merged) -> ComparisonTable:
+    """Table I: average CPU usage per node for the read-only grid."""
+    table = ComparisonTable(
+        "Table I", "average per-node CPU usage, read-only workload (%)")
+    for point in plan.points:
+        table.add(point.label, PAPER_TABLE1_CPU.get(_grid_key(point)),
+                  merged[point.label]["cpu_util_avg"].mean, "%")
+    table.note("the idle row is the pinned dispatch core: 1 of 4 cores "
+               "busy-polling = 25 %")
+    return table
+
+
+def render_fig2(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 2: energy efficiency (operations per joule), from the
+    Fig. 1 cells."""
+    table = ComparisonTable("Fig. 2", "energy efficiency (op/joule)")
+    measured: Dict[Tuple[int, int], float] = {}
+    for point in plan.points:
+        eff = merged[point.label]["energy_efficiency"].mean
+        measured[_grid_key(point)] = eff
+        table.add(point.label,
+                  PAPER_FIG2_OPS_PER_JOULE.get(_grid_key(point)), eff,
+                  " op/J")
+    # The paper's headline: 1 server at 30 clients is ≈7.6× more
+    # efficient than 10 servers at 30 clients.
+    if (1, 30) in measured and (10, 30) in measured:
+        table.add("efficiency ratio 1 vs 10 servers (30 clients)",
+                  7.6, measured[(1, 30)] / measured[(10, 30)])
+    return table
+
+
+def run_fig1_peak(scale: Scale = DEFAULT,
+                  server_counts: Sequence[int] = (1, 5, 10),
+                  client_counts: Sequence[int] = (1, 10, 30),
+                  ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 1a (throughput) and Fig. 1b (average power per server)."""
+    plan = fig1_sweep_plan(scale, None, server_counts, client_counts)
+    return render_fig1(plan, measure(plan))
 
 
 def run_table1_cpu(scale: Scale = DEFAULT,
@@ -136,76 +184,14 @@ def run_table1_cpu(scale: Scale = DEFAULT,
                        (1, 10), (1, 30), (5, 5), (5, 30), (10, 5), (10, 30)),
                    ) -> ComparisonTable:
     """Table I: average CPU usage per node for the read-only grid."""
-    table = ComparisonTable(
-        "Table I", "average per-node CPU usage, read-only workload (%)")
-    for servers, clients in grid:
-        if clients == 0:
-            # Idle measurement: no workload, just the running servers.
-            from repro.cluster import Cluster
-            cluster = Cluster(ClusterSpec(
-                num_servers=servers, num_clients=0,
-                server_config=ServerConfig(replication_factor=0)))
-            cluster.start_metering()
-            cluster.run(until=5.0)
-            measured = sum(
-                n.cpu.utilization_between(0.0, 5.0)
-                for n in cluster.server_nodes) / servers
-        else:
-            metrics, results = repeat_experiment(
-                _peak_spec(servers, clients, scale), scale.seeds)
-            measured = sum(r.cpu_util_avg for r in results) / len(results)
-        table.add(f"{servers} servers / {clients} clients",
-                  PAPER_TABLE1_CPU.get((servers, clients)), measured, "%")
-    table.note("the idle row is the pinned dispatch core: 1 of 4 cores "
-               "busy-polling = 25 %")
-    return table
+    plan = table1_sweep_plan(scale, None, grid)
+    return render_table1(plan, measure(plan))
 
 
 def run_fig2_efficiency(scale: Scale = DEFAULT,
                         server_counts: Sequence[int] = (1, 5, 10),
                         client_counts: Sequence[int] = (1, 10, 30),
-                        sweep: Optional[SweepReport] = None,
                         ) -> ComparisonTable:
-    """Fig. 2: energy efficiency (operations per joule).
-
-    The same grid as Fig. 1, so the same merged ``sweep`` serves both.
-    """
-    table = ComparisonTable("Fig. 2", "energy efficiency (op/joule)")
-    measured_cache: Dict[Tuple[int, int], float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for servers in server_counts:
-        for clients in client_counts:
-            if merged is not None:
-                metrics = merged[f"{servers} servers / {clients} clients"]
-            else:
-                metrics, _results = repeat_experiment(
-                    _peak_spec(servers, clients, scale), scale.seeds)
-            eff = metrics["energy_efficiency"].mean
-            measured_cache[(servers, clients)] = eff
-            table.add(f"{servers} servers / {clients} clients",
-                      PAPER_FIG2_OPS_PER_JOULE.get((servers, clients)),
-                      eff, " op/J")
-    # The paper's headline: 1 server at 30 clients is ≈7.6× more
-    # efficient than 10 servers at 30 clients.
-    if (1, 30) in measured_cache and (10, 30) in measured_cache:
-        table.add("efficiency ratio 1 vs 10 servers (30 clients)",
-                  7.6,
-                  measured_cache[(1, 30)] / measured_cache[(10, 30)])
-    return table
-
-
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    fig1a, fig1b = run_fig1_peak(scale)
-    print(fig1a.render())
-    print()
-    print(fig1b.render())
-    print()
-    print(run_table1_cpu(scale).render())
-    print()
-    print(run_fig2_efficiency(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    """Fig. 2: energy efficiency (operations per joule)."""
+    plan = fig1_sweep_plan(scale, None, server_counts, client_counts)
+    return render_fig2(plan, measure(plan))

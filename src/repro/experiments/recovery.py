@@ -21,15 +21,15 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    SweepReport,
-    outcome_from_crash,
+    measure,
+    run_cell,
 )
 from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["run_fig9_crash_timeline", "run_fig10_latency_crash",
            "run_fig11_recovery_rf", "run_fig12_disk_activity",
-           "fig11_sweep_plan"]
+           "fig11_sweep_plan", "render_fig11", "crash_spec"]
 
 # Paper anchors (§VII text + digitized curves).
 PAPER_FIG9A_PEAK_CPU = 92.0  # cluster average CPU % during recovery
@@ -44,10 +44,10 @@ PAPER_FIG12_PEAK_READ_MBPS = 100.0
 PAPER_FIG12_PEAK_WRITE_MBPS = 400.0
 
 
-def _crash_spec(scale: Scale, servers: int, rf: int,
-                bytes_per_server: int, kill_at: float = 60.0,
-                clients: int = 0, seed: int = 3,
-                **overrides) -> CrashExperimentSpec:
+def crash_spec(scale: Scale, servers: int, rf: int,
+               bytes_per_server: int, kill_at: float = 60.0,
+               clients: int = 0, seed: int = 3,
+               **overrides) -> CrashExperimentSpec:
     record_size = scale.recovery_record_size
     num_records = bytes_per_server * servers // record_size
     run_until = kill_at + 60.0 + 90.0 * rf
@@ -69,8 +69,8 @@ def run_fig9_crash_timeline(scale: Scale = DEFAULT,
                             ) -> Tuple[ComparisonTable,
                                        CrashExperimentResult]:
     """Fig. 9a/9b: 10 idle servers, RF 4, random kill at t=60 s."""
-    spec = _crash_spec(scale, servers=10, rf=4,
-                       bytes_per_server=scale.crash_timeline_bytes_per_server)
+    spec = crash_spec(scale, servers=10, rf=4,
+                      bytes_per_server=scale.crash_timeline_bytes_per_server)
     result = run_crash_experiment(spec)
     table = ComparisonTable(
         "Fig. 9", "CPU and power timeline around a crash (10 servers, RF 4)")
@@ -109,7 +109,7 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
                                    ops_per_client=10_000_000,
                                    record_size=record_size,
                                    ).throttled(1000.0)
-    spec = _crash_spec(
+    spec = crash_spec(
         scale, servers=servers, rf=4,
         bytes_per_server=scale.crash_timeline_bytes_per_server,
         clients=2, victim_index=3, split_clients_by_victim=True,
@@ -148,14 +148,15 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
     return table, result
 
 
-def _fig11_cell(params: Dict[str, object], seed: int, scale: Scale):
+def _fig11_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: one (servers, rf, seed) crash-recovery run of
     the Fig. 11 grid."""
-    spec = _crash_spec(scale, servers=int(params["servers"]),
-                       rf=int(params["rf"]),
-                       bytes_per_server=scale.recovery_bytes_per_server,
-                       kill_at=10.0, seed=seed)
-    return outcome_from_crash(run_crash_experiment(spec))
+    return run_cell(crash_spec(
+        scale, bytes_per_server=scale.recovery_bytes_per_server,
+        kill_at=10.0, **params), seed)
+
+
+SWEEP_CELLS = {"fig11": _fig11_cell}
 
 
 def fig11_sweep_plan(scale: Scale = DEFAULT,
@@ -164,68 +165,40 @@ def fig11_sweep_plan(scale: Scale = DEFAULT,
                      servers: int = 9) -> SweepPlan:
     """The Fig. 11 grid as a :class:`SweepPlan`.
 
-    Defaults to the serial runner's pinned seed 3, so a merged sweep
-    renders the exact table :func:`run_fig11_recovery_rf` produces
-    today; pass ``seeds`` to average recovery times over reruns the
-    way the paper did.
+    Defaults to the single pinned seed 3 (a crash run is minutes of
+    simulated time); pass ``seeds`` to average recovery times over
+    reruns the way the paper did.
     """
     points = tuple(SweepPoint.of(f"RF {rf}", servers=servers, rf=rf)
                    for rf in rfs)
     return SweepPlan("fig11", points, tuple(seeds or (3,)), scale)
 
 
-SWEEP_CELLS = {"fig11": _fig11_cell}
-SWEEP_PLANS = {"fig11": fig11_sweep_plan}
-
-
-def run_fig11_recovery_rf(scale: Scale = DEFAULT,
-                          rfs: Sequence[int] = (1, 2, 3, 4, 5),
-                          servers: int = 9,
-                          sweep: Optional[SweepReport] = None,
-                          ) -> Tuple[ComparisonTable, ComparisonTable]:
+def render_fig11(plan: SweepPlan, merged,
+                 ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 11a (recovery time vs RF) and Fig. 11b (per-node energy
-    during recovery vs RF); 9 servers, ≈1.085 GB to recover.
-
-    Pass a merged ``sweep`` (from :func:`fig11_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+    during recovery vs RF); 9 servers, ≈1.085 GB to recover."""
+    servers = plan.points[0].as_dict()["servers"]
     time_table = ComparisonTable(
         "Fig. 11a", f"recovery time vs replication factor ({servers} "
         "servers, ~1.085 GB/server)")
     energy_table = ComparisonTable(
         "Fig. 11b", "per-node energy during recovery vs RF")
     durations: Dict[int, float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for rf in rfs:
-        if merged is not None:
-            metrics = merged.get(f"RF {rf}")
-            # ``recovery_time`` is aggregated only when every seed's
-            # recovery finished (metric-key intersection).
-            if metrics is None or "recovery_time" not in metrics:
-                time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                               None, " s", note="recovery did not finish")
-                continue
-            durations[rf] = metrics["recovery_time"].mean
-            time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                           durations[rf], " s")
-            energy_table.add(
-                f"RF {rf}", PAPER_FIG11B_KILOJOULES.get(rf),
-                metrics["energy_per_node_joules"].mean / 1000.0, " kJ")
+    for point in plan.points:
+        rf, metrics = point.as_dict()["rf"], merged[point.label]
+        # ``recovery_time`` is aggregated only when every seed's
+        # recovery finished (metric-key intersection).
+        if "recovery_time" not in metrics:
+            time_table.add(point.label, PAPER_FIG11A_SECONDS.get(rf),
+                           None, " s", note="recovery did not finish")
             continue
-        spec = _crash_spec(scale, servers=servers, rf=rf,
-                           bytes_per_server=scale.recovery_bytes_per_server,
-                           kill_at=10.0)
-        result = run_crash_experiment(spec)
-        if result.recovery is None or result.recovery.finished_at is None:
-            time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf), None,
-                           " s", note="recovery did not finish")
-            continue
-        durations[rf] = result.recovery_time
-        time_table.add(f"RF {rf}", PAPER_FIG11A_SECONDS.get(rf),
-                       result.recovery_time, " s")
+        durations[rf] = metrics["recovery_time"].mean
+        time_table.add(point.label, PAPER_FIG11A_SECONDS.get(rf),
+                       durations[rf], " s")
         energy_table.add(
-            f"RF {rf}", PAPER_FIG11B_KILOJOULES.get(rf),
-            result.energy_per_node_during_recovery() / 1000.0, " kJ")
+            point.label, PAPER_FIG11B_KILOJOULES.get(rf),
+            metrics["energy_per_node_joules"].mean / 1000.0, " kJ")
     if len(durations) >= 2:
         lo, hi = min(durations), max(durations)
         time_table.add(f"growth RF{lo}→RF{hi}",
@@ -238,14 +211,24 @@ def run_fig11_recovery_rf(scale: Scale = DEFAULT,
     return time_table, energy_table
 
 
+def run_fig11_recovery_rf(scale: Scale = DEFAULT,
+                          rfs: Sequence[int] = (1, 2, 3, 4, 5),
+                          servers: int = 9,
+                          ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 11a (recovery time vs RF) and Fig. 11b (per-node energy
+    during recovery vs RF); 9 servers, ≈1.085 GB to recover."""
+    plan = fig11_sweep_plan(scale, None, rfs, servers)
+    return render_fig11(plan, measure(plan))
+
+
 def run_fig12_disk_activity(scale: Scale = DEFAULT, rf: int = 4,
                             servers: int = 9,
                             ) -> Tuple[ComparisonTable,
                                        CrashExperimentResult]:
     """Fig. 12: aggregate disk read/write MB/s during recovery."""
-    spec = _crash_spec(scale, servers=servers, rf=rf,
-                       bytes_per_server=scale.recovery_bytes_per_server,
-                       kill_at=10.0)
+    spec = crash_spec(scale, servers=servers, rf=rf,
+                      bytes_per_server=scale.recovery_bytes_per_server,
+                      kill_at=10.0)
     result = run_crash_experiment(spec)
     table = ComparisonTable(
         "Fig. 12", f"aggregate disk activity during recovery "
@@ -270,25 +253,3 @@ def run_fig12_disk_activity(scale: Scale = DEFAULT, rf: int = 4,
               " s", note="the head contention the paper blames for slow "
                          "small-cluster recovery")
     return table, result
-
-
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    fig9, _r = run_fig9_crash_timeline(scale)
-    print(fig9.render())
-    print()
-    fig10, _r = run_fig10_latency_crash(scale)
-    print(fig10.render())
-    print()
-    fig11a, fig11b = run_fig11_recovery_rf(scale)
-    print(fig11a.render())
-    print()
-    print(fig11b.render())
-    print()
-    fig12, _r = run_fig12_disk_activity(scale)
-    print(fig12.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

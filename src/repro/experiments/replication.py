@@ -12,21 +12,21 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    SweepReport,
-    outcome_from_experiment,
+    measure,
+    run_cell,
+    ycsb_spec,
 )
-from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_A
 
 __all__ = ["run_fig5_replication", "run_fig6_replication_scale",
            "run_fig7_power_rf", "run_fig8_efficiency_rf",
-           "fig5_sweep_plan"]
+           "fig5_sweep_plan", "fig6_sweep_plan",
+           "render_fig5", "render_fig6", "render_fig7", "render_fig8"]
 
 # Fig. 5 (20 servers): exact where stated in the text, digitized (~)
 # elsewhere.  Kop/s.
@@ -60,33 +60,16 @@ PAPER_FIG8_OPS_PER_JOULE = {
 }
 
 
-def _spec(servers: int, clients: int, rf: int, scale: Scale,
-          give_up_after: Optional[float] = 5.0) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=rf)),
-        workload=WORKLOAD_A.scaled(num_records=scale.num_records,
-                                   ops_per_client=scale.ops_per_client),
-        give_up_after=give_up_after,
-    )
-
-
-def _measure(servers: int, clients: int, rf: int, scale: Scale):
-    metrics, results = repeat_experiment(
-        _spec(servers, clients, rf, scale), scale.seeds)
-    crashed = any(r.crashed for r in results)
-    return metrics, crashed
-
-
-def _fig5_cell(params: Dict[str, object], seed: int, scale: Scale):
+def _replication_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: one (servers, clients, rf, seed) point of the
-    §VI replication grid — the exact run ``repeat_experiment`` performs."""
-    from repro.cluster import run_experiment
-    spec = _spec(int(params["servers"]), int(params["clients"]),
-                 int(params["rf"]), scale)
-    spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-    return outcome_from_experiment(run_experiment(spec))
+    §VI replication grids.  Clients give up on an op unserviceable for
+    5 s — the paper's "crashed" runs."""
+    spec = ycsb_spec(WORKLOAD_A, params["servers"], params["clients"], scale,
+                     replication_factor=params["rf"])
+    return run_cell(spec.with_(give_up_after=5.0), seed)
+
+
+SWEEP_CELLS = {"fig5": _replication_cell, "fig6": _replication_cell}
 
 
 def fig5_sweep_plan(scale: Scale = DEFAULT,
@@ -102,68 +85,67 @@ def fig5_sweep_plan(scale: Scale = DEFAULT,
     return SweepPlan("fig5", points, tuple(seeds or scale.seeds), scale)
 
 
-SWEEP_CELLS = {"fig5": _fig5_cell}
-SWEEP_PLANS = {"fig5": fig5_sweep_plan}
+def fig6_sweep_plan(scale: Scale = DEFAULT,
+                    seeds: Optional[Sequence[int]] = None,
+                    server_counts: Sequence[int] = (10, 20, 30, 40),
+                    rfs: Sequence[int] = (1, 2, 3, 4),
+                    clients: int = 60) -> SweepPlan:
+    """The Fig. 6 grid as a :class:`SweepPlan`; Fig. 7 (its largest
+    cluster) and Fig. 8 (all but its smallest) render from the same
+    cells."""
+    points = tuple(
+        SweepPoint.of(f"{servers} servers / RF {rf}",
+                      servers=servers, clients=clients, rf=rf)
+        for servers in server_counts for rf in rfs)
+    return SweepPlan("fig6", points, tuple(seeds or scale.seeds), scale)
 
 
-def run_fig5_replication(scale: Scale = DEFAULT,
-                         client_counts: Sequence[int] = (10, 30, 60),
-                         rfs: Sequence[int] = (1, 2, 3, 4),
-                         servers: int = 20,
-                         sweep: Optional[SweepReport] = None,
-                         ) -> ComparisonTable:
-    """Fig. 5: throughput of 20 servers vs replication factor.
+def _crashed(metrics) -> bool:
+    return any(flag > 0 for flag in metrics["crashed"].values)
 
-    Pass a merged ``sweep`` (from :func:`fig5_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
-    """
+
+def render_fig5(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 5: throughput of 20 servers vs replication factor."""
+    servers = plan.points[0].as_dict()["servers"]
     table = ComparisonTable(
         "Fig. 5", f"workload A throughput vs RF, {servers} servers (Kop/s)")
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for clients in client_counts:
-        for rf in rfs:
-            if merged is not None:
-                metrics = merged[f"{clients} clients / RF {rf}"]
-                crashed = any(v > 0 for v in metrics["crashed"].values)
-            else:
-                metrics, crashed = _measure(servers, clients, rf, scale)
-            table.add(f"{clients} clients / RF {rf}",
-                      PAPER_FIG5_KOPS.get((clients, rf)),
-                      metrics["throughput"].mean / 1000.0, "K",
-                      note="run crashed (timeouts)" if crashed else "")
+    for point in plan.points:
+        params, metrics = point.as_dict(), merged[point.label]
+        table.add(point.label,
+                  PAPER_FIG5_KOPS.get((params["clients"], params["rf"])),
+                  metrics["throughput"].mean / 1000.0, "K",
+                  note="run crashed (timeouts)" if _crashed(metrics) else "")
     return table
 
 
-def run_fig6_replication_scale(scale: Scale = DEFAULT,
-                               server_counts: Sequence[int] = (10, 20, 30, 40),
-                               rfs: Sequence[int] = (1, 2, 3, 4),
-                               clients: int = 60,
-                               ) -> Tuple[ComparisonTable, ComparisonTable]:
+def render_fig6(plan: SweepPlan, merged,
+                ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 6a (throughput) and Fig. 6b (total energy), 60 clients."""
+    clients = plan.points[0].as_dict()["clients"]
     throughput = ComparisonTable(
         "Fig. 6a", f"workload A throughput vs RF at {clients} clients (Kop/s)")
     energy = ComparisonTable(
         "Fig. 6b", "total energy vs RF (ratios; absolute kJ is run-scaled)")
     energy_measured: Dict[Tuple[int, int], float] = {}
-    for servers in server_counts:
-        for rf in rfs:
-            metrics, crashed = _measure(servers, clients, rf, scale)
-            paper = PAPER_FIG6A_KOPS.get((servers, rf))
-            note = ""
-            if paper is None:
-                note = "paper run crashed (excessive timeouts)"
-            if crashed:
-                note = (note + "; " if note else "") + "our run crashed too"
-            throughput.add(f"{servers} servers / RF {rf}", paper,
-                           metrics["throughput"].mean / 1000.0, "K",
-                           note=note)
-            energy_measured[(servers, rf)] = (
-                metrics["total_energy_joules"].mean)
-    for servers in server_counts:
-        base = energy_measured.get((servers, min(rfs)))
-        peak = energy_measured.get((servers, max(rfs)))
-        paper_base = PAPER_FIG6B_KILOJOULES.get((servers, min(rfs)))
-        paper_peak = PAPER_FIG6B_KILOJOULES.get((servers, max(rfs)))
+    for point in plan.points:
+        params, metrics = point.as_dict(), merged[point.label]
+        key = (params["servers"], params["rf"])
+        paper = PAPER_FIG6A_KOPS.get(key)
+        note = ""
+        if paper is None:
+            note = "paper run crashed (excessive timeouts)"
+        if _crashed(metrics):
+            note = (note + "; " if note else "") + "our run crashed too"
+        throughput.add(point.label, paper,
+                       metrics["throughput"].mean / 1000.0, "K", note=note)
+        energy_measured[key] = metrics["total_energy_joules"].mean
+    rfs = [rf for _servers, rf in energy_measured]
+    lo, hi = min(rfs), max(rfs)
+    for servers in dict.fromkeys(s for s, _rf in energy_measured):
+        base = energy_measured.get((servers, lo))
+        peak = energy_measured.get((servers, hi))
+        paper_base = PAPER_FIG6B_KILOJOULES.get((servers, lo))
+        paper_peak = PAPER_FIG6B_KILOJOULES.get((servers, hi))
         paper_ratio = (paper_peak / paper_base
                        if paper_base and paper_peak else None)
         if base and peak:
@@ -176,38 +158,43 @@ def run_fig6_replication_scale(scale: Scale = DEFAULT,
     return throughput, energy
 
 
-def run_fig7_power_rf(scale: Scale = DEFAULT,
-                      rfs: Sequence[int] = (1, 2, 3, 4),
-                      servers: int = 40, clients: int = 60,
-                      ) -> ComparisonTable:
-    """Fig. 7: average power per node of 40 servers vs RF."""
+def render_fig7(plan: SweepPlan, merged, servers: int = 40,
+                ) -> ComparisonTable:
+    """Fig. 7: average power per node of 40 servers vs RF, from the
+    Fig. 6 cells of that cluster size."""
+    clients = plan.points[0].as_dict()["clients"]
     table = ComparisonTable(
         "Fig. 7", f"average power per node, {servers} servers / "
         f"{clients} clients (W)")
-    for rf in rfs:
-        metrics, _crashed = _measure(servers, clients, rf, scale)
-        table.add(f"RF {rf}", PAPER_FIG7_WATTS.get(rf),
-                  metrics["avg_power_per_server"].mean, "W")
+    for point in plan.points:
+        params = point.as_dict()
+        if params["servers"] == servers:
+            table.add(f"RF {params['rf']}",
+                      PAPER_FIG7_WATTS.get(params["rf"]),
+                      merged[point.label]["avg_power_per_server"].mean, "W")
     return table
 
 
-def run_fig8_efficiency_rf(scale: Scale = DEFAULT,
-                           server_counts: Sequence[int] = (20, 30, 40),
-                           rfs: Sequence[int] = (1, 2, 3, 4),
-                           clients: int = 60) -> ComparisonTable:
+def render_fig8(plan: SweepPlan, merged,
+                server_counts: Sequence[int] = (20, 30, 40),
+                ) -> ComparisonTable:
     """Fig. 8: energy efficiency vs RF — more servers are MORE efficient
-    with replication on (Finding 4, the reverse of Finding 1)."""
+    with replication on (Finding 4, the reverse of Finding 1).  From the
+    Fig. 6 cells; the paper drops the 10-server cluster, whose RF > 2
+    runs crashed."""
+    clients = plan.points[0].as_dict()["clients"]
     table = ComparisonTable(
         "Fig. 8", f"energy efficiency vs RF at {clients} clients (op/joule)")
     measured: Dict[Tuple[int, int], float] = {}
-    for servers in server_counts:
-        for rf in rfs:
-            metrics, _crashed = _measure(servers, clients, rf, scale)
-            eff = metrics["energy_efficiency"].mean
-            measured[(servers, rf)] = eff
-            table.add(f"{servers} servers / RF {rf}",
-                      PAPER_FIG8_OPS_PER_JOULE.get((servers, rf)), eff,
-                      " op/J")
+    for point in plan.points:
+        params = point.as_dict()
+        key = (params["servers"], params["rf"])
+        if key[0] not in server_counts:
+            continue
+        eff = merged[point.label]["energy_efficiency"].mean
+        measured[key] = eff
+        table.add(point.label, PAPER_FIG8_OPS_PER_JOULE.get(key), eff,
+                  " op/J")
     # Finding 4 check: at RF1, efficiency increases with server count.
     if all((s, 1) in measured for s in server_counts):
         ordered = [measured[(s, 1)] for s in sorted(server_counts)]
@@ -220,20 +207,38 @@ def run_fig8_efficiency_rf(scale: Scale = DEFAULT,
     return table
 
 
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    print(run_fig5_replication(scale).render())
-    print()
-    fig6a, fig6b = run_fig6_replication_scale(scale)
-    print(fig6a.render())
-    print()
-    print(fig6b.render())
-    print()
-    print(run_fig7_power_rf(scale).render())
-    print()
-    print(run_fig8_efficiency_rf(scale).render())
+def run_fig5_replication(scale: Scale = DEFAULT,
+                         client_counts: Sequence[int] = (10, 30, 60),
+                         rfs: Sequence[int] = (1, 2, 3, 4),
+                         servers: int = 20) -> ComparisonTable:
+    """Fig. 5: throughput of 20 servers vs replication factor."""
+    plan = fig5_sweep_plan(scale, None, client_counts, rfs, servers)
+    return render_fig5(plan, measure(plan))
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run_fig6_replication_scale(scale: Scale = DEFAULT,
+                               server_counts: Sequence[int] = (10, 20, 30, 40),
+                               rfs: Sequence[int] = (1, 2, 3, 4),
+                               clients: int = 60,
+                               ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 6a (throughput) and Fig. 6b (total energy), 60 clients."""
+    plan = fig6_sweep_plan(scale, None, server_counts, rfs, clients)
+    return render_fig6(plan, measure(plan))
+
+
+def run_fig7_power_rf(scale: Scale = DEFAULT,
+                      rfs: Sequence[int] = (1, 2, 3, 4),
+                      servers: int = 40, clients: int = 60,
+                      ) -> ComparisonTable:
+    """Fig. 7: average power per node of 40 servers vs RF."""
+    plan = fig6_sweep_plan(scale, None, (servers,), rfs, clients)
+    return render_fig7(plan, measure(plan), servers)
+
+
+def run_fig8_efficiency_rf(scale: Scale = DEFAULT,
+                           server_counts: Sequence[int] = (20, 30, 40),
+                           rfs: Sequence[int] = (1, 2, 3, 4),
+                           clients: int = 60) -> ComparisonTable:
+    """Fig. 8: energy efficiency vs RF at 60 clients."""
+    plan = fig6_sweep_plan(scale, None, server_counts, rfs, clients)
+    return render_fig8(plan, measure(plan), server_counts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 __all__ = ["Scale", "SMOKE", "DEFAULT", "FULL", "active_scale",
-           "set_active_scale"]
+           "scale_named", "set_active_scale"]
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,18 @@ FULL = Scale(name="full", num_records=100_000, ops_per_client=5_000,
 _SCALES = {s.name: s for s in (SMOKE, DEFAULT, FULL)}
 
 
-def active_scale() -> Scale:
-    """The scale benchmarks run at; override with REPRO_SCALE=smoke|default|full."""
-    name = os.environ.get("REPRO_SCALE", "default")
+def scale_named(name: str) -> Scale:
+    """The preset called ``name`` (``smoke``, ``default`` or ``full``)."""
     try:
         return _SCALES[name]
     except KeyError:
         raise ValueError(
-            f"REPRO_SCALE={name!r}: choose from {sorted(_SCALES)}") from None
+            f"scale {name!r}: choose from {sorted(_SCALES)}") from None
+
+
+def active_scale() -> Scale:
+    """The scale benchmarks run at; override with REPRO_SCALE=smoke|default|full."""
+    return scale_named(os.environ.get("REPRO_SCALE", "default"))
 
 
 def set_active_scale(name: str) -> Scale:
@@ -71,10 +75,6 @@ def set_active_scale(name: str) -> Scale:
     poking ``os.environ`` themselves, so spawned sweep workers and
     lazy ``active_scale()`` readers all agree on where the knob lives.
     """
-    try:
-        scale = _SCALES[name]
-    except KeyError:
-        raise ValueError(
-            f"scale {name!r}: choose from {sorted(_SCALES)}") from None
+    scale = scale_named(name)
     os.environ["REPRO_SCALE"] = scale.name
     return scale

@@ -1,8 +1,8 @@
-"""repro.sweep — the parallel multi-seed sweep runner (ROADMAP item 1).
+"""repro.sweep — the multi-seed sweep runner: the one thing that
+executes experiment cells, in this process or across workers.
 
 The paper's results come from ≈3000 runs on a 131-node testbed; ours
-come from grids of (experiment, config-point, seed) cells that today
-run strictly serially inside each ``run_fig*`` runner.  Determinism
+come from grids of (experiment, config-point, seed) cells.  Determinism
 makes those cells embarrassingly parallel: two runs of the same cell
 are byte-identical (``tests/analyze/test_determinism.py``), so fanning
 cells across worker *processes* must change nothing but wall-clock
@@ -27,11 +27,15 @@ tested:
   complete merged report for the surviving cells.
 
 Experiments register a *cell runner* — ``runner(params, seed, scale) ->
-CellOutcome`` — in their module-level ``SWEEP_CELLS`` dict and a plan
-factory in ``SWEEP_PLANS``; see :mod:`repro.experiments.peak` for the
-pattern.  The registry is resolved lazily (inside functions) in both
-the parent and the workers, so this module never imports the experiment
-modules at import time and there is no cycle.
+CellOutcome`` — in their module-level ``SWEEP_CELLS`` dict (most are one
+line over :func:`run_cell`) and name their plan factory and renderer in
+:mod:`repro.experiments.registry`, which every entry point reads; see
+:mod:`repro.experiments.peak` for the pattern.  A figure's public
+``run_figN`` is its renderer applied to :func:`measure` of its plan, so
+this module is the only thing that executes cells.  The registry imports
+every experiment module and they import this one, so it is resolved
+lazily (inside :func:`cell_registry`) — identically in the parent and
+in spawn-context workers.
 
 Environment isolation: every cell — serial, parallel, or
 serial-check — executes through :func:`_execute_cell`, which pins the
@@ -52,36 +56,28 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster import (ClusterSpec, CrashExperimentSpec, ExperimentSpec,
+                           run_crash_experiment, run_experiment)
 from repro.cluster.experiment import Aggregate
 from repro.experiments.scale import DEFAULT, Scale
+from repro.ramcloud.config import ServerConfig
 from repro.sim.sanitize import (cell_state_fingerprint, check_cell_state,
                                 watch_cell_state)
+from repro.ycsb.workload import WORKLOAD_C, WorkloadSpec
 
 __all__ = [
     "CellOutcome", "CellResult", "SerialEquivalenceError", "SweepCell",
     "SweepPlan", "SweepPoint", "SweepReport", "cell_registry",
-    "crash_experiment_digest", "experiment_digest", "list_experiments",
-    "outcome_from_crash", "outcome_from_experiment", "plan_for",
-    "run_sweep",
+    "crash_experiment_digest", "experiment_digest", "measure",
+    "outcome_from_crash", "outcome_from_experiment", "run_cell",
+    "run_sweep", "ycsb_spec",
 ]
 
 SCHEMA = 1
-
-# Experiment modules that contribute SWEEP_CELLS / SWEEP_PLANS entries.
-# Imported lazily so that those modules may import this one.
-_EXPERIMENT_MODULES = (
-    "repro.experiments.peak",
-    "repro.experiments.workloads",
-    "repro.experiments.replication",
-    "repro.experiments.recovery",
-    "repro.experiments.energy_proportionality",
-    "repro.experiments.durability",
-    "repro.experiments.indexing",
-)
 
 
 # -- determinism digests ------------------------------------------------
@@ -150,7 +146,7 @@ def crash_experiment_digest(result) -> str:
                               repair.finished_at))
     for series in (result.cluster_cpu, result.disk_read_mbps,
                    result.disk_write_mbps, result.under_replicated):
-        feed(f"{series.name}.times", result.cluster_cpu.times)
+        feed(f"{series.name}.times", series.times)
         feed(f"{series.name}.values", series.values)
     for name in sorted(result.per_node_power):
         feed(f"power[{name}]", result.per_node_power[name].values)
@@ -177,23 +173,9 @@ def outcome_from_experiment(result) -> CellOutcome:
     """Standard outcome for a YCSB-style ``ExperimentResult`` cell —
     carries exactly the per-seed floats ``repeat_experiment`` aggregates,
     so merged sweep statistics are bit-identical to the serial path."""
-    return CellOutcome(
-        metrics={
-            "throughput": result.throughput,
-            "avg_power_per_server": result.avg_power_per_server,
-            "total_energy_joules": result.total_energy_joules,
-            "energy_efficiency": result.energy_efficiency,
-            "makespan": result.makespan,
-            "cpu_util_avg": result.cpu_util_avg,
-            "mean_latency": result.mean_latency_or_zero(),
-            "total_ops": float(result.total_ops),
-            "client_errors": float(result.client_errors),
-            "crashed": 1.0 if result.crashed else 0.0,
-        },
-        digest=experiment_digest(result),
-        events=result.sim_events,
-        ops=result.total_ops,
-    )
+    return CellOutcome(metrics=result.headline_metrics(),
+                       digest=experiment_digest(result),
+                       events=result.sim_events, ops=result.total_ops)
 
 
 def outcome_from_crash(result) -> CellOutcome:
@@ -211,6 +193,31 @@ def outcome_from_crash(result) -> CellOutcome:
             result.avg_power_during_recovery())
     return CellOutcome(metrics=metrics,
                        digest=crash_experiment_digest(result))
+
+
+def ycsb_spec(workload: WorkloadSpec, servers: int, clients: int,
+              scale: Scale, **server_config) -> ExperimentSpec:
+    """``workload`` sized by ``scale`` on a ``servers``/``clients``
+    cluster — the spec behind every YCSB grid cell.  ``server_config``
+    are :class:`~repro.ramcloud.config.ServerConfig` fields; replication
+    stays off unless they turn it on (the paper's §IV/§V discipline)."""
+    server_config.setdefault("replication_factor", 0)
+    return ExperimentSpec(
+        cluster=ClusterSpec(num_servers=servers, num_clients=clients,
+                            server_config=ServerConfig(**server_config)),
+        workload=workload.scaled(num_records=scale.num_records,
+                                 ops_per_client=scale.ops_per_client))
+
+
+def run_cell(spec, seed: int) -> CellOutcome:
+    """The body every grid cell shares: run ``spec`` (an
+    ``ExperimentSpec`` or a ``CrashExperimentSpec``) at ``seed`` and
+    package the standard outcome — the exact run ``repeat_experiment``
+    performs for that seed."""
+    spec = replace(spec, cluster=spec.cluster.with_(seed=seed))
+    if isinstance(spec, CrashExperimentSpec):
+        return outcome_from_crash(run_crash_experiment(spec))
+    return outcome_from_experiment(run_experiment(spec))
 
 
 # -- plans ---------------------------------------------------------------
@@ -277,6 +284,9 @@ class CellResult:
     outcome: Optional[CellOutcome]
     attempts: int = 1
     error: Optional[str] = None
+    # The exception itself, for a cell that failed in this process (a
+    # spawned worker's traceback dies with it; only ``error`` survives).
+    exception: Optional[BaseException] = None
 
     @property
     def ok(self) -> bool:
@@ -290,61 +300,14 @@ class SerialEquivalenceError(AssertionError):
 
 # -- the registry --------------------------------------------------------
 
-_registry_cache: Optional[Dict[str, Callable]] = None
-_plans_cache: Optional[Dict[str, Callable]] = None
-
 
 def cell_registry() -> Dict[str, Callable]:
-    """experiment name → cell runner, collected from every experiment
-    module's ``SWEEP_CELLS`` (resolved identically in parent and
-    workers, so a spawn-context worker sees the same mapping)."""
-    global _registry_cache
-    if _registry_cache is None:
-        import importlib
-        registry: Dict[str, Callable] = {"_selftest": _selftest_cell}
-        for name in _EXPERIMENT_MODULES:
-            module = importlib.import_module(name)
-            registry.update(getattr(module, "SWEEP_CELLS", {}))
-        _registry_cache = registry  # simlint: disable=DET001 resolve-once registry: import-derived, identical in every process
-    return _registry_cache
-
-
-def _selftest_plan(scale: Scale = DEFAULT,
-                   seeds: Optional[Sequence[int]] = None,
-                   **params) -> "SweepPlan":
-    """Plan for the built-in test experiment (hidden from listings)."""
-    point = SweepPoint.of("selftest", servers=2, clients=1, **params)
-    return SweepPlan("_selftest", (point,), tuple(seeds or (1, 2)), scale)
-
-
-def _plan_registry() -> Dict[str, Callable]:
-    global _plans_cache
-    if _plans_cache is None:
-        import importlib
-        plans: Dict[str, Callable] = {"_selftest": _selftest_plan}
-        for name in _EXPERIMENT_MODULES:
-            module = importlib.import_module(name)
-            plans.update(getattr(module, "SWEEP_PLANS", {}))
-        _plans_cache = plans  # simlint: disable=DET001 resolve-once registry: import-derived, identical in every process
-    return _plans_cache
-
-
-def list_experiments() -> List[str]:
-    """The public experiments ``plan_for`` knows how to plan."""
-    return sorted(name for name in _plan_registry() if not
-                  name.startswith("_"))
-
-
-def plan_for(experiment: str, scale: Scale = DEFAULT,
-             seeds: Optional[Sequence[int]] = None, **kwargs) -> SweepPlan:
-    """The default :class:`SweepPlan` for a registered experiment."""
-    try:
-        factory = _plan_registry()[experiment]
-    except KeyError:
-        raise ValueError(
-            f"unknown sweep experiment {experiment!r}: "
-            f"choose from {list_experiments()}") from None
-    return factory(scale, seeds=tuple(seeds) if seeds else None, **kwargs)
+    """experiment name → cell runner: every experiment module's
+    ``SWEEP_CELLS``, merged by :mod:`repro.experiments.registry`
+    (resolved identically in parent and workers, so a spawn-context
+    worker sees the same mapping)."""
+    from repro.experiments.registry import CELLS
+    return CELLS
 
 
 # -- cell execution (shared by the serial path, the workers, and the
@@ -357,7 +320,7 @@ def _resolve_debug(debug: Optional[bool]) -> bool:
     return os.environ.get("REPRO_SIM_DEBUG", "0") not in ("", "0")
 
 
-def _execute_cell(experiment: str, params: Dict[str, Any], seed: int,  # simlint: disable=DET001 the isolation harness itself: resolves the sanctioned lazy registry
+def _execute_cell(experiment: str, params: Dict[str, Any], seed: int,
                   scale: Scale, debug: bool, attempt: int) -> CellOutcome:
     """Run one cell with a pinned environment.
 
@@ -435,9 +398,11 @@ class SweepReport:
         """
         failed = self.failed()
         if failed:
-            cells = ", ".join(repr(r.cell.key) for r in failed)
+            cells = ", ".join(f"{r.cell.key!r} ({r.error})" for r in failed)
             raise RuntimeError(
-                f"sweep has {len(failed)} failed cell(s): {cells}")
+                f"sweep has {len(failed)} failed cell(s): {cells}"
+            ) from next((r.exception for r in failed
+                         if r.exception is not None), None)
         return self.aggregates()
 
     def aggregates(self) -> Dict[str, Dict[str, Aggregate]]:
@@ -520,7 +485,8 @@ def _run_cell_inprocess(plan: SweepPlan, cell: SweepCell,
                                 cell.seed, plan.scale, debug, attempt=1)
     except Exception as exc:
         return CellResult(cell, None, attempts=1,
-                          error=f"{type(exc).__name__}: {exc}")
+                          error=f"{type(exc).__name__}: {exc}",
+                          exception=exc)
     return CellResult(cell, outcome)
 
 
@@ -690,6 +656,12 @@ def run_sweep(plan: SweepPlan, *, parallel: bool = True,
     return report
 
 
+def measure(plan: SweepPlan) -> Dict[str, Dict[str, Aggregate]]:
+    """``plan`` run on the serial reference path, as the merged
+    aggregates every ``run_figN`` hands its renderer."""
+    return run_sweep(plan, parallel=False).checked_aggregates()
+
+
 def write_report(report: SweepReport, path: str) -> None:
     """Dump a report as JSON (the merged-results artifact CI uploads)."""
     with open(path, "w") as fh:
@@ -707,6 +679,14 @@ _SELFTEST_LEAK: Optional[int] = None  # written by leaky cells, on purpose
 # test_cell_state.py) — the runtime half of DET001.
 watch_cell_state("repro.experiments.sweep._SELFTEST_LEAK",
                  lambda: _SELFTEST_LEAK)
+
+
+def _selftest_plan(scale: Scale = DEFAULT,
+                   seeds: Optional[Sequence[int]] = None,
+                   **params) -> "SweepPlan":
+    """Plan for the built-in test experiment (hidden from listings)."""
+    point = SweepPoint.of("selftest", servers=2, clients=1, **params)
+    return SweepPlan("_selftest", (point,), tuple(seeds or (1, 2)), scale)
 
 
 def _selftest_cell(params: Dict[str, Any], seed: int,
@@ -749,20 +729,10 @@ def _selftest_cell(params: Dict[str, Any], seed: int,
         raise RuntimeError("selftest cell asked to fail")
 
     bump = int(os.environ.get("REPRO_SWEEP_SELFTEST_BUMP", "0"))
-    from repro.cluster import ClusterSpec, ExperimentSpec, run_experiment
-    from repro.ramcloud.config import ServerConfig
-    from repro.ycsb.workload import WORKLOAD_C
-    spec = ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=int(params.get("servers", 1)),
-            num_clients=int(params.get("clients", 1)),
-            server_config=ServerConfig(replication_factor=0),
-            seed=seed),
-        workload=WORKLOAD_C.scaled(num_records=scale.num_records,
-                                   ops_per_client=scale.ops_per_client
-                                   + bump),
-    )
-    outcome = outcome_from_experiment(run_experiment(spec))
+    outcome = run_cell(ycsb_spec(
+        WORKLOAD_C, int(params.get("servers", 1)),
+        int(params.get("clients", 1)),
+        scale.with_(ops_per_client=scale.ops_per_client + bump)), seed)
     if params.get("pid_salt"):
         salted = hashlib.sha256(
             f"{outcome.digest}:{os.getpid()}".encode()).hexdigest()  # simlint: disable=DET005 deliberately env-dependent digest under test
@@ -778,3 +748,6 @@ def _selftest_cell(params: Dict[str, Any], seed: int,
         global _SELFTEST_LEAK
         _SELFTEST_LEAK = seed  # simlint: disable=DET001 deliberate leak under test
     return outcome
+
+
+SWEEP_CELLS = {"_selftest": _selftest_cell}

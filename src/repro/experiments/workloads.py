@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, ExperimentSpec, repeat_experiment
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    SweepReport,
-    outcome_from_experiment,
+    measure,
+    run_cell,
+    ycsb_spec,
 )
-from repro.ramcloud.config import ServerConfig
-from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WorkloadSpec
+from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C
 
 __all__ = ["run_table2_throughput", "run_fig3_scalability", "run_fig4_power",
-           "fig4_sweep_plan"]
+           "table2_sweep_plan", "fig4_sweep_plan",
+           "render_table2", "render_fig3", "render_fig4"]
 
 WORKLOADS = {"A": WORKLOAD_A, "B": WORKLOAD_B, "C": WORKLOAD_C}
 
@@ -47,75 +47,37 @@ PAPER_FIG4A_WATTS = {
 PAPER_FIG4B_KILOJOULES = {"C": 25.0, "B": 32.0, "A": 148.0}
 
 
-def _spec(workload: WorkloadSpec, servers: int, clients: int,
-          scale: Scale) -> ExperimentSpec:
-    return ExperimentSpec(
-        cluster=ClusterSpec(
-            num_servers=servers, num_clients=clients,
-            server_config=ServerConfig(replication_factor=0)),
-        workload=workload.scaled(num_records=scale.num_records,
-                                 ops_per_client=scale.ops_per_client),
-    )
-
-
-def run_table2_throughput(scale: Scale = DEFAULT,
-                          client_counts: Sequence[int] = (10, 20, 30, 60, 90),
-                          workload_names: Sequence[str] = ("A", "B", "C"),
-                          servers: int = 10,
-                          ) -> Tuple[ComparisonTable,
-                                     Dict[Tuple[str, int], float]]:
-    """Table II: throughput of 10 servers for workloads A, B, C."""
-    table = ComparisonTable(
-        "Table II", f"aggregated throughput, {servers} servers (Kop/s)")
-    measured: Dict[Tuple[str, int], float] = {}
-    for name in workload_names:
-        for clients in client_counts:
-            metrics, _r = repeat_experiment(
-                _spec(WORKLOADS[name], servers, clients, scale), scale.seeds)
-            kops = metrics["throughput"].mean / 1000.0
-            measured[(name, clients)] = kops
-            table.add(f"workload {name} / {clients} clients",
-                      PAPER_TABLE2_KOPS.get((name, clients)), kops, "K")
-    table.note("replication disabled; 100 K records scaled to "
-               f"{scale.num_records}")
-    return table, measured
-
-
-def run_fig3_scalability(scale: Scale = DEFAULT,
-                         client_counts: Sequence[int] = (10, 20, 30, 60, 90),
-                         ) -> ComparisonTable:
-    """Fig. 3: throughput scaling factor relative to 10 clients.
-
-    The paper's reading: read-only scales perfectly (factor ≈
-    clients/10), read-heavy collapses between 30 and 60 clients,
-    update-heavy never scales at all.
-    """
-    _table2, measured = run_table2_throughput(scale, client_counts)
-    baseline = client_counts[0]
-    table = ComparisonTable(
-        "Fig. 3", f"scalability factor vs {baseline}-client baseline")
-    for name in ("C", "B", "A"):
-        base_paper = PAPER_TABLE2_KOPS.get((name, baseline))
-        base_measured = measured[(name, baseline)]
-        for clients in client_counts:
-            paper_point = PAPER_TABLE2_KOPS.get((name, clients))
-            paper_factor = (paper_point / base_paper
-                            if paper_point and base_paper else None)
-            measured_factor = measured[(name, clients)] / base_measured
-            table.add(f"workload {name} / {clients} clients",
-                      paper_factor, measured_factor, "x",
-                      note=f"perfect = {clients / baseline:.0f}x")
-    return table
-
-
-def _fig4_cell(params: Dict[str, object], seed: int, scale: Scale):
+def _workload_cell(params: Dict[str, object], seed: int, scale: Scale):
     """Sweep cell runner: one (workload, servers, clients, seed) point
-    of the §V grid — the exact run ``repeat_experiment`` performs."""
-    from repro.cluster import run_experiment
-    spec = _spec(WORKLOADS[str(params["workload"])],
-                 int(params["servers"]), int(params["clients"]), scale)
-    spec = spec.with_(cluster=spec.cluster.with_(seed=seed))
-    return outcome_from_experiment(run_experiment(spec))
+    of the §V grids."""
+    return run_cell(ycsb_spec(WORKLOADS[params["workload"]],
+                              params["servers"], params["clients"], scale),
+                    seed)
+
+
+SWEEP_CELLS = {"table2": _workload_cell, "fig4": _workload_cell}
+
+
+def _workload_plan(experiment: str, scale: Scale,
+                   seeds: Optional[Sequence[int]],
+                   workload_names: Sequence[str],
+                   client_counts: Sequence[int], servers: int) -> SweepPlan:
+    points = tuple(
+        SweepPoint.of(f"workload {name} / {clients} clients",
+                      workload=name, servers=servers, clients=clients)
+        for name in workload_names for clients in client_counts)
+    return SweepPlan(experiment, points, tuple(seeds or scale.seeds), scale)
+
+
+def table2_sweep_plan(scale: Scale = DEFAULT,
+                      seeds: Optional[Sequence[int]] = None,
+                      client_counts: Sequence[int] = (10, 20, 30, 60, 90),
+                      workload_names: Sequence[str] = ("A", "B", "C"),
+                      servers: int = 10) -> SweepPlan:
+    """The Table II/Fig. 3 grid as a :class:`SweepPlan` (one sweep
+    feeds both renderers)."""
+    return _workload_plan("table2", scale, seeds, workload_names,
+                          client_counts, servers)
 
 
 def fig4_sweep_plan(scale: Scale = DEFAULT,
@@ -125,47 +87,79 @@ def fig4_sweep_plan(scale: Scale = DEFAULT,
                     workload_names: Sequence[str] = ("C", "B", "A"),
                     ) -> SweepPlan:
     """The Fig. 4a/4b grid as a :class:`SweepPlan`."""
-    points = tuple(
-        SweepPoint.of(f"workload {name} / {clients} clients",
-                      workload=name, servers=servers, clients=clients)
-        for name in workload_names for clients in client_counts)
-    return SweepPlan("fig4", points, tuple(seeds or scale.seeds), scale)
+    return _workload_plan("fig4", scale, seeds, workload_names,
+                          client_counts, servers)
 
 
-SWEEP_CELLS = {"fig4": _fig4_cell}
-SWEEP_PLANS = {"fig4": fig4_sweep_plan}
+def _grid_key(point: SweepPoint) -> Tuple[str, int]:
+    params = point.as_dict()
+    return params["workload"], params["clients"]
 
 
-def run_fig4_power(scale: Scale = DEFAULT,
-                   client_counts: Sequence[int] = (10, 30, 60, 90),
-                   servers: int = 20,
-                   sweep: Optional[SweepReport] = None,
-                   ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 4a (power per node vs clients) and Fig. 4b (total energy at
-    90 clients, same total work per configuration).
+def _measured_kops(plan: SweepPlan, merged) -> Dict[Tuple[str, int], float]:
+    return {_grid_key(point): merged[point.label]["throughput"].mean / 1000.0
+            for point in plan.points}
 
-    Pass a merged ``sweep`` (from :func:`fig4_sweep_plan`) to render
-    from its aggregates instead of re-running the cells serially.
+
+def render_table2(plan: SweepPlan, merged) -> ComparisonTable:
+    """Table II: throughput of 10 servers for workloads A, B, C."""
+    servers = plan.points[0].as_dict()["servers"]
+    table = ComparisonTable(
+        "Table II", f"aggregated throughput, {servers} servers (Kop/s)")
+    measured = _measured_kops(plan, merged)
+    for point in plan.points:
+        table.add(point.label, PAPER_TABLE2_KOPS.get(_grid_key(point)),
+                  measured[_grid_key(point)], "K")
+    table.note("replication disabled; 100 K records scaled to "
+               f"{plan.scale.num_records}")
+    return table
+
+
+def render_fig3(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 3: throughput scaling factor relative to the first client
+    count, from the Table II cells.
+
+    The paper's reading: read-only scales perfectly (factor ≈
+    clients/10), read-heavy collapses between 30 and 60 clients,
+    update-heavy never scales at all.
     """
+    measured = _measured_kops(plan, merged)
+    baseline = plan.points[0].as_dict()["clients"]
+    table = ComparisonTable(
+        "Fig. 3", f"scalability factor vs {baseline}-client baseline")
+    for name in ("C", "B", "A"):
+        base_paper = PAPER_TABLE2_KOPS.get((name, baseline))
+        for point in plan.points:
+            workload, clients = _grid_key(point)
+            if workload != name:
+                continue
+            paper_point = PAPER_TABLE2_KOPS.get((name, clients))
+            paper_factor = (paper_point / base_paper
+                            if paper_point and base_paper else None)
+            table.add(point.label, paper_factor,
+                      measured[(name, clients)] / measured[(name, baseline)],
+                      "x", note=f"perfect = {clients / baseline:.0f}x")
+    return table
+
+
+def render_fig4(plan: SweepPlan, merged,
+                ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 4a (power per node vs clients) and Fig. 4b (total energy at
+    the highest client count, same total work per configuration)."""
+    servers = plan.points[0].as_dict()["servers"]
     power = ComparisonTable(
         "Fig. 4a", f"average power per node, {servers} servers (W)")
     energy = ComparisonTable(
         "Fig. 4b", "total energy at 90 clients (kJ, scaled run)")
+    most_clients = max(_grid_key(point)[1] for point in plan.points)
     energy_measured: Dict[str, float] = {}
-    merged = sweep.checked_aggregates() if sweep is not None else None
-    for name in ("C", "B", "A"):
-        for clients in client_counts:
-            if merged is not None:
-                metrics = merged[f"workload {name} / {clients} clients"]
-            else:
-                metrics, _r = repeat_experiment(
-                    _spec(WORKLOADS[name], servers, clients, scale),
-                    scale.seeds)
-            power.add(f"workload {name} / {clients} clients",
-                      PAPER_FIG4A_WATTS.get((name, clients)),
-                      metrics["avg_power_per_server"].mean, "W")
-            if clients == max(client_counts):
-                energy_measured[name] = metrics["total_energy_joules"].mean
+    for point in plan.points:
+        metrics = merged[point.label]
+        name, clients = _grid_key(point)
+        power.add(point.label, PAPER_FIG4A_WATTS.get((name, clients)),
+                  metrics["avg_power_per_server"].mean, "W")
+        if clients == most_clients:
+            energy_measured[name] = metrics["total_energy_joules"].mean
     # Our runs are scaled down, so absolute joules are not comparable —
     # compare the paper's stated ratios instead.
     c_joules = energy_measured.get("C")
@@ -183,19 +177,32 @@ def run_fig4_power(scale: Scale = DEFAULT,
     return power, energy
 
 
-def main():  # pragma: no cover - console entry point
-    from repro.experiments.scale import active_scale
-    scale = active_scale()
-    table2, _measured = run_table2_throughput(scale)
-    print(table2.render())
-    print()
-    print(run_fig3_scalability(scale).render())
-    print()
-    fig4a, fig4b = run_fig4_power(scale)
-    print(fig4a.render())
-    print()
-    print(fig4b.render())
+def run_table2_throughput(scale: Scale = DEFAULT,
+                          client_counts: Sequence[int] = (10, 20, 30, 60, 90),
+                          workload_names: Sequence[str] = ("A", "B", "C"),
+                          servers: int = 10,
+                          ) -> Tuple[ComparisonTable,
+                                     Dict[Tuple[str, int], float]]:
+    """Table II, plus the measured Kop/s keyed by (workload, clients)."""
+    plan = table2_sweep_plan(scale, None, client_counts, workload_names,
+                             servers)
+    merged = measure(plan)
+    return render_table2(plan, merged), _measured_kops(plan, merged)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run_fig3_scalability(scale: Scale = DEFAULT,
+                         client_counts: Sequence[int] = (10, 20, 30, 60, 90),
+                         ) -> ComparisonTable:
+    """Fig. 3: throughput scaling factor relative to 10 clients."""
+    plan = table2_sweep_plan(scale, None, client_counts)
+    return render_fig3(plan, measure(plan))
+
+
+def run_fig4_power(scale: Scale = DEFAULT,
+                   client_counts: Sequence[int] = (10, 30, 60, 90),
+                   servers: int = 20,
+                   ) -> Tuple[ComparisonTable, ComparisonTable]:
+    """Fig. 4a (power per node vs clients) and Fig. 4b (total energy at
+    90 clients, same total work per configuration)."""
+    plan = fig4_sweep_plan(scale, None, client_counts, servers)
+    return render_fig4(plan, measure(plan))

@@ -112,6 +112,18 @@ def test_crash_digest_diverges_across_seeds():
     assert a != b
 
 
+def test_crash_digest_covers_each_series_own_timestamps():
+    # One sampler records all four timelines at the same instants, so a
+    # digest that fed cluster_cpu.times for every series (as it once
+    # did) produced the right value for the wrong reason.  Two results
+    # differing only in when the disk-read samples were taken must hash
+    # differently.
+    result = run_small_crash()
+    before = crash_digest(result)
+    result.disk_read_mbps.times[0] += 0.25
+    assert crash_digest(result) != before
+
+
 # -- membership / fencing / repair scenarios (ISSUE 4) -----------------------
 #
 # The two robustness scenarios — backup crash → repair restores RF →

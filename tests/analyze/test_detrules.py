@@ -125,6 +125,28 @@ class TestStateIndex:
         assert not idx.scoped
         assert idx.reachable_from_cells("f")
 
+    def test_real_tree_roots_at_every_registered_cell(self):
+        # The experiment registry merges each module's SWEEP_CELLS at
+        # import time; the linter reads the same dicts statically.  A
+        # cell registered some other way would run in workers without
+        # DET001/DET004 ever looking at what it can reach.
+        from repro.experiments import registry
+        package = os.path.dirname(registry.__file__)
+        modules = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                path = os.path.join(package, name)
+                with open(path, encoding="utf-8") as fh:
+                    modules.append(Module.parse(fh.read(), path))
+        idx = StateIndex(modules)
+        assert idx.scoped
+        registered = {cell.__name__ for cell in registry.CELLS.values()}
+        assert len(registered) >= 15
+        assert registered <= idx.cell_seed_names
+        # ...and the shared cell body is reachable from them.
+        assert idx.reachable_from_cells("run_cell")
+        assert idx.reachable_from_cells("ycsb_spec")
+
 
 # ---------------------------------------------------------------------------
 # DET001 — module state written at runtime

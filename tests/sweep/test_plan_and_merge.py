@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cluster.experiment import Aggregate
+from repro.experiments.registry import EXPERIMENTS, plan_for, sweep_names
 from repro.experiments.scale import SMOKE
 from repro.experiments.sweep import (
     CellOutcome,
@@ -16,8 +17,6 @@ from repro.experiments.sweep import (
     SweepPoint,
     SweepReport,
     cell_registry,
-    list_experiments,
-    plan_for,
     run_sweep,
 )
 
@@ -38,13 +37,27 @@ def test_plan_cells_are_points_times_seeds_in_plan_order():
 
 
 def test_registry_lists_every_experiment_and_hides_selftest():
-    names = list_experiments()
+    names = sweep_names()
     assert {"fig1", "fig4", "fig5", "fig11", "energy"} <= set(names)
     assert not any(name.startswith("_") for name in names)
     # ...but the cell registry still resolves the hidden test runner.
     assert "_selftest" in cell_registry()
+    assert plan_for("_selftest", SMOKE).experiment == "_selftest"
+    # A sweepable name is its own plan's experiment, and has a cell.
     for name in names:
+        assert plan_for(name, SMOKE).experiment == name
         assert name in cell_registry()
+
+
+def test_every_registry_entry_renders_from_a_plan_or_runs_plain():
+    for name, entry in EXPERIMENTS.items():
+        if entry.render is not None:
+            # A figure may render from another's cells (fig2 from
+            # fig1's), but always from cells some sweep name owns.
+            assert entry.run is None, name
+            assert plan_for(name, SMOKE).experiment in sweep_names(), name
+        else:
+            assert callable(entry.run), name
 
 
 def test_plan_for_unknown_experiment_raises():
@@ -132,6 +145,22 @@ def test_checked_aggregates_refuses_a_partial_sweep():
     partial = _report([("a", 1, {"m": 1.0}), ("b", 1, None)])
     with pytest.raises(RuntimeError, match="failed cell"):
         partial.checked_aggregates()
+
+
+def test_in_process_failure_keeps_its_cause():
+    # Every run_figN goes through the in-process path, so a cell that
+    # raises must surface as the original exception (with its
+    # traceback), not as a flattened "Type: msg" string.
+    plan = SweepPlan("_selftest", (
+        SweepPoint.of("failer", servers=2, clients=1, fail=True),),
+        (1,), SMOKE)
+    report = run_sweep(plan, parallel=False)
+    with pytest.raises(RuntimeError, match="failed cell") as raised:
+        report.checked_aggregates()
+    cause = raised.value.__cause__
+    assert cause is report.results[0].exception
+    assert str(cause) == "selftest cell asked to fail"
+    assert cause.__traceback__ is not None
 
 
 def test_merged_digest_is_order_independent_and_failure_sensitive():

@@ -98,3 +98,10 @@ def test_plain_exception_also_respects_the_retry_budget():
     assert failer.attempts == 2
     assert "selftest cell asked to fail" in failer.error
     assert ok.ok and ok.attempts == 1
+    # A spawned cell's traceback died with its worker: the report keeps
+    # the message, and refusing the partial sweep quotes it.
+    assert failer.exception is None
+    with pytest.raises(RuntimeError,
+                       match="selftest cell asked to fail") as raised:
+        report.checked_aggregates()
+    assert raised.value.__cause__ is None

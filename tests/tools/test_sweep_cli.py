@@ -22,10 +22,14 @@ pytestmark = pytest.mark.sweep
 
 
 def test_list_prints_public_experiments(capsys):
+    from repro.experiments.registry import EXPERIMENTS
     assert sweep_cli.main(["--list"]) == 0
     out = capsys.readouterr().out.split()
     assert {"fig1", "fig4", "fig5", "fig11", "energy"} <= set(out)
     assert "_selftest" not in out
+    # Every listed name is a plan in the one registry, in its order.
+    assert all(EXPERIMENTS[name].plan is not None for name in out)
+    assert out == [name for name in EXPERIMENTS if name in out]
 
 
 def test_cli_parallel_sweep_with_serial_check_and_json(tmp_path, capsys):

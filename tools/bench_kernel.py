@@ -57,11 +57,11 @@ BENCHES = ("fig4", "fig4_debug", "fig4_sweep", "fig_index")
 def _build_spec(servers: int, clients: int, ops: Optional[int],
                 scale_name: str, indexed: bool = False):
     from repro.cluster import ClusterSpec, ExperimentSpec
-    from repro.experiments.scale import _SCALES
+    from repro.experiments.scale import scale_named
     from repro.ramcloud.config import ServerConfig
     from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_LOOKUP_HEAVY
 
-    scale = _SCALES[scale_name]
+    scale = scale_named(scale_name)
     base = WORKLOAD_LOOKUP_HEAVY if indexed else WORKLOAD_A
     workload = base.scaled(num_records=scale.num_records,
                            ops_per_client=scale.ops_per_client)
@@ -118,11 +118,11 @@ def run_sweep_bench(scale: str, servers: int, clients: int,
                     workers: Optional[int] = None) -> Dict[str, float]:
     """Run the fig4 cell across ``seeds`` seeds through the parallel
     sweep runner; events/sec is the aggregate over every worker."""
-    from repro.experiments.scale import _SCALES
+    from repro.experiments.scale import scale_named
     from repro.experiments.sweep import run_sweep
     from repro.experiments.workloads import fig4_sweep_plan
 
-    sc = _SCALES[scale]
+    sc = scale_named(scale)
     if ops is not None:
         sc = sc.with_(ops_per_client=ops)
     plan = fig4_sweep_plan(sc, seeds=tuple(range(1, seeds + 1)),

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md: run every experiment and record
+"""Regenerate EXPERIMENTS.md: run every registered experiment
+(repro.experiments.registry, in its order) and record the
 paper-vs-measured tables.
 
 Usage:  REPRO_SCALE=default python tools/generate_experiments_md.py
 
-Set REPRO_SWEEP_WORKERS=N to precompute the fig1/fig4/fig5/fig11 grids
-through the parallel sweep runner (repro.experiments.sweep) — the
-rendered tables are bit-identical to the serial path (that equivalence
-is what `pytest -m sweep` enforces), only the wall clock changes.
+Set REPRO_SWEEP_WORKERS=N to sweep every grid through the parallel
+runner (repro.experiments.sweep) — the rendered tables are bit-identical
+to the serial path (that equivalence is what `pytest -m sweep`
+enforces), only the wall clock changes.
 """
 
 import io
@@ -15,6 +16,7 @@ import os
 import time
 from datetime import date
 
+from repro.experiments.registry import EXPERIMENTS, run_experiments
 from repro.experiments.scale import active_scale
 
 
@@ -43,110 +45,19 @@ client over 5 seeds per point (the paper: 100 K records, 100 K ops per
 client, 5 runs per point on a 131-node testbed) — sized for the
 nightly `sweep-full` CI lane rather than per-PR runs; `smoke` backs the
 per-PR `sweep-smoke` equivalence check.  Regenerating this file with
-`REPRO_SWEEP_WORKERS=N` sweeps fig1/fig4/fig5/fig11 in parallel and
-renders bit-identical tables.
+`REPRO_SWEEP_WORKERS=N` sweeps every grid in parallel and renders
+bit-identical tables.
 
 """
 
 
-def _precomputed_sweeps(scale):
-    """With REPRO_SWEEP_WORKERS=N set, run the sweep-enabled grids
-    through the parallel runner up front; the runners then render from
-    the merged aggregates (bit-identical tables, parallel wall-clock)."""
-    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "0"))  # simlint: disable=DET002 CI entry point reading its own opt-in knob
-    if workers <= 0:
-        return {}
-    from repro.experiments.sweep import plan_for, run_sweep
-    sweeps = {}
-    for name in ("fig1", "fig4", "fig5", "fig11"):
-        sweeps[name] = run_sweep(plan_for(name, scale), workers=workers)
-        failed = sweeps[name].failed()
-        print(f"[{time.strftime('%H:%M:%S')}] sweep {name} merged "
-              f"({len(sweeps[name].results) - len(failed)}"
-              f"/{len(sweeps[name].results)} cells)", flush=True)
-    return sweeps
-
-
 def main():
     scale = active_scale()
+    workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "0"))  # simlint: disable=DET002 CI entry point reading its own opt-in knob
     sections = []
-    sweeps = _precomputed_sweeps(scale)
-
-    def add(title, tables):
-        print(f"[{time.strftime('%H:%M:%S')}] {title} done", flush=True)
-        if not isinstance(tables, (list, tuple)):
-            tables = [tables]
-        for table in tables:
-            sections.append(table.render_markdown())
-
-    from repro.experiments.peak import (run_fig1_peak, run_fig2_efficiency,
-                                        run_table1_cpu)
-    add("fig1", run_fig1_peak(scale, sweep=sweeps.get("fig1")))
-    add("table1", run_table1_cpu(scale))
-    add("fig2", run_fig2_efficiency(scale, sweep=sweeps.get("fig1")))
-
-    from repro.experiments.workloads import (run_fig3_scalability,
-                                             run_fig4_power,
-                                             run_table2_throughput)
-    table2, _measured = run_table2_throughput(scale)
-    add("table2", table2)
-    add("fig3", run_fig3_scalability(scale))
-    add("fig4", run_fig4_power(scale, sweep=sweeps.get("fig4")))
-
-    from repro.experiments.replication import (run_fig5_replication,
-                                               run_fig6_replication_scale,
-                                               run_fig7_power_rf,
-                                               run_fig8_efficiency_rf)
-    add("fig5", run_fig5_replication(scale, sweep=sweeps.get("fig5")))
-    add("fig6", run_fig6_replication_scale(scale))
-    add("fig7", run_fig7_power_rf(scale))
-    add("fig8", run_fig8_efficiency_rf(scale))
-
-    from repro.experiments.recovery import (run_fig9_crash_timeline,
-                                            run_fig10_latency_crash,
-                                            run_fig11_recovery_rf,
-                                            run_fig12_disk_activity)
-    fig9_table, _r = run_fig9_crash_timeline(scale)
-    add("fig9", fig9_table)
-    fig10_table, _r = run_fig10_latency_crash(scale)
-    add("fig10", fig10_table)
-    add("fig11", run_fig11_recovery_rf(scale, sweep=sweeps.get("fig11")))
-    fig12_table, _r = run_fig12_disk_activity(scale)
-    add("fig12", fig12_table)
-
-    from repro.experiments.throttling import run_fig13_throttling
-    add("fig13", run_fig13_throttling(scale))
-
-    from repro.experiments.ablations import (
-        run_async_replication_ablation, run_segment_size_ablation,
-        run_worker_threads_ablation)
-    add("ablation-workers", run_worker_threads_ablation(scale))
-    add("ablation-async", run_async_replication_ablation(scale))
-    add("ablation-segsize", run_segment_size_ablation(scale))
-
-    from repro.experiments.extensions import (
-        run_elastic_sizing_extension, run_request_distribution_extension,
-        run_scan_extension, run_transport_extension)
-    add("ext-distributions", run_request_distribution_extension(scale))
-    add("ext-transports", run_transport_extension(scale))
-    add("ext-scans", run_scan_extension(scale))
-    add("ext-elastic", run_elastic_sizing_extension(scale))
-
-    from repro.experiments.energy_proportionality import (
-        run_energy_proportionality, run_power_cap)
-    ep_table, _result = run_energy_proportionality(scale)
-    add("ext-energy", ep_table)
-    cap_table, _result = run_power_cap(scale)
-    add("ext-powercap", cap_table)
-
-    from repro.experiments.durability import (
-        run_consistency_frontier, run_durability_gap_table)
-    add("ext-frontier", run_consistency_frontier(scale))
-    add("ext-durability-gap", run_durability_gap_table(scale))
-
-    from repro.experiments.indexing import run_fig_index, run_tenant_mix
-    add("ext-index", run_fig_index(scale))
-    add("ext-tenants", run_tenant_mix(scale))
+    for name, tables in run_experiments(EXPERIMENTS, scale, workers=workers):
+        print(f"[{time.strftime('%H:%M:%S')}] {name} done", flush=True)
+        sections.extend(table.render_markdown() for table in tables)
 
     out = io.StringIO()
     out.write(HEADER.format(

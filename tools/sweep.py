@@ -31,11 +31,10 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.experiments.scale import _SCALES
+    from repro.experiments.registry import plan_for, sweep_names
+    from repro.experiments.scale import scale_named
     from repro.experiments.sweep import (
         SerialEquivalenceError,
-        list_experiments,
-        plan_for,
         run_sweep,
         write_report,
     )
@@ -70,7 +69,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in list_experiments():
+        for name in sweep_names():
             print(name)
         return 0
 
@@ -78,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         seeds = tuple(int(s) for s in args.seed_list.split(","))
     else:
         seeds = tuple(range(1, args.seeds + 1))
-    plan = plan_for(args.experiment, _SCALES[args.scale], seeds=seeds)
+    plan = plan_for(args.experiment, scale_named(args.scale), seeds=seeds)
     cells = plan.cells()
     mode = "serial" if args.serial else "parallel"
     print(f"sweep {plan.experiment}: {len(plan.points)} points x "
