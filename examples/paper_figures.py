@@ -63,9 +63,10 @@ def table1_and_epi():
                 server_config=ServerConfig(replication_factor=0)))
             cluster.start_metering()
             cluster.run(until=5.0)
+            # Mean busy share of the cores over [0, 5 s], in percent.
+            cpu = cluster.server_nodes[0].cpu
             rows["idle server"] = {
-                "server0": cluster.server_nodes[0].cpu.utilization_between(
-                    0.0, 5.0)}
+                "server0": 100.0 * cpu.busy_core_seconds() / (5.0 * cpu.cores)}
             loads.append(0.0)
             watts.append(cluster.average_power_per_server())
             continue

@@ -99,17 +99,29 @@ class CrashExperimentResult:
 
     def avg_power_during_recovery(self) -> float:
         """Average per-node power over the recovery window, survivors
-        only (the victim's RAMCloud process is dead)."""
+        only (the victim's RAMCloud process is dead).
+
+        A PDU reading averages the interval before it, so when recovery
+        ends between two readings (no sample inside the window) each
+        survivor contributes its first reading at or after the end."""
         if self.recovery is None or self.recovery.finished_at is None:
             raise ValueError("no completed recovery in this run")
         start, end = self.recovery.started_at, self.recovery.finished_at
+        survivors = [series for name, series in self.per_node_power.items()
+                     if name != self.crashed_server]
         values = []
-        for name, series in self.per_node_power.items():
-            if name == self.crashed_server:
-                continue
+        for series in survivors:
             window = series.window(start, end)
             if len(window):
                 values.append(window.mean())
+        if not values:
+            values = [next(v for t, v in series.items() if t >= end)
+                      for series in survivors
+                      if series.times and series.times[-1] >= end]
+        if not values:
+            raise ValueError(
+                f"no power sample in or after the recovery window "
+                f"[{start}, {end}]")
         return sum(values) / len(values)
 
     def energy_per_node_during_recovery(self) -> float:

@@ -39,7 +39,6 @@ class ExperimentSpec:
     pdu_interval: float = 0.05  # finer than the paper's 1 Hz because our
     # scaled-down runs are shorter; energy totals use exact integrals.
     give_up_after: Optional[float] = None
-    warmup_fraction: float = 0.0
     # Multi-tenant runs: one TenantSpec per tenant; each gets its own
     # namespaced "usertable" and the clients are assigned round-robin.
     # Empty (the default) builds the single shared table as always.

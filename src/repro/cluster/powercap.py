@@ -20,8 +20,9 @@ binds again.  Inside the hysteresis band the controller holds still,
 which is what keeps it from oscillating.
 
 Determinism: the controller measures utilization from its own
-``busy_core_seconds()`` snapshots (never ``cpu.mark()``, which belongs
-to the PDU sampler) and draws no randomness at all.  It only exists
+``busy_core_seconds()`` snapshots and draws no randomness at all.
+Reading CPU time never changes it, so the controller cannot perturb the
+PDU's readings.  It only exists
 when a cap is configured, so uncapped runs carry no extra process,
 event, or float.
 """
@@ -116,16 +117,14 @@ class PowerCapController:
     def fleet_watts(self) -> float:
         """Fleet power over the window since the last call, from the
         controller's own busy-core-second snapshots (freq- and
-        parked-core-aware; dead/powered-off nodes read zero)."""
+        parked-core-aware; dead/powered-off nodes read zero).  The
+        window is never empty: the loop sleeps ``cap_interval > 0``
+        before every call."""
         elapsed = self.sim.now - self._last_time
         total = 0.0
         for i, node in enumerate(self.server_nodes):
             busy = node.cpu.busy_core_seconds()
-            if elapsed > 0:
-                util = 100.0 * (busy - self._busy[i]) / (
-                    elapsed * node.cpu.cores)
-            else:
-                util = node.cpu.utilization_since_mark()
+            util = 100.0 * (busy - self._busy[i]) / (elapsed * node.cpu.cores)
             self._busy[i] = busy
             total += node.power.instantaneous_watts(util_pct=util)
         self._last_time = self.sim.now

@@ -122,6 +122,8 @@ def _metered_window(cluster: Cluster, pdu_interval: float):
     """Start PDU metering; returns the closer that yields the window
     measurements: (makespan, energy_joules, cpu_pct)."""
     start = cluster.sim.now
+    start_busy = [node.cpu.busy_core_seconds()
+                  for node in cluster.server_nodes]
     for node in cluster.server_nodes:
         node.start_metering(interval=pdu_interval)
 
@@ -131,8 +133,10 @@ def _metered_window(cluster: Cluster, pdu_interval: float):
         makespan = max(end - start, 1e-12)
         energy = sum(node.power.series.integral()
                      for node in cluster.server_nodes)
-        cpu = sum(node.cpu.utilization_between(start, end)
-                  for node in cluster.server_nodes) / len(cluster.server_nodes)
+        cpu = sum(100.0 * (node.cpu.busy_core_seconds() - busy)
+                  / (makespan * node.cpu.cores)
+                  for node, busy in zip(cluster.server_nodes, start_busy)
+                  ) / len(cluster.server_nodes)
         return makespan, energy, cpu
 
     return close

@@ -8,9 +8,10 @@ behaviours matter for the reproduction:
   CPU on an idle 4-core server (Table I, row 0).  :meth:`pin_core`
   removes a core from the schedulable pool and accounts it as 100 %
   busy forever.
-* **Utilization windows** — the PDU power model and Table I both need
-  per-interval utilization; the embedded
-  :class:`~repro.sim.monitor.UtilizationTracker` provides it.
+* **Busy-time accounting** — :meth:`busy_core_seconds` integrates the
+  busy core count over time.  It is the only source of CPU time: the
+  PDU power model, Table I and every controller difference two of its
+  snapshots to get a window's utilization.
 
 Two power-management extensions (opt-in, see docs/POWER.md):
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import UtilizationTracker
 from repro.sim.resources import Resource
 
 __all__ = ["Cpu"]
@@ -45,7 +45,7 @@ class Cpu:
 
     __slots__ = ("sim", "cores", "name", "_pinned", "_pinned_idle",
                  "_active", "_spinning", "_parked", "_freq_ratio",
-                 "_pool", "utilization")
+                 "_pool", "_busy", "_busy_time", "_last_change")
 
     def __init__(self, sim: Simulator, cores: int, name: str = ""):
         if cores < 1:
@@ -60,8 +60,9 @@ class Cpu:
         self._parked = 0  # cores power-gated in a deep C-state
         self._freq_ratio = 1.0  # package DVFS ratio (1.0 = nominal)
         self._pool = Resource(sim, cores, name=f"{name}:cores")
-        self.utilization = UtilizationTracker(sim, capacity=cores,
-                                              name=f"{name}:util")
+        self._busy = 0.0  # busy core count since _last_change
+        self._busy_time = 0.0  # core-seconds accrued up to _last_change
+        self._last_change = sim.now
 
     def _update_busy(self) -> None:
         """Utilization = awake pinned pollers + executing work +
@@ -70,11 +71,16 @@ class Cpu:
         never add latency — they only burn watts, which is exactly what
         the paper's CPU and power figures observe).  A pinned core whose
         poller is blocked (adaptive dispatch asleep) stays reserved but
-        counts as idle."""
+        counts as idle.  Busy time accrues at the old level first."""
         busy = min(float(self.cores),
                    (self._pinned - self._pinned_idle)
                    + self._active + self._spinning)
-        self.utilization.set_busy(busy)
+        if busy < 0:
+            raise ValueError(f"{self.name!r}: busy core count {busy} < 0")
+        now = self.sim.now
+        self._busy_time += self._busy * (now - self._last_change)
+        self._last_change = now
+        self._busy = busy
 
     @property
     def schedulable_cores(self) -> int:
@@ -94,7 +100,7 @@ class Cpu:
     @property
     def busy_cores(self) -> float:
         """Currently-busy core count (pinned + executing + spinning)."""
-        return self.utilization.busy
+        return self._busy
 
     @property
     def run_queue_length(self) -> int:
@@ -280,19 +286,8 @@ class Cpu:
     # -- measurement helpers -------------------------------------------
 
     def busy_core_seconds(self) -> float:
-        """Cumulative core-seconds of work executed (including pinned
-        cores).  Experiment harnesses difference two snapshots to get
-        exact window utilization without samplers."""
-        return self.utilization._cumulative()
-
-    def mark(self) -> None:
-        """Checkpoint for per-interval utilization (called by the PDU)."""
-        self.utilization.mark()
-
-    def utilization_since_mark(self) -> float:
-        """Mean utilization (percent) since the last mark."""
-        return self.utilization.utilization_since_mark()
-
-    def utilization_between(self, start: float, end: float) -> float:
-        """Mean utilization (percent) over a marked window."""
-        return self.utilization.utilization_between(start, end)
+        """Cumulative busy core-seconds (pinned pollers, executing work
+        and spinning threads).  Utilization over a window is
+        ``100 * (b1 - b0) / ((t1 - t0) * cores)`` for two snapshots
+        ``(t0, b0)`` and ``(t1, b1)``."""
+        return self._busy_time + self._busy * (self.sim.now - self._last_change)

@@ -50,7 +50,8 @@ class Node:
             return
         self._metering = True
         self._pdu_interval = interval
-        self.cpu.mark()
+        # An empty window: the boundary sample reads the current draw.
+        self.power.window = (self.sim.now, self.cpu.busy_core_seconds())
         self.power.sample()
         self._pdu_process = self.sim.process(self._pdu_loop(),
                                              name=f"pdu:{self.name}")

@@ -9,12 +9,13 @@ from its corresponding PDU every second."
 :class:`PowerModel` converts the last sampling interval's CPU
 utilization (plus disk activity) into watts using the calibrated
 :class:`~repro.hardware.specs.PowerSpec`, and records a 1 Hz watts time
-series exactly like the paper's script.
+series exactly like the paper's script.  The interval's utilization is
+the difference of two :meth:`~repro.hardware.cpu.Cpu.busy_core_seconds`
+snapshots: the model keeps the ``(time, busy)`` pair of the previous
+reading as its :attr:`~PowerModel.window`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.hardware.specs import PowerSpec
 from repro.sim.kernel import Simulator
@@ -38,17 +39,20 @@ class PowerModel:
         self.disk = disk
         self.name = name
         self.series = TimeSeries(name=f"{name}:watts")
+        #: ``(time, busy core-seconds)`` where the interval the next
+        #: :meth:`sample` averages over began; every sample, and
+        #: ``Node.start_metering``, restarts it at the current instant.
+        self.window = (sim.now, cpu.busy_core_seconds())
         self._last_io = (0, 0)
         # Set when the machine is physically powered down (elastic
         # scale-down); the PDU then reads zero.
         self.powered_off = False
 
-    def instantaneous_watts(self, util_pct: Optional[float] = None) -> float:
-        """Watts for a given utilization (defaults to since-last-mark)."""
+    def instantaneous_watts(self, util_pct: float) -> float:
+        """Watts at CPU utilization ``util_pct`` (percent), with the
+        disk, P-state and parked cores as they are now."""
         if self.powered_off:
             return 0.0
-        if util_pct is None:
-            util_pct = self.cpu.utilization_since_mark()
         return self.spec.watts(min(util_pct, 100.0),
                                disk_active=self.disk.busy,
                                freq_ratio=self.cpu.frequency_ratio,
@@ -57,13 +61,20 @@ class PowerModel:
     def sample(self) -> float:
         """One PDU reading: average power over the interval since the
         previous reading, derived from CPU utilization and disk activity
-        in that interval."""
+        in that interval (the instantaneous utilization when the
+        interval is empty)."""
+        now = self.sim.now
+        busy = self.cpu.busy_core_seconds()
+        start, start_busy = self.window
+        self.window = (now, busy)
         if self.powered_off:
-            self.cpu.mark()
-            self.series.record(self.sim.now, 0.0)
+            self.series.record(now, 0.0)
             return 0.0
-        util = self.cpu.utilization_since_mark()
-        self.cpu.mark()
+        elapsed = now - start
+        if elapsed > 0:
+            util = 100.0 * (busy - start_busy) / (elapsed * self.cpu.cores)
+        else:
+            util = 100.0 * self.cpu.busy_cores / self.cpu.cores
         reads, writes = self.disk.io_counters()
         io_delta = (reads - self._last_io[0]) + (writes - self._last_io[1])
         self._last_io = (reads, writes)
@@ -74,7 +85,7 @@ class PowerModel:
         watts = self.spec.watts(min(util, 100.0), disk_active=disk_active,
                                 freq_ratio=self.cpu.frequency_ratio,
                                 parked_cores=self.cpu.parked_cores)
-        self.series.record(self.sim.now, watts)
+        self.series.record(now, watts)
         return watts
 
     def energy_joules(self) -> float:

@@ -18,8 +18,8 @@ block, whether workers park idle cores.  Governors:
 
 Determinism: decisions are pure functions of sampled simulation state.
 The manager computes utilization from its own ``busy_core_seconds()``
-snapshots — never via ``cpu.mark()``, which belongs to the PDU and
-must not be perturbed by a second marker.  The only randomness is the
+snapshots; reading CPU time never changes it, so the PDU's readings
+are unaffected.  The only randomness is the
 sampler's phase stagger (so a fleet of managers does not tick in
 lockstep), drawn once from the cluster's seeded stream.
 """
@@ -60,7 +60,7 @@ class PowerManager:
         # set_governor (an experiment driver, the fault injector) and
         # read by the manager's own loop — declare it for the lockset
         # detector; accesses are relaxed by design (a mode flag polled
-        # at loop granularity, like ServerConfig.dispatch_mode).
+        # at loop granularity, like the server's dispatch_mode).
         self._race = shared(sim, f"powermgmt:{node.name}", obj=self,
                             owner=self)
         self.set_governor(policy.governor)

@@ -1,9 +1,9 @@
 """Server configuration and the calibrated cost model.
 
 ``ServerConfig`` mirrors the knobs the paper sets (§III-B): 10 GB of
-DRAM per server for storage, 80 GB of disk for backup replicas, 8 MB
-segments, and a configurable replication factor (0 disables
-replication, as in §IV and §V).
+DRAM per server for storage, 8 MB segments, and a configurable
+replication factor (0 disables replication, as in §IV and §V).  Backup
+replicas live on the node's disk (``DiskSpec.capacity_bytes``).
 
 ``CostModel`` holds the calibrated per-operation CPU costs.  These are
 *measured characteristics of the real system folded into constants*,
@@ -160,8 +160,6 @@ class ServerConfig:
     # Storage DRAM per master (paper: "fixed the memory used by a
     # RAMCloud server to 10GB").
     log_memory_bytes: int = 10 * GB
-    # Disk space for backup replicas (paper: 80 GB).
-    backup_disk_bytes: int = 80 * GB
     # Log segment size (paper §II-B: 8 MB, hard-coded in RAMCloud).
     segment_size: int = 8 * MB
     # Replicas per segment; 0 disables replication entirely.
@@ -206,25 +204,20 @@ class ServerConfig:
     # writes backpressure (wait for a flush) before acking.
     staleness_bound_bytes: int = 256 * KB
     # ---- adaptive power management (repro.powermgmt, docs/POWER.md) ----
-    # "poll" (default) keeps the paper's behaviour: the dispatch thread
-    # busy-polls forever on its pinned core (25 % CPU on an idle 4-core
-    # node).  "adaptive" lets it block interrupt-style after
-    # ``poll_idle_threshold`` consecutive empty polls; the pinned core
-    # then stops accruing busy time until the next request, which pays
-    # ``dispatch_wake_latency`` extra.  Strictly opt-in — with "poll"
-    # every paper reproduction is bit-unchanged.
-    dispatch_mode: str = "poll"
+    # Servers start in the paper's mode: the dispatch thread busy-polls
+    # forever on its pinned core and workers never park.  The
+    # poll-adaptive governor switches both at run time
+    # (RamCloudServer.set_power_mode); these are that mode's constants.
     # Empty polls (of ``poll_interval`` each) before the adaptive
-    # dispatch thread gives up busy-polling and blocks.
+    # dispatch thread gives up busy-polling and blocks; the pinned core
+    # then stops accruing busy time until the next request.
     poll_idle_threshold: int = 64
     poll_interval: float = 10.0e-6
     # Interrupt + cache-refill cost charged to the first request after
     # a blocked dispatch thread wakes.
     dispatch_wake_latency: float = 6.0e-6
-    # Workers park their core (deep C-state) instead of merely blocking
-    # once their spin window expires empty; the woken worker pays
-    # ``core_wake_latency`` before serving.  Also opt-in.
-    core_parking: bool = False
+    # With parking on, a worker whose spin window expires empty parks
+    # its core (deep C-state); the woken worker pays this before serving.
     core_wake_latency: float = 50.0e-6
 
     def __post_init__(self):
@@ -240,10 +233,6 @@ class ServerConfig:
             raise ValueError(
                 "cleaner watermarks must satisfy 0 < low < threshold <= 1"
             )
-        if self.dispatch_mode not in ("poll", "adaptive"):
-            raise ValueError(
-                f"dispatch_mode must be 'poll' or 'adaptive', "
-                f"got {self.dispatch_mode!r}")
         if self.poll_idle_threshold < 1:
             raise ValueError("poll_idle_threshold must be >= 1")
         if self.poll_interval <= 0:

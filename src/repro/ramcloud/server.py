@@ -241,11 +241,11 @@ class RamCloudServer(RpcService):
         self.killed = False
 
         # ---- adaptive power management (repro.powermgmt) ----
-        # Runtime-mutable copies of the config knobs so a governor (or
-        # a SetGovernor fault action) can flip policy mid-run; the
-        # dispatch and worker loops re-read them on every iteration.
-        self.dispatch_mode = config.dispatch_mode
-        self.core_parking = config.core_parking
+        # The paper's mode (busy-poll dispatch, no parking) until a
+        # governor or a SetGovernor fault action calls set_power_mode;
+        # the dispatch and worker loops re-read both on every iteration.
+        self.dispatch_mode = "poll"
+        self.core_parking = False
         self.dispatch_sleeps = 0
         self.core_parks = 0
 
@@ -1841,6 +1841,9 @@ class RamCloudServer(RpcService):
 
         def pump():
             while pending:
+                # Each segment is an independent work item for the race
+                # detector (as in _cleaner_loop).
+                task_boundary(self.sim)
                 segment_id, backup_id, nbytes = pending.pop(0)
                 sources = [backup_id]
                 recovered = False

@@ -27,27 +27,23 @@ from repro.sim.resources import (
     Resource,
     Store,
 )
-from repro.sim.monitor import Counter, Gauge, Sampler, TimeSeries, UtilizationTracker
+from repro.sim.monitor import TimeSeries
 from repro.sim.distributions import RandomStream
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Container",
-    "Counter",
     "Event",
-    "Gauge",
     "Interrupt",
     "Mutex",
     "PriorityResource",
     "Process",
     "RandomStream",
     "Resource",
-    "Sampler",
     "SimulationError",
     "Simulator",
     "Store",
     "TimeSeries",
     "Timeout",
-    "UtilizationTracker",
 ]

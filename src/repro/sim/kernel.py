@@ -19,7 +19,6 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
@@ -65,15 +64,13 @@ class Event:
     called; its callbacks then run at the current simulation instant.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled",
-                 "__weakref__")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "__weakref__")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._scheduled = False
         if sim._sanitizer is not None:
             sim._sanitizer.event_created(self)
 
@@ -107,11 +104,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined self.sim._schedule(self, PRIORITY_NORMAL, 0.0): an
-        # untriggered event is never scheduled, so the guard is moot and
-        # this runs once per event — the kernel's hottest line.
+        # Pushed straight onto the heap at the current instant: this
+        # runs once per event — the kernel's hottest line.
         sim = self.sim
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
@@ -126,7 +121,6 @@ class Event:
         self._ok = False
         self._value = exception
         sim = self.sim
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
@@ -141,12 +135,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ok" if self._ok else ("failed" if self._ok is False else "pending")
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6f}>"
@@ -160,7 +148,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Event.__init__ and sim._schedule inlined: a timeout is born
+        # Event.__init__ and the heap push inlined: a timeout is born
         # triggered and scheduled, and this constructor runs for roughly
         # half of all events in a YCSB run.
         self.sim = sim
@@ -168,7 +156,6 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        self._scheduled = True
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now + delay, PRIORITY_NORMAL, seq, self))
@@ -274,7 +261,6 @@ class Process(Event):
         # succeed() detours).
         bootstrap = Event(sim)
         bootstrap._ok = True
-        bootstrap._scheduled = True
         bootstrap.callbacks.append(self._resume)
         seq = sim._seq + 1
         sim._seq = seq
@@ -410,7 +396,7 @@ class Simulator:
     """
 
     __slots__ = ("debug", "_sanitizer", "now", "_heap", "_seq", "_fatal",
-                 "tracer", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, debug: Optional[bool] = None):
         if debug is None:
@@ -425,18 +411,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._fatal: Optional[BaseException] = None
-        # Optional callback(now, event), invoked as each event fires —
-        # see repro.sim.trace.Tracer.
-        self.tracer: Optional[Callable[[float, Event], None]] = None
-
-    # -- scheduling ---------------------------------------------------
-
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def _crash(self, exc: BaseException) -> None:
         """Record a fatal error; re-raised from :meth:`run`/:meth:`step`."""
@@ -479,9 +453,6 @@ class Simulator:
         if when < self.now:
             raise SimulationError("scheduler heap corrupted: time went backwards")
         self.now = when
-        if self.tracer is not None:
-            self.tracer(when, event)
-        # event._run_callbacks(), inlined (once per event processed):
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

@@ -1,18 +1,17 @@
-"""Measurement probes.
+"""Measurement time series.
 
 The paper samples per-node power once per second via SNMP and reports
-averaged CPU usage per node.  These probes provide the simulated
-equivalents: time series, periodic samplers, and busy-time integrators
-that convert core occupancy into per-interval utilization percentages.
+averaged CPU usage per node.  A :class:`TimeSeries` holds such samples
+— the PDU's watts (:meth:`~repro.hardware.node.Node.start_metering`),
+crash-run timelines, governor decisions — and integrates them.  CPU
+time itself comes from :meth:`~repro.hardware.cpu.Cpu.busy_core_seconds`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.sim.kernel import Simulator
-
-__all__ = ["TimeSeries", "Gauge", "Counter", "Sampler", "UtilizationTracker"]
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
@@ -63,8 +62,8 @@ class TimeSeries:
         anything before the first or after the last sample contributes
         nothing at all.  Producers must emit at a fixed cadence even
         when the value is unchanged, plus boundary samples at start and
-        stop of the measured window — :class:`Sampler` and
-        :meth:`~repro.hardware.node.Node.start_metering` do exactly
+        stop of the measured window —
+        :meth:`~repro.hardware.node.Node.start_metering` does exactly
         this.
         """
         total = 0.0
@@ -99,194 +98,3 @@ class TimeSeries:
     def items(self) -> Sequence[Tuple[float, float]]:
         """The samples as ``[(time, value), ...]``."""
         return list(zip(self.times, self.values))
-
-
-class Gauge:
-    """A piecewise-constant instantaneous value with time-weighted stats."""
-
-    __slots__ = ("sim", "name", "value", "_last_change", "_weighted_sum",
-                 "_start")
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.value = initial
-        self._last_change = sim.now
-        self._weighted_sum = 0.0
-        self._start = sim.now
-
-    def set(self, value: float) -> None:
-        """Change the gauge, accruing time at the previous value."""
-        now = self.sim.now
-        self._weighted_sum += self.value * (now - self._last_change)
-        self.value = value
-        self._last_change = now
-
-    def add(self, delta: float) -> None:
-        """Adjust the gauge by ``delta``."""
-        self.set(self.value + delta)
-
-    def time_average(self) -> float:
-        """Time-weighted mean since creation."""
-        elapsed = self.sim.now - self._start
-        if elapsed <= 0:
-            return self.value
-        pending = self.value * (self.sim.now - self._last_change)
-        return (self._weighted_sum + pending) / elapsed
-
-
-class Counter:
-    """A monotonically increasing event count with rate helpers."""
-
-    __slots__ = ("sim", "name", "count", "_start")
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.count = 0
-        self._start = sim.now
-
-    def increment(self, by: int = 1) -> None:
-        """Count ``by`` more events."""
-        if by < 0:
-            raise ValueError("counters only go up")
-        self.count += by
-
-    def rate(self) -> float:
-        """Events per second since creation."""
-        elapsed = self.sim.now - self._start
-        return self.count / elapsed if elapsed > 0 else 0.0
-
-
-class Sampler:
-    """Calls ``probe()`` every ``interval`` seconds, recording the result.
-
-    This is the simulated equivalent of the paper's PDU-polling script:
-    "We run a script on each machine which queries the power consumption
-    value from its corresponding PDU every second."
-
-    The sampler upholds :meth:`TimeSeries.integral`'s contract: it
-    records at a fixed cadence *regardless of whether the value
-    changed* (an idle gap is a run of identical samples, never a hole)
-    and :meth:`stop` records one final boundary sample so the tail of
-    the window is not dropped from the integral.
-    """
-
-    __slots__ = ("sim", "interval", "probe", "series", "_stopped", "_process")
-
-    def __init__(self, sim: Simulator, interval: float,
-                 probe: Callable[[], float], name: str = ""):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.sim = sim
-        self.interval = interval
-        self.probe = probe
-        self.series = TimeSeries(name)
-        self._stopped = False
-        self._process = sim.process(self._run(), name=f"sampler:{name}")
-
-    def _run(self):
-        while not self._stopped:
-            self.series.record(self.sim.now, self.probe())
-            yield self.sim.timeout(self.interval)
-
-    def stop(self) -> None:
-        """Halt sampling permanently, recording a final boundary sample
-        (unless one already landed at this instant)."""
-        self._stopped = True
-        if not self.series.times or self.series.times[-1] < self.sim.now:
-            self.series.record(self.sim.now, self.probe())
-        self._process.interrupt("sampler stopped")
-
-
-class UtilizationTracker:
-    """Integrates busy capacity over time to produce utilization percentages.
-
-    A CPU with ``capacity`` cores reports ``busy`` ∈ [0, capacity] via
-    :meth:`set_busy`; :meth:`utilization_since` returns the mean busy
-    fraction (0–100 %) over a window, which is what the paper's Table I
-    reports per node.
-    """
-
-    __slots__ = ("sim", "capacity", "name", "_busy", "_last_change",
-                 "_busy_time", "_marks")
-
-    def __init__(self, sim: Simulator, capacity: float, name: str = ""):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._busy = 0.0
-        self._last_change = sim.now
-        self._busy_time = 0.0  # core-seconds
-        self._marks: List[Tuple[float, float]] = []  # (time, cumulative busy-time)
-
-    @property
-    def busy(self) -> float:
-        """Currently-busy capacity."""
-        return self._busy
-
-    def set_busy(self, busy: float) -> None:
-        """Change the busy level, accruing busy-time at the old one."""
-        now = self.sim.now
-        self._busy_time += self._busy * (now - self._last_change)
-        self._last_change = now
-        if 0.0 <= busy <= self.capacity:
-            # In-range fast path (every caller in practice): the clamp
-            # below is the identity here, skip it.
-            self._busy = busy
-            return
-        if busy < -1e-9 or busy > self.capacity + 1e-9:
-            raise ValueError(
-                f"{self.name!r}: busy {busy} outside [0, {self.capacity}]"
-            )
-        self._busy = min(max(busy, 0.0), self.capacity)
-
-    def add_busy(self, delta: float) -> None:
-        """Adjust the busy level by ``delta``."""
-        self.set_busy(self._busy + delta)
-
-    def _cumulative(self) -> float:
-        return self._busy_time + self._busy * (self.sim.now - self._last_change)
-
-    def mark(self) -> None:
-        """Record a checkpoint so per-interval utilization can be computed."""
-        self._marks.append((self.sim.now, self._cumulative()))
-
-    def utilization_since_mark(self) -> float:
-        """Mean utilization (percent) since the previous mark (or t=0)."""
-        if self._marks:
-            t0, b0 = self._marks[-1]
-        else:
-            t0, b0 = 0.0, 0.0
-        elapsed = self.sim.now - t0
-        if elapsed <= 0:
-            return 100.0 * self._busy / self.capacity
-        return 100.0 * (self._cumulative() - b0) / (elapsed * self.capacity)
-
-    def utilization_between(self, start: float, end: float,
-                            marks: Optional[Sequence[Tuple[float, float]]] = None
-                            ) -> float:
-        """Mean utilization (percent) between two previously marked times.
-
-        Requires that ``mark()`` was called at both boundary instants;
-        interpolation between marks is linear in cumulative busy-time.
-        """
-        pts = list(marks if marks is not None else self._marks)
-        pts.append((self.sim.now, self._cumulative()))
-        if end <= start:
-            raise ValueError("end must be after start")
-
-        def cum_at(t: float) -> float:
-            prev = (0.0, 0.0)
-            for mt, mb in pts:
-                if mt >= t:
-                    if mt == prev[0]:
-                        return mb
-                    frac = (t - prev[0]) / (mt - prev[0])
-                    return prev[1] + frac * (mb - prev[1])
-                prev = (mt, mb)
-            return prev[1]
-
-        return 100.0 * (cum_at(end) - cum_at(start)) / ((end - start) * self.capacity)

@@ -31,7 +31,6 @@ class Request(Event):
         self.callbacks = []
         self._value = None
         self._ok = None
-        self._scheduled = False
         self.resource = resource
         self.priority = priority
         self.enqueued_at = sim.now
@@ -102,7 +101,6 @@ class Resource:
                 sim._sanitizer.races.lock_granted(req)
             req._ok = True
             req._value = req
-            req._scheduled = True
             seq = sim._seq + 1
             sim._seq = seq
             heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, req))

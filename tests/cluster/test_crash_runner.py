@@ -85,3 +85,29 @@ class TestEarlyStop:
             empty.avg_power_during_recovery()
         with pytest.raises(ValueError):
             empty.energy_per_node_during_recovery()
+
+    def test_recovery_between_two_power_samples(self):
+        """A recovery shorter than the PDU interval has no sample inside
+        its window: each survivor's next reading (which averages the
+        interval holding the recovery) stands in for it."""
+        from repro.cluster import CrashExperimentResult
+        from repro.ramcloud.coordinator import RecoveryStats
+        from repro.sim import TimeSeries
+        result = CrashExperimentResult(
+            spec=small_crash_spec(), crashed_server="server2",
+            recovery=RecoveryStats("server2", detected_at=5.1,
+                                   started_at=5.2, finished_at=5.6))
+        for name, watts in (("server0", 90.0), ("server1", 100.0),
+                            ("server2", 60.0)):
+            series = TimeSeries(name)
+            series.record(5.0, 80.0)
+            series.record(6.0, watts)
+            result.per_node_power[name] = series
+        assert result.avg_power_during_recovery() == 95.0
+        assert result.energy_per_node_during_recovery() == pytest.approx(
+            95.0 * 0.4)
+        for series in result.per_node_power.values():
+            series.times.pop()
+            series.values.pop()
+        with pytest.raises(ValueError, match=r"\[5\.2, 5\.6\]"):
+            result.avg_power_during_recovery()

@@ -71,7 +71,9 @@ class TestPinning:
 
         sim.process(idle())
         sim.run()
-        assert cpu.utilization_since_mark() == pytest.approx(25.0)
+        # 10 busy core-seconds over 10 s on 4 cores.
+        assert 100.0 * cpu.busy_core_seconds() / (10.0 * 4) == \
+            pytest.approx(25.0)
 
     def test_cannot_pin_all_cores(self):
         sim = Simulator()
@@ -122,22 +124,26 @@ class TestUtilizationAccounting:
         sim.process(task())
         sim.process(task())
         sim.run()
-        assert cpu.utilization_since_mark() == pytest.approx(100.0)
+        assert 100.0 * cpu.busy_core_seconds() / (5.0 * 2) == \
+            pytest.approx(100.0)
 
     def test_windowed_utilization(self):
         sim = Simulator()
         cpu = Cpu(sim, cores=1)
+        snapshots = []
 
         def scenario():
-            cpu.mark()
+            snapshots.append(cpu.busy_core_seconds())
             yield from cpu.execute(2.0)  # busy 0–2
-            cpu.mark()
+            snapshots.append(cpu.busy_core_seconds())
             yield sim.timeout(2.0)  # idle 2–4
+            snapshots.append(cpu.busy_core_seconds())
 
         sim.process(scenario())
         sim.run()
-        assert cpu.utilization_between(0.0, 2.0) == pytest.approx(100.0)
-        assert cpu.utilization_between(2.0, 4.0) == pytest.approx(0.0)
+        b0, b2, b4 = snapshots
+        assert 100.0 * (b2 - b0) / 2.0 == pytest.approx(100.0)
+        assert 100.0 * (b4 - b2) / 2.0 == pytest.approx(0.0)
 
     def test_run_queue_length(self):
         sim = Simulator()

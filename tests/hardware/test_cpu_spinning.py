@@ -29,7 +29,8 @@ class TestSpinning:
         # Real work was never delayed by the spinner...
         assert sim.now == pytest.approx(10.0)
         # ...but utilization was pegged at the core count (capped).
-        assert cpu.utilization_since_mark() == pytest.approx(100.0)
+        assert 100.0 * cpu.busy_core_seconds() / (10.0 * 2) == \
+            pytest.approx(100.0)
 
     def test_spin_accounts_when_cores_idle(self):
         sim = Simulator()
@@ -40,7 +41,8 @@ class TestSpinning:
 
         sim.process(spinner())
         sim.run()
-        assert cpu.utilization_since_mark() == pytest.approx(25.0)
+        assert 100.0 * cpu.busy_core_seconds() / (10.0 * 4) == \
+            pytest.approx(25.0)
 
     def test_spin_returns_inner_value(self):
         sim = Simulator()
@@ -87,7 +89,13 @@ class TestSpinning:
         for _ in range(10):
             sim.process(spinner())
         sim.run()
-        assert cpu.utilization_since_mark() == pytest.approx(100.0)
+        assert 100.0 * cpu.busy_core_seconds() / (5.0 * 2) == \
+            pytest.approx(100.0)
+
+    def test_unbalanced_spin_end_rejected(self):
+        cpu = Cpu(Simulator(), cores=2)
+        with pytest.raises(ValueError, match="busy core count"):
+            cpu.spin_end()
 
 
 class TestExecuteSliced:
@@ -149,4 +157,4 @@ class TestPoweredOff:
         sim.run(until=5.0)
         late = [v for t, v in node.power.series.items() if t > 2.5]
         assert late and all(v == 0.0 for v in late)
-        assert node.power.instantaneous_watts() == 0.0
+        assert node.power.instantaneous_watts(100.0) == 0.0

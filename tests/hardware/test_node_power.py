@@ -119,3 +119,31 @@ class TestMetering:
         sim.run(until=10.0)
         assert (server.power.average_watts()
                 > idle.power.average_watts() + 10.0)
+
+    def test_stop_between_ticks_records_final_sample(self):
+        # Cadence samples at 0..3 plus a boundary sample at the stop
+        # instant, averaging the tail [3, 3.5] (full load from t=3), so
+        # the energy integral ends exactly where metering stopped.
+        sim = Simulator()
+        node = make_node(sim)
+        node.start_metering()
+
+        def load():
+            yield sim.timeout(3.0)
+            for _ in range(4):
+                sim.process(node.cpu.execute(10.0))
+
+        sim.process(load())
+        sim.run(until=3.5)
+        node.stop_metering()
+        assert node.power.series.times == [0.0, 1.0, 2.0, 3.0, 3.5]
+        assert node.power.series.values[-1] == pytest.approx(
+            GRID5000_NANCY_NODE.power.watts(100.0))
+
+    def test_stop_on_tick_does_not_duplicate(self):
+        sim = Simulator()
+        node = make_node(sim)
+        node.start_metering()
+        sim.run(until=3.0)
+        node.stop_metering()
+        assert node.power.series.times == [0.0, 1.0, 2.0, 3.0]

@@ -66,7 +66,8 @@ class TestPinnedPollerIdle:
         sim.process(scenario())
         sim.run()
         # 2 core-seconds busy over 4 s on 4 cores = 12.5 %.
-        assert cpu.utilization_since_mark() == pytest.approx(12.5)
+        assert 100.0 * cpu.busy_core_seconds() / (4.0 * 4) == \
+            pytest.approx(12.5)
 
     def test_idle_without_awake_pinned_core_rejected(self):
         sim = Simulator()

@@ -10,7 +10,6 @@ class TestServerConfig:
     def test_paper_defaults(self):
         config = ServerConfig()
         assert config.log_memory_bytes == 10 * GB  # §III-B
-        assert config.backup_disk_bytes == 80 * GB  # §III-B
         assert config.segment_size == 8 * MB  # §II-B
 
     def test_total_segments(self):

@@ -1,15 +1,8 @@
-"""Unit tests for measurement probes."""
+"""Unit tests for the measurement time series."""
 
 import pytest
 
-from repro.sim import (
-    Counter,
-    Gauge,
-    Sampler,
-    Simulator,
-    TimeSeries,
-    UtilizationTracker,
-)
+from repro.sim import TimeSeries
 
 
 class TestTimeSeries:
@@ -54,151 +47,6 @@ class TestTimeSeries:
             TimeSeries().mean()
 
 
-class TestGauge:
-    def test_time_average(self):
-        sim = Simulator()
-        g = Gauge(sim, initial=0.0)
-
-        def proc():
-            yield sim.timeout(4.0)
-            g.set(10.0)
-            yield sim.timeout(6.0)
-
-        sim.process(proc())
-        sim.run()
-        # 0 for 4 s then 10 for 6 s → average 6.0
-        assert g.time_average() == pytest.approx(6.0)
-
-    def test_add(self):
-        sim = Simulator()
-        g = Gauge(sim, initial=5.0)
-        g.add(3.0)
-        assert g.value == 8.0
-        g.add(-8.0)
-        assert g.value == 0.0
-
-
-class TestCounter:
-    def test_rate(self):
-        sim = Simulator()
-        c = Counter(sim)
-
-        def proc():
-            for _ in range(10):
-                yield sim.timeout(1.0)
-                c.increment()
-
-        sim.process(proc())
-        sim.run()
-        assert c.count == 10
-        assert c.rate() == pytest.approx(1.0)
-
-    def test_negative_increment_rejected(self):
-        sim = Simulator()
-        c = Counter(sim)
-        with pytest.raises(ValueError):
-            c.increment(-1)
-
-
-class TestSampler:
-    def test_samples_at_interval(self):
-        sim = Simulator()
-        value = {"v": 0.0}
-        sampler = Sampler(sim, interval=1.0, probe=lambda: value["v"])
-
-        def driver():
-            yield sim.timeout(2.5)
-            value["v"] = 7.0
-            yield sim.timeout(2.5)
-
-        sim.process(driver())
-        sim.run(until=5.0)
-        # Samples at t = 0,1,2,3,4,5 (run(until) includes the t=5 event).
-        assert sampler.series.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert sampler.series.values[:3] == [0.0, 0.0, 0.0]
-        assert sampler.series.values[3] == 7.0
-
-    def test_stop_halts_sampling(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=1.0, probe=lambda: 1.0)
-
-        def stopper():
-            yield sim.timeout(3.5)
-            sampler.stop()
-
-        sim.process(stopper())
-        sim.run(until=10.0)
-        assert sampler.series.times[-1] <= 3.5
-
-    def test_invalid_interval(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Sampler(sim, interval=0.0, probe=lambda: 0.0)
-
-
-class TestUtilizationTracker:
-    def test_constant_half_busy(self):
-        sim = Simulator()
-        u = UtilizationTracker(sim, capacity=4)
-
-        def proc():
-            u.set_busy(2.0)
-            yield sim.timeout(10.0)
-
-        sim.process(proc())
-        sim.run()
-        assert u.utilization_since_mark() == pytest.approx(50.0)
-
-    def test_piecewise_busy(self):
-        sim = Simulator()
-        u = UtilizationTracker(sim, capacity=4)
-
-        def proc():
-            u.set_busy(4.0)  # 100 % for 5 s
-            yield sim.timeout(5.0)
-            u.set_busy(0.0)  # idle for 5 s
-            yield sim.timeout(5.0)
-
-        sim.process(proc())
-        sim.run()
-        assert u.utilization_since_mark() == pytest.approx(50.0)
-
-    def test_marks_window_utilization(self):
-        sim = Simulator()
-        u = UtilizationTracker(sim, capacity=1)
-
-        def proc():
-            u.mark()  # t=0
-            u.set_busy(1.0)
-            yield sim.timeout(4.0)
-            u.mark()  # t=4
-            u.set_busy(0.0)
-            yield sim.timeout(6.0)
-
-        sim.process(proc())
-        sim.run()
-        assert u.utilization_between(0.0, 4.0) == pytest.approx(100.0)
-        assert u.utilization_between(4.0, 10.0) == pytest.approx(0.0)
-        assert u.utilization_between(0.0, 10.0) == pytest.approx(40.0)
-
-    def test_busy_bounds_enforced(self):
-        sim = Simulator()
-        u = UtilizationTracker(sim, capacity=2)
-        with pytest.raises(ValueError):
-            u.set_busy(3.0)
-        with pytest.raises(ValueError):
-            u.set_busy(-1.0)
-
-    def test_add_busy(self):
-        sim = Simulator()
-        u = UtilizationTracker(sim, capacity=4)
-        u.add_busy(1.0)
-        u.add_busy(1.0)
-        assert u.busy == 2.0
-        u.add_busy(-2.0)
-        assert u.busy == 0.0
-
-
 class TestIntegralContract:
     """TimeSeries.integral's documented contract: exact [t0, tN] span,
     linear interpolation between consecutive samples — even across
@@ -215,7 +63,7 @@ class TestIntegralContract:
         assert ts.integral() == pytest.approx(1000.0)
 
     def test_fixed_cadence_represents_idle_correctly(self):
-        # The fix the Sampler applies: emit at a fixed cadence even
+        # The fix the PDU loop applies: emit at a fixed cadence even
         # when nothing changed.  An idle stretch is then a run of
         # identical samples and the integral is exact.
         ts = TimeSeries()
@@ -266,33 +114,3 @@ class TestTimeWeightedMean:
         with pytest.raises(ValueError):
             TimeSeries().time_weighted_mean()
 
-
-class TestSamplerBoundary:
-    def test_stop_records_final_boundary_sample(self):
-        sim = Simulator()
-        value = {"v": 1.0}
-        sampler = Sampler(sim, interval=1.0, probe=lambda: value["v"])
-
-        def stopper():
-            yield sim.timeout(3.5)
-            value["v"] = 5.0
-            sampler.stop()
-
-        sim.process(stopper())
-        sim.run(until=10.0)
-        # Cadence samples at 0..3 plus the boundary at stop time: the
-        # integral's window ends exactly where metering stopped.
-        assert sampler.series.times == [0.0, 1.0, 2.0, 3.0, 3.5]
-        assert sampler.series.values[-1] == 5.0
-
-    def test_stop_on_cadence_instant_does_not_duplicate(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=1.0, probe=lambda: 1.0)
-
-        def stopper():
-            yield sim.timeout(3.0)
-            sampler.stop()
-
-        sim.process(stopper())
-        sim.run(until=10.0)
-        assert sampler.series.times == [0.0, 1.0, 2.0, 3.0]

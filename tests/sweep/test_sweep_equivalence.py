@@ -31,14 +31,6 @@ REDUCED_GRIDS = {
     # one cell is a whole 3-governor idle→peak sweep: ~30 s even here
     "energy": dict(governors=("static", "poll-adaptive"), servers=2,
                    clients=2, fractions=(0.5,)),
-    # 9 servers recover 24 MB inside one 1 Hz power sample, which
-    # avg_power_during_recovery() cannot average
-    "fig11": dict(servers=4),
-    # with 1 MB segments each recovery lane replays several segments,
-    # and the debug-mode race detector pairs their log-head writes (the
-    # lane loop marks no task_boundary); this suite turns RaceWarning
-    # into an error
-    "segment-size": dict(segment_mbs=(8,)),
 }
 
 

@@ -36,3 +36,15 @@ def test_sections_follow_registry_order_and_workers_pass_through(
     assert re.findall(r"^### (\S+): stub$", text, re.M) == list(EXPERIMENTS)
     assert seen["workers"] == 3
     assert "at scale `smoke`" in text
+
+
+def test_header_depends_only_on_the_scale():
+    # Regenerating at the same scale from the same code must give the
+    # same header: no wall-clock date or other unchecked field.
+    from repro.experiments.scale import SMOKE
+    header = generator.HEADER.format(
+        scale=SMOKE.name, records=SMOKE.num_records,
+        ops=SMOKE.ops_per_client, seeds=len(SMOKE.seeds),
+        recovery_mb=SMOKE.recovery_bytes_per_server // (1024 * 1024),
+        record_kb=SMOKE.recovery_record_size // 1024)
+    assert "at scale `smoke`." in header

@@ -14,7 +14,6 @@ enforces), only the wall clock changes.
 import io
 import os
 import time
-from datetime import date
 
 from repro.experiments.registry import EXPERIMENTS, run_experiments
 from repro.experiments.scale import active_scale
@@ -23,8 +22,8 @@ from repro.experiments.scale import active_scale
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by `tools/generate_experiments_md.py` at scale `{scale}`
-on {today}.  Every table below compares the paper's reported value
+Generated by `tools/generate_experiments_md.py` at scale `{scale}`.
+Every table below compares the paper's reported value
 (exact where the text gives a number, digitized from the figure
 otherwise) with this reproduction's measurement.  Absolute joule totals
 depend on run length and op-count scaling (DESIGN.md §5); ratios and
@@ -61,7 +60,7 @@ def main():
 
     out = io.StringIO()
     out.write(HEADER.format(
-        scale=scale.name, today=date.today().isoformat(),
+        scale=scale.name,
         records=scale.num_records, ops=scale.ops_per_client,
         seeds=len(scale.seeds),
         recovery_mb=scale.recovery_bytes_per_server // (1024 * 1024),
