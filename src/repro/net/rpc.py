@@ -3,16 +3,18 @@
 The caller transfers the request over the fabric, deposits it in the
 destination service's inbox, and waits on a per-request reply event.
 The service's dispatch thread drains the inbox (see
-:class:`repro.ramcloud.master.Master`), and whoever services the request
-triggers the reply.  Response network time is charged on the caller
-side after the reply fires, so the server worker is not occupied while
-response bytes serialize — matching RAMCloud, where the NIC drains the
-response asynchronously.
+:meth:`repro.ramcloud.server.RamCloudServer._dispatch_loop`), and
+whoever services the request triggers the reply.  Response network
+time is charged on the caller side after the reply fires, so the server
+worker is not occupied while response bytes serialize — matching
+RAMCloud, where the NIC drains the response asynchronously.
 
 Crash semantics: delivery to a crashed node raises
 :class:`~repro.net.fabric.NodeUnreachable`; requests already queued at a
 node that crashes are failed by the service's crash handler; a caller
-may additionally bound the wait with ``timeout``.
+may additionally bound the wait with ``timeout``.  That deadline is a
+plain timer the caller cancels when the reply wins; if it fires first,
+it fails the reply with :class:`RpcTimeout`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Generator, Optional
 
 from repro.hardware.node import Node
 from repro.net.fabric import Fabric, NodeUnreachable
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Event, Simulator, Timeout
 from repro.sim.resources import Store
 
 __all__ = ["RpcError", "RpcTimeout", "RpcRequest", "RpcService"]
@@ -109,6 +111,14 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
 
     # -- caller side ------------------------------------------------------
 
+    def _expire(self, deadline: Timeout) -> None:
+        """A call's deadline fired before its reply: fail the request it
+        carries.  This closes the reply, so a dropped or stuck request
+        leaves no forever-pending event (a late respond() is discarded)."""
+        request = deadline.value
+        request.fail(RpcTimeout(
+            f"{request.op} to {self.name} timed out after {deadline.delay}s"))
+
     def call(self, src: Node, op: str, args: Any = None,
              size_bytes: int = 128, response_bytes: int = 128,
              timeout: Optional[float] = None) -> Generator:
@@ -150,19 +160,12 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
         if timeout is None:
             value = yield request.reply
         else:
-            deadline = sim.timeout(timeout)
-            yield sim.any_of([request.reply, deadline])
-            if not request.reply.triggered:
-                exc = RpcTimeout(
-                    f"{op} to {self.name} timed out after {timeout}s")
-                # The caller abandons the request: close its reply so a
-                # dropped/stuck request does not leave a forever-pending
-                # event (a late server respond() is discarded).
-                request.fail(exc)
-                raise exc
-            if not request.reply.ok:
-                raise request.reply.value
-            value = request.reply.value
+            deadline = sim.timeout(timeout, request)
+            deadline.add_callback(self._expire)
+            try:
+                value = yield request.reply
+            finally:
+                deadline.cancel()
         # Response network time, charged caller-side (see module doc).
         nic = self.node.spec.nic
         yield sim.timeout(request.response_bytes / nic.bandwidth

@@ -732,6 +732,7 @@ class RamCloudServer(RpcService):
         while not get.triggered and polls < self.config.poll_idle_threshold:
             deadline = self.sim.timeout(self.config.poll_interval)
             yield self.sim.any_of([get, deadline])
+            deadline.cancel()  # withdrawn if the request arrived first
             polls += 1
         if get.triggered:
             return
@@ -813,6 +814,7 @@ class RamCloudServer(RpcService):
                     yield wait
                 finally:
                     cpu.spin_end()
+                deadline.cancel()  # withdrawn if the request arrived first
                 if not get.triggered and self.core_parking:
                     # Core parking (docs/POWER.md): the spin window
                     # expired empty, so power-gate this worker's core

@@ -7,20 +7,27 @@ a float in **seconds**.
 
 Design notes
 ------------
-* The scheduler is a binary heap of ``(time, priority, seq, event)``
-  tuples.  ``seq`` is a monotonically increasing tie-breaker, which makes
-  the whole simulation deterministic: two events scheduled for the same
-  instant fire in scheduling order.
+* The scheduler is a binary heap of ``(time, seq, event)`` tuples.
+  ``seq`` is a monotonically increasing tie-breaker, which makes the
+  whole simulation deterministic: two events scheduled for the same
+  instant fire in scheduling order.  Keys are unique, so the pop order
+  does not depend on the heap's layout.
 * Events are single-shot.  Once triggered they hold a value (or an
   exception) forever, and late waiters resume immediately.
+* A :class:`Timeout` can be withdrawn with :meth:`Timeout.cancel` —
+  the cheap form of a deadline that usually loses its race.  Its heap
+  entry stays until popped, when :meth:`Simulator.step` skips it
+  without advancing ``now``; once cancelled entries outnumber live
+  ones, the heap is rebuilt without them.
 * :class:`Process` is itself an event that triggers when the generator
-  returns (value = generator return value) or raises.
+  returns (value = generator return value) or raises.  While a process
+  runs, :attr:`Simulator.active_process` names it.
 """
 
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -34,12 +41,6 @@ __all__ = [
     "SimulationError",
 ]
 
-# Scheduling priorities: URGENT events (resource handoffs) fire before
-# NORMAL events scheduled for the same instant, which keeps resource
-# accounting exact at time boundaries.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-
 
 class SimulationError(Exception):
     """Raised for kernel misuse (double triggering, running without events)."""
@@ -49,7 +50,10 @@ class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
     The ``cause`` attribute carries whatever the interruptor passed in —
-    in this reproduction, typically a :class:`~repro.ramcloud.failure.ServerCrash`.
+    in this reproduction a short string: ``"killed"`` when
+    :meth:`~repro.ramcloud.server.RamCloudServer.kill` stops a crashed
+    server's threads, ``"gave up"`` from a YCSB client's give-up
+    deadline, or ``"... stopped"`` when a background loop is shut down.
     """
 
     def __init__(self, cause: Any = None):
@@ -109,7 +113,7 @@ class Event:
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
+        heappush(sim._heap, (sim.now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,7 +127,7 @@ class Event:
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
+        heappush(sim._heap, (sim.now, seq, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -141,7 +145,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` seconds after creation."""
+    """An event that triggers ``delay`` seconds after creation.
+
+    A timeout that should no longer fire — typically a deadline whose
+    race the awaited event won — is withdrawn with :meth:`cancel`.
+    """
 
     __slots__ = ("delay",)
 
@@ -158,9 +166,31 @@ class Timeout(Event):
         self._value = value
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim.now + delay, PRIORITY_NORMAL, seq, self))
+        heappush(sim._heap, (sim.now + delay, seq, self))
         if sim._sanitizer is not None:
             sim._sanitizer.event_created(self)
+
+    def cancel(self) -> None:
+        """Withdraw the timeout: its callbacks never run and it does not
+        advance ``now``.  A no-op once it has fired or been cancelled.
+
+        A cancelled timeout counts as processed; nothing may wait on it.
+        """
+        if self.callbacks is None:
+            return
+        self.callbacks = None
+        sim = self.sim
+        sim._cancelled += 1
+        heap = sim._heap
+        if 2 * sim._cancelled > len(heap):
+            # Cancelled entries outnumber live ones: rebuild in place.
+            # A live entry always has a callback list (step() sets it to
+            # None only when popping), and the (time, seq) keys are
+            # unique, so the rebuilt heap pops in the same order.
+            heap[:] = [entry for entry in heap
+                       if entry[2].callbacks is not None]
+            heapify(heap)
+            sim._cancelled = 0
 
 
 class _ConditionValue:
@@ -264,7 +294,7 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, bootstrap))
+        heappush(sim._heap, (sim.now, seq, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -308,9 +338,11 @@ class Process(Event):
         # The single hottest function in the kernel: one call per process
         # resumption.  The sanitizer hooks live in _step_debug so the
         # production path pays one None check instead of four.
-        if self.sim._sanitizer is not None:
+        sim = self.sim
+        if sim._sanitizer is not None:
             self._step_debug(value, throw)
             return
+        sim._active_process = self
         try:
             if throw:
                 target = self.generator.throw(value)
@@ -329,8 +361,10 @@ class Process(Event):
                 self.fail(exc)
             else:
                 # Nobody is watching this process: surface the crash.
-                self.sim._crash(exc)
+                sim._crash(exc)
             return
+        finally:
+            sim._active_process = None
         if not isinstance(target, Event):
             error = SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"
@@ -346,8 +380,10 @@ class Process(Event):
 
     def _step_debug(self, value: Any, throw: bool) -> None:
         """The sanitizer-instrumented twin of :meth:`_step` (debug mode)."""
-        sanitizer = self.sim._sanitizer
+        sim = self.sim
+        sanitizer = sim._sanitizer
         sanitizer.begin_step(self)
+        sim._active_process = self
         try:
             if throw:
                 target = self.generator.throw(value)
@@ -365,10 +401,11 @@ class Process(Event):
             if self.callbacks:
                 self.fail(exc)
             else:
-                self.sim._crash(exc)
+                sim._crash(exc)
             sanitizer.process_died(self)
             return
         finally:
+            sim._active_process = None
             sanitizer.end_step()
         if not isinstance(target, Event):
             error = SimulationError(
@@ -395,8 +432,8 @@ class Simulator:
     on globally; production runs pay only a ``None`` check.
     """
 
-    __slots__ = ("debug", "_sanitizer", "now", "_heap", "_seq", "_fatal",
-                 "__weakref__")
+    __slots__ = ("debug", "_sanitizer", "now", "_heap", "_seq", "_cancelled",
+                 "_active_process", "_fatal", "__weakref__")
 
     def __init__(self, debug: Optional[bool] = None):
         if debug is None:
@@ -408,9 +445,18 @@ class Simulator:
         else:
             self._sanitizer = None
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
+        # Cancelled timeouts still in the heap (see Timeout.cancel).
+        self._cancelled = 0
+        self._active_process: Optional[Process] = None
         self._fatal: Optional[BaseException] = None
+
+    @property
+    def active_process(self) -> Optional[Process]:
+        """The process whose generator is running right now; ``None``
+        between process steps (e.g. inside a plain event callback)."""
+        return self._active_process
 
     def _crash(self, exc: BaseException) -> None:
         """Record a fatal error; re-raised from :meth:`run`/:meth:`step`."""
@@ -442,22 +488,26 @@ class Simulator:
     # -- execution -----------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none (an entry
+        may be a cancelled timeout that will be skipped)."""
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event (or skip one cancelled timeout)."""
         if not self._heap:
             raise SimulationError("step() with an empty schedule")
-        when, _prio, _seq, event = heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
+        callbacks = event.callbacks
+        if callbacks is None:
+            # A cancelled timeout: dropped without advancing time.
+            self._cancelled -= 1
+            return
         if when < self.now:
             raise SimulationError("scheduler heap corrupted: time went backwards")
         self.now = when
-        callbacks = event.callbacks
         event.callbacks = None
-        if callbacks:
-            for cb in callbacks:
-                cb(event)
+        for cb in callbacks:
+            cb(event)
         if self._fatal is not None:
             exc, self._fatal = self._fatal, None
             raise exc

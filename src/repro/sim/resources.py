@@ -13,7 +13,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Deque, List, Optional, Tuple
 
-from repro.sim.kernel import PRIORITY_NORMAL, Event, SimulationError, Simulator
+from repro.sim.kernel import Event, SimulationError, Simulator
 
 __all__ = ["Request", "Resource", "PriorityResource", "Mutex", "Store", "Container"]
 
@@ -39,7 +39,7 @@ class Request(Event):
         sanitizer = sim._sanitizer
         if sanitizer is not None:
             sanitizer.event_created(self)
-            self.owner = sanitizer.current_process
+            self.owner = sim._active_process
         else:
             self.owner = None
 
@@ -103,7 +103,7 @@ class Resource:
             req._value = req
             seq = sim._seq + 1
             sim._seq = seq
-            heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, req))
+            heappush(sim._heap, (sim.now, seq, req))
         else:
             self._enqueue(req)
         return req

@@ -39,7 +39,7 @@ import hashlib
 import os
 import warnings
 import weakref
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.kernel import Event, Process, Simulator
@@ -165,9 +165,6 @@ class Sanitizer:
         self._events: "weakref.WeakSet[Event]" = weakref.WeakSet()
         self._processes: "weakref.WeakSet[Process]" = weakref.WeakSet()
         self._resources: "weakref.WeakSet" = weakref.WeakSet()
-        # The process whose generator is currently executing; requests
-        # created during its step are attributed to it.
-        self.current_process: Optional["Process"] = None
         # Lockset race detection over annotated shared structures
         # (imported lazily: racecheck imports SanitizerWarning from here).
         from repro.sim.racecheck import RaceDetector
@@ -177,12 +174,10 @@ class Sanitizer:
 
     def begin_step(self, process: "Process") -> None:
         """A process generator is about to run one step."""
-        self.current_process = process
         self.races.begin_step(process)
 
     def end_step(self) -> None:
         """The current step finished (normally or not)."""
-        self.current_process = None
         self.races.end_step()
 
     # -- registration hooks (called from the kernel) --------------------

@@ -22,7 +22,7 @@ from repro.ramcloud.client import RamCloudClient
 from repro.ramcloud.errors import ObjectDoesntExist
 from repro.ramcloud.indexing import secondary_key
 from repro.sim.distributions import RandomStream
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Interrupt, Simulator, Timeout
 from repro.ycsb.keyspace import LatestKeyChooser, make_key_chooser
 from repro.ycsb.stats import OperationStats
 from repro.ycsb.workload import WorkloadSpec
@@ -33,6 +33,14 @@ __all__ = ["YcsbClient", "CLIENT_OVERHEAD"]
 # benchmark bookkeeping).  Calibrated so an unloaded read takes ≈42 µs
 # end to end, matching Table II's per-client read-only rates.
 CLIENT_OVERHEAD = 30.0e-6
+
+# The Interrupt cause a give-up deadline throws into its client.
+GIVE_UP = "gave up"
+
+
+def _give_up(deadline: Timeout) -> None:
+    """A give-up deadline fired: interrupt the client process it carries."""
+    deadline.value.interrupt(GIVE_UP)
 
 
 class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict__ cost is amortized
@@ -52,9 +60,9 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         self.client_overhead = client_overhead
         # Abort the run if a single op stays unserviceable this long
         # (models the paper's runs "always crashing ... because of
-        # excessive timeouts", §VI).  Enforced as a hard deadline raced
-        # against the operation: a dropped request that would stall for
-        # the full RPC timeout trips it even though no exception ever
+        # excessive timeouts", §VI).  Enforced as a hard deadline that
+        # interrupts the operation: a dropped request that would stall
+        # for the full RPC timeout trips it even though no exception ever
         # reaches the client.  Also bounds the underlying retry loop so
         # an op that can never complete is abandoned.
         self.give_up_after = give_up_after
@@ -139,40 +147,48 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
                      "insert": stats.inserts, "scan": stats.scans,
                      "rmw": stats.updates, "iscan": stats.index_ops,
                      "ilookup": stats.index_ops}
+        # The process running this generator: the give-up deadline
+        # interrupts it.
+        process = sim.active_process
         for i in range(w.ops_per_client):
-            if self.throttle is not None:
-                # Dynamic pacing: the power-cap controller moves the
-                # shared throttle's rate at run time.
-                delay = self.throttle.reserve()
-                if delay > 0:
-                    yield sim.timeout(delay)
-            elif rate > 0:
-                # Token-bucket pacing: operation i may not start before
-                # its scheduled slot.
-                slot = start + i / rate
-                if sim.now < slot:
-                    yield sim.timeout(slot - sim.now)
-            yield sim.timeout(overhead)
-            op = self._choose_op()
-            issued = sim.now
+            # The whole iteration listens for the give-up interrupt: a
+            # deadline that fires in the very instant its op completes
+            # lands at the next think-time wait instead.
             try:
+                if self.throttle is not None:
+                    # Dynamic pacing: the power-cap controller moves the
+                    # shared throttle's rate at run time.
+                    delay = self.throttle.reserve()
+                    if delay > 0:
+                        yield sim.timeout(delay)
+                elif rate > 0:
+                    # Token-bucket pacing: operation i may not start
+                    # before its scheduled slot.
+                    slot = start + i / rate
+                    if sim.now < slot:
+                        yield sim.timeout(slot - sim.now)
+                yield sim.timeout(overhead)
+                op = self._choose_op()
+                issued = sim.now
                 if give_up_after is None:
                     yield from self._execute(op)
                 else:
-                    # Race the operation against the give-up deadline:
-                    # an op still unfinished at the deadline (e.g. a
+                    # An op still unfinished at the deadline (e.g. a
                     # silently dropped request waiting out the 1 s RPC
-                    # timeout) is abandoned mid-flight.
-                    proc = sim.process(self._execute(op), name="ycsb:op")
-                    deadline = sim.timeout(give_up_after)
-                    yield sim.any_of([proc, deadline])
-                    if not proc.triggered:
-                        proc.interrupt("gave up")
-                        stats.errors += 1
-                        self.gave_up = True
-                        break
-                    if not proc.ok:
-                        raise proc.value
+                    # timeout) is interrupted and abandoned mid-flight;
+                    # one that finishes first withdraws the deadline.
+                    deadline = sim.timeout(give_up_after, process)
+                    deadline.add_callback(_give_up)
+                    try:
+                        yield from self._execute(op)
+                    finally:
+                        deadline.cancel()
+            except Interrupt as interrupt:
+                if interrupt.cause != GIVE_UP:
+                    raise
+                stats.errors += 1
+                self.gave_up = True
+                break
             except ObjectDoesntExist:
                 stats.errors += 1
                 continue

@@ -170,6 +170,35 @@ class TestRpc:
         sim.run(until=20.0)
         assert caught and caught[0] == pytest.approx(0.5, abs=0.01)
 
+    def test_timeout_message_names_op_service_and_deadline(self):
+        sim, fabric, a, b = setup_pair()
+        service = EchoService(sim, fabric, b, delay=10.0)
+        caught = []
+
+        def caller():
+            try:
+                yield from service.call(a, "ping", timeout=0.5)
+            except RpcTimeout as exc:
+                caught.append(str(exc))
+
+        sim.process(caller())
+        sim.run(until=20.0)
+        assert caught == ["ping to echo:b timed out after 0.5s"]
+
+    def test_answered_calls_withdraw_their_deadlines(self):
+        # Each call's 1 s deadline loses its race to the reply; a
+        # withdrawn deadline must not linger in the schedule.
+        sim, fabric, a, b = setup_pair()
+        service = EchoService(sim, fabric, b)
+
+        def caller():
+            for _ in range(1000):
+                yield from service.call(a, "ping", timeout=1.0)
+
+        sim.run_process(sim.process(caller()))
+        assert sim.now < 1.0
+        assert len(sim._heap) < 10
+
     def test_call_to_downed_service_fails(self):
         sim, fabric, a, b = setup_pair()
         service = EchoService(sim, fabric, b)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -452,3 +454,94 @@ def test_nested_processes_compose():
     sim.run()
     assert trace == ["a", "b", 3.0]
     assert sim.now == 3.0
+
+
+# -- cancellable timeouts ---------------------------------------------------
+
+
+def test_cancelled_timeout_never_fires_and_does_not_advance_time():
+    sim = Simulator()
+    fired = []
+    deadline = sim.timeout(5.0)
+    deadline.add_callback(fired.append)
+    sim.timeout(1.0)
+    deadline.cancel()
+    sim.run()
+    assert fired == []
+    assert sim.now == 1.0
+
+
+def test_cancel_after_firing_is_a_noop():
+    sim = Simulator()
+    fired = []
+    deadline = sim.timeout(1.0)
+    deadline.add_callback(fired.append)
+    sim.run()
+    deadline.cancel()
+    deadline.cancel()
+    sim.timeout(2.0)
+    sim.run()
+    assert fired == [deadline]
+    assert sim.now == 3.0
+
+
+def _random_schedule(cancel):
+    """Pop order of a seeded schedule with many same-instant ties.
+
+    With ``cancel``, half the timers are withdrawn — most up front, the
+    rest one per step while the schedule drains — and the number of
+    heap rebuilds is counted.
+    """
+    rng = random.Random(20170605)
+    sim = Simulator()
+    fired = []
+    timers = []
+    for i in range(600):
+        timer = sim.timeout(rng.randint(0, 40) * 0.125, value=i)
+        timer.add_callback(lambda ev: fired.append((ev.value, sim.now)))
+        timers.append(timer)
+    doomed = [timers[i] for i in rng.sample(range(600), 300)]
+    rebuilds = 0
+
+    def withdraw(timer):
+        nonlocal rebuilds
+        before = len(sim._heap)
+        timer.cancel()
+        rebuilds += len(sim._heap) < before
+
+    if cancel:
+        for timer in doomed[:250]:
+            withdraw(timer)
+    pending = doomed[250:]
+    while sim.peek() != float("inf"):
+        sim.step()
+        if cancel and pending:
+            withdraw(pending.pop())
+    return fired, rebuilds
+
+
+def test_heap_rebuild_keeps_pop_order():
+    reference, _ = _random_schedule(cancel=False)
+    survivors, rebuilds = _random_schedule(cancel=True)
+    kept = {i for i, _t in survivors}
+    assert rebuilds >= 1
+    assert 300 <= len(kept) < 600
+    assert survivors == [entry for entry in reference if entry[0] in kept]
+
+
+def test_active_process_names_the_running_process():
+    sim = Simulator()
+    seen = []
+
+    def body():
+        seen.append(sim.active_process)
+        yield sim.timeout(1.0)
+        seen.append(sim.active_process)
+
+    proc = sim.process(body())
+    tick = sim.timeout(0.5)
+    tick.add_callback(lambda _ev: seen.append(sim.active_process))
+    assert sim.active_process is None
+    sim.run()
+    assert seen == [proc, None, proc]
+    assert sim.active_process is None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.distributions import RandomStream
+from repro.sim.kernel import Simulator
 from repro.ycsb.client import YcsbClient
 from repro.ycsb.workload import (
     WORKLOAD_A,
@@ -113,4 +114,86 @@ class TestGiveUp:
         proc = cluster.sim.process(client.run(), name="ycsb")
         cluster.sim.run_process(proc, until=600.0)
         assert client.gave_up
+        assert client.stats.total_ops < 1000
+        assert proc.value is client.stats
+
+    def test_answered_ops_withdraw_their_deadlines(self):
+        # Paced ops each finish in microseconds, but the run lasts far
+        # longer than the deadline: a deadline left armed after its op
+        # finished would interrupt a later op and fake a give-up.
+        cluster = build_cluster(num_servers=2, num_clients=1)
+        wl = WORKLOAD_A.scaled(num_records=500, ops_per_client=100,
+                               target_ops_per_second=200.0)
+        client = run_ycsb(cluster, wl, give_up_after=0.05)
+        assert not client.gave_up
+        assert client.stats.errors == 0
+        assert client.stats.total_ops == 100
+
+    def test_give_up_deadline_spawns_no_process(self, monkeypatch):
+        # The deadline is a timer on the client's own process, not a
+        # per-op child process raced against it.
+        def spawned(give_up_after):
+            cluster = build_cluster(num_servers=2, num_clients=1)
+            table_id = cluster.create_table("usertable")
+            cluster.preload(table_id, 300, 128)
+            wl = WORKLOAD_A.scaled(num_records=300, ops_per_client=100)
+            client = YcsbClient(cluster.sim, cluster.clients[0], table_id,
+                                wl, RandomStream(9, "ycsb"),
+                                give_up_after=give_up_after)
+            names = []
+            spawn = Simulator.process
+
+            def counting(sim, generator, name=""):
+                names.append(name)
+                return spawn(sim, generator, name=name)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Simulator, "process", counting)
+                proc = cluster.sim.process(client.run(), name="ycsb")
+                cluster.sim.run_process(proc, until=300.0)
+            assert client.stats.total_ops == 100
+            return names
+
+        assert spawned(give_up_after=5.0) == spawned(give_up_after=None)
+
+    def test_give_up_tied_with_completion_stays_inside_run(self):
+        # The op finishes in the very instant its deadline fired (the
+        # deadline first), so the give-up interrupt is still in flight
+        # when the op returns; it must land inside run() and end the run
+        # as a give-up, not kill the process before it returns its stats.
+        class TiedClient(YcsbClient):
+            def _execute(self, op):
+                yield self.sim.timeout(self.give_up_after)
+
+        cluster = build_cluster(num_servers=2, num_clients=1)
+        table_id = cluster.create_table("usertable")
+        wl = WORKLOAD_C.scaled(num_records=100, ops_per_client=5)
+        client = TiedClient(cluster.sim, cluster.clients[0], table_id, wl,
+                            RandomStream(9, "ycsb"), give_up_after=0.5)
+        proc = cluster.sim.process(client.run(), name="ycsb")
+        cluster.sim.run_process(proc, until=60.0)
+        assert proc.value is client.stats
+        assert client.gave_up
+        assert client.stats.errors == 1
+
+    def test_other_interrupts_propagate_and_are_not_give_ups(self):
+        cluster = build_cluster(num_servers=3, num_clients=1)
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, 300, 128)
+        wl = WORKLOAD_C.scaled(num_records=300, ops_per_client=1000)
+        client = YcsbClient(cluster.sim, cluster.clients[0], table_id, wl,
+                            RandomStream(9, "ycsb"), give_up_after=100.0)
+        cluster.kill_server(0)  # ops on its keys retry until interrupted
+        sim = cluster.sim
+        proc = sim.process(client.run(), name="ycsb")
+
+        def killer():
+            yield sim.timeout(0.3)
+            proc.interrupt("killed")
+
+        sim.process(killer())
+        sim.run_process(proc, until=600.0)
+        assert proc.ok and proc.value is None  # ended by the interrupt
+        assert not client.gave_up
+        assert client.stats.errors == 0
         assert client.stats.total_ops < 1000
