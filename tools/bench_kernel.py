@@ -166,6 +166,16 @@ def run_sweep_bench(scale: str, servers: int, clients: int,
     }
 
 
+def _portable_path(path: str) -> str:
+    """A profiled file's path without the checkout's or interpreter's
+    location: repo files repo-relative (``src/repro/sim/kernel.py``, as
+    the linter sees them), standard-library files under ``<python>/``."""
+    for root, prefix in ((REPO_ROOT, ""), (sys.base_prefix, "<python>/")):
+        if path.startswith(root + os.sep):
+            return prefix + os.path.relpath(path, root).replace(os.sep, "/")
+    return path.replace(os.sep, "/")
+
+
 def profile_bench(name: str, scale: str, servers: int, clients: int,
                   ops: Optional[int], out_path: str,
                   top: int = 120) -> None:
@@ -190,7 +200,7 @@ def profile_bench(name: str, scale: str, servers: int, clients: int,
         if path.startswith("<") or func.startswith("<module>"):
             continue
         rows.append({
-            "path": path.replace(os.sep, "/"),
+            "path": _portable_path(path),
             "func": func,
             "line": line,
             "ncalls": nc,
