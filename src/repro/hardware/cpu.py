@@ -202,23 +202,27 @@ class Cpu:
     def execute(self, seconds: float) -> Generator:
         """Run ``seconds`` of work on some core; queues if all are busy.
 
-        Use as ``yield from cpu.execute(t)`` inside a process.  Safe
-        against interrupts at any point (the core is released / the
+        Use as ``yield from cpu.execute(t)`` inside a process.  A free
+        core is claimed synchronously, so the work is one timer event.
+        Safe against interrupts at any point (the core is released / the
         queue entry withdrawn).
         """
         if seconds < 0:
             raise ValueError(f"negative execution time: {seconds}")
         if self.schedulable_cores < 1:
             raise RuntimeError(f"{self.name}: no schedulable cores remain")
-        req = self._pool.request()
-        try:
-            yield req
-        except BaseException:
-            if req.triggered and req.ok:
-                self._pool.release(req)
-            else:
-                self._pool.cancel(req)
-            raise
+        pool = self._pool
+        req = pool.claim()
+        if req is None:
+            req = pool.request()
+            try:
+                yield req
+            except BaseException:
+                if req.triggered and req.ok:
+                    pool.release(req)
+                else:
+                    pool.cancel(req)
+                raise
         self._active += 1
         self._update_busy()
         try:
@@ -228,7 +232,7 @@ class Cpu:
         finally:
             self._active -= 1
             self._update_busy()
-            self._pool.release(req)
+            pool.release(req)
 
     def spin_begin(self) -> None:
         """Account one more busy-polling thread (see :meth:`spinning`).

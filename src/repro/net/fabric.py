@@ -1,11 +1,19 @@
 """Point-to-point message delivery between nodes.
 
 The fabric charges each message its serialization time (bytes divided
-by the sender NIC's bandwidth, with the sender's NIC modelled as a
-single transmit queue) plus the transport's one-way propagation
+by the sender NIC's bandwidth) plus the transport's one-way propagation
 latency.  Delivery to a crashed node raises :class:`NodeUnreachable`
 *after* the latency has elapsed — a sender cannot know faster than the
 network that the peer is gone.
+
+Each sender NIC is a FIFO virtual clock: ``tx_free`` is the time its
+transmit queue drains.  A message starts serializing at
+``max(now, tx_free)``, pushes ``tx_free`` to the end of its
+serialization, and arrives one latency later — a single timer event
+per message.  A message interrupted while it is the queue's tail hands
+its unsent time back.  One narrowing against a queue of claims: a
+message queued behind an interrupted one keeps its slot, so the
+interrupted message's time is not reclaimed until the queue drains.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tup
 from repro.hardware.node import Node
 from repro.sim.kernel import Simulator
 from repro.sim.racecheck import shared
-from repro.sim.resources import Resource
 
 __all__ = ["Fabric", "NodeUnreachable", "NetworkPartitioned"]
 
@@ -41,7 +48,8 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
         self.sim = sim
         self.race = shared(sim, "fabric")
         self._nodes: Dict[str, Node] = {}
-        self._tx_queues: Dict[str, Resource] = {}
+        # Per sender NIC: the time its transmit queue drains.
+        self._tx_free: Dict[str, float] = {}
         self._partitions: Set[Tuple[str, str]] = set()
         # Nodes whose NIC is administratively silenced (PauseServer): the
         # process is alive but no packet leaves or reaches the machine —
@@ -62,7 +70,7 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
         if node.name in self._nodes:
             raise ValueError(f"node {node.name!r} already attached")
         self._nodes[node.name] = node
-        self._tx_queues[node.name] = Resource(self.sim, 1, name=f"{node.name}:tx")
+        self._tx_free[node.name] = self.sim.now
 
     def node(self, name: str) -> Node:
         """Look an attached machine up by name."""
@@ -178,22 +186,21 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
         if (src.name, dst.name) in self._partitions:
             raise NetworkPartitioned(f"{src.name} cannot reach {dst.name}")
 
+        sim = self.sim
         nic = src.spec.nic
-        tx = self._tx_queues[src.name]
-        req = tx.request()
+        tx_free = self._tx_free
+        start = max(sim.now, tx_free[src.name])
+        done = start + nbytes / nic.bandwidth
+        tx_free[src.name] = done
         try:
-            yield req
+            yield sim.timeout_at(done + nic.one_way_latency)
         except BaseException:
-            if req.triggered and req.ok:
-                tx.release(req)
-            else:
-                tx.cancel(req)
+            # Interrupted before the last byte left: unless a later
+            # message already queued behind this one (it keeps its slot,
+            # see the module doc), the NIC gets the unsent time back.
+            if sim.now < done and tx_free[src.name] == done:
+                tx_free[src.name] = max(sim.now, start)
             raise
-        try:
-            yield self.sim.timeout(nbytes / nic.bandwidth)
-        finally:
-            tx.release(req)
-        yield self.sim.timeout(nic.one_way_latency)
         if dst.crashed:
             raise NodeUnreachable(f"{dst.name} is down")
         self.messages_delivered += 1

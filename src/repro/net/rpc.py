@@ -4,17 +4,23 @@ The caller transfers the request over the fabric, deposits it in the
 destination service's inbox, and waits on a per-request reply event.
 The service's dispatch thread drains the inbox (see
 :meth:`repro.ramcloud.server.RamCloudServer._dispatch_loop`), and
-whoever services the request triggers the reply.  Response network
-time is charged on the caller side after the reply fires, so the server
-worker is not occupied while response bytes serialize — matching
-RAMCloud, where the NIC drains the response asynchronously.
+whoever services the request triggers the reply.  The response's wire
+time (its bytes over the service NIC's bandwidth plus one latency) is
+computed by :meth:`RpcService.call` and charged by
+:meth:`RpcRequest.respond`, which triggers the reply at once but fires
+it that much later.  The server worker is therefore not occupied while
+response bytes serialize — matching RAMCloud, where the NIC drains the
+response asynchronously — and the caller waits on a single event after
+delivery.  A failed request fails at once: no response bytes travel.
 
 Crash semantics: delivery to a crashed node raises
 :class:`~repro.net.fabric.NodeUnreachable`; requests already queued at a
 node that crashes are failed by the service's crash handler; a caller
 may additionally bound the wait with ``timeout``.  That deadline is a
-plain timer the caller cancels when the reply wins; if it fires first,
-it fails the reply with :class:`RpcTimeout`.
+plain timer the caller cancels when the reply wins; if it fires before
+the service responds, it fails the reply with :class:`RpcTimeout`.  A
+deadline that fires while the response is in flight finds the reply
+already triggered and does nothing.
 """
 
 from __future__ import annotations
@@ -38,32 +44,41 @@ class RpcTimeout(RpcError):
 
 
 class RpcRequest:
-    """One in-flight RPC as seen by the receiving service."""
+    """One in-flight RPC as seen by the receiving service.
 
-    __slots__ = ("op", "args", "size_bytes", "response_bytes", "reply",
+    ``response_delay`` is the response's wire time in seconds (0 for a
+    request no caller waits across the network for).
+    """
+
+    __slots__ = ("op", "args", "size_bytes", "response_delay", "reply",
                  "src", "issued_at")
 
     def __init__(self, sim: Simulator, op: str, args: Any, size_bytes: int,
-                 response_bytes: int, src: Node):
+                 response_delay: float, src: Node):
         self.op = op
         self.args = args
         self.size_bytes = size_bytes
-        self.response_bytes = response_bytes
+        self.response_delay = response_delay
         self.reply: Event = Event(sim)
         self.src = src
         self.issued_at = sim.now
 
     def respond(self, value: Any = None) -> None:
-        """Complete the RPC successfully with ``value``.
+        """Complete the RPC successfully with ``value``; the caller
+        resumes once the response has crossed the wire
+        (``response_delay`` from now).
 
         At-most-one reply: a request whose caller already gave up on it
         (timeout, give-up interrupt) has a triggered reply, and a late
         server answer is silently discarded — exactly what a network
-        stack does with a response to a closed connection.
+        stack does with a response to a closed connection.  Likewise a
+        deadline that expires while the response is in flight finds the
+        reply settled and does nothing.
         """
-        if self.reply.triggered:
+        reply = self.reply
+        if reply.triggered:
             return
-        self.reply.succeed(value)
+        reply.succeed_at(reply.sim.now + self.response_delay, value)
 
     def fail(self, exc: BaseException) -> None:
         """Complete the RPC with an error raised at the caller (no-op
@@ -155,19 +170,16 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
             yield sim.timeout(timeout)
             raise RpcTimeout(
                 f"{op} to {self.name} timed out after {timeout}s ({why})")
-        request = RpcRequest(sim, op, args, size_bytes, response_bytes, src)
+        nic = self.node.spec.nic
+        request = RpcRequest(sim, op, args, size_bytes,
+                             response_bytes / nic.bandwidth
+                             + nic.one_way_latency, src)
         self.deliver(request)
         if timeout is None:
-            value = yield request.reply
-        else:
-            deadline = sim.timeout(timeout, request)
-            deadline.add_callback(self._expire)
-            try:
-                value = yield request.reply
-            finally:
-                deadline.cancel()
-        # Response network time, charged caller-side (see module doc).
-        nic = self.node.spec.nic
-        yield sim.timeout(request.response_bytes / nic.bandwidth
-                          + nic.one_way_latency)
-        return value
+            return (yield request.reply)
+        deadline = sim.timeout(timeout, request)
+        deadline.add_callback(self._expire)
+        try:
+            return (yield request.reply)
+        finally:
+            deadline.cancel()

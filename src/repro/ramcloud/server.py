@@ -676,20 +676,26 @@ class RamCloudServer(RpcService):
         empty inbox sends the thread through :meth:`_dispatch_idle_wait`
         — bounded busy-polling, then an interrupt-style block that
         releases the pinned core's busy accounting — before the normal
-        handoff.  In the default "poll" mode the code path below is
-        event-for-event identical to the original busy-poll loop.
+        handoff.
+
+        The handoff cost runs on the dispatch core (already pinned, so
+        it is pure latency/serialization, not extra utilization) from
+        the moment a request is taken.  In "poll" mode that is one
+        delayed get; adaptive mode keeps a plain get and a timer,
+        because its idle wait watches the get.
         """
         sim = self.sim
         inbox = self.inbox
         cost = self.cost
         while True:
-            get = inbox.get()
-            if not get.triggered and self.dispatch_mode == "adaptive":
-                yield from self._dispatch_idle_wait(get)
-            request = yield get
-            # Handoff cost on the dispatch core (already pinned, so this
-            # is pure latency/serialization, not extra utilization).
-            yield sim.timeout(cost.dispatch_per_request)
+            if self.dispatch_mode == "adaptive":
+                get = inbox.get()
+                if not get.triggered:
+                    yield from self._dispatch_idle_wait(get)
+                request = yield get
+                yield sim.timeout(cost.dispatch_per_request)
+            else:
+                request = yield inbox.get(cost.dispatch_per_request)
             if request.op == "_rx":
                 yield sim.timeout(request.args)
                 request.respond(None)
@@ -786,7 +792,7 @@ class RamCloudServer(RpcService):
         """Pass ``nbytes`` of received bulk data through the dispatch
         thread (see :meth:`_dispatch_loop`)."""
         rx = RpcRequest(self.sim, "_rx", self.cost.dispatch_rx_per_byte
-                        * nbytes, 0, 0, self.node)
+                        * nbytes, 0, 0.0, self.node)
         self.inbox.put(rx)
         yield rx.reply
 

@@ -116,6 +116,29 @@ class Event:
         heappush(sim._heap, (sim.now, seq, self))
         return self
 
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Trigger successfully now; waiters resume at the absolute time
+        ``when`` (``>= now``).
+
+        The event is triggered at once — a second trigger raises, and a
+        deadline that checks :attr:`triggered` sees the outcome as
+        settled — but fires at ``when``.  This folds a zero-delay hop and
+        the fixed timer its waiter would start into one event.  The time
+        is absolute because ``now + (when - now)`` need not equal
+        ``when`` in floats.
+        """
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} already triggered")
+        sim = self.sim
+        if when < sim.now:
+            raise ValueError(f"succeed_at({when}) is in the past (now={sim.now})")
+        self._ok = True
+        self._value = value
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._heap, (when, seq, self))
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger with an error; ``exception`` is thrown into waiters."""
         if self._ok is not None:
@@ -472,6 +495,11 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that fires at the absolute time ``when`` (see
+        :meth:`Event.succeed_at`)."""
+        return Event(self).succeed_at(when, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a simulated process."""

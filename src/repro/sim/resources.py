@@ -108,6 +108,27 @@ class Resource:
             self._enqueue(req)
         return req
 
+    def claim(self) -> Optional[Request]:
+        """Take a free slot synchronously, or return None when every slot
+        is held (then :meth:`request` queues).
+
+        The returned request already holds its slot and schedules no
+        grant event; it counts as processed, so nothing waits on it.
+        Release it with :meth:`release` as usual.
+        """
+        if len(self._users) >= self.capacity:
+            return None
+        req = Request(self)
+        self.total_requests += 1
+        req._ok = True
+        req._value = req
+        req.callbacks = None
+        self._users.append(req)
+        sanitizer = self.sim._sanitizer
+        if sanitizer is not None:
+            sanitizer.races.lock_granted(req)
+        return req
+
     def _enqueue(self, req: Request) -> None:
         self._queue.append(req)
 
@@ -254,7 +275,8 @@ class Store:
         self.name = name
         self.lifo_getters = lifo_getters
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        # Waiting getters as (event, delay) pairs; see get().
+        self._getters: Deque[Tuple[Event, float]] = deque()
         self.max_occupancy = 0
 
     def __len__(self) -> int:
@@ -264,23 +286,25 @@ class Store:
         """Deposit an item; wakes a waiting getter, if any."""
         while self._getters:
             if self.lifo_getters:
-                getter = self._getters.pop()
+                getter, delay = self._getters.pop()
             else:
-                getter = self._getters.popleft()
+                getter, delay = self._getters.popleft()
             if not getter.triggered:
-                getter.succeed(item)
+                getter.succeed_at(self.sim.now + delay, item)
                 return
         self._items.append(item)
         if len(self._items) > self.max_occupancy:
             self.max_occupancy = len(self._items)
 
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
+    def get(self, delay: float = 0.0) -> Event:
+        """Return an event that fires with the next item, ``delay``
+        seconds after the item is taken — one event for "take the item,
+        then spend a fixed time on it"."""
         ev = Event(self.sim)
         if self._items:
-            ev.succeed(self._items.popleft())
+            ev.succeed_at(self.sim.now + delay, self._items.popleft())
         else:
-            self._getters.append(ev)
+            self._getters.append((ev, delay))
         return ev
 
     def drain(self) -> List[Any]:

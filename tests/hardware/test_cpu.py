@@ -35,6 +35,43 @@ class TestExecution:
         finish_times = sorted(t for _, t in done)
         assert finish_times == [1.0, 1.0, 2.0, 2.0]
 
+    def test_free_core_execute_is_one_event(self):
+        sim = Simulator()
+        cpu = Cpu(sim, cores=2)
+        events = []
+
+        def task():
+            before = sim._seq
+            yield from cpu.execute(0.5)
+            events.append(sim._seq - before)
+
+        sim.process(task())
+        sim.run()
+        assert events == [1]
+        assert sim.now == 0.5
+
+    def test_contended_execute_queues_for_a_core(self):
+        sim = Simulator()
+        cpu = Cpu(sim, cores=1)
+        log = []
+
+        def task(tag):
+            start = sim.now
+            yield from cpu.execute(1.0)
+            log.append((tag, start, sim.now))
+
+        def probe():
+            yield sim.timeout(0.5)
+            log.append(("queued", cpu.run_queue_length, cpu.busy_cores))
+
+        for tag in "abc":
+            sim.process(task(tag))
+        sim.process(probe())
+        sim.run()
+        assert log == [("queued", 2, 1.0), ("a", 0.0, 1.0),
+                       ("b", 0.0, 2.0), ("c", 0.0, 3.0)]
+        assert cpu.busy_core_seconds() == 3.0
+
     def test_negative_time_rejected(self):
         sim = Simulator()
         cpu = Cpu(sim, cores=1)

@@ -83,17 +83,27 @@ class TestTransferEdges:
         assert done and done[0] < 0.3
 
     def test_interrupt_while_queued_withdraws_cleanly(self):
+        """A message killed while queued is never delivered, and the
+        NIC's next message goes out right after the one ahead of it."""
         sim, fabric, a, b = setup_pair()
-        big = int(a.spec.nic.bandwidth)
+        nic = a.spec.nic
+        big = int(nic.bandwidth)  # ~1 s of serialization
+        done = []
 
         def hog():
             yield from fabric.transfer(a, b, big)
+            done.append(("hog", sim.now))
 
         def victim_sender():
             try:
                 yield from fabric.transfer(a, b, big)
             except Interrupt:
-                pass
+                done.append(("victim", "interrupted"))
+
+        def late_sender():
+            yield sim.timeout(0.2)
+            yield from fabric.transfer(a, b, 1024)
+            done.append(("late", sim.now))
 
         sim.process(hog())
         victim = sim.process(victim_sender())
@@ -103,9 +113,46 @@ class TestTransferEdges:
             victim.interrupt("die")
 
         sim.process(killer())
+        sim.process(late_sender())
         sim.run()
-        assert fabric._tx_queues["a"].count == 0
-        assert fabric._tx_queues["a"].queue_length == 0
+        hog_sent = big / nic.bandwidth
+        assert done == [
+            ("victim", "interrupted"),
+            ("hog", hog_sent + nic.one_way_latency),
+            ("late", hog_sent + 1024 / nic.bandwidth + nic.one_way_latency)]
+        assert fabric.messages_delivered == 2
+        assert fabric.bytes_delivered == big + 1024
+
+    def test_message_queued_behind_an_interrupted_one_keeps_its_slot(self):
+        """The documented narrowing of the virtual-clock NIC: only the
+        queue's tail hands unsent time back.  A message already queued
+        behind an interrupted one starts where it was scheduled to."""
+        sim, fabric, a, b = setup_pair()
+        nic = a.spec.nic
+        big = int(nic.bandwidth)
+        done = []
+
+        def sender(tag, nbytes):
+            try:
+                yield from fabric.transfer(a, b, nbytes)
+            except Interrupt:
+                return
+            done.append((tag, sim.now))
+
+        sim.process(sender("hog", big))
+        victim = sim.process(sender("victim", big))
+        sim.process(sender("behind", 1024))
+
+        def killer():
+            yield sim.timeout(0.1)
+            victim.interrupt("die")
+
+        sim.process(killer())
+        sim.run()
+        slot = big / nic.bandwidth + big / nic.bandwidth
+        assert done == [
+            ("hog", big / nic.bandwidth + nic.one_way_latency),
+            ("behind", slot + 1024 / nic.bandwidth + nic.one_way_latency)]
 
     def test_transfer_counters_not_bumped_on_failure(self):
         sim, fabric, a, b = setup_pair()

@@ -48,6 +48,38 @@ class TestFabric:
         sim.run()
         assert done[1] >= 2 * (done[0] - a.spec.nic.one_way_latency) * 0.99
 
+    def test_back_to_back_transfers_arrive_in_fifo_slots(self):
+        # Each message starts when the one ahead of it has left the NIC
+        # and arrives one latency after its own last byte — as floats,
+        # computed by hand — and each transfer is one kernel event.
+        sim, fabric, a, b = setup_pair()
+        nic = a.spec.nic
+        sizes = [3 * KB, 1 * KB, 0, 7 * KB]
+        done = []
+
+        def sender(tag, nbytes):
+            yield from fabric.transfer(a, b, nbytes)
+            done.append((tag, sim.now))
+
+        def burst():
+            yield sim.timeout(0.3)
+            for tag, nbytes in enumerate(sizes):
+                sim.process(sender(tag, nbytes))
+
+        sim.process(burst())
+        before = sim._seq
+        sim.run()
+        expected = []
+        start = 0.3
+        for tag, nbytes in enumerate(sizes):
+            sent = start + nbytes / nic.bandwidth
+            expected.append((tag, sent + nic.one_way_latency))
+            start = sent
+        assert done == expected
+        # Per sender: bootstrap, one transfer timer, exit; plus the
+        # burst's timer and exit.
+        assert sim._seq - before == 3 * len(sizes) + 2
+
     def test_delivery_to_crashed_node_fails_after_latency(self):
         sim, fabric, a, b = setup_pair()
         b.crash()
@@ -139,6 +171,49 @@ class TestRpc:
         assert got[0][0] == ("echo", 42)
         # Round trip: two transfers + latency each way.
         assert got[0][1] > 2 * a.spec.nic.one_way_latency
+
+    def test_idle_fabric_call_is_three_events(self):
+        # Request transfer, inbox hand-off, reply: the reply fires once
+        # the response has crossed the wire, which is charged exactly
+        # once.
+        sim, fabric, a, b = setup_pair()
+        service = EchoService(sim, fabric, b)
+        got = []
+
+        def caller():
+            yield sim.timeout(0.3)
+            before = sim._seq
+            result = yield from service.call(a, "ping", args=1,
+                                             size_bytes=3 * KB,
+                                             response_bytes=5 * KB)
+            got.append((result, sim.now, sim._seq - before))
+
+        sim.process(caller())
+        sim.run(until=1.0)
+        out, back = a.spec.nic, b.spec.nic
+        arrived = 0.3 + 3 * KB / out.bandwidth + out.one_way_latency
+        answered = arrived + (5 * KB / back.bandwidth + back.one_way_latency)
+        assert got == [(("echo", 1), answered, 3)]
+
+    def test_deadline_during_response_flight_is_not_a_timeout(self):
+        # The service answers long before the deadline, but the ~1 s
+        # response is still on the wire when it expires.
+        sim, fabric, a, b = setup_pair()
+        service = EchoService(sim, fabric, b)
+        nic = b.spec.nic
+        got = []
+
+        def caller():
+            result = yield from service.call(
+                a, "ping", args=7, response_bytes=int(nic.bandwidth),
+                timeout=0.5)
+            got.append((result, sim.now))
+
+        sim.process(caller())
+        sim.run(until=5.0)
+        assert len(got) == 1
+        assert got[0][0] == ("echo", 7)
+        assert got[0][1] > 1.0
 
     def test_service_exception_propagates_to_caller(self):
         sim, fabric, a, b = setup_pair()

@@ -267,6 +267,38 @@ class TestThreadingModel:
 
         assert run_client_script(cluster3, script()) == "rejected"
 
+    @pytest.mark.parametrize("mode", ["poll", "adaptive"])
+    def test_dispatch_handoff_timing(self, cluster3, mode):
+        # A ping is answered by the dispatch thread itself: request
+        # transfer, [wake from the adaptive nap,] handoff, ping service,
+        # response flight — the same float sums in either mode.
+        server = cluster3.servers[0]
+        node = cluster3.client_nodes[0]
+        sim = cluster3.sim
+        server.set_power_mode(dispatch_mode=mode)
+
+        def ping():
+            start = sim.now
+            yield from server.call(node, "ping", size_bytes=64,
+                                   response_bytes=64)
+            return start, sim.now
+
+        def script():
+            yield from ping()  # the loop picks up the new mode
+            yield sim.timeout(0.01)  # idle: an adaptive thread naps
+            return (yield from ping())
+
+        start, end = run_client_script(cluster3, script())
+        out, back = node.spec.nic, server.node.spec.nic
+        cost, config = server.cost, server.config
+        handed = start + 64 / out.bandwidth + out.one_way_latency
+        if mode == "adaptive":
+            handed += config.dispatch_wake_latency
+        handed += cost.dispatch_per_request
+        answered = handed + cost.ping_service
+        assert end == answered + (64 / back.bandwidth + back.one_way_latency)
+        assert server.dispatch_sleeps == (1 if mode == "adaptive" else 0)
+
 
 class TestBulkLoad:
     def test_bulk_load_matches_tablet_routing(self, cluster3):

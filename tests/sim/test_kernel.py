@@ -529,6 +529,57 @@ def test_heap_rebuild_keeps_pop_order():
     assert survivors == [entry for entry in reference if entry[0] in kept]
 
 
+# -- events that fire at an absolute time -----------------------------------
+
+
+def test_timeout_at_fires_at_exactly_when():
+    # At now = 0.3, a relative delay of 0.9 - 0.3 lands on
+    # 0.9000000000000001; the absolute time lands on 0.9.
+    sim = Simulator()
+    seen = []
+
+    def body():
+        yield sim.timeout(0.3)
+        assert sim.now + (0.9 - sim.now) != 0.9
+        value = yield sim.timeout_at(0.9, "v")
+        seen.append((value, sim.now))
+
+    sim.process(body())
+    sim.run()
+    assert seen == [("v", 0.9)]
+
+
+def test_timeout_at_is_one_event():
+    sim = Simulator()
+    before = sim._seq
+    sim.timeout_at(2.0)
+    assert sim._seq - before == 1
+    sim.run()
+    assert sim.now == 2.0
+
+
+def test_succeed_at_triggers_now_and_fires_later():
+    sim = Simulator()
+    event = sim.event()
+    fired = []
+    event.add_callback(lambda ev: fired.append(sim.now))
+    event.succeed_at(3.0, "late")
+    assert event.triggered and not event.processed
+    assert event.value == "late"
+    with pytest.raises(SimulationError):
+        event.fail(RuntimeError("too late"))
+    sim.run()
+    assert fired == [3.0]
+
+
+def test_succeed_at_rejects_the_past():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(ValueError, match="in the past"):
+        sim.event().succeed_at(0.5)
+
+
 def test_active_process_names_the_running_process():
     sim = Simulator()
     seen = []

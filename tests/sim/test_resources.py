@@ -86,6 +86,20 @@ class TestResource:
         acquired = {t: when for kind, t, when in log if kind == "acquired"}
         assert acquired == {"a": 0.0, "b": 1.0}
 
+    def test_claim_takes_a_free_slot_without_an_event(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        before = sim._seq
+        held = res.claim()
+        assert sim._seq == before
+        assert held.triggered and held.processed
+        assert res.count == 1 and res.total_requests == 1
+        assert res.claim() is None  # full: the caller must queue
+        waiter = res.request()
+        assert not waiter.triggered
+        res.release(held)
+        assert waiter.triggered
+
     def test_resize_shrink_does_not_revoke(self):
         sim = Simulator()
         res = Resource(sim, capacity=2)
@@ -240,6 +254,53 @@ class TestStore:
         sim.process(putter())
         sim.run()
         assert got == [("g1", "first"), ("g2", "second")]
+
+    @pytest.mark.parametrize("lifo", [False, True])
+    def test_delayed_getters_fire_after_their_item_is_taken(self, lifo):
+        # Waiting getters are served in FIFO (or LIFO) order, and each
+        # fires its own delay after the put that fed it — one event per
+        # get.
+        sim = Simulator()
+        store = Store(sim, lifo_getters=lifo)
+        got = []
+
+        def getter(tag, delay):
+            item = yield store.get(delay)
+            got.append((tag, item, sim.now))
+
+        sim.process(getter("g1", 0.25))
+        sim.process(getter("g2", 0.5))
+
+        def putter():
+            for delay, item in ((0.3, "first"), (0.3, "second")):
+                yield sim.timeout(delay)
+                before = sim._seq
+                store.put(item)
+                assert sim._seq - before == 1
+
+        sim.process(putter())
+        sim.run()
+        if lifo:
+            assert got == [("g2", "first", 0.3 + 0.5),
+                           ("g1", "second", 0.6 + 0.25)]
+        else:
+            assert got == [("g1", "first", 0.3 + 0.25),
+                           ("g2", "second", 0.6 + 0.5)]
+
+    def test_delayed_get_of_a_queued_item(self):
+        sim = Simulator()
+        store = Store(sim)
+        store.put("x")
+        got = []
+
+        def getter():
+            yield sim.timeout(0.3)
+            item = yield store.get(0.6)
+            got.append((item, sim.now))
+
+        sim.process(getter())
+        sim.run()
+        assert got == [("x", 0.3 + 0.6)]
 
     def test_drain(self):
         sim = Simulator()
