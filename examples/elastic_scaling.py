@@ -33,9 +33,7 @@ def run_load(cluster, table_id, tag):
                                   RandomStream(3, f"{tag}{i}")))
     procs = [cluster.sim.process(c.run(), name=f"{tag}{i}")
              for i, c in enumerate(clients)]
-    done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
+    cluster.sim.run_process(cluster.sim.all_of(procs))
     total = sum(c.stats.total_ops for c in clients)
     makespan = (max(c.stats.finished_at for c in clients)
                 - min(c.stats.started_at for c in clients))
@@ -78,10 +76,9 @@ def main():
                 server_id)
         return moved
 
-    proc = cluster.sim.process(orchestrate(), name="autoscaler")
-    while proc.is_alive:
-        cluster.sim.step()
-    print(f"  migrated {proc.value} tablet shards live "
+    moved = cluster.sim.run_process(
+        cluster.sim.process(orchestrate(), name="autoscaler"))
+    print(f"  migrated {moved} tablet shards live "
           f"(no recovery, no data loss) by t={cluster.sim.now:.2f} s")
 
     after_thr = run_load(cluster, table_id, "post")

@@ -61,9 +61,7 @@ def main():
     start_busy = [n.cpu.busy_core_seconds() for n in cluster.server_nodes]
     procs = [cluster.sim.process(f.run(), name=f"frontend{i}")
              for i, f in enumerate(frontends)]
-    done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
+    cluster.sim.run_process(cluster.sim.all_of(procs))
     cluster.stop_metering()
     window = cluster.sim.now - start
 

@@ -185,11 +185,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
              for i, c in enumerate(clients)]
-    done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
-    if not done.ok:
-        raise done.value
+    cluster.sim.run_process(cluster.sim.all_of(procs))
     end = cluster.sim.now
     cluster.stop_metering()
 

@@ -192,11 +192,7 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
     close = _metered_window(cluster, pdu_interval)
     procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
              for i, c in enumerate(ycsb)]
-    done = cluster.sim.all_of(procs)
-    while not done.triggered:
-        cluster.sim.step()
-    if not done.ok:
-        raise done.value
+    cluster.sim.run_process(cluster.sim.all_of(procs))
     makespan, energy, cpu = close()
 
     total_ops = sum(c.stats.total_ops for c in ycsb)

@@ -246,9 +246,7 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
                               RandomStream(3, f"{tag}{i}"))
                    for i, rc in enumerate(cluster.clients)]
         procs = [cluster.sim.process(c.run()) for c in clients]
-        done = cluster.sim.all_of(procs)
-        while not done.triggered:
-            cluster.sim.step()
+        cluster.sim.run_process(cluster.sim.all_of(procs))
         total = sum(c.stats.total_ops for c in clients)
         span = (max(c.stats.finished_at for c in clients)
                 - min(c.stats.started_at for c in clients))
@@ -269,9 +267,7 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
         for i in range(keep, servers):
             yield from cluster.coordinator.decommission_server(f"server{i}")
 
-    proc = cluster.sim.process(orchestrate())
-    while proc.is_alive:
-        cluster.sim.step()
+    cluster.sim.run_process(cluster.sim.process(orchestrate()))
     after_thr = run_load("post")
     after_watts = fleet_watts()
 

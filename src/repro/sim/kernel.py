@@ -559,21 +559,23 @@ class Simulator:
             self.step()
         self.now = until
 
-    def run_process(self, process: Process, until: Optional[float] = None) -> Any:
-        """Run until ``process`` finishes; return its value or raise its error."""
-        while process.is_alive:
+    def run_process(self, event: Event, until: Optional[float] = None) -> Any:
+        """Run until ``event`` triggers — a process finishing, or any
+        other event such as an :meth:`all_of` over client processes —
+        and return its value or raise its error.  (A timer is triggered
+        from birth, so waiting on one returns at once.)"""
+        name = getattr(event, "name", type(event).__name__)
+        while not event.triggered:
             if until is not None and self.peek() > until:
-                raise SimulationError(
-                    f"process {process.name!r} did not finish by t={until}"
-                )
+                raise SimulationError(f"{name!r} did not finish by t={until}")
             if not self._heap:
-                message = (f"deadlock: process {process.name!r} alive "
+                message = (f"deadlock: {name!r} pending "
                            f"with empty schedule")
                 if self._sanitizer is not None:
                     message += ("\nwait-for graph:\n"
                                 + self._sanitizer.wait_graph())
                 raise SimulationError(message)
             self.step()
-        if not process.ok:
-            raise process.value
-        return process.value
+        if not event.ok:
+            raise event.value
+        return event.value

@@ -66,10 +66,7 @@ class TestWorkloadDuringCrash:
             cluster.kill_server(1)
 
         cluster.sim.process(killer(), name="killer")
-        done = cluster.sim.all_of(procs)
-        while not done.triggered:
-            cluster.sim.step()
-        assert done.ok
+        cluster.sim.run_process(cluster.sim.all_of(procs))
         assert all(c.stats.total_ops == 800 for c in clients)
         # The recovery actually happened during the run.
         assert cluster.coordinator.recoveries

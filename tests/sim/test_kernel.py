@@ -419,6 +419,33 @@ def test_run_process_detects_deadlock():
         sim.run_process(proc)
 
 
+def test_run_process_accepts_any_event():
+    sim = Simulator()
+
+    def child(delay):
+        yield sim.timeout(delay)
+        return delay
+
+    both = sim.all_of([sim.process(child(1.0)), sim.process(child(2.0))])
+    assert sim.run_process(both).values() == [1.0, 2.0]
+    assert sim.now == 2.0
+
+
+def test_run_process_raises_a_failed_condition():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        raise KeyError("client died")
+
+    def survivor():
+        yield sim.timeout(5.0)
+
+    both = sim.all_of([sim.process(child()), sim.process(survivor())])
+    with pytest.raises(KeyError, match="client died"):
+        sim.run_process(both)
+
+
 def test_step_on_empty_schedule_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
