@@ -39,6 +39,7 @@ import hashlib
 import os
 import warnings
 import weakref
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -287,7 +288,7 @@ class Sanitizer:
         """A dump of every live process and what it waits on."""
         lines = []
         alive = sorted((p for p in self._processes if p.is_alive),
-                       key=lambda p: p.name)
+                       key=attrgetter("name"))
         for proc in alive:
             lines.append(f"  {proc.name!r} waits on "
                          f"{describe_event(proc._waiting_on)}")

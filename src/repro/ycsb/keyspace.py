@@ -38,6 +38,8 @@ def format_key(index: int) -> str:
 class UniformKeyChooser:
     """Every record equally likely (the paper's setting)."""
 
+    __slots__ = ("num_records", "_stream")
+
     def __init__(self, num_records: int, stream: RandomStream):
         if num_records < 1:
             raise ValueError("need at least one record")
