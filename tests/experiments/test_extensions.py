@@ -10,7 +10,7 @@ from tests.experiments.test_runners_smoke import TINY
 def test_elastic_sizing_fails_when_a_load_client_fails(monkeypatch):
     # One of the load clients dies after its last op.  The throughput
     # the extension reports covers every client, so the failure must
-    # surface instead of being dropped by the driver loop.
+    # surface instead of being dropped by the loop that runs the clients.
     run = YcsbClient.run
     started = []
 
