@@ -154,6 +154,26 @@ def describe_event(event: "Event") -> str:
     return type(event).__name__
 
 
+def _waiters(event: "Event") -> List[str]:
+    """Names of the callbacks that would still act on ``event``: live
+    processes waiting on it, untriggered conditions with such a waiter
+    of their own, and plain objects' bound methods."""
+    from repro.sim.kernel import Event, Process
+
+    waiters = []
+    for cb in event.callbacks or ():
+        owner = getattr(cb, "__self__", None)
+        if isinstance(owner, Process):
+            if owner.is_alive and owner._waiting_on is event:
+                waiters.append(owner.name)
+        elif isinstance(owner, Event):
+            if not owner.triggered and _waiters(owner):
+                waiters.append(type(owner).__name__)
+        elif owner is not None:
+            waiters.append(type(owner).__name__)
+    return waiters
+
+
 class Sanitizer:
     """The debug-mode bookkeeping attached to one :class:`Simulator`.
 
@@ -205,26 +225,16 @@ class Sanitizer:
         *with* waiters is a process frozen forever.  Stale callbacks are
         not waiters: a dead process (or a live one since detached onto a
         different event, e.g. by an interrupt) will never resume from
-        here, and a condition (``AnyOf``) that already triggered will
-        never consume this constituent.
+        here.  A condition (``AnyOf``, a spin wait) waits on this event
+        only for whoever waits on the condition: it counts, under its
+        own type name, only while it is untriggered and a live process
+        waits on it, directly or through further conditions.
         """
-        from repro.sim.kernel import Event, Process
-
         leaks = []
         for event in self._events:
             if event.triggered or not event.callbacks:
                 continue
-            waiters = []
-            for cb in event.callbacks:
-                owner = getattr(cb, "__self__", None)
-                if isinstance(owner, Process):
-                    if owner.is_alive and owner._waiting_on is event:
-                        waiters.append(owner.name)
-                elif isinstance(owner, Event):
-                    if not owner.triggered:
-                        waiters.append(type(owner).__name__)
-                elif owner is not None:
-                    waiters.append(type(owner).__name__)
+            waiters = _waiters(event)
             if waiters:
                 leaks.append((event, sorted(waiters)))
         leaks.sort(key=lambda pair: pair[1])  # simlint: disable=PERF002 teardown-only report ordering

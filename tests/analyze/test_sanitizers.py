@@ -42,6 +42,36 @@ class TestEventLeak:
             warnings.simplefilter("error", SanitizerWarning)
             sim.run()
 
+    def test_condition_whose_only_waiter_was_killed_is_not_a_leak(self):
+        # The orphan's one callback belongs to an AnyOf nobody can
+        # consume any more: its waiter died by interrupt.
+        sim = Simulator(debug=True)
+        orphan = sim.event()
+        victim = sim.process(wait_on(sim.any_of([orphan])), name="victim")
+
+        def killer():
+            yield sim.timeout(1.0)
+            victim.interrupt("killed")
+
+        sim.process(killer(), name="killer")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SanitizerWarning)
+            sim.run()
+        assert not victim.is_alive
+
+    def test_condition_with_a_live_waiter_still_leaks(self):
+        sim = Simulator(debug=True)
+        orphan = sim.event()
+        sim.process(wait_on(sim.any_of([sim.any_of([orphan])])),
+                    name="frozen")
+        with pytest.warns(SanitizerWarning, match="event leak") as caught:
+            sim.run()
+        # The orphan is awaited through one AnyOf, that one through the
+        # next, and that one by the frozen process.
+        message = str(caught[0].message)
+        assert "Event awaited by 'AnyOf'" in message
+        assert "AnyOf awaited by 'frozen'" in message
+
     def test_triggered_events_are_not_leaks(self):
         sim = Simulator(debug=True)
         ev = sim.event()
