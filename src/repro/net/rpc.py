@@ -76,14 +76,14 @@ class RpcRequest:
         reply settled and does nothing.
         """
         reply = self.reply
-        if reply.triggered:
+        if reply._ok is not None:  # already triggered
             return
         reply.succeed_at(reply.sim.now + self.response_delay, value)
 
     def fail(self, exc: BaseException) -> None:
         """Complete the RPC with an error raised at the caller (no-op
         if the reply was already triggered, see :meth:`respond`)."""
-        if self.reply.triggered:
+        if self.reply._ok is not None:
             return
         self.reply.fail(exc)
 

@@ -257,10 +257,10 @@ class AllOf(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
             return
         self._pending -= 1
         if self._pending == 0:
@@ -281,12 +281,12 @@ class AnyOf(Event):
             ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
-        if ev.ok:
+        if ev._ok:
             self.succeed(_ConditionValue(self._events))
         else:
-            self.fail(ev.value)
+            self.fail(ev._value)
 
 
 class Process(Event):
@@ -299,7 +299,8 @@ class Process(Event):
     :meth:`Simulator.run` so bugs never pass silently.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_interrupts")
+    __slots__ = ("generator", "name", "_waiting_on", "_interrupts",
+                 "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -307,6 +308,9 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
         self._interrupts: List[Interrupt] = []
+        # _resume bound once: every wait registers this same callback
+        # instead of allocating a fresh bound method.
+        self._resume_cb = self._resume
         if sim._sanitizer is not None:
             sim._sanitizer.register_process(self)
         # Kick off at the current instant (an already-succeeded bootstrap
@@ -314,7 +318,7 @@ class Process(Event):
         # succeed() detours).
         bootstrap = Event(sim)
         bootstrap._ok = True
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resume_cb)
         seq = sim._seq + 1
         sim._seq = seq
         heappush(sim._heap, (sim.now, seq, bootstrap))
@@ -330,7 +334,7 @@ class Process(Event):
         Interrupting a dead process is a no-op, which makes crash
         injection idempotent.
         """
-        if not self.is_alive:
+        if self._ok is not None:
             return
         self._interrupts.append(Interrupt(cause))
         wakeup = Event(self.sim)
@@ -338,7 +342,7 @@ class Process(Event):
         wakeup.add_callback(self._deliver_interrupt)
 
     def _deliver_interrupt(self, _ev: Event) -> None:
-        if not self.is_alive or not self._interrupts:
+        if self._ok is not None or not self._interrupts:
             return
         interrupt = self._interrupts.pop(0)
         # Detach from whatever we were waiting on; the stale event may
@@ -347,15 +351,15 @@ class Process(Event):
         self._step(interrupt, throw=True)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
-            return
-        if self._waiting_on is not None and event is not self._waiting_on:
+        # Runs once per resumption, so it reads the slots behind
+        # is_alive / ok / value directly.
+        if self._ok is not None:
+            return  # the process already finished
+        waiting_on = self._waiting_on
+        if waiting_on is not None and event is not waiting_on:
             return  # stale wakeup from an event we were detached from
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            self._step(event.value, throw=True)
+        self._step(event._value, not event._ok)
 
     def _step(self, value: Any, throw: bool) -> None:
         # The single hottest function in the kernel: one call per process
@@ -395,11 +399,11 @@ class Process(Event):
             self.sim._crash(error)
             return
         self._waiting_on = target
-        # target.add_callback(self._resume), inlined:
+        # target.add_callback(self._resume_cb), inlined:
         if target.callbacks is None:
             self._resume(target)
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_cb)
 
     def _step_debug(self, value: Any, throw: bool) -> None:
         """The sanitizer-instrumented twin of :meth:`_step` (debug mode)."""
@@ -437,7 +441,7 @@ class Process(Event):
             self.sim._crash(error)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        target.add_callback(self._resume_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"

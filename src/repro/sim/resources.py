@@ -289,7 +289,7 @@ class Store:
                 getter, delay = self._getters.pop()
             else:
                 getter, delay = self._getters.popleft()
-            if not getter.triggered:
+            if getter._ok is None:
                 getter.succeed_at(self.sim.now + delay, item)
                 return
         self._items.append(item)
