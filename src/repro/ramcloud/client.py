@@ -97,13 +97,11 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         """Resolve (table, key) → (master service, span) from the cache."""
         if self._map is None:
             raise RuntimeError("call refresh_map() (or any op) first")
-        tablet = self._map.tablet_for_key(table_id, key)
-        table = self._map.tables_by_id[table_id]
-        server_id = tablet.owner_for_key(key, table.span)
+        server_id = self._map.owner_for_key(table_id, key)
         master = self.coordinator.lookup_server(server_id)
         if master is None:
             raise NodeUnreachable(f"unknown server {server_id}")
-        return master, table.span
+        return master, self._map.tables_by_id[table_id].span
 
     @property
     def _epoch(self) -> int:
@@ -342,8 +340,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
             # the tablet map, which can regroup every key.
             by_master = {}  # simlint: disable=PERF002 regrouped per retry after remap
             for key in keys:
-                tablet = self._map.tablet_for_key(table_id, key)
-                server_id = tablet.owner_for_key(key, table.span)
+                server_id = self._map.owner_for_key(table_id, key)
                 by_master.setdefault(server_id, []).append(key)
             calls = []
             for server_id, batch in by_master.items():
@@ -526,8 +523,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
             # Rebuilt per retry: a refresh can regroup every key.
             by_master = {}  # simlint: disable=PERF002 regrouped per retry after remap
             for secondary, primary in pairs:
-                tablet = self._map.tablet_for_key(desc.table_id, primary)
-                server_id = tablet.owner_for_key(primary, table.span)
+                server_id = self._map.owner_for_key(desc.table_id, primary)
                 by_master.setdefault(server_id, []).append(
                     (primary, desc.index_id, secondary))
             calls = []

@@ -86,13 +86,9 @@ class Tablet:
                 return s
         return TabletStatus.NORMAL
 
-    def shard_for_key(self, key: str, span: int) -> int:
-        """Which subshard of this tablet owns ``key``."""
-        return (key_hash(key) // span) % self.shard_count
-
-    def owner_for_key(self, key: str, span: int) -> str:
-        """Server id serving ``key``."""
-        return self.shards[self.shard_for_key(key, span)]
+    def shard_for_hash(self, h: int, span: int) -> int:
+        """Which subshard owns the key whose ``key_hash`` is ``h``."""
+        return (h // span) % len(self.shards)
 
     def clone(self) -> "Tablet":
         """An independent copy (for client snapshots)."""
@@ -256,8 +252,8 @@ class TabletMapSnapshot:
 
     ``indexes`` maps a hidden index table's id to its
     :class:`~repro.ramcloud.indexing.IndexDescriptor`; index tablets
-    (indexlets) route by key *range*, not hash, so clients must consult
-    it before ``tablet_for_key``.  Empty unless indexes exist."""
+    (indexlets) route by key *range*, not hash (see
+    :meth:`owner_for_key`).  Empty unless indexes exist."""
 
     epoch: int
     tables_by_name: Dict[str, Table]
@@ -267,15 +263,15 @@ class TabletMapSnapshot:
     live_servers: Tuple[str, ...] = ()
     indexes: Dict[int, object] = field(default_factory=dict)
 
-    def tablet_for_key(self, table_id: int, key: str) -> Tablet:
-        """Route a key to its tablet in this snapshot (range-based for
-        index tables, hash-based otherwise)."""
+    def owner_for_key(self, table_id: int, key: str) -> str:
+        """The server id serving ``key`` in this snapshot.  The tablet
+        is found by key range for index tables and by hash otherwise;
+        one ``key_hash`` serves both that and the subshard within it."""
         table = self.tables_by_id.get(table_id)
         if table is None:
             raise KeyError(f"no table id {table_id}")
-        if self.indexes:
-            desc = self.indexes.get(table_id)
-            if desc is not None:
-                return self.tablets[(table_id, desc.indexlet_for(key))]
-        index = key_hash(key) % table.span
-        return self.tablets[(table_id, index)]
+        h = key_hash(key)
+        desc = self.indexes.get(table_id) if self.indexes else None
+        index = h % table.span if desc is None else desc.indexlet_for(key)
+        tablet = self.tablets[(table_id, index)]
+        return tablet.shards[tablet.shard_for_hash(h, table.span)]

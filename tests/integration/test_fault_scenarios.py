@@ -446,8 +446,7 @@ class TestZombieFencing:
         # the zombie's stale claim is quarantined behind the fence.
         table_id, key = outcome["table_id"], outcome["key"]
         snapshot = coordinator.tablet_map.snapshot()
-        tablet = snapshot.tablet_for_key(table_id, key)
-        owner = tablet.owner_for_key(key, 4)
+        owner = snapshot.owner_for_key(table_id, key)
         assert owner != "server0"
         assert coordinator.is_live(owner)
 

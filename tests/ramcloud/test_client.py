@@ -4,7 +4,14 @@ import pytest
 
 from repro.net.fabric import NodeUnreachable
 from repro.net.rpc import RpcTimeout
+from repro.ramcloud import tablets
 from repro.ramcloud.errors import TableDoesntExist
+from repro.ramcloud.indexing import (
+    encode_entry_key,
+    secondary_key,
+    uniform_boundaries,
+)
+from repro.ramcloud.tablets import TabletStatus
 
 from tests.ramcloud.conftest import build_cluster, run_client_script
 
@@ -138,3 +145,79 @@ class TestRetries:
         rc = cluster3.clients[0]
         with pytest.raises(RuntimeError):
             rc._route(1, "k")
+
+
+class TestRouting:
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Keys passed to the routing hash (the server's own re-hash
+        binds ``key_hash`` in its module and is not counted)."""
+        keys = []
+        real = tablets.key_hash
+
+        def counting(key):
+            keys.append(key)
+            return real(key)
+
+        monkeypatch.setattr(tablets, "key_hash", counting)
+        return keys
+
+    def test_a_routed_op_hashes_its_key_once(self, cluster3, hashed):
+        table_id = cluster3.create_table("t")
+        rc = cluster3.clients[0]
+
+        def script():
+            yield from rc.refresh_map()
+            yield from rc.write(table_id, "user7", 64)
+            written = list(hashed)
+            del hashed[:]
+            yield from rc.read(table_id, "user7")
+            return written
+
+        assert run_client_script(cluster3, script()) == ["user7"]
+        assert hashed == ["user7"]
+
+    def test_multiread_hashes_each_key_once(self, cluster3, hashed):
+        table_id = cluster3.create_table("t")
+        cluster3.preload(table_id, 30, 64)
+        rc = cluster3.clients[0]
+        keys = [f"user{i}" for i in range(0, 30, 3)]
+
+        def script():
+            yield from rc.refresh_map()
+            del hashed[:]
+            found = yield from rc.multiread(table_id, keys)
+            return sorted(found)
+
+        assert run_client_script(cluster3, script()) == sorted(keys)
+        assert hashed == keys
+
+    def test_owner_matches_two_level_routing(self, cluster3):
+        # Split one data tablet and one indexlet into subshards: the
+        # one-hash owner is the tablet-then-subshard owner on
+        # hash-routed and range-routed tables alike.
+        table_id = cluster3.create_table("t")
+        desc = cluster3.create_index(table_id, "sec",
+                                     uniform_boundaries(40, 2))
+        tm = cluster3.coordinator.tablet_map
+        for routed in (table_id, desc.index_id):
+            tm.split_shard((routed, 0), 0, ["server0", "server1", "server2"],
+                           TabletStatus.NORMAL)
+        rc = cluster3.clients[0]
+        snapshot = run_client_script(cluster3, rc.refresh_map())
+        split = 0
+        for i in range(60):
+            for routed, key, index in (
+                    (table_id, f"user{i}", None),
+                    (desc.index_id,
+                     encode_entry_key(secondary_key(i % 40), f"user{i}"),
+                     desc.indexlet_for(secondary_key(i % 40)))):
+                span = snapshot.tables_by_id[routed].span
+                h = tablets.key_hash(key)
+                tablet = snapshot.tablets[
+                    (routed, h % span if index is None else index)]
+                shard = (h // span) % tablet.shard_count
+                assert (snapshot.owner_for_key(routed, key)
+                        == tablet.shards[shard])
+                split += tablet.shard_count > 1
+        assert split > 0

@@ -106,7 +106,7 @@ class TestSubshards:
         t = Tablet(1, 0, ["server0"])
         assert t.server_id == "server0"
         assert t.shard_count == 1
-        assert t.owner_for_key("anything", span=5) == "server0"
+        assert t.shard_for_hash(key_hash("anything"), span=5) == 0
 
     def test_split_tablet_has_no_single_owner(self):
         t = Tablet(1, 0, ["a", "b", "c"])
@@ -117,10 +117,8 @@ class TestSubshards:
         t = Tablet(1, 0, ["a", "b", "c"])
         span = 5
         for i in range(50):
-            key = f"user{i}"
-            shard = t.shard_for_key(key, span)
-            assert shard == (key_hash(key) // span) % 3
-            assert t.owner_for_key(key, span) == t.shards[shard]
+            h = key_hash(f"user{i}")
+            assert t.shard_for_hash(h, span) == (h // span) % 3
 
     def test_split_shard_in_map(self):
         tm = TabletMap()
@@ -162,5 +160,5 @@ class TestSubshards:
         """Property: every key maps to exactly one (tablet, shard)."""
         t = Tablet(1, 0, [f"s{i}" for i in range(shards)])
         for i in range(100):
-            shard = t.shard_for_key(f"user{i}", span)
+            shard = t.shard_for_hash(key_hash(f"user{i}"), span)
             assert 0 <= shard < shards
