@@ -12,6 +12,15 @@ behaviours matter for the reproduction:
   busy core count over time.  It is the only source of CPU time: the
   PDU power model, Table I and every controller difference two of its
   snapshots to get a window's utilization.
+* **Spin leases** — a busy-polling thread (:meth:`spin_begin`) counts
+  as busy until :meth:`spin_end`, or, when it holds a *lease*, until
+  the lease's absolute end time at the latest.  A worker's
+  spin-then-sleep window is such a lease (:meth:`spin_wait`): nothing
+  is scheduled for its end.  The CPU settles every lease that ran out
+  before it next changes or reports its busy count, at the lease's own
+  end time and with the arithmetic a ``spin_end()`` there would have
+  done, so busy seconds and watts are exactly those of an explicit end.
+  An awaited event that arrives first ends the lease early.
 
 Two power-management extensions (opt-in, see docs/POWER.md):
 
@@ -32,12 +41,76 @@ Two power-management extensions (opt-in, see docs/POWER.md):
 
 from __future__ import annotations
 
-from typing import Generator
+from bisect import insort
+from typing import Generator, List
 
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator, Timeout
 from repro.sim.resources import Resource
 
-__all__ = ["Cpu"]
+__all__ = ["Cpu", "SpinWait"]
+
+_NEVER = float("inf")  # the end of an open-ended spin (no lease)
+
+
+class SpinWait(Event):
+    """The wait of a thread that busy-polls for ``event`` until
+    ``until`` and then blocks on it (see :meth:`Cpu.spin_wait`).
+
+    Triggers with ``event``'s outcome.  An outcome that arrives inside
+    the window (``now < until``) fires one zero-delay hop later, which
+    is where an ``AnyOf([event, deadline])`` fired, so the same-instant
+    order is that of the explicit race.  Once the window has run out
+    the thread is already blocked, and ``event`` resumes it in its own
+    step.
+
+    With ``wake``, a timer also fires the wait at ``until`` with value
+    ``None`` — for a thread that acts when its window runs out empty
+    (core parking) — and the wait then behaves exactly like that
+    ``AnyOf``: whichever comes first fires it one hop later.
+    """
+
+    __slots__ = ("until", "_timer")
+
+    def __init__(self, sim: Simulator, event: Event, seconds: float,
+                 wake: bool = False):
+        # Event.__init__ inlined: one of these per idle worker wait.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        if sim._sanitizer is not None:
+            sim._sanitizer.event_created(self)
+        # The same float a Timeout(seconds) created now would fire at.
+        self.until = sim.now + seconds
+        self._timer = None
+        if wake:
+            self._timer = Timeout(sim, seconds)
+            self._timer.callbacks.append(self._on_timer)
+        event.add_callback(self._on_event)
+
+    def _on_event(self, event: Event) -> None:
+        if self._ok is not None:
+            return  # the wake timer fired the wait first
+        timer = self._timer
+        if timer is not None:
+            timer.cancel()
+        elif self.sim.now >= self.until:
+            # The window ran out first: resume the blocked waiters in
+            # this step, as if they had been waiting on ``event``.
+            self._ok = event._ok
+            self._value = event._value
+            callbacks, self.callbacks = self.callbacks, None
+            for callback in callbacks:
+                callback(self)
+            return
+        if event._ok:
+            self.succeed(event._value)
+        else:
+            self.fail(event._value)
+
+    def _on_timer(self, _timer: Event) -> None:
+        if self._ok is None:
+            self.succeed(None)
 
 
 class Cpu:
@@ -45,7 +118,8 @@ class Cpu:
 
     __slots__ = ("sim", "cores", "name", "_pinned", "_pinned_idle",
                  "_active", "_spinning", "_parked", "_freq_ratio",
-                 "_pool", "_busy", "_busy_time", "_last_change")
+                 "_pool", "_load", "_busy", "_busy_time", "_last_change",
+                 "_leases", "_lease_end")
 
     def __init__(self, sim: Simulator, cores: int, name: str = ""):
         if cores < 1:
@@ -60,9 +134,14 @@ class Cpu:
         self._parked = 0  # cores power-gated in a deep C-state
         self._freq_ratio = 1.0  # package DVFS ratio (1.0 = nominal)
         self._pool = Resource(sim, cores, name=f"{name}:cores")
+        self._load = 0  # uncapped busy thread count since _last_change
         self._busy = 0.0  # busy core count since _last_change
         self._busy_time = 0.0  # core-seconds accrued up to _last_change
         self._last_change = sim.now
+        # End times of the running spin leases, soonest first, and the
+        # soonest of them (_NEVER when there is none).
+        self._leases: List[float] = []
+        self._lease_end = _NEVER
 
     def _update_busy(self) -> None:
         """Utilization = awake pinned pollers + executing work +
@@ -71,16 +150,38 @@ class Cpu:
         never add latency — they only burn watts, which is exactly what
         the paper's CPU and power figures observe).  A pinned core whose
         poller is blocked (adaptive dispatch asleep) stays reserved but
-        counts as idle.  Busy time accrues at the old level first."""
-        busy = min(float(self.cores),
-                   (self._pinned - self._pinned_idle)
-                   + self._active + self._spinning)
+        counts as idle.  Called right after a counter changed; leases
+        that ran out settle first, then busy time accrues at the old
+        level."""
+        now = self.sim.now
+        if now >= self._lease_end:
+            self._expire_leases(now)
+        load = ((self._pinned - self._pinned_idle)
+                + self._active + self._spinning)
+        busy = min(float(self.cores), load)
         if busy < 0:
             raise ValueError(f"{self.name!r}: busy core count {busy} < 0")
-        now = self.sim.now
         self._busy_time += self._busy * (now - self._last_change)
         self._last_change = now
+        self._load = load
         self._busy = busy
+
+    def _expire_leases(self, now: float) -> None:
+        """End every spin lease that ran out by ``now`` at its own end
+        time, with the arithmetic :meth:`spin_end` would have done
+        there.  Works from the level in force since the last change
+        (``_load``), so a counter changed just before this call is not
+        yet counted."""
+        leases = self._leases
+        cores = float(self.cores)
+        while leases and leases[0] <= now:
+            end = leases.pop(0)
+            self._spinning -= 1
+            self._load -= 1
+            self._busy_time += self._busy * (end - self._last_change)
+            self._last_change = end
+            self._busy = min(cores, self._load)
+        self._lease_end = leases[0] if leases else _NEVER
 
     @property
     def schedulable_cores(self) -> int:
@@ -100,6 +201,9 @@ class Cpu:
     @property
     def busy_cores(self) -> float:
         """Currently-busy core count (pinned + executing + spinning)."""
+        now = self.sim.now
+        if now >= self._lease_end:
+            self._expire_leases(now)
         return self._busy
 
     @property
@@ -234,8 +338,10 @@ class Cpu:
             self._update_busy()
             pool.release(req)
 
-    def spin_begin(self) -> None:
-        """Account one more busy-polling thread (see :meth:`spinning`).
+    def spin_begin(self, until: float = _NEVER) -> None:
+        """Account one more busy-polling thread (see :meth:`spinning`),
+        until :meth:`spin_end` — or, for a *lease*, until the absolute
+        time ``until`` at the latest, with nothing scheduled for it.
 
         The ``spin_begin()/try: yield ...: finally: spin_end()`` pair is
         the flattened form of ``yield from cpu.spinning(...)`` for
@@ -245,13 +351,38 @@ class Cpu:
         """
         self._spinning += 1
         self._update_busy()
+        if until != _NEVER:
+            insort(self._leases, until)
+            self._lease_end = self._leases[0]
 
-    def spin_end(self) -> None:
-        """End one :meth:`spin_begin` interval."""
+    def spin_end(self, until: float = _NEVER) -> None:
+        """End one :meth:`spin_begin` interval; pass the same ``until``.
+        A no-op for a lease that already ran out: it ended at its own
+        end time."""
+        if until <= self.sim.now:
+            return
+        if until != _NEVER:
+            leases = self._leases
+            leases.remove(until)
+            self._lease_end = leases[0] if leases else _NEVER
         # Each += / -= is atomic within its step; the gauge is *meant*
         # to span the caller's yield (that is the spin interval).
         self._spinning -= 1  # simlint: disable=SIM006 gauge
         self._update_busy()
+
+    def spin_wait(self, event: Event, seconds: float,
+                  wake: bool = False) -> SpinWait:
+        """Busy-poll for ``event`` for at most ``seconds``, then block on
+        it: ``value = yield wait`` with ``wait = cpu.spin_wait(...)``
+        and ``cpu.spin_end(wait.until)`` in a ``finally``.
+
+        The window is a spin lease, so a window that runs out empty
+        costs no event; ``wake`` adds a timer that fires the wait at
+        the window's end instead (see :class:`SpinWait`).
+        """
+        wait = SpinWait(self.sim, event, seconds, wake)
+        self.spin_begin(wait.until)
+        return wait
 
     def spinning(self, inner: Generator) -> Generator:
         """Run ``inner`` (usually an RPC wait) while this thread
@@ -294,4 +425,7 @@ class Cpu:
         and spinning threads).  Utilization over a window is
         ``100 * (b1 - b0) / ((t1 - t0) * cores)`` for two snapshots
         ``(t0, b0)`` and ``(t1, b1)``."""
-        return self._busy_time + self._busy * (self.sim.now - self._last_change)
+        now = self.sim.now
+        if now >= self._lease_end:
+            self._expire_leases(now)
+        return self._busy_time + self._busy * (now - self._last_change)

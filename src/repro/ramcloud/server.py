@@ -12,7 +12,10 @@ Threading model
   (Table I: 25 % CPU on an idle 4-core server).  It charges a small
   per-request handoff cost and feeds the worker queue.
 * ``worker_threads`` **workers** (3 on the paper's 4-core nodes), each a
-  process that executes request service code on the CPU.
+  process that executes request service code on the CPU.  An idle
+  worker spins for ``worker_spin`` before it blocks; the spin window is
+  a CPU spin lease (:meth:`~repro.hardware.cpu.Cpu.spin_wait`), which
+  burns utilization but schedules no event of its own.
 * The write path serializes on the log-append critical section; its
   cost grows with the number of concurrently active workers
   (:meth:`~repro.ramcloud.config.CostModel.write_crit`) — RAMCloud's
@@ -807,34 +810,37 @@ class RamCloudServer(RpcService):
         handlers = self._HANDLERS
         while True:
             get = queue.get()
-            if not get.triggered:
+            if get.triggered:
+                request = yield get
+            else:
                 # Spin-then-sleep: busy-poll briefly for the next request
                 # before blocking (RAMCloud's nanoscheduling; see
-                # CostModel.worker_spin).  The spin interval brackets the
-                # wait directly (flattened from spinning(_wait(...)) —
-                # one less generator frame per idle wait).
-                deadline = sim.timeout(worker_spin)
-                wait = sim.any_of([get, deadline])
-                cpu.spin_begin()
+                # CostModel.worker_spin).  The window is a CPU spin
+                # lease: one that runs out empty schedules nothing, and
+                # a request arriving inside it resumes this worker one
+                # hop after its get.  Under core parking (read at wait
+                # start, like every policy knob) a timer also wakes the
+                # worker at the window's end, where it parks.
+                wait = cpu.spin_wait(get, worker_spin, self.core_parking)
                 try:
-                    yield wait
+                    request = yield wait
                 finally:
-                    cpu.spin_end()
-                deadline.cancel()  # withdrawn if the request arrived first
-                if not get.triggered and self.core_parking:
-                    # Core parking (docs/POWER.md): the spin window
-                    # expired empty, so power-gate this worker's core
-                    # while blocked; the wake pays core_wake_latency
+                    cpu.spin_end(wait.until)
+                if request is None:
+                    # The parking timer ended the window.  If it ended
+                    # empty, power-gate this worker's core while blocked
+                    # (docs/POWER.md); the wake pays core_wake_latency
                     # before serving.  try_park_core refuses when it
                     # would strand a runner or park the last core.
-                    if cpu.try_park_core():
+                    if (not get.triggered and self.core_parking
+                            and cpu.try_park_core()):
                         self.core_parks += 1
                         try:
                             yield get
                         finally:
                             cpu.unpark_core()
                         yield sim.timeout(self.config.core_wake_latency)
-            request = yield get
+                    request = yield get
             # Each request is an unrelated work item for the race
             # detector: this worker's earlier touches must not pair
             # with touches made on behalf of this request.
