@@ -1,0 +1,20 @@
+"""Every test of ``test_kernel.py`` again, on the production kernel path.
+
+``tests/conftest.py`` turns the sanitizers on suite-wide, so a plain
+``Simulator()`` runs ``Process._step_debug``.  The kernel tests are
+collected here a second time with ``REPRO_SIM_DEBUG=0``, which sends
+them through ``Process._step`` — the path every production run takes.
+"""
+
+import pytest
+
+from tests.sim.test_kernel import *  # noqa: F401,F403 (collected again here)
+
+
+@pytest.fixture(autouse=True)
+def production_kernel(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_DEBUG", "0")
+
+
+def test_the_kernel_runs_without_sanitizers_here():
+    assert Simulator()._sanitizer is None  # noqa: F405
