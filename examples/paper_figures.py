@@ -10,17 +10,17 @@ style CPU ladder and the energy-proportionality index behind Finding 1.
 Run:  python examples/paper_figures.py
 """
 
-from repro.analysis import (
-    cpu_usage_table,
-    crash_timeline_report,
-    energy_proportionality_index,
-)
 from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
     ExperimentSpec,
     run_crash_experiment,
     run_experiment,
+)
+from repro.experiments.reporting import (
+    cpu_usage_table,
+    crash_timeline_report,
+    energy_proportionality_index,
 )
 from repro.hardware.specs import MB
 from repro.ramcloud import ServerConfig

@@ -29,11 +29,6 @@ Layers (bottom-up):
   comparisons.
 """
 
-from repro.analysis import (
-    ascii_chart,
-    crash_timeline_report,
-    energy_proportionality_index,
-)
 from repro.cluster import (
     Cluster,
     ClusterSpec,
@@ -42,6 +37,11 @@ from repro.cluster import (
     repeat_experiment,
     run_crash_experiment,
     run_experiment,
+)
+from repro.experiments.reporting import (
+    ascii_chart,
+    crash_timeline_report,
+    energy_proportionality_index,
 )
 from repro.ramcloud import (
     CostModel,

@@ -9,22 +9,24 @@ is fatal for a measurement-study reproduction.
 
 ``simlint`` (this package) machine-checks those idioms:
 
-* :mod:`repro.analyze.rules` — the SIM001–SIM005 rule implementations;
+* :mod:`repro.analyze.rules` — the SIM002–SIM005 rule implementations,
+  and :mod:`repro.analyze.atomicity` — SIM006 and SIM007 on top of the
+  may-yield call graph in :mod:`repro.analyze.callgraph`;
 * :mod:`repro.analyze.perfrules` — the PERF001–PERF005 hot-path rules,
   scoped by :mod:`repro.analyze.profilehot` to the benchmark's
-  cProfile hot set (``python -m repro.analyze --perf``);
-* :mod:`repro.analyze.detrules` — the DET001–DET006 state-isolation
-  rules for the sweep runner's determinism contract, powered by the
-  global-write-effect analysis in :mod:`repro.analyze.stateflow`
-  (``python -m repro.analyze --select DET``);
+  cProfile hot set (``python -m repro.analyze --select SIM,PERF``);
+* :mod:`repro.analyze.detrules` — DET002, the environment rule of the
+  sweep runner's determinism contract (``--select DET``);
 * :mod:`repro.analyze.linter` — file walking, suppression comments,
-  the cross-file generator index;
+  the driver;
 * ``python -m repro.analyze [paths]`` — the CLI, non-zero exit on
   findings (wired into CI).
 
 The companion *runtime* sanitizers live in :mod:`repro.sim.sanitize`
 and are enabled with ``Simulator(debug=True)`` (or the
-``REPRO_SIM_DEBUG`` environment variable).  See ``docs/ANALYSIS.md``.
+``REPRO_SIM_DEBUG`` environment variable).  An invariant one of them
+already enforces gets no lint rule; ``docs/ANALYSIS.md`` keeps the
+per-rule ledger.
 """
 
 from repro.analyze.detrules import DET_RULE_CODES, DET_RULES
@@ -37,12 +39,10 @@ from repro.analyze.linter import (
 from repro.analyze.perfrules import PERF_RULE_CODES, PERF_RULES
 from repro.analyze.profilehot import HotSet
 from repro.analyze.rules import ALL_RULES, RULE_CODES
-from repro.analyze.stateflow import StateIndex
 
 __all__ = [
     "Finding",
     "HotSet",
-    "StateIndex",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",

@@ -3,7 +3,8 @@
 Exit status: 0 when clean, 1 when findings exist, 2 on usage or parse
 errors (including a nonexistent input path, validated up front so a CI
 typo fails loudly instead of linting nothing).  CI runs ``python -m
-repro.analyze src examples tools`` and fails the build on any finding.
+repro.analyze --select SIM,PERF,DET --profile-json BENCH_profile.json
+src examples tools`` and fails the build on any finding.
 
 ``--format json`` emits a machine-readable report (a JSON object with
 ``findings`` and ``errors`` arrays) for editor and CI integrations; the
@@ -26,10 +27,9 @@ from repro.analyze.perfrules import PERF_RULE_CODES
 from repro.analyze.profilehot import HotSet
 from repro.analyze.rules import RULE_CODES
 
-# Every selectable rule: the SIM correctness rules, the PERF hot-path
-# rules (run by default only with --perf or --select), and the DET
-# state-isolation rules (opt-in via --select DET; CI runs them as their
-# own zero-findings gate).
+# Every selectable rule: the SIM correctness rules (the default
+# selection), the PERF hot-path rules and the DET environment rule
+# (both opt-in via --select).
 _ALL_CODES = {**RULE_CODES, **PERF_RULE_CODES, **DET_RULE_CODES}
 
 # Rule families, in catalogue order.  --select/--ignore accept a bare
@@ -37,7 +37,7 @@ _ALL_CODES = {**RULE_CODES, **PERF_RULE_CODES, **DET_RULE_CODES}
 _FAMILIES = {
     "SIM": (RULE_CODES, "correctness — silent DES bugs"),
     "PERF": (PERF_RULE_CODES, "hot-path waste, scoped by --profile-json"),
-    "DET": (DET_RULE_CODES, "state isolation for deterministic sweeps"),
+    "DET": (DET_RULE_CODES, "environment isolation for deterministic sweeps"),
 }
 
 
@@ -72,8 +72,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--ignore", metavar="CODES",
                         help="comma-separated rule codes or families to "
                              "drop from the selection (e.g. PERF or SIM003)")
-    parser.add_argument("--perf", action="store_true",
-                        help="also run the PERF001-PERF005 hot-path rules")
     parser.add_argument("--profile-json", metavar="PATH",
                         help="scope the PERF rules to the hot set of this "
                              "bench_kernel.py --profile-json dump")
@@ -97,8 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"unknown rule code(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
-    elif args.perf:
-        selected = sorted(RULE_CODES) + sorted(PERF_RULE_CODES)
     else:
         selected = sorted(RULE_CODES)
     if args.ignore:

@@ -1,4 +1,4 @@
-"""Yield-point atomicity rules (SIM006–SIM008).
+"""Yield-point atomicity and coroutine-driving rules (SIM006, SIM007).
 
 These rules consume the project-wide :class:`~repro.analyze.callgraph.
 CallGraphIndex` (built by the driver and attached as
@@ -10,16 +10,14 @@ Code     What it catches
 SIM006   a coroutine writes the same ``self.*`` field both before
          and after a yield point with no lock held across it — the
          read-modify-write is torn by whatever ran in between
-SIM007   a may-yield function called from a plain (non-generator)
-         function without spawning it — the coroutine is created
-         but can never suspend, so its simulated work is wrong or
-         silently skipped (generalizes SIM001 across wrappers)
-SIM008   two locks acquired in opposite orders on different static
-         paths — the classic ABBA deadlock, which in a cooperative
-         kernel manifests as both processes parked forever
+SIM007   a may-yield call whose coroutine is never driven: its
+         result discarded as a statement (in any function), or, in
+         a plain function, bound or consumed without spawning it —
+         the simulated work is silently skipped or runs outside
+         the kernel
 =======  ==========================================================
 
-All three inherit the driver's precision-first stance: name-level
+Both inherit the driver's precision-first stance: name-level
 resolution, every-definition-agrees semantics, and mutually exclusive
 branches (if/else arms, distinct except handlers) never pair.
 """
@@ -34,7 +32,7 @@ from repro.analyze.callgraph import (CallGraphIndex, SYNC_DRIVERS,
                                      _is_process_call)
 from repro.analyze.linter import Finding, Module
 
-__all__ = ["rule_sim006", "rule_sim007", "rule_sim008"]
+__all__ = ["rule_sim006", "rule_sim007"]
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +178,22 @@ def _yield_exclusive(module: Module, first: ast.AST, second: ast.AST,
 # ---------------------------------------------------------------------------
 
 def rule_sim007(module: Module) -> Iterator[Finding]:
-    """SIM007: a may-yield function invoked from a plain function.
+    """SIM007: a may-yield call whose coroutine is never driven.
 
-    Calling a sim-coroutine (or a wrapper that returns one) from a
-    non-generator produces a generator object the kernel never drives:
-    discarding it drops the simulated work, and consuming it with
-    ``list``/``sum``/a ``for`` loop executes the body *without the
-    kernel* — yields of Events come back as opaque objects and no
-    simulated time passes.  Passing it into ``sim.process(...)`` (or
-    any spawner) and returning it to a caller are the legitimate exits
-    and are never flagged.
+    Calling a sim-coroutine (or a wrapper that returns one) only
+    creates a generator object.  As a bare statement — in any
+    function, coroutine or not — that object is discarded and the
+    simulated work silently never happens.  In a plain function,
+    consuming it with ``list``/``sum``/a ``for`` loop executes the body
+    *without the kernel* — yields of Events come back as opaque objects
+    and no simulated time passes.  ``yield from``, passing it into
+    ``sim.process(...)`` (or any spawner) and returning it to a caller
+    are the legitimate exits and are never flagged.
     """
     cg: Optional[CallGraphIndex] = getattr(module, "callgraph", None)
-    if cg is None or module.index is None:
+    if cg is None:
         return
     for func in module.functions():
-        if func in module.generator_defs:
-            continue
         summary = cg.summary_for(func)
         if summary is None:
             continue
@@ -209,25 +206,23 @@ def rule_sim007(module: Module) -> Iterator[Finding]:
             if (isinstance(node.func, ast.Attribute)
                     and name in _BUILTIN_METHOD_NAMES):
                 continue
-            verdict = _classify_context(module, cg, summary, node, name)
+            if isinstance(module.parent(node), ast.Expr):
+                verdict = (f"call to may-yield {name!r} is discarded — the "
+                           f"coroutine it returns never runs; 'yield from' "
+                           f"it or spawn it with 'sim.process(...)'")
+            elif summary.is_generator:
+                continue  # a coroutine may 'yield from' what it binds
+            else:
+                verdict = _classify_context(module, cg, summary, node, name)
             if verdict is not None:
                 yield module.finding(node, "SIM007", verdict)
 
 
 def _classify_context(module: Module, cg: CallGraphIndex, summary,
                       call: ast.Call, name: str) -> Optional[str]:
-    """A message when this may-yield call is misused, else None."""
+    """A message when this may-yield call in a plain function is
+    misused, else None."""
     parent = module.parent(call)
-    # Statement-position discard.  Unambiguous generator names are
-    # SIM001's exact territory; SIM007 adds the wrapper case SIM001
-    # cannot see (a plain function whose return value must be driven).
-    if isinstance(parent, ast.Expr):
-        if module.index.is_generator_name(name):
-            return None
-        return (f"call to may-yield {name!r} is discarded in a "
-                f"non-generator — the coroutine it returns never runs; "
-                f"spawn it with 'sim.process(...)' or 'yield from' it "
-                f"from a coroutine")
     if isinstance(parent, ast.Return):
         return None  # delegation: the caller decides how to drive it
     if isinstance(parent, ast.For) and parent.iter is call:
@@ -273,37 +268,3 @@ def _var_escapes(module: Module, summary, var: str,
             if in_args:
                 return True  # spawned, stored, or at least handed off
     return False
-
-
-# ---------------------------------------------------------------------------
-# SIM008
-# ---------------------------------------------------------------------------
-
-def rule_sim008(module: Module) -> Iterator[Finding]:
-    """SIM008: lock-order inversion across static paths.
-
-    The call-graph index records every "lock A held while acquiring
-    lock B" pair project-wide (directly nested spans, plus locks
-    reachable through calls made inside a span).  When both (A, B) and
-    (B, A) exist, two processes taking the opposite paths park forever
-    — the cooperative kernel has no preemption to break the cycle.
-    Each module reports the witnesses that lie in its own file.
-    """
-    cg: Optional[CallGraphIndex] = getattr(module, "callgraph", None)
-    if cg is None:
-        return
-    for a, b in cg.inversions():
-        if a > b:
-            continue  # report each unordered pair once, from both sides
-        for outer, inner in ((a, b), (b, a)):
-            other = next(iter(cg.lock_pairs[(inner, outer)]))
-            for path, line, detail in cg.lock_pairs[(outer, inner)]:
-                if path != module.path:
-                    continue
-                yield Finding(
-                    path=path, line=line, col=1, code="SIM008",
-                    message=(f"lock-order inversion: {inner!r} is acquired "
-                             f"here while holding {outer!r} ({detail}), but "
-                             f"the opposite order is taken at "
-                             f"{other[0]}:{other[1]} ({other[2]}) — two "
-                             f"processes on these paths deadlock"))

@@ -1,4 +1,5 @@
-"""Interprocedural may-yield and lock-order analysis (SIM006–SIM008).
+"""Interprocedural may-yield analysis (SIM006, SIM007, and the PERF
+rules' class and call-edge queries).
 
 The kernel's contract is invisible to per-function linting: whether a
 call *can suspend the current process* depends on what the callee (and
@@ -16,12 +17,9 @@ atomicity rules need:
 * **spawner names** — functions that forward an argument into
   ``sim.process(...)`` (so passing a coroutine *into* them is how it is
   meant to run, not a dropped call);
-* **lock acquisition summaries** — per function, the textual identity
-  of every lock acquired (``self.log_lock``), the source span it is
-  held over, and the locks reachable through calls made inside that
-  span; project-wide, every ordered pair "A held while acquiring B"
-  with its witness locations, which is what SIM008 mines for
-  inversions.
+* **lock spans** — per function, the textual identity of every lock
+  acquired (``self.log_lock``) and the source span it is held over,
+  which is what SIM006 needs to know a yield is covered.
 
 Everything here is name-based and deliberately precision-first: a name
 is may-yield only if *every* definition is, a lock identity is the
@@ -52,8 +50,7 @@ _EVENT_FACTORY_ATTRS = frozenset({
 
 # Method names that exist on builtin containers/strings: an attribute
 # call like ``queue.remove(x)`` must not resolve to a project function
-# that happens to share the name (``HashTable.remove``) — same policy
-# as SIM001's generator-name matching.
+# that happens to share the name (``HashTable.remove``).
 _BUILTIN_METHOD_NAMES = (set(dir(list)) | set(dir(dict)) | set(dir(set))
                          | set(dir(str)) | set(dir(tuple)) | set(dir(bytes))
                          | set(dir(frozenset)))
@@ -255,16 +252,6 @@ class FunctionSummary:
         spans.sort(key=lambda s: s[2])
         return spans
 
-    def calls_in_span(self, start: int, end: int
-                      ) -> Iterator[Tuple[str, int]]:
-        """(callee_name, line) of own-scope calls on lines in
-        ``(start, end]`` — what runs while the lock is held."""
-        for node in self._own_nodes():
-            if isinstance(node, ast.Call) and start < node.lineno <= end:
-                name = _project_callee(node)
-                if name is not None:
-                    yield name, node.lineno
-
 
 class CallGraphIndex:
     """Project-wide function summaries plus the fixed points over them."""
@@ -285,11 +272,6 @@ class CallGraphIndex:
             self._index_class_slots(module)
         self._propagate_may_yield()
         self._spawner_names = self._propagate_spawners()
-        self._acquires_by_name = self._propagate_acquires()
-        # (outer_lock, inner_lock) → sorted witness list
-        self.lock_pairs: Dict[Tuple[str, str],
-                              List[Tuple[str, int, str]]] = {}
-        self._collect_lock_pairs()
 
     def _index_class_slots(self, module: Module) -> None:
         for node in module.nodes_of_type(ast.ClassDef):
@@ -311,7 +293,7 @@ class CallGraphIndex:
 
     def may_yield_name(self, name: str) -> bool:
         """True when every known definition of ``name`` can suspend the
-        calling process (ambiguous names are excluded, like SIM001)."""
+        calling process (ambiguous names are excluded)."""
         defs = self.by_name.get(name)
         return bool(defs) and all(s.may_yield for s in defs)
 
@@ -327,15 +309,6 @@ class CallGraphIndex:
             if summary.node is node:
                 return summary
         return None
-
-    def acquires_of(self, name: str) -> Set[str]:
-        """Lock ids acquired by any def of ``name``, transitively."""
-        return self._acquires_by_name.get(name, frozenset())
-
-    def inversions(self) -> List[Tuple[str, str]]:
-        """Ordered lock pairs whose opposite order also occurs."""
-        return sorted((a, b) for (a, b) in self.lock_pairs
-                      if a != b and (b, a) in self.lock_pairs)
 
     # -- fixed points ------------------------------------------------------
 
@@ -374,52 +347,3 @@ class CallGraphIndex:
                         changed = True
                         break
         return spawners
-
-    def _propagate_acquires(self) -> Dict[str, Set[str]]:
-        """Name → lock ids acquired directly or through project calls."""
-        acquires: Dict[str, Set[str]] = {}
-        calls: Dict[str, Set[str]] = {}
-        for summary in self.summaries:
-            direct = {span[0] for span in summary.lock_spans}
-            acquires.setdefault(summary.name, set()).update(direct)
-            callees = calls.setdefault(summary.name, set())
-            for node in summary._own_nodes():
-                if isinstance(node, ast.Call):
-                    name = _project_callee(node)
-                    if name is not None and name in self.by_name:
-                        callees.add(name)
-        changed = True
-        while changed:
-            changed = False
-            for name, callees in calls.items():
-                mine = acquires[name]
-                before = len(mine)
-                for callee in callees:
-                    mine.update(acquires.get(callee, ()))
-                if len(mine) != before:
-                    changed = True
-        return acquires
-
-    def _collect_lock_pairs(self) -> None:
-        """Every "A held while acquiring B" with witness locations:
-        directly nested spans, plus locks reachable through calls made
-        inside a span (one summary level, by name)."""
-        for summary in self.summaries:
-            spans = summary.lock_spans
-            for i, (outer, _var, start, end) in enumerate(spans):
-                for inner, _v2, s2, _e2 in spans[i + 1:]:
-                    if start < s2 <= end and inner != outer:
-                        self._witness(outer, inner, summary.path, s2,
-                                      f"in {summary.name!r}")
-                for callee, line in summary.calls_in_span(start, end):
-                    for inner in sorted(self.acquires_of(callee)):
-                        if inner != outer:
-                            self._witness(outer, inner, summary.path, line,
-                                          f"in {summary.name!r} via "
-                                          f"{callee!r}")
-
-    def _witness(self, outer: str, inner: str, path: str, line: int,
-                 detail: str) -> None:
-        self.lock_pairs.setdefault((outer, inner), []).append(
-            (path, line, detail))
-        self.lock_pairs[(outer, inner)].sort()

@@ -1,110 +1,45 @@
-"""The DET rules: whole-program state isolation for deterministic sweeps.
+"""The DET rule: the process environment stays with the sweep layer.
 
 The sweep runner's contract (see :mod:`repro.experiments.sweep`) is
 that cells are pure functions of ``(experiment, params, seed, scale)``
-— serial and parallel execution merge to bit-identical digests, and a
-future multi-machine fan-out can place any cell on any host.  These
-rules prove the preconditions statically, on top of the
-global-write-effect analysis in :mod:`repro.analyze.stateflow`, the
-way the may-yield call graph powers SIM006–SIM008.
+— serial and parallel execution merge to bit-identical digests.  State
+isolation between cells is enforced at run time: the debug-mode
+cell-state sanitizer (:func:`repro.sim.sanitize.check_cell_state`),
+the env snapshot/restore around every cell, and the serial-vs-parallel
+digest check.  The one precondition checked statically is the one
+those mechanisms cannot see: a configuration read that is the same in
+every process on one host, and so never shows up as a digest mismatch.
 
 =======  ==========================================================
 Code     What it catches
 =======  ==========================================================
-DET001   module-level mutable state written from runtime code
-         paths (a registry/cache mutated after import time), and
-         sweep cells that transitively call into such a write
 DET002   ``os.environ`` / ``getenv`` touched outside the
          sanctioned config modules (the sweep/scale layer owns the
          environment; everyone else must take parameters)
-DET003   mutable class attributes and mutable default arguments —
-         state shared across instances and calls
-DET004   ``lru_cache``/memo decorators on functions reachable from
-         a sweep cell — a cache that outlives a cell is a
-         cross-seed channel
-DET005   ``id()``/``hash()`` ordering, PIDs, or wall-clock values
-         flowing into sort keys, digests, or formatted labels
-DET006   closure/lambda/process-local capture in sweep cell
-         payloads — unpicklable under the spawn context, divergent
-         under multi-machine fan-out
 =======  ==========================================================
 
-Sanctioned instances carry ``# simlint: disable=DETxxx <why>`` on the
-flagged line, same as the SIM and PERF rules; the runtime counterpart
-(:func:`repro.sim.sanitize.check_cell_state`) fingerprints registered
-module state around each cell under debug mode, so the lint and the
-sanitizer enforce the same invariant from both sides.
+Sanctioned instances carry ``# simlint: disable=DET002 <why>`` on the
+flagged line, same as the SIM and PERF rules.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analyze.linter import Finding, Module
-from repro.analyze.stateflow import _CELL_REGISTRY_NAMES, _root_name
 
-__all__ = ["DET_RULES", "DET_RULE_CODES", "rule_det001", "rule_det002",
-           "rule_det003", "rule_det004", "rule_det005", "rule_det006"]
+__all__ = ["DET_RULES", "DET_RULE_CODES", "rule_det002"]
 
 
-# ---------------------------------------------------------------------------
-# DET001 — module-level mutable state written at runtime
-# ---------------------------------------------------------------------------
+def _root_name(node: ast.AST) -> Optional[str]:
+    """The leftmost ``Name`` of an attribute/subscript chain."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
-def rule_det001(module: Module) -> Iterator[Finding]:
-    """DET001: module-level state written from a runtime code path.
-
-    Two shapes, both from the :class:`~repro.analyze.stateflow.
-    StateIndex` write-effect analysis:
-
-    * a direct write site — a ``global`` rebind, an item/attribute
-      store, or a mutating method call against a module-level binding
-      (or a ``ClassName.attr`` store) inside a function body.  State
-      that survives one experiment cell into the next is exactly what
-      the sweep's env-snapshot contract cannot contain;
-    * a registered sweep cell with no direct write of its own whose
-      transitive callees mutate module/class state — the
-      interprocedural case a per-function lint cannot see.
-
-    Sanctioned lazy registries (resolve-once caches like
-    ``cell_registry``) carry a pragma with a justification.
-    """
-    stateindex = module.stateindex
-    if stateindex is None:
-        return
-    kinds = {
-        "rebind": "rebound via 'global'",
-        "mutate": "mutated in place",
-        "class-attr": "written through its class",
-    }
-    direct_writers: Set[str] = set()
-    for write in stateindex.writes_in(module):
-        direct_writers.add(write.func_name)
-        reach = ""
-        if stateindex.scoped and stateindex.reachable_from_cells(
-                write.func_name):
-            reach = " and is reachable from a sweep cell"
-        yield module.finding(
-            write.node, "DET001",
-            f"module-level binding {write.name!r} ({write.classification}) "
-            f"is {kinds[write.kind]} at runtime in {write.func_name!r}"
-            f"{reach} — state outlives the experiment cell; pass it "
-            f"explicitly or reset it per cell")
-    for func in module.functions():
-        if (func.name in stateindex.cell_seed_names
-                and func.name not in direct_writers
-                and stateindex.transitively_mutates(func.name)):
-            yield module.finding(
-                func, "DET001",
-                f"sweep cell {func.name!r} transitively calls into code "
-                f"that mutates module-level state — the leak escapes the "
-                f"cell's digest and poisons sibling seeds")
-
-
-# ---------------------------------------------------------------------------
-# DET002 — os.environ outside the sanctioned config modules
-# ---------------------------------------------------------------------------
 
 # The modules that own the process environment: the sweep runner (whose
 # snapshot/restore IS the isolation mechanism) and the scale resolver
@@ -165,309 +100,5 @@ def rule_det002(module: Module) -> Iterator[Finding]:
             f"per cell; take the value as a parameter instead")
 
 
-# ---------------------------------------------------------------------------
-# DET003 — mutable class attributes / mutable default arguments
-# ---------------------------------------------------------------------------
-
-_MUTABLE_FACTORY_NAMES = frozenset({
-    "dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
-    "Counter", "deque",
-})
-
-
-def _is_mutable_value(node: Optional[ast.AST]) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                         ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        return name in _MUTABLE_FACTORY_NAMES
-    return False
-
-
-def rule_det003(module: Module) -> Iterator[Finding]:
-    """DET003: mutable state shared across instances or calls.
-
-    Two classic Python footguns with the same failure mode — one
-    object, many owners:
-
-    * a class-body ``attr = []`` / ``attr = {}`` is a single container
-      shared by every instance; two experiment cells touching two
-      instances are touching the same list;
-    * a ``def f(x, acc=[])`` default is evaluated once at import and
-      mutated forever after — call N's result depends on calls 1..N-1,
-      which is precisely the cross-seed coupling the digests exist to
-      rule out.
-    """
-    for cls in module.nodes_of_type(ast.ClassDef):
-        for stmt in cls.body:
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (isinstance(target, ast.Name)
-                        and not target.id.startswith("__")
-                        and _is_mutable_value(value)):
-                    yield module.finding(
-                        stmt, "DET003",
-                        f"class attribute {cls.name}.{target.id} is a "
-                        f"mutable container shared by every instance — "
-                        f"initialize it in __init__")
-    for func in module.functions():
-        args = func.args
-        for default in list(args.defaults) + [d for d in args.kw_defaults
-                                              if d is not None]:
-            if _is_mutable_value(default):
-                yield module.finding(
-                    default, "DET003",
-                    f"mutable default argument in {func.name!r} is "
-                    f"evaluated once and shared across calls — default "
-                    f"to None and build it in the body")
-
-
-# ---------------------------------------------------------------------------
-# DET004 — memo caches reachable from sweep cells
-# ---------------------------------------------------------------------------
-
-_MEMO_DECORATORS = frozenset({
-    "lru_cache", "cache", "cached_property", "memoize", "lru_cache_typed",
-})
-
-
-def _decorator_base_name(dec: ast.AST) -> Optional[str]:
-    node = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def rule_det004(module: Module) -> Iterator[Finding]:
-    """DET004: a memo cache on a function a sweep cell can reach.
-
-    ``functools.lru_cache`` (and friends) attach a process-lifetime
-    cache to the function object.  Inside a sweep worker that cache
-    outlives the cell: seed 7's cell can be served a value computed
-    under seed 3's run, and two workers (or two machines) answer the
-    same cell differently depending on what ran before.  Scoped by the
-    cell-reachability fixed point — a memo on a path no cell reaches
-    (CLI arg parsing, doc generation) is fine.
-    """
-    stateindex = module.stateindex
-    for func in module.functions():
-        for dec in func.decorator_list:
-            name = _decorator_base_name(dec)
-            if name not in _MEMO_DECORATORS:
-                continue
-            if stateindex is not None and not (
-                    stateindex.reachable_from_cells(func.name)):
-                continue
-            yield module.finding(
-                dec, "DET004",
-                f"@{name} on {func.name!r}, which a sweep cell can "
-                f"reach — the cache outlives the cell and couples "
-                f"seeds; compute per cell or key the cache explicitly")
-
-
-# ---------------------------------------------------------------------------
-# DET005 — process-local values flowing into deterministic outputs
-# ---------------------------------------------------------------------------
-
-# Bare-name calls that are nondeterministic per process/run.
-_NONDET_BARE = frozenset({"id", "hash"})
-# from-import targets resolved through Module.from_imports.
-_NONDET_FROM = frozenset({
-    "os.getpid", "time.time", "time.perf_counter", "time.monotonic",
-    "time.time_ns", "uuid.uuid4",
-})
-# receiver-name → attribute calls.
-_NONDET_ATTRS = {
-    "os": {"getpid"},
-    "time": {"time", "perf_counter", "monotonic", "time_ns"},
-    "uuid": {"uuid4"},
-    "datetime": {"now", "utcnow", "today"},
-}
-
-_SORTERS = frozenset({"sorted", "sort", "min", "max", "nsmallest",
-                      "nlargest"})
-_DIGESTERS = frozenset({"sha256", "sha1", "sha512", "md5", "blake2b",
-                        "blake2s", "crc32", "adler32"})
-
-
-def _nondet_call_desc(module: Module, node: ast.Call) -> Optional[str]:
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id in _NONDET_BARE:
-            return f"{func.id}()"
-        target = module.from_imports.get(func.id)
-        if target in _NONDET_FROM:
-            return f"{target}()"
-        return None
-    if isinstance(func, ast.Attribute):
-        root = _root_name(func.value)
-        if root in _NONDET_ATTRS and func.attr in _NONDET_ATTRS[root]:
-            return f"{root}.{func.attr}()"
-    return None
-
-
-def _nondet_context(module: Module, node: ast.AST) -> Optional[str]:
-    """The deterministic-output context ``node`` flows into, if any."""
-    for anc in module.ancestors(node):
-        if isinstance(anc, ast.keyword) and anc.arg == "key":
-            call = module.parent(anc)
-            if isinstance(call, ast.Call):
-                name = (call.func.id if isinstance(call.func, ast.Name)
-                        else call.func.attr
-                        if isinstance(call.func, ast.Attribute) else None)
-                if name in _SORTERS:
-                    return f"a {name}() sort key"
-        elif isinstance(anc, ast.JoinedStr):
-            return "a formatted label"
-        elif isinstance(anc, ast.Call):
-            func = anc.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name in _DIGESTERS or (name is not None
-                                      and "digest" in name.lower()):
-                return f"a digest ({name})"
-    return None
-
-
-def rule_det005(module: Module) -> Iterator[Finding]:
-    """DET005: a process-local value in a sort key, digest, or label.
-
-    ``id()`` and ``hash()`` ordering, PIDs, and wall-clock reads are
-    different in every process — harmless in a log line, fatal the
-    moment they reach anything the determinism contract covers: a sort
-    key reorders aggregation, a digest input forks serial from
-    parallel, a metric label splits one series into two.  Flagged only
-    in those flowing-into-output contexts; incidental uses elsewhere
-    (diagnostics, signal delivery) are not findings.
-    """
-    for node in module.nodes_of_type(ast.Call):
-        desc = _nondet_call_desc(module, node)
-        if desc is None:
-            continue
-        context = _nondet_context(module, node)
-        if context is None:
-            continue
-        yield module.finding(
-            node, "DET005",
-            f"process-local value {desc} flows into {context} — the "
-            f"result differs across processes/hosts and breaks digest "
-            f"equivalence; use a seed-derived or cell-identity value")
-
-
-# ---------------------------------------------------------------------------
-# DET006 — unpicklable / process-local sweep cell payloads
-# ---------------------------------------------------------------------------
-
-_PROCESS_LOCAL_FACTORIES = frozenset({
-    "Simulator", "Lock", "RLock", "Condition", "Semaphore",
-    "BoundedSemaphore", "Event", "Barrier", "open", "socket", "Thread",
-    "ProcessPoolExecutor", "ThreadPoolExecutor",
-})
-
-
-def _registry_payloads(module: Module) -> Iterator[ast.AST]:
-    """Every expression registered as a sweep cell runner."""
-    for node in module.nodes_of_type(ast.Assign):
-        name_targets = {t.id for t in node.targets
-                        if isinstance(t, ast.Name)}
-        sub_targets = {_root_name(t) for t in node.targets
-                       if isinstance(t, ast.Subscript)}
-        if not ((name_targets | sub_targets) & _CELL_REGISTRY_NAMES):
-            continue
-        if isinstance(node.value, ast.Dict):
-            yield from node.value.values
-        elif sub_targets & _CELL_REGISTRY_NAMES:
-            yield node.value
-
-
-def _module_binding_values(module: Module) -> Dict[str, ast.AST]:
-    values: Dict[str, ast.AST] = {}
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    values[target.id] = stmt.value
-    return values
-
-
-def rule_det006(module: Module) -> Iterator[Finding]:
-    """DET006: a sweep cell payload the spawn context cannot ship.
-
-    Spawn-context workers (and, next, remote machines) receive cells
-    by pickling — so a payload must be a module-level function of pure
-    data.  Flagged registrations:
-
-    * a ``lambda`` — unpicklable, and its closure is process-local by
-      construction;
-    * a function defined *inside* another function — same problem,
-      plus whatever the closure captured silently differs per process;
-    * a ``partial`` binding an argument that is (or resolves to) a
-      process-local object — a ``Simulator``, lock, open file, pool —
-      which either fails to pickle or, worse, pickles a copy whose
-      state diverges from the original on another machine.
-    """
-    nested_defs: Set[str] = set()
-    for func in module.functions():
-        if module.enclosing_function(func) is not None:
-            nested_defs.add(func.name)
-    bindings = _module_binding_values(module)
-    for payload in _registry_payloads(module):
-        if isinstance(payload, ast.Lambda):
-            yield module.finding(
-                payload, "DET006",
-                "sweep cell payload is a lambda — unpicklable under the "
-                "spawn context; register a module-level function")
-        elif isinstance(payload, ast.Name) and payload.id in nested_defs:
-            yield module.finding(
-                payload, "DET006",
-                f"sweep cell payload {payload.id!r} is a closure (defined "
-                f"inside a function) — unpicklable under the spawn "
-                f"context and its captures are process-local; hoist it "
-                f"to module level")
-        elif (isinstance(payload, ast.Call)
-              and _decorator_base_name(payload) == "partial"):
-            for arg in list(payload.args) + [k.value
-                                             for k in payload.keywords]:
-                bound = arg
-                if isinstance(arg, ast.Name) and arg.id in bindings:
-                    bound = bindings[arg.id]
-                if isinstance(bound, ast.Lambda):
-                    yield module.finding(
-                        payload, "DET006",
-                        "sweep cell partial() binds a lambda — "
-                        "unpicklable under the spawn context")
-                    break
-                if (isinstance(bound, ast.Call)
-                        and _decorator_base_name(bound)
-                        in _PROCESS_LOCAL_FACTORIES):
-                    name = _decorator_base_name(bound)
-                    yield module.finding(
-                        payload, "DET006",
-                        f"sweep cell partial() binds a process-local "
-                        f"{name} object — it cannot move across the "
-                        f"process boundary intact; pass parameters and "
-                        f"construct inside the cell")
-                    break
-
-
-DET_RULES = (rule_det001, rule_det002, rule_det003, rule_det004,
-             rule_det005, rule_det006)
-DET_RULE_CODES = {
-    "DET001": rule_det001,
-    "DET002": rule_det002,
-    "DET003": rule_det003,
-    "DET004": rule_det004,
-    "DET005": rule_det005,
-    "DET006": rule_det006,
-}
+DET_RULES = (rule_det002,)
+DET_RULE_CODES = {"DET002": rule_det002}

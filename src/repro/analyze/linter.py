@@ -4,10 +4,9 @@ A *rule* is a callable ``rule(module) -> Iterable[Finding]`` operating
 on a parsed :class:`Module`.  The driver adds what individual rules
 cannot know on their own:
 
-* a **project-wide generator index** (SIM001 must recognise a generator
-  method defined in another file to catch a dropped cross-module call);
-* a **call-graph index** (the SIM006–SIM008 atomicity rules need
-  project-wide may-yield and lock-acquisition summaries);
+* a **call-graph index** (SIM006 and SIM007 need project-wide
+  may-yield and lock-span summaries, the PERF rules its class and
+  call-edge queries);
 * **suppression comments** — ``# simlint: ignore[SIM003]`` on the
   flagged line (or ``# simlint: ignore`` to silence every rule there).
   ``# simlint: disable=SIM006 <justification>`` is an equivalent
@@ -28,7 +27,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 __all__ = [
     "Finding",
     "Module",
-    "GeneratorIndex",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",
@@ -121,17 +119,13 @@ class Module:
     module_imports: Dict[str, str] = field(default_factory=dict)
     # from-imports: local name → "module.attr".
     from_imports: Dict[str, str] = field(default_factory=dict)
-    index: Optional["GeneratorIndex"] = None
     # Project-wide may-yield / lock summaries (repro.analyze.callgraph.
-    # CallGraphIndex), attached by the driver for SIM006–SIM008.
+    # CallGraphIndex), attached by the driver.
     callgraph: Optional[object] = None
     # Benchmark hot set (repro.analyze.profilehot.HotSet), attached by
     # the driver when a profile was supplied; None = PERF rules run
     # unscoped.
     hotset: Optional[object] = None
-    # Project-wide global-write-effect summaries (repro.analyze.
-    # stateflow.StateIndex), attached by the driver for DET001–DET006.
-    stateindex: Optional[object] = None
 
     @classmethod
     def parse(cls, source: str, path: str) -> "Module":
@@ -212,34 +206,6 @@ class Module:
                        code=code, message=message)
 
 
-class GeneratorIndex:
-    """Project-wide set of names that (unambiguously) denote generator
-    functions.
-
-    A name defined as a generator in one place and as a plain function
-    elsewhere (``run``, say: ``YcsbClient.run`` yields,
-    ``Simulator.run`` does not) is *ambiguous* and excluded — SIM001
-    only fires on names every definition of which is a generator, which
-    keeps it high-precision at the cost of a little recall.
-    """
-
-    def __init__(self) -> None:
-        self._generator_names: Set[str] = set()
-        self._plain_names: Set[str] = set()
-
-    def add_module(self, module: Module) -> None:
-        """Record every function definition of ``module``."""
-        for func in module.functions():
-            if func in module.generator_defs:
-                self._generator_names.add(func.name)
-            else:
-                self._plain_names.add(func.name)
-
-    def is_generator_name(self, name: str) -> bool:
-        """True when every known definition of ``name`` is a generator."""
-        return name in self._generator_names and name not in self._plain_names
-
-
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     found: List[str] = []
@@ -269,27 +235,16 @@ def _run_rules(module: Module, rules: Iterable) -> List[Finding]:
 
 def analyze_source(source: str, path: str = "<string>",
                    rules: Optional[Iterable] = None,
-                   index: Optional[GeneratorIndex] = None,
                    hotset: Optional[object] = None) -> List[Finding]:
     """Lint one source string (the unit-test entry point)."""
     from repro.analyze.callgraph import CallGraphIndex
     from repro.analyze.rules import ALL_RULES
-    from repro.analyze.stateflow import StateIndex
     module = Module.parse(source, path)
-    module.index = index or _index_of([module])
     module.callgraph = CallGraphIndex([module])
-    module.stateindex = StateIndex([module], module.callgraph)
     module.hotset = hotset
     if hotset is not None:
         hotset.expand(module.callgraph)
     return _run_rules(module, rules if rules is not None else ALL_RULES)
-
-
-def _index_of(modules: Sequence[Module]) -> GeneratorIndex:
-    index = GeneratorIndex()
-    for module in modules:
-        index.add_module(module)
-    return index
 
 
 def analyze_paths(paths: Sequence[str],
@@ -306,7 +261,6 @@ def analyze_paths(paths: Sequence[str],
     """
     from repro.analyze.callgraph import CallGraphIndex
     from repro.analyze.rules import ALL_RULES
-    from repro.analyze.stateflow import StateIndex
     modules: List[Module] = []
     errors: List[str] = []
     for path in iter_python_files(paths):
@@ -316,16 +270,12 @@ def analyze_paths(paths: Sequence[str],
             modules.append(Module.parse(source, path))
         except (OSError, SyntaxError, ValueError) as exc:
             errors.append(f"{path}: {exc}")
-    index = _index_of(modules)
     callgraph = CallGraphIndex(modules)
-    stateindex = StateIndex(modules, callgraph)
     if hotset is not None:
         hotset.expand(callgraph)
     findings: List[Finding] = []
     for module in modules:
-        module.index = index
         module.callgraph = callgraph
-        module.stateindex = stateindex
         module.hotset = hotset
         findings.extend(_run_rules(module,
                                    rules if rules is not None else ALL_RULES))

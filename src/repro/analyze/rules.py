@@ -8,8 +8,6 @@ keeps running and produces wrong numbers.
 =======  ==========================================================
 Code     What it catches
 =======  ==========================================================
-SIM001   generator called without ``yield from`` / ``sim.process``
-         (dropped coroutine — the process never executes)
 SIM002   ``acquire``/``request`` whose wait or release is not
          protected by ``try/finally`` on all paths (lock leak on
          the interrupt path)
@@ -23,77 +21,22 @@ SIM005   wall-clock vs simulated-time confusion: accumulating
 SIM006   same ``self.*`` field written before and after a yield
          with no lock held across it (torn read-modify-write) —
          see :mod:`repro.analyze.atomicity`
-SIM007   may-yield function called from a non-generator without
-         spawning it — see :mod:`repro.analyze.atomicity`
-SIM008   lock-order inversion across static paths — see
-         :mod:`repro.analyze.atomicity`
+SIM007   coroutine created and never driven: a discarded call, or
+         a non-generator that binds or consumes it without spawning
+         it — see :mod:`repro.analyze.atomicity`
 =======  ==========================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analyze.atomicity import rule_sim006, rule_sim007, rule_sim008
-# An attribute call like ``log.append(...)`` is far more likely a list
-# method than a project generator of the same name, so SIM001 never
-# matches builtin method names by attribute (bare-name calls still
-# match).  The callgraph module owns the set: its call resolution
-# applies the same policy.
-from repro.analyze.callgraph import _BUILTIN_METHOD_NAMES
+from repro.analyze.atomicity import rule_sim006, rule_sim007
 from repro.analyze.linter import Finding, Module
 
-__all__ = ["ALL_RULES", "RULE_CODES", "rule_sim001", "rule_sim002",
-           "rule_sim003", "rule_sim004", "rule_sim005", "rule_sim006",
-           "rule_sim007", "rule_sim008"]
-
-
-def rule_sim001(module: Module) -> Iterator[Finding]:
-    """SIM001: a call to a known generator function whose result is
-    dropped (bare expression statement) or yielded directly.
-
-    ``self._flush()`` as a statement creates a generator object and
-    throws it away — the simulated work silently never happens.  The
-    fix is ``yield from self._flush()`` or ``sim.process(self._flush())``.
-    ``yield self._flush()`` is the same bug in different clothes: the
-    kernel expects an Event, gets a generator, and crashes *only if*
-    that process is still alive to receive it.
-    """
-    index = module.index
-    if index is None:
-        return
-
-    def is_generator_call(call: ast.AST) -> Optional[str]:
-        if not isinstance(call, ast.Call):
-            return None
-        func = call.func
-        if isinstance(func, ast.Name) and index.is_generator_name(func.id):
-            return func.id
-        if (isinstance(func, ast.Attribute)
-                and func.attr not in _BUILTIN_METHOD_NAMES
-                and index.is_generator_name(func.attr)):
-            return func.attr
-        return None
-
-    for node in module.nodes:
-        if isinstance(node, ast.Expr):
-            value = node.value
-            if isinstance(value, ast.Yield) and value.value is not None:
-                name = is_generator_call(value.value)
-                if name is not None:
-                    yield module.finding(
-                        node, "SIM001",
-                        f"generator {name!r} yielded directly — a process "
-                        f"yields Events; use 'yield from {name}(...)'")
-            else:
-                name = is_generator_call(value)
-                if name is not None:
-                    yield module.finding(
-                        node, "SIM001",
-                        f"call to generator {name!r} is discarded — the "
-                        f"process never runs; use 'yield from' or "
-                        f"'sim.process(...)'")
+__all__ = ["ALL_RULES", "RULE_CODES", "rule_sim002", "rule_sim003",
+           "rule_sim004", "rule_sim005", "rule_sim006", "rule_sim007"]
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +445,13 @@ def rule_sim005(module: Module) -> Iterator[Finding]:
                     "time — use 'yield sim.timeout(...)'")
 
 
-ALL_RULES = (rule_sim001, rule_sim002, rule_sim003, rule_sim004, rule_sim005,
-             rule_sim006, rule_sim007, rule_sim008)
+ALL_RULES = (rule_sim002, rule_sim003, rule_sim004, rule_sim005,
+             rule_sim006, rule_sim007)
 RULE_CODES = {
-    "SIM001": rule_sim001,
     "SIM002": rule_sim002,
     "SIM003": rule_sim003,
     "SIM004": rule_sim004,
     "SIM005": rule_sim005,
     "SIM006": rule_sim006,
     "SIM007": rule_sim007,
-    "SIM008": rule_sim008,
 }

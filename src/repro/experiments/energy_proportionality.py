@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import (ComparisonTable,
+                                        energy_proportionality_index)
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import CellOutcome, SweepPlan, SweepPoint
 from repro.powermgmt import PowerPolicy
@@ -250,7 +251,6 @@ def run_energy_proportionality(
                                         scale, 1.0, 0.0, peak_duration,
                                         pdu_interval))
         result.points.extend(points)
-        from repro.analysis.reports import energy_proportionality_index
         result.ep_index[governor] = energy_proportionality_index(
             [p.throughput for p in points],
             [p.watts_per_server for p in points])

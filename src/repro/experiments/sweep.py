@@ -45,8 +45,7 @@ global state cannot leak into a sibling scheduled onto the same worker
 (``tests/sweep/test_seed_isolation.py``).  Under debug mode the runner
 additionally fingerprints every registered module-state watch
 (:func:`repro.sim.sanitize.watch_cell_state`) around the cell and
-raises :class:`~repro.sim.sanitize.CellStateError` on divergence — the
-runtime half of the static DET001–DET006 state-isolation lint.
+raises :class:`~repro.sim.sanitize.CellStateError` on divergence.
 """
 
 from __future__ import annotations
@@ -676,7 +675,7 @@ _SELFTEST_LEAK: Optional[int] = None  # written by leaky cells, on purpose
 
 # The selftest leak is watched so the debug-mode cell-state check can
 # prove it catches a real module-global leak (tests/sweep/
-# test_cell_state.py) — the runtime half of DET001.
+# test_cell_state.py).
 watch_cell_state("repro.experiments.sweep._SELFTEST_LEAK",
                  lambda: _SELFTEST_LEAK)
 
@@ -735,7 +734,7 @@ def _selftest_cell(params: Dict[str, Any], seed: int,
         scale.with_(ops_per_client=scale.ops_per_client + bump)), seed)
     if params.get("pid_salt"):
         salted = hashlib.sha256(
-            f"{outcome.digest}:{os.getpid()}".encode()).hexdigest()  # simlint: disable=DET005 deliberately env-dependent digest under test
+            f"{outcome.digest}:{os.getpid()}".encode()).hexdigest()
         outcome = CellOutcome(metrics=outcome.metrics, digest=salted,
                               events=outcome.events, ops=outcome.ops)
 
@@ -746,7 +745,7 @@ def _selftest_cell(params: Dict[str, Any], seed: int,
         os.environ["REPRO_SWEEP_SELFTEST_BUMP"] = "50"
         _random.seed(0)  # simlint: disable=SIM003 deliberate leak under test
         global _SELFTEST_LEAK
-        _SELFTEST_LEAK = seed  # simlint: disable=DET001 deliberate leak under test
+        _SELFTEST_LEAK = seed
     return outcome
 
 

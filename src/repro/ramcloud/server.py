@@ -2144,7 +2144,8 @@ class RamCloudServer(RpcService):
 
     # ------------------------------------------------------------------
 
-    _HANDLERS = {  # simlint: disable=DET003 opcode dispatch table: built at class creation, read-only afterwards
+    # Opcode dispatch table: built at class creation, read-only afterwards.
+    _HANDLERS = {
         "read": _handle_read,
         "multiread": _handle_multiread,
         "write": _handle_write,

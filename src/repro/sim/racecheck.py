@@ -4,7 +4,7 @@ In this cooperative DES every ``yield`` is a preemption point: state
 that must change atomically (the hash table entry *and* the log entry,
 the tablet map *and* the owners) is only safe if no yield separates the
 touches — or if a lock token is held across them.  The static side
-(:mod:`repro.analyze`, SIM006–SIM008) proves what it can from the
+(:mod:`repro.analyze`, SIM006) proves what it can from the
 source; this module catches the rest at run time, turning the whole
 test suite into a race-detection corpus.
 

@@ -19,9 +19,9 @@ finish so the warning can point at the cause).  With ``debug=False``
 (the default) no sanitizer object exists and the kernel pays nothing
 beyond a ``None`` check.
 
-A fourth check pairs with the *static* DET001–DET006 state-isolation
-rules (:mod:`repro.analyze.detrules`) the way the others pair with the
-SIM rules:
+A fourth check guards sweep-cell state isolation, alongside the sweep
+runner's environment snapshot/restore and its serial-vs-parallel
+digest check (``docs/ANALYSIS.md``, "Determinism rules"):
 
 * **cell-state divergence** — the sweep runner fingerprints every
   *registered* piece of module state (:func:`watch_cell_state`) before
@@ -64,14 +64,12 @@ class CellStateError(AssertionError):
     """
 
 
-# -- cell-state fingerprinting (the runtime side of DET001) --------------
+# -- cell-state fingerprinting ---------------------------------------------
 #
-# The DET lint proves statically that no code path *writes* module
-# state at runtime; this registry proves the same invariant
-# dynamically, for the state static names cannot see (C extensions,
-# sanctioned-by-pragma registries, the global RNG).  Suppliers are
-# registered once at import time; under debug mode the sweep runner
-# fingerprints every watch before a cell and re-checks after it.
+# Module state a cell could leak into its successor — including what
+# static names cannot see (C extensions, the global RNG) — is
+# registered here once at import time; under debug mode the sweep
+# runner fingerprints every watch before a cell and re-checks after it.
 
 _CELL_WATCHES: Dict[str, Callable[[], object]] = {}
 
@@ -83,7 +81,7 @@ def watch_cell_state(label: str, supplier: Callable[[], object]) -> None:
     object); ``label`` names it in :class:`CellStateError` reports.
     Re-registering a label replaces the supplier.
     """
-    _CELL_WATCHES[label] = supplier  # simlint: disable=DET001 the leak detector's own registry: import-time registration, label-keyed
+    _CELL_WATCHES[label] = supplier
 
 
 def cell_state_fingerprint() -> Dict[str, str]:
@@ -116,7 +114,7 @@ def check_cell_state(before: Dict[str, str], context: str = "") -> None:
             f"module state leaked across a sweep cell{where}: "
             f"{', '.join(diverged)} changed — cells must be pure "
             f"functions of (experiment, params, seed, scale); see "
-            f"docs/ANALYSIS.md (DET001)")
+            f"docs/ANALYSIS.md (Determinism rules)")
 
 
 def _global_random_state() -> object:

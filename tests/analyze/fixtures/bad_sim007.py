@@ -2,8 +2,8 @@
 plain (non-generator) functions without spawning them.
 
 ``open_replication`` is a *wrapper*: itself a plain function, but its
-return value is a sim-coroutine the caller must drive — exactly the
-case SIM001's generator-name matching cannot see.
+return value is a sim-coroutine the caller must drive — a generator
+test of the callee's own body cannot see it.
 
 Never imported or executed — only linted.
 """

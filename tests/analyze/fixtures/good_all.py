@@ -14,7 +14,7 @@ def flush_segment(sim, disk):
 
 
 def handle_close(sim, disk):
-    # SIM001-clean: consumed with yield from / started as a process.
+    # SIM007-clean: consumed with yield from / started as a process.
     yield from flush_segment(sim, disk)
     sim.process(flush_segment(sim, disk), name="background-flush")
 
@@ -162,48 +162,3 @@ def start_flush(sim, disk):
     launch(sim, flush_segment(sim, disk))
     return flush_segment(sim, disk)
 
-
-def ordered_one(sim, lock_a, lock_b, log):
-    # SIM008-clean: both paths take lock_a before lock_b.
-    ta = lock_a.acquire()
-    try:
-        yield ta
-    except BaseException:
-        lock_a.abort(ta)
-        raise
-    try:
-        tb = lock_b.acquire()
-        try:
-            yield tb
-        except BaseException:
-            lock_b.abort(tb)
-            raise
-        try:
-            log.append("one")
-        finally:
-            lock_b.release(tb)
-    finally:
-        lock_a.release(ta)
-
-
-def ordered_two(sim, lock_a, lock_b, log):
-    # SIM008-clean: same order as ordered_one — no inversion exists.
-    ta = lock_a.acquire()
-    try:
-        yield ta
-    except BaseException:
-        lock_a.abort(ta)
-        raise
-    try:
-        tb = lock_b.acquire()
-        try:
-            yield tb
-        except BaseException:
-            lock_b.abort(tb)
-            raise
-        try:
-            log.append("two")
-        finally:
-            lock_b.release(tb)
-    finally:
-        lock_a.release(ta)

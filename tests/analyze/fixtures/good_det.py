@@ -1,50 +1,19 @@
-"""Clean under every DET rule: the true-negative corpus."""
+"""Clean under DET002: the true-negative corpus."""
 
 import os
 
-LIMITS = (1, 2, 3)
-NAMES = frozenset({"read", "write"})
-TABLE = {"read": 1, "write": 2}  # init-time registry, never written later
+
+def run(host):
+    # A local named like the environment is not the environment.
+    environ = {"local": "mapping"}
+    return environ["local"]
 
 
-class Worker:
-    MAX_DEPTH = 8  # immutable class attribute: fine
-
-    def __init__(self):
-        self.items = []  # per-instance state: fine
-
-    def push(self, value):
-        self.items.append(value)  # self attr, not module state
+def results_path(root, name):
+    # Other os attributes are not process-global configuration.
+    return os.path.join(root, name)
 
 
-def helper(table=None):
-    # None default + build-in-body: the DET003-clean idiom.
-    table = {} if table is None else table
-    table["x"] = 1
-    return table
-
-
-def shadowing():
-    # A LOCAL named like the module registry must not fire DET001.
-    TABLE = {}
-    TABLE["local"] = True
-    TABLE.update(local=2)
-    return TABLE
-
-
-def stable_order(items):
-    return sorted(items, key=lambda pair: pair[0])
-
-
-def process_id_for_logs():
-    # A PID outside sort/digest/label contexts is not a finding.
-    return os.getpid()
-
-
-def pure_cell(params, seed, scale):
-    local = {"seed": seed}
-    local["scale"] = scale
-    return tuple(sorted(local.items()))
-
-
-SWEEP_CELLS = {"pure": pure_cell}
+def scaled_ops(ops_per_client):
+    # The knob arrives as a parameter the sweep/scale layer resolved.
+    return 2 * ops_per_client

@@ -6,13 +6,26 @@ fixtures — so the contract is pinned here.
 
 import json
 import os
+import re
 import subprocess
 import sys
+
+from repro.analyze import iter_python_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
+
+
+# A suppression pragma's codes: ``disable=SIM003,...`` / ``ignore[...]``.
+_PRAGMA = re.compile(r"simlint:\s*(?:disable=|ignore\[)"
+                     r"([A-Z]+\d{3}(?:\s*,\s*[A-Z]+\d{3})*)")
+
+
+def catalogue(list_rules_output):
+    """The rule codes ``--list-rules`` printed."""
+    return set(re.findall(r"^  ([A-Z]+\d{3}) ", list_rules_output, re.M))
 
 
 def run_cli(*args):
@@ -33,8 +46,8 @@ def test_clean_tree_exits_zero():
 def test_bad_fixtures_exit_nonzero_and_name_every_rule():
     proc = run_cli(FIXTURES)
     assert proc.returncode == 1
-    for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                 "SIM006", "SIM007", "SIM008"):
+    for code in ("SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
+                 "SIM007"):
         assert code in proc.stdout, f"{code} missing from:\n{proc.stdout}"
     assert "finding(s)" in proc.stderr
 
@@ -68,9 +81,31 @@ def test_one_missing_path_among_good_ones_still_errors():
 def test_list_rules_prints_catalogue():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
-    for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
-                 "SIM006", "SIM007", "SIM008"):
-        assert code in proc.stdout
+    assert catalogue(proc.stdout) == {
+        "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007",
+        "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
+        "DET002",
+    }
+
+
+def test_every_pragma_names_a_catalogued_code():
+    # A pragma for a deleted rule silences nothing and tells the reader
+    # a rule guards the line when none does.
+    codes = catalogue(run_cli("--list-rules").stdout)
+    fixtures = os.path.join(REPO_ROOT, "tests", "analyze", "fixtures")
+    roots = [os.path.join(REPO_ROOT, d)
+             for d in ("src", "examples", "tools", "tests")]
+    stale = []
+    for path in iter_python_files(roots):
+        if path.startswith(fixtures + os.sep):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                for match in _PRAGMA.finditer(line):
+                    for code in re.split(r"\s*,\s*", match.group(1)):
+                        if code not in codes:
+                            stale.append(f"{path}:{lineno}: {code}")
+    assert codes and not stale, "\n".join(stale)
 
 
 def test_json_format_is_machine_readable():
@@ -94,17 +129,17 @@ def test_json_format_on_clean_tree_is_empty_report():
 
 
 # ---------------------------------------------------------------------------
-# --perf / --profile-json (the PERF rules' CLI surface)
+# --select PERF / --profile-json (the PERF rules' CLI surface)
 # ---------------------------------------------------------------------------
 
-def test_perf_flag_runs_perf_rules_on_fixtures():
-    proc = run_cli("--perf", FIXTURES)
+def test_select_sim_perf_runs_perf_rules_on_fixtures():
+    proc = run_cli("--select", "SIM,PERF", FIXTURES)
     assert proc.returncode == 1
     for code in ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005"):
         assert code in proc.stdout, f"{code} missing from:\n{proc.stdout}"
 
 
-def test_without_perf_flag_perf_rules_stay_off():
+def test_default_selection_leaves_perf_rules_off():
     proc = run_cli(os.path.join(FIXTURES, "bad_perf002.py"))
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
@@ -119,16 +154,18 @@ def test_select_perf_code_directly():
 
 
 def test_perf_scoped_by_committed_profile_is_clean_on_tree():
-    # The CI invocation: PERF rules over the real tree, scoped to the
-    # committed benchmark profile — zero unsuppressed findings.
+    # The CI invocation: every family over the real tree, the PERF
+    # rules scoped to the committed benchmark profile — zero
+    # unsuppressed findings.
     profile = os.path.join(REPO_ROOT, "BENCH_profile.json")
-    proc = run_cli("--perf", "--profile-json", profile,
+    proc = run_cli("--select", "SIM,PERF,DET", "--profile-json", profile,
                    "src", "examples", "tools")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_missing_profile_is_usage_error():
-    proc = run_cli("--perf", "--profile-json", "no/such/profile.json", "src")
+    proc = run_cli("--profile-json", "no/such/profile.json", "src")
     assert proc.returncode == 2
     assert "no such profile" in proc.stderr
 
@@ -147,10 +184,8 @@ def test_list_rules_includes_perf_catalogue():
 def test_select_det_family_runs_all_det_rules():
     proc = run_cli("--select", "DET", FIXTURES)
     assert proc.returncode == 1
-    for code in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                 "DET006"):
-        assert code in proc.stdout, f"{code} missing from:\n{proc.stdout}"
-    assert "SIM001" not in proc.stdout
+    assert "DET002" in proc.stdout
+    assert "SIM" not in proc.stdout
     assert "PERF002" not in proc.stdout
 
 
@@ -159,19 +194,19 @@ def test_select_mixes_family_and_single_code():
     assert proc.returncode == 1
     assert "DET002" in proc.stdout
     assert "SIM004" in proc.stdout
-    assert "DET001" not in proc.stdout
+    assert "SIM002" not in proc.stdout
 
 
 def test_ignore_drops_a_family_from_the_selection():
     proc = run_cli("--select", "SIM,PERF", "--ignore", "PERF", FIXTURES)
     assert proc.returncode == 1
-    assert "SIM001" in proc.stdout
+    assert "SIM007" in proc.stdout
     assert "PERF" not in proc.stdout
 
 
 def test_ignore_drops_a_single_code():
-    proc = run_cli("--select", "DET", "--ignore", "DET003",
-                   os.path.join(FIXTURES, "bad_det003.py"))
+    proc = run_cli("--select", "DET", "--ignore", "DET002",
+                   os.path.join(FIXTURES, "bad_det002.py"))
     assert proc.returncode == 0
     assert proc.stdout.strip() == ""
 
@@ -187,12 +222,4 @@ def test_list_rules_groups_by_family():
     assert proc.returncode == 0
     for header in ("SIM —", "PERF —", "DET —"):
         assert header in proc.stdout, f"{header!r} missing:\n{proc.stdout}"
-    for code in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                 "DET006"):
-        assert code in proc.stdout
-
-
-def test_det_pass_on_the_real_tree_is_clean():
-    # The CI invocation: the state-isolation gate over the whole tree.
-    proc = run_cli("--select", "DET", "src", "examples", "tools")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "DET002" in proc.stdout

@@ -198,6 +198,48 @@ class TestDeadlockDiagnostics:
         assert "'blocked' waits on Request on bucket-lock (queued)" in message
         assert "'holder' waits on Event" in message
 
+    def test_lock_order_inversion_names_both_sides(self):
+        # The ABBA shape: each critical section is the canonical
+        # SIM002-clean one, but 'ab' takes lock_a then lock_b and 'ba'
+        # the reverse.  Nothing preempts either process, so both park.
+        sim = Simulator(debug=True)
+        lock_a = Mutex(sim, name="lock_a")
+        lock_b = Mutex(sim, name="lock_b")
+        log = []
+
+        def transfer(first, second, label):
+            outer = first.acquire()
+            try:
+                yield outer
+            except BaseException:
+                first.abort(outer)
+                raise
+            try:
+                inner = second.acquire()
+                try:
+                    yield inner
+                except BaseException:
+                    second.abort(inner)
+                    raise
+                try:
+                    log.append(label)
+                finally:
+                    second.release(inner)
+            finally:
+                first.release(outer)
+
+        ab = sim.process(transfer(lock_a, lock_b, "ab"), name="ab")
+        sim.process(transfer(lock_b, lock_a, "ba"), name="ba")
+        with pytest.raises(SimulationError) as excinfo:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SanitizerWarning)
+                sim.run_process(ab)
+        message = str(excinfo.value)
+        assert "wait-for graph" in message
+        assert "'ab' waits on Request on lock_b (queued)" in message
+        assert "'ba' waits on Request on lock_a (queued)" in message
+        assert log == []
+
     def test_debug_off_keeps_the_short_message(self):
         sim = Simulator(debug=False)
         proc = sim.process(wait_on(sim.event()), name="stuck")

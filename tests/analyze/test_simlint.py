@@ -8,8 +8,6 @@ inline correct idioms (must stay silent).
 import os
 import textwrap
 
-import pytest
-
 from repro.analyze import analyze_paths, analyze_source
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -35,64 +33,6 @@ def codes(findings):
 
 def test_good_fixture_is_clean():
     assert lint_fixture("good_all.py") == []
-
-
-# ---------------------------------------------------------------------------
-# SIM001 — dropped generators
-# ---------------------------------------------------------------------------
-
-class TestSim001:
-    def test_bad_fixture_fires_twice(self):
-        findings = lint_fixture("bad_sim001.py")
-        assert codes(findings) == ["SIM001", "SIM001"]
-        discarded, yielded = findings
-        assert "discarded" in discarded.message
-        assert "yielded directly" in yielded.message
-
-    def test_yield_from_is_clean(self):
-        assert lint_snippet("""
-            def work(sim):
-                yield sim.timeout(1.0)
-
-            def caller(sim):
-                yield from work(sim)
-        """) == []
-
-    def test_sim_process_is_clean(self):
-        assert lint_snippet("""
-            def work(sim):
-                yield sim.timeout(1.0)
-
-            def caller(sim):
-                sim.process(work(sim))
-                yield sim.timeout(2.0)
-        """) == []
-
-    def test_ambiguous_name_is_not_flagged(self):
-        # 'run' is defined both as a generator and a plain function:
-        # too ambiguous to flag, SIM001 stays quiet.
-        assert lint_snippet("""
-            def run(sim):
-                yield sim.timeout(1.0)
-
-            class Engine:
-                def run(self):
-                    return 42
-
-            def caller(sim):
-                run(sim)
-                yield sim.timeout(2.0)
-        """) == []
-
-    def test_plain_function_call_statement_is_clean(self):
-        assert lint_snippet("""
-            def note(log):
-                log.append("x")
-
-            def caller(sim, log):
-                note(log)
-                yield sim.timeout(1.0)
-        """) == []
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +132,7 @@ class TestSim003:
 
     def test_suppression_of_other_code_does_not_silence(self):
         findings = lint_snippet("""
-            import random  # simlint: ignore[SIM001]
+            import random  # simlint: ignore[SIM007]
         """)
         assert codes(findings) == ["SIM003"]
 
@@ -434,9 +374,7 @@ class TestSim007:
                 sim.process(pending, name="w")
         """) == []
 
-    def test_unambiguous_generator_discard_stays_sim001(self):
-        # Direct discard of a known generator name is SIM001's exact
-        # finding; SIM007 must not double-report it.
+    def test_discard_in_a_plain_function_fires(self):
         findings = lint_snippet("""
             def work(sim):
                 yield sim.timeout(0.01)
@@ -444,94 +382,67 @@ class TestSim007:
             def starter(sim):
                 work(sim)
         """)
-        assert codes(findings) == ["SIM001"]
+        assert codes(findings) == ["SIM007"]
 
+    def test_discard_inside_a_generator_fires(self):
+        # A coroutine that calls another without 'yield from' drops it
+        # just the same: the generator object is created and discarded.
+        findings = lint_snippet("""
+            def flush_segment(sim, disk):
+                yield sim.timeout(0.01)
+                yield from disk.write(10)
 
-# ---------------------------------------------------------------------------
-# SIM008 — lock-order inversion
-# ---------------------------------------------------------------------------
+            def handle_close(sim, disk):
+                flush_segment(sim, disk)
+                yield sim.timeout(0.1)
+        """)
+        assert codes(findings) == ["SIM007"]
+        assert "'flush_segment' is discarded" in findings[0].message
 
-class TestSim008:
-    def test_bad_fixture_reports_both_sides(self):
-        findings = lint_fixture("bad_sim008.py")
-        assert codes(findings) == ["SIM008", "SIM008"]
-        ab, ba = findings
-        assert "'lock_b'" in ab.message and "holding 'lock_a'" in ab.message
-        assert "'lock_a'" in ba.message and "holding 'lock_b'" in ba.message
-        # Each side points at the opposite-order witness.
-        assert f":{ba.line}" in ab.message
-        assert f":{ab.line}" in ba.message
-
-    def test_consistent_order_is_clean(self):
-        findings = lint_fixture("good_all.py")
-        assert findings == []
-
-    def test_sequential_locks_are_clean(self):
-        # Release before the next acquire: no nesting, no pair.
+    def test_yield_from_is_clean(self):
         assert lint_snippet("""
-            def one_then_other(sim, lock_a, lock_b, log):
-                ta = lock_a.acquire()
-                try:
-                    yield ta
-                    log.append("a")
-                finally:
-                    lock_a.release(ta)
-                tb = lock_b.acquire()
-                try:
-                    yield tb
-                    log.append("b")
-                finally:
-                    lock_b.release(tb)
+            def work(sim):
+                yield sim.timeout(1.0)
 
-            def other_then_one(sim, lock_a, lock_b, log):
-                tb = lock_b.acquire()
-                try:
-                    yield tb
-                    log.append("b")
-                finally:
-                    lock_b.release(tb)
-                ta = lock_a.acquire()
-                try:
-                    yield ta
-                    log.append("a")
-                finally:
-                    lock_a.release(ta)
+            def caller(sim):
+                yield from work(sim)
         """) == []
 
-    def test_transitive_inversion_through_a_call_fires(self):
-        # One side nests directly; the other reaches the inner lock
-        # through a helper called while the outer lock is held.
-        findings = lint_snippet("""
-            def helper(sim, lock_a, log):
-                ta = lock_a.acquire()
-                try:
-                    yield ta
-                    log.append("h")
-                finally:
-                    lock_a.release(ta)
+    def test_sim_process_is_clean(self):
+        assert lint_snippet("""
+            def work(sim):
+                yield sim.timeout(1.0)
 
-            def path_one(sim, lock_a, lock_b, log):
-                tb = lock_b.acquire()
-                try:
-                    yield tb
-                    yield from helper(sim, lock_a, log)
-                finally:
-                    lock_b.release(tb)
+            def caller(sim):
+                sim.process(work(sim))
+                yield sim.timeout(2.0)
+        """) == []
 
-            def path_two(sim, lock_a, lock_b, log):
-                ta = lock_a.acquire()
-                try:
-                    yield ta
-                    tb = lock_b.acquire()
-                    try:
-                        yield tb
-                        log.append("p2")
-                    finally:
-                        lock_b.release(tb)
-                finally:
-                    lock_a.release(ta)
-        """)
-        assert "SIM008" in codes(findings)
+    def test_ambiguous_name_is_not_flagged(self):
+        # 'run' is defined both as a generator and a plain function:
+        # too ambiguous to flag, SIM007 stays quiet.
+        assert lint_snippet("""
+            def run(sim):
+                yield sim.timeout(1.0)
+
+            class Engine:
+                def run(self):
+                    return 42
+
+            def caller(sim):
+                run(sim)
+                yield sim.timeout(2.0)
+        """) == []
+
+    def test_plain_function_call_statement_is_clean(self):
+        assert lint_snippet("""
+            def note(log):
+                log.append("x")
+
+            def caller(sim, log):
+                note(log)
+                yield sim.timeout(1.0)
+        """) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.experiments.reporting import (
+    _bucketize,
     ascii_chart,
     ascii_multi_chart,
     cpu_usage_table,
     energy_proportionality_index,
 )
-from repro.analysis.charts import _bucketize
 
 
 class TestBucketize:
@@ -90,7 +90,7 @@ class TestEnergyProportionality:
 
 class TestCrashTimelineReport:
     def test_report_renders_from_real_run(self):
-        from repro.analysis import crash_timeline_report
+        from repro.experiments.reporting import crash_timeline_report
         from repro.cluster import ClusterSpec, CrashExperimentSpec, \
             run_crash_experiment
         from repro.hardware.specs import MB

@@ -1,4 +1,4 @@
-"""The debug-mode cell-state sanitizer — the runtime half of DET001.
+"""The debug-mode cell-state sanitizer — sweep cells leak no module state.
 
 Under ``debug=True`` every sweep cell is bracketed by a fingerprint of
 the registered module-state watches (:func:`repro.sim.sanitize.

@@ -16,7 +16,7 @@ Three modes:
   generous default tolerance);
 * ``--profile-json`` additionally runs the first bench under cProfile
   and dumps the per-function rows as JSON — the hot-set input for the
-  profile-guided lint rules (``python -m repro.analyze --perf``).
+  profile-guided lint rules (``python -m repro.analyze --select PERF``).
 
 Determinism note: the benches measure *wall time only*.  Simulated
 results are pinned separately by the determinism digests
