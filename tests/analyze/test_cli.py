@@ -189,6 +189,13 @@ def test_select_det_family_runs_all_det_rules():
     assert "PERF002" not in proc.stdout
 
 
+def test_det_pass_on_the_real_tree_is_clean():
+    # The state-isolation family alone over the whole tree.
+    proc = run_cli("--select", "DET", "src", "examples", "tools")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_select_mixes_family_and_single_code():
     proc = run_cli("--select", "DET002,SIM004", FIXTURES)
     assert proc.returncode == 1
