@@ -24,8 +24,9 @@ atomicity rules need:
 Everything here is name-based and deliberately precision-first: a name
 is may-yield only if *every* definition is, a lock identity is the
 unparsed receiver expression, and dynamic indirection (a lock passed as
-a parameter) is invisible.  The runtime detector
-(:mod:`repro.sim.racecheck`) covers what static names cannot.
+a parameter) is invisible.  At run time only the ``@guarded_by``
+structures are checked (:mod:`repro.sim.sanitize`); an unannotated torn
+``self.*`` update is seen by SIM006 or by nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _project_callee(call: ast.Call) -> Optional[str]:
 
     Bare names always may; attribute calls only when the attribute is
     not a builtin container method and the receiver is not the
-    race-instrumentation handle (``self.race.write(...)`` is a tracking
-    no-op that must not resolve to ``Disk.write``).
+    guard-check handle (``self.race.write(...)`` is a debug-mode lock
+    check that must not resolve to ``Disk.write``).
     """
     func = call.func
     if isinstance(func, ast.Name):

@@ -80,7 +80,7 @@ class CrashExperimentResult:
         default_factory=list)
     # The injector's deterministic (time, description) applied-fault log.
     fault_log: List[Tuple[float, str]] = field(default_factory=list)
-    # Runtime lockset race reports (debug mode only; execution order,
+    # Unguarded-write reports (debug mode only; execution order,
     # which is deterministic under a fixed seed).  Empty otherwise.
     race_reports: List[str] = field(default_factory=list)
 
@@ -260,7 +260,7 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
     result.repairs = list(cluster.coordinator.repairs)
     result.fault_log = list(injector.applied)
     if cluster.sim._sanitizer is not None:
-        result.race_reports = list(cluster.sim._sanitizer.races.reports)
+        result.race_reports = list(cluster.sim._sanitizer.race_reports)
     for client in clients:
         result.client_latencies.append(
             client.stats.all_latencies().samples)

@@ -68,7 +68,7 @@ class ExperimentResult:
     # Kernel events scheduled over the whole run (preload included) —
     # the work unit tools/bench_kernel.py divides wall time by.
     sim_events: int = 0
-    # Runtime lockset race reports (debug mode only; execution order,
+    # Unguarded-write reports (debug mode only; execution order,
     # which is deterministic under a fixed seed).  Empty otherwise.
     race_reports: List[str] = field(default_factory=list)
     # Per-tenant SLA breakout (multi-tenant runs only): tenant name →
@@ -193,7 +193,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     result = ExperimentResult(spec=spec)
     result.sim_events = cluster.sim._seq
     if cluster.sim._sanitizer is not None:
-        result.race_reports = list(cluster.sim._sanitizer.races.reports)
+        result.race_reports = list(cluster.sim._sanitizer.race_reports)
     result.makespan = makespan
     result.per_client_stats = [c.stats for c in clients]
     result.total_ops = sum(c.stats.total_ops for c in clients)

@@ -35,7 +35,6 @@ from typing import List, Optional
 from repro.powermgmt.policy import PowerPolicy
 from repro.sim.kernel import Interrupt, Process, Simulator
 from repro.sim.monitor import TimeSeries
-from repro.sim.racecheck import shared
 
 __all__ = ["AdmissionThrottle", "PowerCapController"]
 
@@ -55,14 +54,9 @@ class AdmissionThrottle:
         self.name = name
         self.rate: float = math.inf
         self._next_slot = 0.0
-        # rate is written by the controller process and read by every
-        # client process; a stale read only mis-paces one operation by
-        # one tick, so accesses are relaxed by design.
-        self._race = shared(sim, f"throttle:{name}", obj=self, owner=self)
 
     def reserve(self) -> float:
         """Claim the next admission slot; returns seconds to wait."""
-        self._race.read("rate", relaxed=True)
         if math.isinf(self.rate):
             return 0.0
         now = self.sim.now
@@ -74,7 +68,6 @@ class AdmissionThrottle:
         """Assign the admitted cluster rate (ops/s; ``inf`` disengages)."""
         if rate <= 0:
             raise ValueError(f"admission rate must be positive, got {rate}")
-        self._race.write("rate", relaxed=True)
         self.rate = rate
 
 

@@ -22,7 +22,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tup
 
 from repro.hardware.node import Node
 from repro.sim.kernel import Simulator
-from repro.sim.racecheck import shared
 
 __all__ = ["Fabric", "NodeUnreachable", "NetworkPartitioned"]
 
@@ -46,7 +45,6 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.race = shared(sim, "fabric")
         self._nodes: Dict[str, Node] = {}
         # Per sender NIC: the time its transmit queue drains.
         self._tx_free: Dict[str, float] = {}
@@ -80,13 +78,11 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
 
     def partition(self, a: str, b: str) -> None:
         """Cut connectivity between two machines (both directions)."""
-        self.race.write("partitions")
         self._partitions.add((a, b))
         self._partitions.add((b, a))
 
     def heal(self, a: str, b: str) -> None:
         """Restore connectivity cut by :meth:`partition`."""
-        self.race.write("partitions")
         self._partitions.discard((a, b))
         self._partitions.discard((b, a))
 
@@ -106,7 +102,6 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
 
     def heal_all(self) -> None:
         """Remove every partition cut."""
-        self.race.write("partitions")
         self._partitions.clear()
 
     # -- paused nodes (network-silent but alive; repro.faults) -----------
@@ -118,23 +113,19 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
         crashed ones to a failure detector."""
         if name not in self._nodes:
             raise KeyError(f"node {name!r} not attached")
-        self.race.write("paused")
         self._paused.add(name)
 
     def resume_node(self, name: str) -> None:
         """Lift a :meth:`pause_node` silence."""
-        self.race.write("paused")
         self._paused.discard(name)
 
     def is_paused(self, name: str) -> bool:
         """Whether the node's NIC is silenced (optimistic check)."""
-        self.race.read("paused", relaxed=True)
         return name in self._paused
 
     def is_partitioned(self, a: str, b: str) -> bool:
         """Whether a partition separates the two machines (an optimistic
         check: connectivity can change before the answer is used)."""
-        self.race.read("partitions", relaxed=True)
         return (a, b) in self._partitions
 
     # -- RPC faults (delay/drop, used by repro.faults) --------------------
@@ -182,7 +173,6 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
             raise ValueError(f"negative message size: {nbytes}")
         if src.name not in self._nodes or dst.name not in self._nodes:
             raise KeyError("both endpoints must be attached to the fabric")
-        self.race.read("partitions", relaxed=True)
         if (src.name, dst.name) in self._partitions:
             raise NetworkPartitioned(f"{src.name} cannot reach {dst.name}")
 

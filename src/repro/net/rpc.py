@@ -147,7 +147,7 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
         fabric = self.fabric
         # Fault lookup and paused-endpoint checks are skipped outright
         # when no fault/pause is installed (the common case on the data
-        # path; the skipped relaxed race.reads record nothing anyway).
+        # path).
         fault = (fabric.rpc_fault_for(src.name, self.node.name, op)
                  if fabric._rpc_faults else None)
         if fault is not None and fault[0] == "delay":

@@ -32,7 +32,6 @@ from repro.powermgmt.policy import GOVERNORS, PowerPolicy
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Interrupt, Process, Simulator
 from repro.sim.monitor import TimeSeries
-from repro.sim.racecheck import shared
 
 __all__ = ["PowerManager"]
 
@@ -56,13 +55,6 @@ class PowerManager:
         # Frequency decisions over time (ratio samples; starts empty,
         # records one point per P-state change).
         self.freq_series = TimeSeries(name=f"{node.name}:freq-ratio")
-        # The governor field is written by whichever process calls
-        # set_governor (an experiment driver, the fault injector) and
-        # read by the manager's own loop — declare it for the lockset
-        # detector; accesses are relaxed by design (a mode flag polled
-        # at loop granularity, like the server's dispatch_mode).
-        self._race = shared(sim, f"powermgmt:{node.name}", obj=self,
-                            owner=self)
         self.set_governor(policy.governor)
 
     # ------------------------------------------------------------------
@@ -77,7 +69,6 @@ class PowerManager:
         if name not in GOVERNORS:
             raise ValueError(
                 f"governor must be one of {GOVERNORS}, got {name!r}")
-        self._race.write("governor", relaxed=True)
         if name == self.governor:
             return
         self._teardown()
@@ -126,7 +117,6 @@ class PowerManager:
                 elapsed = self.sim.now - last_time
                 util = 100.0 * (busy - last_busy) / (elapsed * cores)
                 last_busy, last_time = busy, self.sim.now
-                self._race.write("step_index", relaxed=True)
                 if (util > policy.up_threshold
                         and self._step_index < len(self._steps) - 1):
                     # Race to the top P-state on load, like Linux

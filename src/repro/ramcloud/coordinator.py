@@ -31,7 +31,6 @@ from repro.ramcloud.tablets import TabletMap, TabletStatus, key_hash
 from repro.ramcloud.tenancy import TenantSpec, tenant_table_name
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
-from repro.sim.racecheck import shared, task_boundary
 
 __all__ = ["Coordinator", "RecoveryStats", "RepairStats"]
 
@@ -144,8 +143,6 @@ class Coordinator(RpcService):
         self.recovery_pipeline_width = 6
 
         self.tablet_map = TabletMap()
-        self.tablet_map.race = shared(sim, "tabletmap",
-                                      obj=self.tablet_map)
         # Secondary indexes: hidden index table id → IndexDescriptor.
         # Indexlets are ordinary tablets of the hidden table, so the
         # recovery/migration machinery moves them without special cases.
@@ -153,8 +150,6 @@ class Coordinator(RpcService):
         # Multi-tenancy: registered tenants and the tables they own.
         self.tenants: Dict[str, TenantSpec] = {}
         self.tenant_of_table: Dict[int, str] = {}
-        # Race-detection handle for the membership dicts (debug mode).
-        self.race = shared(sim, "coordinator", obj=self)
         self._servers: Dict[str, object] = {}  # server_id → RamCloudServer
         self._live: Dict[str, bool] = {}
         self._missed_pings: Dict[str, int] = {}
@@ -196,7 +191,6 @@ class Coordinator(RpcService):
         if server.server_id in self._servers:
             raise ValueError(f"server {server.server_id!r} already enlisted")
         self._servers[server.server_id] = server
-        self.race.write(f"live/{server.server_id}")
         self._live[server.server_id] = True
         self._missed_pings[server.server_id] = 0
         # The enlistment response carries existing index/tenant configs
@@ -230,7 +224,6 @@ class Coordinator(RpcService):
     def live_server_ids(self) -> List[str]:
         """Ids of servers currently believed alive (an optimistic scan:
         membership can change under any caller that later yields)."""
-        self.race.read("live", relaxed=True)
         return [sid for sid, alive in self._live.items() if alive]
 
     def is_live(self, server_id: str) -> bool:
@@ -246,9 +239,6 @@ class Coordinator(RpcService):
         data path, one thread suffices)."""
         while True:
             request = yield self.inbox.get()
-            # Each request is an unrelated work item: accesses before
-            # this point must not pair with accesses after it.
-            task_boundary(self.sim)
             yield from self.node.cpu.execute(self.cost.coordinator_service)
             try:
                 self._serve(request)
@@ -357,7 +347,6 @@ class Coordinator(RpcService):
         table = self.create_table(hidden, span=len(boundaries))
         desc = IndexDescriptor(index_id=table.table_id, table_id=table_id,
                                name=name, boundaries=boundaries)
-        self.race.write("indexes")
         self.indexes[table.table_id] = desc
         # The index inherits the base table's tenant (search and
         # index_lookup admission throttles by the addressed table id).
@@ -514,7 +503,6 @@ class Coordinator(RpcService):
         try:
             pong = yield from server.call(self.node, "ping",
                                           timeout=self.ping_timeout)
-            self.race.write(f"pings/{server_id}")
             self._missed_pings[server_id] = 0
             # Pong piggybacks the server's server-list version: re-push
             # the list to anyone who missed an update (healed partition,
@@ -526,7 +514,6 @@ class Coordinator(RpcService):
         except (NodeUnreachable, RpcTimeout):
             if not self._live.get(server_id, False):
                 return
-            self.race.write(f"pings/{server_id}")
             self._missed_pings[server_id] += 1
             if self._missed_pings[server_id] >= self.detection_misses:
                 self._on_server_suspected(server_id)
@@ -556,7 +543,6 @@ class Coordinator(RpcService):
                 except (NodeUnreachable, RpcTimeout):
                     continue
                 # Alive after all: clear the suspicion.
-                self.race.write(f"pings/{server_id}")
                 self._missed_pings[server_id] = 0
                 return
             if self._live.get(server_id, False):
@@ -567,7 +553,6 @@ class Coordinator(RpcService):
     def _mark_dead(self, server_id: str) -> None:
         """Evict a server from the list: bump the epoch, record the
         eviction version, and disseminate the new view."""
-        self.race.write(f"live/{server_id}")
         self._live[server_id] = False
         self.membership_version += 1
         self._dead[server_id] = self.membership_version

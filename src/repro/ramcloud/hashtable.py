@@ -4,6 +4,11 @@ RAMCloud indexes its log with a hash table; every read goes through it
 and every write updates it.  We model it as a dict keyed by
 ``(table_id, key)`` whose values are ``(segment, entry)`` pairs, with
 live/dead bookkeeping so the cleaner can tell what to copy forward.
+
+Every mutation happens under the owning master's ``log_lock``: the
+class declares it with ``@guarded_by`` and, in debug mode, each write
+is checked for it (:mod:`repro.sim.sanitize`).  Lookups are not
+checked.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.ramcloud.segment import LogEntry, Segment
-from repro.sim.racecheck import NULL_SHARED, guarded_by
+from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = ["HashTable"]
 
@@ -21,8 +26,8 @@ class HashTable:
     """Maps live objects to their current log entry.
 
     Mutations must hold the owning master's ``log_lock`` (the index and
-    the log entry's liveness change together); ``self.race`` records
-    per-key accesses for the debug-mode race detector.
+    the log entry's liveness change together); in debug mode
+    ``self.race`` checks each per-key write for it.
     """
 
     __slots__ = ("_index", "race")
@@ -36,8 +41,6 @@ class HashTable:
 
     def lookup(self, table_id: int, key: str) -> Optional[Tuple[Segment, LogEntry]]:
         """The live (segment, entry) for a key, or None."""
-        if self.race.enabled:
-            self.race.read(f"t{table_id}/{key}")
         return self._index.get((table_id, key))
 
     def insert(self, table_id: int, key: str, segment: Segment,
@@ -80,12 +83,10 @@ class HashTable:
     def keys_for_table(self, table_id: int) -> Iterator[str]:
         """Iterate the live keys of one table (an optimistic snapshot:
         callers revalidate per key under the lock)."""
-        self.race.read(f"t{table_id}:keys", relaxed=True)
         return (key for (tid, key) in self._index if tid == table_id)
 
     def drop_table(self, table_id: int) -> int:
         """Remove every object of a table; returns how many were dropped."""
-        self.race.write(f"t{table_id}:keys", relaxed=True)
         doomed = [(tid, key) for (tid, key) in self._index if tid == table_id]
         for pair in doomed:
             self._index[pair][1].live = False

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.sim.racecheck import NULL_SHARED, guarded_by
+from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = [
     "KEY_SEP",
@@ -156,8 +156,6 @@ class SortedIndexEntries:
 
     def range(self, index_id: int, lo: str, hi: str) -> List[str]:
         """Entry keys in ``[lo, hi)``, ascending (a snapshot copy)."""
-        if self.race.enabled:
-            self.race.read(f"i{index_id}:range", relaxed=True)
         keys = self._sorted.get(index_id)
         if not keys:
             return []

@@ -8,6 +8,11 @@ The log tracks segment lifecycle: the head segment receives appends;
 when full it is *closed* (backups then flush their replica to disk) and
 a new head is opened (backups for it are chosen by the owner via the
 ``on_open`` callback).  The cleaner returns segments to the free pool.
+
+Structural changes and appends happen under the owning master's
+``log_lock``, declared with ``@guarded_by``; in debug mode the log and
+its segments share one handle that checks each write for the lock
+(:mod:`repro.sim.sanitize`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.errors import LogOutOfMemory
 from repro.ramcloud.segment import LogEntry, Segment
-from repro.sim.racecheck import NULL_SHARED, guarded_by
+from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = ["Log"]
 
@@ -27,8 +32,8 @@ class Log:
     """One master's log-structured memory.
 
     Structural mutations (head roll, segment open/free) must hold the
-    owning master's ``log_lock``; ``self.race`` records them for the
-    debug-mode race detector (installed via :meth:`set_race`).
+    owning master's ``log_lock``; in debug mode ``self.race`` (installed
+    via :meth:`set_race`) checks each of them for it.
     """
 
     # Segments kept back for the cleaner: without headroom to copy live
@@ -55,7 +60,7 @@ class Log:
         self.appended_bytes = 0
 
     def set_race(self, race) -> None:
-        """Install the race-detection handle (debug mode), covering the
+        """Install the guard-check handle (debug mode), covering the
         head segment opened before the handle existed."""
         self.race = race
         self.head.race = race
@@ -149,14 +154,12 @@ class Log:
 
     def closed_segments(self) -> List[Segment]:
         """Segments no longer accepting appends (optimistic snapshot)."""
-        self.race.read("segments", relaxed=True)
         return [s for s in self.segments.values() if s.closed]
 
     def cleanable_segments(self) -> List[Segment]:
         """Closed segments with any dead data, best candidates first
         (lowest live fraction — the cost/benefit policy RAMCloud uses).
         An optimistic snapshot: the cleaner revalidates under the lock."""
-        self.race.read("segments", relaxed=True)
         candidates = [s for s in self.segments.values()
                       if s.closed and s.dead_bytes > 0]
         candidates.sort(key=lambda s: s.utilization)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.sim.racecheck import NULL_SHARED
+from repro.sim.sanitize import NULL_SHARED
 
 __all__ = ["LogEntry", "Segment", "ENTRY_HEADER_BYTES"]
 
@@ -74,7 +74,7 @@ class Segment:
         self.bytes_used = 0
         self.entries: List[LogEntry] = []
         self.closed = False
-        # Race-detection handle shared with the owning Log (debug mode).
+        # Guard-check handle shared with the owning Log (debug mode).
         self.race = NULL_SHARED
         # Backup server ids holding replicas of this segment (chosen at
         # open time — §II-B: "a random backup in the cluster is chosen
@@ -130,7 +130,6 @@ class Segment:
         """Iterate the entries still reachable from the hash table (an
         optimistic scan: the cleaner revalidates per entry under the
         lock before relocating)."""
-        self.race.read(f"seg{self.segment_id}", relaxed=True)
         return (e for e in self.entries if e.live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -63,7 +63,7 @@ from repro.ramcloud.tablets import TabletStatus, key_hash
 from repro.ramcloud.tenancy import TenantThrottle
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Interrupt, Process, Simulator
-from repro.sim.racecheck import shared, task_boundary
+from repro.sim.sanitize import shared
 from repro.sim.resources import Mutex, Store
 
 __all__ = ["RamCloudServer", "SegmentReplica"]
@@ -144,7 +144,6 @@ class RamCloudServer(RpcService):
         self.replicas_lost = 0
         self.segments_repaired = 0
         self._repair_proc: Optional[Process] = None
-        self.view_race = shared(sim, f"{self.server_id}:view")
 
         # ---- master state ----
         self._bulk_loading = False
@@ -162,13 +161,12 @@ class RamCloudServer(RpcService):
         # (table_id, tablet_index) → shard count of that tablet
         self.tablet_shards: Dict[Tuple[int, int], int] = {}
         self._next_version = 1
-        # Race-detection handles (debug mode): the hash table and log
+        # Guard-check handles (debug mode): the hash table and log
         # declare @guarded_by("log_lock"), resolved against this server.
         self.hashtable.race = shared(sim, f"{self.server_id}:hashtable",
                                      obj=self.hashtable, owner=self)
         self.log.set_race(shared(sim, f"{self.server_id}:log",
                                  obj=self.log, owner=self))
-        self.race = shared(sim, f"{self.server_id}:tablets")
 
         # ---- secondary indexes (repro.ramcloud.indexing) ----
         # index_table_id → indexlet boundaries, installed by the
@@ -227,11 +225,6 @@ class RamCloudServer(RpcService):
         self.max_observed_staleness = 0.0
         self.async_writes_acked = 0
         self.backup_reads_served = 0
-        # Race handle for the batch queue / byte gauge / watermarks:
-        # every mutation is a single-step guarded add/drain that never
-        # spans a yield (the under_replicated work-queue idiom), so
-        # accesses are declared relaxed.
-        self.repl_race = shared(sim, f"{self.server_id}:repl")
 
         # ---- threading ----
         self.worker_queue = Store(sim, name=f"{self.server_id}:work",
@@ -340,7 +333,6 @@ class RamCloudServer(RpcService):
         """
         if self.killed or version <= self.server_list_version:
             return
-        self.view_race.write("view")
         old_dead = self.dead_view
         self.server_list_version = version
         self.live_view = tuple(live)
@@ -365,7 +357,6 @@ class RamCloudServer(RpcService):
         appends can ever reach the durable log."""
         if self.fenced:
             return
-        self.view_race.write("view")
         self.fenced = True
         self.fenced_at = self.sim.now
         self.writes_completed_at_fence = self.writes_completed
@@ -389,13 +380,6 @@ class RamCloudServer(RpcService):
         replication RPC that never acknowledged): remember the hole and
         make sure the repair loop is running."""
         key = (segment.segment_id, slot)
-        # under_replicated is a work-queue set touched by several
-        # producers (append/close failures, server-list deltas, recovery
-        # lanes rolling the log head) plus the repair consumer.  Every
-        # mutation is a single-step guarded add or discard — no
-        # read-modify-write ever spans a yield — so accesses are
-        # declared relaxed.
-        self.view_race.write("under_replicated", relaxed=True)
         if key not in self.under_replicated:
             self.under_replicated.add(key)
             self.replicas_lost += 1
@@ -417,7 +401,6 @@ class RamCloudServer(RpcService):
         a pause while no candidate backups exist."""
         try:
             while not (self.killed or self.fenced):
-                self.view_race.read("under_replicated", relaxed=True)
                 pending = sorted(self.under_replicated)
                 if not pending:
                     return
@@ -428,15 +411,11 @@ class RamCloudServer(RpcService):
                     segment = self.log.segments.get(segment_id)
                     if segment is None:
                         # Cleaned away while queued: nothing to repair.
-                        self.view_race.write("under_replicated",
-                                             relaxed=True)
                         self.under_replicated.discard((segment_id, slot))
                         progressed = True
                         continue
                     backup = yield from self._replace_backup(segment, slot)
                     if backup is not None:
-                        self.view_race.write("under_replicated",
-                                             relaxed=True)
                         self.under_replicated.discard((segment_id, slot))
                         # Monotonic single-writer progress counter.
                         self.segments_repaired += 1  # simlint: disable=SIM006 gauge
@@ -463,7 +442,6 @@ class RamCloudServer(RpcService):
         carry the extra thread or its events."""
         if self.killed:
             return
-        self.view_race.write("index_configs", relaxed=True)
         self.index_configs[index_id] = tuple(boundaries)
         if self._index_queue is None:
             self._index_queue = Store(self.sim,
@@ -482,7 +460,6 @@ class RamCloudServer(RpcService):
         observe — such tenants stay bit-identical to untenanted runs."""
         if self.killed:
             return
-        self.view_race.write("tenants", relaxed=True)
         if default_level is not None:
             self._tenant_defaults[table_id] = default_level
         if not math.isinf(admission_rate):
@@ -498,16 +475,12 @@ class RamCloudServer(RpcService):
         """Own one (tablet, shard) unit.  ``unit`` is
         ``(table_id, tablet_index, shard)``."""
         table_id, index, _shard = unit
-        if self.race.enabled:
-            self.race.write(f"{unit[0]}.{unit[1]}.{unit[2]}")
         self.tablets[unit] = (TabletStatus.NORMAL if ready
                               else TabletStatus.RECOVERING)
         self.tablet_shards[(table_id, index)] = shard_count
 
     def drop_tablet(self, unit: Tuple[int, int, int]) -> None:
         """Stop owning one (tablet, shard) unit."""
-        if self.race.enabled:
-            self.race.write(f"{unit[0]}.{unit[1]}.{unit[2]}")
         self.tablets.pop(unit, None)
 
     def _check_ownership(self, table_id: int, key: str, span: int,
@@ -535,8 +508,6 @@ class RamCloudServer(RpcService):
             raise StaleEpoch(
                 f"client map epoch {epoch} predates ownership change "
                 f"(this master requires >= {self.min_client_epoch})")
-        if self.race.enabled:
-            self.race.read(f"{unit[0]}.{unit[1]}.{unit[2]}")
         status = self.tablets.get(unit)
         if status is None:
             raise WrongServer(
@@ -841,10 +812,6 @@ class RamCloudServer(RpcService):
                             cpu.unpark_core()
                         yield sim.timeout(self.config.core_wake_latency)
                     request = yield get
-            # Each request is an unrelated work item for the race
-            # detector: this worker's earlier touches must not pair
-            # with touches made on behalf of this request.
-            task_boundary(sim)
             self.active_workers += 1
             try:
                 handler = handlers.get(request.op)
@@ -1148,7 +1115,6 @@ class RamCloudServer(RpcService):
             yield self.sim.timeout(self.config.staleness_bound_seconds / 8.0)
         if self.killed or self.fenced:
             return
-        self.repl_race.write("pending", relaxed=True)
         was_empty = not self._repl_pending
         self._repl_pending.append((segment, entry, upto, self.sim.now))
         self.unreplicated_bytes += entry.log_bytes
@@ -1191,7 +1157,6 @@ class RamCloudServer(RpcService):
         replication.  Runs on the background flusher, so the wait for
         backup acks is a plain block (no ack-spin CPU): that, plus the
         amortized send cost, is the §IX throughput/energy win."""
-        self.repl_race.write("pending", relaxed=True)
         batch = self._repl_pending
         self._repl_pending = []
         oldest = batch[0][3]
@@ -1209,7 +1174,6 @@ class RamCloudServer(RpcService):
             segment, nbytes, upto = per_segment[segment_id]
             yield from self._replicate_append(segment, nbytes, upto,
                                               spin=False)
-            self.repl_race.write("unreplicated_bytes", relaxed=True)
             self.unreplicated_bytes -= nbytes
         staleness = self.sim.now - oldest
         if staleness > self.max_observed_staleness:
@@ -1470,7 +1434,6 @@ class RamCloudServer(RpcService):
 
         Fails the request and returns True when rejecting.
         """
-        self.view_race.read("view", relaxed=True)
         if self.fenced:
             request.fail(NodeUnreachable(
                 f"{self.server_id} is fenced (evicted from the cluster)"))
@@ -1516,7 +1479,6 @@ class RamCloudServer(RpcService):
         version watermark to the highest version in the newly-applied
         slice.  Sync acks can arrive out of segment order (RF > 1,
         concurrent writers), so both advances are monotonic maxes."""
-        self.repl_race.write("watermark", relaxed=True)
         old = replica.entries_applied or 0
         if upto <= old:
             return
@@ -1855,9 +1817,6 @@ class RamCloudServer(RpcService):
 
         def pump():
             while pending:
-                # Each segment is an independent work item for the race
-                # detector (as in _cleaner_loop).
-                task_boundary(self.sim)
                 segment_id, backup_id, nbytes = pending.pop(0)
                 sources = [backup_id]
                 recovered = False
@@ -2028,9 +1987,6 @@ class RamCloudServer(RpcService):
             while (self.log.memory_utilization
                    >= self.config.cleaner_threshold
                    and not self.killed):
-                # Each victim segment is an independent work item for
-                # the race detector.
-                task_boundary(self.sim)
                 cleaned = yield from self._clean_one_segment()
                 if not cleaned:
                     break
@@ -2078,10 +2034,8 @@ class RamCloudServer(RpcService):
         # The victim can no longer be under-replicated: it is gone.
         doomed = [k for k in self.under_replicated
                   if k[0] == victim.segment_id]
-        if doomed:
-            self.view_race.write("under_replicated", relaxed=True)
-            for k in doomed:
-                self.under_replicated.discard(k)
+        for k in doomed:
+            self.under_replicated.discard(k)
         return True
 
     def _send_free_replica(self, backup: "RamCloudServer",

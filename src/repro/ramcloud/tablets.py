@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.racecheck import NULL_SHARED
 
 __all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "key_hash"]
 
@@ -113,11 +112,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
         self._tables_by_name: Dict[str, Table] = {}
         self._tablets: Dict[Tuple[int, int], Tablet] = {}
         self._next_table_id = 1
-        # Race-detection handle (debug mode; the coordinator installs
-        # it).  The ``epoch`` counter is deliberately not tracked: it is
-        # a single-step atomic increment, never read-modify-written
-        # across a yield.
-        self.race = NULL_SHARED
 
     # -- tables ---------------------------------------------------------
 
@@ -131,7 +125,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
             raise ValueError(f"span must be >= 1, got {span}")
         if not server_ids:
             raise ValueError("no servers to place tablets on")
-        self.race.write("tables")
         table = Table(self._next_table_id, name, span)
         self._next_table_id += 1
         self._tables_by_id[table.table_id] = table
@@ -145,7 +138,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
 
     def drop_table(self, name: str) -> None:
         """Remove a table and its tablets."""
-        self.race.write("tables")
         table = self._tables_by_name.pop(name, None)
         if table is None:
             raise KeyError(f"no table {name!r}")
@@ -170,15 +162,10 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
         if table is None:
             raise KeyError(f"no table id {table_id}")
         index = key_hash(key) % table.span
-        # Routing reads are optimistic by design: a stale route fails at
-        # the server and the client refreshes (epoch protocol).
-        if self.race.enabled:
-            self.race.read(f"{table_id}.{index}", relaxed=True)
         return self._tablets[(table_id, index)]
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""
-        self.race.read("tables", relaxed=True)
         owned = []
         for tablet in self._tablets.values():
             for shard, owner in enumerate(tablet.shards):
@@ -195,7 +182,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
         """Split one shard of a tablet into ``len(new_owners)`` subshards
         (recovery partitioning).  Only unsplit tablets can be split
         further — recovered shards stay atomic in later recoveries."""
-        self.race.write(f"{tablet_id[0]}.{tablet_id[1]}.{shard}")
         tablet = self._tablets[tablet_id]
         if tablet.shard_count == 1:
             tablet.shards = list(new_owners)
@@ -212,7 +198,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
                        new_server: str,
                        status: str = TabletStatus.NORMAL) -> None:
         """Point one subshard at a new owner."""
-        self.race.write(f"{tablet_id[0]}.{tablet_id[1]}.{shard}")
         tablet = self._tablets[tablet_id]
         tablet.shards[shard] = new_server
         tablet.statuses[shard] = status
@@ -221,7 +206,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
     def set_shard_status(self, tablet_id: Tuple[int, int], shard: int,
                          status: str) -> None:
         """Change one subshard's serving status."""
-        self.race.write(f"{tablet_id[0]}.{tablet_id[1]}.{shard}")
         self._tablets[tablet_id].statuses[shard] = status
         self.epoch += 1
 
@@ -229,7 +213,6 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
 
     def snapshot(self) -> "TabletMapSnapshot":
         """An immutable copy for a client cache."""
-        self.race.read("tables", relaxed=True)
         tablets = {tid: t.clone() for tid, t in self._tablets.items()}
         tables_by_name = dict(self._tables_by_name)
         tables_by_id = dict(self._tables_by_id)

@@ -363,12 +363,9 @@ class Process(Event):
 
     def _step(self, value: Any, throw: bool) -> None:
         # The single hottest function in the kernel: one call per process
-        # resumption.  The sanitizer hooks live in _step_debug so the
-        # production path pays one None check instead of four.
+        # resumption.  Debug mode checks a process once, when it ends;
+        # the resume path carries no sanitizer check.
         sim = self.sim
-        if sim._sanitizer is not None:
-            self._step_debug(value, throw)
-            return
         sim._active_process = self
         try:
             if throw:
@@ -377,11 +374,15 @@ class Process(Event):
                 target = self.generator.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
+            if sim._sanitizer is not None:
+                sim._sanitizer.process_died(self)
             return
         except Interrupt:
             # An unhandled interrupt terminates the process cleanly: this
             # is the normal way a crashed server's threads die.
             self.succeed(None)
+            if sim._sanitizer is not None:
+                sim._sanitizer.process_died(self)
             return
         except BaseException as exc:
             if self.callbacks:
@@ -389,6 +390,8 @@ class Process(Event):
             else:
                 # Nobody is watching this process: surface the crash.
                 sim._crash(exc)
+            if sim._sanitizer is not None:
+                sim._sanitizer.process_died(self)
             return
         finally:
             sim._active_process = None
@@ -405,44 +408,6 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume_cb)
 
-    def _step_debug(self, value: Any, throw: bool) -> None:
-        """The sanitizer-instrumented twin of :meth:`_step` (debug mode)."""
-        sim = self.sim
-        sanitizer = sim._sanitizer
-        sanitizer.begin_step(self)
-        sim._active_process = self
-        try:
-            if throw:
-                target = self.generator.throw(value)
-            else:
-                target = self.generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            sanitizer.process_died(self)
-            return
-        except Interrupt:
-            self.succeed(None)
-            sanitizer.process_died(self)
-            return
-        except BaseException as exc:
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                sim._crash(exc)
-            sanitizer.process_died(self)
-            return
-        finally:
-            sim._active_process = None
-            sanitizer.end_step()
-        if not isinstance(target, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an Event"
-            )
-            self.sim._crash(error)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume_cb)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"
         return f"<Process {self.name} {state}>"
@@ -453,8 +418,10 @@ class Simulator:
 
     ``debug=True`` attaches the runtime sanitizers
     (:mod:`repro.sim.sanitize`): event-leak detection when the schedule
-    drains, lock-held-at-process-death checks, and wait-graph dumps on
-    deadlock.  The default (``debug=None``) consults the
+    drains, lock-held-at-process-death checks when a process ends,
+    wait-graph dumps on deadlock, and the declared-guard check on
+    ``@guarded_by`` structures.  Both modes run the same
+    :meth:`Process._step`.  The default (``debug=None``) consults the
     ``REPRO_SIM_DEBUG`` environment variable — the test suite turns it
     on globally; production runs pay only a ``None`` check.
     """

@@ -97,8 +97,6 @@ class Resource:
             # a synchronous grant here would reorder the whole run.
             self._users.append(req)
             sim = self.sim
-            if sim._sanitizer is not None:
-                sim._sanitizer.races.lock_granted(req)
             req._ok = True
             req._value = req
             seq = sim._seq + 1
@@ -124,9 +122,6 @@ class Resource:
         req._value = req
         req.callbacks = None
         self._users.append(req)
-        sanitizer = self.sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.races.lock_granted(req)
         return req
 
     def _enqueue(self, req: Request) -> None:
@@ -138,9 +133,6 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self._users.append(req)
         self.total_wait_time += self.sim.now - req.enqueued_at
-        sanitizer = self.sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.races.lock_granted(req)
         req.succeed(req)
 
     def release(self, req: Request) -> None:
@@ -151,9 +143,6 @@ class Resource:
             raise SimulationError(
                 f"release of a request not holding {self.name or 'resource'}"
             ) from None
-        sanitizer = self.sim._sanitizer
-        if sanitizer is not None:
-            sanitizer.races.lock_released(req)
         nxt = self._dequeue()
         if nxt is not None:
             self._grant(nxt)

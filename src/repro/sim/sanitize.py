@@ -11,15 +11,24 @@ source; these sanitizers catch what only manifests at run time:
   slot: every later acquirer deadlocks;
 * **deadlock diagnostics** — when :meth:`Simulator.run_process` finds a
   live process with an empty schedule, a dump of *which* process waits
-  on *what* turns an opaque error into a one-glance diagnosis.
+  on *what* turns an opaque error into a one-glance diagnosis;
+* **unguarded writes** — a class decorated ``@guarded_by("log_lock")``
+  declares the lock its mutations need.  Its :func:`shared` handle
+  checks every ``race.write(...)``: the running process must own a
+  granted request on the declared lock, found the same way
+  :meth:`Sanitizer.held_requests` finds one.  Writes outside any process
+  (setup, bulk load) are single-threaded and not checked.  Each
+  ``(structure, field, process)`` is reported once, as a
+  :class:`RaceWarning`, in schedule order (``Sanitizer.race_reports``).
 
 Diagnostics are emitted as :class:`SanitizerWarning` (the simulation is
 not aborted: a measurement run that is already wrong should still
 finish so the warning can point at the cause).  With ``debug=False``
-(the default) no sanitizer object exists and the kernel pays nothing
-beyond a ``None`` check.
+(the default) no sanitizer object exists, the kernel pays nothing
+beyond a ``None`` check, and guarded structures hold the no-op
+:data:`NULL_SHARED` handle.
 
-A fourth check guards sweep-cell state isolation, alongside the sweep
+A fifth check guards sweep-cell state isolation, alongside the sweep
 runner's environment snapshot/restore and its serial-vs-parallel
 digest check (``docs/ANALYSIS.md``, "Determinism rules"):
 
@@ -40,18 +49,22 @@ import os
 import warnings
 import weakref
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.kernel import Event, Process, Simulator
 
-__all__ = ["CellStateError", "Sanitizer", "SanitizerWarning",
-           "cell_state_fingerprint", "check_cell_state",
-           "watch_cell_state"]
+__all__ = ["CellStateError", "NULL_SHARED", "RaceWarning", "Sanitizer",
+           "SanitizerWarning", "Shared", "cell_state_fingerprint",
+           "check_cell_state", "guarded_by", "shared", "watch_cell_state"]
 
 
 class SanitizerWarning(UserWarning):
     """A kernel-hygiene violation detected at run time."""
+
+
+class RaceWarning(SanitizerWarning):
+    """A write to a ``@guarded_by`` structure without its declared lock."""
 
 
 class CellStateError(AssertionError):
@@ -132,6 +145,81 @@ watch_cell_state("random.getstate", _global_random_state)
 watch_cell_state("os.environ", _process_environ)
 
 
+# -- declared guards -------------------------------------------------------
+
+def guarded_by(*lock_attrs: str):
+    """Class decorator declaring which lock attribute(s) guard writes.
+
+    The attribute is resolved on the *owner* passed to :func:`shared`
+    (falling back to the object itself), so a per-server structure can
+    be guarded by the server's lock::
+
+        @guarded_by("log_lock")
+        class HashTable: ...
+    """
+    def decorate(cls):
+        cls.__guarded_by__ = tuple(lock_attrs)
+        return cls
+    return decorate
+
+
+class _NullShared:
+    """The no-op handle installed when there is nothing to check."""
+
+    __slots__ = ()
+
+    #: False: checking is off, so hot paths may skip building write
+    #: labels entirely (``if race.enabled: race.write(f"...")``) — an
+    #: eager f-string on a debug-disabled path is pure waste (PERF005).
+    enabled = False
+
+    def write(self, field: str) -> None:
+        """Check nothing."""
+
+
+NULL_SHARED = _NullShared()
+
+
+class Shared:
+    """One guarded structure: a label plus its resolved guard locks."""
+
+    __slots__ = ("sanitizer", "label", "guards")
+
+    #: True: writes are checked (the debug-mode counterpart of
+    #: :attr:`_NullShared.enabled`).
+    enabled = True
+
+    def __init__(self, sanitizer: "Sanitizer", label: str,
+                 guards: Tuple[Tuple[str, object], ...]):
+        self.sanitizer = sanitizer
+        self.label = label
+        self.guards = guards  # (attr_name, underlying Resource)
+
+    def write(self, field: str) -> None:
+        """Check that the running process holds a declared guard."""
+        self.sanitizer.check_guarded_write(self, field)
+
+
+def shared(sim: "Simulator", label: str, obj: object,
+           owner: object = None):
+    """The guard-check handle for ``obj``, whose class declares
+    ``@guarded_by``; lock attributes are resolved on ``owner`` (default
+    ``obj``).  :data:`NULL_SHARED` outside debug mode."""
+    sanitizer = sim._sanitizer
+    if sanitizer is None:
+        return NULL_SHARED
+    guards = []
+    for attr in getattr(type(obj), "__guarded_by__", ()):
+        holder = owner if owner is not None and hasattr(owner, attr) else obj
+        lock = getattr(holder, attr, None)
+        if lock is not None:
+            # A Mutex wraps a Resource; requests reference the Resource.
+            guards.append((attr, getattr(lock, "_resource", lock)))
+    if not guards:
+        return NULL_SHARED
+    return Shared(sanitizer, label, tuple(guards))
+
+
 def describe_event(event: "Event") -> str:
     """A human-readable one-liner for a wait target."""
     # Imported lazily: kernel imports this module lazily too, and the
@@ -184,20 +272,9 @@ class Sanitizer:
         self._events: "weakref.WeakSet[Event]" = weakref.WeakSet()
         self._processes: "weakref.WeakSet[Process]" = weakref.WeakSet()
         self._resources: "weakref.WeakSet" = weakref.WeakSet()
-        # Lockset race detection over annotated shared structures
-        # (imported lazily: racecheck imports SanitizerWarning from here).
-        from repro.sim.racecheck import RaceDetector
-        self.races = RaceDetector(sim)
-
-    # -- step attribution (called from Process._step) --------------------
-
-    def begin_step(self, process: "Process") -> None:
-        """A process generator is about to run one step."""
-        self.races.begin_step(process)
-
-    def end_step(self) -> None:
-        """The current step finished (normally or not)."""
-        self.races.end_step()
+        #: Unguarded-write reports in schedule order (seed-deterministic).
+        self.race_reports: List[str] = []
+        self._race_seen: Set[Tuple[str, str, str]] = set()
 
     # -- registration hooks (called from the kernel) --------------------
 
@@ -277,7 +354,6 @@ class Sanitizer:
 
     def process_died(self, process: "Process") -> None:
         """Check a just-finished process for leaked resource claims."""
-        self.races.process_died(process)
         held = self.held_requests(process)
         if not held:
             return
@@ -289,6 +365,29 @@ class Sanitizer:
             "requests in a try/finally (simlint SIM002); later acquirers "
             "will deadlock",
             SanitizerWarning, stacklevel=4)
+
+    # -- declared guards -------------------------------------------------
+
+    def check_guarded_write(self, handle: Shared, field: str) -> None:
+        """Report a write to ``handle.label[field]`` by a process that
+        holds none of the structure's declared guard locks."""
+        process = self.sim._active_process
+        if process is None:
+            return  # setup / bulk load outside any process
+        for _attr, resource in handle.guards:
+            for req in resource._users:
+                if req.owner is process:
+                    return
+        key = (handle.label, field, process.name)
+        if key in self._race_seen:
+            return
+        self._race_seen.add(key)
+        names = ", ".join(attr for attr, _resource in handle.guards)
+        message = (f"unguarded write to {handle.label}[{field}]: process "
+                   f"{process.name!r} holds none of the declared guard(s) "
+                   f"[{names}] (@guarded_by) at t={self.sim.now:.6f}")
+        self.race_reports.append(message)
+        warnings.warn(message, RaceWarning, stacklevel=3)
 
     # -- deadlock diagnostics --------------------------------------------
 

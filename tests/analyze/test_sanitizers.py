@@ -8,7 +8,8 @@ import pytest
 
 from repro.sim.kernel import Process, SimulationError, Simulator
 from repro.sim.resources import Mutex, Resource
-from repro.sim.sanitize import SanitizerWarning
+from repro.sim.sanitize import (NULL_SHARED, RaceWarning, SanitizerWarning,
+                                Shared, guarded_by, shared)
 
 
 def wait_on(event):
@@ -140,6 +141,35 @@ class TestHeldAtDeath:
         with pytest.warns(SanitizerWarning, match="queued for log-lock"):
             sim.run()
 
+    @pytest.mark.parametrize("ending", ["returns", "is interrupted"])
+    def test_process_ending_after_many_steps_still_reports(self, ending):
+        """A process resumed several times, then ended holding the lock:
+        its last step still runs the held-at-death check."""
+        sim = Simulator(debug=True)
+        mutex = Mutex(sim, name="log-lock")
+
+        def holder():
+            token = mutex.acquire()
+            yield token
+            for _ in range(3):
+                yield sim.timeout(0.1)
+            if ending == "is interrupted":
+                yield sim.event()  # never fires; the killer interrupts
+            # returns holding log-lock
+
+        victim = sim.process(holder(), name="holder")
+
+        def killer():
+            yield sim.timeout(1.0)
+            victim.interrupt("killed")
+
+        if ending == "is interrupted":
+            sim.process(killer(), name="killer")
+        with pytest.warns(SanitizerWarning,
+                          match="process 'holder' died while holding log-lock"):
+            sim.run()
+        assert not victim.is_alive
+
     def test_clean_try_finally_holder_stays_silent(self):
         sim = Simulator(debug=True)
         mutex = Mutex(sim, name="log-lock")
@@ -161,6 +191,145 @@ class TestHeldAtDeath:
         with warnings.catch_warnings():
             warnings.simplefilter("error", SanitizerWarning)
             sim.run()
+
+
+# ---------------------------------------------------------------------------
+# declared guards (@guarded_by)
+# ---------------------------------------------------------------------------
+
+def _locked(lock, body):
+    """The kernel's canonical critical section around ``body()``."""
+    token = lock.acquire()
+    try:
+        yield token
+    except BaseException:
+        lock.abort(token)
+        raise
+    try:
+        yield from body()
+    finally:
+        lock.release(token)
+
+
+@guarded_by("lock")
+class Table:
+    def __init__(self, sim):
+        self.lock = Mutex(sim, name="table-lock")
+
+
+class TestDeclaredGuards:
+    def test_unguarded_write_warns(self):
+        sim = Simulator(debug=True)
+        race = shared(sim, "table", obj=Table(sim))
+
+        def mutate():
+            race.write("rows")
+            yield sim.timeout(0.01)
+
+        sim.process(mutate(), name="rogue")
+        with pytest.warns(RaceWarning,
+                          match=r"unguarded write to table\[rows\]: "
+                                r"process 'rogue' holds none of the "
+                                r"declared guard\(s\) \[lock\]"):
+            sim.run()
+
+    def test_write_under_the_lock_is_clean(self):
+        sim = Simulator(debug=True)
+        table = Table(sim)
+        race = shared(sim, "table", obj=table)
+
+        def mutate():
+            def body():
+                race.write("rows")
+                yield sim.timeout(0.01)
+            yield from _locked(table.lock, body)
+
+        sim.process(mutate(), name="careful")
+        sim.run()  # pyproject makes any RaceWarning an error
+        assert sim._sanitizer.race_reports == []
+
+    def test_another_process_holding_the_lock_does_not_count(self):
+        sim = Simulator(debug=True)
+        table = Table(sim)
+        race = shared(sim, "table", obj=table)
+
+        def holder():
+            def body():
+                yield sim.timeout(1.0)
+            yield from _locked(table.lock, body)
+
+        def rogue():
+            yield sim.timeout(0.5)
+            race.write("rows")  # the lock is held, but not by us
+
+        sim.process(holder(), name="holder")
+        sim.process(rogue(), name="rogue")
+        with pytest.warns(RaceWarning, match="process 'rogue'"):
+            sim.run()
+
+    def test_guard_resolves_on_the_owner(self):
+        @guarded_by("log_lock")
+        class Inner:
+            pass
+
+        class Owner:
+            def __init__(self, sim):
+                self.log_lock = Mutex(sim, name="owner-lock")
+
+        sim = Simulator(debug=True)
+        owner = Owner(sim)
+        race = shared(sim, "inner", obj=Inner(), owner=owner)
+        assert isinstance(race, Shared)
+
+        def mutate():
+            def body():
+                race.write("data")
+                yield sim.timeout(0.01)
+            yield from _locked(owner.log_lock, body)
+
+        sim.process(mutate(), name="owner-writer")
+        sim.run()
+        assert sim._sanitizer.race_reports == []
+
+    def test_null_handle_outside_debug_mode(self):
+        sim = Simulator(debug=False)
+        handle = shared(sim, "table", obj=Table(sim))
+        assert handle is NULL_SHARED
+        assert not handle.enabled
+        handle.write("rows")  # a no-op
+
+    def test_setup_writes_outside_processes_are_ignored(self):
+        sim = Simulator(debug=True)
+        race = shared(sim, "preload", obj=Table(sim))
+        race.write("bulk")  # no running process: bulk load, single-threaded
+        assert sim._sanitizer.race_reports == []
+
+    def test_reports_are_deduplicated_and_deterministic(self):
+        def run_once():
+            sim = Simulator(debug=True)
+            race = shared(sim, "table", obj=Table(sim))
+
+            def rogue(delay):
+                for field in ("rows", "rows", "size"):
+                    yield sim.timeout(delay)
+                    race.write(field)
+
+            sim.process(rogue(0.2), name="rogue-b")
+            sim.process(rogue(0.1), name="rogue-a")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RaceWarning)
+                sim.run()
+            return list(sim._sanitizer.race_reports)
+
+        first = run_once()
+        assert first == run_once()
+        # One report per (field, process), in schedule order.
+        assert [(r.split(":")[0], r.split("'")[1]) for r in first] == [
+            ("unguarded write to table[rows]", "rogue-a"),
+            ("unguarded write to table[rows]", "rogue-b"),
+            ("unguarded write to table[size]", "rogue-a"),
+            ("unguarded write to table[size]", "rogue-b"),
+        ]
 
 
 # ---------------------------------------------------------------------------

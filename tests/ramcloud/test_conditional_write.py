@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.ramcloud.errors import StaleVersion
+from repro.ramcloud.errors import ObjectDoesntExist, StaleVersion
 
-from tests.ramcloud.conftest import run_client_script
+from tests.ramcloud.conftest import build_cluster, run_client_script
 
 
 class TestConditionalWrite:
@@ -98,3 +98,50 @@ class TestConditionalWrite:
             return value
 
         assert run_client_script(cluster3, script()) == b"3"
+
+
+class TestCheckInsideTheLogLock:
+    """The version and existence checks run under ``log_lock``.
+
+    Two clients race on one object of one server, starting at the same
+    instant.  Had the check run before the lock, both would pass it and
+    both mutations would apply.
+    """
+
+    def _race(self, mutate, expected_error):
+        cluster = build_cluster(num_servers=1, num_clients=2)
+        table_id = cluster.create_table("t")
+        first, second = cluster.clients
+
+        def setup():
+            yield from first.refresh_map()
+            yield from second.refresh_map()
+            return (yield from first.write(table_id, "k", 100))
+
+        v1 = run_client_script(cluster, setup())
+        raised = []
+
+        def contender(client):
+            try:
+                yield from mutate(client, table_id, v1)
+            except expected_error:
+                raised.append(True)
+            else:
+                raised.append(False)
+
+        racers = [cluster.sim.process(contender(client), name=f"racer{i}")
+                  for i, client in enumerate((first, second))]
+        cluster.sim.run_process(cluster.sim.all_of(racers), until=60.0)
+        return sorted(raised)
+
+    def test_concurrent_conditional_writes_exactly_one_applies(self):
+        def write(client, table_id, v1):
+            return client.write(table_id, "k", 100, expected_version=v1)
+
+        assert self._race(write, StaleVersion) == [False, True]
+
+    def test_concurrent_deletes_exactly_one_applies(self):
+        def delete(client, table_id, _v1):
+            return client.delete(table_id, "k")
+
+        assert self._race(delete, ObjectDoesntExist) == [False, True]
