@@ -291,6 +291,10 @@ class TestDeclaredGuards:
         sim.run()
         assert sim._sanitizer.race_reports == []
 
+    def test_debug_mode_returns_tracking_handle(self):
+        sim = Simulator(debug=True)
+        assert isinstance(shared(sim, "table", obj=Table(sim)), Shared)
+
     def test_null_handle_outside_debug_mode(self):
         sim = Simulator(debug=False)
         handle = shared(sim, "table", obj=Table(sim))

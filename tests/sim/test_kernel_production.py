@@ -1,9 +1,10 @@
 """Every test of ``test_kernel.py`` again, on the production kernel path.
 
 ``tests/conftest.py`` turns the sanitizers on suite-wide, so a plain
-``Simulator()`` runs ``Process._step_debug``.  The kernel tests are
-collected here a second time with ``REPRO_SIM_DEBUG=0``, which sends
-them through ``Process._step`` — the path every production run takes.
+``Simulator()`` runs ``Process._step`` with a sanitizer attached.  The
+kernel tests are collected here a second time with ``REPRO_SIM_DEBUG=0``,
+which runs the same ``_step`` with no sanitizer — the configuration every
+production run and benchmark takes.
 """
 
 import pytest
