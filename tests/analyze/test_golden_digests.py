@@ -38,6 +38,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, ExperimentSpec, run_experiment
 from repro.experiments.sweep import crash_experiment_digest, experiment_digest
+from repro.powermgmt import PowerPolicy
 from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.consistency import ASYNC_BOUNDED
 from repro.ramcloud.indexing import secondary_key, uniform_boundaries
@@ -80,6 +81,21 @@ def run_indexed_writes():
     ))
 
 
+def run_poll_adaptive():
+    """The adaptive dispatch path: throttled clients leave the dispatch
+    thread idle between requests, so it sleeps on its poll wait and
+    idle worker cores park (281 dispatch sleeps and 119 core parks
+    across the fleet)."""
+    return run_experiment(ExperimentSpec(
+        cluster=ClusterSpec(
+            num_servers=3, num_clients=4,
+            server_config=ServerConfig(replication_factor=0), seed=7,
+            power_policy=PowerPolicy(governor="poll-adaptive")),
+        workload=WORKLOAD_C.scaled(num_records=500, ops_per_client=120)
+        .throttled(300.0),
+    ))
+
+
 GOLDEN_EXPERIMENTS = {
     "read_only": (
         lambda: run_small(WORKLOAD_C), 1935,
@@ -93,6 +109,9 @@ GOLDEN_EXPERIMENTS = {
     "indexed_writes_rf1": (
         run_indexed_writes, 3302,
         "ad569714a7ae66d1a3ac0e58bea487487e637285664d69c3ab4c9215b30ade46"),
+    "poll_adaptive": (
+        run_poll_adaptive, 42070,
+        "a2db1d04c568a2bac2b6be08b8a43b1bb359a62fba5029f17b5491c9b84cfbba"),
 }
 
 
