@@ -46,7 +46,7 @@ __all__ = ["CallGraphIndex", "FunctionSummary"]
 # the yield's value (``request = yield get``), which the parent-is-not-
 # Expr case already classifies.
 _EVENT_FACTORY_ATTRS = frozenset({
-    "acquire", "request", "timeout", "event", "all_of", "any_of",
+    "acquire", "request", "timeout", "event", "all_of",
 })
 
 # Method names that exist on builtin containers/strings: an attribute

@@ -57,16 +57,14 @@ class SpinWait(Event):
     ``until`` and then blocks on it (see :meth:`Cpu.spin_wait`).
 
     Triggers with ``event``'s outcome.  An outcome that arrives inside
-    the window (``now < until``) fires one zero-delay hop later, which
-    is where an ``AnyOf([event, deadline])`` fired, so the same-instant
-    order is that of the explicit race.  Once the window has run out
-    the thread is already blocked, and ``event`` resumes it in its own
-    step.
+    the window (``now < until``) fires the wait one zero-delay hop
+    later.  Once the window has run out the thread is already blocked,
+    and ``event`` resumes it in its own step.
 
     With ``wake``, a timer also fires the wait at ``until`` with value
     ``None`` — for a thread that acts when its window runs out empty
-    (core parking) — and the wait then behaves exactly like that
-    ``AnyOf``: whichever comes first fires it one hop later.
+    (core parking, the adaptive dispatch poll) — and whichever of the
+    event and the timer comes first fires the wait one hop later.
     """
 
     __slots__ = ("until", "_timer")

@@ -7,6 +7,13 @@ stale cache, tablet under recovery) it backs off exponentially
 without breaking determinism), refreshes the map and retries — which is
 exactly why the paper's Fig. 10 client that requests lost data blocks
 for the whole duration of crash recovery.
+
+Every operation runs under the one retry loop, :meth:`RamCloudClient.
+_retrying`.  Single-key operations (read, write, delete) are routed to
+one master per attempt; multi-master operations (multiread, index
+search, the search's validating ``index_lookup``) group their keys by
+master afresh on each attempt and issue one concurrent RPC per group
+through :meth:`RamCloudClient._fan_out`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.indexing import KEY_SEP, decode_entry_key
 from repro.ramcloud.errors import (
     BackupBehind,
-    ObjectDoesntExist,
     RetryLater,
     StaleEpoch,
     TableDoesntExist,
@@ -39,26 +45,24 @@ READ_REQUEST_BYTES = 64
 WRITE_OVERHEAD_BYTES = 64
 RESPONSE_OVERHEAD_BYTES = 64
 
+# Retry n sleeps min(RETRY_BACKOFF * BACKOFF_FACTOR**(n-1), BACKOFF_CAP)
+# seconds, scaled by a uniform [0.5, 1.5) jitter when the client has a
+# seeded ``stream``.
+RETRY_BACKOFF = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 1.0
+
 
 class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __dict__ cost is amortized
     """One application's connection to the cluster."""
 
     def __init__(self, sim: Simulator, node: Node, coordinator: Coordinator,
-                 retry_backoff: float = 0.05,
                  max_retries: Optional[int] = None,
-                 backoff_factor: float = 2.0,
-                 backoff_cap: float = 1.0,
                  stream: Optional[RandomStream] = None):
         self.sim = sim
         self.node = node
         self.coordinator = coordinator
-        # Retry n sleeps min(retry_backoff * backoff_factor**(n-1),
-        # backoff_cap) seconds, scaled by a uniform [0.5, 1.5) jitter
-        # when a seeded ``stream`` is supplied.
-        self.retry_backoff = retry_backoff
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
-        self.stream = stream
+        self.stream = stream  # backoff jitter
         self.max_retries = max_retries
         self._map = None
         self.rpc_timeout = coordinator.config.rpc_timeout
@@ -77,8 +81,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
 
     def _backoff_delay(self, tries: int) -> float:
         """Sleep before retry number ``tries`` (1-based)."""
-        delay = min(self.retry_backoff * self.backoff_factor ** (tries - 1),
-                    self.backoff_cap)
+        delay = min(RETRY_BACKOFF * BACKOFF_FACTOR ** (tries - 1), BACKOFF_CAP)
         if self.stream is not None:
             delay *= 0.5 + self.stream.uniform()
         return delay
@@ -97,11 +100,14 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         """Resolve (table, key) → (master service, span) from the cache."""
         if self._map is None:
             raise RuntimeError("call refresh_map() (or any op) first")
-        server_id = self._map.owner_for_key(table_id, key)
+        master = self._master(self._map.owner_for_key(table_id, key))
+        return master, self._map.tables_by_id[table_id].span
+
+    def _master(self, server_id: str):
         master = self.coordinator.lookup_server(server_id)
         if master is None:
             raise NodeUnreachable(f"unknown server {server_id}")
-        return master, self._map.tables_by_id[table_id].span
+        return master
 
     @property
     def _epoch(self) -> int:
@@ -115,11 +121,9 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     def create_table(self, name: str, span: int,
                      tenant: Optional[str] = None) -> Generator:
         """Create a table via the coordinator; returns the table id.
-        With ``tenant``, the table lives in that tenant's namespace
-        (the wire args stay a 2-tuple for untenanted tables)."""
-        args = (name, span) if tenant is None else (name, span, tenant)
+        With ``tenant``, the table lives in that tenant's namespace."""
         table_id = yield from self.coordinator.call(
-            self.node, "create_table", args=args,
+            self.node, "create_table", args=(name, span, tenant),
             size_bytes=128, response_bytes=64,
         )
         yield from self.refresh_map()
@@ -159,31 +163,43 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
             raise TableDoesntExist(name)
         return self._map.tables_by_name[name].table_id
 
-    # -- data path ---------------------------------------------------------
+    # -- the retry loop and the fan-out ------------------------------------
 
-    def _with_retries(self, op: str, table_id: int, key: str,
-                      attempt, args=(),
-                      record_write: bool = False) -> Generator:
-        """Run ``attempt(master, span, *args)`` with the standard retry
-        loop.  ``attempt`` is a bound method (not a per-operation
-        closure: the data path allocates one of these per op).
+    def _retrying(self, what: str, attempt, args: tuple, ops: int = 1,
+                  routed: bool = False,
+                  record_write: bool = False) -> Generator:
+        """The client's one retry loop: run attempts of one operation
+        until one succeeds and return its result.
 
-        ``record_write`` folds a successful result (a version number)
-        into the session watermark for read-your-writes.
+        A ``routed`` operation is single-key: ``args`` starts with
+        ``(table_id, key)`` and each attempt is ``attempt(master, span,
+        *args)`` at the key's owner in the cached map — a bound method
+        returning the RPC's generator, so no frame is added per op.
+        Otherwise ``attempt(*args)`` routes itself from the cached map
+        (the multi-master operations, via :meth:`_fan_out`).
+
+        ``ObjectDoesntExist``, ``TableDoesntExist`` and ``StaleVersion``
+        are answers, not failures: they propagate.  Routing failures and
+        ``RpcTimeout`` back off, refresh the map and retry; past
+        ``max_retries`` retries the operation raises ``RpcTimeout``,
+        naming ``what`` (plus the table and key of a routed op).  A
+        success adds ``ops`` to ``ops_done``; ``record_write`` folds the
+        returned version into the session watermark (read-your-writes).
         """
         if self._map is None:
             yield from self.refresh_map()
         tries = 0
         while True:
             try:
-                master, span = self._route(table_id, key)
-                result = yield from attempt(master, span, *args)
-                self.ops_done += 1
-                if record_write:
-                    self._note_write(master.server_id, result)
+                if routed:
+                    master, span = self._route(args[0], args[1])
+                    result = yield from attempt(master, span, *args)
+                    if record_write:
+                        self._note_write(master.server_id, result)
+                else:
+                    result = yield from attempt(*args)
+                self.ops_done += ops
                 return result
-            except (ObjectDoesntExist, TableDoesntExist):
-                raise
             except BackupBehind:
                 # The backup cannot satisfy this session yet: re-route
                 # to the master *immediately*.  This is the expected
@@ -198,22 +214,48 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
                 # this op to the master (the wire-identical sync read).
                 args = args[:-1] + (None,)
                 continue
-            except (NodeUnreachable, WrongServer, RetryLater,
-                    StaleEpoch) as exc:
+            except (NodeUnreachable, WrongServer, RetryLater, StaleEpoch):
                 # StaleEpoch: the cached map predates a membership
                 # change — invalidate it and re-route (a fenced zombie
                 # answers WrongServer; either way the refresh below
                 # finds the new owner).
-                del exc
+                pass
             except RpcTimeout:
                 self.timeouts += 1
             tries += 1
             self.retries += 1
             if self.max_retries is not None and tries > self.max_retries:
-                raise RpcTimeout(
-                    f"{op} t{table_id}/{key}: exhausted {tries} retries")
+                if routed:
+                    what = f"{what} t{args[0]}/{args[1]}"
+                raise RpcTimeout(f"{what}: exhausted {tries} retries")
             yield self.sim.timeout(self._backoff_delay(tries))
             yield from self.refresh_map()
+
+    def _fan_out(self, op: str, group, *group_args) -> Generator:
+        """One attempt of a multi-master operation; returns the replies
+        in group order.
+
+        ``group(*group_args)`` lists the attempt's RPCs as ``(server_id,
+        args, size_bytes, response_bytes)`` from the cached map — re-run
+        on every attempt, since a refreshed map can regroup every key.
+        Each RPC runs in its own process: ``call()`` performs the
+        request's transfer in the calling process, so one caller issuing
+        them in turn would queue each send behind its previous wait.
+        The first failure fails the attempt.
+        """
+        rpcs = group(*group_args)
+        masters = [self._master(rpc[0]) for rpc in rpcs]
+        sim = self.sim
+        calls = [sim.process(master.call(self.node, op, args=args,
+                                         size_bytes=size_bytes,
+                                         response_bytes=response_bytes,
+                                         timeout=self.rpc_timeout))
+                 for master, (_sid, args, size_bytes, response_bytes)
+                 in zip(masters, rpcs)]
+        yield sim.all_of(calls)
+        return [call.value for call in calls]
+
+    # -- single-key operations ----------------------------------------------
 
     def _note_write(self, server_id: str, version) -> None:
         """Advance this session's per-master write watermark."""
@@ -233,7 +275,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         backup_id = candidates[key_hash(key) % len(candidates)]
         return self.coordinator.lookup_server(backup_id)
 
-    def _read_attempt(self, master, span, table_id, key, level=None):
+    def _read_attempt(self, master, span, table_id, key, level):
         if level == EVENTUAL:
             backup = self._backup_for(master, key)
             if backup is not None:
@@ -265,9 +307,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         session's watermark.  SYNC_RF and ASYNC_BOUNDED reads are
         master-only and identical on the wire.
         """
-        return self._with_retries("read", table_id, key,
-                                  self._read_attempt,
-                                  (table_id, key, level))
+        return self._retrying("read", self._read_attempt,
+                              (table_id, key, level), routed=True)
 
     def _expected_size(self, table_id: int, key: str) -> int:
         # The response size is only known server-side; use a nominal
@@ -292,31 +333,46 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
 
         ``index_entries`` is a tuple of ``(index_id, secondary_key)``
         pairs the object carries; the master maintains the secondary
-        indexes synchronously before acknowledging.  Unindexed writes
-        keep the 8-tuple wire format unchanged.
+        indexes synchronously before acknowledging.
         """
-
-        return self._with_retries(
-            "write", table_id, key, self._write_attempt,
+        return self._retrying(
+            "write", self._write_attempt,
             (table_id, key, value_size, value, expected_version, level,
              index_entries),
-            record_write=True)
+            routed=True, record_write=True)
 
     def _write_attempt(self, master, span, table_id, key, value_size,
-                       value, expected_version, level=None,
-                       index_entries=None):
-        args = (table_id, key, value_size, value, span,
-                expected_version, self._epoch, level)
+                       value, expected_version, level, index_entries):
         size = WRITE_OVERHEAD_BYTES + value_size
         if index_entries is not None:
-            args = args + (tuple(index_entries),)
+            index_entries = tuple(index_entries)
             size += sum(len(s) for _i, s in index_entries)
         return master.call(
-            self.node, "write", args=args,
+            self.node, "write",
+            args=(table_id, key, value_size, value, span, expected_version,
+                  self._epoch, level, index_entries),
             size_bytes=size,
             response_bytes=RESPONSE_OVERHEAD_BYTES,
             timeout=self.rpc_timeout,
         )
+
+    def _delete_attempt(self, master, span, table_id, key, level):
+        return master.call(
+            self.node, "delete",
+            args=(table_id, key, span, self._epoch, level),
+            size_bytes=READ_REQUEST_BYTES,
+            response_bytes=RESPONSE_OVERHEAD_BYTES,
+            timeout=self.rpc_timeout,
+        )
+
+    def delete(self, table_id: int, key: str,
+               level: Optional[str] = None) -> Generator:
+        """Delete one object; returns the tombstone's version."""
+        return self._retrying("delete", self._delete_attempt,
+                              (table_id, key, level),
+                              routed=True, record_write=True)
+
+    # -- multi-master operations --------------------------------------------
 
     def multiread(self, table_id: int, keys) -> Generator:
         """Batched read of many keys (RAMCloud's MultiRead).
@@ -331,71 +387,25 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         keys = list(keys)
         if not keys:
             return {}
-        table = self._map.tables_by_id[table_id]
+        span = self._map.tables_by_id[table_id].span
+        replies = yield from self._retrying(
+            f"multiread t{table_id}", self._fan_out,
+            ("multiread", self._multiread_group, table_id, keys, span),
+            ops=len(keys))
+        merged = {}
+        for reply in replies:
+            merged.update(reply)
+        return merged
 
-        sim = self.sim
-        tries = 0
-        while True:
-            # Rebuilt per retry on purpose: a failed attempt refreshes
-            # the tablet map, which can regroup every key.
-            by_master = {}  # simlint: disable=PERF002 regrouped per retry after remap
-            for key in keys:
-                server_id = self._map.owner_for_key(table_id, key)
-                by_master.setdefault(server_id, []).append(key)
-            calls = []
-            for server_id, batch in by_master.items():
-                master = self.coordinator.lookup_server(server_id)
-                if master is None:
-                    calls = None
-                    break
-                request_bytes = READ_REQUEST_BYTES + 32 * len(batch)
-                response_bytes = (RESPONSE_OVERHEAD_BYTES
-                                  + 1024 * len(batch))
-                calls.append(sim.process(
-                    master.call(self.node, "multiread",
-                                args=(table_id, batch, table.span,
-                                      self._epoch),
-                                size_bytes=request_bytes,
-                                response_bytes=response_bytes,
-                                timeout=self.rpc_timeout)))
-            if calls is not None:
-                gathered = sim.all_of(calls)
-                try:
-                    yield gathered
-                    merged = {}  # simlint: disable=PERF002 fresh result per retry
-                    for call in calls:
-                        merged.update(call.value)
-                    self.ops_done += len(keys)
-                    return merged
-                except (NodeUnreachable, WrongServer, RetryLater,
-                        RpcTimeout, StaleEpoch):
-                    pass
-            tries += 1
-            self.retries += 1
-            if self.max_retries is not None and tries > self.max_retries:
-                raise RpcTimeout(
-                    f"multiread t{table_id}: exhausted {tries} retries")
-            yield self.sim.timeout(self._backoff_delay(tries))
-            yield from self.refresh_map()
-
-    def _delete_attempt(self, master, span, table_id, key, level=None):
-        return master.call(
-            self.node, "delete",
-            args=(table_id, key, span, self._epoch, level),
-            size_bytes=READ_REQUEST_BYTES,
-            response_bytes=RESPONSE_OVERHEAD_BYTES,
-            timeout=self.rpc_timeout,
-        )
-
-    def delete(self, table_id: int, key: str,
-               level: Optional[str] = None) -> Generator:
-        """Delete one object; returns the tombstone's version."""
-        return self._with_retries("delete", table_id, key,
-                                  self._delete_attempt,
-                                  (table_id, key, level),
-                                  record_write=True)
-
-    # -- secondary-index range search ---------------------------------------
+    def _multiread_group(self, table_id: int, keys, span: int):
+        by_master = {}
+        for key in keys:
+            server_id = self._map.owner_for_key(table_id, key)
+            by_master.setdefault(server_id, []).append(key)
+        return [(server_id, (table_id, batch, span, self._epoch),
+                 READ_REQUEST_BYTES + 32 * len(batch),
+                 RESPONSE_OVERHEAD_BYTES + 1024 * len(batch))
+                for server_id, batch in by_master.items()]
 
     def search(self, index_id: int, lo: str, hi: Optional[str] = None,
                limit: int = 1000) -> Generator:
@@ -405,10 +415,12 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
 
         Walks the indexlets in boundary order, fanning out over each
         indexlet's shards concurrently and continuing from the last
-        returned key when a shard truncates its reply.  Every matching
-        entry is then validated against the base table — an entry whose
-        object no longer carries that secondary key (a crash window or
-        a concurrent delete) is silently dropped, so readers never see
+        returned key when a shard truncates its reply; each indexlet
+        gets its own retry budget.  Every matching entry is then
+        validated against the base table with one concurrent
+        ``index_lookup`` per owning master — an entry whose object no
+        longer carries that secondary key (a crash window or a
+        concurrent delete) is silently dropped, so readers never see
         dangling entries.  Returns ``[(secondary, primary, value,
         version)]`` ordered by ``(secondary, primary)``.
         """
@@ -420,7 +432,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
             desc = self._map.indexes.get(index_id)
             if desc is None:
                 raise TableDoesntExist(f"index {index_id}")
-        hi_eff = hi if hi is not None else "￿"
+        hi_eff = hi if hi is not None else "\uffff"
         entry_keys = yield from self._search_entries(desc, lo, hi_eff, limit)
         if not entry_keys:
             return []
@@ -432,59 +444,19 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         """The indexlet walk: collect up to ``limit`` matching entry
         keys in ``[lo, hi)`` (entry-key space — encoded secondary+primary
         sorts exactly like (secondary, primary))."""
-        sim = self.sim
-        index_id = desc.index_id
         span = desc.num_indexlets
         cursor = lo
         found = []
-        tries = 0
         while cursor < hi and len(found) < limit:
             indexlet = desc.indexlet_for(cursor)
-            tablet = self._map.tablets.get((index_id, indexlet))
-            remaining = limit - len(found)
-            calls = []  # simlint: disable=PERF002 fresh fan-out per indexlet/retry
-            if tablet is None:
-                calls = None
-            else:
-                # One concurrent RPC per shard of this indexlet (the
-                # multiread fan-out idiom).
-                for shard in range(tablet.shard_count):
-                    master = self.coordinator.lookup_server(
-                        tablet.shards[shard])
-                    if master is None:
-                        calls = None
-                        break
-                    calls.append(sim.process(master.call(
-                        self.node, "search",
-                        args=(index_id, cursor, hi, remaining, span,
-                              shard, self._epoch),
-                        size_bytes=READ_REQUEST_BYTES + len(cursor)
-                        + len(hi),
-                        response_bytes=RESPONSE_OVERHEAD_BYTES
-                        + 32 * remaining,
-                        timeout=self.rpc_timeout)))
-            replied = False
-            if calls is not None:
-                try:
-                    yield sim.all_of(calls)
-                    replied = True
-                except (NodeUnreachable, WrongServer, RetryLater,
-                        RpcTimeout, StaleEpoch):
-                    pass
-            if not replied:
-                tries += 1
-                self.retries += 1
-                if self.max_retries is not None and tries > self.max_retries:
-                    raise RpcTimeout(
-                        f"search index {index_id}: exhausted {tries} retries")
-                yield self.sim.timeout(self._backoff_delay(tries))
-                yield from self.refresh_map()
-                continue
-            tries = 0
-            merged = []  # simlint: disable=PERF002 fresh merge per indexlet
+            replies = yield from self._retrying(
+                f"search index {desc.index_id}", self._fan_out,
+                ("search", self._search_group, desc, indexlet, cursor, hi,
+                 limit - len(found)),
+                ops=0)
+            merged = []
             bound = None  # lowest truncation point across the shards
-            for call in calls:
-                matches, truncated = call.value
+            for matches, truncated in replies:
                 merged.extend(matches)
                 if truncated:
                     # The shard stopped early: it covered only
@@ -511,57 +483,48 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         self.ops_done += 1
         return found
 
+    def _search_group(self, desc, indexlet: int, cursor: str, hi: str,
+                      remaining: int):
+        """One search RPC per shard of the indexlet."""
+        tablet = self._map.tablets.get((desc.index_id, indexlet))
+        if tablet is None:
+            raise RetryLater(f"index {desc.index_id} indexlet {indexlet} "
+                             f"is not in the map")
+        return [(tablet.shards[shard],
+                 (desc.index_id, cursor, hi, remaining, desc.num_indexlets,
+                  shard, self._epoch),
+                 READ_REQUEST_BYTES + len(cursor) + len(hi),
+                 RESPONSE_OVERHEAD_BYTES + 32 * remaining)
+                for shard in range(tablet.shard_count)]
+
     def _validate_entries(self, desc, entry_keys) -> Generator:
         """Fetch-and-filter the matched entries against the base table
-        (concurrent per-master ``index_lookup`` RPCs, grouped like
-        multiread)."""
-        sim = self.sim
-        table = self._map.tables_by_id[desc.table_id]
+        (grouped by master like multiread)."""
         pairs = [decode_entry_key(k) for k in entry_keys]
-        tries = 0
-        while True:
-            # Rebuilt per retry: a refresh can regroup every key.
-            by_master = {}  # simlint: disable=PERF002 regrouped per retry after remap
-            for secondary, primary in pairs:
-                server_id = self._map.owner_for_key(desc.table_id, primary)
-                by_master.setdefault(server_id, []).append(
-                    (primary, desc.index_id, secondary))
-            calls = []
-            for server_id, items in by_master.items():
-                master = self.coordinator.lookup_server(server_id)
-                if master is None:
-                    calls = None
-                    break
-                calls.append(sim.process(master.call(
-                    self.node, "index_lookup",
-                    args=(desc.table_id, items, table.span, self._epoch),
-                    size_bytes=READ_REQUEST_BYTES + 48 * len(items),
-                    response_bytes=RESPONSE_OVERHEAD_BYTES
-                    + 1024 * len(items),
-                    timeout=self.rpc_timeout)))
-            if calls is not None:
-                try:
-                    yield sim.all_of(calls)
-                    merged = {}  # simlint: disable=PERF002 fresh result per retry
-                    for call in calls:
-                        merged.update(call.value)
-                    self.ops_done += len(pairs)
-                    results = []
-                    for secondary, primary in pairs:
-                        got = merged.get(primary)
-                        if got is None:
-                            continue  # dangling entry: filtered out
-                        value, version, _value_size = got
-                        results.append((secondary, primary, value, version))
-                    return results
-                except (NodeUnreachable, WrongServer, RetryLater,
-                        RpcTimeout, StaleEpoch):
-                    pass
-            tries += 1
-            self.retries += 1
-            if self.max_retries is not None and tries > self.max_retries:
-                raise RpcTimeout(
-                    f"index_lookup t{desc.table_id}: exhausted "
-                    f"{tries} retries")
-            yield self.sim.timeout(self._backoff_delay(tries))
-            yield from self.refresh_map()
+        span = self._map.tables_by_id[desc.table_id].span
+        replies = yield from self._retrying(
+            f"index_lookup t{desc.table_id}", self._fan_out,
+            ("index_lookup", self._lookup_group, desc, pairs, span),
+            ops=len(pairs))
+        merged = {}
+        for reply in replies:
+            merged.update(reply)
+        results = []
+        for secondary, primary in pairs:
+            got = merged.get(primary)
+            if got is None:
+                continue  # dangling entry: filtered out
+            value, version, _value_size = got
+            results.append((secondary, primary, value, version))
+        return results
+
+    def _lookup_group(self, desc, pairs, span: int):
+        by_master = {}
+        for secondary, primary in pairs:
+            server_id = self._map.owner_for_key(desc.table_id, primary)
+            by_master.setdefault(server_id, []).append(
+                (primary, desc.index_id, secondary))
+        return [(server_id, (desc.table_id, items, span, self._epoch),
+                 READ_REQUEST_BYTES + 48 * len(items),
+                 RESPONSE_OVERHEAD_BYTES + 1024 * len(items))
+                for server_id, items in by_master.items()]

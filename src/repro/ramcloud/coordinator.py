@@ -259,8 +259,7 @@ class Coordinator(RpcService):
             snapshot.indexes = dict(self.indexes)
             request.respond(snapshot)
         elif request.op == "create_table":
-            name, span = request.args[:2]
-            tenant = request.args[2] if len(request.args) > 2 else None
+            name, span, tenant = request.args
             table = self.create_table(name, span, tenant=tenant)
             request.respond(table.table_id)
         elif request.op == "create_index":
@@ -709,15 +708,14 @@ class Coordinator(RpcService):
         # spread-only logic whenever all replicas are complete — the
         # SYNC_RF steady state — keeping those digests bit-identical.
         segment_sources: Dict[int, Tuple[str, int]] = {}
-        best_applied: Dict[int, float] = {}
+        best_applied: Dict[int, int] = {}
         for sid in survivors:
             backup = self._servers[sid]
             for (master_id, segment_id), replica in backup.replicas.items():
                 if master_id != server_id:
                     continue
                 nbytes = max(replica.nbytes, replica.segment.bytes_used)
-                applied = (float("inf") if replica.entries_applied is None
-                           else replica.entries_applied)
+                applied = replica.entries_applied
                 if segment_id not in segment_sources:
                     segment_sources[segment_id] = (sid, nbytes)
                     best_applied[segment_id] = applied

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Generator, List, Optional, Tuple
 
+from repro.hardware.cpu import SpinWait
 from repro.hardware.node import Node
 from repro.net.fabric import Fabric, NodeUnreachable
 from repro.net.rpc import RpcRequest, RpcService, RpcTimeout
@@ -92,12 +93,11 @@ class SegmentReplica:
         self.cached = False
         # How many of the master segment's entries this backup has
         # durably applied (the ``upto`` watermark carried on every
-        # replicate_append).  Recovery serves only this prefix, which
+        # replicate_append; whole-segment replication and bulk load
+        # apply everything).  Recovery serves only this prefix, which
         # is what makes an ASYNC_BOUNDED master's unreplicated tail
-        # honestly *acknowledged-but-lost*.  None = legacy replica with
-        # no watermark ever reported (serve everything, the pre-
-        # watermark behaviour).
-        self.entries_applied: Optional[int] = None
+        # honestly *acknowledged-but-lost*.
+        self.entries_applied = 0
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -710,9 +710,10 @@ class RamCloudServer(RpcService):
         """
         polls = 0
         while not get.triggered and polls < self.config.poll_idle_threshold:
-            deadline = self.sim.timeout(self.config.poll_interval)
-            yield self.sim.any_of([get, deadline])
-            deadline.cancel()  # withdrawn if the request arrived first
+            # Not cpu.spin_wait: the pinned core is already accounted
+            # busy, so the poll takes no spin lease.
+            yield SpinWait(self.sim, get, self.config.poll_interval,
+                           wake=True)
             polls += 1
         if get.triggered:
             return
@@ -837,8 +838,7 @@ class RamCloudServer(RpcService):
     # ------------------------------------------------------------------
 
     def _handle_read(self, request: RpcRequest) -> Generator:
-        table_id, key, span = request.args[:3]
-        epoch = request.args[3] if len(request.args) > 3 else None
+        table_id, key, span, epoch = request.args
         yield from self.node.cpu.execute(self.cost.read_service)
         self._check_ownership(table_id, key, span, epoch)
         found = self.hashtable.lookup(table_id, key)
@@ -1183,20 +1183,15 @@ class RamCloudServer(RpcService):
         """Write one object.  ``expected_version`` (if not None) makes
         the write conditional — RAMCloud's reject-rules, the primitive
         its linearizable read-modify-write builds on [10]."""
-        table_id, key, value_size, value, span, expected_version = \
-            request.args[:6]
-        epoch = request.args[6] if len(request.args) > 6 else None
-        level = request.args[7] if len(request.args) > 7 else None
-        index_keys = request.args[8] if len(request.args) > 8 else None
+        (table_id, key, value_size, value, span, expected_version, epoch,
+         level, index_keys) = request.args
         return self._mutate(request, table_id, key, span, epoch, level,
                             "ops_completed", value_size, value,
                             expected_version=expected_version,
                             index_keys=index_keys)
 
     def _handle_delete(self, request: RpcRequest) -> Generator:
-        table_id, key, span = request.args[:3]
-        epoch = request.args[3] if len(request.args) > 3 else None
-        level = request.args[4] if len(request.args) > 4 else None
+        table_id, key, span, epoch, level = request.args
         return self._mutate(request, table_id, key, span, epoch, level,
                             "ops_completed", is_tombstone=True)
 
@@ -1270,8 +1265,7 @@ class RamCloudServer(RpcService):
     def _handle_multiread(self, request: RpcRequest) -> Generator:
         """Batched read (RAMCloud's MultiRead RPC): one dispatch, one
         worker pass over many keys.  YCSB's scans map onto this."""
-        table_id, keys, span = request.args[:3]
-        epoch = request.args[3] if len(request.args) > 3 else None
+        table_id, keys, span, epoch = request.args
         yield from self.node.cpu.execute(
             self.cost.multiread_batch_overhead
             + self.cost.multiread_per_key * len(keys))
@@ -1400,8 +1394,7 @@ class RamCloudServer(RpcService):
         if it still carries that secondary key — the filter that makes
         dangling index entries (crash windows, concurrent deletes)
         invisible to readers."""
-        table_id, items, span = request.args[:3]
-        epoch = request.args[3] if len(request.args) > 3 else None
+        table_id, items, span, epoch = request.args
         yield from self.node.cpu.execute(
             self.cost.multiread_batch_overhead
             + self.cost.multiread_per_key * len(items))
@@ -1454,8 +1447,7 @@ class RamCloudServer(RpcService):
         return replica
 
     def _handle_replicate_append(self, request: RpcRequest) -> Generator:
-        master_id, segment_id, nbytes = request.args[:3]
-        upto = request.args[3] if len(request.args) > 3 else None
+        master_id, segment_id, nbytes, upto = request.args
         if self._reject_if_fenced(request, master_id):
             return
         load = (len(self.backup_queue) + len(self.worker_queue)
@@ -1467,8 +1459,7 @@ class RamCloudServer(RpcService):
             if segment is not None:
                 replica = self._replica_for(master_id, segment)
                 replica.nbytes += nbytes
-                if upto is not None:
-                    self._advance_watermark(replica, upto)
+                self._advance_watermark(replica, upto)
         self.replications_handled += 1
         request.respond("ack")
 
@@ -1479,7 +1470,7 @@ class RamCloudServer(RpcService):
         version watermark to the highest version in the newly-applied
         slice.  Sync acks can arrive out of segment order (RF > 1,
         concurrent writers), so both advances are monotonic maxes."""
-        old = replica.entries_applied or 0
+        old = replica.entries_applied
         if upto <= old:
             return
         replica.entries_applied = upto
@@ -1567,36 +1558,32 @@ class RamCloudServer(RpcService):
         # SegmentReplica.entries_applied): an ASYNC_BOUNDED master's
         # acknowledged-but-unreplicated tail is honestly lost here —
         # the durability-gap harness counts exactly these entries.
-        # Replicas with no watermark on record (None) serve everything.
-        if replica.entries_applied is None:
-            entries = list(replica.segment.entries)
-        else:
-            applied = replica.entries_applied
-            entries = list(replica.segment.entries[:applied])
-            dropped = replica.segment.entries[applied:]
-            if dropped:
-                # An overwrite dead-marks its predecessor at append
-                # time — before the new entry is durably replicated —
-                # and replicas share the master's entry objects by
-                # reference.  When truncation drops that in-flight
-                # successor, the predecessor inside the served prefix
-                # is still the acknowledged durable version: a real
-                # backup holds only bytes and would replay it.  Serve
-                # a live copy so recovery does not lose the key.
-                truncated = {(e.table_id, e.key) for e in dropped}
-                for i in range(len(entries) - 1, -1, -1):
-                    entry = entries[i]
-                    ident = (entry.table_id, entry.key)
-                    if ident not in truncated:
-                        continue
-                    truncated.discard(ident)
-                    if not entry.live and not entry.is_tombstone:
-                        entries[i] = LogEntry(
-                            entry.table_id, entry.key, entry.value_size,
-                            entry.version, value=entry.value,
-                            index_keys=entry.index_keys)
-                    if not truncated:
-                        break
+        applied = replica.entries_applied
+        entries = list(replica.segment.entries[:applied])
+        dropped = replica.segment.entries[applied:]
+        if dropped:
+            # An overwrite dead-marks its predecessor at append
+            # time — before the new entry is durably replicated —
+            # and replicas share the master's entry objects by
+            # reference.  When truncation drops that in-flight
+            # successor, the predecessor inside the served prefix
+            # is still the acknowledged durable version: a real
+            # backup holds only bytes and would replay it.  Serve
+            # a live copy so recovery does not lose the key.
+            truncated = {(e.table_id, e.key) for e in dropped}
+            for i in range(len(entries) - 1, -1, -1):
+                entry = entries[i]
+                ident = (entry.table_id, entry.key)
+                if ident not in truncated:
+                    continue
+                truncated.discard(ident)
+                if not entry.live and not entry.is_tombstone:
+                    entries[i] = LogEntry(
+                        entry.table_id, entry.key, entry.value_size,
+                        entry.version, value=entry.value,
+                        index_keys=entry.index_keys)
+                if not truncated:
+                    break
         request.respond((entries, served))
 
     def _handle_backup_read(self, request: RpcRequest) -> Generator:

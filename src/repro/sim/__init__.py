@@ -12,7 +12,6 @@ tuned for the event volumes these experiments generate.
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -32,7 +31,6 @@ from repro.sim.distributions import RandomStream
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Event",
     "Interrupt",

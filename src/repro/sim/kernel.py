@@ -35,7 +35,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Simulator",
     "SimulationError",
@@ -267,28 +266,6 @@ class AllOf(Event):
             self.succeed(_ConditionValue(self._events))
 
 
-class AnyOf(Event):
-    """Triggers when the first constituent event triggers (ok or failed)."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = tuple(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for ev in self._events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._ok is not None:
-            return
-        if ev._ok:
-            self.succeed(_ConditionValue(self._events))
-        else:
-            self.fail(ev._value)
-
-
 class Process(Event):
     """A generator-based simulated process.
 
@@ -479,10 +456,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires when every given event has fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event that fires when the first given event fires."""
-        return AnyOf(self, events)
 
     # -- execution -----------------------------------------------------
 

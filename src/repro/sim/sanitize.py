@@ -300,7 +300,7 @@ class Sanitizer:
         *with* waiters is a process frozen forever.  Stale callbacks are
         not waiters: a dead process (or a live one since detached onto a
         different event, e.g. by an interrupt) will never resume from
-        here.  A condition (``AnyOf``, a spin wait) waits on this event
+        here.  A condition (``AllOf``, a spin wait) waits on this event
         only for whoever waits on the condition: it counts, under its
         own type name, only while it is untriggered and a live process
         waits on it, directly or through further conditions.

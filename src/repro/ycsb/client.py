@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.net.rpc import RpcTimeout
-from repro.ramcloud.client import RamCloudClient
+from repro.ramcloud.client import RETRY_BACKOFF, RamCloudClient
 from repro.ramcloud.errors import ObjectDoesntExist
 from repro.ramcloud.indexing import secondary_key
 from repro.sim.distributions import RandomStream
@@ -49,7 +49,6 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
     def __init__(self, sim: Simulator, rc_client: RamCloudClient,
                  table_id: int, workload: WorkloadSpec,
                  stream: RandomStream,
-                 client_overhead: float = CLIENT_OVERHEAD,
                  give_up_after: Optional[float] = None,
                  index_id: Optional[int] = None):
         self.sim = sim
@@ -57,7 +56,6 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         self.table_id = table_id
         self.workload = workload
         self.stream = stream
-        self.client_overhead = client_overhead
         # Abort the run if a single op stays unserviceable this long
         # (models the paper's runs "always crashing ... because of
         # excessive timeouts", §VI).  Enforced as a hard deadline that
@@ -68,7 +66,7 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         self.give_up_after = give_up_after
         if give_up_after is not None and rc_client.max_retries is None:
             rc_client.max_retries = (
-                int(give_up_after / rc_client.retry_backoff) + 1)
+                int(give_up_after / RETRY_BACKOFF) + 1)
         self.stats = OperationStats()
         # Dynamic admission throttle (cluster power capping): when an
         # experiment assigns an AdmissionThrottle here, it replaces the
@@ -140,7 +138,7 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         stats.started_at = sim.now
         start = sim.now
         rate = w.target_ops_per_second
-        overhead = self.client_overhead
+        overhead = CLIENT_OVERHEAD
         give_up_after = self.give_up_after
         # op → recorder, built once (not per completed operation).
         recorders = {"read": stats.reads, "update": stats.updates,

@@ -44,11 +44,11 @@ class TestEventLeak:
             sim.run()
 
     def test_condition_whose_only_waiter_was_killed_is_not_a_leak(self):
-        # The orphan's one callback belongs to an AnyOf nobody can
+        # The orphan's one callback belongs to an AllOf nobody can
         # consume any more: its waiter died by interrupt.
         sim = Simulator(debug=True)
         orphan = sim.event()
-        victim = sim.process(wait_on(sim.any_of([orphan])), name="victim")
+        victim = sim.process(wait_on(sim.all_of([orphan])), name="victim")
 
         def killer():
             yield sim.timeout(1.0)
@@ -63,15 +63,15 @@ class TestEventLeak:
     def test_condition_with_a_live_waiter_still_leaks(self):
         sim = Simulator(debug=True)
         orphan = sim.event()
-        sim.process(wait_on(sim.any_of([sim.any_of([orphan])])),
+        sim.process(wait_on(sim.all_of([sim.all_of([orphan])])),
                     name="frozen")
         with pytest.warns(SanitizerWarning, match="event leak") as caught:
             sim.run()
-        # The orphan is awaited through one AnyOf, that one through the
+        # The orphan is awaited through one AllOf, that one through the
         # next, and that one by the frozen process.
         message = str(caught[0].message)
-        assert "Event awaited by 'AnyOf'" in message
-        assert "AnyOf awaited by 'frozen'" in message
+        assert "Event awaited by 'AllOf'" in message
+        assert "AllOf awaited by 'frozen'" in message
 
     def test_triggered_events_are_not_leaks(self):
         sim = Simulator(debug=True)

@@ -109,6 +109,28 @@ class TestRetries:
         assert run_client_script(cluster, script()) == "exhausted"
         assert rc.retries > 0
 
+    def test_fan_out_counts_timeouts(self):
+        """A multi-master operation runs under the same retry loop as a
+        single-key one, so its dropped RPCs count as timeouts too."""
+        cluster = build_cluster(num_servers=3, num_clients=1)
+        table_id = cluster.create_table("t")
+        cluster.preload(table_id, 30, 64)
+        rc = cluster.clients[0]
+        rc.max_retries = 1
+        cluster.fabric.add_rpc_fault(lambda s, d, op: op == "multiread",
+                                     "drop")
+
+        def script():
+            try:
+                yield from rc.multiread(table_id,
+                                        [f"user{i}" for i in range(30)])
+            except RpcTimeout:
+                return "exhausted"
+            return "served"
+
+        assert run_client_script(cluster, script()) == "exhausted"
+        assert rc.timeouts == 2 == rc.retries
+
     def test_retry_succeeds_after_recovery(self):
         """The client with infinite retries eventually reads recovered
         data (the Fig. 10 blocked-client behaviour)."""

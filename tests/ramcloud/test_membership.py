@@ -114,7 +114,7 @@ class TestFencing:
         def probe():
             try:
                 yield from master.call(rc.node, "read",
-                                       args=(table_id, key, span),
+                                       args=(table_id, key, span, None),
                                        size_bytes=64, response_bytes=64,
                                        timeout=5.0)
             except WrongServer:
@@ -160,7 +160,7 @@ class TestFencing:
                 yield from master.call(
                     rc.node, "write",
                     args=(table_id, key, 64, b"zombie", span, None, None,
-                          level),
+                          level, None),
                     size_bytes=128, response_bytes=64, timeout=5.0)
             except StaleEpoch:
                 return "rejected"

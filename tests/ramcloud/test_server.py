@@ -111,7 +111,7 @@ class TestReadWrite:
         def script():
             try:
                 yield from wrong.call(node, "read",
-                                      args=(table_id, key, span))
+                                      args=(table_id, key, span, None))
             except WrongServer:
                 return "rejected"
             return "accepted"
@@ -247,7 +247,8 @@ class TestThreadingModel:
 
         def script():
             try:
-                yield from victim.call(node, "read", args=(table_id, "k", 3))
+                yield from victim.call(node, "read",
+                                       args=(table_id, "k", 3, None))
             except NodeUnreachable:
                 return "refused"
             return "served"

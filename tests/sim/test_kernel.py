@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     SimulationError,
@@ -255,27 +254,6 @@ def test_all_of_fails_fast_on_child_failure():
     sim.process(proc())
     sim.run()
     assert caught == [1.0]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    done = []
-
-    def proc():
-        t1 = sim.timeout(5.0)
-        t2 = sim.timeout(2.0, value="fast")
-        yield sim.any_of([t1, t2])
-        done.append(sim.now)
-
-    sim.process(proc())
-    sim.run(until=10.0)
-    assert done == [2.0]
-
-
-def test_any_of_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
 
 
 def test_interrupt_thrown_into_process():
