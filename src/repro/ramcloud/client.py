@@ -8,12 +8,12 @@ without breaking determinism), refreshes the map and retries — which is
 exactly why the paper's Fig. 10 client that requests lost data blocks
 for the whole duration of crash recovery.
 
-Every operation runs under the one retry loop, :meth:`RamCloudClient.
-_retrying`.  Single-key operations (read, write, delete) are routed to
-one master per attempt; multi-master operations (multiread, index
-search, the search's validating ``index_lookup``) group their keys by
-master afresh on each attempt and issue one concurrent RPC per group
-through :meth:`RamCloudClient._fan_out`.
+Every operation runs under one retry loop,
+:meth:`RamCloudClient._retrying`.  Single-key operations (read, write,
+delete) are routed to one master per attempt.  Multi-master operations
+(multiread, index search, the search's validating ``index_lookup``)
+group their keys by master afresh on each attempt and issue one
+concurrent RPC per group through :meth:`RamCloudClient._fan_out`.
 """
 
 from __future__ import annotations
