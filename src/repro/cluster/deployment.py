@@ -7,8 +7,10 @@ RAMCloud cluster, one coordinator node, 90 client nodes.  A
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hardware.node import Node
 from repro.hardware.specs import GRID5000_NANCY_NODE, MachineSpec
@@ -18,6 +20,7 @@ from repro.ramcloud.client import RamCloudClient
 from repro.ramcloud.config import CostModel, ServerConfig
 from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.server import RamCloudServer
+from repro.ramcloud.tablets import key_hash
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 
@@ -196,18 +199,15 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         """
         if key_fn is None:
             key_fn = default_key
-        per_server: Dict[str, List[Tuple[int, str, int]]] = {}
-        tablet_map = self.coordinator.tablet_map
-        for i in range(num_records):
-            key = key_fn(i)
-            tablet = tablet_map.tablet_for_key(table_id, key)
-            per_server.setdefault(tablet.server_id, []).append(
-                (table_id, key, record_size))
-        counts = {}
-        for server_id, items in per_server.items():
-            server = self.coordinator.lookup_server(server_id)
-            counts[server_id] = server.bulk_load(items)
-        return counts
+        owners = self._tablet_owners(table_id)
+        span = len(owners)
+        with _collector_paused():
+            per_server: Dict[str, List] = {}
+            for i in range(num_records):
+                key = key_fn(i)
+                per_server.setdefault(owners[key_hash(key) % span], []).append(
+                    (table_id, key, record_size))
+            return self._bulk_load(per_server)
 
     def preload_indexed(self, table_id: int, desc, num_records: int,
                         record_size: int, key_fn=None,
@@ -223,20 +223,31 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         if secondary_fn is None:
             secondary_fn = secondary_key
         index_id = desc.index_id
-        per_server: Dict[str, List] = {}
-        tablet_map = self.coordinator.tablet_map
-        for i in range(num_records):
-            key = key_fn(i)
-            secondary = secondary_fn(i)
-            tablet = tablet_map.tablet_for_key(table_id, key)
-            per_server.setdefault(tablet.server_id, []).append(
-                (table_id, key, record_size,
-                 ((index_id, secondary),)))
-            entry_key = encode_entry_key(secondary, key)
-            indexlet = desc.indexlet_for(entry_key)
-            owner = tablet_map._tablets[(index_id, indexlet)].server_id
-            per_server.setdefault(owner, []).append(
-                (index_id, entry_key, 0))
+        owners = self._tablet_owners(table_id)
+        span = len(owners)
+        indexlet_owners = self._tablet_owners(index_id)
+        with _collector_paused():
+            per_server: Dict[str, List] = {}
+            for i in range(num_records):
+                key = key_fn(i)
+                secondary = secondary_fn(i)
+                per_server.setdefault(owners[key_hash(key) % span], []).append(
+                    (table_id, key, record_size, ((index_id, secondary),)))
+                entry_key = encode_entry_key(secondary, key)
+                per_server.setdefault(
+                    indexlet_owners[desc.indexlet_for(entry_key)], []).append(
+                        (index_id, entry_key, 0))
+            return self._bulk_load(per_server)
+
+    def _tablet_owners(self, table_id: int) -> List[str]:
+        """The owner of each tablet of an unsplit table, by tablet
+        index: the preloads' routing, resolved once per table."""
+        return [tablet.server_id for tablet in
+                self.coordinator.tablet_map.tablets_of_table(table_id)]
+
+    def _bulk_load(self, per_server: Dict[str, List]) -> Dict[str, int]:
+        """Bulk-load each master's items, in ``per_server`` order;
+        returns per-server counts."""
         counts = {}
         for server_id, items in per_server.items():
             server = self.coordinator.lookup_server(server_id)
@@ -386,3 +397,21 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
 def default_key(i: int) -> str:
     """YCSB-style record keys."""
     return f"user{i}"
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a preload.
+
+    A bulk load allocates only acyclic objects that all stay reachable
+    (item tuples, log entries, hash-table slots), so a collection during
+    it would traverse the growing heap and free nothing.  The collector
+    is re-enabled on exit, also on error, if it was enabled on entry.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()

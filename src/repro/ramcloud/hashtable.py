@@ -1,9 +1,13 @@
 """The master's in-memory index: (table, key) → log position.
 
 RAMCloud indexes its log with a hash table; every read goes through it
-and every write updates it.  We model it as a dict keyed by
-``(table_id, key)`` whose values are ``(segment, entry)`` pairs, with
-live/dead bookkeeping so the cleaner can tell what to copy forward.
+and every write updates it.  We model it as one dict per table,
+``{table_id: {key: (segment, entry)}}``, with live/dead bookkeeping so
+the cleaner can tell what to copy forward.  Keeping the tables apart
+means no ``(table_id, key)`` tuple is built per object or per lookup,
+and a per-table scan (:meth:`HashTable.keys_for_table`,
+:meth:`HashTable.drop_table`) touches only that table's keys, in their
+insertion order.
 
 Every mutation happens under the owning master's ``log_lock``: the
 class declares it with ``@guarded_by`` and, in debug mode, each write
@@ -20,6 +24,9 @@ from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = ["HashTable"]
 
+# Stands in for a table with no keys; never written to.
+_EMPTY: Dict[str, Tuple[Segment, LogEntry]] = {}
+
 
 @guarded_by("log_lock")
 class HashTable:
@@ -30,18 +37,18 @@ class HashTable:
     ``self.race`` checks each per-key write for it.
     """
 
-    __slots__ = ("_index", "race")
+    __slots__ = ("_tables", "race")
 
     def __init__(self):
-        self._index: Dict[Tuple[int, str], Tuple[Segment, LogEntry]] = {}
+        self._tables: Dict[int, Dict[str, Tuple[Segment, LogEntry]]] = {}
         self.race = NULL_SHARED
 
     def __len__(self) -> int:
-        return len(self._index)
+        return sum(len(keys) for keys in self._tables.values())
 
     def lookup(self, table_id: int, key: str) -> Optional[Tuple[Segment, LogEntry]]:
         """The live (segment, entry) for a key, or None."""
-        return self._index.get((table_id, key))
+        return self._tables.get(table_id, _EMPTY).get(key)
 
     def insert(self, table_id: int, key: str, segment: Segment,
                entry: LogEntry) -> Optional[LogEntry]:
@@ -49,8 +56,11 @@ class HashTable:
         entry (now dead) if the key existed."""
         if self.race.enabled:
             self.race.write(f"t{table_id}/{key}")
-        old = self._index.get((table_id, key))
-        self._index[(table_id, key)] = (segment, entry)
+        keys = self._tables.get(table_id)
+        if keys is None:
+            keys = self._tables[table_id] = {}
+        old = keys.get(key)
+        keys[key] = (segment, entry)
         if old is not None:
             old_entry = old[1]
             old_entry.live = False
@@ -61,7 +71,7 @@ class HashTable:
         """Drop the index entry (object deleted); returns the dead entry."""
         if self.race.enabled:
             self.race.write(f"t{table_id}/{key}")
-        old = self._index.pop((table_id, key), None)
+        old = self._tables.get(table_id, _EMPTY).pop(key, None)
         if old is None:
             return None
         old[1].live = False
@@ -75,20 +85,19 @@ class HashTable:
         cleaner verified is still the current version.
         """
         self.race.write(f"t{table_id}/{key}")
-        current = self._index.get((table_id, key))
-        if current is None:
+        keys = self._tables.get(table_id, _EMPTY)
+        if key not in keys:
             raise KeyError(f"relocate of unindexed object t{table_id}/{key}")
-        self._index[(table_id, key)] = (segment, entry)
+        keys[key] = (segment, entry)
 
     def keys_for_table(self, table_id: int) -> Iterator[str]:
         """Iterate the live keys of one table (an optimistic snapshot:
         callers revalidate per key under the lock)."""
-        return (key for (tid, key) in self._index if tid == table_id)
+        return iter(self._tables.get(table_id, _EMPTY))
 
     def drop_table(self, table_id: int) -> int:
         """Remove every object of a table; returns how many were dropped."""
-        doomed = [(tid, key) for (tid, key) in self._index if tid == table_id]
-        for pair in doomed:
-            self._index[pair][1].live = False
-            del self._index[pair]
+        doomed = self._tables.pop(table_id, _EMPTY)
+        for _segment, entry in doomed.values():
+            entry.live = False
         return len(doomed)

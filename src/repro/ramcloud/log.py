@@ -119,21 +119,31 @@ class Log:
         so the caller can push the close to backups.  ``privileged``
         appends (the cleaner's survivor copies) may dip into the
         reserved segments.
+
+        Exception safety: an entry larger than a segment raises
+        ``ValueError`` and a full log raises :class:`LogOutOfMemory`
+        before anything changes — the head, its entries and
+        ``appended_bytes`` are as they were, so the caller may stall and
+        retry, or stop with every earlier append intact.
         """
         entry = LogEntry(table_id, key, value_size, version, value=value,
                          is_tombstone=is_tombstone, index_keys=index_keys)
-        if entry.log_bytes > self.segment_size:
+        nbytes = entry.log_bytes
+        if nbytes > self.segment_size:
             raise ValueError(
-                f"object of {entry.log_bytes}B exceeds segment size "
+                f"object of {nbytes}B exceeds segment size "
                 f"{self.segment_size}B"
             )
         closed = None
-        self.race.write("head")
-        if not self.head.fits(entry):
+        if self.race.enabled:
+            self.race.write("head")
+        head = self.head
+        if head.bytes_used + nbytes > head.capacity:
             closed = self._roll_head(privileged)
-        self.head.append(entry)
-        self.appended_bytes += entry.log_bytes
-        return self.head, entry, closed
+            head = self.head
+        head.append(entry)
+        self.appended_bytes += nbytes
+        return head, entry, closed
 
     # -- accounting -----------------------------------------------------------
 

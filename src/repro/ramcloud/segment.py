@@ -103,23 +103,20 @@ class Segment:
             return 0.0
         return self.live_bytes / self.bytes_used
 
-    def fits(self, entry: LogEntry) -> bool:
-        """Whether the entry fits in the remaining space."""
-        return entry.log_bytes <= self.free_bytes
-
     def append(self, entry: LogEntry) -> None:
         """Add an entry; the segment must be open and have room."""
         if self.closed:
             raise ValueError(f"append to closed segment {self.segment_id}")
-        if not self.fits(entry):
+        nbytes = entry.log_bytes
+        if self.bytes_used + nbytes > self.capacity:
             raise ValueError(
-                f"entry of {entry.log_bytes}B does not fit in segment "
+                f"entry of {nbytes}B does not fit in segment "
                 f"{self.segment_id} ({self.free_bytes}B free)"
             )
         if self.race.enabled:
             self.race.write(f"seg{self.segment_id}")
         self.entries.append(entry)
-        self.bytes_used += entry.log_bytes
+        self.bytes_used += nbytes
 
     def close(self) -> None:
         """Seal the segment (backups flush their replica to disk)."""

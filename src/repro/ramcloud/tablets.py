@@ -156,13 +156,14 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
 
     # -- routing ----------------------------------------------------------
 
-    def tablet_for_key(self, table_id: int, key: str) -> Tablet:
-        """Route a key to its tablet (first hash level)."""
+    def tablets_of_table(self, table_id: int) -> List[Tablet]:
+        """The tablets of one table in tablet-index order, so a data
+        table's key routes to ``tablets[key_hash(key) % len(tablets)]``
+        (first hash level).  Resolve this once to route many keys."""
         table = self._tables_by_id.get(table_id)
         if table is None:
             raise KeyError(f"no table id {table_id}")
-        index = key_hash(key) % table.span
-        return self._tablets[(table_id, index)]
+        return [self._tablets[(table_id, i)] for i in range(table.span)]
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""

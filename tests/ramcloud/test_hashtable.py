@@ -77,12 +77,23 @@ class TestHashTable:
 
     def test_keys_for_table(self):
         ht = HashTable()
-        for key in ("a", "b", "c"):
-            seg, e = make_entry(key)
-            ht.insert(1, key, seg, e)
+        for table, key in ((1, "a"), (2, "z"), (1, "b"), (2, "y"),
+                           (1, "c")):
+            seg, e = make_entry(key, table=table)
+            ht.insert(table, key, seg, e)
         seg, e = make_entry("other", table=2)
         ht.insert(2, "other", seg, e)
         assert sorted(ht.keys_for_table(1)) == ["a", "b", "c"]
+        # Per-table insertion order: an overwrite keeps its place, a
+        # remove + re-insert moves last; other tables are untouched.
+        seg, e = make_entry("a", table=1, version=2)
+        ht.insert(1, "a", seg, e)
+        ht.remove(1, "b")
+        seg, e = make_entry("b", table=1, version=2)
+        ht.insert(1, "b", seg, e)
+        assert list(ht.keys_for_table(1)) == ["a", "c", "b"]
+        assert list(ht.keys_for_table(2)) == ["z", "y", "other"]
+        assert list(ht.keys_for_table(3)) == []
 
     def test_drop_table(self):
         ht = HashTable()
@@ -91,10 +102,17 @@ class TestHashTable:
             seg, e = make_entry(key)
             ht.insert(1, key, seg, e)
             entries.append(e)
+        other = make_entry("a", table=2)
+        ht.insert(2, "a", *other)
         dropped = ht.drop_table(1)
         assert dropped == 2
-        assert len(ht) == 0
+        assert len(ht) == 1
         assert all(not e.live for e in entries)
+        # The second table is untouched.
+        assert ht.lookup(2, "a") == other
+        assert other[1].live
+        assert list(ht.keys_for_table(2)) == ["a"]
+        assert ht.drop_table(1) == 0
 
     @given(keys=st.lists(st.text(min_size=1, max_size=8), min_size=1,
                          max_size=50, unique=True))
