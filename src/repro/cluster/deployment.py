@@ -20,7 +20,6 @@ from repro.ramcloud.client import RamCloudClient
 from repro.ramcloud.config import CostModel, ServerConfig
 from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.server import RamCloudServer
-from repro.ramcloud.tablets import key_hash
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 
@@ -199,13 +198,12 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         """
         if key_fn is None:
             key_fn = default_key
-        owners = self._tablet_owners(table_id)
-        span = len(owners)
+        route = self.coordinator.tablet_map.key_router(table_id)
         with _collector_paused():
             per_server: Dict[str, List] = {}
             for i in range(num_records):
                 key = key_fn(i)
-                per_server.setdefault(owners[key_hash(key) % span], []).append(
+                per_server.setdefault(route(key).server_id, []).append(
                     (table_id, key, record_size))
             return self._bulk_load(per_server)
 
@@ -223,27 +221,20 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         if secondary_fn is None:
             secondary_fn = secondary_key
         index_id = desc.index_id
-        owners = self._tablet_owners(table_id)
-        span = len(owners)
-        indexlet_owners = self._tablet_owners(index_id)
+        tablet_map = self.coordinator.tablet_map
+        route = tablet_map.key_router(table_id)
+        route_entry = tablet_map.key_router(index_id, desc)
         with _collector_paused():
             per_server: Dict[str, List] = {}
             for i in range(num_records):
                 key = key_fn(i)
                 secondary = secondary_fn(i)
-                per_server.setdefault(owners[key_hash(key) % span], []).append(
+                per_server.setdefault(route(key).server_id, []).append(
                     (table_id, key, record_size, ((index_id, secondary),)))
                 entry_key = encode_entry_key(secondary, key)
-                per_server.setdefault(
-                    indexlet_owners[desc.indexlet_for(entry_key)], []).append(
-                        (index_id, entry_key, 0))
+                per_server.setdefault(route_entry(entry_key).server_id,
+                                      []).append((index_id, entry_key, 0))
             return self._bulk_load(per_server)
-
-    def _tablet_owners(self, table_id: int) -> List[str]:
-        """The owner of each tablet of an unsplit table, by tablet
-        index: the preloads' routing, resolved once per table."""
-        return [tablet.server_id for tablet in
-                self.coordinator.tablet_map.tablets_of_table(table_id)]
 
     def _bulk_load(self, per_server: Dict[str, List]) -> Dict[str, int]:
         """Bulk-load each master's items, in ``per_server`` order;

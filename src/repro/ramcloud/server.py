@@ -80,7 +80,7 @@ class SegmentReplica:
     """
 
     __slots__ = ("master_id", "segment", "nbytes", "closed", "on_disk",
-                 "cached", "entries_applied", "key_hashes")
+                 "cached", "entries_applied")
 
     def __init__(self, master_id: str, segment: Segment):
         self.master_id = master_id
@@ -98,11 +98,6 @@ class SegmentReplica:
         # is what makes an ASYNC_BOUNDED master's unreplicated tail
         # honestly *acknowledged-but-lost*.
         self.entries_applied = 0
-        # ``key_hash`` of each served entry, by position, filled by the
-        # first recovery read: every recovery master partitions the
-        # segment on these instead of re-hashing it.  Freed with the
-        # replica.
-        self.key_hashes: List[int] = []
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -1543,12 +1538,9 @@ class RamCloudServer(RpcService):
         """Serve a crashed master's segment to a recovery master.
 
         The first read of a segment pays the disk read; the backup then
-        keeps it partitioned in memory — each served entry's key hash,
-        the partitioning key, is computed once and kept with the
-        replica — so other recovery masters fetching their share of the
-        same segment skip the disk and filter without re-hashing.
-        Responds ``(entries, key_hashes, served_bytes)``; the hashes are
-        positional, ``key_hashes[i]`` being that of ``entries[i]``.
+        keeps it in memory, so other recovery masters fetching their
+        share of the same segment skip the disk.  Each recovery master
+        keeps only the entries of its own partition.
         """
         master_id, segment_id, share = request.args
         replica = self.replicas.get((master_id, segment_id))
@@ -1569,9 +1561,6 @@ class RamCloudServer(RpcService):
         # the durability-gap harness counts exactly these entries.
         applied = replica.entries_applied
         entries = list(replica.segment.entries[:applied])
-        hashes = replica.key_hashes
-        if len(hashes) < applied:
-            hashes.extend(key_hash(e.key) for e in entries[len(hashes):])
         dropped = replica.segment.entries[applied:]
         if dropped:
             # An overwrite dead-marks its predecessor at append
@@ -1581,8 +1570,7 @@ class RamCloudServer(RpcService):
             # successor, the predecessor inside the served prefix
             # is still the acknowledged durable version: a real
             # backup holds only bytes and would replay it.  Serve
-            # a live copy (same key, so its hash still holds) so
-            # recovery does not lose the key.
+            # a live copy so recovery does not lose the key.
             truncated = {(e.table_id, e.key) for e in dropped}
             for i in range(len(entries) - 1, -1, -1):
                 entry = entries[i]
@@ -1597,7 +1585,7 @@ class RamCloudServer(RpcService):
                         index_keys=entry.index_keys)
                 if not truncated:
                     break
-        request.respond((entries, hashes, served))
+        request.respond((entries, served))
 
     def _handle_backup_read(self, request: RpcRequest) -> Generator:
         """EVENTUAL read served from this backup's replicated state.
@@ -1893,7 +1881,7 @@ class RamCloudServer(RpcService):
         # while it waits — RAMCloud's polling discipline, which drives
         # whole machines past 90 % CPU during recovery (Fig. 9a).
         fetched = max(1, int(nbytes * share))
-        entries, hashes, _actual_bytes = yield from self.node.cpu.spinning(
+        entries, _actual_bytes = yield from self.node.cpu.spinning(
             backup.call(
                 self.node, "recovery_read",
                 args=(crashed_id, segment_id, share),
@@ -1904,10 +1892,11 @@ class RamCloudServer(RpcService):
         yield from self._dispatch_rx(fetched)
         mine = []
         my_bytes = 0
-        for entry, h in zip(entries, hashes):
+        for entry in entries:
             if not entry.live:
                 continue
             span = spans[entry.table_id]
+            h = key_hash(entry.key)
             tablet_index = self._tablet_index_for(entry.table_id, entry.key,
                                                   h, span)
             spec = unit_filter.get((entry.table_id, tablet_index))
@@ -2064,10 +2053,9 @@ class RamCloudServer(RpcService):
 
         ``items`` is an iterable of ``(table_id, key, value_size)`` or
         ``(table_id, key, value_size, index_keys)`` tuples.  Each record
-        gets the next version and goes through the write path's own
-        :meth:`Log.append` and hash-table insert, so the state equals
-        per-record :meth:`_insert_versioned` calls.  Returns the number
-        of objects loaded.
+        gets the next version and goes through :meth:`_insert_versioned`,
+        the insert that migration and recovery replay use.  Returns the
+        number of objects loaded.
 
         Exception safety: if an append raises (:class:`LogOutOfMemory`
         once the log is full), the records before it stay loaded,
@@ -2075,10 +2063,8 @@ class RamCloudServer(RpcService):
         mode is off again, and the error propagates without backup
         replica state being materialized.
         """
-        append = self.log.append
-        insert = self.hashtable.insert
-        index_configs = self.index_configs
-        first = version = self._next_version
+        insert = self._insert_versioned
+        first = self._next_version
         self._bulk_loading = True
         try:
             self._ensure_head_replicated()
@@ -2088,15 +2074,9 @@ class RamCloudServer(RpcService):
                 else:
                     table_id, key, value_size = item
                     index_keys = None
-                segment, entry, _closed = append(
-                    table_id, key, value_size, version,
-                    index_keys=index_keys)
-                version += 1
-                insert(table_id, key, segment, entry)
-                if index_configs and table_id in index_configs:
-                    self.index_entries.insert(table_id, key)
+                insert(table_id, key, value_size, self._next_version, None,
+                       index_keys)
         finally:
-            self._next_version = version
             self._bulk_loading = False
         # Materialize backup replica state for every segment so far.
         for segment in self.log.segments.values():
@@ -2113,7 +2093,7 @@ class RamCloudServer(RpcService):
                         replica.on_disk = True
                         if backup.node.disk.space.free >= segment.bytes_used:
                             backup.node.disk.space.put(segment.bytes_used)
-        return version - first
+        return self._next_version - first
 
     # ------------------------------------------------------------------
 

@@ -13,7 +13,8 @@ epoch-stamped copies and refresh on routing failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 __all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "key_hash"]
@@ -27,6 +28,17 @@ def key_hash(key: str) -> int:
         h ^= byte
         h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _route_by_hash(tablets: List["Tablet"], span: int, key: str) -> "Tablet":
+    """A :meth:`TabletMap.key_router` for a data table."""
+    return tablets[key_hash(key) % span]
+
+
+def _route_by_range(tablets: List["Tablet"], indexlet_for,
+                    key: str) -> "Tablet":
+    """A :meth:`TabletMap.key_router` for an index table."""
+    return tablets[indexlet_for(key)]
 
 
 class TabletStatus:
@@ -156,14 +168,21 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
 
     # -- routing ----------------------------------------------------------
 
-    def tablets_of_table(self, table_id: int) -> List[Tablet]:
-        """The tablets of one table in tablet-index order, so a data
-        table's key routes to ``tablets[key_hash(key) % len(tablets)]``
-        (first hash level).  Resolve this once to route many keys."""
+    def key_router(self, table_id: int,
+                   desc=None) -> Callable[[str], Tablet]:
+        """Resolve a table's tablets once and return ``route(key)``,
+        the tablet owning ``key``: by ``key_hash(key) % span`` (first
+        hash level), or for an index table by key range through its
+        descriptor ``desc`` (see
+        :meth:`TabletMapSnapshot.owner_for_key`).  Bulk loads route
+        every record through one router."""
         table = self._tables_by_id.get(table_id)
         if table is None:
             raise KeyError(f"no table id {table_id}")
-        return [self._tablets[(table_id, i)] for i in range(table.span)]
+        tablets = [self._tablets[(table_id, i)] for i in range(table.span)]
+        if desc is not None:
+            return partial(_route_by_range, tablets, desc.indexlet_for)
+        return partial(_route_by_hash, tablets, table.span)
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""

@@ -348,40 +348,39 @@ class TestBulkLoad:
 
     @pytest.mark.parametrize("rf,indexed", [(0, False), (2, False),
                                             (2, True)])
-    def test_bulk_load_equals_per_record_inserts(self, rf, indexed):
-        """The preloads' one-loop bulk load leaves exactly the state of
-        loading each record through ``_insert_versioned``, routed by the
-        client's map: same segments, entries, index, versions, replica
-        watermarks and backup disk space."""
+    def test_preload_routes_like_the_client_map(self, rf, indexed):
+        """Every preloaded record, index entries included, lands on the
+        master the client's map routes it to, in load order, with that
+        master's consecutive versions."""
         num_records, size = 6000, 1024
-        loaded = build_cluster(num_servers=4, replication_factor=rf)
-        twin = build_cluster(num_servers=4, replication_factor=rf)
-        table_ids = []
-        records = []
-        for cluster in (loaded, twin):
-            table_id = cluster.create_table("t")
-            table_ids = [table_id]
-            if indexed:
-                desc = cluster.create_index(
-                    table_id, "sec", uniform_boundaries(num_records, 2))
-                table_ids.append(desc.index_id)
+        cluster = build_cluster(num_servers=4, replication_factor=rf)
+        table_id = cluster.create_table("t")
         if indexed:
-            loaded.preload_indexed(table_id, desc, num_records, size)
-            for i in range(num_records):
-                key, secondary = default_key(i), secondary_key(i)
-                records.append((table_id, key, size,
-                                ((desc.index_id, secondary),)))
-                records.append((desc.index_id,
-                                encode_entry_key(secondary, key), 0, None))
+            desc = cluster.create_index(
+                table_id, "sec", uniform_boundaries(num_records, 2))
+            cluster.preload_indexed(table_id, desc, num_records, size)
         else:
-            loaded.preload(table_id, num_records, size)
-            records = [(table_id, default_key(i), size, None)
-                       for i in range(num_records)]
-        _load_one_by_one(twin, records)
-        assert (_loaded_state(loaded, table_ids)
-                == _loaded_state(twin, table_ids))
-        assert any(seg.closed for s in loaded.servers
-                   for seg in s.log.segments.values())
+            cluster.preload(table_id, num_records, size)
+        snapshot = cluster.coordinator.tablet_map.snapshot()
+        snapshot.indexes = dict(cluster.coordinator.indexes)
+        expected = {server.server_id: [] for server in cluster.servers}
+        for i in range(num_records):
+            key = default_key(i)
+            expected[snapshot.owner_for_key(table_id, key)].append(
+                (table_id, key))
+            if indexed:
+                entry_key = encode_entry_key(secondary_key(i), key)
+                expected[snapshot.owner_for_key(desc.index_id,
+                                                entry_key)].append(
+                    (desc.index_id, entry_key))
+        for server in cluster.servers:
+            entries = [entry for seg in server.log.segments.values()
+                       for entry in seg.entries]
+            assert ([(e.table_id, e.key) for e in entries]
+                    == expected[server.server_id])
+            assert ([e.version for e in entries]
+                    == list(range(1, len(entries) + 1)))
+            assert server._next_version == len(entries) + 1
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_overflowing_preload_keeps_inserted_records(self, collecting):
@@ -416,59 +415,3 @@ class TestBulkLoad:
             loaded += len(versions)
         assert loaded > 0
 
-
-def _load_one_by_one(cluster, records):
-    """Reference for the preloads: group ``(table_id, key, value_size,
-    index_keys)`` records per master in first-seen order (client-map
-    routing), insert each through ``_insert_versioned``, then let an
-    empty ``bulk_load`` materialize the backup replica state."""
-    snapshot = cluster.coordinator.tablet_map.snapshot()
-    snapshot.indexes = dict(cluster.coordinator.indexes)
-    per_server = {}
-    for record in records:
-        owner = snapshot.owner_for_key(record[0], record[1])
-        per_server.setdefault(owner, []).append(record)
-    for server_id, items in per_server.items():
-        server = cluster.coordinator.lookup_server(server_id)
-        server._bulk_loading = True
-        server._ensure_head_replicated()
-        for table_id, key, value_size, index_keys in items:
-            server._insert_versioned(table_id, key, value_size,
-                                     server._next_version, None, index_keys)
-        server._bulk_loading = False
-        assert server.bulk_load([]) == 0
-
-
-def _loaded_state(cluster, table_ids):
-    """Per server, in order: every segment and entry, the hash table
-    (per-table key order and where each key points), the sorted index
-    view, versions, replicas, watermarks and backup disk space."""
-    state = []
-    for server in cluster.servers:
-        where = {}
-        segments = []
-        for seg in server.log.segments.values():
-            fields = []
-            for pos, e in enumerate(seg.entries):
-                where[id(e)] = (seg.segment_id, pos)
-                fields.append((e.table_id, e.key, e.value_size, e.version,
-                               e.value, e.is_tombstone, e.live,
-                               e.index_keys))
-            segments.append((seg.segment_id, seg.bytes_used, seg.closed,
-                             seg.replica_backups, fields))
-        index = []
-        for table_id in table_ids:
-            for key in server.hashtable.keys_for_table(table_id):
-                seg, entry = server.hashtable.lookup(table_id, key)
-                assert where[id(entry)][0] == seg.segment_id
-                index.append((table_id, key, where[id(entry)]))
-            index.append(server.index_entries.range(table_id, "",
-                                                    "\U0010ffff"))
-        replicas = [(key, r.nbytes, r.closed, r.on_disk, r.entries_applied)
-                    for key, r in server.replicas.items()]
-        state.append((server.server_id, segments, server.log.head.segment_id,
-                      server.log.appended_bytes, len(server.hashtable), index,
-                      server._next_version, server._bulk_loading, replicas,
-                      dict(server.backup_watermarks),
-                      server.node.disk.space.level))
-    return state

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ramcloud.indexing import IndexDescriptor
 from repro.ramcloud.tablets import (
     Tablet,
     TabletMap,
@@ -57,15 +58,24 @@ class TestTabletMap:
     def test_routing_consistent_with_hash(self):
         tm = TabletMap()
         table = tm.create_table("t", 5, SERVERS)
-        tablets = tm.tablets_of_table(table.table_id)
+        route = tm.key_router(table.table_id)
         for i in range(100):
             key = f"user{i}"
-            tablet = tablets[key_hash(key) % len(tablets)]
+            tablet = route(key)
             assert tablet.index == key_hash(key) % 5
 
     def test_routing_unknown_table(self):
         with pytest.raises(KeyError):
-            TabletMap().tablets_of_table(99)
+            TabletMap().key_router(99)
+
+    def test_key_router_routes_index_keys_by_range(self):
+        tm = TabletMap()
+        table = tm.create_table("idx", 3, SERVERS)
+        desc = IndexDescriptor(index_id=table.table_id, table_id=99,
+                               name="sec", boundaries=("", "m", "t"))
+        route = tm.key_router(table.table_id, desc)
+        for key, index in (("a", 0), ("m", 1), ("p", 1), ("z", 2)):
+            assert route(key).index == index
 
     def test_drop_table(self):
         tm = TabletMap()
