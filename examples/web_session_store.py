@@ -67,10 +67,9 @@ def main():
 
     total_ops = sum(f.stats.total_ops for f in frontends)
     makespan = max(f.stats.finished_at for f in frontends)
-    reads = [lat for f in frontends for _t, lat in f.stats.reads.samples]
-    updates = [lat for f in frontends for _t, lat in f.stats.updates.samples]
-    reads.sort()
-    updates.sort()
+    reads = sorted(lat for f in frontends for lat in f.stats.reads.latencies)
+    updates = sorted(lat for f in frontends
+                     for lat in f.stats.updates.latencies)
     energy = cluster.total_energy_joules()
 
     print(f"session store: {SERVERS} servers (RF 3), "

@@ -17,8 +17,9 @@ record:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.deployment import Cluster, ClusterSpec
 from repro.faults.schedule import FaultSchedule
@@ -26,6 +27,8 @@ from repro.ramcloud.coordinator import RecoveryStats, RepairStats
 from repro.sim.distributions import RandomStream
 from repro.sim.monitor import TimeSeries
 from repro.ycsb.client import YcsbClient
+from repro.ycsb.keyspace import format_key
+from repro.ycsb.stats import LatencyRecorder
 from repro.ycsb.workload import WorkloadSpec
 
 __all__ = ["CrashExperimentSpec", "CrashExperimentResult",
@@ -75,9 +78,9 @@ class CrashExperimentResult:
     disk_write_mbps: TimeSeries = field(
         default_factory=lambda: TimeSeries("write MB/s"))
     per_node_power: Dict[str, TimeSeries] = field(default_factory=dict)
-    # Foreground client latency samples [(time, latency)].
-    client_latencies: List[List[Tuple[float, float]]] = field(
-        default_factory=list)
+    # One recorder per foreground client: its ops of every type, in
+    # (time, latency) order.
+    client_latencies: List[LatencyRecorder] = field(default_factory=list)
     # The injector's deterministic (time, description) applied-fault log.
     fault_log: List[Tuple[float, str]] = field(default_factory=list)
     # Unguarded-write reports (debug mode only; execution order,
@@ -132,28 +135,32 @@ class CrashExperimentResult:
         return self.avg_power_during_recovery() * self.recovery.duration
 
 
-def _victim_key_split(cluster: Cluster, table_id: int, victim, num_records: int):
-    """Partition preloaded keys into (victim-owned, live) lists."""
-    victim_keys, live_keys = [], []
+def _victim_key_split(table_id: int, victim, num_records: int):
+    """Partition the preloaded record indices into (victim-owned,
+    live) arrays."""
+    victim_records, live_records = array("l"), array("l")
     victim_owned = set(victim.hashtable.keys_for_table(table_id))
     for i in range(num_records):
-        key = f"user{i}"
-        (victim_keys if key in victim_owned else live_keys).append(key)
-    return victim_keys, live_keys
+        (victim_records if format_key(i) in victim_owned
+         else live_records).append(i)
+    return victim_records, live_records
 
 
 class _PinnedKeyChooser:
-    """Cycles over a fixed key list (Fig. 10's targeted clients)."""
+    """Cycles over a fixed list of record indices (Fig. 10's targeted
+    clients).  Indices, not key strings: the preloaded keys already
+    live in the masters' hash tables."""
 
-    def __init__(self, keys: List[str]):
-        if not keys:
-            raise ValueError("empty key list")
-        self._keys = keys
+    def __init__(self, records: Sequence[int]):
+        if not records:
+            raise ValueError("empty record list")
+        self._records = records
         self._i = 0
 
     def next_key(self) -> str:
-        """The next key in the pinned cycle."""
-        key = self._keys[self._i % len(self._keys)]
+        """The key of the next record in the pinned cycle."""
+        records = self._records
+        key = format_key(records[self._i % len(records)])
         self._i += 1
         return key
 
@@ -221,11 +228,11 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
             raise ValueError("split_clients_by_victim needs victim_index")
         if len(clients) < 2:
             raise ValueError("split_clients_by_victim needs >= 2 clients")
-        victim_keys, live_keys = _victim_key_split(
-            cluster, table_id, victim, spec.num_records)
-        clients[0].keys = _PinnedKeyChooser(victim_keys)
+        victim_records, live_records = _victim_key_split(
+            table_id, victim, spec.num_records)
+        clients[0].keys = _PinnedKeyChooser(victim_records)
         for extra in clients[1:]:
-            extra.keys = _PinnedKeyChooser(live_keys)
+            extra.keys = _PinnedKeyChooser(live_records)
 
     for i, client in enumerate(clients):
         cluster.sim.process(client.run(), name=f"fg-client{i}")
@@ -262,7 +269,7 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
     if cluster.sim._sanitizer is not None:
         result.race_reports = list(cluster.sim._sanitizer.race_reports)
     for client in clients:
-        result.client_latencies.append(
-            client.stats.all_latencies().samples)
+        result.client_latencies.append(client.stats.all_latencies())
     cluster.stop_metering()
+    cluster.sim.close()
     return result

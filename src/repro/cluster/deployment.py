@@ -10,7 +10,8 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional
 
 from repro.hardware.node import Node
 from repro.hardware.specs import GRID5000_NANCY_NODE, MachineSpec
@@ -22,6 +23,7 @@ from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.server import RamCloudServer
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
+from repro.ycsb.keyspace import format_key
 
 __all__ = ["ClusterSpec", "Cluster"]
 
@@ -195,17 +197,20 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
 
         Returns per-server record counts.  Zero simulated time; backup
         replica state is materialized, closed segments marked on disk.
+        Each master's ``(table_id, key, record_size)`` items are made
+        as it loads them, so only its key list is held beforehand.
         """
         if key_fn is None:
             key_fn = default_key
         route = self.coordinator.tablet_map.key_router(table_id)
         with _collector_paused():
-            per_server: Dict[str, List] = {}
+            keys_of: Dict[str, List[str]] = {}
             for i in range(num_records):
                 key = key_fn(i)
-                per_server.setdefault(route(key).server_id, []).append(
-                    (table_id, key, record_size))
-            return self._bulk_load(per_server)
+                keys_of.setdefault(route(key).server_id, []).append(key)
+            return self._bulk_load({
+                server_id: zip(repeat(table_id), keys, repeat(record_size))
+                for server_id, keys in keys_of.items()})
 
     def preload_indexed(self, table_id: int, desc, num_records: int,
                         record_size: int, key_fn=None,
@@ -236,7 +241,7 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
                                       []).append((index_id, entry_key, 0))
             return self._bulk_load(per_server)
 
-    def _bulk_load(self, per_server: Dict[str, List]) -> Dict[str, int]:
+    def _bulk_load(self, per_server: Dict[str, Iterable]) -> Dict[str, int]:
         """Bulk-load each master's items, in ``per_server`` order;
         returns per-server counts."""
         counts = {}
@@ -385,9 +390,8 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         self.sim.run(until=until)
 
 
-def default_key(i: int) -> str:
-    """YCSB-style record keys."""
-    return f"user{i}"
+# YCSB-style record keys: the preload's default ``key_fn``.
+default_key = format_key
 
 
 @contextmanager

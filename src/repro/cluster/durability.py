@@ -178,6 +178,7 @@ def run_durability_gap(spec: DurabilityGapSpec) -> DurabilityGapResult:
     if cluster.coordinator.recoveries:
         result.recovery_duration = cluster.coordinator.recoveries[0].duration
     result.fault_log = list(injector.applied)
+    cluster.sim.close()
     return result
 
 

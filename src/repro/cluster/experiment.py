@@ -246,6 +246,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 for tid, throttle in server._tenant_throttles.items()
                 if tenant_of_table.get(tid) == tenant.name)
             result.per_tenant_stats[tenant.name] = tstats.as_dict()
+    cluster.sim.close()
     return result
 
 

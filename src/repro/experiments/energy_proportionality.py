@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +44,7 @@ from repro.powermgmt import PowerPolicy
 from repro.ramcloud.config import ServerConfig
 from repro.sim.distributions import RandomStream
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.stats import LatencyRecorder
+from repro.ycsb.stats import nearest_rank
 from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["EnergyPoint", "EnergyProportionalityResult",
@@ -160,6 +161,7 @@ def _measure_idle(governor: str, servers: int, seed: int,
     cluster.run(until=cluster.sim.now + duration)
     makespan, energy, cpu = close()
     sleeps, parks = _fleet_power_counters(cluster)
+    cluster.sim.close()
     return EnergyPoint(
         governor=governor, load_fraction=0.0, throughput=0.0,
         watts_per_server=energy / makespan / servers,
@@ -197,17 +199,19 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
     makespan, energy, cpu = close()
 
     total_ops = sum(c.stats.total_ops for c in ycsb)
-    merged = LatencyRecorder("all")
+    # The p99 ignores order, so the clients' latencies are concatenated.
+    latencies = array("d")
     for c in ycsb:
-        merged.samples.extend(c.stats.all_latencies().samples)
+        latencies.extend(c.stats.all_latencies().latencies)
     sleeps, parks = _fleet_power_counters(cluster)
+    cluster.sim.close()
     return EnergyPoint(
         governor=governor, load_fraction=load_fraction,
         throughput=total_ops / makespan,
         watts_per_server=energy / makespan / servers,
         energy_joules=energy,
         ops_per_joule=total_ops / energy if energy > 0 else 0.0,
-        p99_latency=merged.percentile(99.0), cpu_pct=cpu,
+        p99_latency=nearest_rank(latencies, 99.0), cpu_pct=cpu,
         dispatch_sleeps=sleeps, core_parks=parks)
 
 
@@ -407,8 +411,9 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
     settle = 0.6 if smoke else 1.0
 
     # Baseline: same demand, no cap.
-    _, uncapped_watts, uncapped_rate = _capped_load(
+    uncapped, uncapped_watts, uncapped_rate = _capped_load(
         servers, clients, seed, scale, None, duration, settle)
+    uncapped.sim.close()
 
     policy = PowerPolicy(power_cap_watts=cap_watts, cap_interval=0.05,
                          cap_hysteresis_watts=5.0)
@@ -425,6 +430,7 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
         throughput=throughput,
         admitted_rate=cluster.admission_throttle.rate,
         watts_points=list(zip(settled.times, settled.values)))
+    cluster.sim.close()
 
     table = ComparisonTable(
         "§X power cap",

@@ -270,6 +270,7 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
     cluster.sim.run_process(cluster.sim.process(orchestrate()))
     after_thr = run_load("post")
     after_watts = fleet_watts()
+    cluster.sim.close()
 
     table = ComparisonTable(
         "§IX elastic sizing", f"scale {servers}→{keep} servers under "
@@ -324,6 +325,7 @@ def run_correlated_failures_extension(scale: Scale = DEFAULT,
             cluster.run(until=400.0)
             recoveries = cluster.coordinator.recoveries
             lost = sum(r.lost_segments for r in recoveries)
+            cluster.sim.close()
             lost_segments += lost
             if lost:
                 loss_events += 1

@@ -72,6 +72,7 @@ def _table1_cell(params: Dict[str, int], seed: int, scale: Scale):
     # The window is [0, 5 s]; no busy time has accrued at t=0.
     idle = sum(100.0 * n.cpu.busy_core_seconds() / (5.0 * n.cpu.cores)
                for n in cluster.server_nodes) / params["servers"]
+    cluster.sim.close()
     return CellOutcome(
         metrics={"cpu_util_avg": idle},
         digest=hashlib.sha256(repr(idle).encode()).hexdigest())

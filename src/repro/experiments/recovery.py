@@ -122,15 +122,15 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
     kill_at = spec.kill_at
     end = result.recovery.finished_at
 
-    def mean_us(samples, lo, hi):
-        window = [lat for t, lat in samples if lo < t <= hi]
+    def mean_us(recorder, lo, hi):
+        window = [lat for t, lat in recorder if lo < t <= hi]
         return 1e6 * sum(window) / len(window) if window else None
 
     # The paper's baseline is 1 KB reads at ~15 µs; our recovery dataset
     # uses larger records, so latency baselines scale with record size.
     base_live = mean_us(live, 0.0, kill_at)
     during_live = mean_us(live, kill_at, end)
-    blocked = max((lat for _t, lat in lost), default=None)
+    blocked = max(lost.latencies, default=None)
     table.add("live-data client baseline latency",
               PAPER_FIG10_BASE_LATENCY_US, base_live, " µs",
               note=f"records are {scale.recovery_record_size // 1024} KB "

@@ -261,8 +261,8 @@ def crash_timeline_report(result, width: int = 68) -> str:
         width=width, x_label="seconds"))
     if result.client_latencies:
         named = {}
-        for i, samples in enumerate(result.client_latencies):
-            named[f"client {i + 1}"] = [(t, lat * 1e6) for t, lat in samples]
+        for i, recorder in enumerate(result.client_latencies):
+            named[f"client {i + 1}"] = [(t, lat * 1e6) for t, lat in recorder]
         sections.append(ascii_multi_chart(
             named, title="per-op latency (µs, bucket means)  [Fig. 10]",
             width=width, x_label="seconds"))

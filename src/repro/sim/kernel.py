@@ -22,13 +22,20 @@ Design notes
 * :class:`Process` is itself an event that triggers when the generator
   returns (value = generator return value) or raises.  While a process
   runs, :attr:`Simulator.active_process` names it.
+* A finished run still holds suspended generators: server threads
+  parked on their queues, samplers between ticks.  Their frames sit in
+  reference cycles through the simulator, and a suspended generator's
+  finalizer closes it, so the cyclic collector needs more than one
+  pass to free them.  :meth:`Simulator.close` closes them while the
+  run is still reachable; one collection then frees it.
 """
 
 from __future__ import annotations
 
 import os
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Tuple)
 
 __all__ = [
     "Event",
@@ -290,6 +297,7 @@ class Process(Event):
         self._resume_cb = self._resume
         if sim._sanitizer is not None:
             sim._sanitizer.register_process(self)
+        sim._live[self] = None
         # Kick off at the current instant (an already-succeeded bootstrap
         # event carrying our _resume, built without the constructor and
         # succeed() detours).
@@ -350,6 +358,7 @@ class Process(Event):
             else:
                 target = self.generator.send(value)
         except StopIteration as stop:
+            del sim._live[self]
             self.succeed(stop.value)
             if sim._sanitizer is not None:
                 sim._sanitizer.process_died(self)
@@ -357,11 +366,13 @@ class Process(Event):
         except Interrupt:
             # An unhandled interrupt terminates the process cleanly: this
             # is the normal way a crashed server's threads die.
+            del sim._live[self]
             self.succeed(None)
             if sim._sanitizer is not None:
                 sim._sanitizer.process_died(self)
             return
         except BaseException as exc:
+            del sim._live[self]
             if self.callbacks:
                 self.fail(exc)
             else:
@@ -404,7 +415,7 @@ class Simulator:
     """
 
     __slots__ = ("debug", "_sanitizer", "now", "_heap", "_seq", "_cancelled",
-                 "_active_process", "_fatal", "__weakref__")
+                 "_active_process", "_fatal", "_live", "__weakref__")
 
     def __init__(self, debug: Optional[bool] = None):
         if debug is None:
@@ -422,6 +433,9 @@ class Simulator:
         self._cancelled = 0
         self._active_process: Optional[Process] = None
         self._fatal: Optional[BaseException] = None
+        # Unfinished processes in spawn order (the values are unused); a
+        # process leaves when its generator returns or raises.
+        self._live: Dict[Process, None] = {}
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -523,3 +537,30 @@ class Simulator:
         if not event.ok:
             raise event.value
         return event.value
+
+    def close(self) -> None:
+        """Close every unfinished process's generator, in spawn order,
+        once the run's results have been read.
+
+        Closing raises ``GeneratorExit`` in each generator where it is
+        suspended, so its ``finally`` blocks run now rather than in the
+        garbage collector.  Events those blocks schedule are discarded,
+        and ``now``, the event count (``_seq``) and the schedule are
+        left as they were, so counters read after the run do not move.
+        A closed process's own event never triggers.  Do not step or
+        run the simulator after closing it.  Calling :meth:`close`
+        again does nothing.
+        """
+        heap, seq, now, cancelled = (self._heap, self._seq, self.now,
+                                     self._cancelled)
+        # Cleanup code may release a lock or cancel a timer: those
+        # pushes land in a temporary schedule that is dropped below.
+        self._heap = []
+        try:
+            while self._live:
+                live, self._live = self._live, {}
+                for process in live:
+                    process.generator.close()
+        finally:
+            self._heap, self._seq, self.now, self._cancelled = (
+                heap, seq, now, cancelled)

@@ -23,7 +23,8 @@ from repro.ramcloud.errors import ObjectDoesntExist
 from repro.ramcloud.indexing import secondary_key
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Interrupt, Simulator, Timeout
-from repro.ycsb.keyspace import LatestKeyChooser, make_key_chooser
+from repro.ycsb.keyspace import (LatestKeyChooser, format_key,
+                                 make_key_chooser, parse_key)
 from repro.ycsb.stats import OperationStats
 from repro.ycsb.workload import WorkloadSpec
 
@@ -123,7 +124,7 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
     def _next_insert_key(self) -> str:
         if isinstance(self.keys, LatestKeyChooser):
             return self.keys.record_insert()
-        key = f"user{self._insert_counter}"
+        key = format_key(self._insert_counter)
         self._insert_counter += 1
         return key
 
@@ -211,7 +212,7 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         consistently."""
         if self.index_id is None:
             return None
-        return ((self.index_id, secondary_key(int(key[4:]))),)
+        return ((self.index_id, secondary_key(parse_key(key))),)
 
     def _execute(self, op: str) -> Generator:
         w = self.workload
@@ -235,7 +236,7 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
             # RAMCloud's MultiRead, as the real YCSB binding does).
             start = self.stream.randint(0, w.num_records - 1)
             length = self.stream.randint(1, w.max_scan_length)
-            keys = [f"user{(start + i) % w.num_records}"
+            keys = [format_key((start + i) % w.num_records)
                     for i in range(length)]
             yield from self.rc.multiread(self.table_id, keys)
         elif op == "iscan":

@@ -19,6 +19,8 @@ __all__ = [
     "LatestKeyChooser",
     "SequentialKeyChooser",
     "make_key_chooser",
+    "format_key",
+    "parse_key",
 ]
 
 
@@ -31,8 +33,13 @@ class KeyChooser(Protocol):
 
 
 def format_key(index: int) -> str:
-    """YCSB record key format."""
+    """YCSB record key format: the one place ``user{index}`` is spelt."""
     return f"user{index}"
+
+
+def parse_key(key: str) -> int:
+    """The record index of a :func:`format_key` key."""
+    return int(key[4:])
 
 
 class UniformKeyChooser:

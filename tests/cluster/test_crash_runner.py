@@ -1,5 +1,7 @@
 """Unit tests for crash-runner helpers and its validation paths."""
 
+from array import array
+
 import pytest
 
 from repro.cluster import ClusterSpec, CrashExperimentSpec, run_crash_experiment
@@ -28,9 +30,9 @@ def small_crash_spec(**overrides):
 
 class TestPinnedKeyChooser:
     def test_cycles_over_keys(self):
-        chooser = _PinnedKeyChooser(["a", "b"])
+        chooser = _PinnedKeyChooser(array("l", [7, 3]))
         assert [chooser.next_key() for _ in range(5)] == \
-            ["a", "b", "a", "b", "a"]
+            ["user7", "user3", "user7", "user3", "user7"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

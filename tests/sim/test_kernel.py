@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import inspect
 import random
 
 import pytest
@@ -601,3 +602,97 @@ def test_active_process_names_the_running_process():
     sim.run()
     assert seen == [proc, None, proc]
     assert sim.active_process is None
+
+
+def _parked(sim, name, delay, log):
+    """A process body that waits ``delay`` seconds inside a try/finally
+    whose cleanup logs ``name``."""
+    try:
+        yield sim.timeout(delay)
+    finally:
+        log.append(name)
+
+
+def test_close_runs_cleanup_of_suspended_processes_in_spawn_order():
+    sim = Simulator()
+    log = []
+    # Spawned in this order; they would wake in the reverse one.
+    gens = [_parked(sim, name, delay, log)
+            for name, delay in (("first", 30.0), ("second", 20.0),
+                                ("third", 10.0))]
+    for gen in gens:
+        sim.process(gen)
+    sim.run(until=1.0)
+    assert log == []
+    sim.close()
+    assert log == ["first", "second", "third"]
+    assert all(inspect.getgeneratorstate(g) == inspect.GEN_CLOSED
+               for g in gens)
+
+
+def test_close_closes_a_process_that_never_started():
+    sim = Simulator()
+    log = []
+    gen = _parked(sim, "unstarted", 1.0, log)
+    sim.process(gen)
+    sim.close()
+    # Its body never ran, so there was no cleanup to run either.
+    assert log == []
+    assert inspect.getgeneratorstate(gen) == inspect.GEN_CLOSED
+
+
+def test_close_is_idempotent():
+    sim = Simulator()
+    log = []
+    sim.process(_parked(sim, "once", 5.0, log))
+    sim.run(until=1.0)
+    sim.close()
+    sim.close()
+    assert log == ["once"]
+
+
+def test_finished_processes_are_forgotten():
+    sim = Simulator()
+    log = []
+    short = sim.process(_parked(sim, "short", 1.0, log))
+    long = sim.process(_parked(sim, "long", 9.0, log))
+
+    def failing():
+        yield sim.timeout(0.5)
+        raise KeyError("watched")
+
+    failed = sim.process(failing())
+    failed.add_callback(lambda _ev: None)  # watched: the error stays put
+    interrupted = sim.process(_parked(sim, "interrupted", 9.0, log))
+    sim.timeout(0.5).add_callback(lambda _ev: interrupted.interrupt())
+    assert list(sim._live) == [short, long, failed, interrupted]
+    sim.run(until=2.0)
+    assert list(sim._live) == [long]
+    sim.close()
+    assert log == ["interrupted", "short", "long"]
+    assert not sim._live
+
+
+def test_close_leaves_clock_count_and_schedule_unchanged():
+    sim = Simulator()
+    pending = sim.event()
+    lock_handoff = sim.event()
+
+    def holder():
+        try:
+            yield pending
+        finally:
+            # Cleanup that schedules: a hand-off, a fresh timer and the
+            # cancellation of a timer still in the schedule.
+            lock_handoff.succeed()
+            sim.timeout(1.0)
+            deadline.cancel()
+
+    deadline = sim.timeout(50.0)
+    sim.process(holder())
+    sim.timeout(40.0)
+    sim.run(until=3.0)
+    before = (sim.now, sim._seq, list(sim._heap), sim._cancelled)
+    sim.close()
+    assert (sim.now, sim._seq, list(sim._heap), sim._cancelled) == before
+    assert lock_handoff.triggered

@@ -1,7 +1,11 @@
 """Unit tests for latency/throughput statistics."""
 
+import pickle
+import tracemalloc
+
 import pytest
 
+from repro.sim.distributions import RandomStream
 from repro.ycsb.stats import LatencyRecorder, OperationStats
 
 
@@ -72,5 +76,68 @@ class TestOperationStats:
         stats.updates.record(1.0, 0.2)
         stats.inserts.record(3.0, 0.3)
         merged = stats.all_latencies()
-        assert [t for t, _l in merged.samples] == [1.0, 2.0, 3.0]
+        assert list(merged.times) == [1.0, 2.0, 3.0]
         assert len(merged) == 3
+
+
+class TestColumns:
+    """The recorder keeps two float columns, in sorted (time, latency)
+    order."""
+
+    def test_samples_cost_at_most_twenty_bytes(self):
+        rec = LatencyRecorder("read")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                rec.record(i * 1e-5, 1e-5 + (i % 7) * 1e-6)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == 10_000
+        assert kept / 10_000 <= 20
+
+    def test_all_latencies_equals_sorted_pairs(self):
+        stream = RandomStream(5, "stats")
+        stats = OperationStats()
+        recorders = [stats.reads, stats.updates, stats.inserts,
+                     stats.scans, stats.index_ops]
+        samples = []
+        t = 0.0
+        for _ in range(2_000):
+            # Coarse times and latencies, so that op types often share
+            # an instant and ties are broken by latency.
+            t += stream.choice((0.0, 0.0, 0.25, 0.5))
+            samples.append((t, stream.choice((1.0, 2.0, 3.0)),
+                            stream.choice(range(len(recorders)))))
+        for t, lat, which in sorted(samples):
+            recorders[which].record(t, lat)
+        merged = stats.all_latencies()
+        assert list(merged) == sorted((t, lat) for t, lat, _ in samples)
+
+    def test_out_of_order_sample_rejected(self):
+        rec = LatencyRecorder("read")
+        rec.record(2.0, 5.0)
+        rec.record(2.0, 5.0)
+        rec.record(2.0, 6.0)
+        with pytest.raises(ValueError, match="earlier"):
+            rec.record(1.0, 9.0)
+        with pytest.raises(ValueError, match="earlier"):
+            rec.record(2.0, 4.0)
+        assert list(rec) == [(2.0, 5.0), (2.0, 5.0), (2.0, 6.0)]
+
+    def test_columns_are_floats(self):
+        rec = LatencyRecorder()
+        rec.record(1, 2)
+        assert [type(v) for v in rec.latencies] == [float]
+        assert list(rec) == [(1.0, 2.0)]
+
+    def test_pickle_round_trip(self):
+        stats = OperationStats()
+        stats.reads.record(0.5, 0.1)
+        stats.updates.record(0.75, 0.2)
+        stats.started_at, stats.finished_at = 0.0, 1.0
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy.reads.name == "read"
+        assert list(copy.all_latencies()) == [(0.5, 0.1), (0.75, 0.2)]
+        assert copy.throughput() == stats.throughput()
