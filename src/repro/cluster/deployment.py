@@ -207,7 +207,7 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
             keys_of: Dict[str, List[str]] = {}
             for i in range(num_records):
                 key = key_fn(i)
-                keys_of.setdefault(route(key).server_id, []).append(key)
+                keys_of.setdefault(route(key), []).append(key)
             return self._bulk_load({
                 server_id: zip(repeat(table_id), keys, repeat(record_size))
                 for server_id, keys in keys_of.items()})
@@ -234,10 +234,10 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
             for i in range(num_records):
                 key = key_fn(i)
                 secondary = secondary_fn(i)
-                per_server.setdefault(route(key).server_id, []).append(
+                per_server.setdefault(route(key), []).append(
                     (table_id, key, record_size, ((index_id, secondary),)))
                 entry_key = encode_entry_key(secondary, key)
-                per_server.setdefault(route_entry(entry_key).server_id,
+                per_server.setdefault(route_entry(entry_key),
                                       []).append((index_id, entry_key, 0))
             return self._bulk_load(per_server)
 

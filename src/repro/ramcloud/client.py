@@ -33,7 +33,7 @@ from repro.ramcloud.errors import (
     TableDoesntExist,
     WrongServer,
 )
-from repro.ramcloud.tablets import key_hash
+from repro.ramcloud.tablets import indexlet_of, key_hash
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 
@@ -448,7 +448,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         cursor = lo
         found = []
         while cursor < hi and len(found) < limit:
-            indexlet = desc.indexlet_for(cursor)
+            indexlet = indexlet_of(desc.boundaries, cursor)
             replies = yield from self._retrying(
                 f"search index {desc.index_id}", self._fan_out,
                 ("search", self._search_group, desc, indexlet, cursor, hi,

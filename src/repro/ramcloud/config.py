@@ -207,15 +207,8 @@ class ServerConfig:
     # Servers start in the paper's mode: the dispatch thread busy-polls
     # forever on its pinned core and workers never park.  The
     # poll-adaptive governor switches both at run time
-    # (RamCloudServer.set_power_mode); these are that mode's constants.
-    # Empty polls (of ``poll_interval`` each) before the adaptive
-    # dispatch thread gives up busy-polling and blocks; the pinned core
-    # then stops accruing busy time until the next request.
-    poll_idle_threshold: int = 64
-    poll_interval: float = 10.0e-6
-    # Interrupt + cache-refill cost charged to the first request after
-    # a blocked dispatch thread wakes.
-    dispatch_wake_latency: float = 6.0e-6
+    # (RamCloudServer.set_power_mode); the adaptive dispatch thread's
+    # constants live beside it in repro.ramcloud.server.
     # With parking on, a worker whose spin window expires empty parks
     # its core (deep C-state); the woken worker pays this before serving.
     core_wake_latency: float = 50.0e-6
@@ -233,12 +226,8 @@ class ServerConfig:
             raise ValueError(
                 "cleaner watermarks must satisfy 0 < low < threshold <= 1"
             )
-        if self.poll_idle_threshold < 1:
-            raise ValueError("poll_idle_threshold must be >= 1")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.dispatch_wake_latency < 0 or self.core_wake_latency < 0:
-            raise ValueError("wake latencies cannot be negative")
+        if self.core_wake_latency < 0:
+            raise ValueError("core_wake_latency cannot be negative")
         validate_level(self.default_consistency)
         if self.staleness_bound_seconds <= 0:
             raise ValueError("staleness_bound_seconds must be positive")

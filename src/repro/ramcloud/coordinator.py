@@ -27,7 +27,7 @@ from repro.net.fabric import Fabric, NodeUnreachable
 from repro.net.rpc import RpcRequest, RpcService, RpcTimeout
 from repro.ramcloud.config import CostModel, ServerConfig
 from repro.ramcloud.indexing import IndexDescriptor
-from repro.ramcloud.tablets import TabletMap, TabletStatus, key_hash
+from repro.ramcloud.tablets import TabletMap, TabletStatus, shard_of, tablet_of
 from repro.ramcloud.tenancy import TenantSpec, tenant_table_name
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
@@ -367,13 +367,13 @@ class Coordinator(RpcService):
         desc = self.indexes.get(index_id)
         if desc is None:
             return None
-        indexlet = desc.indexlet_for(entry_key)
+        span = len(desc.boundaries)
+        indexlet, h = tablet_of(entry_key, span, desc.boundaries)
         tablet = self.tablet_map._tablets.get((index_id, indexlet))
         if tablet is None:
             return None
-        span = len(desc.boundaries)
-        shard = (key_hash(entry_key) // span) % tablet.shard_count
-        return tablet.shards[shard], span
+        shards = tablet.shards
+        return shards[shard_of(h, span, len(shards))], span
 
     # ------------------------------------------------------------------
     # elastic sizing (§IX "How to choose the right cluster size?")
@@ -714,7 +714,7 @@ class Coordinator(RpcService):
             for (master_id, segment_id), replica in backup.replicas.items():
                 if master_id != server_id:
                     continue
-                nbytes = max(replica.nbytes, replica.segment.bytes_used)
+                nbytes = replica.size
                 applied = replica.entries_applied
                 if segment_id not in segment_sources:
                     segment_sources[segment_id] = (sid, nbytes)
@@ -832,9 +832,8 @@ class Coordinator(RpcService):
             for key in doomed:
                 replica = backup.replicas.pop(key)
                 if replica.on_disk:
-                    nbytes = max(replica.nbytes, replica.segment.bytes_used)
                     backup.node.disk.space.take(
-                        min(backup.node.disk.space.level, nbytes))
+                        min(backup.node.disk.space.level, replica.size))
         stats.finished_at = self.sim.now
 
     def _recover_on(self, master, plan, stats: RecoveryStats) -> Generator:

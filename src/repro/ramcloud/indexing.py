@@ -12,10 +12,10 @@ The hidden table is split into **indexlets**: tablets whose routing is
 *range-based* instead of hash-based.  ``boundaries`` is a sorted tuple
 of lower bounds, one per indexlet, with ``boundaries[0] == ""`` so the
 whole key space is covered; indexlet *i* owns entry keys in
-``[boundaries[i], boundaries[i+1])``.  Only the first hash level
-changes — recovery's shard splitting still distributes an indexlet's
-entries by key hash, so a recovered indexlet fans out over subshards
-like any tablet.
+``[boundaries[i], boundaries[i+1])``.  Only the first routing level
+changes (:func:`~repro.ramcloud.tablets.tablet_of`) — recovery's shard
+splitting still distributes an indexlet's entries by key hash, so a
+recovered indexlet fans out over subshards like any tablet.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.ramcloud.tablets import indexlet_of
 from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "SortedIndexEntries",
     "decode_entry_key",
     "encode_entry_key",
-    "indexlet_for_entry_key",
     "secondary_key",
     "uniform_boundaries",
 ]
@@ -55,16 +55,6 @@ def decode_entry_key(entry_key: str) -> Tuple[str, str]:
     """Split an entry key back into (secondary, primary)."""
     secondary, _, primary = entry_key.partition(KEY_SEP)
     return secondary, primary
-
-
-def indexlet_for_entry_key(boundaries: Tuple[str, ...], entry_key: str) -> int:
-    """Which indexlet's range contains ``entry_key``.
-
-    Works for encoded entry keys and for bare secondary strings alike:
-    ``sec + KEY_SEP + pri`` compares below the next boundary exactly
-    when ``sec`` does.
-    """
-    return bisect_right(boundaries, entry_key) - 1
 
 
 def secondary_key(i: int) -> str:
@@ -111,7 +101,7 @@ class IndexDescriptor:
 
     def indexlet_for(self, entry_key: str) -> int:
         """Which indexlet owns an entry key (or bare secondary)."""
-        return indexlet_for_entry_key(self.boundaries, entry_key)
+        return indexlet_of(self.boundaries, entry_key)
 
 
 @guarded_by("log_lock")

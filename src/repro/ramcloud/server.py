@@ -53,14 +53,16 @@ from repro.ramcloud.errors import (
 )
 from repro.ramcloud.consistency import SYNC_RF
 from repro.ramcloud.hashtable import HashTable
-from repro.ramcloud.indexing import (
-    SortedIndexEntries,
-    encode_entry_key,
-    indexlet_for_entry_key,
-)
+from repro.ramcloud.indexing import SortedIndexEntries, encode_entry_key
 from repro.ramcloud.log import Log
 from repro.ramcloud.segment import LogEntry, Segment
-from repro.ramcloud.tablets import TabletStatus, key_hash
+from repro.ramcloud.tablets import (
+    TabletStatus,
+    indexlet_of,
+    key_hash,
+    shard_of,
+    tablet_of,
+)
 from repro.ramcloud.tenancy import TenantThrottle
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Interrupt, Process, Simulator
@@ -68,6 +70,14 @@ from repro.sim.sanitize import shared
 from repro.sim.resources import Mutex, Store
 
 __all__ = ["RamCloudServer", "SegmentReplica"]
+
+# Poll-adaptive dispatch (:meth:`RamCloudServer._dispatch_idle_wait`,
+# docs/POWER.md): empty polls of POLL_INTERVAL seconds each before the
+# dispatch thread gives up busy-polling and blocks, and the interrupt +
+# cache-refill cost charged to the first request after it wakes.
+POLL_IDLE_THRESHOLD = 64
+POLL_INTERVAL = 10.0e-6
+DISPATCH_WAKE_LATENCY = 6.0e-6
 
 
 class SegmentReplica:
@@ -103,6 +113,12 @@ class SegmentReplica:
     def key(self) -> Tuple[str, int]:
         """(master_id, segment_id) identifying this replica."""
         return (self.master_id, self.segment.segment_id)
+
+    @property
+    def size(self) -> int:
+        """Bytes the replica occupies: the larger of what was shipped to
+        it and the segment's current fill."""
+        return max(self.nbytes, self.segment.bytes_used)
 
 
 class RamCloudServer(RpcService):
@@ -485,10 +501,18 @@ class RamCloudServer(RpcService):
 
     def _check_ownership(self, table_id: int, key: str, span: int,
                          epoch: Optional[int] = None) -> None:
-        h = key_hash(key)
-        index = self._tablet_index_for(table_id, key, h, span)
-        shard_count = self.tablet_shards.get((table_id, index), 1)
-        self._check_unit((table_id, index, (h // span) % shard_count), epoch)
+        """:meth:`_check_unit` for the unit ``key`` routes to: by key
+        range for an index table whose boundaries this server holds, by
+        hash otherwise."""
+        index, h = tablet_of(key, span, self.index_configs.get(table_id)
+                             if self.index_configs else None)
+        # A tablet we hold no unit of counts as unsplit; _check_unit
+        # then refuses it.
+        tablet = (table_id, index)
+        shard_count = (self.tablet_shards[tablet]
+                       if tablet in self.tablet_shards else 1)
+        self._check_unit((table_id, index, shard_of(h, span, shard_count)),
+                         epoch)
 
     def _check_unit(self, unit: Tuple[int, int, int],
                     epoch: Optional[int]) -> None:
@@ -514,18 +538,6 @@ class RamCloudServer(RpcService):
                 f"{self.server_id} does not own tablet shard {unit}")
         if status == TabletStatus.RECOVERING:
             raise RetryLater(f"tablet shard {unit} is recovering")
-
-    def _tablet_index_for(self, table_id: int, key: str, h: int,
-                          span: int) -> int:
-        """First-level routing: hash for data tables, range (indexlet
-        boundaries) for hidden index tables.  The second level — the
-        recovery shard — stays hash-based for both, which is what lets
-        recovery split an indexlet over subshards unchanged."""
-        if self.index_configs:
-            boundaries = self.index_configs.get(table_id)
-            if boundaries is not None:
-                return indexlet_for_entry_key(boundaries, key)
-        return h % span
 
     # ------------------------------------------------------------------
     # replica placement
@@ -699,21 +711,20 @@ class RamCloudServer(RpcService):
 
     def _dispatch_idle_wait(self, get) -> Generator:
         """Adaptive dispatch (docs/POWER.md): busy-poll the empty inbox
-        for ``poll_idle_threshold`` intervals, then block interrupt-style.
+        for ``POLL_IDLE_THRESHOLD`` intervals, then block interrupt-style.
 
         While blocked the pinned core is accounted idle
         (:meth:`Cpu.pinned_core_idle`), which is what collapses the
         paper's 25 % idle-CPU floor; the price is
-        ``dispatch_wake_latency`` added to the request that ends the
+        ``DISPATCH_WAKE_LATENCY`` added to the request that ends the
         nap — the busy-poll/wake-latency trade the paper's §X points at.
         Returns with ``get`` triggered.
         """
         polls = 0
-        while not get.triggered and polls < self.config.poll_idle_threshold:
+        while not get.triggered and polls < POLL_IDLE_THRESHOLD:
             # Not cpu.spin_wait: the pinned core is already accounted
             # busy, so the poll takes no spin lease.
-            yield SpinWait(self.sim, get, self.config.poll_interval,
-                           wake=True)
+            yield SpinWait(self.sim, get, POLL_INTERVAL, wake=True)
             polls += 1
         if get.triggered:
             return
@@ -726,7 +737,7 @@ class RamCloudServer(RpcService):
             # thread (pinned_core_busy is lenient about the unpin
             # having already cleared the idle state).
             self.node.cpu.pinned_core_busy()
-        yield self.sim.timeout(self.config.dispatch_wake_latency)
+        yield self.sim.timeout(DISPATCH_WAKE_LATENCY)
 
     def _admit_tenant(self, request: RpcRequest) -> bool:
         """Per-tenant admission on the dispatch path (only reached when
@@ -1363,7 +1374,7 @@ class RamCloudServer(RpcService):
             raise WrongServer(
                 f"{self.server_id} has no indexlet map for index "
                 f"{index_id}")
-        indexlet = indexlet_for_entry_key(boundaries, lo)
+        indexlet = indexlet_of(boundaries, lo)
         self._check_unit((index_id, indexlet, shard), epoch)
         hi_eff = hi
         if indexlet + 1 < len(boundaries) and boundaries[indexlet + 1] < hi:
@@ -1373,8 +1384,8 @@ class RamCloudServer(RpcService):
         matches = []
         truncated = False
         for entry_key in scanned:
-            if shard_count > 1 and ((key_hash(entry_key) // span)
-                                    % shard_count != shard):
+            if shard_count > 1 and shard_of(key_hash(entry_key), span,
+                                            shard_count) != shard:
                 continue
             if len(matches) >= limit:
                 truncated = True
@@ -1493,15 +1504,20 @@ class RamCloudServer(RpcService):
                         name=f"{self.name}:flush-{master_id}-{segment_id}")
         request.respond("ack")
 
+    def _credit_disk(self, nbytes: int) -> None:
+        """Count ``nbytes`` of replica data as stored on this backup's
+        disk; bytes that no longer fit are left uncounted, not failed."""
+        if self.node.disk.space.free >= nbytes:
+            self.node.disk.space.put(nbytes)
+
     def _flush_replica(self, replica: SegmentReplica) -> Generator:
         """Spill a closed replica to disk and free its DRAM (§II-B:
         backups keep a segment copy in DRAM "until it fills. Only then,
         they will flush the segment to disk and remove it from DRAM")."""
-        nbytes = max(replica.nbytes, replica.segment.bytes_used)
+        nbytes = replica.size
         yield from self.node.disk.write(nbytes, stream_id=replica.key)
         replica.on_disk = True
-        if self.node.disk.space.free >= nbytes:
-            self.node.disk.space.put(nbytes)
+        self._credit_disk(nbytes)
 
     def _handle_replicate_segment(self, request: RpcRequest) -> Generator:
         """Whole-segment replication during recovery re-replication.
@@ -1529,8 +1545,7 @@ class RamCloudServer(RpcService):
                 # contents: the applied prefix is everything.
                 self._advance_watermark(replica, len(segment.entries))
         yield from self.node.disk.write(nbytes, stream_id=(master_id, "recov"))
-        if self.node.disk.space.free >= nbytes:
-            self.node.disk.space.put(nbytes)
+        self._credit_disk(nbytes)
         self.replications_handled += 1
         request.respond("ack")
 
@@ -1548,7 +1563,7 @@ class RamCloudServer(RpcService):
             request.fail(ObjectDoesntExist(
                 f"no replica of {master_id}/seg{segment_id}"))
             return
-        nbytes = max(replica.nbytes, replica.segment.bytes_used)
+        nbytes = replica.size
         if replica.on_disk and not replica.cached:
             yield from self.node.disk.read(nbytes, stream_id=replica.key)
             replica.cached = True
@@ -1676,20 +1691,13 @@ class RamCloudServer(RpcService):
         table_id, index, shard = unit
         if self.tablets.get(unit) is None:
             raise WrongServer(f"{self.server_id} does not own {unit}")
-        # Index tables route tablet membership by key range, data
-        # tables by hash — the shard level is hash-based for both.
         boundaries = (self.index_configs.get(table_id)
                       if self.index_configs else None)
         moving = []
         nbytes = 0
         for key in list(self.hashtable.keys_for_table(table_id)):
-            h = key_hash(key)
-            if boundaries is not None:
-                if indexlet_for_entry_key(boundaries, key) != index:
-                    continue
-            elif h % span != index:
-                continue
-            if (h // span) % shard_count != shard:
+            tablet, h = tablet_of(key, span, boundaries)
+            if tablet != index or shard_of(h, span, shard_count) != shard:
                 continue
             _segment, entry = self.hashtable.lookup(table_id, key)
             moving.append(entry)
@@ -1724,9 +1732,8 @@ class RamCloudServer(RpcService):
         yield from self.node.cpu.execute(1.0e-6)
         replica = self.replicas.pop((master_id, segment_id), None)
         if replica is not None and replica.on_disk:
-            taken = min(self.node.disk.space.level,
-                        max(replica.nbytes, replica.segment.bytes_used))
-            self.node.disk.space.take(taken)
+            self.node.disk.space.take(
+                min(self.node.disk.space.level, replica.size))
         request.respond("ack")
 
     # ------------------------------------------------------------------
@@ -1896,14 +1903,13 @@ class RamCloudServer(RpcService):
             if not entry.live:
                 continue
             span = spans[entry.table_id]
-            h = key_hash(entry.key)
-            tablet_index = self._tablet_index_for(entry.table_id, entry.key,
-                                                  h, span)
-            spec = unit_filter.get((entry.table_id, tablet_index))
-            if spec is None:
+            index, h = tablet_of(entry.key, span, self.index_configs.get(
+                entry.table_id) if self.index_configs else None)
+            tablet = (entry.table_id, index)
+            if tablet not in unit_filter:
                 continue
-            shard_count, shards = spec
-            if (h // span) % shard_count in shards:
+            shard_count, shards = unit_filter[tablet]
+            if shard_of(h, span, shard_count) in shards:
                 mine.append(entry)
                 my_bytes += entry.log_bytes
         if not mine:
@@ -2091,8 +2097,7 @@ class RamCloudServer(RpcService):
                     replica.closed = True
                     if not replica.on_disk:
                         replica.on_disk = True
-                        if backup.node.disk.space.free >= segment.bytes_used:
-                            backup.node.disk.space.put(segment.bytes_used)
+                        backup._credit_disk(segment.bytes_used)
         return self._next_version - first
 
     # ------------------------------------------------------------------

@@ -3,8 +3,17 @@
 Data in RAMCloud is stored in tables that can span multiple storage
 servers (§II-B).  The paper configures ``ServerSpan`` equal to the
 number of servers so each table is split uniformly: we model a table as
-``span`` tablets, tablet *i* owning all keys with ``key_hash % span ==
-i``, assigned round-robin over the live servers.
+``span`` tablets assigned round-robin over the live servers.
+
+Routing a key is two levels, and this module is the only place either
+is spelled:
+
+* :func:`tablet_of` — the tablet: ``key_hash(key) % span`` for a data
+  table, or for an index table the indexlet whose key range holds the
+  key (:func:`indexlet_of` over the sorted lower ``boundaries``);
+* :func:`shard_of` — the subshard within a tablet that crash recovery
+  split over several masters: ``(key_hash(key) // span) % shard_count``,
+  hash-based for both kinds of table.
 
 The coordinator owns the authoritative :class:`TabletMap`; clients keep
 epoch-stamped copies and refresh on routing failures.
@@ -12,12 +21,14 @@ epoch-stamped copies and refresh on routing failures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
-__all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "key_hash"]
+__all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "indexlet_of",
+           "key_hash", "shard_of", "tablet_of"]
 
 
 def key_hash(key: str) -> int:
@@ -30,15 +41,38 @@ def key_hash(key: str) -> int:
     return h
 
 
-def _route_by_hash(tablets: List["Tablet"], span: int, key: str) -> "Tablet":
-    """A :meth:`TabletMap.key_router` for a data table."""
-    return tablets[key_hash(key) % span]
+def indexlet_of(boundaries: Sequence[str], key: str) -> int:
+    """Which range tablet holds ``key``, given the sorted lower bounds
+    of the table's tablets (``boundaries[0] == ""``).
+
+    Works for encoded index-entry keys and bare secondary strings
+    alike: ``sec + KEY_SEP + pri`` compares below the next boundary
+    exactly when ``sec`` does.
+    """
+    return bisect_right(boundaries, key) - 1
 
 
-def _route_by_range(tablets: List["Tablet"], indexlet_for,
-                    key: str) -> "Tablet":
-    """A :meth:`TabletMap.key_router` for an index table."""
-    return tablets[indexlet_for(key)]
+def tablet_of(key: str, span: int,
+              boundaries: Optional[Sequence[str]] = None) -> Tuple[int, int]:
+    """First routing level: ``(tablet_index, key_hash(key))`` — by hash,
+    or by key range when the table's ``boundaries`` are given.  The hash
+    comes back for :func:`shard_of`."""
+    h = key_hash(key)
+    if boundaries is None:
+        return h % span, h
+    return indexlet_of(boundaries, key), h
+
+
+def shard_of(h: int, span: int, shard_count: int) -> int:
+    """Second routing level: which of a tablet's ``shard_count``
+    subshards owns the key whose ``key_hash`` is ``h``."""
+    return (h // span) % shard_count
+
+
+def _owner_of(owners: List[str], span: int,
+              boundaries: Optional[Sequence[str]], key: str) -> str:
+    """A :meth:`TabletMap.key_router`: the owner of ``key``'s tablet."""
+    return owners[tablet_of(key, span, boundaries)[0]]
 
 
 class TabletStatus:
@@ -49,13 +83,13 @@ class TabletStatus:
 
 @dataclass
 class Tablet:
-    """One shard of a table: keys with ``key_hash % span == index``.
+    """Tablet ``index`` of a table (see :func:`tablet_of`).
 
     Normally one server owns the whole tablet.  Crash recovery *splits*
     a tablet into subshards (the crashed master's will partitions its
     data so "as many machines as possible" participate, §II-B): after a
     recovery, ``shards`` lists one owner per subshard and key routing
-    adds a second hash level.
+    adds the second level, :func:`shard_of`.
     """
 
     table_id: int
@@ -96,10 +130,6 @@ class Tablet:
             if s != TabletStatus.NORMAL:
                 return s
         return TabletStatus.NORMAL
-
-    def shard_for_hash(self, h: int, span: int) -> int:
-        """Which subshard owns the key whose ``key_hash`` is ``h``."""
-        return (h // span) % len(self.shards)
 
     def clone(self) -> "Tablet":
         """An independent copy (for client snapshots)."""
@@ -169,20 +199,19 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
     # -- routing ----------------------------------------------------------
 
     def key_router(self, table_id: int,
-                   desc=None) -> Callable[[str], Tablet]:
-        """Resolve a table's tablets once and return ``route(key)``,
-        the tablet owning ``key``: by ``key_hash(key) % span`` (first
-        hash level), or for an index table by key range through its
-        descriptor ``desc`` (see
-        :meth:`TabletMapSnapshot.owner_for_key`).  Bulk loads route
-        every record through one router."""
+                   desc=None) -> Callable[[str], str]:
+        """Resolve an unsplit table's tablet owners once and return
+        ``route(key)``, the id of the server holding ``key``: tablets by
+        :func:`tablet_of`, by key range through the index descriptor
+        ``desc`` for an index table.  Bulk loads route every record
+        through one router."""
         table = self._tables_by_id.get(table_id)
         if table is None:
             raise KeyError(f"no table id {table_id}")
-        tablets = [self._tablets[(table_id, i)] for i in range(table.span)]
-        if desc is not None:
-            return partial(_route_by_range, tablets, desc.indexlet_for)
-        return partial(_route_by_hash, tablets, table.span)
+        owners = [self._tablets[(table_id, i)].server_id
+                  for i in range(table.span)]
+        return partial(_owner_of, owners, table.span,
+                       None if desc is None else desc.boundaries)
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""
@@ -267,14 +296,11 @@ class TabletMapSnapshot:
     indexes: Dict[int, object] = field(default_factory=dict)
 
     def owner_for_key(self, table_id: int, key: str) -> str:
-        """The server id serving ``key`` in this snapshot.  The tablet
-        is found by key range for index tables and by hash otherwise;
-        one ``key_hash`` serves both that and the subshard within it."""
-        table = self.tables_by_id.get(table_id)
-        if table is None:
-            raise KeyError(f"no table id {table_id}")
-        h = key_hash(key)
+        """The server id serving ``key`` in this snapshot: its tablet by
+        :func:`tablet_of` (by key range for an index table), then its
+        subshard by :func:`shard_of`."""
+        span = self.tables_by_id[table_id].span
         desc = self.indexes.get(table_id) if self.indexes else None
-        index = h % table.span if desc is None else desc.indexlet_for(key)
-        tablet = self.tablets[(table_id, index)]
-        return tablet.shards[tablet.shard_for_hash(h, table.span)]
+        index, h = tablet_of(key, span, desc and desc.boundaries)
+        shards = self.tablets[(table_id, index)].shards
+        return shards[shard_of(h, span, len(shards))]

@@ -20,10 +20,10 @@ from repro.ramcloud.indexing import (
     IndexDescriptor,
     decode_entry_key,
     encode_entry_key,
-    indexlet_for_entry_key,
     secondary_key,
     uniform_boundaries,
 )
+from repro.ramcloud.tablets import indexlet_of
 from repro.ramcloud.tenancy import TenantSpec, TenantThrottle, tenant_table_name
 from repro.ycsb.workload import WORKLOAD_A
 
@@ -44,9 +44,9 @@ def test_entry_key_roundtrip_and_order():
 
 def test_indexlet_routing_by_boundaries():
     boundaries = ("", "m", "t")
-    assert indexlet_for_entry_key(boundaries, encode_entry_key("a", "p")) == 0
-    assert indexlet_for_entry_key(boundaries, encode_entry_key("m", "p")) == 1
-    assert indexlet_for_entry_key(boundaries, encode_entry_key("z", "p")) == 2
+    assert indexlet_of(boundaries, encode_entry_key("a", "p")) == 0
+    assert indexlet_of(boundaries, encode_entry_key("m", "p")) == 1
+    assert indexlet_of(boundaries, encode_entry_key("z", "p")) == 2
 
 
 def test_descriptor_validation():
@@ -72,7 +72,7 @@ def test_uniform_boundaries_cover_secondary_keyspace():
     assert boundaries == tuple(sorted(boundaries))
     # Every record's secondary key lands in some indexlet.
     for i in range(100):
-        assert 0 <= indexlet_for_entry_key(
+        assert 0 <= indexlet_of(
             boundaries, encode_entry_key(secondary_key(i), "p")) < 4
 
 

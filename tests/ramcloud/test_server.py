@@ -10,6 +10,7 @@ from repro.hardware.specs import MB
 from repro.ramcloud.errors import LogOutOfMemory, ObjectDoesntExist, WrongServer
 from repro.ramcloud.indexing import (
     encode_entry_key, secondary_key, uniform_boundaries)
+from repro.ramcloud.server import DISPATCH_WAKE_LATENCY
 from repro.ramcloud.tablets import key_hash
 
 from tests.ramcloud.conftest import build_cluster, run_client_script
@@ -297,10 +298,10 @@ class TestThreadingModel:
 
         start, end = run_client_script(cluster3, script())
         out, back = node.spec.nic, server.node.spec.nic
-        cost, config = server.cost, server.config
+        cost = server.cost
         handed = start + 64 / out.bandwidth + out.one_way_latency
         if mode == "adaptive":
-            handed += config.dispatch_wake_latency
+            handed += DISPATCH_WAKE_LATENCY
         handed += cost.dispatch_per_request
         answered = handed + cost.ping_service
         assert end == answered + (64 / back.bandwidth + back.one_way_latency)

@@ -9,7 +9,10 @@ from repro.ramcloud.tablets import (
     Tablet,
     TabletMap,
     TabletStatus,
+    indexlet_of,
     key_hash,
+    shard_of,
+    tablet_of,
 )
 
 SERVERS = [f"server{i}" for i in range(5)]
@@ -61,8 +64,7 @@ class TestTabletMap:
         route = tm.key_router(table.table_id)
         for i in range(100):
             key = f"user{i}"
-            tablet = route(key)
-            assert tablet.index == key_hash(key) % 5
+            assert route(key) == SERVERS[key_hash(key) % 5]
 
     def test_routing_unknown_table(self):
         with pytest.raises(KeyError):
@@ -75,7 +77,7 @@ class TestTabletMap:
                                name="sec", boundaries=("", "m", "t"))
         route = tm.key_router(table.table_id, desc)
         for key, index in (("a", 0), ("m", 1), ("p", 1), ("z", 2)):
-            assert route(key).index == index
+            assert route(key) == SERVERS[index]
 
     def test_drop_table(self):
         tm = TabletMap()
@@ -117,7 +119,7 @@ class TestSubshards:
         t = Tablet(1, 0, ["server0"])
         assert t.server_id == "server0"
         assert t.shard_count == 1
-        assert t.shard_for_hash(key_hash("anything"), span=5) == 0
+        assert shard_of(key_hash("anything"), 5, t.shard_count) == 0
 
     def test_split_tablet_has_no_single_owner(self):
         t = Tablet(1, 0, ["a", "b", "c"])
@@ -129,7 +131,7 @@ class TestSubshards:
         span = 5
         for i in range(50):
             h = key_hash(f"user{i}")
-            assert t.shard_for_hash(h, span) == (h // span) % 3
+            assert shard_of(h, span, t.shard_count) == (h // span) % 3
 
     def test_split_shard_in_map(self):
         tm = TabletMap()
@@ -165,11 +167,25 @@ class TestSubshards:
             Tablet(1, 0, [])
 
     @given(span=st.integers(min_value=1, max_value=16),
-           shards=st.integers(min_value=1, max_value=8))
+           shards=st.integers(min_value=1, max_value=8),
+           cuts=st.lists(st.text(alphabet="abcdefgh", min_size=1,
+                                 max_size=3), max_size=6))
     @settings(max_examples=30, deadline=None)
-    def test_shard_routing_partitions_keyspace(self, span, shards):
-        """Property: every key maps to exactly one (tablet, shard)."""
-        t = Tablet(1, 0, [f"s{i}" for i in range(shards)])
-        for i in range(100):
-            shard = t.shard_for_hash(key_hash(f"user{i}"), span)
+    def test_shard_routing_partitions_keyspace(self, span, shards, cuts):
+        """Property: every key maps to exactly one (tablet, shard), by
+        hash or by range, and the shards of a tablet split it evenly
+        by ``key_hash // span``."""
+        boundaries = ("",) + tuple(sorted(set(cuts)))
+        # Each bound is a key too: it must land in the range it opens.
+        for key in [f"user{i}" for i in range(100)] + list(boundaries):
+            h = key_hash(key)
+            assert tablet_of(key, span) == (h % span, h)
+            shard = shard_of(h, span, shards)
             assert 0 <= shard < shards
+            assert shard == (h // span) % shards
+            index, h_range = tablet_of(key, span, boundaries)
+            assert h_range == h
+            assert index == indexlet_of(boundaries, key)
+            assert boundaries[index] <= key
+            if index + 1 < len(boundaries):
+                assert key < boundaries[index + 1]
