@@ -138,7 +138,7 @@ class CrashExperimentResult:
 def _victim_key_split(table_id: int, victim, num_records: int):
     """Partition the preloaded record indices into (victim-owned,
     live) arrays."""
-    victim_records, live_records = array("l"), array("l")
+    victim_records, live_records = array("i"), array("i")
     victim_owned = set(victim.hashtable.keys_for_table(table_id))
     for i in range(num_records):
         (victim_records if format_key(i) in victim_owned

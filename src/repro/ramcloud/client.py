@@ -100,8 +100,10 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         """Resolve (table, key) → (master service, span) from the cache."""
         if self._map is None:
             raise RuntimeError("call refresh_map() (or any op) first")
-        master = self._master(self._map.owner_for_key(table_id, key))
-        return master, self._map.tables_by_id[table_id].span
+        snapshot = self._map
+        span = snapshot.tables_by_id[table_id].span
+        master = self._master(snapshot.owner_for_key(table_id, key, span))
+        return master, span
 
     def _master(self, server_id: str):
         master = self.coordinator.lookup_server(server_id)
@@ -400,7 +402,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     def _multiread_group(self, table_id: int, keys, span: int):
         by_master = {}
         for key in keys:
-            server_id = self._map.owner_for_key(table_id, key)
+            server_id = self._map.owner_for_key(table_id, key, span)
             by_master.setdefault(server_id, []).append(key)
         return [(server_id, (table_id, batch, span, self._epoch),
                  READ_REQUEST_BYTES + 32 * len(batch),
@@ -521,7 +523,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     def _lookup_group(self, desc, pairs, span: int):
         by_master = {}
         for secondary, primary in pairs:
-            server_id = self._map.owner_for_key(desc.table_id, primary)
+            server_id = self._map.owner_for_key(desc.table_id, primary,
+                                                span)
             by_master.setdefault(server_id, []).append(
                 (primary, desc.index_id, secondary))
         return [(server_id, (desc.table_id, items, span, self._epoch),

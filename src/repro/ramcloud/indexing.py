@@ -24,7 +24,6 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.ramcloud.tablets import indexlet_of
 from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = [
@@ -98,10 +97,6 @@ class IndexDescriptor:
     @property
     def num_indexlets(self) -> int:
         return len(self.boundaries)
-
-    def indexlet_for(self, entry_key: str) -> int:
-        """Which indexlet owns an entry key (or bare secondary)."""
-        return indexlet_of(self.boundaries, entry_key)
 
 
 @guarded_by("log_lock")

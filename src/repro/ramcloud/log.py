@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.errors import LogOutOfMemory
-from repro.ramcloud.segment import LogEntry, Segment
+from repro.ramcloud.segment import FullLogEntry, LogEntry, Segment
 from repro.sim.sanitize import NULL_SHARED, guarded_by
 
 __all__ = ["Log"]
@@ -115,6 +115,10 @@ class Log:
                ) -> Tuple[Segment, LogEntry, Optional[Segment]]:
         """Append an entry; returns ``(segment, entry, closed_segment)``.
 
+        The entry is a six-slot :class:`LogEntry` unless it carries a
+        value or secondary keys or is a tombstone; then it is a
+        :class:`FullLogEntry`.
+
         ``closed_segment`` is non-None when this append rolled the head,
         so the caller can push the close to backups.  ``privileged``
         appends (the cleaner's survivor copies) may dip into the
@@ -126,8 +130,11 @@ class Log:
         ``appended_bytes`` are as they were, so the caller may stall and
         retry, or stop with every earlier append intact.
         """
-        entry = LogEntry(table_id, key, value_size, version, value=value,
-                         is_tombstone=is_tombstone, index_keys=index_keys)
+        if value is None and index_keys is None and not is_tombstone:
+            entry = LogEntry(table_id, key, value_size, version)
+        else:
+            entry = FullLogEntry(table_id, key, value_size, version, value,
+                                 is_tombstone, index_keys)
         nbytes = entry.log_bytes
         if nbytes > self.segment_size:
             raise ValueError(

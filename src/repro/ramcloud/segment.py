@@ -4,6 +4,13 @@ The log-structured memory is divided into fixed-size segments (8 MB in
 the paper, §II-B).  A segment is append-only; deleting or overwriting
 an object leaves a dead entry behind (plus a tombstone for deletes) that
 only the cleaner reclaims.
+
+A record is one Python object per log entry, and a preloaded cell holds
+one per record, so its shape is sized: a plain object record
+(:class:`LogEntry`) has six slots and the master's hash table points at
+it directly; it knows its segment by id.  Values, secondary keys and
+tombstones live in the :class:`FullLogEntry` subclass, which the log's
+appender picks only when a record needs it.
 """
 
 from __future__ import annotations
@@ -12,52 +19,81 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.sanitize import NULL_SHARED
 
-__all__ = ["LogEntry", "Segment", "ENTRY_HEADER_BYTES"]
+__all__ = ["LogEntry", "FullLogEntry", "Segment", "ENTRY_HEADER_BYTES"]
 
 # Per-entry log overhead (entry header + checksum), as in RAMCloud.
 ENTRY_HEADER_BYTES = 40
 
 
 class LogEntry:
-    """One object record (or tombstone) in the log."""
+    """One plain object record in the log: no value bytes, no secondary
+    keys, not a tombstone — what a bulk load and every YCSB write
+    append.
 
-    __slots__ = ("table_id", "key", "value_size", "version", "value",
-                 "is_tombstone", "live", "index_keys")
+    Six slots (80 B with the collector's header): the hash table points
+    at this object directly, and ``segment_id`` names the segment that
+    holds it (set once, by :meth:`Segment.append`).  Records that carry
+    a value or secondary keys, and tombstones, are
+    :class:`FullLogEntry`; here those fields read as class attributes.
+    """
+
+    __slots__ = ("table_id", "key", "value_size", "version", "live",
+                 "segment_id")
+
+    value: Optional[bytes] = None
+    # Secondary keys this object carries, as (index_id, secondary)
+    # pairs (None for unindexed objects).  Stored in the record — as
+    # in RAMCloud/SLIK — so recovery replay and the cleaner can
+    # re-derive a record's index entries without consulting anyone.
+    index_keys: Optional[Tuple[Tuple[int, str], ...]] = None
+    is_tombstone = False
 
     def __init__(self, table_id: int, key: str, value_size: int,
-                 version: int, value: Optional[bytes] = None,
-                 is_tombstone: bool = False,
-                 index_keys: Optional[Tuple[Tuple[int, str], ...]] = None):
+                 version: int):
         if value_size < 0:
             raise ValueError(f"negative value size: {value_size}")
         self.table_id = table_id
         self.key = key
         self.value_size = value_size
         self.version = version
-        self.value = value
-        self.is_tombstone = is_tombstone
-        # Secondary keys this object carries, as (index_id, secondary)
-        # pairs (None for unindexed objects).  Stored in the record — as
-        # in RAMCloud/SLIK — so recovery replay and the cleaner can
-        # re-derive a record's index entries without consulting anyone.
-        self.index_keys = index_keys
         # A live entry is reachable from the hash table; overwrites and
         # deletes mark the old entry dead for the cleaner.
-        self.live = not is_tombstone
+        self.live = True
 
     @property
     def log_bytes(self) -> int:
         """Bytes this entry occupies in the log."""
-        size = ENTRY_HEADER_BYTES + len(self.key) + self.value_size
-        if self.index_keys:
-            for _index_id, secondary in self.index_keys:
-                size += len(secondary)
-        return size
+        return ENTRY_HEADER_BYTES + len(self.key) + self.value_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "tombstone" if self.is_tombstone else "object"
         return (f"<LogEntry {kind} t{self.table_id}/{self.key} "
                 f"v{self.version} {self.value_size}B>")
+
+
+class FullLogEntry(LogEntry):
+    """A record with value bytes or secondary keys, or a tombstone."""
+
+    __slots__ = ("value", "index_keys", "is_tombstone")
+
+    def __init__(self, table_id: int, key: str, value_size: int,
+                 version: int, value: Optional[bytes] = None,
+                 is_tombstone: bool = False,
+                 index_keys: Optional[Tuple[Tuple[int, str], ...]] = None):
+        LogEntry.__init__(self, table_id, key, value_size, version)
+        self.value = value
+        self.is_tombstone = is_tombstone
+        self.index_keys = index_keys
+        self.live = not is_tombstone
+
+    @property
+    def log_bytes(self) -> int:
+        """Bytes this entry occupies in the log, secondary keys included."""
+        size = ENTRY_HEADER_BYTES + len(self.key) + self.value_size
+        if self.index_keys:
+            for _index_id, secondary in self.index_keys:
+                size += len(secondary)
+        return size
 
 
 class Segment:
@@ -115,6 +151,7 @@ class Segment:
             )
         if self.race.enabled:
             self.race.write(f"seg{self.segment_id}")
+        entry.segment_id = self.segment_id
         self.entries.append(entry)
         self.bytes_used += nbytes
 

@@ -33,6 +33,7 @@ consistency guarantees").
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -852,11 +853,10 @@ class RamCloudServer(RpcService):
         table_id, key, span, epoch = request.args
         yield from self.node.cpu.execute(self.cost.read_service)
         self._check_ownership(table_id, key, span, epoch)
-        found = self.hashtable.lookup(table_id, key)
-        if found is None:
+        entry = self.hashtable.lookup(table_id, key)
+        if entry is None:
             request.fail(ObjectDoesntExist(f"t{table_id}/{key}"))
             return
-        _segment, entry = found
         self.ops_completed += 1
         self.reads_completed += 1
         request.respond((entry.value, entry.version, entry.value_size))
@@ -912,7 +912,7 @@ class RamCloudServer(RpcService):
                     if require_exists and found is None:
                         raise ObjectDoesntExist(f"t{table_id}/{key}")
                     if expected_version is not None:
-                        current = found[1].version if found else 0
+                        current = found.version if found is not None else 0
                         if current != expected_version:
                             raise StaleVersion(
                                 f"t{table_id}/{key}: expected "
@@ -938,8 +938,7 @@ class RamCloudServer(RpcService):
                     if is_tombstone:
                         displaced = hashtable.remove(table_id, key)
                     else:
-                        displaced = hashtable.insert(table_id, key,
-                                                     segment, entry)
+                        displaced = hashtable.insert(table_id, key, entry)
                     if self.index_configs and table_id in self.index_configs:
                         # This append IS an index entry: the sorted
                         # range structure moves in lock-step with the
@@ -988,10 +987,10 @@ class RamCloudServer(RpcService):
         data, and a client holding the old (value, version) pair could
         never detect the change.
         """
-        segment, entry, _closed = self.log.append(
-            table_id, key, value_size, version, value=value,
-            index_keys=index_keys)
-        self.hashtable.insert(table_id, key, segment, entry)
+        _segment, entry, _closed = self.log.append(
+            table_id, key, value_size, version, value, False, False,
+            index_keys)
+        self.hashtable.insert(table_id, key, entry)
         if self.index_configs and table_id in self.index_configs:
             self.index_entries.insert(table_id, key)
         if version >= self._next_version:
@@ -1283,9 +1282,8 @@ class RamCloudServer(RpcService):
         results = {}
         for key in keys:
             self._check_ownership(table_id, key, span, epoch)
-            found = self.hashtable.lookup(table_id, key)
-            if found is not None:
-                entry = found[1]
+            entry = self.hashtable.lookup(table_id, key)
+            if entry is not None:
                 results[key] = (entry.value, entry.version, entry.value_size)
         self.ops_completed += len(keys)
         self.reads_completed += len(keys)
@@ -1412,10 +1410,9 @@ class RamCloudServer(RpcService):
         results = {}
         for primary, index_id, secondary in items:
             self._check_ownership(table_id, primary, span, epoch)
-            found = self.hashtable.lookup(table_id, primary)
-            if found is None:
+            entry = self.hashtable.lookup(table_id, primary)
+            if entry is None:
                 continue
-            entry = found[1]
             pairs = entry.index_keys
             if pairs is not None and (index_id, secondary) in pairs:
                 results[primary] = (entry.value, entry.version,
@@ -1594,10 +1591,9 @@ class RamCloudServer(RpcService):
                     continue
                 truncated.discard(ident)
                 if not entry.live and not entry.is_tombstone:
-                    entries[i] = LogEntry(
-                        entry.table_id, entry.key, entry.value_size,
-                        entry.version, value=entry.value,
-                        index_keys=entry.index_keys)
+                    revived = copy.copy(entry)
+                    revived.live = True
+                    entries[i] = revived
                 if not truncated:
                     break
         request.respond((entries, served))
@@ -1640,18 +1636,17 @@ class RamCloudServer(RpcService):
         if master is None:
             request.fail(BackupBehind(f"no replica source for {master_id}"))
             return
-        found = master.hashtable.lookup(table_id, key)
-        if found is None:
+        entry = master.hashtable.lookup(table_id, key)
+        if entry is None:
             # Unknown key: cannot distinguish "never existed" from
             # "not yet replicated" — let the master decide.
             request.fail(BackupBehind(
                 f"t{table_id}/{key} not in replicated state"))
             return
-        segment, entry = found
-        if (master_id, segment.segment_id) not in self.replicas:
+        if (master_id, entry.segment_id) not in self.replicas:
             request.fail(BackupBehind(
                 f"{self.server_id} holds no replica of "
-                f"{master_id}/seg{segment.segment_id}"))
+                f"{master_id}/seg{entry.segment_id}"))
             return
         if entry.version > watermark:
             request.fail(BackupBehind(
@@ -1699,7 +1694,7 @@ class RamCloudServer(RpcService):
             tablet, h = tablet_of(key, span, boundaries)
             if tablet != index or shard_of(h, span, shard_count) != shard:
                 continue
-            _segment, entry = self.hashtable.lookup(table_id, key)
+            entry = self.hashtable.lookup(table_id, key)
             moving.append(entry)
             nbytes += entry.log_bytes
         # Stop serving the unit while it moves (brief unavailability;
@@ -2007,13 +2002,13 @@ class RamCloudServer(RpcService):
                 # relocates them like any object, carrying the record's
                 # secondary keys forward.  The sorted per-index view is
                 # keyed by entry key, which relocation does not change.
-                segment, new_entry, _closed = self.log.append(
+                _segment, new_entry, _closed = self.log.append(
                     entry.table_id, entry.key, entry.value_size,
                     entry.version, value=entry.value, privileged=True,
                     index_keys=entry.index_keys)
                 entry.live = False
                 self.hashtable.relocate(entry.table_id, entry.key,
-                                        segment, new_entry)
+                                        new_entry)
             self.log.free_segment(victim)
         finally:
             self.log_lock.release(token)

@@ -295,11 +295,14 @@ class TabletMapSnapshot:
     live_servers: Tuple[str, ...] = ()
     indexes: Dict[int, object] = field(default_factory=dict)
 
-    def owner_for_key(self, table_id: int, key: str) -> str:
+    def owner_for_key(self, table_id: int, key: str,
+                      span: Optional[int] = None) -> str:
         """The server id serving ``key`` in this snapshot: its tablet by
         :func:`tablet_of` (by key range for an index table), then its
-        subshard by :func:`shard_of`."""
-        span = self.tables_by_id[table_id].span
+        subshard by :func:`shard_of`.  A caller that already read the
+        table's ``span`` passes it in."""
+        if span is None:
+            span = self.tables_by_id[table_id].span
         desc = self.indexes.get(table_id) if self.indexes else None
         index, h = tablet_of(key, span, desc and desc.boundaries)
         shards = self.tablets[(table_id, index)].shards

@@ -123,11 +123,19 @@ class OperationStats:
     def all_latencies(self) -> LatencyRecorder:
         """All op types merged into one recorder, in ``(time, latency)``
         order.  Each recorder is already in that order, so a merge gives
-        exactly what sorting the pooled pairs would."""
+        exactly what sorting the pooled pairs would.
+
+        When only one op type has samples, that recorder itself is
+        returned (read it, do not record into it): a finished run then
+        keeps no second copy of its samples."""
+        recorders = (self.reads, self.updates, self.inserts, self.scans,
+                     self.index_ops)
+        used = [r for r in recorders if r.times]
+        if len(used) == 1:
+            return used[0]
         merged = LatencyRecorder("all")
         times, latencies = merged.times, merged.latencies
-        for t, lat in merge(self.reads, self.updates, self.inserts,
-                            self.scans, self.index_ops):
+        for t, lat in merge(*used):
             times.append(t)
             latencies.append(lat)
         return merged

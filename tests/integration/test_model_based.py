@@ -86,7 +86,7 @@ def test_system_matches_dict_model(ops):
     stored = {}
     for server in cluster.servers:
         for key in server.hashtable.keys_for_table(table_id):
-            _seg, entry = server.hashtable.lookup(table_id, key)
+            entry = server.hashtable.lookup(table_id, key)
             assert key not in stored, f"{key} indexed on two masters"
             stored[key] = (entry.value, entry.version, entry.value_size)
     assert stored == model
@@ -117,12 +117,15 @@ def test_log_accounting_invariants(ops):
     apply_ops(cluster, table_id, ops)
     for server in cluster.servers:
         log = server.log
-        indexed = {key: server.hashtable.lookup(table_id, key)[1]
+        indexed = {key: server.hashtable.lookup(table_id, key)
                    for key in server.hashtable.keys_for_table(table_id)}
         live_in_log = [e for seg in log.segments.values()
                        for e in seg.live_entries()]
         assert len(live_in_log) == len(indexed)
         assert {e.key for e in live_in_log} == set(indexed)
+        # Each indexed entry names the segment that holds it.
+        for entry in indexed.values():
+            assert entry in log.segments[entry.segment_id].entries
         for seg in log.segments.values():
             assert seg.bytes_used == sum(e.log_bytes for e in seg.entries)
             assert seg.bytes_used <= seg.capacity

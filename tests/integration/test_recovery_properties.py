@@ -59,7 +59,7 @@ def test_recovery_preserves_full_state(ops, victim):
         if server.killed:
             continue
         for key in server.hashtable.keys_for_table(table_id):
-            _seg, entry = server.hashtable.lookup(table_id, key)
+            entry = server.hashtable.lookup(table_id, key)
             assert key not in stored, f"{key} owned twice after recovery"
             stored[key] = (entry.version, entry.value_size)
     assert stored == model

@@ -238,7 +238,8 @@ class TestRouting:
                     (table_id, f"user{i}", None),
                     (desc.index_id,
                      encode_entry_key(secondary_key(i % 40), f"user{i}"),
-                     desc.indexlet_for(secondary_key(i % 40)))):
+                     tablets.indexlet_of(desc.boundaries,
+                                         secondary_key(i % 40)))):
                 span = snapshot.tables_by_id[routed].span
                 h = tablets.key_hash(key)
                 tablet = snapshot.tablets[

@@ -127,6 +127,43 @@ def test_backpressure_holds_the_byte_bound():
     assert master.async_writes_acked == 30
 
 
+def test_recovery_keeps_the_durable_version_under_a_truncated_overwrite():
+    """An ASYNC_BOUNDED overwrite marks its durable predecessor dead at
+    append time.  If the master crashes before the overwrite reaches a
+    backup, the backup serves a live copy of the predecessor, so
+    recovery keeps the key at its last durable version."""
+    cluster = build_cluster(num_servers=3, num_clients=1,
+                            replication_factor=1, failure_detection=True,
+                            staleness_bound_seconds=30.0)
+    table_id = cluster.create_table("t", span=1)
+    rc = cluster.clients[0]
+
+    def write_twice():
+        yield from rc.refresh_map()
+        durable = yield from rc.write(table_id, "k", 128, value=b"durable")
+        yield from rc.write(table_id, "k", 128, value=b"acked",
+                            level=ASYNC_BOUNDED)
+        return durable
+
+    durable = run_client_script(cluster, write_twice())
+    master = next(s for s in cluster.servers if len(s.hashtable))
+    predecessor = next(e for e in master.log.head.entries
+                       if e.version == durable)
+    assert not predecessor.live and master.unreplicated_bytes > 0
+    cluster.kill_server(cluster.servers.index(master))
+    cluster.run(until=cluster.sim.now + 60.0)
+    assert cluster.coordinator.recoveries[0].finished_at is not None
+
+    def read_back():
+        yield from rc.refresh_map()
+        return (yield from rc.read(table_id, "k"))
+
+    value, version, _size = run_client_script(
+        cluster, read_back(), until=cluster.sim.now + 60.0)
+    assert (value, version) == (b"durable", durable)
+    assert not predecessor.live  # the crashed master's record is untouched
+
+
 # -- EVENTUAL: backup reads and the session redirect -------------------------
 
 def test_eventual_read_served_by_backup():

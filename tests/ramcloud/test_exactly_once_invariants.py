@@ -51,9 +51,9 @@ class MasterPair:
     def write(self, key, value_size):
         owner = self.owner.setdefault(key, "src")
         version = self.versions.get(key, 0) + 1
-        segment, entry, _closed = self.logs[owner].append(
+        _segment, entry, _closed = self.logs[owner].append(
             TABLE, key, value_size, version)
-        self.tables[owner].insert(TABLE, key, segment, entry)
+        self.tables[owner].insert(TABLE, key, entry)
         self.versions[key] = version
         self.live[key] = (version, value_size)
         self.deleted.pop(key, None)
@@ -83,12 +83,11 @@ class MasterPair:
                            is_tombstone=True, privileged=True)
             elif entry.live:
                 current = table.lookup(TABLE, entry.key)
-                assert current is not None and current[1] is entry, \
-                    "live flag and index disagree"
-                segment, copy, _closed = log.append(
+                assert current is entry, "live flag and index disagree"
+                _segment, copy, _closed = log.append(
                     TABLE, entry.key, entry.value_size, entry.version,
                     privileged=True)
-                table.relocate(TABLE, entry.key, segment, copy)
+                table.relocate(TABLE, entry.key, copy)
                 entry.live = False
         log.free_segment(victim)
         return True
@@ -97,10 +96,10 @@ class MasterPair:
         """Move a live key to the other master (tablet migration)."""
         source = self.owner[key]
         target = "dst" if source == "src" else "src"
-        _seg, entry = self.tables[source].lookup(TABLE, key)
-        segment, copy, _closed = self.logs[target].append(
+        entry = self.tables[source].lookup(TABLE, key)
+        _segment, copy, _closed = self.logs[target].append(
             TABLE, key, entry.value_size, entry.version)
-        self.tables[target].insert(TABLE, key, segment, copy)
+        self.tables[target].insert(TABLE, key, copy)
         self.tables[source].remove(TABLE, key)
         self.owner[key] = target
 
@@ -110,14 +109,14 @@ class MasterPair:
         for key, (version, value_size) in self.live.items():
             owner = self.owner[key]
             other = "dst" if owner == "src" else "src"
-            hit = self.tables[owner].lookup(TABLE, key)
-            assert hit is not None, f"live key {key} not indexed"
-            segment, entry = hit
+            entry = self.tables[owner].lookup(TABLE, key)
+            assert entry is not None, f"live key {key} not indexed"
             assert entry.version == version, key
             assert entry.value_size == value_size, key
             assert entry.live and not entry.is_tombstone, key
-            assert entry in segment.entries, key
-            assert segment.segment_id in self.logs[owner].segments, key
+            segments = self.logs[owner].segments
+            assert entry.segment_id in segments, key
+            assert entry in segments[entry.segment_id].entries, key
             assert self.tables[other].lookup(TABLE, key) is None, \
                 f"{key} visible on both masters"
         for key in self.deleted:

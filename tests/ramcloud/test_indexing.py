@@ -53,8 +53,8 @@ def test_descriptor_validation():
     desc = IndexDescriptor(index_id=9, table_id=1, name="sec",
                            boundaries=("", "m"))
     assert desc.num_indexlets == 2
-    assert desc.indexlet_for("a") == 0
-    assert desc.indexlet_for("m") == 1
+    assert indexlet_of(desc.boundaries, "a") == 0
+    assert indexlet_of(desc.boundaries, "m") == 1
     with pytest.raises(ValueError):
         IndexDescriptor(index_id=9, table_id=1, name="sec", boundaries=())
     with pytest.raises(ValueError):

@@ -89,15 +89,20 @@ class TestRecoveryCorrectness:
         sample = list(victim.hashtable.keys_for_table(table_id))[:10]
         before = {}
         for key in sample:
-            _seg, entry = victim.hashtable.lookup(table_id, key)
-            before[key] = entry.version
+            before[key] = victim.hashtable.lookup(table_id, key).version
         cluster.run(until=60.0)
         survivors = [s for s in cluster.servers if s is not victim]
         for key, version in before.items():
-            found = [s.hashtable.lookup(table_id, key) for s in survivors]
-            entries = [f[1] for f in found if f is not None]
-            assert entries
-            assert entries[0].version == version
+            found = [(s, s.hashtable.lookup(table_id, key))
+                     for s in survivors]
+            found = [(s, entry) for s, entry in found if entry is not None]
+            assert len(found) == 1
+            owner, entry = found[0]
+            assert entry.version == version
+            # Replay placed a new entry in the recovery master's log,
+            # and the entry names the segment that holds it.
+            segment = owner.log.segments[entry.segment_id]
+            assert entry in segment.entries
 
     def test_tablet_map_reassigned_after_recovery(self):
         cluster, table_id = crash_cluster()

@@ -8,7 +8,12 @@ from repro.hardware.specs import KB, MB
 from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.errors import LogOutOfMemory
 from repro.ramcloud.log import Log
-from repro.ramcloud.segment import ENTRY_HEADER_BYTES, LogEntry, Segment
+from repro.ramcloud.segment import (
+    ENTRY_HEADER_BYTES,
+    FullLogEntry,
+    LogEntry,
+    Segment,
+)
 
 
 def small_config(segments=4, segment_size=256 * KB):
@@ -23,9 +28,30 @@ class TestLogEntry:
         assert entry.log_bytes == ENTRY_HEADER_BYTES + len("user42") + 1024
 
     def test_tombstone_is_dead_on_arrival(self):
-        tomb = LogEntry(1, "k", 0, version=2, is_tombstone=True)
+        tomb = FullLogEntry(1, "k", 0, version=2, is_tombstone=True)
         assert tomb.is_tombstone
         assert not tomb.live
+
+    def test_plain_record_has_no_value_keys_or_tombstone_slot(self):
+        plain = LogEntry(1, "k", 10, 1)
+        assert plain.live and not plain.is_tombstone
+        assert plain.value is None and plain.index_keys is None
+        with pytest.raises(AttributeError):
+            plain.value = b"x"  # no slot: a plain record stays plain
+        indexed = FullLogEntry(1, "k", 3, 3, index_keys=((7, "sec"),))
+        assert indexed.live and indexed.value is None
+        assert indexed.log_bytes == ENTRY_HEADER_BYTES + 1 + 3 + len("sec")
+
+    def test_log_appends_the_leanest_record_class(self):
+        log = Log(small_config())
+        cases = [({}, LogEntry), ({"value": b"v"}, FullLogEntry),
+                 ({"is_tombstone": True}, FullLogEntry),
+                 ({"index_keys": ((7, "sec"),)}, FullLogEntry)]
+        for version, (kwargs, cls) in enumerate(cases, start=1):
+            segment, entry, _closed = log.append(1, "k", 1, version,
+                                                 **kwargs)
+            assert type(entry) is cls
+            assert entry.segment_id == segment.segment_id
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
