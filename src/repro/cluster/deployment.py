@@ -10,8 +10,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.hardware.node import Node
 from repro.hardware.specs import GRID5000_NANCY_NODE, MachineSpec
@@ -23,7 +22,7 @@ from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.server import RamCloudServer
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
-from repro.ycsb.keyspace import format_key
+from repro.ycsb.keyspace import KEY_PREFIX, format_key
 
 __all__ = ["ClusterSpec", "Cluster"]
 
@@ -190,41 +189,45 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         setup, zero simulated time); returns its descriptor."""
         return self.coordinator.create_index(table_id, name, boundaries)
 
-    def preload(self, table_id: int, num_records: int, record_size: int,
-                key_fn=None) -> Dict[str, int]:
-        """Bulk-load records through the masters' fast path (§III-C:
-        "To run a workload, one needs to fill the data-store first.").
+    def preload(self, table_id: int, num_records: int,
+                record_size: int) -> Dict[str, int]:
+        """Bulk-load records ``format_key(0) .. format_key(num_records -
+        1)`` of ``record_size`` bytes through the masters' fast path
+        (§III-C: "To run a workload, one needs to fill the data-store
+        first.").
 
         Returns per-server record counts.  Zero simulated time; backup
         replica state is materialized, closed segments marked on disk.
-        Each master's ``(table_id, key, record_size)`` items are made
-        as it loads them, so only its key list is held beforehand.
+        Keys are routed in one pass by the prefix fold
+        (:meth:`~repro.ramcloud.tablets.TabletMap.numbered_key_owners`),
+        and each master loads its key list in one batched loop.
         """
-        if key_fn is None:
-            key_fn = default_key
-        route = self.coordinator.tablet_map.key_router(table_id)
+        owners = self.coordinator.tablet_map.numbered_key_owners(
+            table_id, KEY_PREFIX, num_records)
         with _collector_paused():
             keys_of: Dict[str, List[str]] = {}
-            for i in range(num_records):
-                key = key_fn(i)
-                keys_of.setdefault(route(key), []).append(key)
-            return self._bulk_load({
-                server_id: zip(repeat(table_id), keys, repeat(record_size))
-                for server_id, keys in keys_of.items()})
+            # ``owners`` first: zip then runs the fold to its end, which
+            # frees the parent hashes it holds before the load starts.
+            for owner, key in zip(owners,
+                                  map(format_key, range(num_records))):
+                keys_of.setdefault(owner, []).append(key)
+            counts = {}
+            for server_id in list(keys_of):
+                # Each key list goes once loaded: the log holds its keys.
+                keys = keys_of.pop(server_id)
+                server = self.coordinator.lookup_server(server_id)
+                counts[server_id] = server.bulk_load(table_id, keys,
+                                                     record_size)
+            return counts
 
     def preload_indexed(self, table_id: int, desc, num_records: int,
-                        record_size: int, key_fn=None,
-                        secondary_fn=None) -> Dict[str, int]:
+                        record_size: int) -> Dict[str, int]:
         """Bulk-load an indexed table: every record carries its
         secondary key, and the matching index entries are loaded into
         the indexlet owners' logs (the post-load state of an indexed
         YCSB run, at zero simulated time)."""
         from repro.ramcloud.indexing import encode_entry_key, secondary_key
 
-        if key_fn is None:
-            key_fn = default_key
-        if secondary_fn is None:
-            secondary_fn = secondary_key
         index_id = desc.index_id
         tablet_map = self.coordinator.tablet_map
         route = tablet_map.key_router(table_id)
@@ -232,23 +235,18 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         with _collector_paused():
             per_server: Dict[str, List] = {}
             for i in range(num_records):
-                key = key_fn(i)
-                secondary = secondary_fn(i)
+                key = format_key(i)
+                secondary = secondary_key(i)
                 per_server.setdefault(route(key), []).append(
                     (table_id, key, record_size, ((index_id, secondary),)))
                 entry_key = encode_entry_key(secondary, key)
-                per_server.setdefault(route_entry(entry_key),
-                                      []).append((index_id, entry_key, 0))
-            return self._bulk_load(per_server)
-
-    def _bulk_load(self, per_server: Dict[str, Iterable]) -> Dict[str, int]:
-        """Bulk-load each master's items, in ``per_server`` order;
-        returns per-server counts."""
-        counts = {}
-        for server_id, items in per_server.items():
-            server = self.coordinator.lookup_server(server_id)
-            counts[server_id] = server.bulk_load(items)
-        return counts
+                per_server.setdefault(route_entry(entry_key), []).append(
+                    (index_id, entry_key, 0, None))
+            counts = {}
+            for server_id, items in per_server.items():
+                server = self.coordinator.lookup_server(server_id)
+                counts[server_id] = server.bulk_load_items(items)
+            return counts
 
     # -- elastic scale-up ---------------------------------------------------
 
@@ -390,7 +388,7 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         self.sim.run(until=until)
 
 
-# YCSB-style record keys: the preload's default ``key_fn``.
+# YCSB-style record keys: the keys ``preload`` loads.
 default_key = format_key
 
 
@@ -399,8 +397,8 @@ def _collector_paused():
     """Pause the cyclic garbage collector for a preload.
 
     A bulk load allocates only acyclic objects that all stay reachable
-    (item tuples, log entries, hash-table slots), so a collection during
-    it would traverse the growing heap and free nothing.  The collector
+    (keys, item tuples, log entries, hash-table slots), so a collection
+    during it would traverse the growing heap and free nothing.  The collector
     is re-enabled on exit, also on error, if it was enabled on entry.
     """
     collecting = gc.isenabled()

@@ -18,7 +18,7 @@ checked.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.ramcloud.segment import LogEntry
 from repro.sim.sanitize import NULL_SHARED, guarded_by
@@ -74,6 +74,24 @@ class HashTable:
         if old is not None:
             old.live = False
         return old
+
+    def insert_all(self, table_id: int, entries: List[LogEntry]) -> None:
+        """:meth:`insert` each entry under its own key, in order (a bulk
+        load's records)."""
+        if not entries:
+            return
+        race = self.race
+        keys = self._tables.get(table_id)
+        if keys is None:
+            keys = self._tables[table_id] = {}
+        for entry in entries:
+            key = entry.key
+            if race.enabled:
+                race.write(f"t{table_id}/{key}")
+            old = keys.get(key)
+            keys[key] = entry
+            if old is not None:
+                old.live = False
 
     def remove(self, table_id: int, key: str) -> Optional[LogEntry]:
         """Drop the index entry (object deleted); returns the dead entry."""

@@ -17,7 +17,7 @@ its segments share one handle that checks each write for the lock
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.errors import LogOutOfMemory
@@ -137,10 +137,7 @@ class Log:
                                  is_tombstone, index_keys)
         nbytes = entry.log_bytes
         if nbytes > self.segment_size:
-            raise ValueError(
-                f"object of {nbytes}B exceeds segment size "
-                f"{self.segment_size}B"
-            )
+            raise self._oversized(nbytes)
         closed = None
         if self.race.enabled:
             self.race.write("head")
@@ -148,9 +145,47 @@ class Log:
         if head.bytes_used + nbytes > head.capacity:
             closed = self._roll_head(privileged)
             head = self.head
-        head.append(entry)
+        head.append(entry, nbytes)
         self.appended_bytes += nbytes
         return head, entry, closed
+
+    def append_plain(self, table_id: int, keys: Iterable[str],
+                     value_size: int, version: int,
+                     entries: List[LogEntry]) -> None:
+        """Append one plain record (a :class:`LogEntry`) per key, in
+        order, with versions counting up from ``version``, and add each
+        to ``entries``: :meth:`append`'s work for a bulk load, in one
+        loop.
+
+        Every check :meth:`append` makes is made per record, and the
+        head rolls where it would.  On an error (a negative
+        ``value_size``, an entry larger than a segment, a full log) the
+        records before the failing one stay appended and are in
+        ``entries``, and the log is as that many :meth:`append` calls
+        would have left it.
+        """
+        segment_size = self.segment_size
+        race = self.race
+        add = entries.append
+        head = self.head
+        for key in keys:
+            entry = LogEntry(table_id, key, value_size, version)
+            nbytes = entry.log_bytes
+            if nbytes > segment_size:
+                raise self._oversized(nbytes)
+            if race.enabled:
+                race.write("head")
+            if head.bytes_used + nbytes > head.capacity:
+                self._roll_head()
+                head = self.head
+            head.append(entry, nbytes)
+            self.appended_bytes += nbytes
+            add(entry)
+            version += 1
+
+    def _oversized(self, nbytes: int) -> ValueError:
+        return ValueError(
+            f"object of {nbytes}B exceeds segment size {self.segment_size}B")
 
     # -- accounting -----------------------------------------------------------
 

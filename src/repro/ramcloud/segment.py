@@ -139,11 +139,12 @@ class Segment:
             return 0.0
         return self.live_bytes / self.bytes_used
 
-    def append(self, entry: LogEntry) -> None:
-        """Add an entry; the segment must be open and have room."""
+    def append(self, entry: LogEntry, nbytes: int) -> None:
+        """Add an entry of ``nbytes`` (its :attr:`~LogEntry.log_bytes`,
+        which the caller has already read); the segment must be open and
+        have room."""
         if self.closed:
             raise ValueError(f"append to closed segment {self.segment_id}")
-        nbytes = entry.log_bytes
         if self.bytes_used + nbytes > self.capacity:
             raise ValueError(
                 f"entry of {nbytes}B does not fit in segment "

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, Generator, List, Optional, Tuple
+from contextlib import contextmanager
+from operator import attrgetter
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from repro.hardware.cpu import SpinWait
 from repro.hardware.node import Node
@@ -79,6 +81,8 @@ __all__ = ["RamCloudServer", "SegmentReplica"]
 POLL_IDLE_THRESHOLD = 64
 POLL_INTERVAL = 10.0e-6
 DISPATCH_WAKE_LATENCY = 6.0e-6
+
+_version_of = attrgetter("version")
 
 
 class SegmentReplica:
@@ -1471,21 +1475,27 @@ class RamCloudServer(RpcService):
         self.replications_handled += 1
         request.respond("ack")
 
-    def _advance_watermark(self, replica: SegmentReplica,
-                           upto: int) -> None:
+    def _advance_watermark(self, replica: SegmentReplica, upto: int,
+                           top: Optional[int] = None) -> None:
         """Record that ``replica`` now durably holds its segment's
         first ``upto`` entries, and advance this backup's per-master
         version watermark to the highest version in the newly-applied
         slice.  Sync acks can arrive out of segment order (RF > 1,
-        concurrent writers), so both advances are monotonic maxes."""
+        concurrent writers), so both advances are monotonic maxes.
+
+        A caller that knows ``top``, the highest version among the
+        segment's first ``upto`` entries, passes it in: the part of them
+        already applied is at or below the watermark, so the watermark
+        ends the same."""
         old = replica.entries_applied
         if upto <= old:
             return
         replica.entries_applied = upto
-        applied = replica.segment.entries[old:upto]
-        if not applied:
-            return
-        top = max(e.version for e in applied)
+        if top is None:
+            applied = replica.segment.entries[old:upto]
+            if not applied:
+                return
+            top = max(e.version for e in applied)
         if top > self.backup_watermarks.get(replica.master_id, 0):
             self.backup_watermarks[replica.master_id] = top
 
@@ -2043,7 +2053,8 @@ class RamCloudServer(RpcService):
     # bulk loading (experiment setup fast path)
     # ------------------------------------------------------------------
 
-    def bulk_load(self, items) -> int:
+    def bulk_load(self, table_id: int, keys: Iterable[str],
+                  value_size: int) -> int:
         """Populate this master directly, bypassing the simulated RPC
         path (zero simulated time).
 
@@ -2052,48 +2063,74 @@ class RamCloudServer(RpcService):
         segments populated, backup replicas placed and flushed —
         without simulating millions of load RPCs.
 
-        ``items`` is an iterable of ``(table_id, key, value_size)`` or
-        ``(table_id, key, value_size, index_keys)`` tuples.  Each record
-        gets the next version and goes through :meth:`_insert_versioned`,
-        the insert that migration and recovery replay use.  Returns the
-        number of objects loaded.
+        Loads one plain record of ``value_size`` bytes per key of
+        ``keys`` into data table ``table_id``, in order, each with the
+        next version, through one :meth:`Log.append_plain` loop, and
+        indexes them; the state is what :meth:`_insert_versioned` per
+        record would leave.  Returns the number of objects loaded.
 
         Exception safety: if an append raises (:class:`LogOutOfMemory`
-        once the log is full), the records before it stay loaded,
-        ``_next_version`` is one past the last of them, bulk-loading
-        mode is off again, and the error propagates without backup
-        replica state being materialized.
+        once the log is full), the records before it stay loaded and
+        indexed, ``_next_version`` is one past the last of them,
+        bulk-loading mode is off again, and the error propagates without
+        backup replica state being materialized.
         """
+        first = self._next_version
+        loaded: List[LogEntry] = []
+        with self._bulk_loading_phase():
+            try:
+                self.log.append_plain(table_id, keys, value_size, first,
+                                      loaded)
+            finally:
+                self.hashtable.insert_all(table_id, loaded)
+                self._next_version = first + len(loaded)
+        return len(loaded)
+
+    def bulk_load_items(self, items) -> int:
+        """:meth:`bulk_load` for records that differ in table, size or
+        secondary keys: ``items`` is an iterable of ``(table_id, key,
+        value_size, index_keys)`` tuples (``index_keys`` may be None),
+        each inserted with the next version through
+        :meth:`_insert_versioned`, the insert that migration and
+        recovery replay use.  Same exception safety."""
         insert = self._insert_versioned
         first = self._next_version
+        with self._bulk_loading_phase():
+            for table_id, key, value_size, index_keys in items:
+                insert(table_id, key, value_size, self._next_version, None,
+                       index_keys)
+        return self._next_version - first
+
+    @contextmanager
+    def _bulk_loading_phase(self) -> Iterator[None]:
+        """Run a bulk load: bulk-loading mode on (a head roll sends no
+        close RPCs) and the head's backups chosen; on success, every
+        segment's backup replica state is materialized as if replicated
+        and flushed.  Each segment's top version is read once for all
+        its backups."""
         self._bulk_loading = True
         try:
             self._ensure_head_replicated()
-            for item in items:
-                if len(item) > 3:
-                    table_id, key, value_size, index_keys = item
-                else:
-                    table_id, key, value_size = item
-                    index_keys = None
-                insert(table_id, key, value_size, self._next_version, None,
-                       index_keys)
+            yield
         finally:
             self._bulk_loading = False
-        # Materialize backup replica state for every segment so far.
         for segment in self.log.segments.values():
+            upto = len(segment.entries)
+            top = None
             for backup_id in segment.replica_backups:
                 backup = self.coordinator.lookup_server(backup_id)
                 if backup is None:
                     continue
                 replica = backup._replica_for(self.server_id, segment)
                 replica.nbytes = segment.bytes_used
-                backup._advance_watermark(replica, len(segment.entries))
+                if top is None and upto > replica.entries_applied:
+                    top = max(map(_version_of, segment.entries))
+                backup._advance_watermark(replica, upto, top)
                 if segment.closed:
                     replica.closed = True
                     if not replica.on_disk:
                         replica.on_disk = True
                         backup._credit_disk(segment.bytes_used)
-        return self._next_version - first
 
     # ------------------------------------------------------------------
 

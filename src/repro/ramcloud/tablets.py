@@ -15,30 +15,68 @@ is spelled:
   split over several masters: ``(key_hash(key) // span) % shard_count``,
   hash-based for both kinds of table.
 
+A bulk load routes numbered keys (``prefix + str(i)``) in one pass:
+:func:`numbered_key_hashes` gives the same hashes as :func:`key_hash`
+by folding each key from its decimal prefix, and
+:meth:`TabletMap.numbered_key_owners` applies :func:`tablet_of`'s rule.
+
 The coordinator owns the authoritative :class:`TabletMap`; clients keep
 epoch-stamped copies and refresh on routing failures.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 __all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "indexlet_of",
-           "key_hash", "shard_of", "tablet_of"]
+           "key_hash", "numbered_key_hashes", "shard_of", "tablet_of"]
+
+# 64-bit FNV-1a.
+_FNV_OFFSET = 14695981039346656037
+_FNV_PRIME = 1099511628211
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_DIGIT_BYTES = b"0123456789"
 
 
 def key_hash(key: str) -> int:
     """Stable hash used for key→tablet routing (never Python's salted
     ``hash``, which would break run-to-run determinism)."""
-    h = 14695981039346656037
+    h = _FNV_OFFSET
     for byte in key.encode():
         h ^= byte
-        h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+        h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def numbered_key_hashes(prefix: str, count: int) -> Iterator[int]:
+    """``key_hash(prefix + str(i))`` for ``i`` in ``range(count)``, in
+    that order.
+
+    FNV-1a is a left fold over the key's bytes, and for ``i >= 10``
+    ``str(i)`` is ``str(i // 10)`` plus one digit, so key ``i``'s hash
+    is one xor-multiply step from key ``i // 10``'s.  Keys are made in
+    blocks of ten siblings from their common parent; only the first
+    ``ceil(count / 10)`` hashes, the parents still to come, are held.
+    """
+    held = -(-count // 10)
+    parent = key_hash(prefix)
+    block = [((parent ^ byte) * _FNV_PRIME) & _MASK64
+             for byte in _DIGIT_BYTES]  # keys 0..9
+    parents = array("Q", block[:held])  # 8 B per hash, not an int object
+    yield from block[:count]
+    for i in range(1, held):  # keys 10*i .. 10*i + 9
+        parent = parents[i]
+        block = [((parent ^ byte) * _FNV_PRIME) & _MASK64
+                 for byte in _DIGIT_BYTES]
+        if len(parents) < held:
+            parents.extend(block[:held - len(parents)])
+        yield from block[:count - 10 * i]
 
 
 def indexlet_of(boundaries: Sequence[str], key: str) -> int:
@@ -198,20 +236,34 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
 
     # -- routing ----------------------------------------------------------
 
+    def _owners(self, table_id: int) -> List[str]:
+        """The owner of each tablet of an unsplit table, by index."""
+        table = self._tables_by_id.get(table_id)
+        if table is None:
+            raise KeyError(f"no table id {table_id}")
+        return [self._tablets[(table_id, i)].server_id
+                for i in range(table.span)]
+
     def key_router(self, table_id: int,
                    desc=None) -> Callable[[str], str]:
         """Resolve an unsplit table's tablet owners once and return
         ``route(key)``, the id of the server holding ``key``: tablets by
         :func:`tablet_of`, by key range through the index descriptor
-        ``desc`` for an index table.  Bulk loads route every record
-        through one router."""
-        table = self._tables_by_id.get(table_id)
-        if table is None:
-            raise KeyError(f"no table id {table_id}")
-        owners = [self._tablets[(table_id, i)].server_id
-                  for i in range(table.span)]
-        return partial(_owner_of, owners, table.span,
+        ``desc`` for an index table.  An indexed bulk load routes every
+        record and index entry through one router each."""
+        owners = self._owners(table_id)
+        return partial(_owner_of, owners, len(owners),
                        None if desc is None else desc.boundaries)
+
+    def numbered_key_owners(self, table_id: int, prefix: str,
+                            count: int) -> Iterator[str]:
+        """The owner of each key ``prefix + str(i)``, ``i`` in
+        ``range(count)``, of an unsplit data table, in that order: the
+        routing of :meth:`key_router`, hashed by
+        :func:`numbered_key_hashes`."""
+        owners = self._owners(table_id)
+        span = len(owners)
+        return (owners[h % span] for h in numbered_key_hashes(prefix, count))
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""

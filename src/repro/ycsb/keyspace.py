@@ -21,6 +21,7 @@ __all__ = [
     "make_key_chooser",
     "format_key",
     "parse_key",
+    "KEY_PREFIX",
 ]
 
 
@@ -32,14 +33,19 @@ class KeyChooser(Protocol):
         ...
 
 
+# The YCSB record key prefix: a record's key is this followed by its
+# index in decimal (``user42``).
+KEY_PREFIX = "user"
+
+
 def format_key(index: int) -> str:
     """YCSB record key format: the one place ``user{index}`` is spelt."""
-    return f"user{index}"
+    return f"{KEY_PREFIX}{index}"
 
 
 def parse_key(key: str) -> int:
     """The record index of a :func:`format_key` key."""
-    return int(key[4:])
+    return int(key[len(KEY_PREFIX):])
 
 
 class UniformKeyChooser:

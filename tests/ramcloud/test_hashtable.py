@@ -17,7 +17,7 @@ def make_entry(key="k", table=1, version=1):
     """An entry placed in a fresh segment (each with its own id)."""
     seg = Segment(next(_segment_ids), 256 * KB)
     entry = LogEntry(table, key, 100, version=version)
-    seg.append(entry)
+    seg.append(entry, entry.log_bytes)
     return seg, entry
 
 

@@ -11,7 +11,6 @@ segment's list slot).
 import sys
 import tracemalloc
 from heapq import merge
-from itertools import repeat
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.hardware.specs import MB
@@ -39,7 +38,7 @@ def test_bulk_load_traces_at_most_150_bytes_per_record(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loaded = server.bulk_load(zip(repeat(table_id), keys, repeat(100)))
+        loaded = server.bulk_load(table_id, keys, 100)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -5,7 +5,8 @@ crashed, so recovery splits its tablet and its indexlet over the
 survivors while the other tablets stay whole.  On that map the client's
 ``owner_for_key`` is the reference; the master's ownership check,
 migration and the recovery replay filter must each pick exactly the
-keys it routes to them.
+keys it routes to them.  The preload, which routes by the prefix fold,
+must place each key at its ``tablet_of`` owner.
 """
 
 import pytest
@@ -16,6 +17,8 @@ from repro.ramcloud.indexing import (
     secondary_key,
     uniform_boundaries,
 )
+from repro.ramcloud.tablets import tablet_of
+from repro.ycsb.keyspace import format_key
 
 from tests.ramcloud.conftest import build_cluster, run_client_script
 
@@ -93,6 +96,25 @@ def test_ownership_check_accepts_exactly_at_the_routed_owner(recovered):
                     accepted = False
                 assert accepted == (server.server_id == owner), (
                     table_id, key, server.server_id, owner)
+
+
+@pytest.mark.parametrize("span", [None, 7], ids=["span=servers", "span=7"])
+def test_preload_places_each_key_at_its_tablet_owner(span):
+    """The preload routes by the prefix fold, not by ``tablet_of``
+    per key; every key must still sit on its tablet's owner only."""
+    cluster = build_cluster(num_servers=5, seed=3)
+    table_id = cluster.create_table("t", span=span)
+    num_records = 5000
+    cluster.preload(table_id, num_records, 256)
+    tablet_map = cluster.coordinator.tablet_map
+    span = tablet_map.table_by_id(table_id).span
+    for i in range(num_records):
+        key = format_key(i)
+        index, _h = tablet_of(key, span)
+        owner = tablet_map._tablets[(table_id, index)].server_id
+        holders = [s.server_id for s in cluster.servers
+                   if s.hashtable.lookup(table_id, key) is not None]
+        assert holders == [owner], key
 
 
 def test_recovery_replays_each_lost_key_at_its_routed_owner_only(recovered):

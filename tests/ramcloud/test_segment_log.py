@@ -62,7 +62,7 @@ class TestSegment:
     def test_append_accounts_bytes(self):
         seg = Segment(0, 256 * KB)
         entry = LogEntry(1, "k", 1024, version=1)
-        seg.append(entry)
+        seg.append(entry, entry.log_bytes)
         assert seg.bytes_used == entry.log_bytes
         assert seg.free_bytes == 256 * KB - entry.log_bytes
 
@@ -70,19 +70,21 @@ class TestSegment:
         seg = Segment(0, 256 * KB)
         seg.close()
         with pytest.raises(ValueError):
-            seg.append(LogEntry(1, "k", 10, version=1))
+            entry = LogEntry(1, "k", 10, version=1)
+            seg.append(entry, entry.log_bytes)
 
     def test_append_overflow_rejected(self):
         seg = Segment(0, 1 * KB)
         with pytest.raises(ValueError):
-            seg.append(LogEntry(1, "k", 2 * KB, version=1))
+            entry = LogEntry(1, "k", 2 * KB, version=1)
+            seg.append(entry, entry.log_bytes)
 
     def test_utilization_tracks_live_fraction(self):
         seg = Segment(0, 256 * KB)
         a = LogEntry(1, "a", 1000, version=1)
         b = LogEntry(1, "b", 1000, version=2)
-        seg.append(a)
-        seg.append(b)
+        seg.append(a, a.log_bytes)
+        seg.append(b, b.log_bytes)
         assert seg.utilization == pytest.approx(1.0)
         a.live = False
         assert 0.4 < seg.utilization < 0.6
@@ -92,8 +94,8 @@ class TestSegment:
         seg = Segment(0, 256 * KB)
         a = LogEntry(1, "a", 10, version=1)
         b = LogEntry(1, "b", 10, version=2)
-        seg.append(a)
-        seg.append(b)
+        seg.append(a, a.log_bytes)
+        seg.append(b, b.log_bytes)
         a.live = False
         assert [e.key for e in seg.live_entries()] == ["b"]
 

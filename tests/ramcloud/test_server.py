@@ -308,7 +308,145 @@ class TestThreadingModel:
         assert server.dispatch_sleeps == (1 if mode == "adaptive" else 0)
 
 
+def _per_record_load(server, table_id, keys, value_size):
+    """The loader :meth:`RamCloudServer.bulk_load` batches: one
+    ``_insert_versioned`` per record, then each backup's replica
+    materialized on its own, its watermark read from its own slice."""
+    server._bulk_loading = True
+    try:
+        server._ensure_head_replicated()
+        for key in keys:
+            server._insert_versioned(table_id, key, value_size,
+                                     server._next_version, None, None)
+    finally:
+        server._bulk_loading = False
+    for segment in server.log.segments.values():
+        for backup_id in segment.replica_backups:
+            backup = server.coordinator.lookup_server(backup_id)
+            replica = backup._replica_for(server.server_id, segment)
+            replica.nbytes = segment.bytes_used
+            backup._advance_watermark(replica, len(segment.entries))
+            if segment.closed:
+                replica.closed = True
+                if not replica.on_disk:
+                    replica.on_disk = True
+                    backup._credit_disk(segment.bytes_used)
+    return len(keys)
+
+
+def _loaded_state(cluster):
+    """Everything a bulk load writes, on every server, by value."""
+    state = []
+    for server in cluster.servers:
+        log = server.log
+        where = {}
+        segments = []
+        for segment in log.segments.values():
+            for slot, e in enumerate(segment.entries):
+                where[id(e)] = (segment.segment_id, slot)
+            segments.append((
+                segment.segment_id, segment.bytes_used, segment.closed,
+                segment.replica_backups,
+                [(type(e), e.table_id, e.key, e.value_size, e.version,
+                  e.live, e.segment_id) for e in segment.entries]))
+        index = {table_id: [(key, where[id(entry)])
+                            for key, entry in keys.items()]
+                 for table_id, keys in server.hashtable._tables.items()}
+        replicas = [(key, r.nbytes, r.entries_applied, r.closed, r.on_disk)
+                    for key, r in server.replicas.items()]
+        state.append((
+            server.server_id, server._next_version, server._bulk_loading,
+            log.appended_bytes, log.head.segment_id, log._next_segment_id,
+            segments, index, replicas, dict(server.backup_watermarks),
+            server.node.disk.space.level))
+    return state
+
+
+def _load_both_ways(keys_per_round, value_size=1024, **config):
+    """Load the same key lists (one list per round, routed as the
+    preload routes) into two identical clusters: batched and per
+    record.  Returns (batched, per_record, errors of each)."""
+    clusters, errors = [], []
+    for load in ("batched", "per_record"):
+        cluster = build_cluster(num_servers=4, **config)
+        table_id = cluster.create_table("t")
+        route = cluster.coordinator.tablet_map.key_router(table_id)
+        failed = []
+        for keys in keys_per_round:
+            keys_of = {}
+            for key in keys:
+                keys_of.setdefault(route(key), []).append(key)
+            for server_id, own in keys_of.items():
+                server = cluster.coordinator.lookup_server(server_id)
+                try:
+                    if load == "batched":
+                        assert server.bulk_load(table_id, own,
+                                                value_size) == len(own)
+                    else:
+                        _per_record_load(server, table_id, own, value_size)
+                except (ValueError, LogOutOfMemory) as error:
+                    failed.append((server_id, type(error), str(error)))
+        clusters.append(cluster)
+        errors.append(failed)
+    return clusters, errors
+
+
 class TestBulkLoad:
+    @pytest.mark.parametrize("rf", [0, 1, 3])
+    def test_batched_load_leaves_the_per_record_state(self, rf):
+        """Two rounds (the second overwrites part of the first, so a
+        replica is advanced from a non-empty applied prefix and old
+        entries die) leave exactly what the per-record loop leaves."""
+        first = [default_key(i) for i in range(6000)]
+        second = [default_key(i) for i in range(4000, 9000)]
+        (batched, per_record), errors = _load_both_ways(
+            [first, second], replication_factor=rf)
+        assert errors == [[], []]
+        state = _loaded_state(batched)
+        assert state == _loaded_state(per_record)
+        assert sum(len(s.log.segments) for s in batched.servers) > 8
+        if rf:
+            assert any(r.closed for s in batched.servers
+                       for r in s.replicas.values())
+
+    def test_oversized_key_mid_segment_keeps_the_records_before_it(self):
+        keys = [default_key(i) for i in range(500)]
+        keys[300] = "x" * MB  # larger than a 1 MB segment with its header
+        (batched, per_record), errors = _load_both_ways(
+            [keys], replication_factor=2)
+        assert errors[0] == errors[1]
+        assert [error[1] for error in errors[0]] == [ValueError]
+        assert _loaded_state(batched) == _loaded_state(per_record)
+        failing = batched.coordinator.lookup_server(errors[0][0][0])
+        before = sum(1 for key in keys[:300]
+                     if failing.hashtable.lookup(1, key) is not None)
+        assert before > 0
+        assert len(failing.hashtable) == before
+        assert failing._next_version == before + 1
+        assert not failing.log.closed_segments()
+
+    def test_full_log_at_a_roll_keeps_the_records_before_it(self):
+        keys = [default_key(i) for i in range(20_000)]
+        (batched, per_record), errors = _load_both_ways(
+            [keys], replication_factor=1, log_memory_bytes=4 * MB)
+        assert errors[0] == errors[1]
+        assert {error[1] for error in errors[0]} == {LogOutOfMemory}
+        assert _loaded_state(batched) == _loaded_state(per_record)
+        for server in batched.servers:
+            assert len(server.hashtable) == server._next_version - 1 > 0
+            # The failed load materialized no replica state.
+            assert not server.replicas
+
+    def test_negative_size_loads_nothing(self, cluster3):
+        table_id = cluster3.create_table("t")
+        server = cluster3.servers[0]
+        with pytest.raises(ValueError):
+            server.bulk_load(table_id, ["user1", "user2"], -1)
+        assert len(server.hashtable) == 0
+        assert server._next_version == 1
+        assert server.log.appended_bytes == 0
+        assert not server._bulk_loading
+
     def test_bulk_load_matches_tablet_routing(self, cluster3):
         table_id = cluster3.create_table("t")
         counts = cluster3.preload(table_id, 300, 512)

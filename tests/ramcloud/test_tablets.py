@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ramcloud.indexing import IndexDescriptor
+from repro.ycsb.keyspace import KEY_PREFIX, format_key
 from repro.ramcloud.tablets import (
     Tablet,
     TabletMap,
     TabletStatus,
     indexlet_of,
     key_hash,
+    numbered_key_hashes,
     shard_of,
     tablet_of,
 )
@@ -28,6 +30,19 @@ class TestKeyHash:
             buckets[key_hash(f"user{i}") % 10] += 1
         # Uniform-ish: no bucket more than 2x the mean.
         assert max(buckets) < 2000
+
+
+class TestNumberedKeyHashes:
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 11, 100, 101, 1000,
+                                       20_000, 58_982])
+    def test_fold_equals_key_hash(self, count):
+        assert list(numbered_key_hashes(KEY_PREFIX, count)) == [
+            key_hash(format_key(i)) for i in range(count)]
+
+    @pytest.mark.parametrize("prefix", ["", "k", "a-much-longer-prefix/"])
+    def test_any_prefix(self, prefix):
+        assert list(numbered_key_hashes(prefix, 1234)) == [
+            key_hash(f"{prefix}{i}") for i in range(1234)]
 
 
 class TestTabletMap:
@@ -65,6 +80,18 @@ class TestTabletMap:
         for i in range(100):
             key = f"user{i}"
             assert route(key) == SERVERS[key_hash(key) % 5]
+
+    @pytest.mark.parametrize("span", [1, 5, 7])
+    def test_numbered_key_owners_route_like_key_router(self, span):
+        tm = TabletMap()
+        table = tm.create_table("t", span, SERVERS[:3])
+        route = tm.key_router(table.table_id)
+        owners = tm.numbered_key_owners(table.table_id, KEY_PREFIX, 2345)
+        assert list(owners) == [route(format_key(i)) for i in range(2345)]
+
+    def test_numbered_key_owners_unknown_table(self):
+        with pytest.raises(KeyError):
+            TabletMap().numbered_key_owners(99, KEY_PREFIX, 1)
 
     def test_routing_unknown_table(self):
         with pytest.raises(KeyError):
