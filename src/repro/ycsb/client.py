@@ -159,14 +159,22 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
                     # shared throttle's rate at run time.
                     delay = self.throttle.reserve()
                     if delay > 0:
-                        yield sim.timeout(delay)
+                        yield sim.timeout_at((sim.now + delay) + overhead)
+                    else:
+                        yield sim.timeout(overhead)
                 elif rate > 0:
                     # Token-bucket pacing: operation i may not start
-                    # before its scheduled slot.
+                    # before its scheduled slot.  The wait and the think
+                    # time are one timer, set to the float two chained
+                    # timers would reach.
                     slot = start + i / rate
-                    if sim.now < slot:
-                        yield sim.timeout(slot - sim.now)
-                yield sim.timeout(overhead)
+                    now = sim.now
+                    if now < slot:
+                        yield sim.timeout_at((now + (slot - now)) + overhead)
+                    else:
+                        yield sim.timeout(overhead)
+                else:
+                    yield sim.timeout(overhead)
                 op = self._choose_op()
                 issued = sim.now
                 if give_up_after is None:

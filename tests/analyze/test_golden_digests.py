@@ -110,7 +110,7 @@ GOLDEN_EXPERIMENTS = {
         run_indexed_writes, 3302,
         "ad569714a7ae66d1a3ac0e58bea487487e637285664d69c3ab4c9215b30ade46"),
     "poll_adaptive": (
-        run_poll_adaptive, 42070,
+        run_poll_adaptive, 41594,
         "a2db1d04c568a2bac2b6be08b8a43b1bb359a62fba5029f17b5491c9b84cfbba"),
 }
 
