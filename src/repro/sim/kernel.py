@@ -16,9 +16,13 @@ Design notes
   exception) forever, and late waiters resume immediately.
 * A :class:`Timeout` can be withdrawn with :meth:`Timeout.cancel` —
   the cheap form of a deadline that usually loses its race.  Its heap
-  entry stays until popped, when :meth:`Simulator.step` skips it
-  without advancing ``now``; once cancelled entries outnumber live
+  entry stays until popped, when the event loop skips it without
+  advancing ``now``; once cancelled entries outnumber live
   ones, the heap is rebuilt without them.
+* One loop, :meth:`Simulator._dispatch`, pops and dispatches for
+  ``step``, ``run`` and ``run_process``, and a process's successful
+  wakeup sends into its generator inside :meth:`Process._resume`: an
+  event costs the loop's frame plus one per resumed process.
 * :class:`Process` is itself an event that triggers when the generator
   returns (value = generator return value) or raises.  While a process
   runs, :attr:`Simulator.active_process` names it.
@@ -213,8 +217,8 @@ class Timeout(Event):
         heap = sim._heap
         if 2 * sim._cancelled > len(heap):
             # Cancelled entries outnumber live ones: rebuild in place.
-            # A live entry always has a callback list (step() sets it to
-            # None only when popping), and the (time, seq) keys are
+            # A live entry always has a callback list (the event loop
+            # sets it to None only when popping), and the (time, seq) keys are
             # unique, so the rebuilt heap pops in the same order.
             heap[:] = [entry for entry in heap
                        if entry[2].callbacks is not None]
@@ -333,61 +337,35 @@ class Process(Event):
         # Detach from whatever we were waiting on; the stale event may
         # still fire later, _resume ignores it via the _waiting_on check.
         self._waiting_on = None
-        self._step(interrupt, throw=True)
+        self._step(interrupt)
 
     def _resume(self, event: Event) -> None:
-        # Runs once per resumption, so it reads the slots behind
-        # is_alive / ok / value directly.
+        # The single hottest function in the kernel: one call per process
+        # resumption.  It reads the slots behind is_alive / ok / value
+        # directly and sends into the generator itself, so a successful
+        # wakeup costs one frame; a failed event goes through _step.
+        # Debug mode checks a process once, when it ends; the resume
+        # path carries no sanitizer check.
         if self._ok is not None:
             return  # the process already finished
         waiting_on = self._waiting_on
         if waiting_on is not None and event is not waiting_on:
             return  # stale wakeup from an event we were detached from
         self._waiting_on = None
-        self._step(event._value, not event._ok)
-
-    def _step(self, value: Any, throw: bool) -> None:
-        # The single hottest function in the kernel: one call per process
-        # resumption.  Debug mode checks a process once, when it ends;
-        # the resume path carries no sanitizer check.
+        if not event._ok:
+            self._step(event._value)
+            return
         sim = self.sim
         sim._active_process = self
         try:
-            if throw:
-                target = self.generator.throw(value)
-            else:
-                target = self.generator.send(value)
-        except StopIteration as stop:
-            del sim._live[self]
-            self.succeed(stop.value)
-            if sim._sanitizer is not None:
-                sim._sanitizer.process_died(self)
-            return
-        except Interrupt:
-            # An unhandled interrupt terminates the process cleanly: this
-            # is the normal way a crashed server's threads die.
-            del sim._live[self]
-            self.succeed(None)
-            if sim._sanitizer is not None:
-                sim._sanitizer.process_died(self)
-            return
+            target = self.generator.send(event._value)
         except BaseException as exc:
-            del sim._live[self]
-            if self.callbacks:
-                self.fail(exc)
-            else:
-                # Nobody is watching this process: surface the crash.
-                sim._crash(exc)
-            if sim._sanitizer is not None:
-                sim._sanitizer.process_died(self)
+            self._end(exc)
             return
         finally:
             sim._active_process = None
         if not isinstance(target, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an Event"
-            )
-            self.sim._crash(error)
+            self._yielded_non_event(target)
             return
         self._waiting_on = target
         # target.add_callback(self._resume_cb), inlined:
@@ -396,9 +374,67 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume_cb)
 
+    def _step(self, exc: BaseException) -> None:
+        """Throw ``exc`` into the generator: the resumption path of a
+        failed event or an interrupt (the success path is inlined in
+        :meth:`_resume`)."""
+        sim = self.sim
+        sim._active_process = self
+        try:
+            target = self.generator.throw(exc)
+        except BaseException as error:
+            self._end(error)
+            return
+        finally:
+            sim._active_process = None
+        if not isinstance(target, Event):
+            self._yielded_non_event(target)
+            return
+        self._waiting_on = target
+        if target.callbacks is None:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume_cb)
+
+    def _end(self, exc: BaseException) -> None:
+        """Finish the process on what its generator raised.  A return
+        (``StopIteration``) succeeds with the return value; an unhandled
+        :class:`Interrupt` succeeds with ``None``, the normal way a
+        crashed server's threads die; any other error fails the process
+        or, with nobody watching it, surfaces from the run."""
+        sim = self.sim
+        del sim._live[self]
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif isinstance(exc, Interrupt):
+            self.succeed(None)
+        elif self.callbacks:
+            self.fail(exc)
+        else:
+            sim._crash(exc)
+        if sim._sanitizer is not None:
+            sim._sanitizer.process_died(self)
+
+    def _yielded_non_event(self, target: Any) -> None:
+        self.sim._crash(SimulationError(
+            f"process {self.name!r} yielded {target!r}, expected an Event"))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"
         return f"<Process {self.name} {state}>"
+
+
+_INF = float("inf")
+
+
+class _Never:
+    """The ``watch`` of a run that no event ends: never triggered."""
+
+    __slots__ = ()
+    _ok = None
+
+
+_NEVER = _Never()
 
 
 class Simulator:
@@ -409,7 +445,7 @@ class Simulator:
     drains, lock-held-at-process-death checks when a process ends,
     wait-graph dumps on deadlock, and the declared-guard check on
     ``@guarded_by`` structures.  Both modes run the same
-    :meth:`Process._step`.  The default (``debug=None``) consults the
+    :meth:`Process._resume`.  The default (``debug=None``) consults the
     ``REPRO_SIM_DEBUG`` environment variable — the test suite turns it
     on globally; production runs pay only a ``None`` check.
     """
@@ -482,21 +518,7 @@ class Simulator:
         """Process the single next event (or skip one cancelled timeout)."""
         if not self._heap:
             raise SimulationError("step() with an empty schedule")
-        when, _seq, event = heappop(self._heap)
-        callbacks = event.callbacks
-        if callbacks is None:
-            # A cancelled timeout: dropped without advancing time.
-            self._cancelled -= 1
-            return
-        if when < self.now:
-            raise SimulationError("scheduler heap corrupted: time went backwards")
-        self.now = when
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        if self._fatal is not None:
-            exc, self._fatal = self._fatal, None
-            raise exc
+        self._dispatch(_INF, _NEVER, True)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or ``until`` (exclusive of later events).
@@ -506,15 +528,13 @@ class Simulator:
         calls see monotonically increasing time.
         """
         if until is None:
-            while self._heap:
-                self.step()
+            self._dispatch(_INF, _NEVER, False)
             if self._sanitizer is not None:
                 self._sanitizer.check_leaks()
             return
         if until < self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        while self._heap and self._heap[0][0] <= until:
-            self.step()
+        self._dispatch(until, _NEVER, False)
         self.now = until
 
     def run_process(self, event: Event, until: Optional[float] = None) -> Any:
@@ -522,21 +542,54 @@ class Simulator:
         other event such as an :meth:`all_of` over client processes —
         and return its value or raise its error.  (A timer is triggered
         from birth, so waiting on one returns at once.)"""
-        name = getattr(event, "name", type(event).__name__)
-        while not event.triggered:
+        self._dispatch(_INF if until is None else until, event, False)
+        if event._ok is None:
+            name = getattr(event, "name", type(event).__name__)
             if until is not None and self.peek() > until:
                 raise SimulationError(f"{name!r} did not finish by t={until}")
-            if not self._heap:
-                message = (f"deadlock: {name!r} pending "
-                           f"with empty schedule")
-                if self._sanitizer is not None:
-                    message += ("\nwait-for graph:\n"
-                                + self._sanitizer.wait_graph())
-                raise SimulationError(message)
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value
+            message = (f"deadlock: {name!r} pending "
+                       f"with empty schedule")
+            if self._sanitizer is not None:
+                message += ("\nwait-for graph:\n"
+                            + self._sanitizer.wait_graph())
+            raise SimulationError(message)
+        if not event._ok:
+            raise event._value
+        return event._value
+
+    def _dispatch(self, until: float, watch: Any, once: bool) -> None:
+        """The event loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_process`: pop entries in ``(time, seq)`` order and run
+        their callbacks while the schedule holds one at or before
+        ``until`` and ``watch`` has not triggered; ``once`` stops after
+        one entry.  A cancelled timeout is dropped without advancing
+        ``now``.  An error that a process left unwatched is raised here,
+        after the callbacks of the event that surfaced it."""
+        heap = self._heap
+        while heap and watch._ok is None:
+            entry = heappop(heap)
+            when = entry[0]
+            if when > until:
+                # Put back: keys are unique, so the pop order is the same.
+                heappush(heap, entry)
+                return
+            event = entry[2]
+            callbacks = event.callbacks
+            if callbacks is not None:
+                if when < self.now:
+                    raise SimulationError(
+                        "scheduler heap corrupted: time went backwards")
+                self.now = when
+                event.callbacks = None
+                for cb in callbacks:
+                    cb(event)
+                if self._fatal is not None:
+                    exc, self._fatal = self._fatal, None
+                    raise exc
+            else:
+                self._cancelled -= 1
+            if once:
+                return
 
     def close(self) -> None:
         """Close every unfinished process's generator, in spawn order,

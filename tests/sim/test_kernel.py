@@ -696,3 +696,120 @@ def test_close_leaves_clock_count_and_schedule_unchanged():
     sim.close()
     assert (sim.now, sim._seq, list(sim._heap), sim._cancelled) == before
     assert lock_handoff.triggered
+
+
+# -- one event loop behind step, run and run_process ------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+def _mixed_schedule():
+    """A simulator loaded with same-instant ties, cancelled timers, an
+    interrupt, a failure a parent catches and two failures nobody
+    watches; returns ``(sim, log, finale)``.  Every callback and process
+    step logs ``(tag, now, seq)`` where ``seq`` is the kernel's event
+    count at that moment."""
+    sim = Simulator()
+    log = []
+
+    def note(tag):
+        log.append((tag, sim.now, sim._seq))
+
+    def sleeper(tag, delays):
+        try:
+            for delay in delays:
+                value = yield sim.timeout(delay, value=delay)
+                note((tag, value))
+        except Interrupt as interrupt:
+            note((tag, "interrupted", interrupt.cause))
+            yield sim.timeout(0.25)
+            note((tag, "after interrupt"))
+
+    def failing(tag, delay, exc):
+        yield sim.timeout(delay)
+        note((tag, "raising"))
+        raise exc
+
+    def parent():
+        child = sim.process(failing("child", 0.5, ValueError("caught")))
+        try:
+            yield child
+        except ValueError as error:
+            note(("parent", "caught", str(error)))
+        yield sim.timeout(0.5)
+        note(("parent", "done"))
+
+    victim = sim.process(sleeper("victim", [1.0, 1.0, 1.0]))
+
+    def interrupter():
+        yield sim.timeout(1.5)
+        victim.interrupt("stop")
+        note(("interrupter", "sent"))
+
+    for i in range(4):
+        sim.process(sleeper(f"s{i}", [0.25 * (i % 2), 0.5, 0.25]))
+    sim.process(interrupter())
+    sim.process(parent())
+    sim.process(failing("unwatched", 0.75, _Boom("first")))
+    sim.process(failing("unwatched2", 1.75, _Boom("second")))
+    timers = [sim.timeout(0.125 * k, value=k) for k in range(12)]
+    for timer in timers:
+        timer.add_callback(lambda ev: note(("timer", ev.value)))
+    for timer in timers[::3]:
+        timer.cancel()
+    late = sim.timeout(2.0)
+    late.add_callback(lambda _ev: timers[-1].cancel())
+    finale = sim.process(sleeper("finale", [3.0]))
+    return sim, log, finale
+
+
+def _drive(driver):
+    sim, log, finale = _mixed_schedule()
+    while True:
+        try:
+            if driver == "run":
+                sim.run()
+            elif driver == "run_until":
+                for k in range(1, 17):
+                    if sim.now < 0.25 * k:
+                        sim.run(until=0.25 * k)
+            elif driver == "run_process":
+                sim.run_process(finale)
+                sim.run()
+            else:
+                while sim.peek() != float("inf"):
+                    sim.step()
+            break
+        except _Boom as boom:
+            log.append(("surfaced", str(boom), sim.now, sim._seq))
+    return log, sim._seq, sim._cancelled, sim._heap
+
+
+@pytest.mark.parametrize("driver", ["run_until", "run_process", "step"])
+def test_every_driver_pops_the_same_schedule(driver):
+    reference = _drive("run")
+    log, seq, cancelled, heap = _drive(driver)
+    assert [entry[0] for entry in reference[0]].count(
+        ("victim", "interrupted", "stop")) == 1
+    assert ("parent", "caught", "caught") in [e[0] for e in reference[0]]
+    assert [e[:2] for e in reference[0] if e[0] == "surfaced"] == [
+        ("surfaced", "first"), ("surfaced", "second")]
+    assert log == reference[0]
+    assert (seq, cancelled, heap) == reference[1:] == (seq, 0, [])
+
+
+def test_run_process_reports_an_unfinished_event_by_until():
+    sim = Simulator()
+
+    def slow():
+        yield sim.timeout(5.0)
+
+    proc = sim.process(slow(), name="slow")
+    with pytest.raises(SimulationError, match="'slow' did not finish by t=1.0"):
+        sim.run_process(proc, until=1.0)
+    # The entry beyond ``until`` stays scheduled: the run can go on.
+    assert sim.now == 0.0 and sim.peek() == 5.0
+    sim.run_process(proc)
+    assert sim.now == 5.0
