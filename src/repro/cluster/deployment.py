@@ -225,19 +225,22 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         """Bulk-load an indexed table: every record carries its
         secondary key, and the matching index entries are loaded into
         the indexlet owners' logs (the post-load state of an indexed
-        YCSB run, at zero simulated time)."""
+        YCSB run, at zero simulated time).  Records are routed by the
+        prefix fold, as :meth:`preload` routes them; index entries by
+        key range alone, so neither is hashed one by one."""
         from repro.ramcloud.indexing import encode_entry_key, secondary_key
 
         index_id = desc.index_id
         tablet_map = self.coordinator.tablet_map
-        route = tablet_map.key_router(table_id)
+        owners = tablet_map.numbered_key_owners(table_id, KEY_PREFIX,
+                                                num_records)
         route_entry = tablet_map.key_router(index_id, desc)
         with _collector_paused():
             per_server: Dict[str, List] = {}
-            for i in range(num_records):
+            for i, owner in enumerate(owners):
                 key = format_key(i)
                 secondary = secondary_key(i)
-                per_server.setdefault(route(key), []).append(
+                per_server.setdefault(owner, []).append(
                     (table_id, key, record_size, ((index_id, secondary),)))
                 entry_key = encode_entry_key(secondary, key)
                 per_server.setdefault(route_entry(entry_key), []).append(

@@ -33,7 +33,7 @@ from repro.ramcloud.errors import (
     TableDoesntExist,
     WrongServer,
 )
-from repro.ramcloud.tablets import indexlet_of, key_hash
+from repro.ramcloud.tablets import indexlet_of
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 
@@ -97,13 +97,14 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         return self._map
 
     def _route(self, table_id: int, key: str):
-        """Resolve (table, key) → (master service, span) from the cache."""
+        """Resolve (table, key) → (master service, span, key hash) from
+        the cache."""
         if self._map is None:
             raise RuntimeError("call refresh_map() (or any op) first")
         snapshot = self._map
         span = snapshot.tables_by_id[table_id].span
-        master = self._master(snapshot.owner_for_key(table_id, key, span))
-        return master, span
+        server_id, h = snapshot.route(table_id, key, span)
+        return self._master(server_id), span, h
 
     def _master(self, server_id: str):
         master = self.coordinator.lookup_server(server_id)
@@ -175,8 +176,9 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
 
         A ``routed`` operation is single-key: ``args`` starts with
         ``(table_id, key)`` and each attempt is ``attempt(master, span,
-        *args)`` at the key's owner in the cached map — a bound method
-        returning the RPC's generator, so no frame is added per op.
+        h, *args)`` at the key's owner in the cached map, ``h`` being the
+        key's hash — a bound method returning the RPC's generator, so no
+        frame is added per op.
         Otherwise ``attempt(*args)`` routes itself from the cached map
         (the multi-master operations, via :meth:`_fan_out`).
 
@@ -194,8 +196,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         while True:
             try:
                 if routed:
-                    master, span = self._route(args[0], args[1])
-                    result = yield from attempt(master, span, *args)
+                    master, span, h = self._route(args[0], args[1])
+                    result = yield from attempt(master, span, h, *args)
                     if record_write:
                         self._note_write(master.server_id, result)
                 else:
@@ -266,20 +268,21 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         if version > self.session_watermarks.get(server_id, 0):
             self.session_watermarks[server_id] = version
 
-    def _backup_for(self, master, key: str):
+    def _backup_for(self, master, h: int):
         """Deterministically pick a backup candidate for an EVENTUAL
-        read of ``key`` — keyed off the snapshot's live-server list, so
-        no RNG draw and no divergence between reruns."""
+        read of the key whose hash is ``h`` — keyed off the snapshot's
+        live-server list, so no RNG draw and no divergence between
+        reruns."""
         candidates = [sid for sid in getattr(self._map, "live_servers", ())
                       if sid != master.server_id]
         if not candidates:
             return None
-        backup_id = candidates[key_hash(key) % len(candidates)]
+        backup_id = candidates[h % len(candidates)]
         return self.coordinator.lookup_server(backup_id)
 
-    def _read_attempt(self, master, span, table_id, key, level):
+    def _read_attempt(self, master, span, h, table_id, key, level):
         if level == EVENTUAL:
-            backup = self._backup_for(master, key)
+            backup = self._backup_for(master, h)
             if backup is not None:
                 self.backup_reads += 1
                 return backup.call(
@@ -292,7 +295,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
                     timeout=self.rpc_timeout,
                 )
         return master.call(
-            self.node, "read", args=(table_id, key, span, self._epoch),
+            self.node, "read", args=(table_id, key, h, span, self._epoch),
             size_bytes=READ_REQUEST_BYTES,
             response_bytes=RESPONSE_OVERHEAD_BYTES
             + self._expected_size(table_id, key),
@@ -343,7 +346,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
              index_entries),
             routed=True, record_write=True)
 
-    def _write_attempt(self, master, span, table_id, key, value_size,
+    def _write_attempt(self, master, span, h, table_id, key, value_size,
                        value, expected_version, level, index_entries):
         size = WRITE_OVERHEAD_BYTES + value_size
         if index_entries is not None:
@@ -351,17 +354,17 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
             size += sum(len(s) for _i, s in index_entries)
         return master.call(
             self.node, "write",
-            args=(table_id, key, value_size, value, span, expected_version,
-                  self._epoch, level, index_entries),
+            args=(table_id, key, h, value_size, value, span,
+                  expected_version, self._epoch, level, index_entries),
             size_bytes=size,
             response_bytes=RESPONSE_OVERHEAD_BYTES,
             timeout=self.rpc_timeout,
         )
 
-    def _delete_attempt(self, master, span, table_id, key, level):
+    def _delete_attempt(self, master, span, h, table_id, key, level):
         return master.call(
             self.node, "delete",
-            args=(table_id, key, span, self._epoch, level),
+            args=(table_id, key, h, span, self._epoch, level),
             size_bytes=READ_REQUEST_BYTES,
             response_bytes=RESPONSE_OVERHEAD_BYTES,
             timeout=self.rpc_timeout,
@@ -401,9 +404,10 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
 
     def _multiread_group(self, table_id: int, keys, span: int):
         by_master = {}
+        route = self._map.route
         for key in keys:
-            server_id = self._map.owner_for_key(table_id, key, span)
-            by_master.setdefault(server_id, []).append(key)
+            server_id, h = route(table_id, key, span)
+            by_master.setdefault(server_id, []).append((key, h))
         return [(server_id, (table_id, batch, span, self._epoch),
                  READ_REQUEST_BYTES + 32 * len(batch),
                  RESPONSE_OVERHEAD_BYTES + 1024 * len(batch))
@@ -523,10 +527,9 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     def _lookup_group(self, desc, pairs, span: int):
         by_master = {}
         for secondary, primary in pairs:
-            server_id = self._map.owner_for_key(desc.table_id, primary,
-                                                span)
+            server_id, h = self._map.route(desc.table_id, primary, span)
             by_master.setdefault(server_id, []).append(
-                (primary, desc.index_id, secondary))
+                (primary, h, desc.index_id, secondary))
         return [(server_id, (desc.table_id, items, span, self._epoch),
                  READ_REQUEST_BYTES + 48 * len(items),
                  RESPONSE_OVERHEAD_BYTES + 1024 * len(items))

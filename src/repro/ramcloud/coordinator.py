@@ -359,8 +359,9 @@ class Coordinator(RpcService):
         return desc
 
     def index_entry_route(self, index_id: int, entry_key: str):
-        """Where an index-entry mutation must go: ``(owner_id, span)``
-        for the indexlet shard owning ``entry_key``, or None if the
+        """Where an index-entry mutation must go: ``(owner_id, span,
+        key_hash(entry_key))`` for the indexlet shard owning
+        ``entry_key`` (the hash rides in the request), or None if the
         index no longer exists.  A metadata peek (like
         :meth:`lookup_server`); a stale answer fails at the target and
         the caller retries."""
@@ -373,7 +374,7 @@ class Coordinator(RpcService):
         if tablet is None:
             return None
         shards = tablet.shards
-        return shards[shard_of(h, span, len(shards))], span
+        return shards[shard_of(h, span, len(shards))], span, h
 
     # ------------------------------------------------------------------
     # elastic sizing (§IX "How to choose the right cluster size?")
@@ -762,6 +763,11 @@ class Coordinator(RpcService):
         if not partitions:
             return
         total_units = sum(len(u) for u in partitions.values())
+        # Every recovered tablet's shard count, shared by all the plans:
+        # a backup partitions each segment by unit once, for everyone.
+        shard_counts = {(table_id, index): count
+                        for units in partitions.values()
+                        for table_id, index, _shard, count in units}
         completed: Dict[str, List] = {}
         # Masters whose recover_partition RPC failed: the coordinator
         # just observed them unreachable, so later rounds avoid them
@@ -779,6 +785,7 @@ class Coordinator(RpcService):
                     "crashed_id": server_id,
                     "units": units,
                     "spans": spans,
+                    "shard_counts": shard_counts,
                     "segments": segments,
                     "share": len(units) / total_units,
                     "pipeline_width": self.recovery_pipeline_width,

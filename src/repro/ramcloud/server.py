@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
 from contextlib import contextmanager
+from heapq import merge
 from operator import attrgetter
 from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
@@ -92,10 +94,18 @@ class SegmentReplica:
     segment the backup flushes the replica to disk and frees the DRAM
     (§II-B).  The ``segment`` reference stands in for the byte copy —
     conceptually the backup holds its own bytes.
+
+    During the master's crash recovery the backup splits the replica by
+    recovery partition once, as RAMCloud's backups do (Ongaro et al.,
+    "Fast Crash Recovery in RAMCloud", SOSP 2011), and serves each
+    recovery master only its own units' entries
+    (:meth:`recovery_entries`).  The buckets live as long as the
+    replica: the coordinator drops the crashed master's replicas when
+    its recovery ends.
     """
 
     __slots__ = ("master_id", "segment", "nbytes", "closed", "on_disk",
-                 "cached", "entries_applied")
+                 "cached", "entries_applied", "buckets")
 
     def __init__(self, master_id: str, segment: Segment):
         self.master_id = master_id
@@ -113,6 +123,9 @@ class SegmentReplica:
         # is what makes an ASYNC_BOUNDED master's unreplicated tail
         # honestly *acknowledged-but-lost*.
         self.entries_applied = 0
+        # (inputs, {unit: (entries, positions)}) once a recovery read
+        # partitioned the applied prefix (see _partition).
+        self.buckets = None
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -124,6 +137,83 @@ class SegmentReplica:
         """Bytes the replica occupies: the larger of what was shipped to
         it and the segment's current fill."""
         return max(self.nbytes, self.segment.bytes_used)
+
+    def recovery_entries(self, units, spans, index_ranges,
+                         shard_counts) -> List[LogEntry]:
+        """The applied prefix's entries that route to ``units`` — a
+        recovery master's ``(table_id, tablet, shard, shard_count)``
+        list — in replica order, dead entries included (the master
+        skips those when it replays).  The other arguments are the
+        recovery plan's routing, shared by all of its masters: table
+        spans, indexlet boundaries by index table (or None) and the
+        shard count of every (table_id, tablet) it recovers.  A single
+        unit's list is the cached bucket itself; callers only read it.
+        """
+        buckets = self._partition(spans, index_ranges, shard_counts)
+        found = [buckets[unit[:3]] for unit in units if unit[:3] in buckets]
+        if not found:
+            return []
+        if len(found) == 1:
+            return found[0][0]
+        return [entry for _pos, entry in merge(
+            *(zip(positions, entries) for entries, positions in found))]
+
+    def _partition(self, spans, index_ranges, shard_counts):
+        """``{(table_id, tablet, shard): (entries, positions)}`` over the
+        applied prefix, routed by :func:`tablet_of`/:func:`shard_of`
+        at the plan's shard counts (``positions`` index the prefix, so
+        a master of several units gets them merged in replica order).
+        Built on the first recovery read and again only if the prefix,
+        the segment or the plan changed since.  Entries of tables or
+        tablets the plan does not recover are left out."""
+        entries = self.segment.entries
+        applied = self.entries_applied
+        inputs = (applied, len(entries), spans, index_ranges, shard_counts)
+        if self.buckets is not None and self.buckets[0] == inputs:
+            return self.buckets[1]
+        served = entries[:applied]
+        dropped = entries[applied:]
+        if dropped:
+            # An overwrite dead-marks its predecessor at append
+            # time — before the new entry is durably replicated —
+            # and replicas share the master's entry objects by
+            # reference.  When truncation drops that in-flight
+            # successor, the predecessor inside the served prefix
+            # is still the acknowledged durable version: a real
+            # backup holds only bytes and would replay it.  Serve
+            # a live copy so recovery does not lose the key.
+            truncated = {(e.table_id, e.key) for e in dropped}
+            for i in range(len(served) - 1, -1, -1):
+                entry = served[i]
+                ident = (entry.table_id, entry.key)
+                if ident not in truncated:
+                    continue
+                truncated.discard(ident)
+                if not entry.live and not entry.is_tombstone:
+                    revived = copy.copy(entry)
+                    revived.live = True
+                    served[i] = revived
+                if not truncated:
+                    break
+        buckets: Dict[Tuple[int, int, int], Tuple[List[LogEntry], array]] = {}
+        for pos, entry in enumerate(served):
+            table_id = entry.table_id
+            span = spans.get(table_id)
+            if span is None:
+                continue
+            index, h = tablet_of(entry.key, span, index_ranges.get(table_id)
+                                 if index_ranges else None)
+            shard_count = shard_counts.get((table_id, index))
+            if shard_count is None:
+                continue
+            unit = (table_id, index, shard_of(h, span, shard_count))
+            bucket = buckets.get(unit)
+            if bucket is None:
+                bucket = buckets[unit] = ([], array("I"))
+            bucket[0].append(entry)
+            bucket[1].append(pos)
+        self.buckets = (inputs, buckets)
+        return buckets
 
 
 class RamCloudServer(RpcService):
@@ -504,13 +594,14 @@ class RamCloudServer(RpcService):
         """Stop owning one (tablet, shard) unit."""
         self.tablets.pop(unit, None)
 
-    def _check_ownership(self, table_id: int, key: str, span: int,
+    def _check_ownership(self, table_id: int, key: str, h: int, span: int,
                          epoch: Optional[int] = None) -> None:
         """:meth:`_check_unit` for the unit ``key`` routes to: by key
         range for an index table whose boundaries this server holds, by
-        hash otherwise."""
+        hash otherwise.  ``h`` is ``key_hash(key)``, which the sender
+        computed when it routed the request."""
         index, h = tablet_of(key, span, self.index_configs.get(table_id)
-                             if self.index_configs else None)
+                             if self.index_configs else None, h)
         # A tablet we hold no unit of counts as unsplit; _check_unit
         # then refuses it.
         tablet = (table_id, index)
@@ -854,9 +945,9 @@ class RamCloudServer(RpcService):
     # ------------------------------------------------------------------
 
     def _handle_read(self, request: RpcRequest) -> Generator:
-        table_id, key, span, epoch = request.args
+        table_id, key, h, span, epoch = request.args
         yield from self.node.cpu.execute(self.cost.read_service)
-        self._check_ownership(table_id, key, span, epoch)
+        self._check_ownership(table_id, key, h, span, epoch)
         entry = self.hashtable.lookup(table_id, key)
         if entry is None:
             request.fail(ObjectDoesntExist(f"t{table_id}/{key}"))
@@ -1197,19 +1288,19 @@ class RamCloudServer(RpcService):
         """Write one object.  ``expected_version`` (if not None) makes
         the write conditional — RAMCloud's reject-rules, the primitive
         its linearizable read-modify-write builds on [10]."""
-        (table_id, key, value_size, value, span, expected_version, epoch,
+        (table_id, key, h, value_size, value, span, expected_version, epoch,
          level, index_keys) = request.args
-        return self._mutate(request, table_id, key, span, epoch, level,
+        return self._mutate(request, table_id, key, h, span, epoch, level,
                             "ops_completed", value_size, value,
                             expected_version=expected_version,
                             index_keys=index_keys)
 
     def _handle_delete(self, request: RpcRequest) -> Generator:
-        table_id, key, span, epoch, level = request.args
-        return self._mutate(request, table_id, key, span, epoch, level,
+        table_id, key, h, span, epoch, level = request.args
+        return self._mutate(request, table_id, key, h, span, epoch, level,
                             "ops_completed", is_tombstone=True)
 
-    def _mutate(self, request: RpcRequest, table_id: int, key: str,
+    def _mutate(self, request: RpcRequest, table_id: int, key: str, h: int,
                 span: int, epoch: Optional[int], level: Optional[str],
                 counter: str, value_size: int = 0,
                 value: Optional[bytes] = None, is_tombstone: bool = False,
@@ -1228,7 +1319,7 @@ class RamCloudServer(RpcService):
             # then the cluster-wide config default.
             level = self._tenant_defaults.get(table_id,
                                               self.config.default_consistency)
-        self._check_ownership(table_id, key, span, epoch)
+        self._check_ownership(table_id, key, h, span, epoch)
         try:
             segment, entry, closed, old_index_keys = \
                 yield from self._append_locked(
@@ -1278,14 +1369,15 @@ class RamCloudServer(RpcService):
 
     def _handle_multiread(self, request: RpcRequest) -> Generator:
         """Batched read (RAMCloud's MultiRead RPC): one dispatch, one
-        worker pass over many keys.  YCSB's scans map onto this."""
+        worker pass over many keys.  YCSB's scans map onto this.
+        ``keys`` holds ``(key, key_hash(key))`` pairs."""
         table_id, keys, span, epoch = request.args
         yield from self.node.cpu.execute(
             self.cost.multiread_batch_overhead
             + self.cost.multiread_per_key * len(keys))
         results = {}
-        for key in keys:
-            self._check_ownership(table_id, key, span, epoch)
+        for key, h in keys:
+            self._check_ownership(table_id, key, h, span, epoch)
             entry = self.hashtable.lookup(table_id, key)
             if entry is not None:
                 results[key] = (entry.value, entry.version, entry.value_size)
@@ -1324,7 +1416,7 @@ class RamCloudServer(RpcService):
             route = self.coordinator.index_entry_route(index_id, entry_key)
             if route is None:
                 return  # index dropped while the write was in flight
-            owner_id, span = route
+            owner_id, span, h = route
             target = self.coordinator.lookup_server(owner_id)
             if target is None:
                 yield self.sim.timeout(0.01)
@@ -1332,7 +1424,7 @@ class RamCloudServer(RpcService):
             yield from self.node.cpu.execute(self.cost.index_maintain_send)
             call = target.call(
                 self.node, op,
-                args=(index_id, entry_key, span, None, level),
+                args=(index_id, entry_key, h, span, None, level),
                 size_bytes=len(entry_key) + 64, response_bytes=64,
                 timeout=self.config.rpc_timeout,
             )
@@ -1353,15 +1445,15 @@ class RamCloudServer(RpcService):
         data master's write path).  The entry is an ordinary log
         record: replicated at the write's consistency level, relocated
         by the cleaner, replayed by crash recovery."""
-        index_id, entry_key, span, epoch, level = request.args
-        return self._mutate(request, index_id, entry_key, span, epoch,
+        index_id, entry_key, h, span, epoch, level = request.args
+        return self._mutate(request, index_id, entry_key, h, span, epoch,
                             level, "index_inserts")
 
     def _handle_index_remove(self, request: RpcRequest) -> Generator:
         """Tombstone one index entry (a data delete, or an overwrite
         that changed the secondary key)."""
-        index_id, entry_key, span, epoch, level = request.args
-        return self._mutate(request, index_id, entry_key, span, epoch,
+        index_id, entry_key, h, span, epoch, level = request.args
+        return self._mutate(request, index_id, entry_key, h, span, epoch,
                             level, "index_removes", is_tombstone=True)
 
     def _handle_search(self, request: RpcRequest) -> Generator:
@@ -1406,14 +1498,15 @@ class RamCloudServer(RpcService):
         ``(primary, index_id, secondary)`` item, return the object only
         if it still carries that secondary key — the filter that makes
         dangling index entries (crash windows, concurrent deletes)
-        invisible to readers."""
+        invisible to readers.  Each item also carries the primary key's
+        hash."""
         table_id, items, span, epoch = request.args
         yield from self.node.cpu.execute(
             self.cost.multiread_batch_overhead
             + self.cost.multiread_per_key * len(items))
         results = {}
-        for primary, index_id, secondary in items:
-            self._check_ownership(table_id, primary, span, epoch)
+        for primary, h, index_id, secondary in items:
+            self._check_ownership(table_id, primary, h, span, epoch)
             entry = self.hashtable.lookup(table_id, primary)
             if entry is None:
                 continue
@@ -1561,10 +1654,12 @@ class RamCloudServer(RpcService):
 
         The first read of a segment pays the disk read; the backup then
         keeps it in memory, so other recovery masters fetching their
-        share of the same segment skip the disk.  Each recovery master
-        keeps only the entries of its own partition.
+        share of the same segment skip the disk.  The backup partitions
+        the replica once and sends each recovery master only the
+        entries of its own units (:meth:`SegmentReplica.recovery_entries`).
         """
-        master_id, segment_id, share = request.args
+        (master_id, segment_id, share, units, spans, index_ranges,
+         shard_counts) = request.args
         replica = self.replicas.get((master_id, segment_id))
         if replica is None:
             request.fail(ObjectDoesntExist(
@@ -1581,32 +1676,8 @@ class RamCloudServer(RpcService):
         # SegmentReplica.entries_applied): an ASYNC_BOUNDED master's
         # acknowledged-but-unreplicated tail is honestly lost here —
         # the durability-gap harness counts exactly these entries.
-        applied = replica.entries_applied
-        entries = list(replica.segment.entries[:applied])
-        dropped = replica.segment.entries[applied:]
-        if dropped:
-            # An overwrite dead-marks its predecessor at append
-            # time — before the new entry is durably replicated —
-            # and replicas share the master's entry objects by
-            # reference.  When truncation drops that in-flight
-            # successor, the predecessor inside the served prefix
-            # is still the acknowledged durable version: a real
-            # backup holds only bytes and would replay it.  Serve
-            # a live copy so recovery does not lose the key.
-            truncated = {(e.table_id, e.key) for e in dropped}
-            for i in range(len(entries) - 1, -1, -1):
-                entry = entries[i]
-                ident = (entry.table_id, entry.key)
-                if ident not in truncated:
-                    continue
-                truncated.discard(ident)
-                if not entry.live and not entry.is_tombstone:
-                    revived = copy.copy(entry)
-                    revived.live = True
-                    entries[i] = revived
-                if not truncated:
-                    break
-        request.respond((entries, served))
+        request.respond((replica.recovery_entries(
+            units, spans, index_ranges, shard_counts), served))
 
     def _handle_backup_read(self, request: RpcRequest) -> Generator:
         """EVENTUAL read served from this backup's replicated state.
@@ -1805,12 +1876,9 @@ class RamCloudServer(RpcService):
             self.install_index_config(index_id,
                                       plan["index_ranges"][index_id])
 
-        # (table_id, index) → (shard_count, set of shards we recover)
-        unit_filter: Dict[Tuple[int, int], Tuple[int, set]] = {}
-        for table_id, index, shard, shard_count in units:
-            entry = unit_filter.setdefault((table_id, index),
-                                           (shard_count, set()))
-            entry[1].add(shard)
+        # What each backup needs to pick out our units' entries.
+        routing = (units, spans, plan.get("index_ranges"),
+                   plan["shard_counts"])
 
         pending = list(assignments)
         lost_ids = set()
@@ -1824,7 +1892,7 @@ class RamCloudServer(RpcService):
                     try:
                         yield from self._recover_one_segment(
                             crashed_id, segment_id, sources[-1], nbytes,
-                            unit_filter, spans, share)
+                            routing, share)
                         recovered = True
                         break
                     except StaleEpoch:
@@ -1882,8 +1950,8 @@ class RamCloudServer(RpcService):
         return None
 
     def _recover_one_segment(self, crashed_id: str, segment_id: int,
-                             backup_id: str, nbytes: int,
-                             unit_filter, spans, share: float) -> Generator:
+                             backup_id: str, nbytes: int, routing,
+                             share: float) -> Generator:
         backup = self.coordinator.lookup_server(backup_id)
         if backup is None:
             raise NodeUnreachable(f"backup {backup_id} gone")
@@ -1896,29 +1964,17 @@ class RamCloudServer(RpcService):
         entries, _actual_bytes = yield from self.node.cpu.spinning(
             backup.call(
                 self.node, "recovery_read",
-                args=(crashed_id, segment_id, share),
+                args=(crashed_id, segment_id, share) + routing,
                 size_bytes=64, response_bytes=fetched,
                 timeout=30.0,
             ))
         # The fetched bytes cross this master's dispatch thread.
         yield from self._dispatch_rx(fetched)
-        mine = []
-        my_bytes = 0
-        for entry in entries:
-            if not entry.live:
-                continue
-            span = spans[entry.table_id]
-            index, h = tablet_of(entry.key, span, self.index_configs.get(
-                entry.table_id) if self.index_configs else None)
-            tablet = (entry.table_id, index)
-            if tablet not in unit_filter:
-                continue
-            shard_count, shards = unit_filter[tablet]
-            if shard_of(h, span, shard_count) in shards:
-                mine.append(entry)
-                my_bytes += entry.log_bytes
+        # The backup sent our units' entries only; skip the dead ones.
+        mine = [entry for entry in entries if entry.live]
         if not mine:
             return
+        my_bytes = sum(entry.log_bytes for entry in mine)
         # Data is re-inserted through the normal write path: one
         # serialized replay→re-replicate pipeline per master (Finding 6:
         # "data is re-inserted in the same fashion", so the Finding 3

@@ -91,11 +91,14 @@ def indexlet_of(boundaries: Sequence[str], key: str) -> int:
 
 
 def tablet_of(key: str, span: int,
-              boundaries: Optional[Sequence[str]] = None) -> Tuple[int, int]:
+              boundaries: Optional[Sequence[str]] = None,
+              h: Optional[int] = None) -> Tuple[int, int]:
     """First routing level: ``(tablet_index, key_hash(key))`` — by hash,
     or by key range when the table's ``boundaries`` are given.  The hash
-    comes back for :func:`shard_of`."""
-    h = key_hash(key)
+    comes back for :func:`shard_of`; a caller that has it (a server
+    handed it in the request) passes it as ``h``."""
+    if h is None:
+        h = key_hash(key)
     if boundaries is None:
         return h % span, h
     return indexlet_of(boundaries, key), h
@@ -109,8 +112,12 @@ def shard_of(h: int, span: int, shard_count: int) -> int:
 
 def _owner_of(owners: List[str], span: int,
               boundaries: Optional[Sequence[str]], key: str) -> str:
-    """A :meth:`TabletMap.key_router`: the owner of ``key``'s tablet."""
-    return owners[tablet_of(key, span, boundaries)[0]]
+    """A :meth:`TabletMap.key_router`: the owner of ``key``'s tablet, by
+    :func:`tablet_of`'s rule.  An unsplit tablet needs no shard, so a
+    range-routed key is never hashed."""
+    if boundaries is None:
+        return owners[tablet_of(key, span)[0]]
+    return owners[indexlet_of(boundaries, key)]
 
 
 class TabletStatus:
@@ -249,8 +256,8 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
         """Resolve an unsplit table's tablet owners once and return
         ``route(key)``, the id of the server holding ``key``: tablets by
         :func:`tablet_of`, by key range through the index descriptor
-        ``desc`` for an index table.  An indexed bulk load routes every
-        record and index entry through one router each."""
+        ``desc`` for an index table (whose keys are then not hashed).
+        An indexed bulk load routes its index entries through one."""
         owners = self._owners(table_id)
         return partial(_owner_of, owners, len(owners),
                        None if desc is None else desc.boundaries)
@@ -349,13 +356,21 @@ class TabletMapSnapshot:
 
     def owner_for_key(self, table_id: int, key: str,
                       span: Optional[int] = None) -> str:
-        """The server id serving ``key`` in this snapshot: its tablet by
-        :func:`tablet_of` (by key range for an index table), then its
-        subshard by :func:`shard_of`.  A caller that already read the
+        """The server id serving ``key`` in this snapshot (see
+        :meth:`route`)."""
+        return self.route(table_id, key, span)[0]
+
+    def route(self, table_id: int, key: str,
+              span: Optional[int] = None) -> Tuple[str, int]:
+        """``(server_id, key_hash(key))``: the server serving ``key`` in
+        this snapshot — its tablet by :func:`tablet_of` (by key range
+        for an index table), then its subshard by :func:`shard_of` —
+        and the key's hash, which rides in the request so the server
+        does not hash the key again.  A caller that already read the
         table's ``span`` passes it in."""
         if span is None:
             span = self.tables_by_id[table_id].span
         desc = self.indexes.get(table_id) if self.indexes else None
         index, h = tablet_of(key, span, desc and desc.boundaries)
         shards = self.tablets[(table_id, index)].shards
-        return shards[shard_of(h, span, len(shards))]
+        return shards[shard_of(h, span, len(shards))], h

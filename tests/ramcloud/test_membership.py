@@ -114,7 +114,8 @@ class TestFencing:
         def probe():
             try:
                 yield from master.call(rc.node, "read",
-                                       args=(table_id, key, span, None),
+                                       args=(table_id, key, key_hash(key),
+                                             span, None),
                                        size_bytes=64, response_bytes=64,
                                        timeout=5.0)
             except WrongServer:
@@ -159,8 +160,8 @@ class TestFencing:
             try:
                 yield from master.call(
                     rc.node, "write",
-                    args=(table_id, key, 64, b"zombie", span, None, None,
-                          level, None),
+                    args=(table_id, key, key_hash(key), 64, b"zombie", span,
+                          None, None, level, None),
                     size_bytes=128, response_bytes=64, timeout=5.0)
             except StaleEpoch:
                 return "rejected"
@@ -199,7 +200,7 @@ class TestFencing:
             try:
                 result = yield from master.call(
                     rc.node, "read",
-                    args=(table_id, key, span, epoch),
+                    args=(table_id, key, key_hash(key), span, epoch),
                     size_bytes=64, response_bytes=64, timeout=5.0)
             except StaleEpoch:
                 return "stale"

@@ -118,7 +118,8 @@ class TestReadWrite:
         def script():
             try:
                 yield from wrong.call(node, "read",
-                                      args=(table_id, key, span, None))
+                                      args=(table_id, key, key_hash(key),
+                                            span, None))
             except WrongServer:
                 return "rejected"
             return "accepted"
@@ -255,7 +256,8 @@ class TestThreadingModel:
         def script():
             try:
                 yield from victim.call(node, "read",
-                                       args=(table_id, "k", 3, None))
+                                       args=(table_id, "k", key_hash("k"),
+                                             3, None))
             except NodeUnreachable:
                 return "refused"
             return "served"
