@@ -430,8 +430,10 @@ _INF = float("inf")
 class _Never:
     """The ``watch`` of a run that no event ends: never triggered."""
 
-    __slots__ = ()
-    _ok = None
+    __slots__ = ("_ok",)
+
+    def __init__(self):
+        self._ok = None
 
 
 _NEVER = _Never()
@@ -567,13 +569,11 @@ class Simulator:
         after the callbacks of the event that surfaced it."""
         heap = self._heap
         while heap and watch._ok is None:
-            entry = heappop(heap)
-            when = entry[0]
+            when, seq, event = heappop(heap)
             if when > until:
                 # Put back: keys are unique, so the pop order is the same.
-                heappush(heap, entry)
+                heappush(heap, (when, seq, event))
                 return
-            event = entry[2]
             callbacks = event.callbacks
             if callbacks is not None:
                 if when < self.now:
