@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import copy
 import math
-from array import array
 from contextlib import contextmanager
-from heapq import merge
+from itertools import islice
 from operator import attrgetter
 from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
@@ -123,7 +122,7 @@ class SegmentReplica:
         # is what makes an ASYNC_BOUNDED master's unreplicated tail
         # honestly *acknowledged-but-lost*.
         self.entries_applied = 0
-        # (inputs, {unit: (entries, positions)}) once a recovery read
+        # (inputs, {unit: entries}, revived copies) once a recovery read
         # partitioned the applied prefix (see _partition).
         self.buckets = None
 
@@ -149,31 +148,38 @@ class SegmentReplica:
         shard count of every (table_id, tablet) it recovers.  A single
         unit's list is the cached bucket itself; callers only read it.
         """
-        buckets = self._partition(spans, index_ranges, shard_counts)
+        buckets, revived = self._partition(spans, index_ranges, shard_counts)
         found = [buckets[unit[:3]] for unit in units if unit[:3] in buckets]
         if not found:
             return []
         if len(found) == 1:
-            return found[0][0]
-        return [entry for _pos, entry in merge(
-            *(zip(positions, entries) for entries, positions in found))]
+            entries = found[0]
+        else:
+            # Several units: theirs, picked out of the prefix in order.
+            wanted = {id(entry) for bucket in found for entry in bucket}
+            entries = [entry for entry in
+                       islice(self.segment.entries, self.entries_applied)
+                       if id(entry) in wanted]
+        if revived:
+            entries = [revived.get(id(entry), entry) for entry in entries]
+        return entries
 
     def _partition(self, spans, index_ranges, shard_counts):
-        """``{(table_id, tablet, shard): (entries, positions)}`` over the
-        applied prefix, routed by :func:`tablet_of`/:func:`shard_of`
-        at the plan's shard counts (``positions`` index the prefix, so
-        a master of several units gets them merged in replica order).
-        Built on the first recovery read and again only if the prefix,
-        the segment or the plan changed since.  Entries of tables or
-        tablets the plan does not recover are left out."""
+        """``({(table_id, tablet, shard): [entry, ...]}, revived)`` over
+        the applied prefix: the entries routed by
+        :func:`tablet_of`/:func:`shard_of` at the plan's shard counts,
+        and the live copies that stand in for truncated overwrites'
+        predecessors, by ``id`` of the original.  Built on the first
+        recovery read and again only if the prefix, the segment or the
+        plan changed since.  Entries of tables or tablets the plan does
+        not recover are left out."""
         entries = self.segment.entries
         applied = self.entries_applied
         inputs = (applied, len(entries), spans, index_ranges, shard_counts)
         if self.buckets is not None and self.buckets[0] == inputs:
-            return self.buckets[1]
-        served = entries[:applied]
-        dropped = entries[applied:]
-        if dropped:
+            return self.buckets[1], self.buckets[2]
+        revived = {}
+        if applied < len(entries):
             # An overwrite dead-marks its predecessor at append
             # time — before the new entry is durably replicated —
             # and replicas share the master's entry objects by
@@ -182,21 +188,21 @@ class SegmentReplica:
             # is still the acknowledged durable version: a real
             # backup holds only bytes and would replay it.  Serve
             # a live copy so recovery does not lose the key.
-            truncated = {(e.table_id, e.key) for e in dropped}
-            for i in range(len(served) - 1, -1, -1):
-                entry = served[i]
+            truncated = {(e.table_id, e.key) for e in entries[applied:]}
+            for i in range(applied - 1, -1, -1):
+                entry = entries[i]
                 ident = (entry.table_id, entry.key)
                 if ident not in truncated:
                     continue
                 truncated.discard(ident)
                 if not entry.live and not entry.is_tombstone:
-                    revived = copy.copy(entry)
-                    revived.live = True
-                    served[i] = revived
+                    live_copy = copy.copy(entry)
+                    live_copy.live = True
+                    revived[id(entry)] = live_copy
                 if not truncated:
                     break
-        buckets: Dict[Tuple[int, int, int], Tuple[List[LogEntry], array]] = {}
-        for pos, entry in enumerate(served):
+        buckets: Dict[Tuple[int, int, int], List[LogEntry]] = {}
+        for entry in islice(entries, applied):
             table_id = entry.table_id
             span = spans.get(table_id)
             if span is None:
@@ -209,11 +215,10 @@ class SegmentReplica:
             unit = (table_id, index, shard_of(h, span, shard_count))
             bucket = buckets.get(unit)
             if bucket is None:
-                bucket = buckets[unit] = ([], array("I"))
-            bucket[0].append(entry)
-            bucket[1].append(pos)
-        self.buckets = (inputs, buckets)
-        return buckets
+                bucket = buckets[unit] = []
+            bucket.append(entry)
+        self.buckets = (inputs, buckets, revived)
+        return buckets, revived
 
 
 class RamCloudServer(RpcService):

@@ -344,7 +344,7 @@ class TabletMapSnapshot:
     ``indexes`` maps a hidden index table's id to its
     :class:`~repro.ramcloud.indexing.IndexDescriptor`; index tablets
     (indexlets) route by key *range*, not hash (see
-    :meth:`owner_for_key`).  Empty unless indexes exist."""
+    :meth:`route`).  Empty unless indexes exist."""
 
     epoch: int
     tables_by_name: Dict[str, Table]
@@ -353,12 +353,6 @@ class TabletMapSnapshot:
     membership_version: int = 0
     live_servers: Tuple[str, ...] = ()
     indexes: Dict[int, object] = field(default_factory=dict)
-
-    def owner_for_key(self, table_id: int, key: str,
-                      span: Optional[int] = None) -> str:
-        """The server id serving ``key`` in this snapshot (see
-        :meth:`route`)."""
-        return self.route(table_id, key, span)[0]
 
     def route(self, table_id: int, key: str,
               span: Optional[int] = None) -> Tuple[str, int]:

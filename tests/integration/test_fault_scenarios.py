@@ -446,7 +446,7 @@ class TestZombieFencing:
         # the zombie's stale claim is quarantined behind the fence.
         table_id, key = outcome["table_id"], outcome["key"]
         snapshot = coordinator.tablet_map.snapshot()
-        owner = snapshot.owner_for_key(table_id, key)
+        owner = snapshot.route(table_id, key)[0]
         assert owner != "server0"
         assert coordinator.is_live(owner)
 

@@ -245,7 +245,7 @@ class TestRouting:
                 tablet = snapshot.tablets[
                     (routed, h % span if index is None else index)]
                 shard = (h // span) % tablet.shard_count
-                assert (snapshot.owner_for_key(routed, key)
+                assert (snapshot.route(routed, key)[0]
                         == tablet.shards[shard])
                 split += tablet.shard_count > 1
         assert split > 0

@@ -3,7 +3,7 @@
 A data table and its index are loaded on five masters and one master is
 crashed, so recovery splits its tablet and its indexlet over the
 survivors while the other tablets stay whole.  On that map the client's
-``owner_for_key`` is the reference; the master's ownership check,
+``route`` is the reference; the master's ownership check,
 migration and the recovery replay filter must each pick exactly the
 keys it routes to them.  The preload, which routes by the prefix fold,
 must place each key at its ``tablet_of`` owner.  A backup that splits a
@@ -23,7 +23,8 @@ from repro.ramcloud.indexing import (
     secondary_key,
     uniform_boundaries,
 )
-from repro.ramcloud.server import RamCloudServer
+from repro.ramcloud.segment import LogEntry, Segment
+from repro.ramcloud.server import RamCloudServer, SegmentReplica
 from repro.ramcloud.tablets import key_hash, shard_of, tablet_of
 from repro.ycsb.keyspace import format_key
 
@@ -94,7 +95,7 @@ def test_ownership_check_accepts_exactly_at_the_routed_owner(recovered):
     for table_id, table_keys in keys.items():
         span = snap.tables_by_id[table_id].span
         for key in table_keys:
-            owner = snap.owner_for_key(table_id, key)
+            owner = snap.route(table_id, key)[0]
             for server in _live(cluster):
                 try:
                     server._check_ownership(table_id, key, key_hash(key),
@@ -133,7 +134,7 @@ def test_recovery_replays_each_lost_key_at_its_routed_owner_only(recovered):
         for key in table_keys:
             holders = [s.server_id for s in live
                        if s.hashtable.lookup(table_id, key) is not None]
-            assert holders == [snap.owner_for_key(table_id, key)], (
+            assert holders == [snap.route(table_id, key)[0]], (
                 table_id, key)
 
 
@@ -159,10 +160,10 @@ def _migrate(cluster, unit, target):
     snap = _snapshot(cluster)
     assert moved
     assert moved == {k for k in before
-                     if snap.owner_for_key(table_id, k) == target.server_id}
+                     if snap.route(table_id, k)[0] == target.server_id}
     assert before - moved == {
         k for k in before
-        if snap.owner_for_key(table_id, k) == source.server_id}
+        if snap.route(table_id, k)[0] == source.server_id}
     assert moved <= _keys_of(target, table_id)
 
 
@@ -333,3 +334,31 @@ def test_backup_serves_the_revived_predecessor_of_a_truncated_overwrite(
     assert [(e.version, e.value, e.live) for e in revived] == [
         (durable, b"durable", True)]
     assert all(e not in master.log.head.entries for e in revived)
+
+
+def test_replica_partitions_again_when_its_prefix_or_plan_changes():
+    """The buckets are cached on the replica: a longer applied prefix,
+    or another plan's shard counts, must not be served from them."""
+    segment = Segment(0, 1 << 20)
+    replica = SegmentReplica("m", segment)
+    keys = [format_key(i) for i in range(400)]
+    for i, key in enumerate(keys):
+        entry = LogEntry(1, key, 8, i + 1)
+        segment.append(entry, entry.log_bytes)
+    spans = {1: 3}
+    units = [(1, 0, 0, 2), (1, 2, 1, 2)]
+    master = type("Master", (), {"index_configs": {}})()
+
+    def expected():
+        return _master_filter(master, _whole_segment(replica), units, spans)
+
+    replica.entries_applied = 150
+    assert replica.recovery_entries(units, spans, None, {(1, 0): 2, (1, 2): 2}
+                                    ) == expected()
+    replica.entries_applied = 400
+    assert replica.recovery_entries(units, spans, None, {(1, 0): 2, (1, 2): 2}
+                                    ) == expected()
+    wider = [(1, 0, 0, 3), (1, 2, 1, 3)]
+    assert replica.recovery_entries(wider, spans, None, {(1, 0): 3, (1, 2): 3}
+                                    ) == _master_filter(
+        master, _whole_segment(replica), wider, spans)

@@ -507,12 +507,11 @@ class TestBulkLoad:
         expected = {server.server_id: [] for server in cluster.servers}
         for i in range(num_records):
             key = default_key(i)
-            expected[snapshot.owner_for_key(table_id, key)].append(
+            expected[snapshot.route(table_id, key)[0]].append(
                 (table_id, key))
             if indexed:
                 entry_key = encode_entry_key(secondary_key(i), key)
-                expected[snapshot.owner_for_key(desc.index_id,
-                                                entry_key)].append(
+                expected[snapshot.route(desc.index_id, entry_key)[0]].append(
                     (desc.index_id, entry_key))
         for server in cluster.servers:
             entries = [entry for seg in server.log.segments.values()

@@ -807,9 +807,23 @@ def test_run_process_reports_an_unfinished_event_by_until():
         yield sim.timeout(5.0)
 
     proc = sim.process(slow(), name="slow")
-    with pytest.raises(SimulationError, match="'slow' did not finish by t=1.0"):
+    with pytest.raises(SimulationError,
+                       match="'slow' did not finish by t=1.0"):
         sim.run_process(proc, until=1.0)
     # The entry beyond ``until`` stays scheduled: the run can go on.
     assert sim.now == 0.0 and sim.peek() == 5.0
     sim.run_process(proc)
     assert sim.now == 5.0
+
+
+def test_step_skips_one_cancelled_timeout_without_advancing_time():
+    sim = Simulator()
+    fired = []
+    doomed = sim.timeout(1.0)
+    sim.timeout(2.0).add_callback(fired.append)
+    sim.timeout(3.0)
+    doomed.cancel()  # one of three: stays in the heap
+    sim.step()
+    assert (sim.now, fired, len(sim._heap)) == (0.0, [], 2)
+    sim.step()
+    assert sim.now == 2.0 and len(fired) == 1
