@@ -154,25 +154,21 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
             # deadline that fires in the very instant its op completes
             # lands at the next think-time wait instead.
             try:
+                now = sim.now
                 if self.throttle is not None:
                     # Dynamic pacing: the power-cap controller moves the
                     # shared throttle's rate at run time.
                     delay = self.throttle.reserve()
-                    if delay > 0:
-                        yield sim.timeout_at((sim.now + delay) + overhead)
-                    else:
-                        yield sim.timeout(overhead)
                 elif rate > 0:
                     # Token-bucket pacing: operation i may not start
-                    # before its scheduled slot.  The wait and the think
-                    # time are one timer, set to the float two chained
-                    # timers would reach.
-                    slot = start + i / rate
-                    now = sim.now
-                    if now < slot:
-                        yield sim.timeout_at((now + (slot - now)) + overhead)
-                    else:
-                        yield sim.timeout(overhead)
+                    # before its scheduled slot.
+                    delay = start + i / rate - now
+                else:
+                    delay = 0.0
+                if delay > 0:
+                    # The pacing wait and the think time are one timer,
+                    # at the float two chained timers would reach.
+                    yield sim.timeout_at((now + delay) + overhead)
                 else:
                     yield sim.timeout(overhead)
                 op = self._choose_op()
