@@ -9,10 +9,10 @@ figure of the paper's evaluation.
 Quick tour
 ----------
 >>> from repro import Cluster, ClusterSpec, ServerConfig
->>> cluster = Cluster(ClusterSpec(num_servers=5, num_clients=2,
-...                               server_config=ServerConfig(
-...                                   replication_factor=3)))
->>> table_id = cluster.create_table("accounts")
+>>> spec = ClusterSpec(num_servers=5, num_clients=2,
+...                    server_config=ServerConfig(replication_factor=3))
+>>> with Cluster(spec) as cluster:
+...     table_id = cluster.create_table("accounts")
 
 Layers (bottom-up):
 

@@ -167,109 +167,108 @@ class _PinnedKeyChooser:
 
 def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
     """Execute one §VII-style crash experiment (see module docstring)."""
-    cluster = Cluster(spec.cluster.with_(failure_detection=True))
-    result = CrashExperimentResult(spec=spec)
-    table_id = cluster.create_table("usertable")
-    cluster.preload(table_id, spec.num_records, spec.record_size)
+    with Cluster(spec.cluster.with_(failure_detection=True)) as cluster:
+        result = CrashExperimentResult(spec=spec)
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, spec.num_records, spec.record_size)
 
-    for node in cluster.server_nodes:
-        node.start_metering(interval=spec.sample_interval)
-        result.per_node_power[node.name] = node.power.series
+        for node in cluster.server_nodes:
+            node.start_metering(interval=spec.sample_interval)
+            result.per_node_power[node.name] = node.power.series
 
-    # Timeline sampler: cluster-average CPU and aggregate disk I/O.
-    state = {
-        "busy": {n.name: n.cpu.busy_core_seconds()
-                 for n in cluster.server_nodes},
-        "io": {n.name: n.disk.io_counters() for n in cluster.server_nodes},
-    }
-    cores = spec.cluster.machine.cpu.cores
+        # Timeline sampler: cluster-average CPU and aggregate disk I/O.
+        state = {
+            "busy": {n.name: n.cpu.busy_core_seconds()
+                     for n in cluster.server_nodes},
+            "io": {n.name: n.disk.io_counters() for n in cluster.server_nodes},
+        }
+        cores = spec.cluster.machine.cpu.cores
 
-    def sampler():
-        while True:
-            yield cluster.sim.timeout(spec.sample_interval)
-            now = cluster.sim.now
-            cpu_total = 0.0
-            read_delta = write_delta = 0
-            for node in cluster.server_nodes:
-                busy = node.cpu.busy_core_seconds()
-                cpu_total += (busy - state["busy"][node.name])
-                state["busy"][node.name] = busy
-                reads, writes = node.disk.io_counters()
-                old_r, old_w = state["io"][node.name]
-                read_delta += reads - old_r
-                write_delta += writes - old_w
-                state["io"][node.name] = (reads, writes)
-            n = len(cluster.server_nodes)
-            interval = spec.sample_interval
-            result.cluster_cpu.record(
-                now, 100.0 * cpu_total / (n * cores * interval))
-            result.disk_read_mbps.record(
-                now, read_delta / interval / (1024 * 1024))
-            result.disk_write_mbps.record(
-                now, write_delta / interval / (1024 * 1024))
-            result.under_replicated.record(
-                now, cluster.coordinator.under_replicated_total())
+        def sampler():
+            while True:
+                yield cluster.sim.timeout(spec.sample_interval)
+                now = cluster.sim.now
+                cpu_total = 0.0
+                read_delta = write_delta = 0
+                for node in cluster.server_nodes:
+                    busy = node.cpu.busy_core_seconds()
+                    cpu_total += (busy - state["busy"][node.name])
+                    state["busy"][node.name] = busy
+                    reads, writes = node.disk.io_counters()
+                    old_r, old_w = state["io"][node.name]
+                    read_delta += reads - old_r
+                    write_delta += writes - old_w
+                    state["io"][node.name] = (reads, writes)
+                n = len(cluster.server_nodes)
+                interval = spec.sample_interval
+                result.cluster_cpu.record(
+                    now, 100.0 * cpu_total / (n * cores * interval))
+                result.disk_read_mbps.record(
+                    now, read_delta / interval / (1024 * 1024))
+                result.disk_write_mbps.record(
+                    now, write_delta / interval / (1024 * 1024))
+                result.under_replicated.record(
+                    now, cluster.coordinator.under_replicated_total())
 
-    cluster.sim.process(sampler(), name="crash-sampler")
+        cluster.sim.process(sampler(), name="crash-sampler")
 
-    # Foreground clients (Fig. 10).
-    clients: List[YcsbClient] = []
-    if spec.foreground is not None:
-        for i, rc in enumerate(cluster.clients):
-            stream = RandomStream(spec.cluster.seed, f"fg{i}")
-            clients.append(YcsbClient(cluster.sim, rc, table_id,
-                                      spec.foreground, stream))
+        # Foreground clients (Fig. 10).
+        clients: List[YcsbClient] = []
+        if spec.foreground is not None:
+            for i, rc in enumerate(cluster.clients):
+                stream = RandomStream(spec.cluster.seed, f"fg{i}")
+                clients.append(YcsbClient(cluster.sim, rc, table_id,
+                                          spec.foreground, stream))
 
-    # The victim must be decided before clients start if we pin keys.
-    victim = (cluster.servers[spec.victim_index]
-              if spec.victim_index is not None else None)
-    if spec.split_clients_by_victim:
-        if victim is None:
-            raise ValueError("split_clients_by_victim needs victim_index")
-        if len(clients) < 2:
-            raise ValueError("split_clients_by_victim needs >= 2 clients")
-        victim_records, live_records = _victim_key_split(
-            table_id, victim, spec.num_records)
-        clients[0].keys = _PinnedKeyChooser(victim_records)
-        for extra in clients[1:]:
-            extra.keys = _PinnedKeyChooser(live_records)
+        # The victim must be decided before clients start if we pin keys.
+        victim = (cluster.servers[spec.victim_index]
+                  if spec.victim_index is not None else None)
+        if spec.split_clients_by_victim:
+            if victim is None:
+                raise ValueError("split_clients_by_victim needs victim_index")
+            if len(clients) < 2:
+                raise ValueError("split_clients_by_victim needs >= 2 clients")
+            victim_records, live_records = _victim_key_split(
+                table_id, victim, spec.num_records)
+            clients[0].keys = _PinnedKeyChooser(victim_records)
+            for extra in clients[1:]:
+                extra.keys = _PinnedKeyChooser(live_records)
 
-    for i, client in enumerate(clients):
-        cluster.sim.process(client.run(), name=f"fg-client{i}")
+        for i, client in enumerate(clients):
+            cluster.sim.process(client.run(), name=f"fg-client{i}")
 
-    # The crash (or any richer fault sequence) is a schedule over the
-    # repro.faults layer; the paper's methodology is the one-entry case.
-    schedule = spec.faults
-    if schedule is None:
-        schedule = FaultSchedule.single_crash(spec.kill_at,
-                                              spec.victim_index)
-    injector = cluster.inject_faults(schedule)
+        # The crash (or any richer fault sequence) is a schedule over the
+        # repro.faults layer; the paper's methodology is the one-entry case.
+        schedule = spec.faults
+        if schedule is None:
+            schedule = FaultSchedule.single_crash(spec.kill_at,
+                                                  spec.victim_index)
+        injector = cluster.inject_faults(schedule)
 
-    # Run until every recovery completes (plus a settling tail) or the
-    # hard cap — not always to run_until, which would burn simulated
-    # hours on long-tailed configurations.
-    while cluster.sim.now < spec.run_until:
-        cluster.run(until=min(spec.run_until, cluster.sim.now + 5.0))
-        recoveries = cluster.coordinator.recoveries
-        if (recoveries
-                and all(r.finished_at is not None for r in recoveries)
-                and cluster.sim.now >= spec.kill_at):
-            tail = min(spec.run_until,
-                       max(r.finished_at for r in recoveries) + 10.0)
-            if cluster.sim.now < tail:
-                cluster.run(until=tail)
-            break
+        # Run until every recovery completes (plus a settling tail) or the
+        # hard cap — not always to run_until, which would burn simulated
+        # hours on long-tailed configurations.
+        while cluster.sim.now < spec.run_until:
+            cluster.run(until=min(spec.run_until, cluster.sim.now + 5.0))
+            recoveries = cluster.coordinator.recoveries
+            if (recoveries
+                    and all(r.finished_at is not None for r in recoveries)
+                    and cluster.sim.now >= spec.kill_at):
+                tail = min(spec.run_until,
+                           max(r.finished_at for r in recoveries) + 10.0)
+                if cluster.sim.now < tail:
+                    cluster.run(until=tail)
+                break
 
-    if injector.killed_servers:
-        result.crashed_server = injector.killed_servers[0].server_id
-    if cluster.coordinator.recoveries:
-        result.recovery = cluster.coordinator.recoveries[0]
-    result.repairs = list(cluster.coordinator.repairs)
-    result.fault_log = list(injector.applied)
-    if cluster.sim._sanitizer is not None:
-        result.race_reports = list(cluster.sim._sanitizer.race_reports)
-    for client in clients:
-        result.client_latencies.append(client.stats.all_latencies())
-    cluster.stop_metering()
-    cluster.sim.close()
+        if injector.killed_servers:
+            result.crashed_server = injector.killed_servers[0].server_id
+        if cluster.coordinator.recoveries:
+            result.recovery = cluster.coordinator.recoveries[0]
+        result.repairs = list(cluster.coordinator.repairs)
+        result.fault_log = list(injector.applied)
+        if cluster.sim._sanitizer is not None:
+            result.race_reports = list(cluster.sim._sanitizer.race_reports)
+        for client in clients:
+            result.client_latencies.append(client.stats.all_latencies())
+        cluster.stop_metering()
     return result

@@ -60,7 +60,8 @@ class ClusterSpec:
 
 
 class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortized
-    """A running simulated deployment."""
+    """A running simulated deployment.  ``with Cluster(spec) as c:``
+    closes its simulator when the block ends, however it ends."""
 
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
@@ -116,6 +117,12 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
 
         if spec.failure_detection:
             self.coordinator.start_failure_detector()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.sim.close()
 
     def _create_power_managers(self) -> None:
         policy = self.power_policy

@@ -98,87 +98,87 @@ class DurabilityGapResult:
 
 def run_durability_gap(spec: DurabilityGapSpec) -> DurabilityGapResult:
     """Execute one crash-loss run (see module docstring)."""
-    cluster = Cluster(spec.cluster.with_(failure_detection=True))
-    result = DurabilityGapResult(
-        spec=spec,
-        staleness_bound=spec.cluster.server_config.staleness_bound_seconds)
-    table_id = cluster.create_table("usertable")
-    sim = cluster.sim
+    with Cluster(spec.cluster.with_(failure_detection=True)) as cluster:
+        result = DurabilityGapResult(
+            spec=spec,
+            staleness_bound=spec.cluster.server_config.staleness_bound_seconds)
+        table_id = cluster.create_table("usertable")
+        sim = cluster.sim
 
-    def writer(wid: int):
-        rc = cluster.clients[wid]
-        yield from rc.refresh_map()
-        for seq in range(spec.writes_per_client):
-            key = f"d{wid}.{seq}"
-            try:
-                version = yield from rc.write(table_id, key,
-                                              spec.record_size,
-                                              level=spec.level)
-            except RpcTimeout:
-                # Gave up mid-recovery (bounded retries); an
-                # unacknowledged write carries no promise to verify.
-                continue
-            result.acked.append((key, version))
-            if spec.write_interval > 0:
-                yield sim.timeout(spec.write_interval)
+        def writer(wid: int):
+            rc = cluster.clients[wid]
+            yield from rc.refresh_map()
+            for seq in range(spec.writes_per_client):
+                key = f"d{wid}.{seq}"
+                try:
+                    version = yield from rc.write(table_id, key,
+                                                  spec.record_size,
+                                                  level=spec.level)
+                except RpcTimeout:
+                    # Gave up mid-recovery (bounded retries); an
+                    # unacknowledged write carries no promise to verify.
+                    continue
+                result.acked.append((key, version))
+                if spec.write_interval > 0:
+                    yield sim.timeout(spec.write_interval)
 
-    for wid in range(spec.cluster.num_clients):
-        sim.process(writer(wid), name=f"gap-writer{wid}")
+        for wid in range(spec.cluster.num_clients):
+            sim.process(writer(wid), name=f"gap-writer{wid}")
 
-    schedule = spec.faults
-    if schedule is None:
-        schedule = FaultSchedule.single_crash(spec.crash_at,
-                                              spec.victim_index)
-    injector = cluster.inject_faults(schedule)
+        schedule = spec.faults
+        if schedule is None:
+            schedule = FaultSchedule.single_crash(spec.crash_at,
+                                                  spec.victim_index)
+        injector = cluster.inject_faults(schedule)
 
-    # Run until every triggered recovery completes (plus a settling
-    # tail for repair and the writers' own retries), or the hard cap.
-    while sim.now < spec.run_until:
-        cluster.run(until=min(spec.run_until, sim.now + 5.0))
+        # Run until every triggered recovery completes (plus a settling
+        # tail for repair and the writers' own retries), or the hard cap.
+        while sim.now < spec.run_until:
+            cluster.run(until=min(spec.run_until, sim.now + 5.0))
+            recoveries = cluster.coordinator.recoveries
+            if recoveries and all(r.finished_at is not None
+                                  for r in recoveries):
+                tail = min(spec.run_until,
+                           max(r.finished_at for r in recoveries) + 5.0)
+                if sim.now < tail:
+                    cluster.run(until=tail)
+                break
+
+        # Survivor-side staleness: the harvest must exclude nothing — a
+        # crashed master's counter still reports what it observed while
+        # alive, which is exactly the "while the master lives" guarantee.
+        for server in cluster.servers:
+            if server.max_observed_staleness > result.max_observed_staleness:
+                result.max_observed_staleness = server.max_observed_staleness
+            result.async_writes_acked += server.async_writes_acked
+
+        # Verification: read back every acknowledged write through a fresh
+        # retry budget.  Anything missing or older than its acknowledged
+        # version was confirmed to a client and then lost.
+        verifier = cluster.clients[0]
+        verifier.max_retries = 40
+
+        def verify():
+            yield from verifier.refresh_map()
+            for key, version in result.acked:
+                try:
+                    _value, got, _size = yield from verifier.read(
+                        table_id, key)
+                except ObjectDoesntExist:
+                    result.lost.append((key, version))
+                    continue
+                if got < version:
+                    result.lost.append((key, version))
+
+        sim.run_process(sim.process(verify(), name="gap-verify"),
+                        until=sim.now + 60.0)
+
+        result.crashed_servers = [s.server_id
+                                  for s in injector.killed_servers]
         recoveries = cluster.coordinator.recoveries
-        if recoveries and all(r.finished_at is not None
-                              for r in recoveries):
-            tail = min(spec.run_until,
-                       max(r.finished_at for r in recoveries) + 5.0)
-            if sim.now < tail:
-                cluster.run(until=tail)
-            break
-
-    # Survivor-side staleness: the harvest must exclude nothing — a
-    # crashed master's counter still reports what it observed while
-    # alive, which is exactly the "while the master lives" guarantee.
-    for server in cluster.servers:
-        if server.max_observed_staleness > result.max_observed_staleness:
-            result.max_observed_staleness = server.max_observed_staleness
-        result.async_writes_acked += server.async_writes_acked
-
-    # Verification: read back every acknowledged write through a fresh
-    # retry budget.  Anything missing or older than its acknowledged
-    # version was confirmed to a client and then lost.
-    verifier = cluster.clients[0]
-    saved_retries = verifier.max_retries
-    verifier.max_retries = 40
-
-    def verify():
-        yield from verifier.refresh_map()
-        for key, version in result.acked:
-            try:
-                _value, got, _size = yield from verifier.read(table_id, key)
-            except ObjectDoesntExist:
-                result.lost.append((key, version))
-                continue
-            if got < version:
-                result.lost.append((key, version))
-
-    sim.run_process(sim.process(verify(), name="gap-verify"),
-                    until=sim.now + 60.0)
-    verifier.max_retries = saved_retries
-
-    result.crashed_servers = [s.server_id for s in injector.killed_servers]
-    if cluster.coordinator.recoveries:
-        result.recovery_duration = cluster.coordinator.recoveries[0].duration
-    result.fault_log = list(injector.applied)
-    cluster.sim.close()
+        if recoveries:
+            result.recovery_duration = recoveries[0].duration
+        result.fault_log = list(injector.applied)
     return result
 
 

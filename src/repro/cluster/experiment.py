@@ -22,7 +22,7 @@ from repro.cluster.deployment import Cluster, ClusterSpec
 from repro.ramcloud.tenancy import TenantStats
 from repro.sim.distributions import RandomStream
 from repro.ycsb.client import YcsbClient
-from repro.ycsb.stats import OperationStats
+from repro.ycsb.stats import OperationStats, nearest_rank
 from repro.ycsb.workload import WorkloadSpec
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "run_experiment",
@@ -137,116 +137,117 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Build the cluster, preload, run all clients, collect metrics."""
-    cluster = Cluster(spec.cluster)
-    workload = spec.workload
-    indexed = (workload.index_scan_proportion > 0
-               or workload.index_lookup_proportion > 0
-               or workload.num_indexlets > 0)
-    if spec.tenants:
-        for tenant in spec.tenants:
-            cluster.register_tenant(tenant)
-        table_ids = [cluster.create_table("usertable", span=spec.table_span,
-                                          tenant=tenant.name)
-                     for tenant in spec.tenants]
-    else:
-        table_ids = [cluster.create_table("usertable", span=spec.table_span)]
-    index_ids: List[Optional[int]] = []
-    for table_id in table_ids:
-        if indexed:
-            from repro.ramcloud.indexing import uniform_boundaries
-            desc = cluster.create_index(
-                table_id, "sec",
-                uniform_boundaries(workload.num_records,
-                                   max(1, workload.num_indexlets)))
-            cluster.preload_indexed(table_id, desc, workload.num_records,
-                                    workload.record_size)
-            index_ids.append(desc.index_id)
+    with Cluster(spec.cluster) as cluster:
+        workload = spec.workload
+        indexed = (workload.index_scan_proportion > 0
+                   or workload.index_lookup_proportion > 0
+                   or workload.num_indexlets > 0)
+        if spec.tenants:
+            for tenant in spec.tenants:
+                cluster.register_tenant(tenant)
+            table_ids = [cluster.create_table("usertable",
+                                              span=spec.table_span,
+                                              tenant=tenant.name)
+                         for tenant in spec.tenants]
         else:
-            cluster.preload(table_id, workload.num_records,
-                            workload.record_size)
-            index_ids.append(None)
+            table_ids = [cluster.create_table("usertable",
+                                              span=spec.table_span)]
+        index_ids: List[Optional[int]] = []
+        for table_id in table_ids:
+            if indexed:
+                from repro.ramcloud.indexing import uniform_boundaries
+                desc = cluster.create_index(
+                    table_id, "sec",
+                    uniform_boundaries(workload.num_records,
+                                       max(1, workload.num_indexlets)))
+                cluster.preload_indexed(table_id, desc, workload.num_records,
+                                        workload.record_size)
+                index_ids.append(desc.index_id)
+            else:
+                cluster.preload(table_id, workload.num_records,
+                                workload.record_size)
+                index_ids.append(None)
 
-    clients = []
-    for i, rc in enumerate(cluster.clients):
-        stream = RandomStream(spec.cluster.seed, f"ycsb{i}")
-        slot = i % len(table_ids)
-        clients.append(YcsbClient(cluster.sim, rc, table_ids[slot],
-                                  spec.workload, stream,
-                                  give_up_after=spec.give_up_after,
-                                  index_id=index_ids[slot]))
+        clients = []
+        for i, rc in enumerate(cluster.clients):
+            stream = RandomStream(spec.cluster.seed, f"ycsb{i}")
+            slot = i % len(table_ids)
+            clients.append(YcsbClient(cluster.sim, rc, table_ids[slot],
+                                      spec.workload, stream,
+                                      give_up_after=spec.give_up_after,
+                                      index_id=index_ids[slot]))
 
-    for node in cluster.server_nodes:
-        node.start_metering(interval=spec.pdu_interval)
+        for node in cluster.server_nodes:
+            node.start_metering(interval=spec.pdu_interval)
 
-    start = cluster.sim.now
-    start_busy = {n.name: n.cpu.busy_core_seconds()
-                  for n in cluster.server_nodes}
-    start_disk = {n.name: n.disk.busy_seconds for n in cluster.server_nodes}
+        start = cluster.sim.now
+        start_busy = {n.name: n.cpu.busy_core_seconds()
+                      for n in cluster.server_nodes}
+        start_disk = {n.name: n.disk.busy_seconds
+                      for n in cluster.server_nodes}
 
-    procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
-             for i, c in enumerate(clients)]
-    cluster.sim.run_process(cluster.sim.all_of(procs))
-    end = cluster.sim.now
-    cluster.stop_metering()
+        procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
+                 for i, c in enumerate(clients)]
+        cluster.sim.run_process(cluster.sim.all_of(procs))
+        end = cluster.sim.now
+        cluster.stop_metering()
 
-    makespan = max(end - start, 1e-12)
-    result = ExperimentResult(spec=spec)
-    result.sim_events = cluster.sim._seq
-    if cluster.sim._sanitizer is not None:
-        result.race_reports = list(cluster.sim._sanitizer.race_reports)
-    result.makespan = makespan
-    result.per_client_stats = [c.stats for c in clients]
-    result.total_ops = sum(c.stats.total_ops for c in clients)
-    result.throughput = result.total_ops / makespan
-    result.client_errors = sum(c.stats.errors for c in clients)
-    result.clients_gave_up = sum(1 for c in clients if c.gave_up)
-    result.crashed = result.clients_gave_up > 0
+        makespan = max(end - start, 1e-12)
+        result = ExperimentResult(spec=spec)
+        result.sim_events = cluster.sim._seq
+        if cluster.sim._sanitizer is not None:
+            result.race_reports = list(cluster.sim._sanitizer.race_reports)
+        result.makespan = makespan
+        result.per_client_stats = [c.stats for c in clients]
+        result.total_ops = sum(c.stats.total_ops for c in clients)
+        result.throughput = result.total_ops / makespan
+        result.client_errors = sum(c.stats.errors for c in clients)
+        result.clients_gave_up = sum(1 for c in clients if c.gave_up)
+        result.crashed = result.clients_gave_up > 0
 
-    power_spec = spec.cluster.machine.power
-    cores = spec.cluster.machine.cpu.cores
-    total_energy = 0.0
-    watts = []
-    for node in cluster.server_nodes:
-        busy = node.cpu.busy_core_seconds() - start_busy[node.name]
-        util_pct = 100.0 * busy / (makespan * cores)
-        disk_busy = node.disk.busy_seconds - start_disk[node.name]
-        avg_watts = (power_spec.watts(min(util_pct, 100.0))
-                     + power_spec.disk_active_watts
-                     * min(disk_busy / makespan, 1.0))
-        watts.append(avg_watts)
-        total_energy += avg_watts * makespan
-        result.cpu_util_per_node[node.name] = util_pct
-    result.avg_power_per_server = sum(watts) / len(watts)
-    result.total_energy_joules = total_energy
-    result.energy_efficiency = (result.total_ops / total_energy
-                                if total_energy > 0 else 0.0)
+        power_spec = spec.cluster.machine.power
+        cores = spec.cluster.machine.cpu.cores
+        total_energy = 0.0
+        watts = []
+        for node in cluster.server_nodes:
+            busy = node.cpu.busy_core_seconds() - start_busy[node.name]
+            util_pct = 100.0 * busy / (makespan * cores)
+            disk_busy = node.disk.busy_seconds - start_disk[node.name]
+            avg_watts = (power_spec.watts(min(util_pct, 100.0))
+                         + power_spec.disk_active_watts
+                         * min(disk_busy / makespan, 1.0))
+            watts.append(avg_watts)
+            total_energy += avg_watts * makespan
+            result.cpu_util_per_node[node.name] = util_pct
+        result.avg_power_per_server = sum(watts) / len(watts)
+        result.total_energy_joules = total_energy
+        result.energy_efficiency = (result.total_ops / total_energy
+                                    if total_energy > 0 else 0.0)
 
-    if spec.tenants:
-        tenant_of_table = cluster.coordinator.tenant_of_table
-        for slot, tenant in enumerate(spec.tenants):
-            tstats = TenantStats()
-            merged = []
-            for i, client in enumerate(clients):
-                if i % len(table_ids) != slot:
-                    continue
-                tstats.ops += client.stats.total_ops
-                tstats.client_errors += client.stats.errors
-                merged.extend(client.stats.all_latencies().latencies)
-            if merged:
-                merged.sort()
-                rank = max(1, math.ceil(0.99 * len(merged)))
-                tstats.p99_latency = merged[rank - 1]
-                tstats.mean_latency = sum(merged) / len(merged)
-            tstats.bytes_moved = tstats.ops * workload.record_size
-            # Dispatch-path drops at the masters, summed over the
-            # tenant's tables (base tables and their indexes).
-            tstats.throttle_drops = sum(
-                throttle.drops
-                for server in cluster.servers
-                for tid, throttle in server._tenant_throttles.items()
-                if tenant_of_table.get(tid) == tenant.name)
-            result.per_tenant_stats[tenant.name] = tstats.as_dict()
-    cluster.sim.close()
+        if spec.tenants:
+            tenant_of_table = cluster.coordinator.tenant_of_table
+            for slot, tenant in enumerate(spec.tenants):
+                tstats = TenantStats()
+                merged = []
+                for i, client in enumerate(clients):
+                    if i % len(table_ids) != slot:
+                        continue
+                    tstats.ops += client.stats.total_ops
+                    tstats.client_errors += client.stats.errors
+                    merged.extend(client.stats.all_latencies().latencies)
+                if merged:
+                    merged.sort()  # the mean sums in latency order
+                    tstats.p99_latency = nearest_rank(merged, 99.0)
+                    tstats.mean_latency = sum(merged) / len(merged)
+                tstats.bytes_moved = tstats.ops * workload.record_size
+                # Dispatch-path drops at the masters, summed over the
+                # tenant's tables (base tables and their indexes).
+                tstats.throttle_drops = sum(
+                    throttle.drops
+                    for server in cluster.servers
+                    for tid, throttle in server._tenant_throttles.items()
+                    if tenant_of_table.get(tid) == tenant.name)
+                result.per_tenant_stats[tenant.name] = tstats.as_dict()
     return result
 
 

@@ -112,12 +112,12 @@ def _policy_for(governor: str) -> PowerPolicy:
     return PowerPolicy(governor=governor)
 
 
-def _fresh_cluster(governor: str, servers: int, clients: int,
-                   seed: int) -> Cluster:
-    return Cluster(ClusterSpec(
+def _fleet_spec(servers: int, clients: int, seed: int,
+                policy: PowerPolicy) -> ClusterSpec:
+    return ClusterSpec(
         num_servers=servers, num_clients=clients,
         server_config=ServerConfig(replication_factor=0),
-        seed=seed, power_policy=_policy_for(governor)))
+        seed=seed, power_policy=policy)
 
 
 def _metered_window(cluster: Cluster, pdu_interval: float):
@@ -153,15 +153,16 @@ def _fleet_power_counters(cluster: Cluster) -> Tuple[int, int]:
 def _measure_idle(governor: str, servers: int, seed: int,
                   duration: float, pdu_interval: float) -> EnergyPoint:
     """No clients, no ops: just the running servers, metered."""
-    cluster = _fresh_cluster(governor, servers, clients=0, seed=seed)
-    # Let start-up transients (worker spin-up, first parking decisions,
-    # the ondemand sampler's walk down the P-states) settle first.
-    cluster.run(until=1.0)
-    close = _metered_window(cluster, pdu_interval)
-    cluster.run(until=cluster.sim.now + duration)
-    makespan, energy, cpu = close()
-    sleeps, parks = _fleet_power_counters(cluster)
-    cluster.sim.close()
+    spec = _fleet_spec(servers, 0, seed, _policy_for(governor))
+    with Cluster(spec) as cluster:
+        # Let start-up transients (worker spin-up, first parking
+        # decisions, the ondemand sampler's walk down the P-states)
+        # settle first.
+        cluster.run(until=1.0)
+        close = _metered_window(cluster, pdu_interval)
+        cluster.run(until=cluster.sim.now + duration)
+        makespan, energy, cpu = close()
+        sleeps, parks = _fleet_power_counters(cluster)
     return EnergyPoint(
         governor=governor, load_fraction=0.0, throughput=0.0,
         watts_per_server=energy / makespan / servers,
@@ -174,10 +175,6 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
                   per_client_rate: float, duration: float,
                   pdu_interval: float) -> EnergyPoint:
     """One throttled (or, at rate 0, unthrottled) load point."""
-    cluster = _fresh_cluster(governor, servers, clients, seed)
-    table_id = cluster.create_table("usertable")
-    cluster.preload(table_id, scale.num_records, 1024)
-
     workload = WORKLOAD_C.scaled(num_records=scale.num_records,
                                  ops_per_client=1)
     if per_client_rate > 0:
@@ -188,23 +185,26 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
         ops = max(scale.ops_per_client, int(40_000 * duration))
         workload = workload.scaled(ops_per_client=ops)
 
-    ycsb = [YcsbClient(cluster.sim, rc, table_id, workload,
-                       RandomStream(seed, f"ycsb{i}"))
-            for i, rc in enumerate(cluster.clients)]
-    # Start metering only now: preload energy is setup, not workload.
-    close = _metered_window(cluster, pdu_interval)
-    procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
-             for i, c in enumerate(ycsb)]
-    cluster.sim.run_process(cluster.sim.all_of(procs))
-    makespan, energy, cpu = close()
+    spec = _fleet_spec(servers, clients, seed, _policy_for(governor))
+    with Cluster(spec) as cluster:
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, scale.num_records, 1024)
+        ycsb = [YcsbClient(cluster.sim, rc, table_id, workload,
+                           RandomStream(seed, f"ycsb{i}"))
+                for i, rc in enumerate(cluster.clients)]
+        # Start metering only now: preload energy is setup, not workload.
+        close = _metered_window(cluster, pdu_interval)
+        procs = [cluster.sim.process(c.run(), name=f"ycsb:{i}")
+                 for i, c in enumerate(ycsb)]
+        cluster.sim.run_process(cluster.sim.all_of(procs))
+        makespan, energy, cpu = close()
 
-    total_ops = sum(c.stats.total_ops for c in ycsb)
-    # The p99 ignores order, so the clients' latencies are concatenated.
-    latencies = array("d")
-    for c in ycsb:
-        latencies.extend(c.stats.all_latencies().latencies)
-    sleeps, parks = _fleet_power_counters(cluster)
-    cluster.sim.close()
+        total_ops = sum(c.stats.total_ops for c in ycsb)
+        # The p99 ignores order: the clients' latencies are concatenated.
+        latencies = array("d")
+        for c in ycsb:
+            latencies.extend(c.stats.all_latencies().latencies)
+        sleeps, parks = _fleet_power_counters(cluster)
     return EnergyPoint(
         governor=governor, load_fraction=load_fraction,
         throughput=total_ops / makespan,
@@ -361,17 +361,10 @@ class PowerCapResult:
             + self.hysteresis_watts
 
 
-def _capped_load(servers: int, clients: int, seed: int, scale: Scale,
-                 policy: Optional[PowerPolicy], duration: float,
-                 settle: float) -> Tuple[Cluster, float, float]:
-    """Drive unthrottled demand for ``duration``; returns the cluster,
-    the settled-window PDU fleet watts, and the measured throughput."""
-    spec = ClusterSpec(
-        num_servers=servers, num_clients=clients,
-        server_config=ServerConfig(replication_factor=0), seed=seed)
-    if policy is not None:
-        spec = spec.with_(power_policy=policy)
-    cluster = Cluster(spec)
+def _capped_load(cluster: Cluster, seed: int, scale: Scale,
+                 duration: float, settle: float) -> Tuple[float, float]:
+    """Drive unthrottled demand on ``cluster`` for ``duration``; returns
+    the settled-window PDU fleet watts and the measured throughput."""
     table_id = cluster.create_table("usertable")
     cluster.preload(table_id, scale.num_records, 1024)
     workload = WORKLOAD_C.scaled(num_records=scale.num_records,
@@ -392,7 +385,7 @@ def _capped_load(servers: int, clients: int, seed: int, scale: Scale,
         node.power.series.window(*window).time_weighted_mean()
         for node in cluster.server_nodes)
     ops = sum(c.stats.total_ops for c in ycsb)
-    return cluster, fleet_watts, ops / duration
+    return fleet_watts, ops / duration
 
 
 def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
@@ -411,26 +404,26 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
     settle = 0.6 if smoke else 1.0
 
     # Baseline: same demand, no cap.
-    uncapped, uncapped_watts, uncapped_rate = _capped_load(
-        servers, clients, seed, scale, None, duration, settle)
-    uncapped.sim.close()
+    with Cluster(_fleet_spec(servers, clients, seed,
+                             PowerPolicy())) as cluster:
+        uncapped_watts, uncapped_rate = _capped_load(
+            cluster, seed, scale, duration, settle)
 
     policy = PowerPolicy(power_cap_watts=cap_watts, cap_interval=0.05,
                          cap_hysteresis_watts=5.0)
-    cluster, fleet_watts, throughput = _capped_load(
-        servers, clients, seed, scale, policy, duration, settle)
-    controller = cluster.power_cap
-    settled = controller.watts_series.window(settle, duration)
-    result = PowerCapResult(
-        cap_watts=cap_watts,
-        hysteresis_watts=policy.cap_hysteresis_watts,
-        settled_mean_watts=settled.mean(),
-        settled_max_watts=settled.max(),
-        uncapped_watts=uncapped_watts,
-        throughput=throughput,
-        admitted_rate=cluster.admission_throttle.rate,
-        watts_points=list(zip(settled.times, settled.values)))
-    cluster.sim.close()
+    with Cluster(_fleet_spec(servers, clients, seed, policy)) as cluster:
+        _watts, throughput = _capped_load(cluster, seed, scale, duration,
+                                          settle)
+        settled = cluster.power_cap.watts_series.window(settle, duration)
+        result = PowerCapResult(
+            cap_watts=cap_watts,
+            hysteresis_watts=policy.cap_hysteresis_watts,
+            settled_mean_watts=settled.mean(),
+            settled_max_watts=settled.max(),
+            uncapped_watts=uncapped_watts,
+            throughput=throughput,
+            admitted_rate=cluster.admission_throttle.rate,
+            watts_points=list(zip(settled.times, settled.values)))
 
     table = ComparisonTable(
         "§X power cap",

@@ -231,46 +231,47 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
     from repro.sim.distributions import RandomStream
     from repro.ycsb.client import YcsbClient
 
-    cluster = Cluster(ClusterSpec(
-        num_servers=servers, num_clients=2,
-        server_config=ServerConfig(replication_factor=0), seed=3))
-    table_id = cluster.create_table("cache")
-    cluster.preload(table_id, scale.num_records, 1024)
-    cluster.start_metering(interval=0.05)
+    spec = ClusterSpec(num_servers=servers, num_clients=2,
+                       server_config=ServerConfig(replication_factor=0),
+                       seed=3)
+    with Cluster(spec) as cluster:
+        table_id = cluster.create_table("cache")
+        cluster.preload(table_id, scale.num_records, 1024)
+        cluster.start_metering(interval=0.05)
 
-    def run_load(tag):
-        clients = [YcsbClient(cluster.sim, rc, table_id,
-                              WORKLOAD_C.scaled(
-                                  num_records=scale.num_records,
-                                  ops_per_client=scale.ops_per_client),
-                              RandomStream(3, f"{tag}{i}"))
-                   for i, rc in enumerate(cluster.clients)]
-        procs = [cluster.sim.process(c.run()) for c in clients]
-        cluster.sim.run_process(cluster.sim.all_of(procs))
-        total = sum(c.stats.total_ops for c in clients)
-        span = (max(c.stats.finished_at for c in clients)
-                - min(c.stats.started_at for c in clients))
-        return total / span
+        def run_load(tag):
+            clients = [YcsbClient(cluster.sim, rc, table_id,
+                                  WORKLOAD_C.scaled(
+                                      num_records=scale.num_records,
+                                      ops_per_client=scale.ops_per_client),
+                                  RandomStream(3, f"{tag}{i}"))
+                       for i, rc in enumerate(cluster.clients)]
+            procs = [cluster.sim.process(c.run()) for c in clients]
+            cluster.sim.run_process(cluster.sim.all_of(procs))
+            total = sum(c.stats.total_ops for c in clients)
+            span = (max(c.stats.finished_at for c in clients)
+                    - min(c.stats.started_at for c in clients))
+            return total / span
 
-    def fleet_watts():
-        cluster.run(until=cluster.sim.now + 1.0)
-        now = cluster.sim.now
-        return sum(
-            node.power.series.window(now - 0.5, now).mean()
-            if len(node.power.series.window(now - 0.5, now)) else 0.0
-            for node in cluster.server_nodes)
+        def fleet_watts():
+            cluster.run(until=cluster.sim.now + 1.0)
+            now = cluster.sim.now
+            return sum(
+                node.power.series.window(now - 0.5, now).mean()
+                if len(node.power.series.window(now - 0.5, now)) else 0.0
+                for node in cluster.server_nodes)
 
-    before_thr = run_load("warm")
-    before_watts = fleet_watts()
+        before_thr = run_load("warm")
+        before_watts = fleet_watts()
 
-    def orchestrate():
-        for i in range(keep, servers):
-            yield from cluster.coordinator.decommission_server(f"server{i}")
+        def orchestrate():
+            for i in range(keep, servers):
+                yield from cluster.coordinator.decommission_server(
+                    f"server{i}")
 
-    cluster.sim.run_process(cluster.sim.process(orchestrate()))
-    after_thr = run_load("post")
-    after_watts = fleet_watts()
-    cluster.sim.close()
+        cluster.sim.run_process(cluster.sim.process(orchestrate()))
+        after_thr = run_load("post")
+        after_watts = fleet_watts()
 
     table = ComparisonTable(
         "§IX elastic sizing", f"scale {servers}→{keep} servers under "
@@ -311,21 +312,22 @@ def run_correlated_failures_extension(scale: Scale = DEFAULT,
         lost_segments = 0
         total_segments = 0
         for trial in range(trials):
-            cluster = Cluster(ClusterSpec(
+            spec = ClusterSpec(
                 num_servers=servers, num_clients=0,
                 server_config=ServerConfig(replication_factor=rf),
-                seed=100 + trial, failure_detection=True))
-            table_id = cluster.create_table("t")
-            cluster.preload(
-                table_id,
-                64 * 1024 * 1024 * servers // record_size, record_size)
-            cluster.run(until=1.0)
-            victims = [cluster.kill_server() for _ in range(simultaneous)]
-            total_segments += sum(len(v.log.segments) for v in victims)
-            cluster.run(until=400.0)
-            recoveries = cluster.coordinator.recoveries
-            lost = sum(r.lost_segments for r in recoveries)
-            cluster.sim.close()
+                seed=100 + trial, failure_detection=True)
+            with Cluster(spec) as cluster:
+                table_id = cluster.create_table("t")
+                cluster.preload(
+                    table_id,
+                    64 * 1024 * 1024 * servers // record_size, record_size)
+                cluster.run(until=1.0)
+                victims = [cluster.kill_server()
+                           for _ in range(simultaneous)]
+                total_segments += sum(len(v.log.segments) for v in victims)
+                cluster.run(until=400.0)
+                lost = sum(r.lost_segments
+                           for r in cluster.coordinator.recoveries)
             lost_segments += lost
             if lost:
                 loss_events += 1

@@ -67,12 +67,11 @@ def _table1_cell(params: Dict[str, int], seed: int, scale: Scale):
     spec = ycsb_spec(WORKLOAD_C, scale=scale, **params)
     if params["clients"]:
         return run_cell(spec, seed)
-    cluster = Cluster(spec.cluster)
-    cluster.run(until=5.0)
-    # The window is [0, 5 s]; no busy time has accrued at t=0.
-    idle = sum(100.0 * n.cpu.busy_core_seconds() / (5.0 * n.cpu.cores)
-               for n in cluster.server_nodes) / params["servers"]
-    cluster.sim.close()
+    with Cluster(spec.cluster) as cluster:
+        cluster.run(until=5.0)
+        # The window is [0, 5 s]; no busy time has accrued at t=0.
+        idle = sum(100.0 * n.cpu.busy_core_seconds() / (5.0 * n.cpu.cores)
+                   for n in cluster.server_nodes) / params["servers"]
     return CellOutcome(
         metrics={"cpu_util_avg": idle},
         digest=hashlib.sha256(repr(idle).encode()).hexdigest())

@@ -1,9 +1,10 @@
 """Entry points that build their own cluster leave nothing running.
 
-Each entry point closes its simulator once the result is taken: no
-process generator it spawned is still suspended when it returns, and a
-single ``gc.collect()`` frees the whole simulation while the result is
-still held, leaving nothing for a second one.  The simulator is reached
+Each entry point runs its cluster in a ``with Cluster(...)`` block,
+which closes the simulator however the block ends: no process
+generator it spawned is still suspended when it returns, and a single
+``gc.collect()`` frees the whole simulation while the result is still
+held, leaving nothing for a second one.  The simulator is reached
 through a ``Cluster`` subclass swapped into the runner modules, the way
 ``bench/capture.py`` reaches the cluster an entry point builds.
 """
@@ -15,8 +16,9 @@ import weakref
 import pytest
 
 import repro.cluster
-from repro.cluster import (ClusterSpec, CrashExperimentSpec, ExperimentSpec,
-                           run_crash_experiment, run_experiment)
+from repro.cluster import (Cluster, ClusterSpec, CrashExperimentSpec,
+                           ExperimentSpec, run_crash_experiment,
+                           run_experiment)
 from repro.cluster import crash, durability, experiment
 from repro.cluster.durability import DurabilityGapSpec, run_durability_gap
 from repro.experiments import energy_proportionality, extensions, peak
@@ -89,12 +91,27 @@ RUNS = {
 }
 
 
+def _track_generators(monkeypatch):
+    """Weak references to every generator spawned from now on."""
+    generators = []
+    spawn = Simulator.process
+
+    def tracked_process(self, generator, name=""):
+        generators.append(weakref.ref(generator))
+        return spawn(self, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", tracked_process)
+    return generators
+
+
+def _suspended(generators):
+    return [gen.__name__ for gen in (ref() for ref in generators)
+            if gen is not None
+            and inspect.getgeneratorstate(gen) == inspect.GEN_SUSPENDED]
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_a_finished_run_is_freed_by_one_collection(name, monkeypatch):
-    # Earlier tests' clusters may still await collection; collect them
-    # first, so the passes below count only this run's garbage.
-    while gc.collect():
-        pass
     simulators = []
 
     class TrackedCluster(repro.cluster.Cluster):
@@ -104,26 +121,39 @@ def test_a_finished_run_is_freed_by_one_collection(name, monkeypatch):
 
     for module in RUNNER_MODULES:
         monkeypatch.setattr(module, "Cluster", TrackedCluster)
-
-    generators = []
-    spawn = Simulator.process
-
-    def tracked_process(self, generator, name=""):
-        generators.append(weakref.ref(generator))
-        return spawn(self, generator, name)
-
-    monkeypatch.setattr(Simulator, "process", tracked_process)
+    generators = _track_generators(monkeypatch)
 
     result = RUNS[name]()
 
     assert simulators and generators
-    suspended = [gen.__name__ for gen in (ref() for ref in generators)
-                 if gen is not None
-                 and inspect.getgeneratorstate(gen) == inspect.GEN_SUSPENDED]
-    assert suspended == []
+    assert _suspended(generators) == []
     gc.collect()
     assert [ref() for ref in simulators] == [None] * len(simulators)
     # Nothing was left for a second pass: cleanup run as a finalizer
     # during the first one would have kept part of the run alive.
     assert gc.collect() == 0
     assert result is not None
+
+
+def _raise_after_running(simulators):
+    spec = ClusterSpec(num_servers=4, num_clients=2,
+                       server_config=SMALL_SERVERS, failure_detection=True)
+    with Cluster(spec) as cluster:
+        simulators.append(weakref.ref(cluster.sim))
+        cluster.run(until=2.0)
+        raise RuntimeError("the run failed")
+
+
+def test_a_run_that_raises_in_its_block_is_freed_by_one_collection(
+        monkeypatch):
+    generators = _track_generators(monkeypatch)
+    simulators = []
+
+    with pytest.raises(RuntimeError, match="the run failed"):
+        _raise_after_running(simulators)
+
+    assert simulators and generators
+    assert _suspended(generators) == []
+    gc.collect()
+    assert [ref() for ref in simulators] == [None]
+    assert gc.collect() == 0

@@ -69,7 +69,9 @@ def _recovered_cluster():
 
 @pytest.fixture(scope="module")
 def recovered():
-    return _recovered_cluster()
+    cluster, keys, lost = _recovered_cluster()
+    with cluster:
+        yield cluster, keys, lost
 
 
 def _live(cluster):
