@@ -57,13 +57,13 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     """One application's connection to the cluster."""
 
     def __init__(self, sim: Simulator, node: Node, coordinator: Coordinator,
-                 max_retries: Optional[int] = None,
                  stream: Optional[RandomStream] = None):
         self.sim = sim
         self.node = node
         self.coordinator = coordinator
         self.stream = stream  # backoff jitter
-        self.max_retries = max_retries
+        # None retries forever; a YCSB give-up or a verifier sets it.
+        self.max_retries: Optional[int] = None
         self._map = None
         self.rpc_timeout = coordinator.config.rpc_timeout
         # Read-your-writes session state: per-master high-water mark of

@@ -34,6 +34,26 @@ from repro.sim.kernel import Simulator
 
 __all__ = ["Coordinator", "RecoveryStats", "RepairStats"]
 
+# Failure detection: a ping every PING_INTERVAL seconds, answered within
+# PING_TIMEOUT or missed.  After DETECTION_MISSES consecutive misses the
+# coordinator runs a second round of VERIFY_ROUNDS pings, VERIFY_GAP
+# apart, before declaring the server dead.  There is no ground-truth
+# peek anywhere in the path, so a server that is merely slow, paused or
+# partitioned long enough IS declared dead — false positives are real,
+# which is exactly why the epoch/fencing machinery exists.
+PING_INTERVAL = 0.5
+PING_TIMEOUT = 0.4
+DETECTION_MISSES = 2
+VERIFY_ROUNDS = 2
+VERIFY_GAP = 0.1
+# Repair watcher cadence (see RepairStats / _repair_watcher): sample
+# under-replication every REPAIR_POLL seconds, declare repair done no
+# earlier than REPAIR_GRACE after the eviction, give up after
+# REPAIR_WATCH_CAP.
+REPAIR_POLL = 0.05
+REPAIR_GRACE = 0.2
+REPAIR_WATCH_CAP = 60.0
+
 
 @dataclass
 class RepairStats:
@@ -111,36 +131,11 @@ class Coordinator(RpcService):
 
     def __init__(self, sim: Simulator, fabric: Fabric, node: Node,
                  config: ServerConfig, cost: CostModel,
-                 stream: RandomStream,
-                 ping_interval: float = 0.5,
-                 ping_timeout: float = 0.4,
-                 detection_misses: int = 2,
-                 verify_rounds: int = 2,
-                 verify_gap: float = 0.1):
+                 stream: RandomStream):
         super().__init__(sim, fabric, node, name="coordinator")
         self.config = config
         self.cost = cost
         self.stream = stream
-        self.ping_interval = ping_interval
-        self.ping_timeout = ping_timeout
-        self.detection_misses = detection_misses
-        # Honest suspicion handling: after ``detection_misses`` missed
-        # pings the coordinator runs a second round of ``verify_rounds``
-        # back-to-back pings before declaring the server dead.  There is
-        # no ground-truth peek anywhere in the path, so a server that is
-        # merely slow, paused or partitioned long enough IS declared
-        # dead — false positives are real, which is exactly why the
-        # epoch/fencing machinery below exists.
-        self.verify_rounds = verify_rounds
-        self.verify_gap = verify_gap
-        # Repair watcher cadence (see RepairStats / _repair_watcher).
-        self.repair_poll = 0.05
-        self.repair_grace = 0.2
-        self.repair_watch_cap = 60.0
-        # How many segments each recovery master fetches/replays/
-        # re-replicates concurrently.  RAMCloud pipelines deeply enough
-        # to keep recovery masters CPU-bound (Fig. 9a: >90 % CPU).
-        self.recovery_pipeline_width = 6
 
         self.tablet_map = TabletMap()
         # Secondary indexes: hidden index table id → IndexDescriptor.
@@ -493,7 +488,7 @@ class Coordinator(RpcService):
 
     def _ping_loop(self) -> Generator:
         while True:
-            yield self.sim.timeout(self.ping_interval)
+            yield self.sim.timeout(PING_INTERVAL)
             for server_id in self.live_server_ids():
                 self.sim.process(self._ping_one(server_id),
                                  name=f"coordinator:ping:{server_id}")
@@ -502,7 +497,7 @@ class Coordinator(RpcService):
         server = self._servers[server_id]
         try:
             pong = yield from server.call(self.node, "ping",
-                                          timeout=self.ping_timeout)
+                                          timeout=PING_TIMEOUT)
             self._missed_pings[server_id] = 0
             # Pong piggybacks the server's server-list version: re-push
             # the list to anyone who missed an update (healed partition,
@@ -515,7 +510,7 @@ class Coordinator(RpcService):
             if not self._live.get(server_id, False):
                 return
             self._missed_pings[server_id] += 1
-            if self._missed_pings[server_id] >= self.detection_misses:
+            if self._missed_pings[server_id] >= DETECTION_MISSES:
                 self._on_server_suspected(server_id)
 
     def _on_server_suspected(self, server_id: str) -> None:
@@ -534,12 +529,12 @@ class Coordinator(RpcService):
     def _verify_suspect(self, server_id: str) -> Generator:
         server = self._servers[server_id]
         try:
-            for attempt in range(self.verify_rounds):
+            for attempt in range(VERIFY_ROUNDS):
                 if attempt:
-                    yield self.sim.timeout(self.verify_gap)
+                    yield self.sim.timeout(VERIFY_GAP)
                 try:
                     yield from server.call(self.node, "ping",
-                                           timeout=self.ping_timeout)
+                                           timeout=PING_TIMEOUT)
                 except (NodeUnreachable, RpcTimeout):
                     continue
                 # Alive after all: clear the suspicion.
@@ -623,10 +618,10 @@ class Coordinator(RpcService):
         """Sample under-replication until the survivors restore full
         replication; fills in the eviction's :class:`RepairStats`."""
         lost0, repaired0 = self._repair_counters()
-        deadline = stats.started_at + self.repair_watch_cap
-        settle_at = stats.started_at + self.repair_grace
+        deadline = stats.started_at + REPAIR_WATCH_CAP
+        settle_at = stats.started_at + REPAIR_GRACE
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.repair_poll)
+            yield self.sim.timeout(REPAIR_POLL)
             total = self.under_replicated_total()
             if total > stats.peak_under_replicated:
                 stats.peak_under_replicated = total
@@ -788,10 +783,8 @@ class Coordinator(RpcService):
                     "shard_counts": shard_counts,
                     "segments": segments,
                     "share": len(units) / total_units,
-                    "pipeline_width": self.recovery_pipeline_width,
+                    "index_ranges": index_ranges,
                 }
-                if index_ranges:
-                    plan["index_ranges"] = index_ranges
                 waits.append((master_id, units, self.sim.process(
                     self._recover_on(master, plan, stats),
                     name=f"coordinator:recover-on:{master_id}",

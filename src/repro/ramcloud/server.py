@@ -82,6 +82,10 @@ __all__ = ["RamCloudServer", "SegmentReplica"]
 POLL_IDLE_THRESHOLD = 64
 POLL_INTERVAL = 10.0e-6
 DISPATCH_WAKE_LATENCY = 6.0e-6
+# Segments each recovery master fetches, replays and re-replicates
+# concurrently.  RAMCloud pipelines deeply enough to keep recovery
+# masters CPU-bound (Fig. 9a: >90 % CPU).
+RECOVERY_PIPELINE_WIDTH = 6
 
 _version_of = attrgetter("version")
 
@@ -1857,11 +1861,11 @@ class RamCloudServer(RpcService):
     def _recover_partition(self, plan) -> Generator:
         """Fetch, filter, replay and re-replicate one recovery partition.
 
-        ``plan`` carries: the crashed master id, the tablet ids this
-        partition covers, the table spans, and for each segment the
-        backup to read it from.  Replays go through the normal write
+        ``plan`` carries: the crashed master id, the units this
+        partition covers and their share, the table spans, shard counts
+        and indexlet boundaries, and each segment's backup.  Replays go through the normal write
         path semantics (append + index + replicate) but batched per
-        source segment, and pipelined ``pipeline_width`` segments deep —
+        source segment, and pipelined RECOVERY_PIPELINE_WIDTH segments deep —
         RAMCloud overlaps segment fetch, replay and re-replication,
         which is why recovery drives CPUs to >90 % (Fig. 9a).
         """
@@ -1870,20 +1874,18 @@ class RamCloudServer(RpcService):
         units = list(plan["units"])
         spans = plan["spans"]  # table_id → span
         assignments = plan["segments"]  # [(segment_id, backup_id, nbytes)]
-        share = plan.get("share", 1.0)
-        pipeline_width = plan.get("pipeline_width", 3)
+        share = plan["share"]
+        index_ranges = plan["index_ranges"]
         # Indexlet boundaries for any index tables in this partition:
         # the recovery master must know them to range-route replayed
         # entries (and to serve Search once it takes ownership).  An
         # index is recovered exactly like data — never rebuilt by
         # scanning the base table.
-        for index_id in sorted(plan.get("index_ranges", ())):
-            self.install_index_config(index_id,
-                                      plan["index_ranges"][index_id])
+        for index_id in sorted(index_ranges):
+            self.install_index_config(index_id, index_ranges[index_id])
 
         # What each backup needs to pick out our units' entries.
-        routing = (units, spans, plan.get("index_ranges"),
-                   plan["shard_counts"])
+        routing = (units, spans, index_ranges, plan["shard_counts"])
 
         pending = list(assignments)
         lost_ids = set()
@@ -1920,7 +1922,8 @@ class RamCloudServer(RpcService):
                     lost_ids.add(segment_id)
 
         lanes = [self._spawn(pump(), name=f"{self.name}:recover-lane{i}")
-                 for i in range(min(pipeline_width, max(1, len(pending))))]
+                 for i in range(min(RECOVERY_PIPELINE_WIDTH,
+                                    max(1, len(pending))))]
         yield self.sim.all_of(lanes)
         if self.fenced:
             # Evicted while recovering: never take ownership; fail the

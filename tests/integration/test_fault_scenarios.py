@@ -116,7 +116,7 @@ class TestPartitionHeal:
         # Failure detection is honest: the coordinator cannot peek at
         # ground truth, so it tolerates exactly what its ping protocol
         # tolerates.  A network blip shorter than the detection window
-        # (two missed pings at ping_interval=0.5 plus the verify round)
+        # (two missed pings at PING_INTERVAL = 0.5 s plus the verify round)
         # must not evict the server; a longer partition honestly would
         # (that false positive is exercised by the zombie-fencing
         # scenario, not here).
@@ -126,7 +126,7 @@ class TestPartitionHeal:
         cluster.inject_faults(FaultSchedule((
             FaultEntry(at=0.6, action=PartitionGroups(
                 ("coord",), ("server0",))),
-            # Healed after one missed ping — under detection_misses=2.
+            # Healed after one missed ping — under DETECTION_MISSES = 2.
             FaultEntry(at=1.3, action=HealAll()),
         )))
         cluster.run(until=8.0)
