@@ -10,13 +10,11 @@ the linter attaches to every :class:`~repro.analyze.linter.Module` so
 the PERF rules can confine themselves to code that is demonstrably on
 the event path.
 
-Matching is structural, not positional: profile rows carry the
-*absolute* path and first line of each code object, while the linter
-sees repo-relative paths, so both sides are normalized to their
-``repro/``-rooted suffix and a row is mapped onto a def by *line
-containment* (the code object's first line falls inside the def's
-span).  That survives both checkout location and unrelated edits above
-the function.
+Profile rows carry the *absolute* path, the name and the first line
+(a decorator's, if any) of each code object; both paths are normalized
+to their ``repro/``-rooted suffix, and a row marks a def of its name
+whose span, decorators included, holds its line.  A stale profile's
+row may miss its def after an edit above it, but never marks another.
 
 Thresholds are relative (fractions of total self-time / total calls),
 so the same profile semantics hold at smoke and full scale.  A final
@@ -97,25 +95,24 @@ class HotSet:
         """Whether any hot row maps into this file."""
         return _suffix(path) in self._by_suffix
 
-    def _rows_in_span(self, path: str, start: int, end: int) -> bool:
-        for _func, line in self._by_suffix.get(_suffix(path), ()):
-            if start <= line <= end:
-                return True
-        return False
+    def _row_marks(self, path: str, node: ast.AST) -> bool:
+        """Whether a hot row names this def and starts in its span."""
+        start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+        return any(func == node.name and start <= line <= node.end_lineno
+                   for func, line in self._by_suffix.get(_suffix(path), ()))
 
     def function_is_hot(self, path: str, node: ast.AST) -> bool:
-        """Whether a def was profiled hot (by line containment) or was
+        """Whether a def was profiled hot (a row of its own) or was
         marked hot by call-graph expansion (by name)."""
-        end = getattr(node, "end_lineno", node.lineno)
-        if self._rows_in_span(path, node.lineno, end):
-            return True
-        return getattr(node, "name", None) in self.hot_names
+        return (self._row_marks(path, node)
+                or node.name in self.hot_names)
 
     def class_is_hot(self, path: str, node: ast.AST) -> bool:
-        """Whether any hot row (a method, typically ``__init__``) falls
-        inside the class body — the PERF001 notion of "event-path"."""
-        end = getattr(node, "end_lineno", node.lineno)
-        return self._rows_in_span(path, node.lineno, end)
+        """Whether one of the class's defs (typically ``__init__``) has
+        a hot row — the PERF001 notion of "event-path"."""
+        return any(self._row_marks(path, child) for child in ast.walk(node)
+                   if isinstance(child, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)))
 
     # -- call-graph expansion ---------------------------------------------
 

@@ -236,6 +236,55 @@ class TestHotSetScoping:
         assert codes(findings) == ["PERF002"]
         assert findings[0].path == str(cold)
 
+    def test_a_moved_function_row_marks_no_other_def(self, tmp_path):
+        # A stale profile: ``moved`` was profiled at line 1, and an
+        # edit above it put ``sitting`` there.  The row names ``moved``,
+        # so ``sitting`` stays cold and its dict-in-loop is not flagged.
+        source = tmp_path / "stale.py"
+        source.write_text(textwrap.dedent("""\
+            def sitting(items):
+                total = 0
+                for item in items:
+                    weights = {"a": 1}
+                    total += weights.get(item, 0)
+                return total
+
+
+            def moved(items):
+                return items
+        """))
+        hotset = make_hotset([{"path": str(source), "func": "moved",
+                               "line": 1, "ncalls": 1000, "tottime": 1.0}])
+        findings, errors = analyze_paths([str(source)], rules=PERF_RULES,
+                                         hotset=hotset)
+        assert not errors
+        assert findings == []
+
+    def test_a_decorated_def_is_hot_from_its_decorator_line(self, tmp_path):
+        # cProfile reports a decorated function at its decorator's line
+        # (``co_firstlineno``), one line above the ``def``.
+        source = tmp_path / "decorated.py"
+        source.write_text(textwrap.dedent("""\
+            def traced(func):
+                return func
+
+
+            @traced
+            def per_event(items):
+                total = 0
+                for item in items:
+                    weights = {"a": 1}
+                    total += weights.get(item, 0)
+                return total
+        """))
+        hotset = make_hotset([{"path": str(source), "func": "per_event",
+                               "line": 5, "ncalls": 1000, "tottime": 1.0}])
+        findings, errors = analyze_paths([str(source)], rules=PERF_RULES,
+                                         hotset=hotset)
+        assert not errors
+        assert codes(findings) == ["PERF002"]
+        assert findings[0].line == 9
+
     def test_load_roundtrip(self, tmp_path):
         payload = {"schema": 1, "bench": "fig4", "scale": "smoke",
                    "total_tottime": 2.0, "total_calls": 1000,
