@@ -1861,13 +1861,13 @@ class RamCloudServer(RpcService):
     def _recover_partition(self, plan) -> Generator:
         """Fetch, filter, replay and re-replicate one recovery partition.
 
-        ``plan`` carries: the crashed master id, the units this
-        partition covers and their share, the table spans, shard counts
-        and indexlet boundaries, and each segment's backup.  Replays go through the normal write
-        path semantics (append + index + replicate) but batched per
+        ``plan`` carries: the crashed master id, the units this partition
+        covers and their share, the table spans, shard counts and indexlet
+        boundaries, and each segment's backup.  Replays go through the normal
+        write path semantics (append + index + replicate) but batched per
         source segment, and pipelined RECOVERY_PIPELINE_WIDTH segments deep —
-        RAMCloud overlaps segment fetch, replay and re-replication,
-        which is why recovery drives CPUs to >90 % (Fig. 9a).
+        RAMCloud overlaps segment fetch, replay and re-replication, which is
+        why recovery drives CPUs to >90 % (Fig. 9a).
         """
         crashed_id = plan["crashed_id"]
         # units: [(table_id, tablet_index, shard, shard_count)]
