@@ -15,6 +15,9 @@ Profile rows carry the *absolute* path, the name and the first line
 to their ``repro/``-rooted suffix, and a row marks a def of its name
 whose span, decorators included, holds its line.  A stale profile's
 row may miss its def after an edit above it, but never marks another.
+A row of an anonymous code object (``<genexpr>``, ``<listcomp>``,
+``<lambda>``) has no def name to match: it marks the innermost def
+whose span holds its line, the def its cost is spent in.
 
 Thresholds are relative (fractions of total self-time / total calls),
 so the same profile semantics hold at smoke and full scale.  A final
@@ -40,6 +43,8 @@ __all__ = ["HotSet", "load_hotset"]
 # high-frequency cheap functions whose cost is all allocation.
 HOT_TIME_FRAC = 0.005
 HOT_CALL_FRAC = 0.005
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _suffix(path: str) -> str:
@@ -96,10 +101,13 @@ class HotSet:
         return _suffix(path) in self._by_suffix
 
     def _row_marks(self, path: str, node: ast.AST) -> bool:
-        """Whether a hot row names this def and starts in its span."""
-        start = min([d.lineno for d in node.decorator_list] + [node.lineno])
-        return any(func == node.name and start <= line <= node.end_lineno
-                   for func, line in self._by_suffix.get(_suffix(path), ()))
+        """Whether a hot row starts in this def's span and names it, or
+        is anonymous and no def nested in this one holds its line."""
+        return any(
+            _holds(node, line) and (func == node.name or (func[0] == "<" and not any(
+                _holds(inner, line) for inner in ast.walk(node)
+                if inner is not node and isinstance(inner, _DEFS))))
+            for func, line in self._by_suffix.get(_suffix(path), ()))
 
     def function_is_hot(self, path: str, node: ast.AST) -> bool:
         """Whether a def was profiled hot (a row of its own) or was
@@ -111,8 +119,7 @@ class HotSet:
         """Whether one of the class's defs (typically ``__init__``) has
         a hot row — the PERF001 notion of "event-path"."""
         return any(self._row_marks(path, child) for child in ast.walk(node)
-                   if isinstance(child, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)))
+                   if isinstance(child, _DEFS))
 
     # -- call-graph expansion ---------------------------------------------
 
@@ -134,6 +141,12 @@ class HotSet:
                     name = _project_callee_name(node)
                     if name is not None and name in callgraph.by_name:
                         self.hot_names.add(name)
+
+
+def _holds(node: ast.AST, line: int) -> bool:
+    """Whether a def's span, decorators included, holds ``line``."""
+    start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+    return start <= line <= node.end_lineno
 
 
 def _project_callee_name(call: ast.Call) -> Optional[str]:

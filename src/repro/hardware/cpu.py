@@ -1,7 +1,9 @@
 """The CPU model.
 
-A :class:`Cpu` is a pool of cores with utilization accounting.  Two
-behaviours matter for the reproduction:
+A :class:`Cpu` is a pool of cores with utilization accounting, kept
+as counters: the cores are a held count, a capacity and a FIFO of
+waiting threads, and the busy level is one running load that every
+change shifts by its delta.  Two behaviours matter for the reproduction:
 
 * **Pinned cores** — RAMCloud's dispatch thread busy-polls the NIC and
   permanently occupies one core, which is why the paper measures 25 %
@@ -42,10 +44,10 @@ Two power-management extensions (opt-in, see docs/POWER.md):
 from __future__ import annotations
 
 from bisect import insort
-from typing import Generator, List
+from collections import deque
+from typing import Deque, Generator, List
 
 from repro.sim.kernel import Event, Simulator, Timeout
-from repro.sim.resources import Resource
 
 __all__ = ["Cpu", "SpinWait"]
 
@@ -111,12 +113,27 @@ class SpinWait(Event):
             self.succeed(None)
 
 
+class _CoreGrant(Event):
+    """A thread's queued wait for a core; fires when a release or a
+    pool resize hands it one."""
+
+    __slots__ = ("cpu",)
+
+    def __init__(self, cpu: "Cpu"):
+        super().__init__(cpu.sim)
+        self.cpu = cpu
+
+    def describe_wait(self) -> str:
+        """The wait as the debug-mode wait-for graph names it."""
+        return f"core grant on {self.cpu.name}:cores ({'granted' if self._ok else 'queued'})"
+
+
 class Cpu:
     """A multi-core CPU shared by all threads of a simulated machine."""
 
     __slots__ = ("sim", "cores", "name", "_pinned", "_pinned_idle",
-                 "_active", "_spinning", "_parked", "_freq_ratio",
-                 "_pool", "_load", "_busy", "_busy_time", "_last_change",
+                 "_parked", "_freq_ratio", "_held", "_capacity", "_waiters",
+                 "_load", "_busy", "_busy_time", "_last_change",
                  "_leases", "_lease_end")
 
     def __init__(self, sim: Simulator, cores: int, name: str = ""):
@@ -127,13 +144,15 @@ class Cpu:
         self.name = name
         self._pinned = 0
         self._pinned_idle = 0  # pinned cores whose poller is blocked
-        self._active = 0  # cores executing real work
-        self._spinning = 0  # threads busy-polling while they wait
         self._parked = 0  # cores power-gated in a deep C-state
         self._freq_ratio = 1.0  # package DVFS ratio (1.0 = nominal)
-        self._pool = Resource(sim, cores, name=f"{name}:cores")
-        self._load = 0  # uncapped busy thread count since _last_change
-        self._busy = 0.0  # busy core count since _last_change
+        self._held = 0  # cores held by executing threads
+        self._capacity = cores  # schedulable, unparked cores
+        self._waiters: Deque[_CoreGrant] = deque()  # FIFO of queued threads
+        # Uncapped busy thread count (awake pinned pollers + executing
+        # work + spinning threads) since _last_change.
+        self._load = 0
+        self._busy = 0.0  # _load capped at the core count
         self._busy_time = 0.0  # core-seconds accrued up to _last_change
         self._last_change = sim.now
         # End times of the running spin leases, soonest first, and the
@@ -141,44 +160,47 @@ class Cpu:
         self._leases: List[float] = []
         self._lease_end = _NEVER
 
-    def _update_busy(self) -> None:
-        """Utilization = awake pinned pollers + executing work +
+    def _shift(self, delta: int) -> None:
+        """Change the busy load by ``delta`` threads now.
+
+        Utilization = awake pinned pollers + executing work +
         spin-waiting threads, capped at the core count (a spinning
         thread yields the instant real work needs the core, so spins
         never add latency — they only burn watts, which is exactly what
         the paper's CPU and power figures observe).  A pinned core whose
         poller is blocked (adaptive dispatch asleep) stays reserved but
-        counts as idle.  Called right after a counter changed; leases
-        that ran out settle first, then busy time accrues at the old
-        level."""
+        counts as idle.  Leases that ran out settle first, then busy
+        time accrues at the old level if time moved since the last
+        change."""
         now = self.sim.now
         if now >= self._lease_end:
             self._expire_leases(now)
-        load = ((self._pinned - self._pinned_idle)
-                + self._active + self._spinning)
-        busy = min(float(self.cores), load)
-        if busy < 0:
-            raise ValueError(f"{self.name!r}: busy core count {busy} < 0")
-        self._busy_time += self._busy * (now - self._last_change)
-        self._last_change = now
+        load = self._load + delta
+        if load < 0:
+            raise ValueError(f"{self.name!r}: busy core count {load} < 0")
+        if now != self._last_change:
+            self._busy_time += self._busy * (now - self._last_change)
+            self._last_change = now
         self._load = load
-        self._busy = busy
+        cores = self.cores
+        # min(float(cores), load) without a call: this runs on every change.
+        self._busy = load if load < cores else float(cores)
 
     def _expire_leases(self, now: float) -> None:
         """End every spin lease that ran out by ``now`` at its own end
         time, with the arithmetic :meth:`spin_end` would have done
         there.  Works from the level in force since the last change
-        (``_load``), so a counter changed just before this call is not
-        yet counted."""
+        (``_load``): :meth:`_shift` settles leases before it applies its
+        own delta."""
         leases = self._leases
-        cores = float(self.cores)
+        cores = self.cores
         while leases and leases[0] <= now:
             end = leases.pop(0)
-            self._spinning -= 1
-            self._load -= 1
+            load = self._load - 1
             self._busy_time += self._busy * (end - self._last_change)
             self._last_change = end
-            self._busy = min(cores, self._load)
+            self._load = load
+            self._busy = load if load < cores else float(cores)
         self._lease_end = leases[0] if leases else _NEVER
 
     @property
@@ -207,7 +229,7 @@ class Cpu:
     @property
     def run_queue_length(self) -> int:
         """Threads runnable but not on a core."""
-        return self._pool.queue_length
+        return len(self._waiters)
 
     def pin_core(self) -> None:
         """Permanently dedicate one core to a busy-polling thread.
@@ -223,22 +245,23 @@ class Cpu:
             )
         # Pinning must happen before workers pile in — which matches
         # reality: the dispatch thread is pinned at server start-up.
-        if self._pool.count > self.cores - self._pinned - self._parked - 1:
+        if self._held >= self._capacity:
             raise ValueError("pin_core() after workers already saturated the pool")
         self._pinned += 1
-        self._pool.resize(self.cores - self._pinned - self._parked)
-        self._update_busy()
+        self._resize()
+        self._shift(1)
 
     def unpin_core(self) -> None:
         """Release a pinned core (the dispatch thread exited, e.g. the
         RAMCloud process on this machine was killed)."""
         if self._pinned < 1:
             raise ValueError("no pinned cores to release")
+        awake = self._pinned - self._pinned_idle
         self._pinned -= 1
         # An unpinned core cannot stay in the blocked-poller state.
         self._pinned_idle = min(self._pinned_idle, self._pinned)
-        self._update_busy()
-        self._pool.resize(self.cores - self._pinned - self._parked)
+        self._shift(self._pinned - self._pinned_idle - awake)
+        self._resize()
 
     # -- power-management knobs (docs/POWER.md) ------------------------
 
@@ -249,7 +272,7 @@ class Cpu:
         if self._pinned_idle >= self._pinned:
             raise ValueError("no awake pinned core to idle")
         self._pinned_idle += 1
-        self._update_busy()
+        self._shift(-1)
 
     def pinned_core_busy(self) -> None:
         """The blocked poller woke up; its core is 100 % busy again.
@@ -258,7 +281,7 @@ class Cpu:
         thread's interrupt handler runs)."""
         if self._pinned_idle > 0:
             self._pinned_idle -= 1
-            self._update_busy()
+            self._shift(1)
 
     def set_frequency(self, ratio: float) -> None:
         """Set the package DVFS ratio (1.0 = nominal frequency).
@@ -284,13 +307,12 @@ class Cpu:
         immediately; the *caller* models the C-state exit by charging
         its wake latency before using the core again.
         """
-        unparked = self.cores - self._pinned - self._parked
-        if unparked <= 1:
+        if self._capacity <= 1:
             return False
-        if self._pool.count > unparked - 1:
+        if self._held >= self._capacity:
             return False  # every unparked core is running a thread
         self._parked += 1
-        self._pool.resize(self.cores - self._pinned - self._parked)
+        self._resize()
         return True
 
     def unpark_core(self) -> None:
@@ -299,42 +321,57 @@ class Cpu:
         if self._parked < 1:
             raise ValueError("no parked cores to wake")
         self._parked -= 1
-        self._pool.resize(self.cores - self._pinned - self._parked)
+        self._resize()
+
+    def _resize(self) -> None:
+        """Set the capacity to the schedulable, unparked cores.  Growth
+        hands free cores to the waiters in FIFO order; a pin or a park
+        shrinks it only while a core is free, so no holder is over it."""
+        capacity = self._capacity = self.cores - self._pinned - self._parked
+        while self._waiters and self._held < capacity:
+            self._held += 1
+            self._waiters.popleft().succeed()
+
+    def _release(self) -> None:
+        """Hand a released core to the next waiter, or free it."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held -= 1
 
     def execute(self, seconds: float) -> Generator:
         """Run ``seconds`` of work on some core; queues if all are busy.
 
         Use as ``yield from cpu.execute(t)`` inside a process.  A free
-        core is claimed synchronously, so the work is one timer event.
-        Safe against interrupts at any point (the core is released / the
-        queue entry withdrawn).
+        core is taken synchronously, so the work is one timer event; a
+        thread that finds none queues FIFO and is handed a core one
+        zero-delay hop after a release.  Safe against interrupts at any
+        point (the core is released / the queue entry withdrawn): the
+        ``finally`` runs on an interrupt and on ``Simulator.close()``.
         """
         if seconds < 0:
             raise ValueError(f"negative execution time: {seconds}")
-        if self.schedulable_cores < 1:
-            raise RuntimeError(f"{self.name}: no schedulable cores remain")
-        pool = self._pool
-        req = pool.claim()
-        if req is None:
-            req = pool.request()
+        if self._held < self._capacity:
+            self._held += 1
+        else:
+            grant = _CoreGrant(self)
+            self._waiters.append(grant)
             try:
-                yield req
+                yield grant
             except BaseException:
-                if req.triggered and req.ok:
-                    pool.release(req)
+                if grant._ok:
+                    self._release()  # handed a core before resuming
                 else:
-                    pool.cancel(req)
+                    self._waiters.remove(grant)
                 raise
-        self._active += 1
-        self._update_busy()
+        self._shift(1)
         try:
             # DVFS: the same work takes 1/ratio longer at reduced
             # frequency (ratio 1.0 divides out bit-exactly).
             yield self.sim.timeout(seconds / self._freq_ratio)
         finally:
-            self._active -= 1
-            self._update_busy()
-            pool.release(req)
+            self._shift(-1)
+            self._release()
 
     def spin_begin(self, until: float = _NEVER) -> None:
         """Account one more busy-polling thread (see :meth:`spinning`),
@@ -347,8 +384,7 @@ class Cpu:
         on each resume.  Use :meth:`spinning` when the wrapped wait is
         itself a multi-step generator (an RPC call pipeline).
         """
-        self._spinning += 1
-        self._update_busy()
+        self._shift(1)
         if until != _NEVER:
             insort(self._leases, until)
             self._lease_end = self._leases[0]
@@ -363,10 +399,7 @@ class Cpu:
             leases = self._leases
             leases.remove(until)
             self._lease_end = leases[0] if leases else _NEVER
-        # Each += / -= is atomic within its step; the gauge is *meant*
-        # to span the caller's yield (that is the spin interval).
-        self._spinning -= 1  # simlint: disable=SIM006 gauge
-        self._update_busy()
+        self._shift(-1)
 
     def spin_wait(self, event: Event, seconds: float,
                   wake: bool = False) -> SpinWait:

@@ -1,9 +1,11 @@
 """Queueing primitives built on the kernel.
 
-These model every point of contention in the reproduced system: CPU
-cores (``Resource``), the log-append critical section (``Mutex``), disk
-queues (``PriorityResource``), mailbox-style handoff between dispatch
-and worker threads (``Store``), and DRAM/disk capacity (``Container``).
+These model the points of contention in the reproduced system: the
+log-append critical section (``Mutex``), disk queues
+(``PriorityResource``), mailbox-style handoff between dispatch and
+worker threads (``Store``), and DRAM/disk capacity (``Container``).
+CPU cores are counters in :class:`repro.hardware.cpu.Cpu`, the one
+claimant of its own pool.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class Request(Event):
 
 
 class Resource:
-    """A FIFO multi-server queue (e.g. a pool of CPU cores).
+    """A FIFO multi-server queue (a :class:`Mutex`'s slot, a disk head).
 
     Usage::
 
@@ -106,24 +108,6 @@ class Resource:
             self._enqueue(req)
         return req
 
-    def claim(self) -> Optional[Request]:
-        """Take a free slot synchronously, or return None when every slot
-        is held (then :meth:`request` queues).
-
-        The returned request already holds its slot and schedules no
-        grant event; it counts as processed, so nothing waits on it.
-        Release it with :meth:`release` as usual.
-        """
-        if len(self._users) >= self.capacity:
-            return None
-        req = Request(self)
-        self.total_requests += 1
-        req._ok = True
-        req._value = req
-        req.callbacks = None
-        self._users.append(req)
-        return req
-
     def _enqueue(self, req: Request) -> None:
         self._queue.append(req)
 
@@ -153,22 +137,6 @@ class Resource:
             self._queue.remove(req)
         except ValueError:
             pass
-
-    def resize(self, capacity: int) -> None:
-        """Change capacity; extra waiters are granted immediately on growth.
-
-        Shrinking never revokes current holders — the reduced capacity
-        takes effect as they release.
-        """
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        while len(self._users) < self.capacity:
-            nxt = self._dequeue()
-            if nxt is None:
-                break
-            self._grant(nxt)
-
 
 class PriorityResource(Resource):
     """A resource whose queue is ordered by ``priority`` (lower first).

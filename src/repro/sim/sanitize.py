@@ -233,6 +233,8 @@ def describe_event(event: "Event") -> str:
         holder = "granted" if event.triggered else "queued"
         return (f"{type(event).__name__} on "
                 f"{event.resource.name or 'resource'} ({holder})")
+    if hasattr(event, "describe_wait"):  # a wait that names itself
+        return event.describe_wait()
     if isinstance(event, Process):
         return f"process {event.name!r}"
     if isinstance(event, Timeout):

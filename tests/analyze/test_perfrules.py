@@ -260,6 +260,39 @@ class TestHotSetScoping:
         assert not errors
         assert findings == []
 
+    def test_an_anonymous_row_marks_its_innermost_enclosing_def(
+            self, tmp_path):
+        # A ``<genexpr>`` row has no def name of its own: it marks the
+        # innermost def that holds its line.  The row at line 6 marks
+        # ``owners``; the one at line 11 marks ``inner``, not ``outer``
+        # around it, so only ``owners``' dict-in-loop is flagged.
+        source = tmp_path / "anonymous.py"
+        source.write_text(textwrap.dedent("""\
+            def owners(items):
+                total = 0
+                for item in items:
+                    weights = {"a": 1}
+                    total += weights.get(item, 0)
+                return total + sum(1 for item in items)
+
+
+            def outer(items):
+                def inner(values):
+                    return sum(v for v in values)
+                for item in items:
+                    weights = {"a": 1}
+                    inner(weights)
+        """))
+        hotset = make_hotset([
+            {"path": str(source), "func": "<genexpr>", "line": 6,
+             "ncalls": 1000, "tottime": 1.0},
+            {"path": str(source), "func": "<genexpr>", "line": 11,
+             "ncalls": 1000, "tottime": 1.0}])
+        findings, errors = analyze_paths([str(source)], rules=PERF_RULES,
+                                         hotset=hotset)
+        assert not errors
+        assert [(f.code, f.line) for f in findings] == [("PERF002", 4)]
+
     def test_a_decorated_def_is_hot_from_its_decorator_line(self, tmp_path):
         # cProfile reports a decorated function at its decorator's line
         # (``co_firstlineno``), one line above the ``def``.

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from repro.hardware.cpu import Cpu
 from repro.sim.kernel import Process, SimulationError, Simulator
 from repro.sim.resources import Mutex, Resource
 from repro.sim.sanitize import (NULL_SHARED, RaceWarning, SanitizerWarning,
@@ -370,6 +371,22 @@ class TestDeadlockDiagnostics:
         assert "wait-for graph" in message
         assert "'blocked' waits on Request on bucket-lock (queued)" in message
         assert "'holder' waits on Event" in message
+
+    def test_dump_names_a_queued_core_wait(self):
+        # The CPU keeps its cores as counters, not as a Resource: a
+        # thread queued for one still shows up by the core pool's name.
+        sim = Simulator(debug=True)
+        cpu = Cpu(sim, cores=1, name="n3")
+
+        def task():
+            yield from cpu.execute(10.0)
+
+        sim.process(task(), name="running")
+        sim.process(task(), name="queued")
+        sim.run(until=1.0)
+        graph = sim._sanitizer.wait_graph()
+        assert "'queued' waits on core grant on n3:cores (queued)" in graph
+        assert "'running' waits on Timeout(10s)" in graph
 
     def test_lock_order_inversion_names_both_sides(self):
         # The ABBA shape: each critical section is the canonical

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware.cpu import Cpu
 from repro.sim import Interrupt, Simulator
+from repro.sim.kernel import Timeout
 
 
 class TestExecution:
@@ -252,3 +253,101 @@ class TestInterruptSafety:
         late = sim.process(late_task())
         assert sim.run_process(late) == 3.0  # core was free at t=2
         assert cpu.busy_cores == 0.0
+
+
+class TestCoreQueue:
+    def test_interrupted_while_queued_the_wait_is_withdrawn(self):
+        sim = Simulator()
+        cpu = Cpu(sim, cores=1)
+        log = []
+
+        def task(tag, seconds):
+            try:
+                yield from cpu.execute(seconds)
+                log.append((tag, sim.now))
+            except Interrupt:
+                log.append((tag, "interrupted", cpu.run_queue_length))
+
+        sim.process(task("hog", 2.0))
+        victim = sim.process(task("b", 1.0))
+        sim.process(task("c", 1.0))
+
+        def killer():
+            yield sim.timeout(1.0)
+            victim.interrupt("die")
+
+        sim.process(killer())
+        sim.run()
+        # b left the queue at t=1; the core went from hog to c at t=2.
+        assert log == [("b", "interrupted", 1), ("hog", 2.0), ("c", 3.0)]
+        assert cpu.busy_core_seconds() == 3.0
+        assert cpu.run_queue_length == 0 and cpu.busy_cores == 0.0
+
+    def test_a_core_granted_to_an_interrupted_waiter_passes_on(self):
+        sim = Simulator()
+        cpu = Cpu(sim, cores=1)
+        log = []
+
+        def killer():
+            # Created first, so its t=1 timer fires before hog's: the
+            # interrupt is queued, then hog's release grants b, and the
+            # interrupt reaches b before b resumes with its core.
+            yield sim.timeout(1.0)
+            victim.interrupt("die")
+
+        def task(tag, seconds):
+            try:
+                yield from cpu.execute(seconds)
+                log.append((tag, sim.now))
+            except Interrupt:
+                # 0: c already holds the core b was handed (a b still
+                # queued at the interrupt would have left c queued).
+                log.append((tag, "interrupted", cpu.run_queue_length))
+
+        sim.process(killer())
+        sim.process(task("hog", 1.0))
+        victim = sim.process(task("b", 5.0))
+        sim.process(task("c", 1.0))
+        sim.run()
+        assert log == [("hog", 1.0), ("b", "interrupted", 0), ("c", 2.0)]
+        assert cpu.busy_core_seconds() == 2.0
+        assert cpu.run_queue_length == 0 and cpu.busy_cores == 0.0
+
+    def test_grants_follow_fifo_on_release_and_on_growth(self):
+        sim = Simulator()
+        cpu = Cpu(sim, cores=4)
+        cpu.pin_core()
+        assert cpu.try_park_core() and cpu.try_park_core()  # one core left
+        starts = {}
+
+        def task(tag):
+            start = []
+            gen = cpu.execute(1.0)
+            # execute's first yield is the work's timer on a free core,
+            # else the queued wait; the work starts when that resumes.
+            target = next(gen)
+            if isinstance(target, Timeout):
+                start.append(sim.now)
+            yield target
+            if not start:
+                start.append(sim.now)
+                yield gen.send(None)
+            starts[tag] = start[0]
+            with pytest.raises(StopIteration):
+                gen.send(None)
+
+        def grow():
+            yield sim.timeout(0.5)
+            cpu.unpark_core()  # a core for the oldest waiter, b
+            yield sim.timeout(0.1)
+            cpu.unpin_core()  # and one for c
+            yield sim.timeout(0.1)
+            assert cpu.run_queue_length == 2
+
+        for tag in "abcde":
+            sim.process(task(tag))
+        sim.process(grow())
+        sim.run()
+        # a released at 1.0 (to d), b at 1.5 (to e).
+        assert starts == {"a": 0.0, "b": 0.5, "c": 0.6, "d": 1.0, "e": 1.5}
+        assert cpu.run_queue_length == 0

@@ -70,49 +70,6 @@ class TestResource:
         assert res.total_requests == 2
         assert res.total_wait_time == pytest.approx(2.0)  # b waited 2 s
 
-    def test_resize_grows_grants_waiters(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        sim.process(_hold(sim, res, 10.0, log, "a"))
-        sim.process(_hold(sim, res, 10.0, log, "b"))
-
-        def grow():
-            yield sim.timeout(1.0)
-            res.resize(2)
-
-        sim.process(grow())
-        sim.run()
-        acquired = {t: when for kind, t, when in log if kind == "acquired"}
-        assert acquired == {"a": 0.0, "b": 1.0}
-
-    def test_claim_takes_a_free_slot_without_an_event(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        before = sim._seq
-        held = res.claim()
-        assert sim._seq == before
-        assert held.triggered and held.processed
-        assert res.count == 1 and res.total_requests == 1
-        assert res.claim() is None  # full: the caller must queue
-        waiter = res.request()
-        assert not waiter.triggered
-        res.release(held)
-        assert waiter.triggered
-
-    def test_resize_shrink_does_not_revoke(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        a = res.request()
-        b = res.request()
-        res.resize(1)
-        assert res.count == 2  # both holders keep their slots
-        res.release(a)
-        c = res.request()
-        assert not c.triggered  # capacity now 1 and b still holds
-        res.release(b)
-        assert c.triggered
-
 
 class TestPriorityResource:
     def test_lower_priority_value_goes_first(self):
