@@ -13,8 +13,9 @@ is fatal for a measurement-study reproduction.
   and :mod:`repro.analyze.atomicity` — SIM006 and SIM007 on top of the
   may-yield call graph in :mod:`repro.analyze.callgraph`;
 * :mod:`repro.analyze.perfrules` — the PERF001–PERF005 hot-path rules,
-  scoped by :mod:`repro.analyze.profilehot` to the benchmark's
-  cProfile hot set (``python -m repro.analyze --select SIM,PERF``);
+  scoped by :mod:`repro.analyze.profilehot` to the fig4 cell's
+  cProfile hot set (``python -m repro.analyze --select SIM,PERF``;
+  ``python -m repro.analyze.profilehot --write PATH`` writes it);
 * :mod:`repro.analyze.detrules` — DET002, the environment rule of the
   sweep runner's determinism contract (``--select DET``);
 * :mod:`repro.analyze.linter` — file walking, suppression comments,
@@ -37,12 +38,10 @@ from repro.analyze.linter import (
     iter_python_files,
 )
 from repro.analyze.perfrules import PERF_RULE_CODES, PERF_RULES
-from repro.analyze.profilehot import HotSet
 from repro.analyze.rules import ALL_RULES, RULE_CODES
 
 __all__ = [
     "Finding",
-    "HotSet",
     "analyze_paths",
     "analyze_source",
     "iter_python_files",

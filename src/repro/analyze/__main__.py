@@ -74,7 +74,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "drop from the selection (e.g. PERF or SIM003)")
     parser.add_argument("--profile-json", metavar="PATH",
                         help="scope the PERF rules to the hot set of this "
-                             "bench_kernel.py --profile-json dump")
+                             "dump (python -m repro.analyze.profilehot "
+                             "--write PATH)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--list-rules", action="store_true",

@@ -4,8 +4,8 @@ Where the SIM rules catch *correctness* bugs with no runtime symptom,
 the PERF rules catch *cost* with no correctness symptom: allocation,
 indirection, and formatting work that the interpreter performs on
 every kernel event and throws away.  Each pattern here was found by
-profiling the canonical fig4 benchmark (``tools/bench_kernel.py``) and
-each is scoped to the profile's hot set (:mod:`repro.analyze.profilehot`)
+profiling the canonical fig4 cell (``python -m repro.analyze.profilehot``)
+and each is scoped to the profile's hot set (:mod:`repro.analyze.profilehot`)
 — outside the hot set the same code is fine and flagging it would be
 noise.  Without a hot set (``module.hotset is None``) the rules run
 unscoped, which is how the fixtures exercise them.

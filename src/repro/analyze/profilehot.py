@@ -3,18 +3,19 @@
 Micro-optimization advice is only worth a reviewer's time where the
 program actually spends it: a dict built per call is waste in the
 kernel's event loop and irrelevant in a plot script.  This module
-ingests the cProfile dump written by ``tools/bench_kernel.py
---profile-json`` and turns it into a :class:`HotSet` — the set of
-source locations that showed up in the benchmark's hot rows — which
-the linter attaches to every :class:`~repro.analyze.linter.Module` so
-the PERF rules can confine themselves to code that is demonstrably on
-the event path.
+writes the cProfile dump of the canonical fig4 cell (``python -m
+repro.analyze.profilehot --write BENCH_profile.json``) and turns a
+dump into a :class:`HotSet` — the set of source locations that showed
+up in its hot rows — which the linter attaches to every
+:class:`~repro.analyze.linter.Module` so the PERF rules can confine
+themselves to code that is demonstrably on the event path.
 
-Profile rows carry the *absolute* path, the name and the first line
-(a decorator's, if any) of each code object; both paths are normalized
-to their ``repro/``-rooted suffix, and a row marks a def of its name
-whose span, decorators included, holds its line.  A stale profile's
-row may miss its def after an edit above it, but never marks another.
+Profile rows carry the path, the name and the first line (a
+decorator's, if any) of each code object; the row's path and the lint
+input's are both normalized to their ``repro/``-rooted suffix, and a
+row marks a def of its name whose span, decorators included, holds
+its line.  A stale profile's row may miss its def after an edit above
+it, but never marks another.
 A row of an anonymous code object (``<genexpr>``, ``<listcomp>``,
 ``<lambda>``) has no def name to match: it marks the innermost def
 whose span holds its line, the def its cost is spent in.
@@ -27,15 +28,25 @@ attributes to its inlined caller still deserves scrutiny.
 
 Without a profile (``hotset=None``) the PERF rules run unscoped — the
 mode the rule fixtures use.
+
+The dump is taken on the production kernel: ``main`` refuses to write
+one while ``Simulator()`` would attach the runtime sanitizers
+(``REPRO_SIM_DEBUG=1``), whose own code would otherwise fill the hot
+set.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import cProfile
 import json
+import os
+import pstats
+import sys
 from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["HotSet", "load_hotset"]
+__all__ = ["HotSet", "profile_payload"]
 
 # A row is hot when it holds at least this fraction of total self-time
 # or of total call count.  0.5 % of a benchmark run is far above noise
@@ -50,9 +61,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def _suffix(path: str) -> str:
     """Normalize a path to its ``repro/``-rooted suffix.
 
-    Profile rows are absolute (``/home/ci/repo/src/repro/sim/kernel.py``),
-    lint paths repo-relative (``src/repro/sim/kernel.py``); both reduce
-    to ``repro/sim/kernel.py``.  Paths outside the package (tools,
+    A row's path may be absolute (``/home/ci/repo/src/repro/sim/kernel.py``)
+    or repo-relative like a lint path (``src/repro/sim/kernel.py``); both
+    reduce to ``repro/sim/kernel.py``.  Paths outside the package (tools,
     tests, fixtures) fall back to their basename.
     """
     norm = path.replace("\\", "/")
@@ -66,12 +77,10 @@ class HotSet:
     """The benchmark-hot source locations, queryable by the PERF rules."""
 
     def __init__(self, rows: List[Dict], total_tottime: float,
-                 total_calls: int, source: str = "",
-                 hot_time_frac: float = HOT_TIME_FRAC,
-                 hot_call_frac: float = HOT_CALL_FRAC):
+                 total_calls: int, source: str = ""):
         self.source = source
-        time_floor = hot_time_frac * total_tottime
-        call_floor = hot_call_frac * max(total_calls, 1)
+        time_floor = HOT_TIME_FRAC * total_tottime
+        call_floor = HOT_CALL_FRAC * max(total_calls, 1)
         #: suffix → [(func name, first line)] of hot rows in that file.
         self._by_suffix: Dict[str, List[Tuple[str, int]]] = {}
         #: Names marked hot by call-graph expansion (see :meth:`expand`).
@@ -85,14 +94,14 @@ class HotSet:
                 (row["func"], row["line"]))
 
     @classmethod
-    def load(cls, path: str, **kwargs) -> "HotSet":
-        """Read a ``bench_kernel.py --profile-json`` dump."""
+    def load(cls, path: str) -> "HotSet":
+        """Read a dump written by :func:`main` (``--write PATH``)."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return cls(rows=payload.get("rows", []),
                    total_tottime=payload.get("total_tottime", 0.0),
                    total_calls=payload.get("total_calls", 0),
-                   source=path, **kwargs)
+                   source=path)
 
     # -- queries ----------------------------------------------------------
 
@@ -154,8 +163,98 @@ def _project_callee_name(call: ast.Call) -> Optional[str]:
     return _project_callee(call)
 
 
-def load_hotset(path: Optional[str]) -> Optional[HotSet]:
-    """``HotSet.load`` tolerating ``None`` (no profile: unscoped run)."""
-    if path is None:
-        return None
-    return HotSet.load(path)
+# -- writing the dump ---------------------------------------------------
+
+# Rows kept in a dump, by self time: well past the ~80 that clear the
+# hot thresholds on the fig4 cell.
+_TOP_ROWS = 120
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
+
+def _portable_path(path: str) -> str:
+    """A profiled file's path without the checkout's or interpreter's
+    location: repo files repo-relative (``src/repro/sim/kernel.py``, as
+    the linter sees them), standard-library files under ``<python>/``."""
+    for root, prefix in ((_REPO_ROOT, ""), (sys.base_prefix, "<python>/")):
+        if path.startswith(root + os.sep):
+            return prefix + os.path.relpath(path, root).replace(os.sep, "/")
+    return path.replace(os.sep, "/")
+
+
+def profile_payload(spec, bench: str, scale: str) -> Dict:
+    """Run ``spec`` (an ``ExperimentSpec``) under cProfile and return
+    the dump: its hot rows ordered by ``tottime`` (self time, the
+    quantity the PERF rules care about), each with enough identity
+    (path, function name, first line) for :class:`HotSet` to map it
+    back onto a def.  ``bench`` and ``scale`` label the dump."""
+    from repro.cluster import run_experiment
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = run_experiment(spec)
+    finally:
+        profiler.disable()
+    expected = spec.workload.ops_per_client * spec.cluster.num_clients
+    if result.total_ops + result.client_errors < expected:
+        raise RuntimeError(
+            f"{bench}: completed {result.total_ops} + {result.client_errors} "
+            f"errors < expected {expected} ops — workload shrank")
+    stats = pstats.Stats(profiler)
+    total_tt = 0.0
+    rows: List[Dict] = []
+    for (path, line, func), (_cc, nc, tt, ct, _callers) in stats.stats.items():
+        total_tt += tt
+        if path.startswith("<") or func.startswith("<module>"):
+            continue
+        rows.append({
+            "path": _portable_path(path),
+            "func": func,
+            "line": line,
+            "ncalls": nc,
+            "tottime": round(tt, 6),
+            "cumtime": round(ct, 6),
+        })
+    rows.sort(key=lambda r: (-r["tottime"], r["path"], r["line"]))
+    return {
+        "schema": 1,
+        "bench": bench,
+        "scale": scale,
+        "total_tottime": round(total_tt, 6),
+        "total_calls": stats.total_calls,
+        "rows": rows[:_TOP_ROWS],
+    }
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.analyze.profilehot --write PATH``: profile the
+    fig4 cell (workload A, 20 servers, 30 clients, RF 0, default scale,
+    seed 1) and write the dump the PERF lint reads."""
+    from repro.experiments.scale import DEFAULT
+    from repro.experiments.sweep import ycsb_spec
+    from repro.sim.kernel import Simulator
+    from repro.ycsb.workload import WORKLOAD_A
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analyze.profilehot",
+        description="write the cProfile hot set that scopes the PERF rules")
+    parser.add_argument("--write", metavar="PATH", required=True,
+                        help="where to write the profile JSON")
+    args = parser.parse_args(argv)
+    if Simulator().debug:
+        print("error: the runtime sanitizers are on (REPRO_SIM_DEBUG); "
+              "a profile must be taken on the production kernel",
+              file=sys.stderr)
+        return 2
+    payload = profile_payload(ycsb_spec(WORKLOAD_A, 20, 30, DEFAULT),
+                              bench="fig4", scale=DEFAULT.name)
+    with open(args.write, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote profile ({len(payload['rows'])} rows) to {args.write}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,7 +66,7 @@ class ExperimentResult:
     clients_gave_up: int = 0
     crashed: bool = False  # the paper's "experiments were always crashing"
     # Kernel events scheduled over the whole run (preload included) —
-    # the work unit tools/bench_kernel.py divides wall time by.
+    # the count the benchmark reports as ``sim.kernel.events``.
     sim_events: int = 0
     # Unguarded-write reports (debug mode only; execution order,
     # which is deterministic under a fixed seed).  Empty otherwise.

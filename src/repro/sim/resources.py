@@ -35,6 +35,7 @@ class Request(Event):
         self._ok = None
         self.resource = resource
         self.priority = priority
+        # Read by the benchmark's lock-wait spans (bench/spans.py).
         self.enqueued_at = sim.now
         # Debug-mode attribution: the process whose step created this
         # request (the would-be holder); None outside debug mode.
@@ -61,7 +62,7 @@ class Resource:
     # __weakref__ because the debug-mode sanitizer tracks resources in
     # a WeakSet.
     __slots__ = ("sim", "capacity", "name", "_users", "_queue",
-                 "total_requests", "total_wait_time", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
         if capacity < 1:
@@ -73,9 +74,6 @@ class Resource:
             sim._sanitizer.register_resource(self)
         self._users: List[Request] = []
         self._queue: Deque[Request] = deque()
-        # Cumulative statistics for monitoring.
-        self.total_requests = 0
-        self.total_wait_time = 0.0
 
     @property
     def count(self) -> int:
@@ -90,13 +88,11 @@ class Resource:
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event fires when granted."""
         req = Request(self, priority)
-        self.total_requests += 1
         if len(self._users) < self.capacity:
             # Uncontended fast path: _grant + Event.succeed inlined.  A
-            # fresh request cannot be triggered (no guard needed) and
-            # waited zero seconds (total_wait_time += 0.0 is a no-op),
-            # but the grant event is scheduled exactly as _grant would —
-            # a synchronous grant here would reorder the whole run.
+            # fresh request cannot be triggered (no guard needed), but
+            # the grant event is scheduled exactly as _grant would — a
+            # synchronous grant here would reorder the whole run.
             self._users.append(req)
             sim = self.sim
             req._ok = True
@@ -116,7 +112,6 @@ class Resource:
 
     def _grant(self, req: Request) -> None:
         self._users.append(req)
-        self.total_wait_time += self.sim.now - req.enqueued_at
         req.succeed(req)
 
     def release(self, req: Request) -> None:
@@ -223,8 +218,7 @@ class Store:
     keep one worker thread hot instead of round-robining over the pool.
     """
 
-    __slots__ = ("sim", "name", "lifo_getters", "_items", "_getters",
-                 "max_occupancy")
+    __slots__ = ("sim", "name", "lifo_getters", "_items", "_getters")
 
     def __init__(self, sim: Simulator, name: str = "",
                  lifo_getters: bool = False):
@@ -234,7 +228,6 @@ class Store:
         self._items: Deque[Any] = deque()
         # Waiting getters as (event, delay) pairs; see get().
         self._getters: Deque[Tuple[Event, float]] = deque()
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -250,8 +243,6 @@ class Store:
                 getter.succeed_at(self.sim.now + delay, item)
                 return
         self._items.append(item)
-        if len(self._items) > self.max_occupancy:
-            self.max_occupancy = len(self._items)
 
     def get(self, delay: float = 0.0) -> Event:
         """Return an event that fires with the next item, ``delay``

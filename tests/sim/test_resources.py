@@ -60,16 +60,6 @@ class TestResource:
         res.release(holder)
         assert res.count == 0  # cancelled request must not be granted
 
-    def test_wait_time_statistics(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-        sim.process(_hold(sim, res, 2.0, log, "a"))
-        sim.process(_hold(sim, res, 1.0, log, "b"))
-        sim.run()
-        assert res.total_requests == 2
-        assert res.total_wait_time == pytest.approx(2.0)  # b waited 2 s
-
 
 class TestPriorityResource:
     def test_lower_priority_value_goes_first(self):
@@ -266,15 +256,6 @@ class TestStore:
             store.put(i)
         assert store.drain() == [0, 1, 2]
         assert len(store) == 0
-
-    def test_max_occupancy_tracked(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(4):
-            store.put(i)
-        store.drain()
-        store.put("x")
-        assert store.max_occupancy == 4
 
 
 class TestContainer:

@@ -1,5 +1,5 @@
 """tools/sweep.py — the sweep CLI: streaming output, JSON reports,
-exit codes — plus the fig4_sweep bench row in tools/bench_kernel.py.
+exit codes.
 
 Everything here spawns real worker processes, so the file rides the
 ``-m sweep`` lane with the rest of the multi-process harness.
@@ -15,7 +15,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
 
-import bench_kernel  # noqa: E402
 import sweep as sweep_cli  # noqa: E402
 
 pytestmark = pytest.mark.sweep
@@ -64,23 +63,3 @@ def test_cli_serial_and_parallel_agree_on_the_merged_digest(tmp_path,
     reports = {mode: json.load(open(path)) for mode, path in paths.items()}
     assert (reports["serial"]["merged_digest"]
             == reports["parallel"]["merged_digest"])
-
-
-def test_bench_kernel_fig4_sweep_row():
-    row = bench_kernel.run_sweep_bench("smoke", servers=2, clients=2,
-                                       ops=5, seeds=2, workers=2)
-    assert row["bench"] == "fig4_sweep"
-    assert row["seeds"] == 2
-    assert row["ops"] == 20  # 2 clients x 5 ops x 2 seeds, none lost
-    assert row["events"] > 0
-    assert row["events_per_s"] == pytest.approx(
-        row["events"] / row["wall_s"], rel=0.01)
-
-
-def test_bench_kernel_knows_the_sweep_bench():
-    # fig4_sweep multiplies the workload by the seed count, so it is
-    # opt-in (--bench fig4_sweep / the nightly lane), but it must be a
-    # selectable choice and carry a committed full-scale baseline row.
-    assert "fig4_sweep" in bench_kernel.BENCHES
-    baseline = bench_kernel.load_baseline()
-    assert bench_kernel.latest_row(baseline, "fig4_sweep", "full")
