@@ -1,4 +1,4 @@
-"""Golden tables: every grid runner's rendered output pinned to a hash.
+"""Golden tables: every experiment's rendered output pinned to a hash.
 
 ``test_runners_smoke.py`` proves the runners execute; the sweep tests
 prove serial and parallel cells agree with *each other*.  Neither would
@@ -12,16 +12,18 @@ A legitimate model change updates the literals in the same commit and
 says why; a refactor of the experiment layer must leave them alone.
 
 Values captured on CPython 3.11 at commit 1d753e0 (identical with and
-without ``REPRO_SIM_DEBUG=1``).
+without ``REPRO_SIM_DEBUG=1``); the single-run probes (fig9, fig10,
+fig12, elastic, correlated, energy, powercap, durability-gap) were
+pinned at commit 028222f, before they became plans.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments import (ablations, durability, extensions, indexing,
-                               peak, recovery, replication, throttling,
-                               workloads)
+from repro.experiments import (ablations, durability, energy_proportionality,
+                               extensions, indexing, peak, recovery,
+                               replication, throttling, workloads)
 from repro.experiments.reporting import ComparisonTable
 from tests.experiments.test_runners_smoke import TINY
 
@@ -65,9 +67,18 @@ GOLDEN_TABLES = {
         lambda: replication.run_fig8_efficiency_rf(
             T, server_counts=(4, 6), rfs=(1, 2), clients=4),
         "9506b302ff67431672575f5c4f8193eb42cffe0187b7b743a8ecf12f551877d1"),
+    "fig9": (
+        lambda: recovery.run_fig9_crash_timeline(T),
+        "8b1517b9c363df954d0f9c36e2e5fe58d70725d72af29a01e05ac90808193dd0"),
+    "fig10": (
+        lambda: recovery.run_fig10_latency_crash(T),
+        "65358aad288baaacc6d6166a8af5c0e93d5f4b6ab81264108cc074beaaa6ad94"),
     "fig11": (
         lambda: recovery.run_fig11_recovery_rf(T, rfs=(1, 2), servers=4),
         "6c9b6706580de30eee061e1ede7e353489f2757b46031790f6f7e778ec2d6717"),
+    "fig12": (
+        lambda: recovery.run_fig12_disk_activity(T, rf=2, servers=4),
+        "f843cc951ac25b7184c8d329b6132ebdf0210bfa7c5807db91c39d6f446f7a22"),
     "fig13": (
         lambda: throttling.run_fig13_throttling(
             T, rates=(200.0, 500.0), client_counts=(2, 4), servers=2, rf=1),
@@ -95,10 +106,28 @@ GOLDEN_TABLES = {
         lambda: extensions.run_scan_extension(
             T, scan_lengths=(10, 100), servers=2, clients=2),
         "5f86bbfe2e40752447fbbe4d0e4cf886c4ddbf7dccb7706aae5b0a52ca2b34f5"),
+    "elastic": (
+        lambda: extensions.run_elastic_sizing_extension(T),
+        "fb4954f2842caf2c1e63cfe1c0fb681d37dd8119b797c5b7cb113ea7bff9cc25"),
+    "correlated": (
+        lambda: extensions.run_correlated_failures_extension(
+            T, rfs=(1, 2), simultaneous=2, servers=4, trials=2),
+        "d7ffa55b1bfddfec806e358cef3b95702df3178ded9a664ab24ce47759a2eec1"),
+    "energy": (
+        lambda: energy_proportionality.run_energy_proportionality(
+            T, governors=("static", "poll-adaptive"), servers=2, clients=2,
+            fractions=(0.5,)),
+        "2bf314d35e09d2d449ba39d54496bde0b4eb702b4ae4eda345ce95ef7f5caccf"),
+    "powercap": (
+        lambda: energy_proportionality.run_power_cap(T),
+        "fc59475a3c4e1ac8f490ad0955e53992a3e73272993179dab9943aa295063112"),
     "frontier": (
         lambda: durability.run_consistency_frontier(
             T, rf=1, servers=3, clients=2),
         "46b9c93c1a219d6967cc8cf7a39b009621c65a2d17817a45fcc203d7c4b3ec2e"),
+    "durability-gap": (
+        lambda: durability.run_durability_gap_table(T),
+        "9cec25cdcfee56f908bc1f9e1a67c94c9ab67ba7e987026e508e4c69d04167d8"),
     "fig_index": (
         lambda: indexing.run_fig_index(T, indexlet_counts=(1, 2),
                                        servers=2, clients=2),
