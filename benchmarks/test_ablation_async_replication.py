@@ -9,11 +9,11 @@ The asynchronous arm is ``default_consistency=ASYNC_BOUNDED``
 (docs/CONSISTENCY.md).
 """
 
-from repro.experiments.ablations import run_async_replication_ablation
+from repro.experiments.registry import tables
 
 
 def test_ablation_async_replication(run_once, scale):
-    table = run_once(run_async_replication_ablation, scale)
+    table = run_once(tables, "async-replication", scale)
     rows = {r.label: r.measured for r in table.rows}
 
     gain = rows["throughput gain from relaxing consistency"]

@@ -6,11 +6,11 @@ machines": small segments parallelize recovery but pay a disk seek per
 segment on HDDs; huge segments serialize the pipeline.
 """
 
-from repro.experiments.ablations import run_segment_size_ablation
+from repro.experiments.registry import tables
 
 
 def test_ablation_segment_size(run_once, scale):
-    table = run_once(run_segment_size_ablation, scale)
+    table = run_once(tables, "segment-size", scale)
     seconds = {r.label: r.measured for r in table.rows}
 
     assert all(v is not None and v > 0 for v in seconds.values())

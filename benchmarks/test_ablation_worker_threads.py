@@ -7,11 +7,11 @@ threads (up to the core count), update-heavy does not — its work
 serializes on the log anyway.
 """
 
-from repro.experiments.ablations import run_worker_threads_ablation
+from repro.experiments.registry import tables
 
 
 def test_ablation_worker_threads(run_once, scale):
-    table = run_once(run_worker_threads_ablation, scale)
+    table = run_once(tables, "worker-threads", scale)
     kops = {r.label: r.measured for r in table.rows}
 
     # Read-only benefits from more workers (1 → 3).

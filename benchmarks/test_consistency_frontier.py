@@ -7,16 +7,12 @@ acknowledgements, plus the measured crash-loss each level actually
 risks.
 """
 
-from repro.experiments.durability import (
-    run_consistency_frontier,
-    run_durability_gap_table,
-)
+from repro.experiments.registry import tables
 from repro.ramcloud.consistency import ASYNC_BOUNDED, EVENTUAL, SYNC_RF
 
 
 def test_consistency_frontier(run_once, scale):
-    table = run_once(run_consistency_frontier, scale,
-                     servers=4, clients=4)
+    table = run_once(tables, "frontier", scale, servers=4, clients=4)
     rows = {r.label: r.measured for r in table.rows}
     # Relaxing the ack point must not make the write path slower.
     assert (rows[f"{ASYNC_BOUNDED} throughput"]
@@ -28,7 +24,7 @@ def test_consistency_frontier(run_once, scale):
 
 
 def test_durability_gap_frontier(run_once, scale):
-    table = run_once(run_durability_gap_table, scale)
+    table = run_once(tables, "durability-gap", scale)
     rows = {r.label: r.measured for r in table.rows}
     # The headline guarantee: a synchronous ack never lies.
     assert rows[f"{SYNC_RF} acked-write loss"] == 0.0

@@ -6,11 +6,11 @@ replica placement whenever a segment's master and every backup land on
 the dead pair — the Copysets problem the paper cites [28].
 """
 
-from repro.experiments.extensions import run_correlated_failures_extension
+from repro.experiments.registry import tables
 
 
 def test_ext_correlated_failures(run_once, scale):
-    table = run_once(run_correlated_failures_extension, scale)
+    table = run_once(tables, "correlated", scale)
     rows = {r.label: r.measured for r in table.rows}
 
     # RF 1 with three simultaneous deaths essentially always loses data.

@@ -4,14 +4,11 @@ Request-distribution sensitivity (uniform vs zipfian vs latest) and the
 Infiniband-vs-Ethernet transport comparison.
 """
 
-from repro.experiments.extensions import (
-    run_request_distribution_extension,
-    run_transport_extension,
-)
+from repro.experiments.registry import tables
 
 
 def test_ext_request_distributions(run_once, scale):
-    table = run_once(run_request_distribution_extension, scale)
+    table = run_once(tables, "distributions", scale)
     kops = {r.label: r.measured for r in table.rows}
     # Read-only at saturation: skew imbalances load, uniform wins.
     assert kops["workload C / zipfian"] <= kops["workload C / uniform"] * 1.02
@@ -21,7 +18,7 @@ def test_ext_request_distributions(run_once, scale):
 
 
 def test_ext_transport_comparison(run_once, scale):
-    table = run_once(run_transport_extension, scale)
+    table = run_once(tables, "transports", scale)
     kops = {r.label: r.measured for r in table.rows}
     # Infiniband's 2 µs one-way latency clearly beats Ethernet's 30 µs
     # in a closed loop.

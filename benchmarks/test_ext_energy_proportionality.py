@@ -13,13 +13,13 @@ import pytest
 from repro.experiments.energy_proportionality import (
     PAPER_IDLE_CPU,
     PAPER_IDLE_WATTS,
-    run_energy_proportionality,
+    run_energy_sweep,
     run_power_cap,
 )
 
 
 def test_energy_proportionality_sweep(run_once, scale):
-    table, result = run_once(run_energy_proportionality, scale)
+    result = run_once(run_energy_sweep, scale)
 
     static_idle = result.point("static", 0.0)
     static_peak = result.point("static", 1.0)
@@ -68,17 +68,17 @@ def test_energy_report_deterministic(scale):
     # Acceptance: same seed → same digest, covering >= 3 governors.  A
     # compact sweep keeps the rerun affordable.
     kwargs = dict(servers=2, clients=3, fractions=(0.5,))
-    _table, first = run_energy_proportionality(scale, **kwargs)
-    _table, second = run_energy_proportionality(scale, **kwargs)
+    first = run_energy_sweep(scale, **kwargs)
+    second = run_energy_sweep(scale, **kwargs)
     assert len(first.ep_index) >= 3
     assert first.digest() == second.digest()
     # Guard the digest: a different seed must actually diverge.
-    _table, other = run_energy_proportionality(scale, seed=2, **kwargs)
+    other = run_energy_sweep(scale, seed=2, **kwargs)
     assert other.digest() != first.digest()
 
 
 def test_power_cap_held(run_once, scale):
-    _table, result = run_once(run_power_cap, scale)
+    result = run_once(run_power_cap, scale)
     # Demand alone would blow the budget...
     assert result.uncapped_watts > result.cap_watts + 10.0
     # ...but the controller holds the fleet inside the hysteresis band

@@ -5,14 +5,11 @@ mechanism", §X) over RAMCloud's MultiRead, and the §IX coordinator-
 driven scale-down with live tablet migration.
 """
 
-from repro.experiments.extensions import (
-    run_elastic_sizing_extension,
-    run_scan_extension,
-)
+from repro.experiments.registry import tables
 
 
 def test_ext_scans(run_once, scale):
-    table = run_once(run_scan_extension, scale)
+    table = run_once(tables, "scans", scale)
     ops = {r.label: r.measured for r in table.rows}
     # Longer scans take longer per op...
     series = [ops[f"max scan length {n}"] for n in (10, 100, 500)]
@@ -23,7 +20,7 @@ def test_ext_scans(run_once, scale):
 
 
 def test_ext_elastic_sizing(run_once, scale):
-    table = run_once(run_elastic_sizing_extension, scale)
+    table = run_once(tables, "elastic", scale)
     rows = {r.label: r.measured for r in table.rows}
     # Halving the fleet halves the power under light load...
     assert rows["power saved"] > 35.0

@@ -6,11 +6,11 @@ replication factor makes recovery SLOWER (10 s at RF1 → 55 s at RF5 for
 through the normal replicated write path.
 """
 
-from repro.experiments.recovery import run_fig11_recovery_rf
+from repro.experiments.registry import tables
 
 
 def test_fig11_recovery_vs_rf(run_once, scale):
-    time_table, energy_table = run_once(run_fig11_recovery_rf, scale)
+    time_table, energy_table = run_once(tables, "fig11", scale)
     seconds = {r.label: r.measured for r in time_table.rows
                if r.label.startswith("RF")}
     joules = {r.label: r.measured for r in energy_table.rows}

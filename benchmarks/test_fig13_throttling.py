@@ -5,11 +5,11 @@ aggregated throughput grows linearly with the client count because the
 cluster is never pushed into the timeout regime.
 """
 
-from repro.experiments.throttling import run_fig13_throttling
+from repro.experiments.registry import tables
 
 
 def test_fig13_throttled_linear_scaling(run_once, scale):
-    table = run_once(run_fig13_throttling, scale)
+    table = run_once(tables, "fig13", scale)
     ops = {r.label: r.measured for r in table.rows}
 
     for rate in (200, 500):

@@ -5,11 +5,11 @@ Regenerates the aggregated throughput and average power per server for
 disabled, as in the paper's peak-performance methodology (§IV-A).
 """
 
-from repro.experiments.peak import run_fig1_peak
+from repro.experiments.registry import tables
 
 
 def test_fig1_peak_throughput_and_power(run_once, scale):
-    throughput, power = run_once(run_fig1_peak, scale)
+    throughput, power = run_once(tables, "fig1", scale)
 
     # Shape assertions (who wins, where it saturates):
     by_label = {r.label: r.measured for r in throughput.rows}

@@ -5,11 +5,11 @@ many clients; adding servers without adding load wastes joules (the
 paper measures a 7.6x gap between 1 and 10 servers at 30 clients).
 """
 
-from repro.experiments.peak import run_fig2_efficiency
+from repro.experiments.registry import tables
 
 
 def test_fig2_energy_efficiency(run_once, scale):
-    table = run_once(run_fig2_efficiency, scale)
+    table = run_once(tables, "fig2", scale)
     eff = {r.label: r.measured for r in table.rows}
 
     # Efficiency rises with load for a fixed cluster...

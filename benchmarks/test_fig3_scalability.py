@@ -4,11 +4,11 @@ Read-only tracks the perfect-scalability line, read-heavy flattens,
 update-heavy stays at factor ≈1 (or below) at every client count.
 """
 
-from repro.experiments.workloads import run_fig3_scalability
+from repro.experiments.registry import tables
 
 
 def test_fig3_scalability_factors(run_once, scale):
-    table = run_once(run_fig3_scalability, scale)
+    table = run_once(tables, "fig3", scale)
     factors = {r.label: r.measured for r in table.rows}
 
     # Read-only at 90 clients is close to the perfect 9x.

@@ -6,11 +6,11 @@ the same op count, workload A consumes ≈4.9x the total energy of
 read-only at 90 clients (Fig. 4b).
 """
 
-from repro.experiments.workloads import run_fig4_power
+from repro.experiments.registry import tables
 
 
 def test_fig4_power_and_energy(run_once, scale):
-    power, energy = run_once(run_fig4_power, scale)
+    power, energy = run_once(tables, "fig4", scale)
     watts = {r.label: r.measured for r in power.rows}
 
     # Workload A's power curve tracks the paper closely (89–101 W vs the

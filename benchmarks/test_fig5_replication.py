@@ -5,11 +5,11 @@ Finding 3's first half: every replication-factor step costs throughput
 because the master answers the client only after every backup acked.
 """
 
-from repro.experiments.replication import run_fig5_replication
+from repro.experiments.registry import tables
 
 
 def test_fig5_replication_throughput(run_once, scale):
-    table = run_once(run_fig5_replication, scale)
+    table = run_once(tables, "fig5", scale)
     kops = {r.label: r.measured for r in table.rows}
 
     for clients in (10, 30, 60):

@@ -7,11 +7,11 @@ servers).  The paper could not run 10 servers beyond RF2 at 60 clients
 (crashes from excessive timeouts).
 """
 
-from repro.experiments.replication import run_fig6_replication_scale
+from repro.experiments.registry import tables
 
 
 def test_fig6_replication_vs_cluster_size(run_once, scale):
-    throughput, energy = run_once(run_fig6_replication_scale, scale)
+    throughput, energy = run_once(tables, "fig6", scale)
     kops = {r.label: r.measured for r in throughput.rows}
 
     # At RF1, throughput grows with the server count.

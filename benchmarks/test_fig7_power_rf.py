@@ -5,11 +5,11 @@ CPU at backups, flush I/O) raises every node's draw from ≈103 W at RF1
 toward ≈115 W at RF4.
 """
 
-from repro.experiments.replication import run_fig7_power_rf
+from repro.experiments.registry import tables
 
 
 def test_fig7_power_vs_rf(run_once, scale):
-    table = run_once(run_fig7_power_rf, scale)
+    table = run_once(tables, "fig7", scale, server_counts=(40,))
     watts = [r.measured for r in table.rows]
 
     # Inside the paper's 103–115 W band (±10 W).

@@ -15,11 +15,12 @@ reports as 1500 op/J, so the absolute scale of Fig. 8 cannot be
 reconciled with its siblings either way.
 """
 
-from repro.experiments.replication import run_fig8_efficiency_rf
+from repro.experiments.registry import tables
 
 
 def test_fig8_efficiency_vs_rf(run_once, scale):
-    table = run_once(run_fig8_efficiency_rf, scale)
+    table = run_once(tables, "fig8", scale,
+                     server_counts=(20, 30, 40))
     eff = {r.label: r.measured for r in table.rows}
 
     # Efficiency declines as RF rises, for every cluster size.

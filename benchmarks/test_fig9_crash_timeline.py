@@ -5,12 +5,18 @@ measures: idle 25 % CPU (the polling core), a jump to ≈92 % cluster
 CPU during recovery, and ≈8 % extra power per node.
 """
 
-from repro.experiments.recovery import run_fig9_crash_timeline
+from repro.cluster import run_crash_experiment
+from repro.experiments.recovery import crash_spec
+from repro.experiments.registry import tables
 
 
 def test_fig9_crash_timeline(run_once, scale):
-    table, result = run_once(run_fig9_crash_timeline, scale)
+    table = run_once(tables, "fig9", scale)
     rows = {r.label: r.measured for r in table.rows}
+    # The timeline itself: the crash run the fig9 cell measures.
+    result = run_crash_experiment(crash_spec(
+        scale, servers=10, rf=4,
+        bytes_per_server=scale.crash_timeline_bytes_per_server))
 
     assert abs(rows["idle cluster CPU"] - 25.0) < 2.0
     assert rows["peak cluster CPU during recovery"] > 70.0

@@ -6,11 +6,11 @@ and servers reach their maximum CPU usage before reaching peak
 throughput (the root of Finding 1's non-proportionality).
 """
 
-from repro.experiments.peak import run_table1_cpu
+from repro.experiments.registry import tables
 
 
 def test_table1_cpu_usage(run_once, scale):
-    table = run_once(run_table1_cpu, scale)
+    table = run_once(tables, "table1", scale)
     cpu = {r.label: r.measured for r in table.rows}
 
     # Idle = exactly the pinned polling core.

@@ -13,7 +13,7 @@ Run:  python examples/energy_tuning.py          (REPRO_SCALE=smoke for
       a quicker pass)
 """
 
-from repro.experiments.energy_proportionality import run_energy_proportionality
+from repro.experiments.energy_proportionality import run_energy_sweep
 from repro.experiments.scale import active_scale
 
 GOVERNORS = ("static", "ondemand", "poll-adaptive")
@@ -23,8 +23,8 @@ def main():
     scale = active_scale()
     # Idle, a light 30 % of peak, and full load: the three operating
     # points that separate the governors.
-    _table, result = run_energy_proportionality(
-        scale, governors=GOVERNORS, servers=2, clients=4, fractions=(0.3,))
+    result = run_energy_sweep(scale, governors=GOVERNORS, servers=2,
+                              clients=4, fractions=(0.3,))
 
     print("== governor sweep: watts vs ops/joule vs p99 ==")
     header = (f"{'governor':<14} {'load':>6} {'Kop/s':>8} {'W/server':>9} "

@@ -1,8 +1,8 @@
-"""Per-figure/table reproduction runners.
+"""Per-figure/table reproduction experiments.
 
 Each module reproduces one section of the paper's evaluation and knows
-the paper's reported numbers, so every runner prints a
-paper-vs-measured comparison:
+the paper's reported numbers, so every table is a paper-vs-measured
+comparison:
 
 * :mod:`repro.experiments.peak` — §IV: Fig. 1a/1b, Table I, Fig. 2
 * :mod:`repro.experiments.workloads` — §V: Table II, Fig. 3, Fig. 4a/4b
@@ -16,14 +16,15 @@ paper-vs-measured comparison:
   :mod:`~repro.experiments.durability`,
   :mod:`~repro.experiments.indexing` — §X future-work extensions
 
-A grid figure is a plan factory (grid × seeds → cells) plus a renderer
-over that plan's merged aggregates; :mod:`repro.experiments.sweep` is
-the only thing that executes cells, and
-:mod:`repro.experiments.registry` is the one ordered list of every
-experiment that the CLI, ``tools/generate_experiments_md.py`` and
-``tools/sweep.py`` read.
+Every experiment — a grid figure or a single crash run — is a plan
+factory (grid × seeds → cells) plus a renderer over that plan's merged
+aggregates; :mod:`repro.experiments.sweep` is the only thing that
+executes cells, and :mod:`repro.experiments.registry` is the one
+ordered list of every experiment that the CLI,
+``tools/generate_experiments_md.py`` and ``tools/sweep.py`` read
+(``registry.tables(name, scale, **grid)`` renders one from Python).
 
-All runners accept a :class:`~repro.experiments.scale.Scale` so the
+Every plan takes a :class:`~repro.experiments.scale.Scale` so the
 benchmark harness can trade fidelity for runtime (DESIGN.md §5).
 """
 

@@ -22,7 +22,6 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
@@ -30,8 +29,7 @@ from repro.hardware.specs import MB
 from repro.ramcloud.consistency import ASYNC_BOUNDED, SYNC_RF
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_C
 
-__all__ = ["run_segment_size_ablation", "run_worker_threads_ablation",
-           "run_async_replication_ablation", "segment_size_sweep_plan",
+__all__ = ["segment_size_sweep_plan",
            "worker_threads_sweep_plan", "async_replication_sweep_plan",
            "render_segment_size", "render_worker_threads",
            "render_async_replication"]
@@ -171,30 +169,3 @@ def render_async_replication(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("the paper predicts this gain but leaves it as future "
                "work; it trades away consistency under master failures")
     return table
-
-
-def run_segment_size_ablation(scale: Scale = DEFAULT,
-                              segment_mbs: Sequence[int] = (1, 2, 8, 32),
-                              servers: int = 9, rf: int = 3,
-                              ) -> ComparisonTable:
-    """Recovery time vs segment size."""
-    plan = segment_size_sweep_plan(scale, None, segment_mbs, servers, rf)
-    return render_segment_size(plan, measure(plan))
-
-
-def run_worker_threads_ablation(scale: Scale = DEFAULT,
-                                worker_counts: Sequence[int] = (1, 2, 3, 6),
-                                servers: int = 2, clients: int = 24,
-                                ) -> ComparisonTable:
-    """Throughput of read-only and update-heavy vs worker thread count."""
-    plan = worker_threads_sweep_plan(scale, None, worker_counts, servers,
-                                     clients)
-    return render_worker_threads(plan, measure(plan))
-
-
-def run_async_replication_ablation(scale: Scale = DEFAULT,
-                                   rf: int = 4, servers: int = 20,
-                                   clients: int = 10) -> ComparisonTable:
-    """Strong vs relaxed consistency on workload A."""
-    plan = async_replication_sweep_plan(scale, None, rf, servers, clients)
-    return render_async_replication(plan, measure(plan))

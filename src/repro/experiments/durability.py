@@ -9,29 +9,29 @@ crash cost at that notch?
 
 Two tables:
 
-* :func:`run_consistency_frontier` — workload A at each level on the
-  same cluster: throughput, mean op latency, ops/joule;
-* :func:`run_durability_gap_table` — the measured crash-loss guarantee
-  per level (the :mod:`repro.cluster.durability` harness): acked
-  writes, acked-write loss, observed staleness vs the bound, recovery
-  time.
+* ``frontier`` — workload A at each level on the same cluster:
+  throughput, mean op latency, ops/joule;
+* ``durability-gap`` — the measured crash-loss guarantee per level (the
+  :mod:`repro.cluster.durability` harness): acked writes, acked-write
+  loss, observed staleness vs the bound, recovery time.
 
-The frontier grid is a registered sweep plan, so ``tools/sweep.py
---experiment frontier`` fans it out across workers with the same
-serial-equivalence digests as every other sweep.
+Both are registered sweep plans, so ``tools/sweep.py --experiment
+frontier`` (or ``durability-gap``) fans them out across workers with
+the same serial-equivalence digests as every other sweep.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.cluster import ClusterSpec, DurabilityGapSpec, run_durability_gap
+from repro.cluster import (ClusterSpec, DurabilityGapSpec,
+                           durability_gap_digest, run_durability_gap)
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
+    CellOutcome,
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
@@ -40,8 +40,8 @@ from repro.ramcloud.config import ServerConfig
 from repro.ramcloud.consistency import LEVELS
 from repro.ycsb.workload import WORKLOAD_A
 
-__all__ = ["run_consistency_frontier", "run_durability_gap_table",
-           "frontier_sweep_plan", "render_frontier"]
+__all__ = ["frontier_sweep_plan", "durability_gap_sweep_plan",
+           "render_frontier", "render_durability_gap"]
 
 
 def _frontier_cell(params: Dict[str, object], seed: int, scale: Scale):
@@ -50,9 +50,6 @@ def _frontier_cell(params: Dict[str, object], seed: int, scale: Scale):
                      replication_factor=params["rf"],
                      default_consistency=params["level"])
     return run_cell(spec.with_(give_up_after=5.0), seed)
-
-
-SWEEP_CELLS = {"frontier": _frontier_cell}
 
 
 def frontier_sweep_plan(scale: Scale = DEFAULT,
@@ -91,49 +88,64 @@ def render_frontier(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
-def run_consistency_frontier(scale: Scale = DEFAULT,
-                             levels: Sequence[str] = LEVELS,
-                             rf: int = 2,
-                             servers: int = 10,
-                             clients: int = 10) -> ComparisonTable:
-    """Latency/throughput/ops-per-joule at each consistency level."""
-    plan = frontier_sweep_plan(scale, None, levels, (rf,), servers, clients)
-    return render_frontier(plan, measure(plan))
+def _durability_gap_cell(params: Dict[str, object], seed: int,
+                         scale: Scale):
+    """Sweep cell runner: one level's write stream across a master
+    crash (the :mod:`repro.cluster.durability` harness)."""
+    spec = DurabilityGapSpec(
+        cluster=ClusterSpec(
+            num_servers=params["servers"], num_clients=2,
+            server_config=ServerConfig(log_memory_bytes=64 * MB,
+                                       segment_size=1 * MB,
+                                       replication_factor=params["rf"]),
+            seed=seed),
+        level=params["level"],
+        # The stream must still be flowing when the crash lands
+        # (default crash_at=0.25, one write per 4 ms ⇒ ≥100 writes
+        # span it) or there is no in-flight tail to measure.
+        writes_per_client=max(100, scale.ops_per_client // 4),
+    )
+    result = run_durability_gap(spec)
+    metrics = {"acked_writes": float(result.acked_writes),
+               "acked_write_loss": float(result.acknowledged_write_loss),
+               "max_staleness": result.max_observed_staleness}
+    if result.recovery_duration is not None:
+        metrics["recovery_duration"] = result.recovery_duration
+    return CellOutcome(metrics=metrics,
+                       digest=durability_gap_digest(result))
 
 
-def run_durability_gap_table(scale: Scale = DEFAULT,
-                             levels: Sequence[str] = LEVELS,
-                             rf: int = 1,
-                             servers: int = 4) -> ComparisonTable:
+def durability_gap_sweep_plan(scale: Scale = DEFAULT,
+                              seeds: Optional[Sequence[int]] = None,
+                              levels: Sequence[str] = LEVELS,
+                              rf: int = 1,
+                              servers: int = 4) -> SweepPlan:
+    """The durability gap as a :class:`SweepPlan`: one point per level,
+    at the scale's first seed unless ``seeds`` says otherwise."""
+    points = tuple(SweepPoint.of(level, level=level, rf=rf, servers=servers)
+                   for level in levels)
+    return SweepPlan("durability-gap", points,
+                     tuple(seeds or scale.seeds[:1]), scale)
+
+
+def render_durability_gap(plan: SweepPlan, merged) -> ComparisonTable:
     """Measured crash-loss per level: what the ack was worth."""
+    first = plan.points[0].as_dict()
     table = ComparisonTable(
         "Ext. durability gap",
-        f"acked-write loss under a master crash, {servers} servers / "
-        f"RF {rf}")
-    for level in levels:
-        spec = DurabilityGapSpec(
-            cluster=ClusterSpec(
-                num_servers=servers, num_clients=2,
-                server_config=ServerConfig(log_memory_bytes=64 * MB,
-                                           segment_size=1 * MB,
-                                           replication_factor=rf),
-                seed=scale.seeds[0]),
-            level=level,
-            # The stream must still be flowing when the crash lands
-            # (default crash_at=0.25, one write per 4 ms ⇒ ≥100 writes
-            # span it) or there is no in-flight tail to measure.
-            writes_per_client=max(100, scale.ops_per_client // 4),
-        )
-        result = run_durability_gap(spec)
+        f"acked-write loss under a master crash, {first['servers']} "
+        f"servers / RF {first['rf']}")
+    for point in plan.points:
+        level, metrics = point.label, merged[point.label]
         table.add(f"{level} acked writes", None,
-                  float(result.acked_writes), "")
+                  metrics["acked_writes"].mean, "")
         table.add(f"{level} acked-write loss", None,
-                  float(result.acknowledged_write_loss), "")
+                  metrics["acked_write_loss"].mean, "")
         table.add(f"{level} observed staleness", None,
-                  result.max_observed_staleness * 1e3, " ms")
-        if result.recovery_duration is not None:
+                  metrics["max_staleness"].mean * 1e3, " ms")
+        if "recovery_duration" in metrics:
             table.add(f"{level} recovery time", None,
-                      result.recovery_duration * 1e3, " ms")
+                      metrics["recovery_duration"].mean * 1e3, " ms")
     table.note("sync_rf loss must be exactly 0 (enforced by "
                "tests/integration/test_durability_gap.py); relaxed "
                "levels may lose at most the in-flight batch")
@@ -141,3 +153,7 @@ def run_durability_gap_table(scale: Scale = DEFAULT,
                f"{ServerConfig().staleness_bound_seconds * 1e3:.0f} ms "
                f"sim-time / {ServerConfig().staleness_bound_bytes} bytes")
     return table
+
+
+SWEEP_CELLS = {"frontier": _frontier_cell,
+               "durability-gap": _durability_gap_cell}

@@ -39,7 +39,8 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.reporting import (ComparisonTable,
                                         energy_proportionality_index)
 from repro.experiments.scale import DEFAULT, Scale
-from repro.experiments.sweep import CellOutcome, SweepPlan, SweepPoint
+from repro.experiments.sweep import (CellOutcome, SweepPlan, SweepPoint,
+                                    outcome_from_metrics)
 from repro.powermgmt import PowerPolicy
 from repro.ramcloud.config import ServerConfig
 from repro.sim.distributions import RandomStream
@@ -47,9 +48,9 @@ from repro.ycsb.client import YcsbClient
 from repro.ycsb.stats import nearest_rank
 from repro.ycsb.workload import WORKLOAD_C
 
-__all__ = ["EnergyPoint", "EnergyProportionalityResult",
-           "run_energy_proportionality", "PowerCapResult", "run_power_cap",
-           "energy_sweep_plan"]
+__all__ = ["EnergyPoint", "EnergyProportionalityResult", "run_energy_sweep",
+           "PowerCapResult", "run_power_cap", "energy_sweep_plan",
+           "powercap_sweep_plan", "render_energy", "render_powercap"]
 
 # The paper's idle anchor: 25 % CPU (Table I row 0) through the power
 # model's calibration, 57.5 + 0.69 * 25 W.
@@ -215,13 +216,13 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
         dispatch_sleeps=sleeps, core_parks=parks)
 
 
-def run_energy_proportionality(
+def run_energy_sweep(
         scale: Scale = DEFAULT,
         governors: Sequence[str] = ("static", "ondemand", "poll-adaptive"),
         servers: int = 3, clients: int = 6,
         fractions: Sequence[float] = (0.1, 0.5),
         seed: int = 1,
-) -> Tuple[ComparisonTable, EnergyProportionalityResult]:
+) -> EnergyProportionalityResult:
     """The idle→peak sweep per governor.
 
     Each governor is measured at idle (0.0), at throttled fractions of
@@ -258,37 +259,7 @@ def run_energy_proportionality(
         result.ep_index[governor] = energy_proportionality_index(
             [p.throughput for p in points],
             [p.watts_per_server for p in points])
-
-    table = ComparisonTable(
-        "§X energy proportionality",
-        f"idle→peak sweep per governor ({servers} servers, {clients} "
-        f"clients, read-only)")
-    light = min(fractions)
-    for governor in governors:
-        idle = result.point(governor, 0.0)
-        peak = result.point(governor, 1.0)
-        mid = result.point(governor, light)
-        is_static = governor == "static"
-        table.add(f"{governor}: idle watts/server",
-                  PAPER_IDLE_WATTS if is_static else None,
-                  idle.watts_per_server, " W")
-        table.add(f"{governor}: idle CPU",
-                  PAPER_IDLE_CPU if is_static else None, idle.cpu_pct, "%")
-        table.add(f"{governor}: peak throughput", None,
-                  peak.throughput / 1000.0, "K")
-        table.add(f"{governor}: peak efficiency", None,
-                  peak.ops_per_joule, " op/J")
-        table.add(f"{governor}: p99 at {light:.0%} load", None,
-                  mid.p99_latency * 1e6, " µs",
-                  note=f"{mid.core_parks} parks, "
-                       f"{mid.dispatch_sleeps} dispatch naps")
-        table.add(f"{governor}: proportionality index", None,
-                  result.ep_index[governor])
-    table.note("watts come from the PDU series (DVFS- and parking-aware), "
-               "not the analytic busy-seconds model")
-    table.note("static = the paper's machine: flat ≈75 W idle floor from "
-               "the busy-polling dispatch core")
-    return table, result
+    return result
 
 
 # -- sweep integration --------------------------------------------------------
@@ -301,21 +272,26 @@ def _energy_cell(params, seed: int, scale: Scale):
     byte-exact record of every measured point — so serial/parallel
     equivalence covers the whole sweep, not just the summary numbers.
     """
-    governors = tuple(params.get("governors",
-                                 ("static", "ondemand", "poll-adaptive")))
-    _table, result = run_energy_proportionality(
-        scale, governors=governors,
-        servers=int(params.get("servers", 3)),
-        clients=int(params.get("clients", 6)),
-        fractions=tuple(params.get("fractions", (0.1, 0.5))),
-        seed=seed)
+    governors = tuple(params["governors"])
+    fractions = tuple(params["fractions"])
+    result = run_energy_sweep(scale, governors=governors,
+                              servers=int(params["servers"]),
+                              clients=int(params["clients"]),
+                              fractions=fractions, seed=seed)
     metrics = {}
     for governor in governors:
         peak = result.point(governor, 1.0)
         idle = result.point(governor, 0.0)
+        light = result.point(governor, min(fractions))
         metrics[f"ep_index[{governor}]"] = result.ep_index[governor]
         metrics[f"peak_throughput[{governor}]"] = peak.throughput
+        metrics[f"peak_efficiency[{governor}]"] = peak.ops_per_joule
         metrics[f"idle_watts[{governor}]"] = idle.watts_per_server
+        metrics[f"idle_cpu[{governor}]"] = idle.cpu_pct
+        metrics[f"light_p99[{governor}]"] = light.p99_latency
+        metrics[f"light_core_parks[{governor}]"] = float(light.core_parks)
+        metrics[f"light_dispatch_sleeps[{governor}]"] = float(
+            light.dispatch_sleeps)
     return CellOutcome(metrics=metrics, digest=result.digest())
 
 
@@ -325,15 +301,50 @@ def energy_sweep_plan(scale: Scale = DEFAULT, seeds=None,
                       servers: int = 3, clients: int = 6,
                       fractions: Sequence[float] = (0.1, 0.5)):
     """The §X governor sweep as a single-point :class:`SweepPlan`
-    (each seed is one whole idle→peak sweep)."""
+    (each seed is one whole idle→peak sweep; seed 1 unless ``seeds``
+    says otherwise)."""
     point = SweepPoint.of(
         f"{len(governors)} governors / {servers} servers",
         governors=tuple(governors), servers=servers, clients=clients,
         fractions=tuple(fractions))
-    return SweepPlan("energy", (point,), tuple(seeds or scale.seeds), scale)
+    return SweepPlan("energy", (point,), tuple(seeds or (1,)), scale)
 
 
-SWEEP_CELLS = {"energy": _energy_cell}
+def render_energy(plan: SweepPlan, merged) -> ComparisonTable:
+    """Watts, peak efficiency, light-load p99 and the proportionality
+    index per governor."""
+    point = plan.points[0]
+    params, metrics = point.as_dict(), merged[point.label]
+    table = ComparisonTable(
+        "§X energy proportionality",
+        f"idle→peak sweep per governor ({params['servers']} servers, "
+        f"{params['clients']} clients, read-only)")
+    light = min(params["fractions"])
+    for governor in params["governors"]:
+        def mean(key):
+            return metrics[f"{key}[{governor}]"].mean
+        is_static = governor == "static"
+        table.add(f"{governor}: idle watts/server",
+                  PAPER_IDLE_WATTS if is_static else None,
+                  mean("idle_watts"), " W")
+        table.add(f"{governor}: idle CPU",
+                  PAPER_IDLE_CPU if is_static else None, mean("idle_cpu"),
+                  "%")
+        table.add(f"{governor}: peak throughput", None,
+                  mean("peak_throughput") / 1000.0, "K")
+        table.add(f"{governor}: peak efficiency", None,
+                  mean("peak_efficiency"), " op/J")
+        table.add(f"{governor}: p99 at {light:.0%} load", None,
+                  mean("light_p99") * 1e6, " µs",
+                  note=f"{mean('light_core_parks'):.0f} parks, "
+                       f"{mean('light_dispatch_sleeps'):.0f} dispatch naps")
+        table.add(f"{governor}: proportionality index", None,
+                  mean("ep_index"))
+    table.note("watts come from the PDU series (DVFS- and parking-aware), "
+               "not the analytic busy-seconds model")
+    table.note("static = the paper's machine: flat ≈75 W idle floor from "
+               "the busy-polling dispatch core")
+    return table
 
 
 # -- cluster power capping ---------------------------------------------------
@@ -348,6 +359,7 @@ class PowerCapResult:
     settled_mean_watts: float
     settled_max_watts: float
     uncapped_watts: float
+    uncapped_throughput: float
     throughput: float
     admitted_rate: float
     #: (time, fleet watts) as the controller sampled them.
@@ -390,7 +402,7 @@ def _capped_load(cluster: Cluster, seed: int, scale: Scale,
 
 def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
                   clients: int = 4, cap_watts: float = 185.0,
-                  seed: int = 1) -> Tuple[ComparisonTable, PowerCapResult]:
+                  seed: int = 1) -> PowerCapResult:
     """Hold a fleet power cap on a Fig. 13-style throttled workload.
 
     Unthrottled demand from ``clients`` closed-loop clients would push
@@ -406,7 +418,7 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
     # Baseline: same demand, no cap.
     with Cluster(_fleet_spec(servers, clients, seed,
                              PowerPolicy())) as cluster:
-        uncapped_watts, uncapped_rate = _capped_load(
+        uncapped_watts, uncapped_throughput = _capped_load(
             cluster, seed, scale, duration, settle)
 
     policy = PowerPolicy(power_cap_watts=cap_watts, cap_interval=0.05,
@@ -421,27 +433,65 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
             settled_mean_watts=settled.mean(),
             settled_max_watts=settled.max(),
             uncapped_watts=uncapped_watts,
+            uncapped_throughput=uncapped_throughput,
             throughput=throughput,
             admitted_rate=cluster.admission_throttle.rate,
             watts_points=list(zip(settled.times, settled.values)))
+    return result
 
+
+def _powercap_cell(params, seed: int, scale: Scale):
+    """Sweep cell runner: the uncapped baseline and the capped run at
+    ``seed``."""
+    result = run_power_cap(scale, seed=seed, **params)
+    return outcome_from_metrics({
+        "uncapped_watts": result.uncapped_watts,
+        "uncapped_throughput": result.uncapped_throughput,
+        "settled_mean_watts": result.settled_mean_watts,
+        "settled_max_watts": result.settled_max_watts,
+        "throughput": result.throughput,
+        "admitted_rate": result.admitted_rate})
+
+
+def powercap_sweep_plan(scale: Scale = DEFAULT, seeds=None,
+                        servers: int = 2, clients: int = 4,
+                        cap_watts: float = 185.0) -> SweepPlan:
+    """The power-cap run as a one-point :class:`SweepPlan` (seed 1
+    unless ``seeds`` says otherwise)."""
+    point = SweepPoint.of(f"{cap_watts:.0f} W cap / {servers} servers",
+                          servers=servers, clients=clients,
+                          cap_watts=cap_watts)
+    return SweepPlan("powercap", (point,), tuple(seeds or (1,)), scale)
+
+
+def render_powercap(plan: SweepPlan, merged) -> ComparisonTable:
+    """The cap, the uncapped demand it tames and the fleet watts it
+    settles at."""
+    point = plan.points[0]
+    params, metrics = point.as_dict(), merged[point.label]
+    cap_watts = params["cap_watts"]
     table = ComparisonTable(
         "§X power cap",
-        f"cluster cap {cap_watts:.0f} W on {servers} servers / "
-        f"{clients} unthrottled clients")
-    table.add("uncapped fleet watts", None, uncapped_watts, " W",
-              note=f"{uncapped_rate / 1000.0:.0f}K op/s demand")
+        f"cluster cap {cap_watts:.0f} W on {params['servers']} servers / "
+        f"{params['clients']} unthrottled clients")
+    table.add("uncapped fleet watts", None, metrics["uncapped_watts"].mean,
+              " W", note=f"{metrics['uncapped_throughput'].mean / 1000.0:.0f}"
+                         "K op/s demand")
     table.add("configured cap", None, cap_watts, " W")
     table.add("settled fleet watts (mean)", None,
-              result.settled_mean_watts, " W")
+              metrics["settled_mean_watts"].mean, " W")
     table.add("settled fleet watts (max)", None,
-              result.settled_max_watts, " W")
-    table.add("throughput under cap", None, throughput / 1000.0, "K")
-    rate = result.admitted_rate
+              metrics["settled_max_watts"].mean, " W")
+    table.add("throughput under cap", None,
+              metrics["throughput"].mean / 1000.0, "K")
+    rate = metrics["admitted_rate"].mean
     table.add("admitted rate", None,
               None if math.isinf(rate) else rate, " op/s",
               note="inf = cap never engaged" if math.isinf(rate) else "")
     table.note("the controller throttles the Fig. 13 admission path "
                "(client token bucket) — proportional decrease over the "
                "cap, 5 %/tick increase below the hysteresis band")
-    return table, result
+    return table
+
+
+SWEEP_CELLS = {"energy": _energy_cell, "powercap": _powercap_cell}

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Sequence
 
-from repro.cluster import ClusterSpec
+from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
+    outcome_from_metrics,
     run_cell,
     ycsb_spec,
 )
@@ -34,14 +34,15 @@ from repro.hardware.specs import (
     INFINIBAND_20G,
 )
 from repro.ramcloud.config import ServerConfig
+from repro.sim.distributions import RandomStream
+from repro.ycsb.client import YcsbClient
 from repro.ycsb.workload import WORKLOAD_B, WORKLOAD_C, WORKLOAD_E
 
-__all__ = ["run_request_distribution_extension", "run_transport_extension",
-           "run_scan_extension", "run_elastic_sizing_extension",
-           "run_correlated_failures_extension",
-           "distributions_sweep_plan", "transports_sweep_plan",
-           "scans_sweep_plan", "render_distributions", "render_transports",
-           "render_scans"]
+__all__ = ["distributions_sweep_plan", "transports_sweep_plan",
+           "scans_sweep_plan", "elastic_sweep_plan",
+           "correlated_sweep_plan", "render_distributions",
+           "render_transports", "render_scans", "render_elastic",
+           "render_correlated"]
 
 WORKLOADS = {"C": WORKLOAD_C, "B": WORKLOAD_B}
 TRANSPORTS = {nic.name: nic for nic in (INFINIBAND_20G, GIGABIT_ETHERNET)}
@@ -74,10 +75,6 @@ def _scan_cell(params: Dict[str, int], seed: int, scale: Scale):
     return run_cell(ycsb_spec(
         _scan_workload(params["max_scan_length"]), params["servers"],
         params["clients"], scale.with_(ops_per_client=ops)), seed)
-
-
-SWEEP_CELLS = {"distributions": _distribution_cell,
-               "transports": _transport_cell, "scans": _scan_cell}
 
 
 def distributions_sweep_plan(scale: Scale = DEFAULT,
@@ -194,46 +191,14 @@ def render_scans(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
-def run_request_distribution_extension(scale: Scale = DEFAULT,
-                                       distributions: Sequence[str] = (
-                                           "uniform", "zipfian", "latest"),
-                                       servers: int = 4, clients: int = 24,
-                                       ) -> ComparisonTable:
-    """Workloads under different request distributions, at saturation."""
-    plan = distributions_sweep_plan(scale, None, distributions, servers,
-                                    clients)
-    return render_distributions(plan, measure(plan))
-
-
-def run_transport_extension(scale: Scale = DEFAULT,
-                            servers: int = 5, clients: int = 10,
-                            ) -> ComparisonTable:
-    """Infiniband vs Gigabit Ethernet on read-only traffic."""
-    plan = transports_sweep_plan(scale, None, servers, clients)
-    return render_transports(plan, measure(plan))
-
-
-def run_scan_extension(scale: Scale = DEFAULT,
-                       scan_lengths: Sequence[int] = (10, 100, 500),
-                       servers: int = 5, clients: int = 10,
-                       ) -> ComparisonTable:
-    """Workload E over MultiRead, by maximum scan length."""
-    plan = scans_sweep_plan(scale, None, scan_lengths, servers, clients)
-    return render_scans(plan, measure(plan))
-
-
-def run_elastic_sizing_extension(scale: Scale = DEFAULT,
-                                 servers: int = 6,
-                                 keep: int = 3) -> ComparisonTable:
-    """§IX elastic scale-down: drain and power off surplus servers under
-    light read-only load; report the fleet watts before and after."""
-    from repro.cluster import Cluster
-    from repro.sim.distributions import RandomStream
-    from repro.ycsb.client import YcsbClient
-
+def _elastic_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: light read-only load on ``servers`` servers,
+    then the coordinator drains and powers off all but ``keep`` of them
+    and the same load runs again."""
+    servers, keep = params["servers"], params["keep"]
     spec = ClusterSpec(num_servers=servers, num_clients=2,
                        server_config=ServerConfig(replication_factor=0),
-                       seed=3)
+                       seed=seed)
     with Cluster(spec) as cluster:
         table_id = cluster.create_table("cache")
         cluster.preload(table_id, scale.num_records, 1024)
@@ -244,7 +209,7 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
                                   WORKLOAD_C.scaled(
                                       num_records=scale.num_records,
                                       ops_per_client=scale.ops_per_client),
-                                  RandomStream(3, f"{tag}{i}"))
+                                  RandomStream(seed, f"{tag}{i}"))
                        for i, rc in enumerate(cluster.clients)]
             procs = [cluster.sim.process(c.run()) for c in clients]
             cluster.sim.run_process(cluster.sim.all_of(procs))
@@ -272,72 +237,114 @@ def run_elastic_sizing_extension(scale: Scale = DEFAULT,
         cluster.sim.run_process(cluster.sim.process(orchestrate()))
         after_thr = run_load("post")
         after_watts = fleet_watts()
+    return outcome_from_metrics({
+        "before_watts": before_watts, "after_watts": after_watts,
+        "before_throughput": before_thr, "after_throughput": after_thr})
 
+
+def elastic_sweep_plan(scale: Scale = DEFAULT,
+                       seeds: Optional[Sequence[int]] = None,
+                       servers: int = 6, keep: int = 3) -> SweepPlan:
+    """The §IX scale-down as a one-point :class:`SweepPlan` (seed 3
+    unless ``seeds`` says otherwise)."""
+    point = SweepPoint.of(f"{servers}→{keep} servers", servers=servers,
+                          keep=keep)
+    return SweepPlan("elastic", (point,), tuple(seeds or (3,)), scale)
+
+
+def render_elastic(plan: SweepPlan, merged) -> ComparisonTable:
+    """§IX elastic scale-down: drain and power off surplus servers under
+    light read-only load; report the fleet watts before and after."""
+    point = plan.points[0]
+    params, metrics = point.as_dict(), merged[point.label]
+    before_watts = metrics["before_watts"].mean
+    after_watts = metrics["after_watts"].mean
     table = ComparisonTable(
-        "§IX elastic sizing", f"scale {servers}→{keep} servers under "
-        "light read-only load")
+        "§IX elastic sizing", f"scale {params['servers']}→{params['keep']} "
+        "servers under light read-only load")
     table.add("fleet power before", None, before_watts, " W")
     table.add("fleet power after", None, after_watts, " W")
     table.add("power saved", None,
               100.0 * (1 - after_watts / before_watts), " %")
-    table.add("throughput before", None, before_thr / 1000.0, "K")
-    table.add("throughput after", None, after_thr / 1000.0, "K")
+    table.add("throughput before", None,
+              metrics["before_throughput"].mean / 1000.0, "K")
+    table.add("throughput after", None,
+              metrics["after_throughput"].mean / 1000.0, "K")
     table.note("live tablet migration: no crash recovery, no data loss; "
                "the §IX 'smart coordinator' the paper proposes")
     return table
 
 
-def run_correlated_failures_extension(scale: Scale = DEFAULT,
-                                      rfs: Sequence[int] = (1, 2, 3),
-                                      simultaneous: int = 3,
-                                      servers: int = 8,
-                                      trials: int = 5) -> ComparisonTable:
+def _correlated_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: one seeded trial of ``simultaneous`` servers
+    dying at the same instant (a rack/PDU event)."""
+    servers = params["servers"]
+    record_size = scale.recovery_record_size
+    spec = ClusterSpec(
+        num_servers=servers, num_clients=0,
+        server_config=ServerConfig(replication_factor=params["rf"]),
+        seed=seed, failure_detection=True)
+    with Cluster(spec) as cluster:
+        table_id = cluster.create_table("t")
+        cluster.preload(table_id,
+                        64 * 1024 * 1024 * servers // record_size,
+                        record_size)
+        cluster.run(until=1.0)
+        victims = [cluster.kill_server()
+                   for _ in range(params["simultaneous"])]
+        total_segments = sum(len(v.log.segments) for v in victims)
+        cluster.run(until=400.0)
+        lost = sum(r.lost_segments for r in cluster.coordinator.recoveries)
+    return outcome_from_metrics({
+        "data_loss": 1.0 if lost else 0.0, "lost_segments": float(lost),
+        "total_segments": float(total_segments)})
+
+
+def correlated_sweep_plan(scale: Scale = DEFAULT,
+                          seeds: Optional[Sequence[int]] = None,
+                          rfs: Sequence[int] = (1, 2, 3),
+                          simultaneous: int = 3, servers: int = 8,
+                          trials: int = 5) -> SweepPlan:
+    """The correlated-failure grid as a :class:`SweepPlan`: one point
+    per RF, one seed per trial (100, 101, … unless ``seeds`` says
+    otherwise)."""
+    points = tuple(SweepPoint.of(f"RF {rf}", rf=rf,
+                                 simultaneous=simultaneous, servers=servers)
+                   for rf in rfs)
+    return SweepPlan("correlated", points,
+                     tuple(seeds or range(100, 100 + trials)), scale)
+
+
+def render_correlated(plan: SweepPlan, merged) -> ComparisonTable:
     """Correlated failures — the paper's closing concern (§X: "An
     interesting aspect to consider then would be correlated failures").
 
-    Kill ``simultaneous`` servers at the same instant (a rack/PDU event)
-    and count how often some segment lost the master AND every replica.
-    Random replica placement makes loss likely at low RF — the Copysets
+    Kill ``simultaneous`` servers at the same instant and count how
+    often some segment lost the master AND every replica.  Random
+    replica placement makes loss likely at low RF — the Copysets
     problem the paper cites [28].
     """
-    from repro.cluster import Cluster
-
+    first = plan.points[0].as_dict()
+    simultaneous, trials = first["simultaneous"], len(plan.seeds)
     table = ComparisonTable(
         "§X correlated failures",
-        f"{simultaneous} simultaneous crashes on {servers} servers: "
-        "segment-loss probability by RF")
-    record_size = scale.recovery_record_size
-    for rf in rfs:
-        loss_events = 0
-        lost_segments = 0
-        total_segments = 0
-        for trial in range(trials):
-            spec = ClusterSpec(
-                num_servers=servers, num_clients=0,
-                server_config=ServerConfig(replication_factor=rf),
-                seed=100 + trial, failure_detection=True)
-            with Cluster(spec) as cluster:
-                table_id = cluster.create_table("t")
-                cluster.preload(
-                    table_id,
-                    64 * 1024 * 1024 * servers // record_size, record_size)
-                cluster.run(until=1.0)
-                victims = [cluster.kill_server()
-                           for _ in range(simultaneous)]
-                total_segments += sum(len(v.log.segments) for v in victims)
-                cluster.run(until=400.0)
-                lost = sum(r.lost_segments
-                           for r in cluster.coordinator.recoveries)
-            lost_segments += lost
-            if lost:
-                loss_events += 1
-        table.add(f"RF {rf}: trials with data loss", None,
-                  100.0 * loss_events / trials, " %")
-        table.add(f"RF {rf}: segments lost", None,
-                  100.0 * lost_segments / max(total_segments, 1), " %")
+        f"{simultaneous} simultaneous crashes on {first['servers']} "
+        "servers: segment-loss probability by RF")
+    for point in plan.points:
+        metrics = merged[point.label]
+        table.add(f"{point.label}: trials with data loss", None,
+                  100.0 * sum(metrics["data_loss"].values) / trials, " %")
+        table.add(f"{point.label}: segments lost", None,
+                  100.0 * sum(metrics["lost_segments"].values)
+                  / max(sum(metrics["total_segments"].values), 1), " %")
     table.note(f"{trials} seeded trials per RF; a segment dies only if "
                f"the master AND all RF backups are among the "
                f"{simultaneous} dead machines, so RF ≥ {simultaneous} is "
                "safe here — but random placement makes lower RFs lose "
                "data far more often than copyset placement would [28]")
     return table
+
+
+SWEEP_CELLS = {"distributions": _distribution_cell,
+               "transports": _transport_cell, "scans": _scan_cell,
+               "elastic": _elastic_cell, "correlated": _correlated_cell}

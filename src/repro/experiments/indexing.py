@@ -6,10 +6,10 @@ tenants, so these tables have no paper column: they characterize the
 repro's own log-structured indexlets (ROADMAP item 2) the same way the
 §V grids characterize the point workloads.
 
-* :func:`run_fig_index` — throughput/latency of the indexed workload
-  mixes (workload E over a secondary index, and a point-lookup-heavy
-  mix) as the index is split over 1/2/4 indexlets;
-* :func:`run_tenant_mix` — two tenants on one cluster, one throttled by
+* ``fig_index`` — throughput/latency of the indexed workload mixes
+  (workload E over a secondary index, and a point-lookup-heavy mix) as
+  the index is split over 1/2/4 indexlets;
+* ``tenant_mix`` — two tenants on one cluster, one throttled by
   per-tenant admission control, with the per-tenant SLA breakout.
 
 Both grids are registered sweep plans (``fig_index``, ``tenant_mix``),
@@ -26,7 +26,6 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
@@ -34,7 +33,7 @@ from repro.ramcloud.tenancy import TenantSpec
 from repro.ycsb.workload import (WORKLOAD_A, WORKLOAD_E_INDEXED,
                                  WORKLOAD_LOOKUP_HEAVY, WorkloadSpec)
 
-__all__ = ["run_fig_index", "run_tenant_mix", "fig_index_sweep_plan",
+__all__ = ["fig_index_sweep_plan",
            "tenant_mix_sweep_plan", "render_fig_index", "render_tenant_mix"]
 
 INDEXED_WORKLOADS: Dict[str, WorkloadSpec] = {
@@ -71,7 +70,7 @@ def fig_index_sweep_plan(scale: Scale = DEFAULT,
                          seeds: Optional[Sequence[int]] = None,
                          indexlet_counts: Sequence[int] = (1, 2, 4),
                          servers: int = 4, clients: int = 4) -> SweepPlan:
-    """The :func:`run_fig_index` grid as a :class:`SweepPlan`."""
+    """The ``fig_index`` grid as a :class:`SweepPlan`."""
     points = tuple(
         SweepPoint.of(f"workload {name} / {indexlets} indexlet(s)",
                       workload=name, indexlets=indexlets,
@@ -130,21 +129,3 @@ def render_tenant_mix(plan: SweepPlan, merged) -> ComparisonTable:
                "dispatch path; clients retry with backoff, so bronze "
                "trades p99 latency for the cap")
     return table
-
-
-def run_fig_index(scale: Scale = DEFAULT,
-                  indexlet_counts: Sequence[int] = (1, 2, 4),
-                  servers: int = 4, clients: int = 4) -> ComparisonTable:
-    """Indexed workload mixes vs indexlet count (no paper column)."""
-    plan = fig_index_sweep_plan(scale, None, indexlet_counts, servers,
-                                clients)
-    return render_fig_index(plan, measure(plan))
-
-
-def run_tenant_mix(scale: Scale = DEFAULT, servers: int = 4,
-                   clients: int = 4,
-                   bronze_rate: float = BRONZE_ADMISSION_RATE,
-                   ) -> ComparisonTable:
-    """Two tenants on one cluster; bronze is admission-throttled."""
-    plan = tenant_mix_sweep_plan(scale, None, servers, clients, bronze_rate)
-    return render_tenant_mix(plan, measure(plan))

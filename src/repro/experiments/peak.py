@@ -19,14 +19,12 @@ from repro.experiments.sweep import (
     CellOutcome,
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
 from repro.ycsb.workload import WORKLOAD_C
 
-__all__ = ["run_fig1_peak", "run_table1_cpu", "run_fig2_efficiency",
-           "fig1_sweep_plan", "table1_sweep_plan",
+__all__ = ["fig1_sweep_plan", "table1_sweep_plan",
            "render_fig1", "render_table1", "render_fig2"]
 
 # Paper values.  Text-sourced numbers are exact; curve points without a
@@ -167,31 +165,3 @@ def render_fig2(plan: SweepPlan, merged) -> ComparisonTable:
         table.add("efficiency ratio 1 vs 10 servers (30 clients)",
                   7.6, measured[(1, 30)] / measured[(10, 30)])
     return table
-
-
-def run_fig1_peak(scale: Scale = DEFAULT,
-                  server_counts: Sequence[int] = (1, 5, 10),
-                  client_counts: Sequence[int] = (1, 10, 30),
-                  ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 1a (throughput) and Fig. 1b (average power per server)."""
-    plan = fig1_sweep_plan(scale, None, server_counts, client_counts)
-    return render_fig1(plan, measure(plan))
-
-
-def run_table1_cpu(scale: Scale = DEFAULT,
-                   grid: Sequence[Tuple[int, int]] = (
-                       (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-                       (1, 10), (1, 30), (5, 5), (5, 30), (10, 5), (10, 30)),
-                   ) -> ComparisonTable:
-    """Table I: average CPU usage per node for the read-only grid."""
-    plan = table1_sweep_plan(scale, None, grid)
-    return render_table1(plan, measure(plan))
-
-
-def run_fig2_efficiency(scale: Scale = DEFAULT,
-                        server_counts: Sequence[int] = (1, 5, 10),
-                        client_counts: Sequence[int] = (1, 10, 30),
-                        ) -> ComparisonTable:
-    """Fig. 2: energy efficiency (operations per joule)."""
-    plan = fig1_sweep_plan(scale, None, server_counts, client_counts)
-    return render_fig2(plan, measure(plan))

@@ -12,24 +12,24 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster import (
     ClusterSpec,
-    CrashExperimentResult,
     CrashExperimentSpec,
     run_crash_experiment,
 )
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
+    CellOutcome,
     SweepPlan,
     SweepPoint,
-    measure,
+    crash_experiment_digest,
     run_cell,
 )
 from repro.ramcloud.config import ServerConfig
 from repro.ycsb.workload import WORKLOAD_C
 
-__all__ = ["run_fig9_crash_timeline", "run_fig10_latency_crash",
-           "run_fig11_recovery_rf", "run_fig12_disk_activity",
-           "fig11_sweep_plan", "render_fig11", "crash_spec"]
+__all__ = ["fig9_sweep_plan", "fig10_sweep_plan", "fig11_sweep_plan",
+           "fig12_sweep_plan", "render_fig9", "render_fig10",
+           "render_fig11", "render_fig12", "crash_spec", "fig10_spec"]
 
 # Paper anchors (§VII text + digitized curves).
 PAPER_FIG9A_PEAK_CPU = 92.0  # cluster average CPU % during recovery
@@ -65,40 +65,80 @@ def crash_spec(scale: Scale, servers: int, rf: int,
     return CrashExperimentSpec(**defaults)
 
 
-def run_fig9_crash_timeline(scale: Scale = DEFAULT,
-                            ) -> Tuple[ComparisonTable,
-                                       CrashExperimentResult]:
-    """Fig. 9a/9b: 10 idle servers, RF 4, random kill at t=60 s."""
-    spec = crash_spec(scale, servers=10, rf=4,
-                      bytes_per_server=scale.crash_timeline_bytes_per_server)
+def _crash_outcome(result, **metrics: Optional[float]) -> CellOutcome:
+    """A crash cell's outcome: the metrics its renderer reads (a metric
+    the run could not measure is left out) under the crash run's own
+    digest."""
+    return CellOutcome(
+        metrics={key: value for key, value in metrics.items()
+                 if value is not None},
+        digest=crash_experiment_digest(result))
+
+
+def _mean(metrics, key: str) -> Optional[float]:
+    return metrics[key].mean if key in metrics else None
+
+
+def _crash_plan(experiment: str, scale: Scale,
+                seeds: Optional[Sequence[int]], servers: int,
+                rf: int) -> SweepPlan:
+    """One crash run as a one-point plan, at the pinned seed 3 unless
+    ``seeds`` says otherwise (a crash run is minutes of simulated
+    time)."""
+    point = SweepPoint.of(f"{servers} servers / RF {rf}", servers=servers,
+                          rf=rf)
+    return SweepPlan(experiment, (point,), tuple(seeds or (3,)), scale)
+
+
+def _fig9_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: an idle cluster losing a random server at
+    t=60 s."""
+    spec = crash_spec(scale,
+                      bytes_per_server=scale.crash_timeline_bytes_per_server,
+                      seed=seed, **params)
     result = run_crash_experiment(spec)
-    table = ComparisonTable(
-        "Fig. 9", "CPU and power timeline around a crash (10 servers, RF 4)")
-    kill_at = spec.kill_at
-    idle_cpu = [v for t, v in result.cluster_cpu.items() if t < kill_at]
+    idle_cpu = [v for t, v in result.cluster_cpu.items() if t < spec.kill_at]
     recovery_cpu = [v for t, v in result.cluster_cpu.items()
                     if result.recovery.started_at < t
                     <= result.recovery.finished_at]
+    return _crash_outcome(
+        result, idle_cpu=sum(idle_cpu) / len(idle_cpu),
+        peak_recovery_cpu=max(recovery_cpu),
+        recovery_power=result.avg_power_during_recovery(),
+        recovery_time=result.recovery_time)
+
+
+def fig9_sweep_plan(scale: Scale = DEFAULT,
+                    seeds: Optional[Sequence[int]] = None,
+                    servers: int = 10, rf: int = 4) -> SweepPlan:
+    """The Fig. 9 crash as a :class:`SweepPlan`."""
+    return _crash_plan("fig9", scale, seeds, servers, rf)
+
+
+def render_fig9(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 9a/9b: 10 idle servers, RF 4, random kill at t=60 s."""
+    point = plan.points[0]
+    params, metrics = point.as_dict(), merged[point.label]
+    table = ComparisonTable(
+        "Fig. 9", f"CPU and power timeline around a crash "
+        f"({params['servers']} servers, RF {params['rf']})")
     table.add("idle cluster CPU", PAPER_FIG9A_IDLE_CPU,
-              sum(idle_cpu) / len(idle_cpu), "%")
+              metrics["idle_cpu"].mean, "%")
     table.add("peak cluster CPU during recovery", PAPER_FIG9A_PEAK_CPU,
-              max(recovery_cpu), "%")
+              metrics["peak_recovery_cpu"].mean, "%")
     table.add("peak surviving-node power", PAPER_FIG9B_PEAK_WATTS,
-              result.avg_power_during_recovery(), "W")
-    table.add("recovery time", None, result.recovery_time, " s")
+              metrics["recovery_power"].mean, "W")
+    table.add("recovery time", None, metrics["recovery_time"].mean, " s")
     table.note("paper Fig. 9b shows a higher pre-crash baseline "
                "(~100 W) than Fig. 1b's calibration anchors; we keep "
                "the Fig. 1b calibration")
-    return table, result
+    return table
 
 
-def run_fig10_latency_crash(scale: Scale = DEFAULT,
-                            ) -> Tuple[ComparisonTable,
-                                       CrashExperimentResult]:
-    """Fig. 10: two clients during a targeted crash — one pinned to the
-    victim's data (blocked for the whole recovery), one to live data
-    (1.4–2.4x latency during recovery)."""
-    servers = 10
+def fig10_spec(scale: Scale = DEFAULT, servers: int = 10, rf: int = 4,
+               seed: int = 3) -> CrashExperimentSpec:
+    """The Fig. 10 run: two read-only clients during a targeted crash,
+    one pinned to the victim's data, one to live data."""
     record_size = scale.recovery_record_size
     num_records = (scale.crash_timeline_bytes_per_server * servers
                    // record_size)
@@ -109,15 +149,19 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
                                    ops_per_client=10_000_000,
                                    record_size=record_size,
                                    ).throttled(1000.0)
-    spec = crash_spec(
-        scale, servers=servers, rf=4,
+    return crash_spec(
+        scale, servers=servers, rf=rf,
         bytes_per_server=scale.crash_timeline_bytes_per_server,
-        clients=2, victim_index=3, split_clients_by_victim=True,
+        clients=2, seed=seed, victim_index=3, split_clients_by_victim=True,
         foreground=foreground,
     )
+
+
+def _fig10_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: the Fig. 10 run, reduced to the latency
+    windows its table reports."""
+    spec = fig10_spec(scale, seed=seed, **params)
     result = run_crash_experiment(spec)
-    table = ComparisonTable(
-        "Fig. 10", "per-op latency around a crash (2 clients)")
     lost, live = result.client_latencies[0], result.client_latencies[1]
     kill_at = spec.kill_at
     end = result.recovery.finished_at
@@ -126,15 +170,34 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
         window = [lat for t, lat in recorder if lo < t <= hi]
         return 1e6 * sum(window) / len(window) if window else None
 
+    return _crash_outcome(
+        result, base_live_us=mean_us(live, 0.0, kill_at),
+        recovery_live_us=mean_us(live, kill_at, end),
+        blocked=max(lost.latencies, default=None),
+        recovery_time=result.recovery_time)
+
+
+def fig10_sweep_plan(scale: Scale = DEFAULT,
+                     seeds: Optional[Sequence[int]] = None,
+                     servers: int = 10, rf: int = 4) -> SweepPlan:
+    """The Fig. 10 crash as a :class:`SweepPlan`."""
+    return _crash_plan("fig10", scale, seeds, servers, rf)
+
+
+def render_fig10(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 10: the lost-data client is blocked for the whole recovery;
+    the live-data client sees 1.4–2.4x latency during it."""
+    metrics = merged[plan.points[0].label]
+    table = ComparisonTable(
+        "Fig. 10", "per-op latency around a crash (2 clients)")
     # The paper's baseline is 1 KB reads at ~15 µs; our recovery dataset
     # uses larger records, so latency baselines scale with record size.
-    base_live = mean_us(live, 0.0, kill_at)
-    during_live = mean_us(live, kill_at, end)
-    blocked = max(lost.latencies, default=None)
+    base_live = _mean(metrics, "base_live_us")
+    during_live = _mean(metrics, "recovery_live_us")
     table.add("live-data client baseline latency",
               PAPER_FIG10_BASE_LATENCY_US, base_live, " µs",
-              note=f"records are {scale.recovery_record_size // 1024} KB "
-                   "here, not 1 KB")
+              note=f"records are {plan.scale.recovery_record_size // 1024} "
+                   "KB here, not 1 KB")
     table.add("live-data client latency during recovery",
               PAPER_FIG10_RECOVERY_LATENCY_US, during_live, " µs")
     if base_live and during_live:
@@ -142,21 +205,24 @@ def run_fig10_latency_crash(scale: Scale = DEFAULT,
                   during_live / base_live, "x",
                   note="paper reports 1.4–2.4x")
     table.add("lost-data client blocked for",
-              PAPER_FIG10_BLOCKED_SECONDS, blocked, " s",
+              PAPER_FIG10_BLOCKED_SECONDS, _mean(metrics, "blocked"), " s",
               note="equals the recovery time")
-    table.add("recovery time", 40.0, result.recovery_time, " s")
-    return table, result
+    table.add("recovery time", 40.0, metrics["recovery_time"].mean, " s")
+    return table
+
+
+def _recovery_spec(params: Dict[str, int], seed: int,
+                   scale: Scale) -> CrashExperimentSpec:
+    """A (servers, rf) cluster losing a server of the recovery-scale
+    dataset at t=10 s: the run behind Figs. 11 and 12."""
+    return crash_spec(scale, bytes_per_server=scale.recovery_bytes_per_server,
+                      kill_at=10.0, seed=seed, **params)
 
 
 def _fig11_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: one (servers, rf, seed) crash-recovery run of
     the Fig. 11 grid."""
-    return run_cell(crash_spec(
-        scale, bytes_per_server=scale.recovery_bytes_per_server,
-        kill_at=10.0, **params), seed)
-
-
-SWEEP_CELLS = {"fig11": _fig11_cell}
+    return run_cell(_recovery_spec(params, seed, scale), seed)
 
 
 def fig11_sweep_plan(scale: Scale = DEFAULT,
@@ -211,45 +277,52 @@ def render_fig11(plan: SweepPlan, merged,
     return time_table, energy_table
 
 
-def run_fig11_recovery_rf(scale: Scale = DEFAULT,
-                          rfs: Sequence[int] = (1, 2, 3, 4, 5),
-                          servers: int = 9,
-                          ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 11a (recovery time vs RF) and Fig. 11b (per-node energy
-    during recovery vs RF); 9 servers, ≈1.085 GB to recover."""
-    plan = fig11_sweep_plan(scale, None, rfs, servers)
-    return render_fig11(plan, measure(plan))
-
-
-def run_fig12_disk_activity(scale: Scale = DEFAULT, rf: int = 4,
-                            servers: int = 9,
-                            ) -> Tuple[ComparisonTable,
-                                       CrashExperimentResult]:
-    """Fig. 12: aggregate disk read/write MB/s during recovery."""
-    spec = crash_spec(scale, servers=servers, rf=rf,
-                      bytes_per_server=scale.recovery_bytes_per_server,
-                      kill_at=10.0)
-    result = run_crash_experiment(spec)
-    table = ComparisonTable(
-        "Fig. 12", f"aggregate disk activity during recovery "
-        f"({servers} nodes, RF {rf})")
+def _fig12_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: the Fig. 11 run, reduced to the disk activity
+    of its recovery window."""
+    result = run_crash_experiment(_recovery_spec(params, seed, scale))
     start = result.recovery.started_at
     end = result.recovery.finished_at
     reads = [v for t, v in result.disk_read_mbps.items() if start < t <= end]
     writes = [v for t, v in result.disk_write_mbps.items()
               if start < t <= end]
+    return _crash_outcome(
+        result, peak_read=max(reads, default=0.0),
+        peak_write=max(writes, default=0.0), read_total=sum(reads),
+        write_total=sum(writes),
+        overlap=float(sum(1 for r, w in zip(reads, writes)
+                          if r > 0 and w > 0)))
+
+
+def fig12_sweep_plan(scale: Scale = DEFAULT,
+                     seeds: Optional[Sequence[int]] = None,
+                     servers: int = 9, rf: int = 4) -> SweepPlan:
+    """The Fig. 12 crash as a :class:`SweepPlan`."""
+    return _crash_plan("fig12", scale, seeds, servers, rf)
+
+
+def render_fig12(plan: SweepPlan, merged) -> ComparisonTable:
+    """Fig. 12: aggregate disk read/write MB/s during recovery."""
+    point = plan.points[0]
+    params, metrics = point.as_dict(), merged[point.label]
+    table = ComparisonTable(
+        "Fig. 12", f"aggregate disk activity during recovery "
+        f"({params['servers']} nodes, RF {params['rf']})")
     table.add("peak aggregate read", PAPER_FIG12_PEAK_READ_MBPS,
-              max(reads, default=0.0), " MB/s")
+              metrics["peak_read"].mean, " MB/s")
     table.add("peak aggregate write", PAPER_FIG12_PEAK_WRITE_MBPS,
-              max(writes, default=0.0), " MB/s")
-    read_total = sum(reads)
-    write_total = sum(writes)
+              metrics["peak_write"].mean, " MB/s")
+    read_total = metrics["read_total"].mean
     if read_total:
-        table.add("write/read volume ratio", float(rf),
-                  write_total / read_total, "x",
+        table.add("write/read volume ratio", float(params["rf"]),
+                  metrics["write_total"].mean / read_total, "x",
                   note="re-replication writes RF copies of what was read")
-    overlap = sum(1 for r, w in zip(reads, writes) if r > 0 and w > 0)
-    table.add("seconds with overlapping read+write", None, float(overlap),
-              " s", note="the head contention the paper blames for slow "
-                         "small-cluster recovery")
-    return table, result
+    table.add("seconds with overlapping read+write", None,
+              metrics["overlap"].mean, " s",
+              note="the head contention the paper blames for slow "
+                   "small-cluster recovery")
+    return table
+
+
+SWEEP_CELLS = {"fig9": _fig9_cell, "fig10": _fig10_cell,
+               "fig11": _fig11_cell, "fig12": _fig12_cell}

@@ -1,22 +1,19 @@
-"""The one list of experiments.
+"""The one list of experiments, and the one way to run them.
 
 ``python -m repro list|run``, ``tools/generate_experiments_md.py`` and
 ``tools/sweep.py`` all read :data:`EXPERIMENTS`: its order is the CLI's
 listing order and EXPERIMENTS.md's section order, and its names are the
 only experiment names there are.
 
-An entry says how a name becomes comparison tables:
-
-* a grid figure is a **plan factory plus a renderer** over that plan's
-  merged aggregates.  Figures that measure the same cells name the same
-  factory (Fig. 2 renders from Fig. 1's plan, Fig. 3 from Table II's,
-  Figs. 7 and 8 from Fig. 6's), and :func:`run_experiments` renders them
-  from one report, so no cell runs twice;
-* a single-run probe (a crash timeline, a scale-down, a power cap) is a
-  **plain runner** ``run(scale)``;
-* ``energy`` is both: its table comes from one whole governor sweep, and
-  that whole sweep is also a cell, so seeds fan out through
-  ``tools/sweep.py``.
+Every entry is a **plan factory plus a renderer** over that plan's
+merged aggregates — a 40-point grid figure and a single crash run
+alike, so every table comes from seeded cells that
+:mod:`repro.experiments.sweep` can fan out across workers and check
+digest for digest against the serial path.  Figures that measure the
+same cells name the same factory (Fig. 2 renders from Fig. 1's plan,
+Fig. 3 from Table II's, Figs. 7 and 8 from Fig. 6's), and
+:func:`run_experiments` renders them from one report, so no cell runs
+twice.  :func:`tables` renders one experiment at a non-default grid.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import CellResult, SweepPlan, run_sweep
 
 __all__ = ["CELLS", "EXPERIMENTS", "Experiment", "plan_for",
-           "run_experiments", "sweep_names"]
+           "run_experiments", "sweep_names", "tables"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +38,9 @@ class Experiment:
     """How one experiment name becomes tables (see the module docstring)."""
 
     #: ``plan(scale, seeds=None, **grid) -> SweepPlan``
-    plan: Optional[Callable[..., SweepPlan]] = None
-    #: ``render(plan, merged_aggregates) -> table(s)``
-    render: Optional[Callable] = None
-    #: ``run(scale) -> table(s)``, possibly with non-table payloads
-    run: Optional[Callable] = None
+    plan: Callable[..., SweepPlan]
+    #: ``render(plan, merged_aggregates) -> table or tuple of tables``
+    render: Callable
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -60,10 +55,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig6": Experiment(replication.fig6_sweep_plan, replication.render_fig6),
     "fig7": Experiment(replication.fig6_sweep_plan, replication.render_fig7),
     "fig8": Experiment(replication.fig6_sweep_plan, replication.render_fig8),
-    "fig9": Experiment(run=recovery.run_fig9_crash_timeline),
-    "fig10": Experiment(run=recovery.run_fig10_latency_crash),
+    "fig9": Experiment(recovery.fig9_sweep_plan, recovery.render_fig9),
+    "fig10": Experiment(recovery.fig10_sweep_plan, recovery.render_fig10),
     "fig11": Experiment(recovery.fig11_sweep_plan, recovery.render_fig11),
-    "fig12": Experiment(run=recovery.run_fig12_disk_activity),
+    "fig12": Experiment(recovery.fig12_sweep_plan, recovery.render_fig12),
     "fig13": Experiment(throttling.fig13_sweep_plan,
                         throttling.render_fig13),
     "worker-threads": Experiment(ablations.worker_threads_sweep_plan,
@@ -78,16 +73,18 @@ EXPERIMENTS: Dict[str, Experiment] = {
                              extensions.render_transports),
     "scans": Experiment(extensions.scans_sweep_plan,
                         extensions.render_scans),
-    "elastic": Experiment(run=extensions.run_elastic_sizing_extension),
-    "correlated": Experiment(
-        run=extensions.run_correlated_failures_extension),
-    "energy": Experiment(
-        plan=energy_proportionality.energy_sweep_plan,
-        run=energy_proportionality.run_energy_proportionality),
-    "powercap": Experiment(run=energy_proportionality.run_power_cap),
+    "elastic": Experiment(extensions.elastic_sweep_plan,
+                          extensions.render_elastic),
+    "correlated": Experiment(extensions.correlated_sweep_plan,
+                             extensions.render_correlated),
+    "energy": Experiment(energy_proportionality.energy_sweep_plan,
+                         energy_proportionality.render_energy),
+    "powercap": Experiment(energy_proportionality.powercap_sweep_plan,
+                           energy_proportionality.render_powercap),
     "frontier": Experiment(durability.frontier_sweep_plan,
                            durability.render_frontier),
-    "durability-gap": Experiment(run=durability.run_durability_gap_table),
+    "durability-gap": Experiment(durability.durability_gap_sweep_plan,
+                                 durability.render_durability_gap),
     "fig_index": Experiment(indexing.fig_index_sweep_plan,
                             indexing.render_fig_index),
     "tenant_mix": Experiment(indexing.tenant_mix_sweep_plan,
@@ -110,8 +107,7 @@ def sweep_names() -> List[str]:
     ``experiment``."""
     owners: Dict[Callable, str] = {}
     for name, entry in EXPERIMENTS.items():
-        if entry.plan is not None:
-            owners.setdefault(entry.plan, name)
+        owners.setdefault(entry.plan, name)
     return list(owners.values())
 
 
@@ -120,13 +116,21 @@ def plan_for(experiment: str, scale: Scale = DEFAULT,
     """The :class:`SweepPlan` of a registered experiment (its default
     grid unless ``grid`` overrides the factory's keywords)."""
     if experiment == "_selftest":  # the harness's own, hidden from listings
-        entry = Experiment(plan=sweep._selftest_plan)
+        factory = sweep._selftest_plan
+    elif experiment in EXPERIMENTS:
+        factory = EXPERIMENTS[experiment].plan
     else:
-        entry = EXPERIMENTS.get(experiment)
-    if entry is None or entry.plan is None:
         raise ValueError(f"unknown sweep experiment {experiment!r}: "
                          f"choose from {sweep_names()}")
-    return entry.plan(scale, seeds=tuple(seeds) if seeds else None, **grid)
+    return factory(scale, seeds=tuple(seeds) if seeds else None, **grid)
+
+
+def tables(experiment: str, scale: Scale = DEFAULT, **grid):
+    """One experiment's table(s) at ``grid`` (its plan factory's
+    keywords, ``seeds`` included), run on the serial reference path."""
+    plan = plan_for(experiment, scale, **grid)
+    report = run_sweep(plan, parallel=False)
+    return EXPERIMENTS[experiment].render(plan, report.checked_aggregates())
 
 
 def run_experiments(names: Iterable[str], scale: Scale, workers: int = 0,
@@ -141,15 +145,10 @@ def run_experiments(names: Iterable[str], scale: Scale, workers: int = 0,
     reports = {}
     for name in names:
         entry = EXPERIMENTS[name]
-        if entry.render is None:
-            result = entry.run(scale)
-        else:
-            if entry.plan not in reports:
-                reports[entry.plan] = run_sweep(
-                    entry.plan(scale), parallel=workers > 0,
-                    workers=workers or None, on_cell=on_cell)
-            report = reports[entry.plan]
-            result = entry.render(report.plan, report.checked_aggregates())
-        items = result if isinstance(result, tuple) else (result,)
-        yield name, [item for item in items
-                     if isinstance(item, ComparisonTable)]
+        if entry.plan not in reports:
+            reports[entry.plan] = run_sweep(
+                entry.plan(scale), parallel=workers > 0,
+                workers=workers or None, on_cell=on_cell)
+        report = reports[entry.plan]
+        result = entry.render(report.plan, report.checked_aggregates())
+        yield name, list(result) if isinstance(result, tuple) else [result]

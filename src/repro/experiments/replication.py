@@ -17,15 +17,12 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
 from repro.ycsb.workload import WORKLOAD_A
 
-__all__ = ["run_fig5_replication", "run_fig6_replication_scale",
-           "run_fig7_power_rf", "run_fig8_efficiency_rf",
-           "fig5_sweep_plan", "fig6_sweep_plan",
+__all__ = ["fig5_sweep_plan", "fig6_sweep_plan",
            "render_fig5", "render_fig6", "render_fig7", "render_fig8"]
 
 # Fig. 5 (20 servers): exact where stated in the text, digitized (~)
@@ -91,8 +88,8 @@ def fig6_sweep_plan(scale: Scale = DEFAULT,
                     rfs: Sequence[int] = (1, 2, 3, 4),
                     clients: int = 60) -> SweepPlan:
     """The Fig. 6 grid as a :class:`SweepPlan`; Fig. 7 (its largest
-    cluster) and Fig. 8 (all but its smallest) render from the same
-    cells."""
+    cluster) and Fig. 8 (all but the 10-server cluster) render from the
+    same cells."""
     points = tuple(
         SweepPoint.of(f"{servers} servers / RF {rf}",
                       servers=servers, clients=clients, rf=rf)
@@ -158,11 +155,11 @@ def render_fig6(plan: SweepPlan, merged,
     return throughput, energy
 
 
-def render_fig7(plan: SweepPlan, merged, servers: int = 40,
-                ) -> ComparisonTable:
+def render_fig7(plan: SweepPlan, merged) -> ComparisonTable:
     """Fig. 7: average power per node of 40 servers vs RF, from the
-    Fig. 6 cells of that cluster size."""
+    Fig. 6 cells of the plan's largest cluster."""
     clients = plan.points[0].as_dict()["clients"]
+    servers = max(point.as_dict()["servers"] for point in plan.points)
     table = ComparisonTable(
         "Fig. 7", f"average power per node, {servers} servers / "
         f"{clients} clients (W)")
@@ -175,13 +172,11 @@ def render_fig7(plan: SweepPlan, merged, servers: int = 40,
     return table
 
 
-def render_fig8(plan: SweepPlan, merged,
-                server_counts: Sequence[int] = (20, 30, 40),
-                ) -> ComparisonTable:
+def render_fig8(plan: SweepPlan, merged) -> ComparisonTable:
     """Fig. 8: energy efficiency vs RF — more servers are MORE efficient
     with replication on (Finding 4, the reverse of Finding 1).  From the
-    Fig. 6 cells; the paper drops the 10-server cluster, whose RF > 2
-    runs crashed."""
+    Fig. 6 cells; like the paper, it drops the 10-server cluster, whose
+    RF > 2 runs crashed."""
     clients = plan.points[0].as_dict()["clients"]
     table = ComparisonTable(
         "Fig. 8", f"energy efficiency vs RF at {clients} clients (op/joule)")
@@ -189,15 +184,16 @@ def render_fig8(plan: SweepPlan, merged,
     for point in plan.points:
         params = point.as_dict()
         key = (params["servers"], params["rf"])
-        if key[0] not in server_counts:
+        if key[0] == 10:
             continue
         eff = merged[point.label]["energy_efficiency"].mean
         measured[key] = eff
         table.add(point.label, PAPER_FIG8_OPS_PER_JOULE.get(key), eff,
                   " op/J")
     # Finding 4 check: at RF1, efficiency increases with server count.
-    if all((s, 1) in measured for s in server_counts):
-        ordered = [measured[(s, 1)] for s in sorted(server_counts)]
+    server_counts = sorted({servers for servers, _rf in measured})
+    if server_counts and all((s, 1) in measured for s in server_counts):
+        ordered = [measured[(s, 1)] for s in server_counts]
         table.note("Finding 4 (more servers → better efficiency at RF1): "
                    + ("HOLDS" if ordered == sorted(ordered) else "VIOLATED")
                    + f" ({', '.join(f'{v:.0f}' for v in ordered)} op/J)")
@@ -205,40 +201,3 @@ def render_fig8(plan: SweepPlan, merged,
                "its own Fig. 6a/6b (which imply ≈74 op/J for the same "
                "runs); compare orderings, not absolutes")
     return table
-
-
-def run_fig5_replication(scale: Scale = DEFAULT,
-                         client_counts: Sequence[int] = (10, 30, 60),
-                         rfs: Sequence[int] = (1, 2, 3, 4),
-                         servers: int = 20) -> ComparisonTable:
-    """Fig. 5: throughput of 20 servers vs replication factor."""
-    plan = fig5_sweep_plan(scale, None, client_counts, rfs, servers)
-    return render_fig5(plan, measure(plan))
-
-
-def run_fig6_replication_scale(scale: Scale = DEFAULT,
-                               server_counts: Sequence[int] = (10, 20, 30, 40),
-                               rfs: Sequence[int] = (1, 2, 3, 4),
-                               clients: int = 60,
-                               ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 6a (throughput) and Fig. 6b (total energy), 60 clients."""
-    plan = fig6_sweep_plan(scale, None, server_counts, rfs, clients)
-    return render_fig6(plan, measure(plan))
-
-
-def run_fig7_power_rf(scale: Scale = DEFAULT,
-                      rfs: Sequence[int] = (1, 2, 3, 4),
-                      servers: int = 40, clients: int = 60,
-                      ) -> ComparisonTable:
-    """Fig. 7: average power per node of 40 servers vs RF."""
-    plan = fig6_sweep_plan(scale, None, (servers,), rfs, clients)
-    return render_fig7(plan, measure(plan), servers)
-
-
-def run_fig8_efficiency_rf(scale: Scale = DEFAULT,
-                           server_counts: Sequence[int] = (20, 30, 40),
-                           rfs: Sequence[int] = (1, 2, 3, 4),
-                           clients: int = 60) -> ComparisonTable:
-    """Fig. 8: energy efficiency vs RF at 60 clients."""
-    plan = fig6_sweep_plan(scale, None, server_counts, rfs, clients)
-    return render_fig8(plan, measure(plan), server_counts)

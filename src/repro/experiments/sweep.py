@@ -30,9 +30,9 @@ Experiments register a *cell runner* — ``runner(params, seed, scale) ->
 CellOutcome`` — in their module-level ``SWEEP_CELLS`` dict (most are one
 line over :func:`run_cell`) and name their plan factory and renderer in
 :mod:`repro.experiments.registry`, which every entry point reads; see
-:mod:`repro.experiments.peak` for the pattern.  A figure's public
-``run_figN`` is its renderer applied to :func:`measure` of its plan, so
-this module is the only thing that executes cells.  The registry imports
+:mod:`repro.experiments.peak` for the pattern.  Every table — a grid
+figure or a single crash run — is its renderer applied to a report of
+this module, so nothing else executes cells.  The registry imports
 every experiment module and they import this one, so it is resolved
 lazily (inside :func:`cell_registry`) — identically in the parent and
 in spawn-context workers.
@@ -71,8 +71,8 @@ from repro.ycsb.workload import WORKLOAD_C, WorkloadSpec
 __all__ = [
     "CellOutcome", "CellResult", "SerialEquivalenceError", "SweepCell",
     "SweepPlan", "SweepPoint", "SweepReport", "cell_registry",
-    "crash_experiment_digest", "experiment_digest", "measure",
-    "outcome_from_crash", "outcome_from_experiment", "run_cell",
+    "crash_experiment_digest", "experiment_digest", "outcome_from_crash",
+    "outcome_from_experiment", "outcome_from_metrics", "run_cell",
     "run_sweep", "ycsb_spec",
 ]
 
@@ -192,6 +192,13 @@ def outcome_from_crash(result) -> CellOutcome:
             result.avg_power_during_recovery())
     return CellOutcome(metrics=metrics,
                        digest=crash_experiment_digest(result))
+
+
+def outcome_from_metrics(metrics: Dict[str, float]) -> CellOutcome:
+    """Outcome for a cell with no result object of its own to digest:
+    the digest covers the repr of every metric, in key order."""
+    return CellOutcome(metrics=metrics, digest=hashlib.sha256(
+        repr(sorted(metrics.items())).encode()).hexdigest())
 
 
 def ycsb_spec(workload: WorkloadSpec, servers: int, clients: int,
@@ -391,9 +398,9 @@ class SweepReport:
     def checked_aggregates(self) -> Dict[str, Dict[str, Aggregate]]:
         """:meth:`aggregates`, refusing to render a partial sweep.
 
-        The figure runners use this: a table silently missing a failed
-        point (or mislabelling it "did not finish") is worse than an
-        error naming the dead cells.
+        Every rendered table comes through this: a table silently
+        missing a failed point (or mislabelling it "did not finish") is
+        worse than an error naming the dead cells.
         """
         failed = self.failed()
         if failed:
@@ -653,12 +660,6 @@ def run_sweep(plan: SweepPlan, *, parallel: bool = True,
     if serial_check and parallel:
         _serial_equivalence_check(report, debug, serial_check)
     return report
-
-
-def measure(plan: SweepPlan) -> Dict[str, Dict[str, Aggregate]]:
-    """``plan`` run on the serial reference path, as the merged
-    aggregates every ``run_figN`` hands its renderer."""
-    return run_sweep(plan, parallel=False).checked_aggregates()
 
 
 def write_report(report: SweepReport, path: str) -> None:

@@ -14,13 +14,12 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
 from repro.ycsb.workload import WORKLOAD_A
 
-__all__ = ["run_fig13_throttling", "fig13_sweep_plan", "render_fig13"]
+__all__ = ["fig13_sweep_plan", "render_fig13"]
 
 # Fig. 13: perfectly linear — clients × rate (op/s).
 PAPER_FIG13_OPS = {
@@ -72,12 +71,3 @@ def render_fig13(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("linear in clients at both rates = the cluster is never "
                "saturated, so no timeouts/crashes (§IX)")
     return table
-
-
-def run_fig13_throttling(scale: Scale = DEFAULT,
-                         rates: Sequence[float] = (200.0, 500.0),
-                         client_counts: Sequence[int] = (10, 30, 60),
-                         servers: int = 10, rf: int = 2) -> ComparisonTable:
-    """Fig. 13: throttled update-heavy clients on 10 servers at RF 2."""
-    plan = fig13_sweep_plan(scale, None, rates, client_counts, servers, rf)
-    return render_fig13(plan, measure(plan))

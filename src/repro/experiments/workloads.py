@@ -16,14 +16,12 @@ from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
     SweepPoint,
-    measure,
     run_cell,
     ycsb_spec,
 )
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_B, WORKLOAD_C
 
-__all__ = ["run_table2_throughput", "run_fig3_scalability", "run_fig4_power",
-           "table2_sweep_plan", "fig4_sweep_plan",
+__all__ = ["table2_sweep_plan", "fig4_sweep_plan",
            "render_table2", "render_fig3", "render_fig4"]
 
 WORKLOADS = {"A": WORKLOAD_A, "B": WORKLOAD_B, "C": WORKLOAD_C}
@@ -175,34 +173,3 @@ def render_fig4(plan: SweepPlan, merged,
     energy.note("paper ratios: B consumes 28 % more than C, A consumes "
                 "4.92x C (§V)")
     return power, energy
-
-
-def run_table2_throughput(scale: Scale = DEFAULT,
-                          client_counts: Sequence[int] = (10, 20, 30, 60, 90),
-                          workload_names: Sequence[str] = ("A", "B", "C"),
-                          servers: int = 10,
-                          ) -> Tuple[ComparisonTable,
-                                     Dict[Tuple[str, int], float]]:
-    """Table II, plus the measured Kop/s keyed by (workload, clients)."""
-    plan = table2_sweep_plan(scale, None, client_counts, workload_names,
-                             servers)
-    merged = measure(plan)
-    return render_table2(plan, merged), _measured_kops(plan, merged)
-
-
-def run_fig3_scalability(scale: Scale = DEFAULT,
-                         client_counts: Sequence[int] = (10, 20, 30, 60, 90),
-                         ) -> ComparisonTable:
-    """Fig. 3: throughput scaling factor relative to 10 clients."""
-    plan = table2_sweep_plan(scale, None, client_counts)
-    return render_fig3(plan, measure(plan))
-
-
-def run_fig4_power(scale: Scale = DEFAULT,
-                   client_counts: Sequence[int] = (10, 30, 60, 90),
-                   servers: int = 20,
-                   ) -> Tuple[ComparisonTable, ComparisonTable]:
-    """Fig. 4a (power per node vs clients) and Fig. 4b (total energy at
-    90 clients, same total work per configuration)."""
-    plan = fig4_sweep_plan(scale, None, client_counts, servers)
-    return render_fig4(plan, measure(plan))

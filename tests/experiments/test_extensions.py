@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.extensions import run_elastic_sizing_extension
+from repro.experiments.registry import tables
 from repro.ycsb.client import YcsbClient
 from tests.experiments.test_runners_smoke import TINY
 
@@ -10,7 +10,8 @@ from tests.experiments.test_runners_smoke import TINY
 def test_elastic_sizing_fails_when_a_load_client_fails(monkeypatch):
     # One of the load clients dies after its last op.  The throughput
     # the extension reports covers every client, so the failure must
-    # surface instead of being dropped by the loop that runs the clients.
+    # surface instead of being dropped by the loop that runs the clients
+    # (the sweep refuses to render a table from a failed cell).
     run = YcsbClient.run
     started = []
 
@@ -23,4 +24,4 @@ def test_elastic_sizing_fails_when_a_load_client_fails(monkeypatch):
 
     monkeypatch.setattr(YcsbClient, "run", crashing_run)
     with pytest.raises(RuntimeError, match="load client crashed"):
-        run_elastic_sizing_extension(TINY)
+        tables("elastic", TINY)

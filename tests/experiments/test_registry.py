@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments.peak import run_fig2_efficiency
-from repro.experiments.registry import EXPERIMENTS, run_experiments
+from repro.experiments.registry import EXPERIMENTS, run_experiments, tables
 from repro.experiments.scale import SMOKE
 
 # Default grids (up to 40 servers / 60 clients), so: very few ops.
@@ -27,4 +26,4 @@ def test_figures_sharing_a_plan_run_each_cell_once(names):
 
 def test_registry_rendering_equals_the_public_runner():
     (_name, (table,)), = run_experiments(["fig2"], MICRO)
-    assert table.render() == run_fig2_efficiency(MICRO).render()
+    assert table.render() == tables("fig2", MICRO).render()

@@ -1,12 +1,13 @@
-"""Smoke tests: every experiment runner executes end-to-end at a tiny
-scale and produces well-formed comparison tables.
+"""Smoke tests: every experiment executes end-to-end at a tiny scale
+and produces well-formed comparison tables.
 
 The benchmarks exercise the full shapes; these tests only guarantee
-that the runners never rot.
+that the experiments never rot.
 """
 
-import pytest
-
+from repro.cluster import run_crash_experiment
+from repro.experiments.recovery import crash_spec, fig10_spec
+from repro.experiments.registry import tables
 from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import SMOKE
 
@@ -24,79 +25,70 @@ def assert_table(table, min_rows=1):
 
 class TestPeakRunners:
     def test_fig1(self):
-        from repro.experiments.peak import run_fig1_peak
-        throughput, power = run_fig1_peak(
-            TINY, server_counts=(1, 2), client_counts=(1, 4))
+        throughput, power = tables(
+            "fig1", TINY, server_counts=(1, 2), client_counts=(1, 4))
         assert_table(throughput, 4)
         assert_table(power, 4)
 
     def test_table1(self):
-        from repro.experiments.peak import run_table1_cpu
-        assert_table(run_table1_cpu(TINY, grid=((1, 0), (1, 1))), 2)
+        assert_table(tables("table1", TINY, grid=((1, 0), (1, 1))), 2)
 
     def test_fig2(self):
-        from repro.experiments.peak import run_fig2_efficiency
-        assert_table(run_fig2_efficiency(
-            TINY, server_counts=(1, 2), client_counts=(1, 4)), 4)
+        assert_table(tables(
+            "fig2", TINY, server_counts=(1, 2), client_counts=(1, 4)), 4)
 
 
 class TestWorkloadRunners:
     def test_table2_and_fig3(self):
-        from repro.experiments.workloads import (
-            run_fig3_scalability, run_table2_throughput)
-        table, measured = run_table2_throughput(
-            TINY, client_counts=(2, 4), workload_names=("A", "C"),
-            servers=2)
+        table = tables("table2", TINY, client_counts=(2, 4),
+                       workload_names=("A", "C"), servers=2)
         assert_table(table, 4)
-        assert set(measured) == {("A", 2), ("A", 4), ("C", 2), ("C", 4)}
-        assert_table(run_fig3_scalability(TINY, client_counts=(2, 4)), 4)
+        assert [row.label for row in table.rows] == [
+            "workload A / 2 clients", "workload A / 4 clients",
+            "workload C / 2 clients", "workload C / 4 clients"]
+        assert_table(tables("fig3", TINY, client_counts=(2, 4)), 4)
 
     def test_fig4(self):
-        from repro.experiments.workloads import run_fig4_power
-        power, energy = run_fig4_power(TINY, client_counts=(2, 4), servers=2)
+        power, energy = tables("fig4", TINY, client_counts=(2, 4),
+                               servers=2)
         assert_table(power, 4)
         assert_table(energy, 2)
 
 
 class TestReplicationRunners:
     def test_fig5(self):
-        from repro.experiments.replication import run_fig5_replication
-        assert_table(run_fig5_replication(
-            TINY, client_counts=(4,), rfs=(1, 2), servers=4), 2)
+        assert_table(tables(
+            "fig5", TINY, client_counts=(4,), rfs=(1, 2), servers=4), 2)
 
     def test_fig6(self):
-        from repro.experiments.replication import run_fig6_replication_scale
-        throughput, energy = run_fig6_replication_scale(
-            TINY, server_counts=(4, 6), rfs=(1, 2), clients=4)
+        throughput, energy = tables(
+            "fig6", TINY, server_counts=(4, 6), rfs=(1, 2), clients=4)
         assert_table(throughput, 4)
         assert_table(energy, 2)
 
     def test_fig7_fig8(self):
-        from repro.experiments.replication import (
-            run_fig7_power_rf, run_fig8_efficiency_rf)
-        assert_table(run_fig7_power_rf(TINY, rfs=(1, 2), servers=4,
-                                       clients=4), 2)
-        assert_table(run_fig8_efficiency_rf(TINY, server_counts=(4, 6),
-                                            rfs=(1, 2), clients=4), 4)
+        assert_table(tables("fig7", TINY, server_counts=(4,), rfs=(1, 2),
+                            clients=4), 2)
+        assert_table(tables("fig8", TINY, server_counts=(4, 6),
+                            rfs=(1, 2), clients=4), 4)
 
 
 class TestRecoveryRunners:
     def test_fig9(self):
-        from repro.experiments.recovery import run_fig9_crash_timeline
-        table, result = run_fig9_crash_timeline(TINY)
-        assert_table(table, 3)
+        assert_table(tables("fig9", TINY), 3)
+        result = run_crash_experiment(crash_spec(
+            TINY, servers=10, rf=4,
+            bytes_per_server=TINY.crash_timeline_bytes_per_server))
         assert result.recovery is not None
 
     def test_fig10(self):
-        from repro.experiments.recovery import run_fig10_latency_crash
-        table, result = run_fig10_latency_crash(TINY)
-        assert_table(table, 3)
+        assert_table(tables("fig10", TINY), 3)
+        result = run_crash_experiment(fig10_spec(TINY))
         assert len(result.client_latencies) == 2
 
     def test_fig11(self):
-        from repro.experiments.recovery import run_fig11_recovery_rf
-        time_table, energy_table = run_fig11_recovery_rf(
-            TINY, rfs=(1, 2), servers=4)
+        time_table, energy_table = tables("fig11", TINY, rfs=(1, 2),
+                                          servers=4)
         assert_table(time_table, 2)
         assert_table(energy_table, 2)
         measured = [r.measured for r in time_table.rows
@@ -104,24 +96,22 @@ class TestRecoveryRunners:
         assert all(v is not None for v in measured)
 
     def test_fig12(self):
-        from repro.experiments.recovery import run_fig12_disk_activity
-        table, result = run_fig12_disk_activity(TINY, rf=2, servers=4)
-        assert_table(table, 2)
+        assert_table(tables("fig12", TINY, servers=4, rf=2), 2)
+        result = run_crash_experiment(crash_spec(
+            TINY, servers=4, rf=2,
+            bytes_per_server=TINY.recovery_bytes_per_server, kill_at=10.0))
         assert result.recovery is not None
 
 
 class TestThrottlingAndAblations:
     def test_fig13(self):
-        from repro.experiments.throttling import run_fig13_throttling
-        assert_table(run_fig13_throttling(
-            TINY, rates=(500.0,), client_counts=(2,), servers=2, rf=1), 1)
+        assert_table(tables("fig13", TINY, rates=(500.0,),
+                            client_counts=(2,), servers=2, rf=1), 1)
 
     def test_worker_threads(self):
-        from repro.experiments.ablations import run_worker_threads_ablation
-        assert_table(run_worker_threads_ablation(
-            TINY, worker_counts=(1, 3), servers=2, clients=4), 4)
+        assert_table(tables("worker-threads", TINY, worker_counts=(1, 3),
+                            servers=2, clients=4), 4)
 
     def test_async_replication(self):
-        from repro.experiments.ablations import run_async_replication_ablation
-        assert_table(run_async_replication_ablation(
-            TINY, rf=1, servers=3, clients=4), 5)
+        assert_table(tables("async-replication", TINY, rf=1, servers=3,
+                            clients=4), 5)

@@ -28,10 +28,9 @@ from repro.sim.kernel import Simulator
 from repro.ycsb.workload import WORKLOAD_A, WORKLOAD_C
 from tests.experiments.test_runners_smoke import TINY
 
-# Every module that looks up ``Cluster`` when it builds one
-# (``extensions`` imports it from the package inside its runners).
+# Every module that looks up ``Cluster`` when it builds one.
 RUNNER_MODULES = (repro.cluster, experiment, crash, durability, peak,
-                  energy_proportionality)
+                  extensions, energy_proportionality)
 
 SMALL_SERVERS = ServerConfig(log_memory_bytes=64 * MB, segment_size=1 * MB,
                              replication_factor=1)
@@ -66,18 +65,18 @@ def _peak_idle_cell():
 
 
 def _elastic_sizing():
-    return extensions.run_elastic_sizing_extension(TINY)
+    return extensions._elastic_cell({"servers": 6, "keep": 3}, 3, TINY)
 
 
 def _correlated_failures():
-    return extensions.run_correlated_failures_extension(
-        TINY, rfs=(1,), simultaneous=2, servers=3, trials=2)
+    return extensions._correlated_cell(
+        {"rf": 1, "simultaneous": 2, "servers": 3}, 100, TINY)
 
 
 def _energy_proportionality():
-    return energy_proportionality.run_energy_proportionality(
-        TINY, governors=("static",), servers=1, clients=1,
-        fractions=(0.5,))
+    return energy_proportionality._energy_cell(
+        {"governors": ("static",), "servers": 1, "clients": 1,
+         "fractions": (0.5,)}, 1, TINY)
 
 
 RUNS = {

@@ -39,6 +39,9 @@ def test_plan_cells_are_points_times_seeds_in_plan_order():
 def test_registry_lists_every_experiment_and_hides_selftest():
     names = sweep_names()
     assert {"fig1", "fig4", "fig5", "fig11", "energy"} <= set(names)
+    # The single runs are plans too, each owning its own cells.
+    assert {"fig9", "fig10", "fig12", "elastic", "correlated", "energy",
+            "powercap", "durability-gap"} <= set(names)
     assert not any(name.startswith("_") for name in names)
     # ...but the cell registry still resolves the hidden test runner.
     assert "_selftest" in cell_registry()
@@ -49,15 +52,12 @@ def test_registry_lists_every_experiment_and_hides_selftest():
         assert name in cell_registry()
 
 
-def test_every_registry_entry_renders_from_a_plan_or_runs_plain():
+def test_every_registry_entry_renders_from_a_plan_some_sweep_name_owns():
     for name, entry in EXPERIMENTS.items():
-        if entry.render is not None:
-            # A figure may render from another's cells (fig2 from
-            # fig1's), but always from cells some sweep name owns.
-            assert entry.run is None, name
-            assert plan_for(name, SMOKE).experiment in sweep_names(), name
-        else:
-            assert callable(entry.run), name
+        # A figure may render from another's cells (fig2 from fig1's),
+        # but always from cells some sweep name owns.
+        assert callable(entry.render), name
+        assert plan_for(name, SMOKE).experiment in sweep_names(), name
 
 
 def test_plan_for_unknown_experiment_raises():
@@ -68,9 +68,17 @@ def test_plan_for_unknown_experiment_raises():
 def test_plan_factories_default_to_scale_seeds():
     assert plan_for("fig4", SMOKE).seeds == SMOKE.seeds
     assert plan_for("fig4", SMOKE, seeds=(5, 6)).seeds == (5, 6)
-    # fig11 pins the serial runner's seed so a merged sweep renders the
-    # exact table run_fig11_recovery_rf produces today.
-    assert plan_for("fig11", SMOKE).seeds == (3,)
+    # A single crash run pins seed 3 (Figs. 9-12, elastic), the power
+    # probes seed 1, the durability gap the scale's first seed and the
+    # correlated-failure trials 100..104: the seeds their tables were
+    # first measured at.
+    for name in ("fig9", "fig10", "fig11", "fig12", "elastic"):
+        assert plan_for(name, SMOKE).seeds == (3,), name
+    assert plan_for("energy", SMOKE).seeds == (1,)
+    assert plan_for("powercap", SMOKE).seeds == (1,)
+    assert plan_for("durability-gap", SMOKE).seeds == SMOKE.seeds[:1]
+    assert plan_for("correlated", SMOKE).seeds == (100, 101, 102, 103, 104)
+    assert plan_for("correlated", SMOKE, trials=2).seeds == (100, 101)
 
 
 def test_plan_labels_match_grid_runner_labels():
@@ -148,8 +156,8 @@ def test_checked_aggregates_refuses_a_partial_sweep():
 
 
 def test_in_process_failure_keeps_its_cause():
-    # Every run_figN goes through the in-process path, so a cell that
-    # raises must surface as the original exception (with its
+    # registry.tables() goes through the in-process path, so a cell
+    # that raises must surface as the original exception (with its
     # traceback), not as a flattened "Type: msg" string.
     plan = SweepPlan("_selftest", (
         SweepPoint.of("failer", servers=2, clients=1, fail=True),),

@@ -4,8 +4,15 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import energy_proportionality
-from repro.experiments.registry import EXPERIMENTS, Experiment
+from repro.experiments.registry import EXPERIMENTS, Experiment, plan_for
 from repro.experiments.reporting import ComparisonTable
+
+POWER_PROBES = {
+    "energy": (energy_proportionality.energy_sweep_plan,
+               energy_proportionality.render_energy),
+    "powercap": (energy_proportionality.powercap_sweep_plan,
+                 energy_proportionality.render_powercap),
+}
 
 
 class TestCli:
@@ -31,8 +38,7 @@ class TestCli:
     def test_registry_entries_are_callable(self):
         assert len(EXPERIMENTS) >= 20
         for name, entry in EXPERIMENTS.items():
-            assert callable(entry.render or entry.run), name
-            assert entry.render is None or callable(entry.plan), name
+            assert callable(entry.plan) and callable(entry.render), name
 
     def test_run_one_experiment(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
@@ -54,20 +60,28 @@ class TestCli:
         assert f"== {name} at scale smoke ==" in out
         assert "sync_rf" in out
 
-    @pytest.mark.parametrize("name, runner", [
-        ("energy", energy_proportionality.run_energy_proportionality),
-        ("powercap", energy_proportionality.run_power_cap)])
-    def test_power_probes_dispatch_from_the_cli(self, name, runner, capsys,
+    @pytest.mark.parametrize("name", sorted(POWER_PROBES))
+    def test_power_probes_dispatch_from_the_cli(self, name, capsys,
                                                 monkeypatch):
         # The real runs take ~25 s each even at smoke scale (and are
         # asserted on in benchmarks/), so check the wiring: the name
-        # reaches its public runner, whose (table, result) pair prints
-        # as the table.
-        assert EXPERIMENTS[name].run is runner
+        # reaches its plan/render pair, and whatever that pair renders
+        # is what prints.
+        assert (EXPERIMENTS[name].plan,
+                EXPERIMENTS[name].render) == POWER_PROBES[name]
         table = ComparisonTable("stub", name)
         table.add("row", None, 1.0)
-        monkeypatch.setitem(EXPERIMENTS, name,
-                            Experiment(run=lambda scale: (table, object())))
+        rendered = []
+
+        def render(plan, merged):
+            rendered.append((plan.experiment, sorted(merged)))
+            return table
+
+        monkeypatch.setitem(EXPERIMENTS, name, Experiment(
+            plan=lambda scale, seeds=None: plan_for("_selftest", scale,
+                                                    seeds=(1,)),
+            render=render))
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         assert main(["run", name]) == 0
+        assert rendered == [("_selftest", ["selftest"])]
         assert table.render() in capsys.readouterr().out

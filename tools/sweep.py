@@ -121,6 +121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             agg = metrics.get(key)
             if agg is not None:
                 parts.append(f"{key} {agg.mean:.2f}")
+        # A single run (a crash timeline, a power probe) has none of
+        # the grid metrics: show its own.
+        parts = parts or [f"{key} {agg.mean:.4g}"
+                          for key, agg in metrics.items()]
         print(f"  {label:40s} {'  '.join(parts)}")
 
     failed = report.failed()
