@@ -43,6 +43,7 @@ import cProfile
 import json
 import os
 import pstats
+import re
 import sys
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -56,6 +57,11 @@ HOT_TIME_FRAC = 0.005
 HOT_CALL_FRAC = 0.005
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# cProfile names some builtins by their object, address included
+# (``<function Random.seed at 0x7fecac4039c0>``); the address changes on
+# every run, so the dump drops it.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def _suffix(path: str) -> str:
@@ -210,7 +216,7 @@ def profile_payload(spec, bench: str, scale: str) -> Dict:
             continue
         rows.append({
             "path": _portable_path(path),
-            "func": func,
+            "func": _ADDRESS.sub("", func),
             "line": line,
             "ncalls": nc,
             "tottime": round(tt, 6),

@@ -9,6 +9,7 @@ def out of PERF scope.
 
 import ast
 import os
+import pstats
 
 from repro.analyze.profilehot import HotSet, main, profile_payload
 from repro.experiments.scale import SMOKE
@@ -35,6 +36,28 @@ def test_payload_of_a_tiny_run():
     assert any(r["path"] == "src/repro/sim/kernel.py" for r in rows), \
         "the kernel should appear in its own profile"
     assert not [r["path"] for r in rows if REPO_ROOT in r["path"]]
+
+
+def test_payload_drops_object_addresses_from_names(monkeypatch):
+    # cProfile names some builtins by their object, address included;
+    # the address changes on every run, so a dump that kept it would
+    # rewrite the row each time it is regenerated.
+    class Stats:
+        total_calls = 2
+        stats = {
+            ("~", 0, "<function Random.seed at 0x7fecac4039c0>"):
+                (1, 1, 0.2, 0.2, {}),
+            ("~", 0, "<built-in method builtins.len>"): (1, 1, 0.1, 0.1, {}),
+        }
+
+        def __init__(self, _profiler):
+            pass
+
+    monkeypatch.setattr(pstats, "Stats", Stats)
+    spec = ycsb_spec(WORKLOAD_A, 1, 1, SMOKE.with_(ops_per_client=5))
+    payload = profile_payload(spec, bench="fig4", scale="smoke")
+    assert [row["func"] for row in payload["rows"]] == [
+        "<function Random.seed>", "<built-in method builtins.len>"]
 
 
 def test_main_refuses_to_profile_with_sanitizers_on(tmp_path, monkeypatch):
