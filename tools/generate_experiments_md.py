@@ -5,7 +5,7 @@ paper-vs-measured tables.
 
 Usage:  REPRO_SCALE=default python tools/generate_experiments_md.py
 
-Set REPRO_SWEEP_WORKERS=N to sweep every grid through the parallel
+Set REPRO_SWEEP_WORKERS=N to sweep every experiment through the parallel
 runner (repro.experiments.sweep) — the rendered tables are bit-identical
 to the serial path (that equivalence is what `pytest -m sweep`
 enforces), only the wall clock changes.
@@ -84,7 +84,7 @@ FINDINGS = """\
 | **3** — RF 1→4 costs up to 68 % throughput and ≈3.5x energy | Reproduces: 10-client row of Fig. 5 matches point-for-point (78/65/52/43 K paper vs ≈78/67/60/53 K ours); energy multiplies with RF |
 | **4** — with update-heavy + replication, more servers are MORE energy-efficient | Partially: scaling out is nearly free in efficiency (unlike read-only's 7.6x penalty) and wins throughput, but the strict op/J ordering is flat-to-slightly-decreasing in our model. Note the paper's own Fig. 6b implies ≈74 op/J for runs Fig. 8 reports as 1500 op/J, so the absolute Fig. 8 scale conflicts with its sibling figures |
 | **5** — crash recovery: ≈90 % CPU, ≈8 % more power, lost data blocked for the whole recovery, live data 1.4–2.4x slower | Reproduces: cluster CPU ≈89 % during recovery, power rises on survivors, the pinned client blocks exactly until recovery completes, live-data client slows ≈1.3–2x |
-| **6** — recovery time GROWS with RF (10 s → 55 s for RF 1→5 over ≈1.085 GB) | Reproduces: ≈13 s → ≈56 s, linear in RF, same mechanism (replay re-inserts through the replicated write path) |
+| **6** — recovery time GROWS with RF (10 s → 55 s for RF 1→5 over ≈1.085 GB) | Reproduces: 13.2 s → 60.3 s, linear in RF (a 4.57x growth vs the paper's 5.50x), same mechanism (replay re-inserts through the replicated write path) |
 
 ## Known deviations
 
