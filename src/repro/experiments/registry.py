@@ -125,12 +125,12 @@ def plan_for(experiment: str, scale: Scale = DEFAULT,
     return factory(scale, seeds=tuple(seeds) if seeds else None, **grid)
 
 
-def tables(experiment: str, scale: Scale = DEFAULT, **grid):
-    """One experiment's table(s) at ``grid`` (its plan factory's
+def tables(name: str, scale: Scale = DEFAULT, **grid):
+    """Experiment ``name``'s table(s) at ``grid`` (its plan factory's
     keywords, ``seeds`` included), run on the serial reference path."""
-    plan = plan_for(experiment, scale, **grid)
+    plan = plan_for(name, scale, **grid)
     report = run_sweep(plan, parallel=False)
-    return EXPERIMENTS[experiment].render(plan, report.checked_aggregates())
+    return EXPERIMENTS[name].render(plan, report.checked_aggregates())
 
 
 def run_experiments(names: Iterable[str], scale: Scale, workers: int = 0,
