@@ -14,7 +14,9 @@ import os
 
 import pytest
 
+from repro.experiments.registry import EXPERIMENTS, plan_for
 from repro.experiments.scale import active_scale
+from repro.experiments.sweep import run_sweep
 
 
 @pytest.fixture(scope="session")
@@ -33,25 +35,37 @@ def run_once(benchmark):
     def runner(fn, *args, **kwargs):
         tables = benchmark.pedantic(fn, args=args, kwargs=kwargs,
                                     rounds=1, iterations=1)
-        report_path = os.environ.get("REPRO_BENCH_REPORT")
-        for table in _iter_tables(tables):
-            print()
-            print(table.render())
-            if report_path:
-                with open(report_path, "a") as fh:
-                    fh.write(table.render_markdown())
-                    fh.write("\n\n")
+        _report(tables)
         return tables
 
     return runner
 
 
-def _iter_tables(result):
-    from repro.experiments.reporting import ComparisonTable
-    if isinstance(result, ComparisonTable):
-        yield result
-        return
-    if isinstance(result, tuple):
-        for item in result:
-            if isinstance(item, ComparisonTable):
-                yield item
+@pytest.fixture
+def run_plan(benchmark):
+    """Run a registered experiment's plan exactly once on the serial
+    path, print its table(s), and return them with the plan's merged
+    aggregates (for the metrics a cell measures but no table shows)."""
+
+    def runner(name, scale, **grid):
+        plan = plan_for(name, scale, **grid)
+        report = benchmark.pedantic(run_sweep, args=(plan,),
+                                    kwargs={"parallel": False},
+                                    rounds=1, iterations=1)
+        merged = report.checked_aggregates()
+        tables = EXPERIMENTS[name].render(plan, merged)
+        _report(tables)
+        return tables, merged
+
+    return runner
+
+
+def _report(tables):
+    report_path = os.environ.get("REPRO_BENCH_REPORT")
+    for table in tables if isinstance(tables, tuple) else (tables,):
+        print()
+        print(table.render())
+        if report_path:
+            with open(report_path, "a") as fh:
+                fh.write(table.render_markdown())
+                fh.write("\n\n")

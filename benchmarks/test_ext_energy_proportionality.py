@@ -11,57 +11,55 @@ plus the cluster-level power cap built on the Fig. 13 throttling path.
 import pytest
 
 from repro.experiments.energy_proportionality import (
+    CAP_HYSTERESIS_WATTS,
     PAPER_IDLE_CPU,
     PAPER_IDLE_WATTS,
     run_energy_sweep,
-    run_power_cap,
 )
+from repro.experiments.registry import tables
 
 
-def test_energy_proportionality_sweep(run_once, scale):
-    result = run_once(run_energy_sweep, scale)
+def test_energy_proportionality_sweep(run_plan, scale):
+    _table, merged = run_plan("energy", scale)
+    (metrics,) = merged.values()
 
-    static_idle = result.point("static", 0.0)
-    static_peak = result.point("static", 1.0)
-    adaptive_idle = result.point("poll-adaptive", 0.0)
-    adaptive_peak = result.point("poll-adaptive", 1.0)
+    def value(key, governor):
+        return metrics[f"{key}[{governor}]"].mean
 
     # The static arm IS the paper's machine: the idle row reproduces
     # Table I row 0 through the power model's calibration anchors.
-    assert static_idle.cpu_pct == pytest.approx(PAPER_IDLE_CPU, abs=0.5)
-    assert static_idle.watts_per_server == pytest.approx(PAPER_IDLE_WATTS,
-                                                         rel=0.01)
-    # ... and never exercises a single power knob (strictly opt-in).
-    for point in result.by_governor("static"):
-        assert point.dispatch_sleeps == 0
-        assert point.core_parks == 0
+    assert value("idle_cpu", "static") == pytest.approx(PAPER_IDLE_CPU,
+                                                        abs=0.5)
+    assert value("idle_watts", "static") == pytest.approx(PAPER_IDLE_WATTS,
+                                                          rel=0.01)
+    # ... and never exercises a single power knob (strictly opt-in):
+    # no nap and no park at any of its load points.
+    assert value("dispatch_sleeps", "static") == 0
+    assert value("core_parks", "static") == 0
 
     # poll-adaptive collapses the idle floor: the dispatch thread blocks
     # instead of busy-polling (25 % CPU → ~0) and idle watts drop
     # measurably below the 57.5 + 0.69·25 baseline.
-    assert adaptive_idle.cpu_pct < 2.0
-    assert adaptive_idle.watts_per_server < PAPER_IDLE_WATTS - 5.0
-    assert adaptive_idle.dispatch_sleeps > 0
+    assert value("idle_cpu", "poll-adaptive") < 2.0
+    assert value("idle_watts", "poll-adaptive") < PAPER_IDLE_WATTS - 5.0
+    assert value("idle_dispatch_sleeps", "poll-adaptive") > 0
 
     # Peak throughput survives the governor: within 5 % of busy-poll.
-    assert adaptive_peak.throughput >= 0.95 * static_peak.throughput
+    assert (value("peak_throughput", "poll-adaptive")
+            >= 0.95 * value("peak_throughput", "static"))
 
     # The price: wake latency is visible in the light-load p99.
-    light = min(p.load_fraction for p in result.points
-                if p.load_fraction > 0.0)
-    static_light = result.point("static", light)
-    adaptive_light = result.point("poll-adaptive", light)
-    assert adaptive_light.core_parks > 0
-    assert adaptive_light.p99_latency > 1.5 * static_light.p99_latency
+    assert value("light_core_parks", "poll-adaptive") > 0
+    assert (value("light_p99", "poll-adaptive")
+            > 1.5 * value("light_p99", "static"))
 
     # Both managed governors beat the paper's flat curve on the
     # proportionality index.
-    assert result.ep_index["poll-adaptive"] > result.ep_index["static"]
-    assert result.ep_index["ondemand"] > result.ep_index["static"]
+    assert value("ep_index", "poll-adaptive") > value("ep_index", "static")
+    assert value("ep_index", "ondemand") > value("ep_index", "static")
     # ondemand's DVFS also undercuts the static idle floor (the
     # dispatch core still polls, but at the lowest P-state).
-    ondemand_idle = result.point("ondemand", 0.0)
-    assert ondemand_idle.watts_per_server < PAPER_IDLE_WATTS - 5.0
+    assert value("idle_watts", "ondemand") < PAPER_IDLE_WATTS - 5.0
 
 
 def test_energy_report_deterministic(scale):
@@ -78,15 +76,18 @@ def test_energy_report_deterministic(scale):
 
 
 def test_power_cap_held(run_once, scale):
-    result = run_once(run_power_cap, scale)
+    table = run_once(tables, "powercap", scale)
+    rows = {r.label: r.measured for r in table.rows}
+    cap = rows["configured cap"]
     # Demand alone would blow the budget...
-    assert result.uncapped_watts > result.cap_watts + 10.0
+    assert rows["uncapped fleet watts"] > cap + 10.0
     # ...but the controller holds the fleet inside the hysteresis band
     # (its own measurement, the signal it regulates on).
-    assert result.held
-    assert result.settled_mean_watts == pytest.approx(result.cap_watts,
-                                                      abs=10.0)
-    # The cap engaged the admission throttle at a finite rate, and the
-    # cluster still made forward progress.
-    assert result.admitted_rate != float("inf")
-    assert result.throughput > 0
+    assert rows["settled fleet watts (max)"] <= cap + CAP_HYSTERESIS_WATTS
+    assert rows["settled fleet watts (mean)"] == pytest.approx(cap,
+                                                               abs=10.0)
+    # The cap engaged the admission throttle at a finite rate (the row
+    # is blank at an infinite one), and the cluster still made forward
+    # progress.
+    assert rows["admitted rate"] is not None
+    assert rows["throughput under cap"] > 0

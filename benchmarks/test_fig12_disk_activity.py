@@ -6,14 +6,11 @@ replayed data) — the overlap is the head contention the paper blames
 for slow small-cluster recovery.
 """
 
-from repro.cluster import run_crash_experiment
-from repro.experiments.recovery import crash_spec
-from repro.experiments.registry import tables
 
-
-def test_fig12_disk_activity(run_once, scale):
-    table = run_once(tables, "fig12", scale)
+def test_fig12_disk_activity(run_plan, scale):
+    table, merged = run_plan("fig12", scale)
     rows = {r.label: r.measured for r in table.rows}
+    (metrics,) = merged.values()
 
     assert rows["peak aggregate read"] > 0.0
     assert rows["peak aggregate write"] > 0.0
@@ -21,11 +18,5 @@ def test_fig12_disk_activity(run_once, scale):
     # byte read (paper's dark-green overlap region).
     assert rows["write/read volume ratio"] > 1.5
     assert rows["seconds with overlapping read+write"] >= 1.0
-    # No disk traffic before the kill (the cluster idles): the crash
-    # run the fig12 cell measures.
-    result = run_crash_experiment(crash_spec(
-        scale, servers=9, rf=4,
-        bytes_per_server=scale.recovery_bytes_per_server, kill_at=10.0))
-    pre = [v for t, v in result.disk_write_mbps.items()
-           if t < result.spec.kill_at]
-    assert max(pre, default=0.0) == 0.0
+    # No disk traffic before the kill (the cluster idles).
+    assert metrics["pre_kill_peak_write"].mean == 0.0

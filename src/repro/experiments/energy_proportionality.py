@@ -57,6 +57,10 @@ __all__ = ["EnergyPoint", "EnergyProportionalityResult", "run_energy_sweep",
 PAPER_IDLE_WATTS = 74.75
 PAPER_IDLE_CPU = 25.0
 
+# The power cap's band: the controller eases off only once the fleet is
+# this far under the cap.
+CAP_HYSTERESIS_WATTS = 5.0
+
 
 @dataclass(frozen=True)
 class EnergyPoint:
@@ -292,6 +296,13 @@ def _energy_cell(params, seed: int, scale: Scale):
         metrics[f"light_core_parks[{governor}]"] = float(light.core_parks)
         metrics[f"light_dispatch_sleeps[{governor}]"] = float(
             light.dispatch_sleeps)
+        metrics[f"idle_dispatch_sleeps[{governor}]"] = float(
+            idle.dispatch_sleeps)
+        points = result.by_governor(governor)
+        metrics[f"dispatch_sleeps[{governor}]"] = float(
+            sum(p.dispatch_sleeps for p in points))
+        metrics[f"core_parks[{governor}]"] = float(
+            sum(p.core_parks for p in points))
     return CellOutcome(metrics=metrics, digest=result.digest())
 
 
@@ -355,7 +366,6 @@ class PowerCapResult:
     """What the cap run measured (controller's own view of the fleet)."""
 
     cap_watts: float
-    hysteresis_watts: float
     settled_mean_watts: float
     settled_max_watts: float
     uncapped_watts: float
@@ -364,13 +374,6 @@ class PowerCapResult:
     admitted_rate: float
     #: (time, fleet watts) as the controller sampled them.
     watts_points: List[Tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def held(self) -> bool:
-        """Did the settled fleet power stay within the hysteresis band
-        around the cap (one controller tick of overshoot allowed)?"""
-        return self.settled_max_watts <= self.cap_watts \
-            + self.hysteresis_watts
 
 
 def _capped_load(cluster: Cluster, seed: int, scale: Scale,
@@ -422,14 +425,13 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
             cluster, seed, scale, duration, settle)
 
     policy = PowerPolicy(power_cap_watts=cap_watts, cap_interval=0.05,
-                         cap_hysteresis_watts=5.0)
+                         cap_hysteresis_watts=CAP_HYSTERESIS_WATTS)
     with Cluster(_fleet_spec(servers, clients, seed, policy)) as cluster:
         _watts, throughput = _capped_load(cluster, seed, scale, duration,
                                           settle)
         settled = cluster.power_cap.watts_series.window(settle, duration)
         result = PowerCapResult(
             cap_watts=cap_watts,
-            hysteresis_watts=policy.cap_hysteresis_watts,
             settled_mean_watts=settled.mean(),
             settled_max_watts=settled.max(),
             uncapped_watts=uncapped_watts,

@@ -29,7 +29,7 @@ from repro.ycsb.workload import WORKLOAD_C
 
 __all__ = ["fig9_sweep_plan", "fig10_sweep_plan", "fig11_sweep_plan",
            "fig12_sweep_plan", "render_fig9", "render_fig10",
-           "render_fig11", "render_fig12", "crash_spec", "fig10_spec"]
+           "render_fig11", "render_fig12", "crash_spec"]
 
 # Paper anchors (§VII text + digitized curves).
 PAPER_FIG9A_PEAK_CPU = 92.0  # cluster average CPU % during recovery
@@ -42,6 +42,10 @@ PAPER_FIG11A_SECONDS = {1: 10.0, 2: 21.0, 3: 32.0, 4: 44.0, 5: 55.0}
 PAPER_FIG11B_KILOJOULES = {1: 1.2, 2: 2.4, 3: 3.7, 4: 5.1, 5: 6.4}
 PAPER_FIG12_PEAK_READ_MBPS = 100.0
 PAPER_FIG12_PEAK_WRITE_MBPS = 400.0
+
+# The Fig. 9 and Fig. 10 cluster: 10 servers at RF 4.
+TIMELINE_SERVERS = 10
+TIMELINE_RF = 4
 
 
 def crash_spec(scale: Scale, servers: int, rf: int,
@@ -97,22 +101,23 @@ def _fig9_cell(params: Dict[str, int], seed: int, scale: Scale):
                       bytes_per_server=scale.crash_timeline_bytes_per_server,
                       seed=seed, **params)
     result = run_crash_experiment(spec)
+    end = result.recovery.finished_at
     idle_cpu = [v for t, v in result.cluster_cpu.items() if t < spec.kill_at]
     recovery_cpu = [v for t, v in result.cluster_cpu.items()
-                    if result.recovery.started_at < t
-                    <= result.recovery.finished_at]
+                    if result.recovery.started_at < t <= end]
+    tail_cpu = [v for t, v in result.cluster_cpu.items() if t > end + 5.0]
     return _crash_outcome(
         result, idle_cpu=sum(idle_cpu) / len(idle_cpu),
         peak_recovery_cpu=max(recovery_cpu),
         recovery_power=result.avg_power_during_recovery(),
-        recovery_time=result.recovery_time)
+        recovery_time=result.recovery_time,
+        tail_cpu_min=min(tail_cpu, default=None))
 
 
 def fig9_sweep_plan(scale: Scale = DEFAULT,
-                    seeds: Optional[Sequence[int]] = None,
-                    servers: int = 10, rf: int = 4) -> SweepPlan:
+                    seeds: Optional[Sequence[int]] = None) -> SweepPlan:
     """The Fig. 9 crash as a :class:`SweepPlan`."""
-    return _crash_plan("fig9", scale, seeds, servers, rf)
+    return _crash_plan("fig9", scale, seeds, TIMELINE_SERVERS, TIMELINE_RF)
 
 
 def render_fig9(plan: SweepPlan, merged) -> ComparisonTable:
@@ -135,12 +140,12 @@ def render_fig9(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
-def fig10_spec(scale: Scale = DEFAULT, servers: int = 10, rf: int = 4,
-               seed: int = 3) -> CrashExperimentSpec:
-    """The Fig. 10 run: two read-only clients during a targeted crash,
-    one pinned to the victim's data, one to live data."""
+def _fig10_cell(params: Dict[str, int], seed: int, scale: Scale):
+    """Sweep cell runner: two read-only clients during a targeted crash,
+    one pinned to the victim's data, one to live data, reduced to the
+    latency windows the Fig. 10 table reports."""
     record_size = scale.recovery_record_size
-    num_records = (scale.crash_timeline_bytes_per_server * servers
+    num_records = (scale.crash_timeline_bytes_per_server * params["servers"]
                    // record_size)
     # Throttled probes (the latency trace needs samples, not load):
     # 1000 op/s per client keeps the event count bounded over the
@@ -149,18 +154,10 @@ def fig10_spec(scale: Scale = DEFAULT, servers: int = 10, rf: int = 4,
                                    ops_per_client=10_000_000,
                                    record_size=record_size,
                                    ).throttled(1000.0)
-    return crash_spec(
-        scale, servers=servers, rf=rf,
-        bytes_per_server=scale.crash_timeline_bytes_per_server,
+    spec = crash_spec(
+        scale, bytes_per_server=scale.crash_timeline_bytes_per_server,
         clients=2, seed=seed, victim_index=3, split_clients_by_victim=True,
-        foreground=foreground,
-    )
-
-
-def _fig10_cell(params: Dict[str, int], seed: int, scale: Scale):
-    """Sweep cell runner: the Fig. 10 run, reduced to the latency
-    windows its table reports."""
-    spec = fig10_spec(scale, seed=seed, **params)
+        foreground=foreground, **params)
     result = run_crash_experiment(spec)
     lost, live = result.client_latencies[0], result.client_latencies[1]
     kill_at = spec.kill_at
@@ -178,10 +175,9 @@ def _fig10_cell(params: Dict[str, int], seed: int, scale: Scale):
 
 
 def fig10_sweep_plan(scale: Scale = DEFAULT,
-                     seeds: Optional[Sequence[int]] = None,
-                     servers: int = 10, rf: int = 4) -> SweepPlan:
+                     seeds: Optional[Sequence[int]] = None) -> SweepPlan:
     """The Fig. 10 crash as a :class:`SweepPlan`."""
-    return _crash_plan("fig10", scale, seeds, servers, rf)
+    return _crash_plan("fig10", scale, seeds, TIMELINE_SERVERS, TIMELINE_RF)
 
 
 def render_fig10(plan: SweepPlan, merged) -> ComparisonTable:
@@ -286,12 +282,15 @@ def _fig12_cell(params: Dict[str, int], seed: int, scale: Scale):
     reads = [v for t, v in result.disk_read_mbps.items() if start < t <= end]
     writes = [v for t, v in result.disk_write_mbps.items()
               if start < t <= end]
+    pre_kill = [v for t, v in result.disk_write_mbps.items()
+                if t < result.spec.kill_at]
     return _crash_outcome(
         result, peak_read=max(reads, default=0.0),
         peak_write=max(writes, default=0.0), read_total=sum(reads),
         write_total=sum(writes),
         overlap=float(sum(1 for r, w in zip(reads, writes)
-                          if r > 0 and w > 0)))
+                          if r > 0 and w > 0)),
+        pre_kill_peak_write=max(pre_kill, default=0.0))
 
 
 def fig12_sweep_plan(scale: Scale = DEFAULT,
