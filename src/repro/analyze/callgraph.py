@@ -46,7 +46,8 @@ __all__ = ["CallGraphIndex", "FunctionSummary"]
 # the yield's value (``request = yield get``), which the parent-is-not-
 # Expr case already classifies.
 _EVENT_FACTORY_ATTRS = frozenset({
-    "acquire", "request", "timeout", "event", "all_of",
+    "acquire", "request", "timeout", "event", "all_of", "sleep",
+    "sleep_until",
 })
 
 # Method names that exist on builtin containers/strings: an attribute
@@ -162,7 +163,7 @@ class FunctionSummary:
         A data generator's yields are statement-position ``yield <name
         or constant>`` shapes (``for x in xs: yield x``); a
         sim-coroutine delegates (``yield from``), yields calls or
-        attributes (``yield sim.timeout(...)``, ``yield rx.reply``),
+        attributes (``yield sim.sleep(...)``, ``yield rx.reply``),
         consumes the sent value (``req = yield get``), or yields a name
         bound from a kernel event factory.
         """

@@ -417,7 +417,7 @@ def rule_sim005(module: Module) -> Iterator[Finding]:
 
     * ``x += ... sim.now ...`` inside a loop — accumulating float
       deltas of the clock drifts (and reads the clock at the wrong
-      instants); schedule a ``sim.timeout`` and let the kernel advance
+      instants); sleep (``yield sim.sleep(...)``) and let the kernel advance
       time exactly.
     * ``time.sleep(...)`` — wall-clock sleep inside simulation code
       stalls the real process and does nothing to simulated time.
@@ -433,7 +433,7 @@ def rule_sim005(module: Module) -> Iterator[Finding]:
                 yield module.finding(
                     node, "SIM005",
                     "accumulating 'sim.now' deltas in a loop — schedule "
-                    "'yield sim.timeout(...)' instead of clock arithmetic")
+                    "'yield sim.sleep(...)' instead of clock arithmetic")
         elif isinstance(node, ast.Call):
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr == "sleep"
@@ -442,7 +442,7 @@ def rule_sim005(module: Module) -> Iterator[Finding]:
                 yield module.finding(
                     node, "SIM005",
                     "'time.sleep()' sleeps the wall clock, not simulated "
-                    "time — use 'yield sim.timeout(...)'")
+                    "time — use 'yield sim.sleep(...)'")
 
 
 ALL_RULES = (rule_sim002, rule_sim003, rule_sim004, rule_sim005,

@@ -135,14 +135,15 @@ class CrashExperimentResult:
         return self.avg_power_during_recovery() * self.recovery.duration
 
 
-def _victim_key_split(table_id: int, victim, num_records: int):
+def _victim_key_split(cluster: Cluster, table_id: int, victim):
     """Partition the preloaded record indices into (victim-owned,
-    live) arrays."""
+    live) arrays, routing each record's kept hash as the preload did."""
     victim_records, live_records = array("i"), array("i")
-    victim_owned = set(victim.hashtable.keys_for_table(table_id))
-    for i in range(num_records):
-        (victim_records if format_key(i) in victim_owned
-         else live_records).append(i)
+    owners = cluster.coordinator.tablet_map.numbered_key_owners(
+        table_id, cluster.record_hashes[table_id])
+    victim_id = victim.server_id
+    for i, owner in enumerate(owners):
+        (victim_records if owner == victim_id else live_records).append(i)
     return victim_records, live_records
 
 
@@ -157,12 +158,16 @@ class _PinnedKeyChooser:
         self._records = records
         self._i = 0
 
+    def next_index(self) -> int:
+        """The index of the next record in the pinned cycle."""
+        records = self._records
+        index = records[self._i % len(records)]
+        self._i += 1
+        return index
+
     def next_key(self) -> str:
         """The key of the next record in the pinned cycle."""
-        records = self._records
-        key = format_key(records[self._i % len(records)])
-        self._i += 1
-        return key
+        return format_key(self.next_index())
 
 
 def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
@@ -186,7 +191,7 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
 
         def sampler():
             while True:
-                yield cluster.sim.timeout(spec.sample_interval)
+                yield cluster.sim.sleep(spec.sample_interval)
                 now = cluster.sim.now
                 cpu_total = 0.0
                 read_delta = write_delta = 0
@@ -217,8 +222,9 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
         if spec.foreground is not None:
             for i, rc in enumerate(cluster.clients):
                 stream = RandomStream(spec.cluster.seed, f"fg{i}")
-                clients.append(YcsbClient(cluster.sim, rc, table_id,
-                                          spec.foreground, stream))
+                clients.append(YcsbClient(
+                    cluster.sim, rc, table_id, spec.foreground, stream,
+                    record_hashes=cluster.record_hashes[table_id]))
 
         # The victim must be decided before clients start if we pin keys.
         victim = (cluster.servers[spec.victim_index]
@@ -229,7 +235,7 @@ def run_crash_experiment(spec: CrashExperimentSpec) -> CrashExperimentResult:
             if len(clients) < 2:
                 raise ValueError("split_clients_by_victim needs >= 2 clients")
             victim_records, live_records = _victim_key_split(
-                table_id, victim, spec.num_records)
+                cluster, table_id, victim)
             clients[0].keys = _PinnedKeyChooser(victim_records)
             for extra in clients[1:]:
                 extra.keys = _PinnedKeyChooser(live_records)

@@ -8,9 +8,10 @@ RAMCloud cluster, one coordinator node, 90 client nodes.  A
 from __future__ import annotations
 
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.hardware.node import Node
 from repro.hardware.specs import GRID5000_NANCY_NODE, MachineSpec
@@ -20,6 +21,7 @@ from repro.ramcloud.client import RamCloudClient
 from repro.ramcloud.config import CostModel, ServerConfig
 from repro.ramcloud.coordinator import Coordinator
 from repro.ramcloud.server import RamCloudServer
+from repro.ramcloud.tablets import numbered_key_hashes
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 from repro.ycsb.keyspace import KEY_PREFIX, format_key
@@ -69,6 +71,9 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         self.fabric = Fabric(self.sim)
         self.stream = RandomStream(spec.seed, "cluster")
         self._paused_servers: List[RamCloudServer] = []
+        # Per preloaded table: key_hash(format_key(i)) at index i, 8 B a
+        # record, so clients route preloaded records without hashing.
+        self.record_hashes: Dict[int, array] = {}
 
         self.coordinator_node = Node(self.sim, spec.machine, "coord")
         self.fabric.attach(self.coordinator_node)
@@ -205,16 +210,14 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
 
         Returns per-server record counts.  Zero simulated time; backup
         replica state is materialized, closed segments marked on disk.
-        Keys are routed in one pass by the prefix fold
-        (:meth:`~repro.ramcloud.tablets.TabletMap.numbered_key_owners`),
-        and each master loads its key list in one batched loop.
+        Keys are hashed in one pass by the prefix fold, the hashes kept
+        in :attr:`record_hashes` and the keys routed from them
+        (:meth:`~repro.ramcloud.tablets.TabletMap.numbered_key_owners`);
+        each master loads its key list in one batched loop.
         """
-        owners = self.coordinator.tablet_map.numbered_key_owners(
-            table_id, KEY_PREFIX, num_records)
+        owners = self._numbered_owners(table_id, num_records)
         with _collector_paused():
             keys_of: Dict[str, List[str]] = {}
-            # ``owners`` first: zip then runs the fold to its end, which
-            # frees the parent hashes it holds before the load starts.
             for owner, key in zip(owners,
                                   map(format_key, range(num_records))):
                 keys_of.setdefault(owner, []).append(key)
@@ -238,10 +241,8 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
         from repro.ramcloud.indexing import encode_entry_key, secondary_key
 
         index_id = desc.index_id
-        tablet_map = self.coordinator.tablet_map
-        owners = tablet_map.numbered_key_owners(table_id, KEY_PREFIX,
-                                                num_records)
-        route_entry = tablet_map.key_router(index_id, desc)
+        owners = self._numbered_owners(table_id, num_records)
+        route_entry = self.coordinator.tablet_map.key_router(index_id, desc)
         with _collector_paused():
             per_server: Dict[str, List] = {}
             for i, owner in enumerate(owners):
@@ -257,6 +258,16 @@ class Cluster:  # simlint: disable=PERF001 one per run; __dict__ cost is amortiz
                 server = self.coordinator.lookup_server(server_id)
                 counts[server_id] = server.bulk_load_items(items)
             return counts
+
+    def _numbered_owners(self, table_id: int,
+                         num_records: int) -> Iterator[str]:
+        """Hash records ``0 .. num_records - 1`` of ``table_id`` by the
+        prefix fold into :attr:`record_hashes`; returns each record's
+        owner, in order."""
+        hashes = numbered_key_hashes(KEY_PREFIX, num_records)
+        self.record_hashes[table_id] = hashes
+        return self.coordinator.tablet_map.numbered_key_owners(table_id,
+                                                               hashes)
 
     # -- elastic scale-up ---------------------------------------------------
 

@@ -120,7 +120,7 @@ def run_durability_gap(spec: DurabilityGapSpec) -> DurabilityGapResult:
                     continue
                 result.acked.append((key, version))
                 if spec.write_interval > 0:
-                    yield sim.timeout(spec.write_interval)
+                    yield sim.sleep(spec.write_interval)
 
         for wid in range(spec.cluster.num_clients):
             sim.process(writer(wid), name=f"gap-writer{wid}")

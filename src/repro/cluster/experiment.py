@@ -172,10 +172,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         for i, rc in enumerate(cluster.clients):
             stream = RandomStream(spec.cluster.seed, f"ycsb{i}")
             slot = i % len(table_ids)
-            clients.append(YcsbClient(cluster.sim, rc, table_ids[slot],
-                                      spec.workload, stream,
-                                      give_up_after=spec.give_up_after,
-                                      index_id=index_ids[slot]))
+            clients.append(YcsbClient(
+                cluster.sim, rc, table_ids[slot], spec.workload, stream,
+                give_up_after=spec.give_up_after, index_id=index_ids[slot],
+                record_hashes=cluster.record_hashes[table_ids[slot]]))
 
         for node in cluster.server_nodes:
             node.start_metering(interval=spec.pdu_interval)

@@ -134,7 +134,7 @@ class PowerCapController:
         floor = self.MIN_RATE_PER_SERVER * max(1, len(self.servers))
         try:
             while True:
-                yield self.sim.timeout(interval)
+                yield self.sim.sleep(interval)
                 watts = self.fleet_watts()
                 measured = self._measured_ops_rate(interval)
                 self.watts_series.record(self.sim.now, watts)

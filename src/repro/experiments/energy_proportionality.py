@@ -195,7 +195,8 @@ def _measure_load(governor: str, servers: int, clients: int, seed: int,
         table_id = cluster.create_table("usertable")
         cluster.preload(table_id, scale.num_records, 1024)
         ycsb = [YcsbClient(cluster.sim, rc, table_id, workload,
-                           RandomStream(seed, f"ycsb{i}"))
+                           RandomStream(seed, f"ycsb{i}"),
+                           record_hashes=cluster.record_hashes[table_id])
                 for i, rc in enumerate(cluster.clients)]
         # Start metering only now: preload energy is setup, not workload.
         close = _metered_window(cluster, pdu_interval)
@@ -385,7 +386,8 @@ def _capped_load(cluster: Cluster, seed: int, scale: Scale,
     workload = WORKLOAD_C.scaled(num_records=scale.num_records,
                                  ops_per_client=int(40_000 * duration))
     ycsb = [YcsbClient(cluster.sim, rc, table_id, workload,
-                       RandomStream(seed, f"cap{i}"))
+                       RandomStream(seed, f"cap{i}"),
+                       record_hashes=cluster.record_hashes[table_id])
             for i, rc in enumerate(cluster.clients)]
     for c in ycsb:
         c.throttle = cluster.admission_throttle  # None when uncapped

@@ -202,6 +202,7 @@ def _elastic_cell(params: Dict[str, int], seed: int, scale: Scale):
     with Cluster(spec) as cluster:
         table_id = cluster.create_table("cache")
         cluster.preload(table_id, scale.num_records, 1024)
+        hashes = cluster.record_hashes[table_id]
         cluster.start_metering(interval=0.05)
 
         def run_load(tag):
@@ -209,7 +210,8 @@ def _elastic_cell(params: Dict[str, int], seed: int, scale: Scale):
                                   WORKLOAD_C.scaled(
                                       num_records=scale.num_records,
                                       ops_per_client=scale.ops_per_client),
-                                  RandomStream(seed, f"{tag}{i}"))
+                                  RandomStream(seed, f"{tag}{i}"),
+                                  record_hashes=hashes)
                        for i, rc in enumerate(cluster.clients)]
             procs = [cluster.sim.process(c.run()) for c in clients]
             cluster.sim.run_process(cluster.sim.all_of(procs))

@@ -80,7 +80,7 @@ class FaultInjector:
         for entry in entries:
             target = base + entry.at
             if sim.now < target:
-                yield sim.timeout(target - sim.now)
+                yield sim.sleep(target - sim.now)
             self.apply(entry.action)
 
     # ------------------------------------------------------------------

@@ -343,7 +343,7 @@ class Cpu:
         """Run ``seconds`` of work on some core; queues if all are busy.
 
         Use as ``yield from cpu.execute(t)`` inside a process.  A free
-        core is taken synchronously, so the work is one timer event; a
+        core is taken synchronously, so the work is one sleep; a
         thread that finds none queues FIFO and is handed a core one
         zero-delay hop after a release.  Safe against interrupts at any
         point (the core is released / the queue entry withdrawn): the
@@ -368,7 +368,7 @@ class Cpu:
         try:
             # DVFS: the same work takes 1/ratio longer at reduced
             # frequency (ratio 1.0 divides out bit-exactly).
-            yield self.sim.timeout(seconds / self._freq_ratio)
+            yield self.sim.sleep(seconds / self._freq_ratio)
         finally:
             self._shift(-1)
             self._release()

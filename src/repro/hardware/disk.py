@@ -94,7 +94,7 @@ class Disk:
         self._busy = True
         started = self.sim.now
         try:
-            yield self.sim.timeout(self._transfer_time(nbytes, stream))
+            yield self.sim.sleep(self._transfer_time(nbytes, stream))
             self._last_stream = stream
             if direction == "read":
                 self.bytes_read += nbytes

@@ -71,7 +71,7 @@ class Node:
 
     def _pdu_loop(self):
         while self._metering:
-            yield self.sim.timeout(self._pdu_interval)
+            yield self.sim.sleep(self._pdu_interval)
             self.power.sample()
 
     # -- failure injection ------------------------------------------------

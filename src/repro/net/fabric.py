@@ -9,7 +9,7 @@ network that the peer is gone.
 Each sender NIC is a FIFO virtual clock: ``tx_free`` is the time its
 transmit queue drains.  A message starts serializing at
 ``max(now, tx_free)``, pushes ``tx_free`` to the end of its
-serialization, and arrives one latency later — a single timer event
+serialization, and arrives one latency later — a single sleep
 per message.  A message interrupted while it is the queue's tail hands
 its unsent time back.  One narrowing against a queue of claims: a
 message queued behind an interrupted one keeps its slot, so the
@@ -183,7 +183,7 @@ class Fabric:  # simlint: disable=PERF001 one per run; __dict__ cost is amortize
         done = start + nbytes / nic.bandwidth
         tx_free[src.name] = done
         try:
-            yield sim.timeout_at(done + nic.one_way_latency)
+            yield sim.sleep_until(done + nic.one_way_latency)
         except BaseException:
             # Interrupted before the last byte left: unless a later
             # message already queued behind this one (it keeps its slot,

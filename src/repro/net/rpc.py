@@ -151,7 +151,7 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
         fault = (fabric.rpc_fault_for(src.name, self.node.name, op)
                  if fabric._rpc_faults else None)
         if fault is not None and fault[0] == "delay":
-            yield sim.timeout(fault[1])
+            yield sim.sleep(fault[1])
         yield from fabric.transfer(src, self.node, size_bytes)
         dropped = fault is not None and fault[0] == "drop"
         # A paused endpoint (PauseServer) is network-silent but alive:
@@ -167,7 +167,7 @@ class RpcService:  # simlint: disable=PERF001 O(nodes), subclassed by services; 
             if timeout is None:
                 raise NodeUnreachable(
                     f"{op} to {self.name} lost in the network ({why})")
-            yield sim.timeout(timeout)
+            yield sim.sleep(timeout)
             raise RpcTimeout(
                 f"{op} to {self.name} timed out after {timeout}s ({why})")
         nic = self.node.spec.nic

@@ -108,11 +108,11 @@ class PowerManager:
         policy = self.policy
         try:
             if self._stagger > 0:
-                yield self.sim.timeout(self._stagger)
+                yield self.sim.sleep(self._stagger)
             last_busy = cpu.busy_core_seconds()
             last_time = self.sim.now
             while True:
-                yield self.sim.timeout(policy.sample_interval)
+                yield self.sim.sleep(policy.sample_interval)
                 busy = cpu.busy_core_seconds()
                 elapsed = self.sim.now - last_time
                 util = 100.0 * (busy - last_busy) / (elapsed * cores)

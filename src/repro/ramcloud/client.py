@@ -33,7 +33,7 @@ from repro.ramcloud.errors import (
     TableDoesntExist,
     WrongServer,
 )
-from repro.ramcloud.tablets import indexlet_of
+from repro.ramcloud.tablets import indexlet_of, key_hash
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 
@@ -96,14 +96,19 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         )
         return self._map
 
-    def _route(self, table_id: int, key: str):
+    def _route(self, table_id: int, key: str, h: Optional[int] = None):
         """Resolve (table, key) → (master service, span, key hash) from
-        the cache."""
+        the cache.  A caller that knows ``key_hash(key)`` passes it as
+        ``h``; debug mode checks it."""
         if self._map is None:
             raise RuntimeError("call refresh_map() (or any op) first")
+        if (h is not None and self.sim._sanitizer is not None
+                and h != key_hash(key)):
+            raise AssertionError(
+                f"carried hash {h:#x} of {key!r} is not its key_hash")
         snapshot = self._map
         span = snapshot.tables_by_id[table_id].span
-        server_id, h = snapshot.route(table_id, key, span)
+        server_id, h = snapshot.route(table_id, key, span, h)
         return self._master(server_id), span, h
 
     def _master(self, server_id: str):
@@ -169,8 +174,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
     # -- the retry loop and the fan-out ------------------------------------
 
     def _retrying(self, what: str, attempt, args: tuple, ops: int = 1,
-                  routed: bool = False,
-                  record_write: bool = False) -> Generator:
+                  routed: bool = False, record_write: bool = False,
+                  h: Optional[int] = None) -> Generator:
         """The client's one retry loop: run attempts of one operation
         until one succeeds and return its result.
 
@@ -178,7 +183,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         ``(table_id, key)`` and each attempt is ``attempt(master, span,
         h, *args)`` at the key's owner in the cached map, ``h`` being the
         key's hash — a bound method returning the RPC's generator, so no
-        frame is added per op.
+        frame is added per op.  A caller that knows the hash passes it as
+        ``h``; otherwise the first route hashes the key.
         Otherwise ``attempt(*args)`` routes itself from the cached map
         (the multi-master operations, via :meth:`_fan_out`).
 
@@ -196,7 +202,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         while True:
             try:
                 if routed:
-                    master, span, h = self._route(args[0], args[1])
+                    master, span, h = self._route(args[0], args[1], h)
                     result = yield from attempt(master, span, h, *args)
                     if record_write:
                         self._note_write(master.server_id, result)
@@ -232,7 +238,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
                 if routed:
                     what = f"{what} t{args[0]}/{args[1]}"
                 raise RpcTimeout(f"{what}: exhausted {tries} retries")
-            yield self.sim.timeout(self._backoff_delay(tries))
+            yield self.sim.sleep(self._backoff_delay(tries))
             yield from self.refresh_map()
 
     def _fan_out(self, op: str, group, *group_args) -> Generator:
@@ -303,7 +309,8 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         )
 
     def read(self, table_id: int, key: str,
-             level: Optional[str] = None) -> Generator:
+             level: Optional[str] = None,
+             h: Optional[int] = None) -> Generator:
         """Read one object; returns ``(value, version, value_size)``.
 
         ``level`` only matters for :data:`EVENTUAL`, which first tries
@@ -311,9 +318,13 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         falls back to the master when the backup is behind the
         session's watermark.  SYNC_RF and ASYNC_BOUNDED reads are
         master-only and identical on the wire.
+
+        ``h``, if given, is ``key_hash(key)``, which the caller already
+        holds (a YCSB client's preloaded records); the key is then not
+        hashed again.
         """
         return self._retrying("read", self._read_attempt,
-                              (table_id, key, level), routed=True)
+                              (table_id, key, level), routed=True, h=h)
 
     def _expected_size(self, table_id: int, key: str) -> int:
         # The response size is only known server-side; use a nominal
@@ -324,7 +335,7 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
               value: Optional[bytes] = None,
               expected_version: Optional[int] = None,
               level: Optional[str] = None,
-              index_entries=None) -> Generator:
+              index_entries=None, h: Optional[int] = None) -> Generator:
         """Write (insert or update) one object; returns the new version.
 
         ``expected_version`` makes the write conditional (RAMCloud's
@@ -339,12 +350,15 @@ class RamCloudClient:  # simlint: disable=PERF001 O(clients) service object; __d
         ``index_entries`` is a tuple of ``(index_id, secondary_key)``
         pairs the object carries; the master maintains the secondary
         indexes synchronously before acknowledging.
+
+        ``h`` is the key's hash if the caller holds it, as for
+        :meth:`read`.
         """
         return self._retrying(
             "write", self._write_attempt,
             (table_id, key, value_size, value, expected_version, level,
              index_entries),
-            routed=True, record_write=True)
+            routed=True, record_write=True, h=h)
 
     def _write_attempt(self, master, span, h, table_id, key, value_size,
                        value, expected_version, level, index_entries):

@@ -488,7 +488,7 @@ class Coordinator(RpcService):
 
     def _ping_loop(self) -> Generator:
         while True:
-            yield self.sim.timeout(PING_INTERVAL)
+            yield self.sim.sleep(PING_INTERVAL)
             for server_id in self.live_server_ids():
                 self.sim.process(self._ping_one(server_id),
                                  name=f"coordinator:ping:{server_id}")
@@ -531,7 +531,7 @@ class Coordinator(RpcService):
         try:
             for attempt in range(VERIFY_ROUNDS):
                 if attempt:
-                    yield self.sim.timeout(VERIFY_GAP)
+                    yield self.sim.sleep(VERIFY_GAP)
                 try:
                     yield from server.call(self.node, "ping",
                                            timeout=PING_TIMEOUT)
@@ -621,7 +621,7 @@ class Coordinator(RpcService):
         deadline = stats.started_at + REPAIR_WATCH_CAP
         settle_at = stats.started_at + REPAIR_GRACE
         while self.sim.now < deadline:
-            yield self.sim.timeout(REPAIR_POLL)
+            yield self.sim.sleep(REPAIR_POLL)
             total = self.under_replicated_total()
             if total > stats.peak_under_replicated:
                 stats.peak_under_replicated = total

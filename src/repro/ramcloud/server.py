@@ -543,7 +543,7 @@ class RamCloudServer(RpcService):
                 if not progressed:
                     # No live replacement candidates right now; wait for
                     # membership to change.
-                    yield self.sim.timeout(0.1)
+                    yield self.sim.sleep(0.1)
         except StaleEpoch:
             # A backup's view says we are dead; _replace_backup already
             # fenced us.  The repair is the new owners' problem now.
@@ -784,11 +784,11 @@ class RamCloudServer(RpcService):
                 if not get.triggered:
                     yield from self._dispatch_idle_wait(get)
                 request = yield get
-                yield sim.timeout(cost.dispatch_per_request)
+                yield sim.sleep(cost.dispatch_per_request)
             else:
                 request = yield inbox.get(cost.dispatch_per_request)
             if request.op == "_rx":
-                yield sim.timeout(request.args)
+                yield sim.sleep(request.args)
                 request.respond(None)
             elif request.op == "ping":
                 # Answered from the dispatch thread itself, as in
@@ -797,7 +797,7 @@ class RamCloudServer(RpcService):
                 # every long queue wedge (e.g. a backup grinding
                 # through 32 MB recovery reads) into a false-positive
                 # death — and with it a cascade of recoveries.
-                yield sim.timeout(cost.ping_service)
+                yield sim.sleep(cost.ping_service)
                 request.respond(("pong", self.server_list_version))
             elif request.op in self._BACKUP_OPS:
                 self.backup_queue.put(request)
@@ -842,7 +842,7 @@ class RamCloudServer(RpcService):
             # thread (pinned_core_busy is lenient about the unpin
             # having already cleared the idle state).
             self.node.cpu.pinned_core_busy()
-        yield self.sim.timeout(DISPATCH_WAKE_LATENCY)
+        yield self.sim.sleep(DISPATCH_WAKE_LATENCY)
 
     def _admit_tenant(self, request: RpcRequest) -> bool:
         """Per-tenant admission on the dispatch path (only reached when
@@ -927,7 +927,7 @@ class RamCloudServer(RpcService):
                             yield get
                         finally:
                             cpu.unpark_core()
-                        yield sim.timeout(self.config.core_wake_latency)
+                        yield sim.sleep(self.config.core_wake_latency)
                     request = yield get
             self.active_workers += 1
             try:
@@ -1059,7 +1059,7 @@ class RamCloudServer(RpcService):
                 return segment, entry, closed, old_index_keys
             # Log full: stall until the cleaner frees space (RAMCloud
             # blocks writes behind the cleaner rather than failing).
-            yield self.sim.timeout(0.02)
+            yield self.sim.sleep(0.02)
         raise RetryLater(f"{self.server_id}: log full, cleaner starved")
 
     def _acquire(self, lock: Mutex) -> Generator:
@@ -1226,7 +1226,7 @@ class RamCloudServer(RpcService):
                and not (self.killed or self.fenced)):
             # Backpressure: the bound is at risk — hold the ack until
             # the flusher drains.
-            yield self.sim.timeout(self.config.staleness_bound_seconds / 8.0)
+            yield self.sim.sleep(self.config.staleness_bound_seconds / 8.0)
         if self.killed or self.fenced:
             return
         was_empty = not self._repl_pending
@@ -1256,8 +1256,8 @@ class RamCloudServer(RpcService):
                     deadline = self._repl_pending[0][3] + interval
                     while (self._repl_pending and sim.now < deadline
                            and self.unreplicated_bytes < half_bound):
-                        yield sim.timeout(min(interval / 4.0,
-                                              deadline - sim.now))
+                        yield sim.sleep(min(interval / 4.0,
+                                            deadline - sim.now))
                     yield from self._flush_pending()
         except Interrupt:
             pass  # killed with a batch in flight: the tail is lost
@@ -1428,7 +1428,7 @@ class RamCloudServer(RpcService):
             owner_id, span, h = route
             target = self.coordinator.lookup_server(owner_id)
             if target is None:
-                yield self.sim.timeout(0.01)
+                yield self.sim.sleep(0.01)
                 continue
             yield from self.node.cpu.execute(self.cost.index_maintain_send)
             call = target.call(
@@ -1445,7 +1445,7 @@ class RamCloudServer(RpcService):
             except ObjectDoesntExist:
                 return
             except (WrongServer, RetryLater, NodeUnreachable, RpcTimeout):
-                yield self.sim.timeout(0.01)
+                yield self.sim.sleep(0.01)
         raise RetryLater(
             f"index {index_id} entry unreachable from {self.server_id}")
 
@@ -2046,7 +2046,7 @@ class RamCloudServer(RpcService):
         threshold (§II-B: "a cleaning mechanism is triggered whenever a
         server reaches a certain memory utilization threshold")."""
         while True:
-            yield self.sim.timeout(0.1)
+            yield self.sim.sleep(0.1)
             while (self.log.memory_utilization
                    >= self.config.cleaner_threshold
                    and not self.killed):

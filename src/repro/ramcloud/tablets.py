@@ -18,7 +18,9 @@ is spelled:
 A bulk load routes numbered keys (``prefix + str(i)``) in one pass:
 :func:`numbered_key_hashes` gives the same hashes as :func:`key_hash`
 by folding each key from its decimal prefix, and
-:meth:`TabletMap.numbered_key_owners` applies :func:`tablet_of`'s rule.
+:meth:`TabletMap.numbered_key_owners` applies :func:`tablet_of`'s rule
+to them.  The run keeps the hashes, so a client that routes a preloaded
+record does not hash its key again.
 
 The coordinator owns the authoritative :class:`TabletMap`; clients keep
 epoch-stamped copies and refresh on routing failures.
@@ -30,8 +32,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 
 __all__ = ["Table", "Tablet", "TabletMap", "TabletStatus", "indexlet_of",
@@ -54,29 +56,24 @@ def key_hash(key: str) -> int:
     return h
 
 
-def numbered_key_hashes(prefix: str, count: int) -> Iterator[int]:
-    """``key_hash(prefix + str(i))`` for ``i`` in ``range(count)``, in
-    that order.
+def numbered_key_hashes(prefix: str, count: int) -> array:
+    """``key_hash(prefix + str(i))`` at index ``i``, for ``i`` in
+    ``range(count)``: an ``array('Q')``, 8 B per hash.
 
     FNV-1a is a left fold over the key's bytes, and for ``i >= 10``
     ``str(i)`` is ``str(i // 10)`` plus one digit, so key ``i``'s hash
-    is one xor-multiply step from key ``i // 10``'s.  Keys are made in
-    blocks of ten siblings from their common parent; only the first
-    ``ceil(count / 10)`` hashes, the parents still to come, are held.
+    is one xor-multiply step from key ``i // 10``'s, which the array
+    already holds.  Keys are made in blocks of ten siblings from their
+    common parent.
     """
-    held = -(-count // 10)
     parent = key_hash(prefix)
-    block = [((parent ^ byte) * _FNV_PRIME) & _MASK64
-             for byte in _DIGIT_BYTES]  # keys 0..9
-    parents = array("Q", block[:held])  # 8 B per hash, not an int object
-    yield from block[:count]
-    for i in range(1, held):  # keys 10*i .. 10*i + 9
-        parent = parents[i]
-        block = [((parent ^ byte) * _FNV_PRIME) & _MASK64
-                 for byte in _DIGIT_BYTES]
-        if len(parents) < held:
-            parents.extend(block[:held - len(parents)])
-        yield from block[:count - 10 * i]
+    hashes = array("Q", [((parent ^ byte) * _FNV_PRIME) & _MASK64
+                         for byte in _DIGIT_BYTES][:count])  # keys 0..9
+    for i in range(1, -(-count // 10)):  # keys 10*i .. 10*i + 9
+        parent = hashes[i]
+        hashes.extend([((parent ^ byte) * _FNV_PRIME) & _MASK64
+                       for byte in _DIGIT_BYTES][:count - 10 * i])
+    return hashes
 
 
 def indexlet_of(boundaries: Sequence[str], key: str) -> int:
@@ -262,15 +259,14 @@ class TabletMap:  # simlint: disable=PERF001 one per coordinator; __dict__ cost 
         return partial(_owner_of, owners, len(owners),
                        None if desc is None else desc.boundaries)
 
-    def numbered_key_owners(self, table_id: int, prefix: str,
-                            count: int) -> Iterator[str]:
-        """The owner of each key ``prefix + str(i)``, ``i`` in
-        ``range(count)``, of an unsplit data table, in that order: the
-        routing of :meth:`key_router`, hashed by
-        :func:`numbered_key_hashes`."""
+    def numbered_key_owners(self, table_id: int,
+                            hashes: Iterable[int]) -> Iterator[str]:
+        """The owner of each numbered key ``prefix + str(i)`` of an
+        unsplit data table, in order, given the keys' hashes from
+        :func:`numbered_key_hashes`: the routing of :meth:`key_router`."""
         owners = self._owners(table_id)
         span = len(owners)
-        return (owners[h % span] for h in numbered_key_hashes(prefix, count))
+        return (owners[h % span] for h in hashes)
 
     def tablets_of_server(self, server_id: str) -> List[Tuple[Tablet, int]]:
         """Every (tablet, shard_index) the server owns (optimistic scan)."""
@@ -354,17 +350,18 @@ class TabletMapSnapshot:
     live_servers: Tuple[str, ...] = ()
     indexes: Dict[int, object] = field(default_factory=dict)
 
-    def route(self, table_id: int, key: str,
-              span: Optional[int] = None) -> Tuple[str, int]:
+    def route(self, table_id: int, key: str, span: Optional[int] = None,
+              h: Optional[int] = None) -> Tuple[str, int]:
         """``(server_id, key_hash(key))``: the server serving ``key`` in
         this snapshot — its tablet by :func:`tablet_of` (by key range
         for an index table), then its subshard by :func:`shard_of` —
         and the key's hash, which rides in the request so the server
         does not hash the key again.  A caller that already read the
-        table's ``span`` passes it in."""
+        table's ``span`` passes it in, and one that holds the key's hash
+        passes it as ``h``."""
         if span is None:
             span = self.tables_by_id[table_id].span
         desc = self.indexes.get(table_id) if self.indexes else None
-        index, h = tablet_of(key, span, desc and desc.boundaries)
+        index, h = tablet_of(key, span, desc and desc.boundaries, h)
         shards = self.tablets[(table_id, index)].shards
         return shards[shard_of(h, span, len(shards))], h

@@ -14,6 +14,11 @@ Design notes
   does not depend on the heap's layout.
 * Events are single-shot.  Once triggered they hold a value (or an
   exception) forever, and late waiters resume immediately.
+* A process that only waits for time to pass sleeps: ``yield
+  sim.sleep(d)`` (or ``sim.sleep_until(t)``) pushes one heap entry
+  for the process's wake and no event, and the event loop resumes the
+  process directly when it pops.  A :class:`Timeout` is for a timer
+  that carries callbacks or that something else watches (a deadline).
 * A :class:`Timeout` can be withdrawn with :meth:`Timeout.cancel` —
   the cheap form of a deadline that usually loses its race.  Its heap
   entry stays until popped, when the event loop skips it without
@@ -180,8 +185,11 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` seconds after creation.
 
-    A timeout that should no longer fire — typically a deadline whose
-    race the awaited event won — is withdrawn with :meth:`cancel`.
+    A process that merely waits ``delay`` seconds sleeps instead
+    (:meth:`Simulator.sleep`); a timeout is for a timer that carries
+    callbacks, such as a deadline.  A timeout that should no longer
+    fire — typically a deadline whose race the awaited event won — is
+    withdrawn with :meth:`cancel`.
     """
 
     __slots__ = ("delay",)
@@ -217,11 +225,13 @@ class Timeout(Event):
         heap = sim._heap
         if 2 * sim._cancelled > len(heap):
             # Cancelled entries outnumber live ones: rebuild in place.
-            # A live entry always has a callback list (the event loop
-            # sets it to None only when popping), and the (time, seq) keys are
-            # unique, so the rebuilt heap pops in the same order.
+            # A live entry is a wake or has a callback list (the event
+            # loop sets it to None only when popping), and the (time,
+            # seq) keys are unique, so the rebuilt heap pops in the same
+            # order.
             heap[:] = [entry for entry in heap
-                       if entry[2].callbacks is not None]
+                       if entry[2].callbacks is not None
+                       or entry[2].__class__ is _Wake]
             heapify(heap)
             sim._cancelled = 0
 
@@ -277,6 +287,34 @@ class AllOf(Event):
             self.succeed(_ConditionValue(self._events))
 
 
+class _Wake:
+    """The heap entry of a sleeping process (see :meth:`Simulator.sleep`).
+
+    One per process, reused by each of its sleeps.  To
+    :meth:`Process._resume` it looks like an event triggered with
+    ``None``; it has no callback list, and :meth:`Simulator._dispatch`
+    resumes its process directly.  An interrupt mid-sleep gives the
+    process a fresh wake, so the abandoned entry resumes nothing when it
+    pops; it still advances ``now``, as an abandoned timer does.
+    """
+
+    __slots__ = ("process",)
+
+    callbacks = None
+    _ok = True
+    _value = None
+
+    def __init__(self, process: "Process"):
+        self.process = process
+
+    def describe_wait(self) -> str:
+        """Name this wait in a debug wait-for graph (a heap scan)."""
+        when = min((entry[0] for entry in self.process.sim._heap
+                    if entry[2] is self), default=None)
+        return "sleep (not scheduled)" if when is None else (
+            f"sleep until t={when:g}")
+
+
 class Process(Event):
     """A generator-based simulated process.
 
@@ -288,7 +326,7 @@ class Process(Event):
     """
 
     __slots__ = ("generator", "name", "_waiting_on", "_interrupts",
-                 "_resume_cb")
+                 "_resume_cb", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -299,6 +337,7 @@ class Process(Event):
         # _resume bound once: every wait registers this same callback
         # instead of allocating a fresh bound method.
         self._resume_cb = self._resume
+        self._wake = _Wake(self)
         if sim._sanitizer is not None:
             sim._sanitizer.register_process(self)
         sim._live[self] = None
@@ -336,6 +375,9 @@ class Process(Event):
         interrupt = self._interrupts.pop(0)
         # Detach from whatever we were waiting on; the stale event may
         # still fire later, _resume ignores it via the _waiting_on check.
+        # A sleep's wake is replaced, as its entry stays in the heap.
+        if self._waiting_on is self._wake:
+            self._wake = _Wake(self)
         self._waiting_on = None
         self._step(interrupt)
 
@@ -364,6 +406,10 @@ class Process(Event):
             return
         finally:
             sim._active_process = None
+        if self._waiting_on is not None:  # the step armed a sleep
+            if target is not self._wake:
+                self._unyielded_sleep(target)
+            return
         if not isinstance(target, Event):
             self._yielded_non_event(target)
             return
@@ -387,6 +433,10 @@ class Process(Event):
             return
         finally:
             sim._active_process = None
+        if self._waiting_on is not None:  # the step armed a sleep
+            if target is not self._wake:
+                self._unyielded_sleep(target)
+            return
         if not isinstance(target, Event):
             self._yielded_non_event(target)
             return
@@ -417,7 +467,13 @@ class Process(Event):
 
     def _yielded_non_event(self, target: Any) -> None:
         self.sim._crash(SimulationError(
-            f"process {self.name!r} yielded {target!r}, expected an Event"))
+            f"process {self.name!r} yielded {target!r}, expected an Event"
+            " or a sleep it armed in the same step"))
+
+    def _unyielded_sleep(self, target: Any) -> None:
+        self.sim._crash(SimulationError(
+            f"process {self.name!r} armed a sleep but yielded {target!r}:"
+            " yield sim.sleep(...) at once"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "done"
@@ -496,10 +552,53 @@ class Simulator:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
-        """An event that fires at the absolute time ``when`` (see
-        :meth:`Event.succeed_at`)."""
-        return Event(self).succeed_at(when, value)
+    def sleep(self, delay: float) -> _Wake:
+        """Suspend the running process for ``delay`` seconds: ``yield
+        sim.sleep(delay)``.
+
+        The wake is one heap entry, keyed exactly as
+        ``sim.timeout(delay)`` would be, that resumes the process with
+        ``None``; no event is made, so nothing else can wait on it (use
+        :meth:`timeout` for that).  The result must be yielded in the
+        same step; yielding it later, yielding something else, or
+        arming a second sleep first is an error.
+        """
+        # sleep_until's body, inlined: Cpu.execute sleeps once per call.
+        process = self._active_process
+        if process is None or process._waiting_on is not None:
+            self._misplaced_sleep(process)
+        if delay < 0:
+            raise ValueError(f"negative sleep: {delay}")
+        wake = process._wake
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (self.now + delay, seq, wake))
+        process._waiting_on = wake
+        return wake
+
+    def sleep_until(self, when: float) -> _Wake:
+        """:meth:`sleep` until the absolute time ``when`` (``>= now``),
+        which ``now + (when - now)`` need not equal in floats."""
+        process = self._active_process
+        if process is None or process._waiting_on is not None:
+            self._misplaced_sleep(process)
+        if when < self.now:
+            raise ValueError(f"sleep_until({when}) is in the past "
+                             f"(now={self.now})")
+        wake = process._wake
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (when, seq, wake))
+        process._waiting_on = wake
+        return wake
+
+    @staticmethod
+    def _misplaced_sleep(process: Optional[Process]) -> None:
+        # A running process's _waiting_on is None until it arms a sleep.
+        if process is None:
+            raise SimulationError("sleep outside a running process")
+        raise SimulationError(
+            f"process {process.name!r} armed a second sleep in one step")
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator as a simulated process."""
@@ -562,10 +661,10 @@ class Simulator:
     def _dispatch(self, until: float, watch: Any, once: bool) -> None:
         """The event loop behind :meth:`step`, :meth:`run` and
         :meth:`run_process`: pop entries in ``(time, seq)`` order and run
-        their callbacks while the schedule holds one at or before
-        ``until`` and ``watch`` has not triggered; ``once`` stops after
-        one entry.  A cancelled timeout is dropped without advancing
-        ``now``.  An error that a process left unwatched is raised here,
+        their callbacks (or resume a wake's sleeping process) while the
+        schedule holds one at or before ``until`` and ``watch`` has not
+        triggered; ``once`` stops after one entry.  A cancelled timeout
+        is dropped without advancing ``now``.  An error that a process left unwatched is raised here,
         after the callbacks of the event that surfaced it."""
         heap = self._heap
         while heap and watch._ok is None:
@@ -575,19 +674,22 @@ class Simulator:
                 heappush(heap, (when, seq, event))
                 return
             callbacks = event.callbacks
-            if callbacks is not None:
+            if callbacks is None and event.__class__ is not _Wake:
+                self._cancelled -= 1
+            else:
                 if when < self.now:
                     raise SimulationError(
                         "scheduler heap corrupted: time went backwards")
                 self.now = when
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
+                if callbacks is None:  # a sleeping process's wake
+                    event.process._resume(event)
+                else:
+                    event.callbacks = None
+                    for cb in callbacks:
+                        cb(event)
                 if self._fatal is not None:
                     exc, self._fatal = self._fatal, None
                     raise exc
-            else:
-                self._cancelled -= 1
             if once:
                 return
 

@@ -54,7 +54,7 @@ class Resource:
 
         req = cores.request()
         yield req
-        yield sim.timeout(service_time)
+        yield sim.sleep(service_time)
         cores.release(req)
     """
 

@@ -15,7 +15,7 @@ limiting (``target_ops_per_second``).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence, Tuple
 
 from repro.net.rpc import RpcTimeout
 from repro.ramcloud.client import RETRY_BACKOFF, RamCloudClient
@@ -51,7 +51,8 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
                  table_id: int, workload: WorkloadSpec,
                  stream: RandomStream,
                  give_up_after: Optional[float] = None,
-                 index_id: Optional[int] = None):
+                 index_id: Optional[int] = None,
+                 record_hashes: Sequence[int] = ()):
         self.sim = sim
         self.rc = rc_client
         self.table_id = table_id
@@ -80,6 +81,10 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         self.index_id = index_id
         self.keys = make_key_chooser(workload.request_distribution,
                                      workload.num_records, stream)
+        # key_hash(format_key(i)) at index i for the records the preload
+        # hashed (Cluster.record_hashes); a record past its end, such as
+        # an insert, is hashed when routed.
+        self._hashes = record_hashes
         self._insert_counter = workload.num_records
         self.gave_up = False
         # Per-request consistency mix (empty = every op at the cluster
@@ -120,6 +125,13 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         if roll < w.index_lookup_proportion:
             return "ilookup"
         return "rmw"
+
+    def _next_record(self) -> Tuple[str, Optional[int]]:
+        """The next chosen record's key, and its hash if the preload
+        kept it."""
+        i = self.keys.next_index()
+        hashes = self._hashes
+        return format_key(i), (hashes[i] if i < len(hashes) else None)
 
     def _next_insert_key(self) -> str:
         if isinstance(self.keys, LatestKeyChooser):
@@ -166,11 +178,11 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
                 else:
                     delay = 0.0
                 if delay > 0:
-                    # The pacing wait and the think time are one timer,
-                    # at the float two chained timers would reach.
-                    yield sim.timeout_at((now + delay) + overhead)
+                    # The pacing wait and the think time are one sleep,
+                    # until the float two chained sleeps would reach.
+                    yield sim.sleep_until((now + delay) + overhead)
                 else:
-                    yield sim.timeout(overhead)
+                    yield sim.sleep(overhead)
                 op = self._choose_op()
                 issued = sim.now
                 if give_up_after is None:
@@ -222,13 +234,14 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
         w = self.workload
         level = self._choose_level() if self._consistency_mix else None
         if op == "read":
-            yield from self.rc.read(self.table_id, self.keys.next_key(),
-                                    level=level)
+            key, h = self._next_record()
+            yield from self.rc.read(self.table_id, key, level=level, h=h)
         elif op == "update":
-            key = self.keys.next_key()
+            key, h = self._next_record()
             yield from self.rc.write(self.table_id, key,
                                      w.record_size, level=level,
-                                     index_entries=self._index_entries_for(key))
+                                     index_entries=self._index_entries_for(key),
+                                     h=h)
         elif op == "insert":
             key = self._next_insert_key()
             yield from self.rc.write(self.table_id, key,
@@ -258,10 +271,11 @@ class YcsbClient:  # simlint: disable=PERF001 O(clients) service object; __dict_
             yield from self.rc.search(self.index_id, secondary_key(i),
                                       secondary_key(i + 1), limit=4)
         elif op == "rmw":
-            key = self.keys.next_key()
-            yield from self.rc.read(self.table_id, key, level=level)
+            key, h = self._next_record()
+            yield from self.rc.read(self.table_id, key, level=level, h=h)
             yield from self.rc.write(self.table_id, key, w.record_size,
                                      level=level,
-                                     index_entries=self._index_entries_for(key))
+                                     index_entries=self._index_entries_for(key),
+                                     h=h)
         else:  # pragma: no cover - _choose_op is exhaustive
             raise ValueError(f"unknown op {op!r}")

@@ -4,6 +4,10 @@ The paper uses the uniform distribution throughout ("in our case we use
 uniform distribution", §III-C) and leaves other distributions as future
 work — we implement the full YCSB set so that future-work experiments
 can run too.
+
+A chooser picks a record *index*; the key is :func:`format_key` of it.
+A client that routes by index looks up the record's hash, which the
+preload kept, instead of hashing the key again.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ __all__ = [
 
 
 class KeyChooser(Protocol):
-    """Anything that yields the next key to request."""
+    """Anything that yields the next record to request."""
+
+    def next_index(self) -> int:
+        """The next record's index, per this distribution."""
+        ...
 
     def next_key(self) -> str:
-        """The next key, per this distribution."""
+        """The next record's key: ``format_key(self.next_index())``."""
         ...
 
 
@@ -59,9 +67,13 @@ class UniformKeyChooser:
         self.num_records = num_records
         self._stream = stream
 
+    def next_index(self) -> int:
+        """A uniformly random record index."""
+        return self._stream.randint(0, self.num_records - 1)
+
     def next_key(self) -> str:
         """A uniformly random record key."""
-        return format_key(self._stream.randint(0, self.num_records - 1))
+        return format_key(self.next_index())
 
 
 class ZipfianKeyChooser:
@@ -74,9 +86,13 @@ class ZipfianKeyChooser:
         self.num_records = num_records
         self._gen = ScrambledZipfianGenerator(num_records, stream=stream)
 
+    def next_index(self) -> int:
+        """A scrambled-zipfian record index."""
+        return self._gen.next()
+
     def next_key(self) -> str:
         """A scrambled-zipfian record key."""
-        return format_key(self._gen.next())
+        return format_key(self.next_index())
 
 
 class LatestKeyChooser:
@@ -94,12 +110,15 @@ class LatestKeyChooser:
         self.num_records += 1
         return key
 
-    def next_key(self) -> str:
-        """A recency-biased record key."""
+    def next_index(self) -> int:
+        """A recency-biased record index."""
         # Exponential-ish recency bias, as YCSB's SkewedLatest.
         offset = int(self._stream.exponential(self.num_records / 10.0))
-        index = max(0, self.num_records - 1 - offset)
-        return format_key(index)
+        return max(0, self.num_records - 1 - offset)
+
+    def next_key(self) -> str:
+        """A recency-biased record key."""
+        return format_key(self.next_index())
 
 
 class SequentialKeyChooser:
@@ -111,11 +130,15 @@ class SequentialKeyChooser:
         self.num_records = num_records
         self._next = start
 
+    def next_index(self) -> int:
+        """The next index in sequence, wrapping at num_records."""
+        index = self._next % self.num_records
+        self._next += 1
+        return index
+
     def next_key(self) -> str:
         """The next key in sequence, wrapping at num_records."""
-        key = format_key(self._next % self.num_records)
-        self._next += 1
-        return key
+        return format_key(self.next_index())
 
 
 def make_key_chooser(distribution: str, num_records: int,

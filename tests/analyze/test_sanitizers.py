@@ -386,7 +386,7 @@ class TestDeadlockDiagnostics:
         sim.run(until=1.0)
         graph = sim._sanitizer.wait_graph()
         assert "'queued' waits on core grant on n3:cores (queued)" in graph
-        assert "'running' waits on Timeout(10s)" in graph
+        assert "'running' waits on sleep until t=10" in graph
 
     def test_lock_order_inversion_names_both_sides(self):
         # The ABBA shape: each critical section is the canonical

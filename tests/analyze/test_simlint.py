@@ -8,6 +8,8 @@ inline correct idioms (must stay silent).
 import os
 import textwrap
 
+import pytest
+
 from repro.analyze import analyze_paths, analyze_source
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -299,6 +301,24 @@ class TestSim006:
                     yield sim.timeout(0.01)
                     self.value += 1
         """) == []
+
+    @pytest.mark.parametrize("wait", [
+        ["yield sim.sleep(0.01)"],
+        ["yield sim.sleep_until(sim.now + 0.01)"],
+        ["wake = sim.sleep(0.01)", "yield wake"],
+    ])
+    def test_a_sleep_is_a_yield_point(self, wait):
+        # A generator that sleeps is a sim-coroutine, also when it binds
+        # the sleep to a name before yielding it.
+        body = ("\n" + " " * 20).join(wait)
+        findings = lint_snippet(f"""
+            class Gauge:
+                def update(self, sim):
+                    self.value += 1
+                    {body}
+                    self.value += 1
+        """)
+        assert codes(findings) == ["SIM006"]
 
     def test_plain_data_generator_is_not_analyzed(self):
         # A data generator never suspends a process: writes around its

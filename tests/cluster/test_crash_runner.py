@@ -4,10 +4,12 @@ from array import array
 
 import pytest
 
-from repro.cluster import ClusterSpec, CrashExperimentSpec, run_crash_experiment
-from repro.cluster.crash import _PinnedKeyChooser
+from repro.cluster import (Cluster, ClusterSpec, CrashExperimentSpec,
+                           run_crash_experiment)
+from repro.cluster.crash import _PinnedKeyChooser, _victim_key_split
 from repro.hardware.specs import MB
 from repro.ramcloud.config import ServerConfig
+from repro.ycsb.keyspace import format_key, parse_key
 from repro.ycsb.workload import WORKLOAD_C
 
 
@@ -34,9 +36,27 @@ class TestPinnedKeyChooser:
         assert [chooser.next_key() for _ in range(5)] == \
             ["user7", "user3", "user7", "user3", "user7"]
 
+    def test_index_path_cycles_like_the_keys(self):
+        chooser = _PinnedKeyChooser(array("l", [7, 3]))
+        assert [chooser.next_index() for _ in range(5)] == [7, 3, 7, 3, 7]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             _PinnedKeyChooser([])
+
+
+class TestVictimKeySplit:
+    def test_split_matches_the_victims_hash_table(self):
+        cluster = Cluster(small_crash_spec().cluster)
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, 2000, 1024)
+        victim = cluster.servers[1]
+        victim_records, live_records = _victim_key_split(cluster, table_id,
+                                                         victim)
+        owned = set(victim.hashtable.keys_for_table(table_id))
+        assert [format_key(i) for i in victim_records] == sorted(
+            owned, key=parse_key)
+        assert sorted(victim_records + live_records) == list(range(2000))
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hardware.cpu import Cpu
 from repro.sim import Interrupt, Simulator
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Event
 
 
 class TestExecution:
@@ -323,10 +323,11 @@ class TestCoreQueue:
         def task(tag):
             start = []
             gen = cpu.execute(1.0)
-            # execute's first yield is the work's timer on a free core,
-            # else the queued wait; the work starts when that resumes.
+            # execute's first yield is the work's sleep on a free core
+            # (not an event), else the queued wait; the work starts
+            # when that resumes.
             target = next(gen)
-            if isinstance(target, Timeout):
+            if not isinstance(target, Event):
                 start.append(sim.now)
             yield target
             if not start:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.hardware.cpu import Cpu
 from repro.sim import Simulator
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Event
 
 CORES = 3
 # Steps of 0.0 put several changes at one instant; the others make
@@ -69,7 +69,7 @@ def _work(cpu: Cpu, ref: Reference, seconds: float):
     sim = cpu.sim
     gen = cpu.execute(seconds)
     target = next(gen)
-    if not isinstance(target, Timeout):
+    if isinstance(target, Event):  # queued: the work's sleep comes next
         yield target
         target = gen.send(None)
     ref.change(sim.now, "active", 1)

@@ -143,7 +143,7 @@ def test_a_request_at_the_window_end_resumes_the_worker_directly():
     sim = cluster.sim
     until = 0.05 + server.cost.worker_spin
     first, second = _bogus(cluster), _bogus(cluster)
-    tie = sim.timeout_at(until)
+    tie = sim.event().succeed_at(until)
     tie.add_callback(lambda _ev: server.worker_queue.put(second))
     server.worker_queue.put(first)
     sim.run(until=0.05)  # the worker takes `first`; its window begins

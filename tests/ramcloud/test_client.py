@@ -249,3 +249,58 @@ class TestRouting:
                         == tablet.shards[shard])
                 split += tablet.shard_count > 1
         assert split > 0
+
+
+class TestCarriedHash:
+    """A caller that holds a key's hash (a YCSB client's preloaded
+    records) passes it along; the request must not change."""
+
+    def _calls(self, cluster, monkeypatch, carry):
+        from repro.net.rpc import RpcService
+
+        table_id = cluster.create_table("t")
+        cluster.preload(table_id, 50, 100)
+        hashes = cluster.record_hashes[table_id]
+        rc = cluster.clients[0]
+        sent = []
+        original = RpcService.call
+
+        def spy(service, src, op, args=None, size_bytes=0,
+                response_bytes=0, **kwargs):
+            if op in ("read", "write"):
+                sent.append((service.name, op, args, size_bytes,
+                             response_bytes))
+            return original(service, src, op, args=args,
+                            size_bytes=size_bytes,
+                            response_bytes=response_bytes, **kwargs)
+
+        def script():
+            for i in (3, 17, 42):
+                h = hashes[i] if carry else None
+                key = f"user{i}"
+                yield from rc.read(table_id, key, h=h)
+                yield from rc.write(table_id, key, 100, h=h)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(RpcService, "call", spy)
+            run_client_script(cluster, script())
+        return sent
+
+    def test_a_carried_hash_sends_the_same_requests(self, monkeypatch):
+        hashed = self._calls(build_cluster(), monkeypatch, carry=False)
+        carried = self._calls(build_cluster(), monkeypatch, carry=True)
+        assert len(hashed) == 6
+        assert carried == hashed
+
+    def test_debug_mode_rejects_a_wrong_carried_hash(self, cluster3):
+        assert cluster3.sim._sanitizer is not None
+        table_id = cluster3.create_table("t")
+        cluster3.preload(table_id, 10, 100)
+        rc = cluster3.clients[0]
+        wrong = tablets.key_hash("user4")
+
+        def script():
+            yield from rc.read(table_id, "user3", h=wrong)
+
+        with pytest.raises(AssertionError, match="carried hash"):
+            run_client_script(cluster3, script())

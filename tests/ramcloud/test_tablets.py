@@ -86,12 +86,13 @@ class TestTabletMap:
         tm = TabletMap()
         table = tm.create_table("t", span, SERVERS[:3])
         route = tm.key_router(table.table_id)
-        owners = tm.numbered_key_owners(table.table_id, KEY_PREFIX, 2345)
+        owners = tm.numbered_key_owners(
+            table.table_id, numbered_key_hashes(KEY_PREFIX, 2345))
         assert list(owners) == [route(format_key(i)) for i in range(2345)]
 
     def test_numbered_key_owners_unknown_table(self):
         with pytest.raises(KeyError):
-            TabletMap().numbered_key_owners(99, KEY_PREFIX, 1)
+            TabletMap().numbered_key_owners(99, [key_hash(format_key(0))])
 
     def test_routing_unknown_table(self):
         with pytest.raises(KeyError):

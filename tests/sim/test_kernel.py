@@ -535,33 +535,178 @@ def test_heap_rebuild_keeps_pop_order():
     assert survivors == [entry for entry in reference if entry[0] in kept]
 
 
-# -- events that fire at an absolute time -----------------------------------
+# -- sleeps: a process waits for time without a timer event -----------------
 
 
-def test_timeout_at_fires_at_exactly_when():
+def test_sleep_until_wakes_at_exactly_when():
     # At now = 0.3, a relative delay of 0.9 - 0.3 lands on
     # 0.9000000000000001; the absolute time lands on 0.9.
     sim = Simulator()
     seen = []
 
     def body():
-        yield sim.timeout(0.3)
+        yield sim.sleep(0.3)
         assert sim.now + (0.9 - sim.now) != 0.9
-        value = yield sim.timeout_at(0.9, "v")
+        value = yield sim.sleep_until(0.9)
         seen.append((value, sim.now))
 
     sim.process(body())
     sim.run()
-    assert seen == [("v", 0.9)]
+    assert seen == [(None, 0.9)]
 
 
-def test_timeout_at_is_one_event():
+def test_a_sleep_is_one_heap_entry_keyed_like_a_timeout():
+    # The wake takes the (time, seq) key sim.timeout would have taken,
+    # at the same point: same event count, same pop order.
+    def run(wait):
+        sim = Simulator()
+        log = []
+
+        def body(tag, delay):
+            yield wait(sim, delay)
+            log.append((tag, sim.now, sim._seq))
+
+        for tag, delay in (("a", 2.0), ("b", 1.0), ("c", 2.0), ("d", 0.0)):
+            sim.process(body(tag, delay))
+        sim.run(until=0.5)
+        entries = len(sim._heap)
+        sim.run()
+        return log, entries, sim._seq
+
+    slept = run(lambda sim, delay: sim.sleep(delay))
+    timed = run(lambda sim, delay: sim.timeout(delay))
+    assert slept == timed
+    assert slept[1] == 3  # one entry per sleeper still asleep
+
+
+def test_sleep_rejects_the_past_and_negative_delays():
     sim = Simulator()
-    before = sim._seq
-    sim.timeout_at(2.0)
-    assert sim._seq - before == 1
+    errors = []
+
+    def body():
+        yield sim.sleep(1.0)
+        for bad in (lambda: sim.sleep(-1.0), lambda: sim.sleep_until(0.5)):
+            with pytest.raises(ValueError):
+                bad()
+            errors.append(sim.now)
+
+    sim.process(body())
     sim.run()
-    assert sim.now == 2.0
+    assert errors == [1.0, 1.0]
+
+
+def test_sleep_outside_a_process_is_an_error():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="outside a running process"):
+        sim.sleep(1.0)
+
+
+def test_yielding_a_sleep_that_armed_nothing_is_an_error():
+    sim = Simulator()
+
+    def reuses_its_wake():
+        wake = sim.sleep(1.0)
+        yield wake
+        yield wake  # this step armed no sleep
+
+    sim.process(reuses_its_wake(), name="reuser")
+    with pytest.raises(SimulationError, match="'reuser' yielded"):
+        sim.run()
+
+
+def test_arming_two_sleeps_in_one_step_is_an_error():
+    sim = Simulator()
+    errors = []
+
+    def sleeps_twice():
+        wake = sim.sleep(1.0)
+        with pytest.raises(SimulationError, match="second sleep"):
+            sim.sleep(2.0)
+        errors.append(sim.now)
+        yield wake
+        errors.append(sim.now)
+
+    sim.process(sleeps_twice())
+    sim.run()
+    assert errors == [0.0, 1.0]
+
+
+def test_arming_a_sleep_and_yielding_something_else_is_an_error():
+    sim = Simulator()
+
+    def forgets_its_sleep():
+        sim.sleep(1.0)
+        yield sim.timeout(2.0)
+
+    sim.process(forgets_its_sleep(), name="forgetter")
+    with pytest.raises(SimulationError,
+                       match="'forgetter' armed a sleep but yielded"):
+        sim.run()
+
+
+def test_an_interrupted_sleep_is_not_resumed_by_its_stale_wake():
+    # The interrupted sleep's entry stays in the heap: it must not wake
+    # the process's next sleep early, and when it pops it advances now
+    # exactly as the abandoned timer did, so both runs end at t = 10.
+    def run(wait):
+        sim = Simulator()
+        log = []
+
+        def sleeper():
+            try:
+                yield wait(sim, 10.0)
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            yield wait(sim, 5.0)  # would be woken at 10 by a stale wake
+            log.append(("woke", sim.now))
+
+        proc = sim.process(sleeper())
+        sim.timeout(1.0).add_callback(lambda _ev: proc.interrupt())
+        sim.run()
+        return log, sim.now, sim._seq
+
+    slept = run(lambda sim, delay: sim.sleep(delay))
+    assert slept == run(lambda sim, delay: sim.timeout(delay))
+    assert slept[:2] == ([("interrupted", 1.0), ("woke", 6.0)], 10.0)
+
+
+def test_step_pops_one_wake_as_one_entry():
+    sim = Simulator()
+    log = []
+
+    def body():
+        yield sim.sleep(1.0)
+        log.append(sim.now)
+        yield sim.sleep(1.0)
+        log.append(sim.now)
+
+    sim.process(body())
+    sim.step()  # the bootstrap: the body runs up to its first sleep
+    assert (sim.now, log, len(sim._heap)) == (0.0, [], 1)
+    sim.step()
+    assert (sim.now, log, len(sim._heap)) == (1.0, [1.0], 1)
+    sim.step()
+    assert (sim.now, log, len(sim._heap)) == (2.0, [1.0, 2.0], 1)
+    sim.step()  # the process's own end
+    assert not sim._heap
+
+
+def test_close_closes_a_sleeping_process():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.sleep(30.0)
+        finally:
+            log.append(sim.now)
+
+    sim.process(sleeper())
+    sim.run(until=1.0)
+    before = (sim.now, sim._seq, list(sim._heap))
+    sim.close()
+    assert log == [1.0]
+    assert (sim.now, sim._seq, list(sim._heap)) == before
 
 
 def test_succeed_at_triggers_now_and_fires_later():
@@ -706,9 +851,9 @@ class _Boom(Exception):
 
 
 def _mixed_schedule():
-    """A simulator loaded with same-instant ties, cancelled timers, an
-    interrupt, a failure a parent catches and two failures nobody
-    watches; returns ``(sim, log, finale)``.  Every callback and process
+    """A simulator loaded with same-instant ties, cancelled timers,
+    sleeps, two interrupts (one mid-sleep), a failure a parent catches
+    and two failures nobody watches; returns ``(sim, log, finale)``.  Every callback and process
     step logs ``(tag, now, seq)`` where ``seq`` is the kernel's event
     count at that moment."""
     sim = Simulator()
@@ -727,6 +872,19 @@ def _mixed_schedule():
             yield sim.timeout(0.25)
             note((tag, "after interrupt"))
 
+    def napper(tag, delays):
+        # Sleeps, not timers: relative, then absolute, same instants.
+        try:
+            for delay in delays:
+                yield sim.sleep(delay)
+                note((tag, "slept"))
+                yield sim.sleep_until(sim.now + delay)
+                note((tag, "slept until"))
+        except Interrupt as interrupt:
+            note((tag, "interrupted", interrupt.cause))
+            yield sim.sleep(0.25)
+            note((tag, "after interrupt"))
+
     def failing(tag, delay, exc):
         yield sim.timeout(delay)
         note((tag, "raising"))
@@ -743,13 +901,17 @@ def _mixed_schedule():
 
     victim = sim.process(sleeper("victim", [1.0, 1.0, 1.0]))
 
+    dozer = sim.process(napper("dozer", [0.5, 0.5]))
+
     def interrupter():
         yield sim.timeout(1.5)
         victim.interrupt("stop")
+        dozer.interrupt("stop")
         note(("interrupter", "sent"))
 
     for i in range(4):
         sim.process(sleeper(f"s{i}", [0.25 * (i % 2), 0.5, 0.25]))
+        sim.process(napper(f"n{i}", [0.25 * (i % 2), 0.25]))
     sim.process(interrupter())
     sim.process(parent())
     sim.process(failing("unwatched", 0.75, _Boom("first")))
@@ -791,8 +953,10 @@ def _drive(driver):
 def test_every_driver_pops_the_same_schedule(driver):
     reference = _drive("run")
     log, seq, cancelled, heap = _drive(driver)
-    assert [entry[0] for entry in reference[0]].count(
-        ("victim", "interrupted", "stop")) == 1
+    tags = [entry[0] for entry in reference[0]]
+    assert tags.count(("victim", "interrupted", "stop")) == 1
+    assert tags.count(("dozer", "interrupted", "stop")) == 1
+    assert ("n1", "slept until") in tags
     assert ("parent", "caught", "caught") in [e[0] for e in reference[0]]
     assert [e[:2] for e in reference[0] if e[0] == "surfaced"] == [
         ("surfaced", "first"), ("surfaced", "second")]

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.distributions import RandomStream
 from repro.sim.kernel import Simulator
 from repro.ycsb.client import YcsbClient
+from repro.ycsb.keyspace import SequentialKeyChooser
 from repro.ycsb.workload import (
     WORKLOAD_A,
     WORKLOAD_C,
@@ -197,3 +198,32 @@ class TestGiveUp:
         assert not client.gave_up
         assert client.stats.errors == 0
         assert client.stats.total_ops < 1000
+
+
+class TestRecordHashes:
+    def test_a_record_beyond_the_preload_is_hashed_when_routed(self):
+        cluster = build_cluster(num_servers=2, num_clients=1)
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, 100, 1024)
+        hashes = cluster.record_hashes[table_id]
+        wl = WORKLOAD_C.scaled(num_records=200, ops_per_client=1)
+        client = YcsbClient(cluster.sim, cluster.clients[0], table_id, wl,
+                            RandomStream(9, "ycsb"), record_hashes=hashes)
+        client.keys = SequentialKeyChooser(200, start=99)
+        assert client._next_record() == ("user99", hashes[99])
+        assert client._next_record() == ("user100", None)
+
+    def test_a_run_past_the_preloaded_records_completes(self):
+        # The workload names twice the records the preload loaded: the
+        # upper half carries no hash (and does not exist).
+        cluster = build_cluster(num_servers=2, num_clients=1)
+        table_id = cluster.create_table("usertable")
+        cluster.preload(table_id, 100, 1024)
+        wl = WORKLOAD_A.scaled(num_records=200, ops_per_client=200)
+        client = YcsbClient(cluster.sim, cluster.clients[0], table_id, wl,
+                            RandomStream(9, "ycsb"),
+                            record_hashes=cluster.record_hashes[table_id])
+        cluster.sim.run_process(cluster.sim.process(client.run()),
+                                until=300.0)
+        assert client.stats.total_ops + client.stats.errors == 200
+        assert client.stats.errors > 0  # reads of records never loaded

@@ -91,3 +91,17 @@ class TestFactory:
     def test_format_key_matches_preload(self):
         from repro.cluster.deployment import default_key
         assert format_key(7) == default_key(7)
+
+
+class TestIndexPath:
+    @pytest.mark.parametrize("distribution",
+                             ["uniform", "zipfian", "latest", "sequential"])
+    def test_index_path_draws_what_next_key_drew(self, distribution):
+        by_key_stream, by_index_stream = stream(), stream()
+        by_key = make_key_chooser(distribution, 1000, by_key_stream)
+        by_index = make_key_chooser(distribution, 1000, by_index_stream)
+        keys = [by_key.next_key() for _ in range(2000)]
+        indices = [by_index.next_index() for _ in range(2000)]
+        assert [format_key(i) for i in indices] == keys
+        # Both streams were left at the same draw.
+        assert by_key_stream.uniform() == by_index_stream.uniform()
