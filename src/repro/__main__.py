@@ -10,7 +10,8 @@ Commands::
 The experiment names are the keys of
 :data:`repro.experiments.registry.EXPERIMENTS` — ``list`` prints them;
 ``run all`` sweeps each shared grid once (Fig. 2 renders from Fig. 1's
-cells, Figs. 7/8 from Fig. 6's).
+cells, Figs. 7/8 from Fig. 6's).  ``run`` exits 1 if a paper claim
+(calibrated at DEFAULT scale) does not hold on the tables.
 """
 
 from __future__ import annotations
@@ -71,12 +72,16 @@ def main(argv=None) -> int:
     else:
         parser.error(f"unknown experiment {args.experiment!r}; "
                      f"try: {', '.join(EXPERIMENTS)}")
-    for name, tables in run_experiments(names, scale):
+    held = True
+    for name, tables, failed in run_experiments(names, scale):
         print(f"== {name} at scale {scale.name} ==")
         for table in tables:
             print(table.render())
             print()
-    return 0
+        for claim in failed:
+            print(f"claim does not hold: {claim}")
+        held = held and not failed
+    return 0 if held else 1
 
 
 if __name__ == "__main__":

@@ -18,14 +18,17 @@ comparison:
 
 Every experiment — a grid figure or a single crash run — is a plan
 factory (grid × seeds → cells) plus a renderer over that plan's merged
-aggregates; :mod:`repro.experiments.sweep` is the only thing that
+aggregates, plus a check of the paper's claims on the rendered tables
+(``check_*`` beside each ``render_*``);
+:mod:`repro.experiments.sweep` is the only thing that
 executes cells, and :mod:`repro.experiments.registry` is the one
 ordered list of every experiment that the CLI,
 ``tools/generate_experiments_md.py`` and ``tools/sweep.py`` read
 (``registry.tables(name, scale, **grid)`` renders one from Python).
 
-Every plan takes a :class:`~repro.experiments.scale.Scale` so the
-benchmark harness can trade fidelity for runtime (DESIGN.md §5).
+Every plan takes a :class:`~repro.experiments.scale.Scale` so a run
+can trade fidelity for runtime (DESIGN.md §5); the claims are
+calibrated at DEFAULT.
 """
 
 from repro.experiments.scale import Scale, SMOKE, DEFAULT, FULL

@@ -14,10 +14,10 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.recovery import crash_spec
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
@@ -129,6 +129,16 @@ def render_segment_size(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_segment_size(tables, merged) -> List[str]:
+    seconds = tables[0].measured_by_label()
+    return failed_claims({
+        "every segment size recovers in > 0 s":
+            all(v is not None and v > 0 for v in seconds.values()),
+        "8 MB segments <= 1.1x 1 MB segments":
+            seconds["8 MB segments"] <= seconds["1 MB segments"] * 1.1,
+    })
+
+
 def render_worker_threads(plan: SweepPlan, merged) -> ComparisonTable:
     """Throughput of read-only and update-heavy vs worker thread count."""
     first = plan.points[0].as_dict()
@@ -142,6 +152,18 @@ def render_worker_threads(plan: SweepPlan, merged) -> ComparisonTable:
                "(Finding 2's discussion): reads want more threads, "
                "updates serialize anyway")
     return table
+
+
+def check_worker_threads(tables, merged) -> List[str]:
+    kops = tables[0].measured_by_label()
+    c1, c3 = (kops[f"workload C (read-only) / {n} workers"] for n in (1, 3))
+    a1, a3, a6 = (kops[f"workload A (update-heavy) / {n} workers"]
+                  for n in (1, 3, 6))
+    return failed_claims({
+        "read-only: 3 workers > 1.5x 1 worker": c3 > 1.5 * c1,
+        "update-heavy gains less than read-only 1 → 3": a3 / a1 < c3 / c1,
+        "update-heavy: 6 workers < 1.2x 3 workers": a6 < 1.2 * a3,
+    })
 
 
 def render_async_replication(plan: SweepPlan, merged) -> ComparisonTable:
@@ -169,3 +191,14 @@ def render_async_replication(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("the paper predicts this gain but leaves it as future "
                "work; it trades away consistency under master failures")
     return table
+
+
+def check_async_replication(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    return failed_claims({
+        "throughput gain from relaxing consistency > 1.1x":
+            rows["throughput gain from relaxing consistency"] > 1.1,
+        "asynchronous energy efficiency > synchronous":
+            rows["asynchronous (no ack wait): energy efficiency"]
+            > rows["synchronous (wait for acks): energy efficiency"],
+    })

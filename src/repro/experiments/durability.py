@@ -22,11 +22,11 @@ the same serial-equivalence digests as every other sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster import (ClusterSpec, DurabilityGapSpec,
                            durability_gap_digest, run_durability_gap)
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     CellOutcome,
@@ -37,7 +37,7 @@ from repro.experiments.sweep import (
 )
 from repro.hardware.specs import MB
 from repro.ramcloud.config import ServerConfig
-from repro.ramcloud.consistency import LEVELS
+from repro.ramcloud.consistency import ASYNC_BOUNDED, EVENTUAL, LEVELS, SYNC_RF
 from repro.ycsb.workload import WORKLOAD_A
 
 __all__ = ["frontier_sweep_plan", "durability_gap_sweep_plan",
@@ -86,6 +86,20 @@ def render_frontier(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("scaling note: relaxed levels buy the most at high RF "
                "and write fraction — the ack path drops RF round trips")
     return table
+
+
+def check_frontier(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    return failed_claims({
+        f"{ASYNC_BOUNDED} throughput >= {SYNC_RF}":
+            rows[f"{ASYNC_BOUNDED} throughput"]
+            >= rows[f"{SYNC_RF} throughput"],
+        f"{ASYNC_BOUNDED} mean latency <= {SYNC_RF}":
+            rows[f"{ASYNC_BOUNDED} mean latency"]
+            <= rows[f"{SYNC_RF} mean latency"],
+        f"{EVENTUAL} efficiency >= {SYNC_RF}":
+            rows[f"{EVENTUAL} efficiency"] >= rows[f"{SYNC_RF} efficiency"],
+    })
 
 
 def _durability_gap_cell(params: Dict[str, object], seed: int,
@@ -153,6 +167,18 @@ def render_durability_gap(plan: SweepPlan, merged) -> ComparisonTable:
                f"{ServerConfig().staleness_bound_seconds * 1e3:.0f} ms "
                f"sim-time / {ServerConfig().staleness_bound_bytes} bytes")
     return table
+
+
+def check_durability_gap(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    claims = {f"{SYNC_RF} loses no acked write":
+              rows[f"{SYNC_RF} acked-write loss"] == 0.0}
+    for level in (ASYNC_BOUNDED, EVENTUAL):
+        acked = rows[f"{level} acked writes"]
+        claims[f"{level} acked writes > 0"] = acked > 0
+        claims[f"{level} loses <= 25 % of acked writes"] = (
+            rows[f"{level} acked-write loss"] <= acked * 0.25)
+    return failed_claims(claims)
 
 
 SWEEP_CELLS = {"frontier": _frontier_cell,

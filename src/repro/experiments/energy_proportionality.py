@@ -24,7 +24,8 @@ parked cores — so a governor's savings show up exactly the way the
 paper's measurement harness would see them.
 
 Determinism: everything is seeded; :meth:`EnergyProportionalityResult.digest`
-is byte-identical across same-seed reruns (asserted by the benchmark).
+is byte-identical across same-seed reruns and serial/parallel sweeps, and
+differs between seeds (tests/sweep/test_sweep_equivalence.py).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.reporting import (ComparisonTable,
-                                        energy_proportionality_index)
+                                        energy_proportionality_index,
+                                        failed_claims)
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (CellOutcome, SweepPlan, SweepPoint,
                                     outcome_from_metrics)
@@ -359,6 +361,42 @@ def render_energy(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_energy(tables, merged) -> List[str]:
+    (metrics,) = merged.values()
+    static, ondemand, adaptive = (
+        {key.split("[")[0]: agg.mean for key, agg in metrics.items()
+         if key.endswith(f"[{governor}]")}
+        for governor in ("static", "ondemand", "poll-adaptive"))
+    floor = PAPER_IDLE_WATTS - 5.0
+    return failed_claims({
+        # static IS the paper's machine, its power knobs all off.
+        "static idle CPU at 25 % (± 0.5)":
+            abs(static["idle_cpu"] - PAPER_IDLE_CPU) <= 0.5,
+        "static idle watts at 74.75 W (± 1 %)":
+            abs(static["idle_watts"] - PAPER_IDLE_WATTS)
+            <= 0.01 * PAPER_IDLE_WATTS,
+        "static never naps dispatch": static["dispatch_sleeps"] == 0,
+        "static never parks a core": static["core_parks"] == 0,
+        "poll-adaptive idle CPU < 2 %": adaptive["idle_cpu"] < 2.0,
+        "poll-adaptive idle watts < paper idle - 5 W":
+            adaptive["idle_watts"] < floor,
+        "poll-adaptive naps dispatch at idle":
+            adaptive["idle_dispatch_sleeps"] > 0,
+        "poll-adaptive peak throughput >= 0.95x static":
+            adaptive["peak_throughput"] >= 0.95 * static["peak_throughput"],
+        "poll-adaptive parks cores at light load":
+            adaptive["light_core_parks"] > 0,
+        "poll-adaptive light-load p99 > 1.5x static":
+            adaptive["light_p99"] > 1.5 * static["light_p99"],
+        "poll-adaptive proportionality index > static":
+            adaptive["ep_index"] > static["ep_index"],
+        "ondemand proportionality index > static":
+            ondemand["ep_index"] > static["ep_index"],
+        "ondemand idle watts < paper idle - 5 W":
+            ondemand["idle_watts"] < floor,
+    })
+
+
 # -- cluster power capping ---------------------------------------------------
 
 
@@ -373,8 +411,6 @@ class PowerCapResult:
     uncapped_throughput: float
     throughput: float
     admitted_rate: float
-    #: (time, fleet watts) as the controller sampled them.
-    watts_points: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def _capped_load(cluster: Cluster, seed: int, scale: Scale,
@@ -439,8 +475,7 @@ def run_power_cap(scale: Scale = DEFAULT, servers: int = 2,
             uncapped_watts=uncapped_watts,
             uncapped_throughput=uncapped_throughput,
             throughput=throughput,
-            admitted_rate=cluster.admission_throttle.rate,
-            watts_points=list(zip(settled.times, settled.values)))
+            admitted_rate=cluster.admission_throttle.rate)
     return result
 
 
@@ -496,6 +531,22 @@ def render_powercap(plan: SweepPlan, merged) -> ComparisonTable:
                "(client token bucket) — proportional decrease over the "
                "cap, 5 %/tick increase below the hysteresis band")
     return table
+
+
+def check_powercap(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    cap = rows["configured cap"]
+    return failed_claims({
+        "uncapped fleet watts > cap + 10 W":
+            rows["uncapped fleet watts"] > cap + 10.0,
+        "settled fleet watts (max) <= cap + hysteresis":
+            rows["settled fleet watts (max)"] <= cap + CAP_HYSTERESIS_WATTS,
+        "settled fleet watts (mean) within 10 W of the cap":
+            abs(rows["settled fleet watts (mean)"] - cap) <= 10.0,
+        "admitted rate is finite (the cap engaged)":
+            rows["admitted rate"] is not None,
+        "throughput under cap > 0": rows["throughput under cap"] > 0,
+    })
 
 
 SWEEP_CELLS = {"energy": _energy_cell, "powercap": _powercap_cell}

@@ -16,10 +16,10 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
@@ -145,6 +145,15 @@ def render_distributions(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_distributions(tables, merged) -> List[str]:
+    kops = tables[0].measured_by_label()
+    claims = {f"workload B / {d} > 0": kops[f"workload B / {d}"] > 0
+              for d in ("uniform", "zipfian", "latest")}
+    claims["workload C / zipfian <= 1.02x uniform"] = (
+        kops["workload C / zipfian"] <= kops["workload C / uniform"] * 1.02)
+    return failed_claims(claims)
+
+
 def render_transports(plan: SweepPlan, merged) -> ComparisonTable:
     """Infiniband vs Gigabit Ethernet on read-only traffic.
 
@@ -164,6 +173,13 @@ def render_transports(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("one-way latency 2 µs vs 30 µs: Ethernet roughly doubles "
                "the closed-loop op time, halving per-client throughput")
     return table
+
+
+def check_transports(tables, merged) -> List[str]:
+    kops = tables[0].measured_by_label()
+    return failed_claims({
+        "infiniband-20g > 1.3x gigabit-ethernet":
+            kops["infiniband-20g"] > 1.3 * kops["gigabit-ethernet"]})
 
 
 def render_scans(plan: SweepPlan, merged) -> ComparisonTable:
@@ -189,6 +205,15 @@ def render_scans(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("longer scans amortize per-RPC costs: scans/s falls, "
                "records/s rises")
     return table
+
+
+def check_scans(tables, merged) -> List[str]:
+    ops = tables[0].measured_by_label()
+    n10, n100, n500 = (ops[f"max scan length {n}"] for n in (10, 100, 500))
+    return failed_claims({
+        "scans/s fall with scan length 10 → 100 → 500": n10 > n100 > n500,
+        "scan length 10 < 6x the scans/s of length 100": n10 / n100 < 6.0,
+    })
 
 
 def _elastic_cell(params: Dict[str, int], seed: int, scale: Scale):
@@ -277,6 +302,15 @@ def render_elastic(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_elastic(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    return failed_claims({
+        "power saved > 35 %": rows["power saved"] > 35.0,
+        "throughput after > 0.85x before":
+            rows["throughput after"] > 0.85 * rows["throughput before"],
+    })
+
+
 def _correlated_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: one seeded trial of ``simultaneous`` servers
     dying at the same instant (a rack/PDU event)."""
@@ -345,6 +379,18 @@ def render_correlated(plan: SweepPlan, merged) -> ComparisonTable:
                "safe here — but random placement makes lower RFs lose "
                "data far more often than copyset placement would [28]")
     return table
+
+
+def check_correlated(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    lost = [rows[f"RF {rf}: segments lost"] for rf in (1, 2, 3)]
+    return failed_claims({
+        "RF 1: trials with data loss >= 50 %":
+            rows["RF 1: trials with data loss"] >= 50.0,
+        "segments lost never grow with RF": lost[0] >= lost[1] >= lost[2],
+        "RF 3 loses fewer segments than RF 1": lost[2] < lost[0],
+        "RF 3 loses no segment": lost[2] == 0.0,
+    })
 
 
 SWEEP_CELLS = {"distributions": _distribution_cell,

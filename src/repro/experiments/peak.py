@@ -10,10 +10,10 @@ per machine, Infiniband.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     CellOutcome,
@@ -136,6 +136,23 @@ def render_fig1(plan: SweepPlan, merged,
     return throughput, power
 
 
+def check_fig1(tables, merged) -> List[str]:
+    kops, watts = (table.measured_by_label() for table in tables)
+    one = kops["1 servers / 30 clients"]
+    return failed_claims({
+        "1 servers / 30 clients within 250–500 Kop/s": 250 <= one <= 500,
+        "5 servers / 30 clients > 1.3x 1 server":
+            kops["5 servers / 30 clients"] > one * 1.3,
+        "10 servers / 30 clients <= 1.1x 5 servers":
+            kops["10 servers / 30 clients"]
+            <= kops["5 servers / 30 clients"] * 1.1,
+        "1 servers / 1 clients draws 92 W (± 6)":
+            abs(watts["1 servers / 1 clients"] - 92.0) < 6.0,
+        "1 server draws more at 30 clients than at 1":
+            watts["1 servers / 30 clients"] > watts["1 servers / 1 clients"],
+    })
+
+
 def render_table1(plan: SweepPlan, merged) -> ComparisonTable:
     """Table I: average CPU usage per node for the read-only grid."""
     table = ComparisonTable(
@@ -146,6 +163,20 @@ def render_table1(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("the idle row is the pinned dispatch core: 1 of 4 cores "
                "busy-polling = 25 %")
     return table
+
+
+def check_table1(tables, merged) -> List[str]:
+    cpu = tables[0].measured_by_label()
+    return failed_claims({
+        "1 servers / 0 clients at 25 % (± 1)":
+            abs(cpu["1 servers / 0 clients"] - 25.0) < 1.0,
+        "1 servers / 1 clients at 50 % (± 5)":
+            abs(cpu["1 servers / 1 clients"] - 50.0) < 5.0,
+        "1 servers / 10 clients > 90 %": cpu["1 servers / 10 clients"] > 90.0,
+        "1 servers / 30 clients > 95 %": cpu["1 servers / 30 clients"] > 95.0,
+        "10 servers / 30 clients <= 1 server's CPU":
+            cpu["10 servers / 30 clients"] <= cpu["1 servers / 30 clients"],
+    })
 
 
 def render_fig2(plan: SweepPlan, merged) -> ComparisonTable:
@@ -165,3 +196,17 @@ def render_fig2(plan: SweepPlan, merged) -> ComparisonTable:
         table.add("efficiency ratio 1 vs 10 servers (30 clients)",
                   7.6, measured[(1, 30)] / measured[(10, 30)])
     return table
+
+
+def check_fig2(tables, merged) -> List[str]:
+    eff = tables[0].measured_by_label()
+    ratio = eff["1 servers / 30 clients"] / eff["10 servers / 30 clients"]
+    return failed_claims({
+        "1 server: efficiency rises 1 → 10 → 30 clients":
+            eff["1 servers / 30 clients"] > eff["1 servers / 10 clients"]
+            > eff["1 servers / 1 clients"],
+        "30 clients: efficiency falls 1 → 5 → 10 servers":
+            eff["1 servers / 30 clients"] > eff["5 servers / 30 clients"]
+            > eff["10 servers / 30 clients"],
+        "1 vs 10 servers at 30 clients within 2x–20x": 2.0 < ratio < 20.0,
+    })

@@ -8,14 +8,14 @@ and Fig. 12 (aggregate disk activity during recovery).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import (
     ClusterSpec,
     CrashExperimentSpec,
     run_crash_experiment,
 )
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     CellOutcome,
@@ -140,6 +140,24 @@ def render_fig9(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_fig9(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    (metrics,) = merged.values()
+    return failed_claims({
+        "idle cluster CPU at 25 % (± 2)":
+            abs(rows["idle cluster CPU"] - 25.0) < 2.0,
+        "peak cluster CPU during recovery > 70 %":
+            rows["peak cluster CPU during recovery"] > 70.0,
+        "peak surviving-node power > 90 W":
+            rows["peak surviving-node power"] > 90.0,
+        "recovery time > 1 s": rows["recovery time"] > 1.0,
+        # (absent when the run ends within 5 s of recovery)
+        "CPU from 5 s after recovery < 40 %":
+            "tail_cpu_min" not in metrics
+            or metrics["tail_cpu_min"].mean < 40.0,
+    })
+
+
 def _fig10_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: two read-only clients during a targeted crash,
     one pinned to the victim's data, one to live data, reduced to the
@@ -205,6 +223,19 @@ def render_fig10(plan: SweepPlan, merged) -> ComparisonTable:
               note="equals the recovery time")
     table.add("recovery time", 40.0, metrics["recovery_time"].mean, " s")
     return table
+
+
+def check_fig10(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    slowdown = rows.get("live-data slowdown during recovery")
+    return failed_claims({
+        "lost-data client blocked for > 0.5x the recovery time":
+            rows["lost-data client blocked for"] > 0.5 * rows["recovery time"],
+        "live-data slowdown during recovery > 1.1x":
+            slowdown is not None and slowdown > 1.1,
+        "live-data client latency during recovery < 1 s":
+            rows["live-data client latency during recovery"] < 1e6,
+    })
 
 
 def _recovery_spec(params: Dict[str, int], seed: int,
@@ -273,6 +304,18 @@ def render_fig11(plan: SweepPlan, merged,
     return time_table, energy_table
 
 
+def check_fig11(tables, merged) -> List[str]:
+    seconds, joules = ([table.measured_by_label()[f"RF {rf}"]
+                        for rf in (1, 2, 3, 4, 5)] for table in tables)
+    return failed_claims({
+        "recovery time rises with every RF step":
+            all(seconds[i] < seconds[i + 1] for i in range(4)),
+        "RF 5 recovery time > 2x RF 1": seconds[-1] > 2.0 * seconds[0],
+        "recovery energy rises with every RF step":
+            all(joules[i] < joules[i + 1] for i in range(4)),
+    })
+
+
 def _fig12_cell(params: Dict[str, int], seed: int, scale: Scale):
     """Sweep cell runner: the Fig. 11 run, reduced to the disk activity
     of its recovery window."""
@@ -321,6 +364,20 @@ def render_fig12(plan: SweepPlan, merged) -> ComparisonTable:
               note="the head contention the paper blames for slow "
                    "small-cluster recovery")
     return table
+
+
+def check_fig12(tables, merged) -> List[str]:
+    rows = tables[0].measured_by_label()
+    (metrics,) = merged.values()
+    return failed_claims({
+        "peak aggregate read > 0": rows["peak aggregate read"] > 0.0,
+        "peak aggregate write > 0": rows["peak aggregate write"] > 0.0,
+        "write/read volume ratio > 1.5": rows["write/read volume ratio"] > 1.5,
+        "seconds with overlapping read+write >= 1":
+            rows["seconds with overlapping read+write"] >= 1.0,
+        "no disk writes before the kill":
+            metrics["pre_kill_peak_write"].mean == 0.0,
+    })
 
 
 SWEEP_CELLS = {"fig9": _fig9_cell, "fig10": _fig10_cell,

@@ -10,9 +10,9 @@ All runs use the update-heavy workload A, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
@@ -115,6 +115,19 @@ def render_fig5(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_fig5(tables, merged) -> List[str]:
+    kops = tables[0].measured_by_label()
+    claims = {}
+    for n in (10, 30, 60):
+        rf = [kops[f"{n} clients / RF {r}"] for r in (1, 2, 3, 4)]
+        claims[f"{n} clients: RF 1 > RF 4"] = rf[0] > rf[-1]
+        claims[f"{n} clients: each RF step keeps >= 0.9x"] = all(
+            rf[i] >= rf[i + 1] * 0.9 for i in range(3))
+    claims["10 clients: RF 1 → 4 drops > 20 %"] = (
+        1.0 - kops["10 clients / RF 4"] / kops["10 clients / RF 1"] > 0.2)
+    return failed_claims(claims)
+
+
 def render_fig6(plan: SweepPlan, merged,
                 ) -> Tuple[ComparisonTable, ComparisonTable]:
     """Fig. 6a (throughput) and Fig. 6b (total energy), 60 clients."""
@@ -155,6 +168,20 @@ def render_fig6(plan: SweepPlan, merged,
     return throughput, energy
 
 
+def check_fig6(tables, merged) -> List[str]:
+    kops, ratio = (table.measured_by_label() for table in tables)
+    rf1 = [kops[f"{s} servers / RF 1"] for s in (10, 20, 30, 40)]
+    claims = {"RF 1 throughput rises 10 → 40 servers": rf1 == sorted(rf1),
+              "40 servers / RF 1 > 1.5x 10 servers": rf1[-1] > 1.5 * rf1[0]}
+    for s in (20, 30, 40):
+        claims[f"{s} servers / RF 4 < 0.8x RF 1"] = (
+            kops[f"{s} servers / RF 4"] < 0.8 * kops[f"{s} servers / RF 1"])
+    for s in (20, 40):
+        claims[f"{s} servers energy ratio RF4/RF1 > 1.5"] = (
+            ratio[f"{s} servers energy ratio RF4/RF1"] > 1.5)
+    return failed_claims(claims)
+
+
 def render_fig7(plan: SweepPlan, merged) -> ComparisonTable:
     """Fig. 7: average power per node of 40 servers vs RF, from the
     Fig. 6 cells of the plan's largest cluster."""
@@ -170,6 +197,16 @@ def render_fig7(plan: SweepPlan, merged) -> ComparisonTable:
                       PAPER_FIG7_WATTS.get(params["rf"]),
                       merged[point.label]["avg_power_per_server"].mean, "W")
     return table
+
+
+def check_fig7(tables, merged) -> List[str]:
+    # Known deviation (EXPERIMENTS.md): the paper's +12 W slope over RF
+    # is ≈flat here, so RF 4 need only not draw meaningfully LESS.
+    watts = [row.measured for row in tables[0].rows]
+    return failed_claims({
+        "every RF draws 93–125 W": all(93.0 < w < 125.0 for w in watts),
+        "RF 4 draws > RF 1 - 4 W": watts[-1] > watts[0] - 4.0,
+    })
 
 
 def render_fig8(plan: SweepPlan, merged) -> ComparisonTable:
@@ -201,3 +238,18 @@ def render_fig8(plan: SweepPlan, merged) -> ComparisonTable:
                "its own Fig. 6a/6b (which imply ≈74 op/J for the same "
                "runs); compare orderings, not absolutes")
     return table
+
+
+def check_fig8(tables, merged) -> List[str]:
+    # Known deviation (EXPERIMENTS.md): the paper's efficiency rises
+    # with server count at fixed RF; ours is flat-to-slightly falling,
+    # so that ordering is only reported in the table's note.
+    eff = tables[0].measured_by_label()
+    rf1, rf4 = ([eff[f"{s} servers / RF {r}"] for s in (20, 30, 40)]
+                for r in (1, 4))
+    claims = {f"{s} servers / RF 4 < RF 1": lo < hi
+              for s, lo, hi in zip((20, 30, 40), rf4, rf1)}
+    claims["RF 1 spread over 20–40 servers < 1.5x"] = (
+        max(rf1) < 1.5 * min(rf1))
+    claims["RF 4 spread over 20–40 servers < 2x"] = max(rf4) < 2 * min(rf4)
+    return failed_claims(claims)

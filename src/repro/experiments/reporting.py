@@ -2,7 +2,9 @@
 
 Every experiment runner returns a :class:`ComparisonTable`: rows of
 (configuration, paper value, measured value).  The same table renders
-the console output of the benchmarks and feeds EXPERIMENTS.md.
+the console output of ``python -m repro run`` and feeds EXPERIMENTS.md,
+and each experiment's claim check reads it back by row label
+(:meth:`ComparisonTable.measured_by_label`, :func:`failed_claims`).
 
 The rest renders the paper's other figure types without a plotting
 stack: ASCII line charts of timelines (Fig. 9/10/12), Table-I-style
@@ -13,11 +15,11 @@ energy-proportionality index behind Finding 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["ComparisonRow", "ComparisonTable", "ascii_chart",
            "ascii_multi_chart", "cpu_usage_table", "crash_timeline_report",
-           "energy_proportionality_index"]
+           "energy_proportionality_index", "failed_claims"]
 
 
 @dataclass
@@ -56,13 +58,9 @@ class ComparisonTable:
         """Attach a caveat shown under the table."""
         self.notes.append(text)
 
-    def measured_series(self) -> List[float]:
-        """All measured values, in row order."""
-        return [r.measured for r in self.rows if r.measured is not None]
-
-    def paper_series(self) -> List[float]:
-        """All paper values, in row order."""
-        return [r.paper for r in self.rows if r.paper is not None]
+    def measured_by_label(self) -> Dict[str, Optional[float]]:
+        """Every row's measured value, keyed by its label."""
+        return {row.label: row.measured for row in self.rows}
 
     def render(self) -> str:
         """Fixed-width console table."""
@@ -96,6 +94,11 @@ class ComparisonTable:
             lines.append("")
             lines.append(f"*{note}*")
         return "\n".join(lines)
+
+
+def failed_claims(claims: Mapping[str, bool]) -> List[str]:
+    """The claims (text → whether it holds) that do not hold."""
+    return [claim for claim, held in claims.items() if not held]
 
 
 def _fmt(value: Optional[float], unit: str) -> str:

@@ -7,9 +7,9 @@ and having linear throughput increase."
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
@@ -71,3 +71,18 @@ def render_fig13(plan: SweepPlan, merged) -> ComparisonTable:
     table.note("linear in clients at both rates = the cluster is never "
                "saturated, so no timeouts/crashes (§IX)")
     return table
+
+
+def check_fig13(tables, merged) -> List[str]:
+    ops = tables[0].measured_by_label()
+    claims = {}
+    for rate in (200, 500):
+        n10, n30, n60 = (ops[f"rate {rate}/s / {n} clients"]
+                         for n in (10, 30, 60))
+        claims[f"rate {rate}/s: 30 clients > 2.5x 10"] = n30 > 2.5 * n10
+        claims[f"rate {rate}/s: 60 clients > 1.7x 30"] = n60 > 1.7 * n30
+        claims[f"rate {rate}/s / 10 clients within 15 % of the rate"] = (
+            abs(n10 - rate * 10) < 0.15 * rate * 10)
+    claims["rate 500/s / 60 clients > 2x rate 200/s"] = (
+        ops["rate 500/s / 60 clients"] > 2.0 * ops["rate 200/s / 60 clients"])
+    return failed_claims(claims)

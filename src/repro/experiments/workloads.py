@@ -9,9 +9,9 @@ in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.reporting import ComparisonTable
+from repro.experiments.reporting import ComparisonTable, failed_claims
 from repro.experiments.scale import DEFAULT, Scale
 from repro.experiments.sweep import (
     SweepPlan,
@@ -113,6 +113,19 @@ def render_table2(plan: SweepPlan, merged) -> ComparisonTable:
     return table
 
 
+def check_table2(tables, merged) -> List[str]:
+    kops = tables[0].measured_by_label()
+    c10, c90, b90, a30, a90 = (kops[f"workload {w} / {n} clients"] for w, n
+                               in (("C", 10), ("C", 90), ("B", 90),
+                                   ("A", 30), ("A", 90)))
+    return failed_claims({
+        "workload C / 90 clients > 6x 10 clients": c90 > 6 * c10,
+        "workload B / 90 clients < 0.5x workload C": b90 < 0.5 * c90,
+        "workload A / 90 clients < 1.3x 30 clients": a90 < 1.3 * a30,
+        "workload A > 90 % below C at 90 clients": 1.0 - a90 / c90 > 0.90,
+    })
+
+
 def render_fig3(plan: SweepPlan, merged) -> ComparisonTable:
     """Fig. 3: throughput scaling factor relative to the first client
     count, from the Table II cells.
@@ -138,6 +151,20 @@ def render_fig3(plan: SweepPlan, merged) -> ComparisonTable:
                       measured[(name, clients)] / measured[(name, baseline)],
                       "x", note=f"perfect = {clients / baseline:.0f}x")
     return table
+
+
+def check_fig3(tables, merged) -> List[str]:
+    factor = tables[0].measured_by_label()
+    claims = {
+        "workload C / 90 clients > 6x": factor["workload C / 90 clients"] > 6,
+        "workload B / 90 clients < 0.7 x 9x":
+            factor["workload B / 90 clients"] < 0.7 * 9.0,
+        "workload A / 90 clients < 2x": factor["workload A / 90 clients"] < 2,
+    }
+    for n in (20, 30, 60, 90):
+        c, b, a = (factor[f"workload {w} / {n} clients"] for w in "CBA")
+        claims[f"{n} clients: C >= B >= 0.95 x A"] = c >= b >= a * 0.95
+    return failed_claims(claims)
 
 
 def render_fig4(plan: SweepPlan, merged,
@@ -173,3 +200,22 @@ def render_fig4(plan: SweepPlan, merged,
     energy.note("paper ratios: B consumes 28 % more than C, A consumes "
                 "4.92x C (§V)")
     return power, energy
+
+
+def check_fig4(tables, merged) -> List[str]:
+    watts, ratio = (table.measured_by_label() for table in tables)
+    a, c = ([watts[f"workload {w} / {n} clients"] for n in (10, 30, 60, 90)]
+            for w in "AC")
+    a_ratio = ratio["workload A energy ratio vs C"]
+    # Known deviation (EXPERIMENTS.md): the paper's Fig. 4a shows C at
+    # 82–93 W even at 4.5 clients/server, which contradicts its own
+    # Table I (4–5 clients ≈ 90 % CPU ⇒ ≈120 W).  Our model follows
+    # Table I, so C saturates high; only C's rise with load is claimed.
+    return failed_claims({
+        "workload A power rises with clients": a == sorted(a),
+        "workload A / 10 clients draws 90 W (± 8)": abs(a[0] - 90.0) < 8.0,
+        "workload C power rises with clients": c == sorted(c),
+        "workload A energy ratio vs C > 2.5": a_ratio > 2.5,
+        "1 <= workload B energy ratio vs C < A's":
+            1.0 <= ratio["workload B energy ratio vs C"] < a_ratio,
+    })

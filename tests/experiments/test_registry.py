@@ -16,8 +16,8 @@ MICRO = SMOKE.with_(num_records=200, ops_per_client=10, seeds=(1,))
                                    ("fig6", "fig7", "fig8")])
 def test_figures_sharing_a_plan_run_each_cell_once(names):
     cells = Counter()
-    rendered = dict(run_experiments(
-        names, MICRO, on_cell=lambda result: cells.update([result.cell.key])))
+    rendered = {name: tables for name, tables, _failed in run_experiments(
+        names, MICRO, on_cell=lambda result: cells.update([result.cell.key]))}
     assert list(rendered) == list(names)
     assert all(tables for tables in rendered.values())
     plan = EXPERIMENTS[names[0]].plan(MICRO)
@@ -25,5 +25,5 @@ def test_figures_sharing_a_plan_run_each_cell_once(names):
 
 
 def test_registry_rendering_equals_the_public_runner():
-    (_name, (table,)), = run_experiments(["fig2"], MICRO)
+    (_name, (table,), _failed), = run_experiments(["fig2"], MICRO)
     assert table.render() == tables("fig2", MICRO).render()

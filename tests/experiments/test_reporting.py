@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import ComparisonRow, ComparisonTable
+from repro.experiments.reporting import ComparisonTable
 from repro.experiments.scale import DEFAULT, FULL, SMOKE, Scale, active_scale
 
 
@@ -36,9 +36,8 @@ class TestComparisonTable:
         assert md.count("|") >= 16
 
     def test_series_extraction(self):
-        table = self.make_table()
-        assert table.measured_series() == [90.0, 42.0]
-        assert table.paper_series() == [100.0, 7.0]
+        assert self.make_table().measured_by_label() == {
+            "first": 90.0, "missing paper": 42.0, "missing measured": None}
 
     def test_value_formatting_breakpoints(self):
         from repro.experiments.reporting import _fmt

@@ -1,8 +1,8 @@
 """Smoke tests: every experiment executes end-to-end at a tiny scale
 and produces well-formed comparison tables.
 
-The benchmarks exercise the full shapes; these tests only guarantee
-that the experiments never rot.
+The registry's claim checks test the shapes at DEFAULT scale; these
+tests only guarantee that the experiments never rot.
 """
 
 from repro.experiments.registry import tables

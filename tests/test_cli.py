@@ -63,8 +63,9 @@ class TestCli:
     @pytest.mark.parametrize("name", sorted(POWER_PROBES))
     def test_power_probes_dispatch_from_the_cli(self, name, capsys,
                                                 monkeypatch):
-        # The real runs take ~25 s each even at smoke scale (and are
-        # asserted on in benchmarks/), so check the wiring: the name
+        # The real runs take ~25 s each even at smoke scale (and their
+        # claims are checked where tools/generate_experiments_md.py
+        # renders them at DEFAULT), so check the wiring: the name
         # reaches its plan/render pair, and whatever that pair renders
         # is what prints.
         assert (EXPERIMENTS[name].plan,

@@ -5,14 +5,18 @@ paper-vs-measured tables.
 
 Usage:  REPRO_SCALE=default python tools/generate_experiments_md.py
 
+The file is written either way; then every paper claim (registry
+check, calibrated at DEFAULT) that its tables do not hold is listed as
+`experiment: claim`, and the script exits 1.
+
 Set REPRO_SWEEP_WORKERS=N to sweep every experiment through the parallel
 runner (repro.experiments.sweep) — the rendered tables are bit-identical
 to the serial path (that equivalence is what `pytest -m sweep`
 enforces), only the wall clock changes.
 """
 
-import io
 import os
+import sys
 import time
 
 from repro.experiments.registry import EXPERIMENTS, run_experiments
@@ -54,24 +58,25 @@ def main():
     scale = active_scale()
     workers = int(os.environ.get("REPRO_SWEEP_WORKERS", "0"))  # simlint: disable=DET002 CI entry point reading its own opt-in knob
     sections = []
-    for name, tables in run_experiments(EXPERIMENTS, scale, workers=workers):
+    failures = []
+    for name, tables, failed in run_experiments(EXPERIMENTS, scale,
+                                                workers=workers):
         print(f"[{time.strftime('%H:%M:%S')}] {name} done", flush=True)
         sections.extend(table.render_markdown() for table in tables)
+        failures.extend(f"{name}: {claim}" for claim in failed)
 
-    out = io.StringIO()
-    out.write(HEADER.format(
-        scale=scale.name,
-        records=scale.num_records, ops=scale.ops_per_client,
-        seeds=len(scale.seeds),
-        recovery_mb=scale.recovery_bytes_per_server // (1024 * 1024),
-        record_kb=scale.recovery_record_size // 1024,
-    ))
-    out.write(FINDINGS)
-    out.write("\n\n".join(sections))
-    out.write("\n")
     with open("EXPERIMENTS.md", "w") as fh:
-        fh.write(out.getvalue())
+        fh.write(HEADER.format(
+            scale=scale.name, records=scale.num_records,
+            ops=scale.ops_per_client, seeds=len(scale.seeds),
+            recovery_mb=scale.recovery_bytes_per_server // (1024 * 1024),
+            record_kb=scale.recovery_record_size // 1024))
+        fh.write(FINDINGS)
+        fh.write("\n\n".join(sections) + "\n")
     print("wrote EXPERIMENTS.md")
+    for failure in failures:
+        print(f"claim does not hold: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 FINDINGS = """\
@@ -110,4 +115,4 @@ FINDINGS = """\
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
